@@ -31,7 +31,7 @@ const (
 // varied over {none, CFI, ASAN, CFI+ASAN}.
 func BenchmarkFig05HardeningPoset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		nodes, err := figures.Fig5(benchRequests, 600_000)
+		nodes, err := figures.Fig5(context.Background(), benchRequests, 600_000, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func BenchmarkFig05HardeningPoset(b *testing.B) {
 // (Figure 6 top).
 func BenchmarkFig06Redis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig6Redis(benchRequests)
+		rows, err := figures.Fig6Redis(context.Background(), benchRequests, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func BenchmarkFig06Redis(b *testing.B) {
 // bottom).
 func BenchmarkFig06Nginx(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig6Nginx(benchRequests)
+		rows, err := figures.Fig6Nginx(context.Background(), benchRequests, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,11 +77,11 @@ func BenchmarkFig06Nginx(b *testing.B) {
 // normalized Redis-vs-Nginx scatter.
 func BenchmarkFig07Scatter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		redisRows, err := figures.Fig6Redis(benchRequests)
+		redisRows, err := figures.Fig6Redis(context.Background(), benchRequests, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		nginxRows, err := figures.Fig6Nginx(benchRequests)
+		nginxRows, err := figures.Fig6Nginx(context.Background(), benchRequests, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func BenchmarkFig07Scatter(b *testing.B) {
 // space with the paper's 500k req/s budget.
 func BenchmarkFig08SafetyOrdering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := figures.Fig8(benchRequests, 500_000)
+		res, err := figures.Fig8(context.Background(), benchRequests, 500_000, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func main() {
 	}
 
 	run("5", func() error {
-		nodes, err := figures.Fig5Workers(ctx, *requests, 600_000, *workers)
+		nodes, err := figures.Fig5(ctx, *requests, 600_000, *workers)
 		if err != nil {
 			return err
 		}
@@ -74,13 +74,13 @@ func main() {
 	var redisRows, nginxRows []figures.ConfigPerf
 	run("6", func() error {
 		var err error
-		redisRows, err = figures.Fig6RedisWorkers(ctx, *requests, *workers)
+		redisRows, err = figures.Fig6Redis(ctx, *requests, *workers)
 		if err != nil {
 			return err
 		}
 		fmt.Print(figures.FormatFig6("Redis", redisRows))
 		fmt.Println()
-		nginxRows, err = figures.Fig6NginxWorkers(ctx, *requests, *workers)
+		nginxRows, err = figures.Fig6Nginx(ctx, *requests, *workers)
 		if err != nil {
 			return err
 		}
@@ -100,10 +100,10 @@ func main() {
 	run("7", func() error {
 		if redisRows == nil {
 			var err error
-			if redisRows, err = figures.Fig6RedisWorkers(ctx, *requests, *workers); err != nil {
+			if redisRows, err = figures.Fig6Redis(ctx, *requests, *workers); err != nil {
 				return err
 			}
-			if nginxRows, err = figures.Fig6NginxWorkers(ctx, *requests, *workers); err != nil {
+			if nginxRows, err = figures.Fig6Nginx(ctx, *requests, *workers); err != nil {
 				return err
 			}
 		}
@@ -116,7 +116,7 @@ func main() {
 		return nil
 	})
 	run("8", func() error {
-		res, err := figures.Fig8Workers(ctx, *requests, *budget, *workers)
+		res, err := figures.Fig8(ctx, *requests, *budget, *workers)
 		if err != nil {
 			return err
 		}

@@ -31,9 +31,6 @@
 package flexos
 
 import (
-	"context"
-	"fmt"
-
 	"flexos/internal/attack"
 	"flexos/internal/config"
 	"flexos/internal/core"
@@ -98,10 +95,6 @@ type (
 	// ExploreMeasurement is one decided configuration of an
 	// ExploreResult (and the value a streaming query yields from).
 	ExploreMeasurement = explore.Measurement
-	// ExploreOptions configures the deprecated Explore* entry points.
-	//
-	// Deprecated: build a Query instead.
-	ExploreOptions = explore.Options
 	// ExploreMemo is a measurement cache shared across explorations,
 	// keyed by canonical configuration identity.
 	ExploreMemo = explore.Memo
@@ -141,8 +134,7 @@ type (
 	PhasedScenario = scenario.Phased
 )
 
-// Budget metrics for Query constraints (and the deprecated
-// ExploreMetrics / ExploreScenario).
+// Budget metrics for Query constraints.
 const (
 	MetricThroughput = scenario.MetricThroughput
 	MetricP50        = scenario.MetricP50
@@ -413,28 +405,6 @@ func Fig5Space(blockA, blockB []string) []*ExploreConfig {
 	return explore.Fig5Space(blockA, blockB)
 }
 
-// Explore runs partial safety ordering over a configuration space with
-// a throughput floor.
-//
-// Deprecated: use the Query builder:
-// NewQuery(cfgs).MeasureScalar(measure).Floor(MetricThroughput,
-// budget).Prune(prune).Run(ctx).
-func Explore(cfgs []*ExploreConfig, measure func(*ExploreConfig) (float64, error), budget float64, prune bool) (*ExploreResult, error) {
-	return ExploreWith(cfgs, measure, budget, ExploreOptions{Prune: prune})
-}
-
-// ExploreWith is Explore with engine options.
-//
-// Deprecated: use the Query builder:
-// NewQuery(cfgs).MeasureScalar(measure).Floor(MetricThroughput,
-// budget).Workers(n).Prune(p).Memo(m).Namespace(w).Progress(fn).Run(ctx).
-func ExploreWith(cfgs []*ExploreConfig, measure func(*ExploreConfig) (float64, error), budget float64, opts ExploreOptions) (*ExploreResult, error) {
-	q := NewQuery(cfgs).MeasureScalar(measure).Floor(MetricThroughput, budget).
-		Workers(opts.Workers).Prune(opts.Prune).Memo(opts.Memo).
-		Namespace(opts.Workload).Progress(opts.Progress)
-	return compatResult(q.Run(context.Background()))
-}
-
 // NewExploreMemo returns an empty measurement cache for Query.Memo.
 // Share one memo only among explorations whose measure functions agree
 // for identical configurations (same application and request count);
@@ -510,43 +480,4 @@ func MeasureScenario(w Workload) func(*ExploreConfig) (Metrics, error) {
 	return func(c *ExploreConfig) (Metrics, error) {
 		return w.Run(c.Spec(TCBLibs()))
 	}
-}
-
-// ExploreMetrics explores a configuration space with full metric
-// vectors under a single natural-direction budget on the chosen metric.
-//
-// Deprecated: use the Query builder, which supports any number of
-// simultaneous constraints:
-// NewQuery(cfgs).Measure(measure).Constrain(metric, op, budget).Run(ctx).
-func ExploreMetrics(cfgs []*ExploreConfig, measure func(*ExploreConfig) (Metrics, error), metric Metric, budget float64, opts ExploreOptions) (*ExploreResult, error) {
-	c := explore.BudgetConstraint(metric, budget)
-	q := NewQuery(cfgs).Measure(measure).RankBy(metric).
-		Constrain(c.Metric, c.Op, c.Bound).
-		Workers(opts.Workers).Prune(opts.Prune).Memo(opts.Memo).
-		Namespace(opts.Workload).Progress(opts.Progress)
-	return compatResult(q.Run(context.Background()))
-}
-
-// ExploreScenario explores an application's Figure-6 configuration
-// space under a scenario workload, budgeting on the given metric. The
-// scenario must drive a four-component application (Redis, Nginx,
-// iPerf); SQLite scenarios have no Fig6Space shape and return an error.
-//
-// Deprecated: use the Query builder:
-// NewQuery(Fig6Space(quad)).Workload(sc).Constrain(metric, op,
-// budget).Run(ctx). Unlike this wrapper's historical behavior, the
-// builder namespaces the memo by scenario name and op count even when
-// the caller supplies its own Namespace, so distinct scenarios never
-// collide in a shared memo.
-func ExploreScenario(sc *Scenario, metric Metric, budget float64, opts ExploreOptions) (*ExploreResult, error) {
-	quad, ok := sc.Quad()
-	if !ok {
-		return nil, fmt.Errorf("flexos: scenario %s has no four-component space; use a Query over a custom space", sc.Name())
-	}
-	c := explore.BudgetConstraint(metric, budget)
-	q := NewQuery(Fig6Space(quad)).Workload(sc).RankBy(metric).
-		Constrain(c.Metric, c.Op, c.Bound).
-		Workers(opts.Workers).Prune(opts.Prune).Memo(opts.Memo).
-		Namespace(opts.Workload).Progress(opts.Progress)
-	return compatResult(q.Run(context.Background()))
 }

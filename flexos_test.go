@@ -1,6 +1,7 @@
 package flexos_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -124,7 +125,8 @@ func TestExploreThroughPublicAPI(t *testing.T) {
 	synthetic := func(c *flexos.ExploreConfig) (float64, error) {
 		return 1000 - 100*float64(c.NumCompartments()) - 50*float64(c.HardenedCount()), nil
 	}
-	res, err := flexos.Explore(cfgs, synthetic, 500, true)
+	res, err := flexos.NewQuery(cfgs).MeasureScalar(synthetic).
+		Floor(flexos.MetricThroughput, 500).Prune(true).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

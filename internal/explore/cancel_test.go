@@ -21,7 +21,7 @@ func TestEngineCanceledBeforeStart(t *testing.T) {
 		Space: Fig6Space(fig6Comps),
 		Measure: func(c *Config) (Metrics, error) {
 			calls.Add(1)
-			return liftMeasure(syntheticMeasure)(c)
+			return lift(syntheticMeasure)(c)
 		},
 	})
 	if !errors.Is(err, ErrCanceled) {
@@ -49,7 +49,7 @@ func TestEngineDeadlineReturnsErrCanceled(t *testing.T) {
 				return Metrics{}, ctx.Err()
 			case <-time.After(50 * time.Millisecond):
 			}
-			return liftMeasure(syntheticMeasure)(c)
+			return lift(syntheticMeasure)(c)
 		},
 		Workers: 4,
 	})
@@ -95,7 +95,7 @@ func TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe(t *testing.T) {
 	slow := func(c *Config) (Metrics, error) {
 		n := measured.Add(1)
 		if n <= 2 {
-			return liftMeasure(syntheticMeasure)(c)
+			return lift(syntheticMeasure)(c)
 		}
 		if n == 3 {
 			cancel()
@@ -105,7 +105,7 @@ func TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe(t *testing.T) {
 			return Metrics{}, ctx.Err()
 		case <-time.After(10 * time.Second):
 		}
-		return liftMeasure(syntheticMeasure)(c)
+		return lift(syntheticMeasure)(c)
 	}
 
 	start := time.Now()
@@ -126,7 +126,7 @@ func TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe(t *testing.T) {
 	// fresh run against the same memo completes and measures what the
 	// aborted run never delivered.
 	res, err := Engine{}.Run(context.Background(), Request{
-		Space: cfgs, Measure: liftMeasure(syntheticMeasure), Workers: 4, Memo: memo, Workload: "w"})
+		Space: cfgs, Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Workload: "w"})
 	if err != nil {
 		t.Fatalf("rerun against shared memo: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestEngineCompletedRunSurvivesLateCancel(t *testing.T) {
 	var decided atomic.Int64
 	res, err := Engine{}.Run(ctx, Request{
 		Space:   cfgs,
-		Measure: liftMeasure(syntheticMeasure),
+		Measure: lift(syntheticMeasure),
 		Workers: 4,
 		Observe: func(idx int, m Measurement) {
 			// Fires on the coordinating goroutine; canceling on the
@@ -180,7 +180,7 @@ func TestEngineCancelDuringStreamObserve(t *testing.T) {
 	var observed atomic.Int64
 	_, err := Engine{}.Run(ctx, Request{
 		Space:   cfgs,
-		Measure: liftMeasure(shakyMeasure),
+		Measure: lift(shakyMeasure),
 		Workers: 4,
 		Observe: func(idx int, m Measurement) {
 			if observed.Add(1) == 5 {

@@ -40,9 +40,8 @@ type Constraint struct {
 	Bound  float64
 }
 
-// BudgetConstraint reproduces the legacy single-budget semantics: a
-// bound on the metric in its natural direction. An empty metric selects
-// throughput, like the legacy engines did.
+// BudgetConstraint is the single-budget constraint: a bound on the
+// metric in its natural direction. An empty metric selects throughput.
 func BudgetConstraint(m Metric, budget float64) Constraint {
 	if m == "" {
 		m = scenario.MetricThroughput

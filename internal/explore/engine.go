@@ -9,47 +9,7 @@ import (
 	"sync/atomic"
 
 	"flexos/internal/poset"
-	"flexos/internal/scenario"
 )
-
-// Options configures the deprecated RunOpts / RunMetrics wrappers.
-//
-// Deprecated: build a Request (or a flexos.Query) instead; Options
-// survives only so legacy call sites keep compiling.
-type Options struct {
-	// Workers is the number of concurrent measurement goroutines; values
-	// <= 0 select runtime.GOMAXPROCS(0). The result is identical for
-	// every worker count (the simulated machine is deterministic), so
-	// callers pick workers purely for wall-clock speed.
-	Workers int
-
-	// Prune enables poset-aware monotonic pruning (§5): a configuration
-	// is skipped when a strictly-less-safe ancestor already missed the
-	// budget. The engine keeps pruning sound under concurrent
-	// completion order by deferring every decision about a configuration
-	// until all of its poset predecessors are decided.
-	Prune bool
-
-	// Memo, when non-nil, caches measurements across runs keyed by
-	// canonical configuration identity (Config.Key), so identical points
-	// shared by several spaces are measured once. Share one Memo only
-	// among runs whose measure functions agree for identical configs —
-	// use Workload to namespace different benchmarks within one Memo.
-	// Entries carry full metric vectors, so runs budgeting on different
-	// metrics can share a memo as long as the workload matches.
-	Memo *Memo
-
-	// Workload namespaces memo keys (e.g. "redis", "nginx",
-	// "redis-get90/240"), letting a single Memo serve several measure
-	// functions without collisions.
-	Workload string
-
-	// Progress, when non-nil, is called after each configuration is
-	// decided (measured, memo-filled or pruned) with the number decided
-	// so far and the space size. It runs on the coordinating goroutine,
-	// never concurrently with itself.
-	Progress func(done, total int)
-}
 
 // Request describes one exploration for Engine.Run: the space, how to
 // measure it, the feasibility constraints, and the engine knobs.
@@ -290,8 +250,8 @@ func (m *Memo) peek(key string) bool {
 
 // Engine is the one exploration engine. It is stateless — the zero
 // value is ready to use — and every public exploration surface (the
-// flexos.Query builder, the deprecated Run* wrappers, the figures
-// package) funnels into its Run method.
+// flexos.Query builder, the figures package) funnels into its Run
+// method.
 type Engine struct{}
 
 // outcome is one configuration's reusable measurement slot. Workers
@@ -437,9 +397,7 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	if req.Measure == nil {
 		return nil, errors.New("explore: request has no measure function")
 	}
-	if req.MeasureBudget < 0 {
-		req.MeasureBudget = 0
-	}
+	req = req.normalize()
 	if req.DeltaOnly {
 		if req.MeasureBudget > 0 {
 			return nil, errors.New("explore: DeltaOnly and MeasureBudget are mutually exclusive")
@@ -452,14 +410,6 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		return nil, canceledError(ctx)
 	}
 	metric := req.Metric
-	if metric == "" {
-		if len(req.Constraints) > 0 {
-			metric = req.Constraints[0].Metric
-		}
-		if metric == "" {
-			metric = scenario.MetricThroughput
-		}
-	}
 	cfgs, err := req.Shard.slice(req.Space)
 	if err != nil {
 		return nil, err
@@ -482,8 +432,8 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		Shard:        req.Shard,
 		order:        order,
 	}
-	// Budget echoes the ranking metric's bound for legacy consumers
-	// (Result.String, single-budget callers).
+	// Budget echoes the ranking metric's bound for single-budget
+	// consumers (Result.String, the figures).
 	for _, c := range res.Constraints {
 		if c.Metric == metric {
 			res.Budget = c.Bound

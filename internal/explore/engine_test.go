@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -37,13 +38,15 @@ func shakyMeasure(c *Config) (float64, error) {
 func TestEngineMatchesSequentialOracle(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	for _, prune := range []bool{false, true} {
-		want, err := Run(cfgs, syntheticMeasure, 600, prune)
+		want, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+			Measure: lift(syntheticMeasure), Workers: 1, Prune: prune, Constraints: floor600})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantDump := dump(want)
 		for _, workers := range []int{1, 4, 8} {
-			got, err := RunOpts(cfgs, shakyMeasure, 600, Options{Workers: workers, Prune: prune})
+			got, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+				Measure: lift(shakyMeasure), Workers: workers, Prune: prune, Constraints: floor600})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,11 +60,13 @@ func TestEngineMatchesSequentialOracle(t *testing.T) {
 
 func TestEngineDefaultWorkers(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	want, err := Run(cfgs, syntheticMeasure, 600, true)
+	want, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunOpts(cfgs, shakyMeasure, 600, Options{Prune: true}) // Workers: 0 → GOMAXPROCS
+	got, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(shakyMeasure), Prune: true, Constraints: floor600}) // Workers: 0 → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestEngineDefaultWorkers(t *testing.T) {
 }
 
 func TestEngineEmptySpace(t *testing.T) {
-	res, err := RunOpts(nil, syntheticMeasure, 600, Options{Workers: 4, Prune: true})
+	res, err := Engine{}.Run(context.Background(), Request{Measure: lift(syntheticMeasure), Workers: 4, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,8 @@ func TestEngineEmptySpace(t *testing.T) {
 func TestEngineMemoSecondRunIsFree(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	memo := NewMemo()
-	first, err := RunOpts(cfgs, syntheticMeasure, 600, Options{Workers: 4, Memo: memo})
+	first, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +101,10 @@ func TestEngineMemoSecondRunIsFree(t *testing.T) {
 	}
 	var wantDump string
 	for _, workers := range []int{1, 4, 8} {
-		second, err := RunOpts(cfgs, func(c *Config) (float64, error) {
+		second, err := Engine{}.Run(context.Background(), Request{Space: cfgs, Measure: lift(func(c *Config) (float64, error) {
 			t.Errorf("config %d measured despite warm memo", c.ID)
 			return syntheticMeasure(c)
-		}, 600, Options{Workers: workers, Memo: memo})
+		}), Workers: workers, Memo: memo, Constraints: floor600})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +130,12 @@ func TestEngineMemoSharesPointsAcrossSpaces(t *testing.T) {
 	// spaces". A shared memo must measure it only once.
 	memo := NewMemo()
 	app, libcN, schedN, lwipN := fig6Comps[0], fig6Comps[1], fig6Comps[2], fig6Comps[3]
-	if _, err := RunOpts(Fig6Space(fig6Comps), syntheticMeasure, 600, Options{Workers: 4, Memo: memo}); err != nil {
+	if _, err := (Engine{}).Run(context.Background(), Request{Space: Fig6Space(fig6Comps),
+		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOpts(Fig5Space([]string{app, libcN, schedN}, []string{lwipN}), syntheticMeasure, 600,
-		Options{Workers: 4, Memo: memo})
+	res, err := Engine{}.Run(context.Background(), Request{Space: Fig5Space([]string{app, libcN, schedN}, []string{lwipN}),
+		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +152,12 @@ func TestEngineWorkloadNamespacesMemo(t *testing.T) {
 	// measurements.
 	memo := NewMemo()
 	cfgs := Fig6Space(fig6Comps)
-	if _, err := RunOpts(cfgs, syntheticMeasure, 600, Options{Memo: memo, Workload: "redis"}); err != nil {
+	if _, err := (Engine{}).Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Memo: memo, Workload: "redis", Constraints: floor600}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOpts(cfgs, syntheticMeasure, 600, Options{Memo: memo, Workload: "nginx"})
+	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Memo: memo, Workload: "nginx", Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +183,8 @@ func TestEngineDeduplicatesIdenticalConfigs(t *testing.T) {
 	var wantDump string
 	for _, workers := range []int{1, 4, 8} {
 		calls.Store(0)
-		res, err := RunOpts(cfgs, counting, 600, Options{Workers: workers})
+		res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+			Measure: lift(counting), Workers: workers, Constraints: floor600})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +219,8 @@ func TestEngineErrorIsStableAcrossWorkers(t *testing.T) {
 	}
 	var want string
 	for _, workers := range []int{1, 4, 8} {
-		_, err := RunOpts(cfgs, failing, 600, Options{Workers: workers})
+		_, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+			Measure: lift(failing), Workers: workers, Constraints: floor600})
 		if err == nil {
 			t.Fatalf("workers=%d: failure swallowed", workers)
 		}
@@ -234,14 +245,16 @@ func TestEngineFailedMeasurementNotCached(t *testing.T) {
 		}
 		return syntheticMeasure(c)
 	}
-	if _, err := RunOpts(cfgs, measure, 600, Options{Memo: memo}); err == nil {
+	if _, err := (Engine{}).Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(measure), Memo: memo, Constraints: floor600}); err == nil {
 		t.Fatal("failure swallowed")
 	}
 	if memo.Len() != 0 {
 		t.Fatalf("failed measurement cached: %d entries", memo.Len())
 	}
 	fail = false
-	res, err := RunOpts(cfgs, measure, 600, Options{Memo: memo})
+	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(measure), Memo: memo, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +267,12 @@ func TestEngineProgressCoversEveryConfig(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	for _, workers := range []int{1, 4} {
 		var seen []int
-		_, err := RunOpts(cfgs, shakyMeasure, 600, Options{
-			Workers: workers,
-			Prune:   true,
+		_, err := Engine{}.Run(context.Background(), Request{
+			Space:       cfgs,
+			Measure:     lift(shakyMeasure),
+			Constraints: floor600,
+			Workers:     workers,
+			Prune:       true,
 			Progress: func(done, total int) {
 				if total != len(cfgs) {
 					t.Fatalf("progress total = %d", total)
@@ -288,11 +304,13 @@ func TestEnginePruningSavesOnCrossAppSpace(t *testing.T) {
 			t.Fatalf("config %d has ID %d", i, c.ID)
 		}
 	}
-	exhaustive, err := RunOpts(cfgs, shakyMeasure, 600, Options{Workers: 8})
+	exhaustive, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(shakyMeasure), Workers: 8, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := RunOpts(cfgs, shakyMeasure, 600, Options{Workers: 8, Prune: true})
+	pruned, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(shakyMeasure), Workers: 8, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +321,8 @@ func TestEnginePruningSavesOnCrossAppSpace(t *testing.T) {
 		t.Fatalf("pruning changed the stars: %v vs %v", pruned.Safest, exhaustive.Safest)
 	}
 	// And the whole pruned result matches the sequential oracle.
-	want, err := Run(cfgs, syntheticMeasure, 600, true)
+	want, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}

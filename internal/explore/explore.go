@@ -16,9 +16,7 @@
 // sound under concurrent completion by deciding a configuration only
 // after all its poset predecessors are decided, and cooperative
 // cancellation with a typed error set (ErrCanceled, ErrNoFeasible,
-// MeasureError). Results are byte-identical for any worker count. The
-// legacy Run/RunOpts/RunMetrics/RunMetricsSequential entry points
-// survive as deprecated thin wrappers over the same engine.
+// MeasureError). Results are byte-identical for any worker count.
 package explore
 
 import (

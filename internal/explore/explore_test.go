@@ -1,11 +1,13 @@
 package explore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
+	"flexos/internal/scenario"
 )
 
 var fig6Comps = [4]string{"libredis", "newlib", "uksched", "lwip"}
@@ -153,9 +155,24 @@ func syntheticMeasure(c *Config) (float64, error) {
 	return perf, nil
 }
 
+// lift adapts a scalar measure into a throughput-only metric vector:
+// exploretest.Lift for the in-package tests, which cannot import
+// exploretest without an import cycle.
+func lift(measure Measure) MeasureMetrics {
+	return func(c *Config) (Metrics, error) {
+		v, err := measure(c)
+		return Metrics{Throughput: v}, err
+	}
+}
+
+// floor600 is the throughput floor the synthetic-measure tests explore
+// under; syntheticMeasure leaves some configurations above it.
+var floor600 = []Constraint{BudgetConstraint(scenario.MetricThroughput, 600)}
+
 func TestRunExhaustive(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	res, err := Run(cfgs, syntheticMeasure, 600, false)
+	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 1, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +199,13 @@ func TestRunExhaustive(t *testing.T) {
 
 func TestRunPruningIsSoundAndSaves(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	exhaustive, err := Run(cfgs, syntheticMeasure, 600, false)
+	exhaustive, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 1, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Run(cfgs, syntheticMeasure, 600, true)
+	pruned, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +258,8 @@ func TestLabel(t *testing.T) {
 
 func TestResultDOT(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	res, err := Run(cfgs, syntheticMeasure, 600, true)
+	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -522,8 +522,7 @@ func MonotoneMeasure(rng *rand.Rand) explore.Measure {
 }
 
 // Lift adapts a scalar measure into a metric-vector measure with only
-// the throughput dimension populated, like the engine's own legacy
-// adapter.
+// the throughput dimension populated.
 func Lift(measure explore.Measure) explore.MeasureMetrics {
 	return func(c *explore.Config) (explore.Metrics, error) {
 		v, err := measure(c)

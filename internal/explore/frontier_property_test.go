@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -61,7 +62,7 @@ func TestBitsetFrontiersMatchMapFrontierOracle(t *testing.T) {
 
 func runForTest(t *testing.T, cfgs []*explore.Config, measure explore.MeasureMetrics, constraints []explore.Constraint, workers int, prune bool) (*explore.Result, error) {
 	t.Helper()
-	res, err := explore.Engine{}.Run(t.Context(), explore.Request{
+	res, err := explore.Engine{}.Run(context.Background(), explore.Request{
 		Space:       exploretest.CopySpace(cfgs),
 		Measure:     measure,
 		Metric:      "throughput",
@@ -83,7 +84,7 @@ func TestSafetyLevelsMatchFlatPoset(t *testing.T) {
 	for seed := int64(200); seed < 210; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfgs := exploretest.RandomSpace(rng, 70)
-		res, err := explore.Engine{}.Run(t.Context(), explore.Request{
+		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
 			Space: cfgs, Measure: exploretest.Lift(exploretest.MonotoneMeasure(rng)), Workers: 4,
 		})
 		if err != nil {

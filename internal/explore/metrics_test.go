@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -37,11 +39,11 @@ func syntheticMetrics(c *Config) (Metrics, error) {
 	}, nil
 }
 
-// TestRunMetricsDeterministicAcrossWorkers is the acceptance check of
+// TestMetricVectorsDeterministicAcrossWorkers is the acceptance check of
 // the multi-metric engine: every Metrics field and the ParetoFront are
 // byte-identical for workers ∈ {1, 4, 8} and match the sequential
 // oracle, on a real scenario workload over the Redis Figure-6 space.
-func TestRunMetricsDeterministicAcrossWorkers(t *testing.T) {
+func TestMetricVectorsDeterministicAcrossWorkers(t *testing.T) {
 	sc, ok := scenario.ByName("redis-get90")
 	if !ok {
 		t.Fatal("redis-get90 missing")
@@ -49,11 +51,15 @@ func TestRunMetricsDeterministicAcrossWorkers(t *testing.T) {
 	sc = sc.WithOps(60)
 	measure := scenarioMeasure(sc)
 	metric := scenario.MetricP99
-	budget := 0.6 // µs ceiling: tight enough that some configs fail
+	// µs ceiling: tight enough that some configs fail — every one, in
+	// fact, so each run reports its full result with ErrNoFeasible.
+	budget := 0.6
 
 	mkSpace := func() []*Config { return Fig6Space(redisapp.Components4()) }
-	oracle, err := RunMetricsSequential(mkSpace(), measure, metric, budget, true)
-	if err != nil {
+	budgeted := []Constraint{BudgetConstraint(metric, budget)}
+	oracle, err := Engine{}.Run(context.Background(), Request{Space: mkSpace(), Measure: measure, Metric: metric,
+		Workers: 1, Prune: true, Constraints: budgeted})
+	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
 	}
 	if oracle.Evaluated == oracle.Total {
@@ -62,8 +68,9 @@ func TestRunMetricsDeterministicAcrossWorkers(t *testing.T) {
 	oracleFront := oracle.ParetoFront()
 
 	for _, workers := range []int{1, 4, 8} {
-		res, err := RunMetrics(mkSpace(), measure, metric, budget, Options{Workers: workers, Prune: true})
-		if err != nil {
+		res, err := Engine{}.Run(context.Background(), Request{Space: mkSpace(), Measure: measure, Metric: metric,
+			Workers: workers, Prune: true, Constraints: budgeted})
+		if err != nil && !errors.Is(err, ErrNoFeasible) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if len(res.Measurements) != len(oracle.Measurements) {
@@ -92,14 +99,17 @@ func TestRunMetricsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunMetricsLowerBetterPruning checks ceiling-budget semantics on a
+// TestLowerBetterCeilingPruning checks ceiling-budget semantics on a
 // cost metric: pruned nodes must all genuinely exceed the ceiling, and
 // the safest set must equal the exhaustively-derived one.
-func TestRunMetricsLowerBetterPruning(t *testing.T) {
+func TestLowerBetterCeilingPruning(t *testing.T) {
 	for _, metric := range []Metric{scenario.MetricP99, scenario.MetricPeakMem, scenario.MetricBoot} {
 		cfgs := CrossAppSpace(nil, redisapp.Components4())
-		exhaustive, err := RunMetricsSequential(cfgs, syntheticMetrics, metric, 0, false)
-		if err != nil {
+		// A zero ceiling excludes every configuration: the run still
+		// measures the whole space and returns it with ErrNoFeasible.
+		exhaustive, err := Engine{}.Run(context.Background(), Request{Space: cfgs, Measure: syntheticMetrics,
+			Workers: 1, Constraints: []Constraint{BudgetConstraint(metric, 0)}})
+		if err != nil && !errors.Is(err, ErrNoFeasible) {
 			t.Fatal(err)
 		}
 		// Ceiling at the median of the metric's values.
@@ -109,7 +119,8 @@ func TestRunMetricsLowerBetterPruning(t *testing.T) {
 		}
 		budget := median(vals)
 
-		pruned, err := RunMetrics(CrossAppSpace(nil, redisapp.Components4()), syntheticMetrics, metric, budget, Options{Prune: true})
+		pruned, err := Engine{}.Run(context.Background(), Request{Space: CrossAppSpace(nil, redisapp.Components4()),
+			Measure: syntheticMetrics, Prune: true, Constraints: []Constraint{BudgetConstraint(metric, budget)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,12 +157,15 @@ func median(vals []float64) float64 {
 // memo and requires every vector to come back intact from cache.
 func TestMemoCarriesMetricVectors(t *testing.T) {
 	memo := NewMemo()
-	opts := Options{Memo: memo, Workload: "synthetic"}
-	first, err := RunMetrics(Fig6Space(redisapp.Components4()), syntheticMetrics, scenario.MetricThroughput, 0, opts)
+	run := func(metric Metric, budget float64) (*Result, error) {
+		return Engine{}.Run(context.Background(), Request{Space: Fig6Space(redisapp.Components4()), Measure: syntheticMetrics,
+			Metric: metric, Memo: memo, Workload: "synthetic", Constraints: []Constraint{BudgetConstraint(metric, budget)}})
+	}
+	first, err := run(scenario.MetricThroughput, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunMetrics(Fig6Space(redisapp.Components4()), syntheticMetrics, scenario.MetricThroughput, 0, opts)
+	second, err := run(scenario.MetricThroughput, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +182,7 @@ func TestMemoCarriesMetricVectors(t *testing.T) {
 		}
 	}
 	// A run budgeting on a different metric may share the same memo.
-	third, err := RunMetrics(Fig6Space(redisapp.Components4()), syntheticMetrics, scenario.MetricPeakMem, 5000, opts)
+	third, err := run(scenario.MetricPeakMem, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,20 +191,25 @@ func TestMemoCarriesMetricVectors(t *testing.T) {
 	}
 }
 
-// TestScalarRunStillWorks pins the backward-compatible scalar API: Run
-// and RunOpts agree, and Perf doubles as the throughput dimension.
+// TestScalarRunStillWorks pins the scalar measure path: a lifted
+// scalar measure agrees at one and many workers, and Perf doubles as
+// the throughput dimension.
 func TestScalarRunStillWorks(t *testing.T) {
 	measure := func(c *Config) (float64, error) {
 		m, _ := syntheticMetrics(c)
 		return m.Throughput, nil
 	}
 	cfgs := Fig6Space(redisapp.Components4())
-	seq, err := Run(Fig6Space(redisapp.Components4()), measure, 9800, true)
-	if err != nil {
+	// No configuration meets this floor: both runs report their full
+	// result with ErrNoFeasible.
+	floor := []Constraint{BudgetConstraint(scenario.MetricThroughput, 9800)}
+	seq, err := Engine{}.Run(context.Background(), Request{Space: Fig6Space(redisapp.Components4()), Measure: lift(measure),
+		Workers: 1, Prune: true, Constraints: floor})
+	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
 	}
-	par, err := RunOpts(cfgs, measure, 9800, Options{Prune: true})
-	if err != nil {
+	par, err := Engine{}.Run(context.Background(), Request{Space: cfgs, Measure: lift(measure), Prune: true, Constraints: floor})
+	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq.Safest, par.Safest) {
@@ -211,7 +230,8 @@ func TestScalarRunStillWorks(t *testing.T) {
 // metric distribution: no frontier point is dominated, every
 // non-frontier point is, and pruned points are excluded.
 func TestParetoFrontProperties(t *testing.T) {
-	res, err := RunMetrics(CrossAppSpace(nil, redisapp.Components4()), syntheticMetrics, scenario.MetricThroughput, 0, Options{})
+	res, err := Engine{}.Run(context.Background(), Request{Space: CrossAppSpace(nil, redisapp.Components4()), Measure: syntheticMetrics,
+		Constraints: []Constraint{BudgetConstraint(scenario.MetricThroughput, 0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +271,10 @@ func TestParetoFrontProperties(t *testing.T) {
 // TestParetoExcludesPruned checks that a pruning run's frontier only
 // ranks evaluated configurations.
 func TestParetoExcludesPruned(t *testing.T) {
-	res, err := RunMetrics(Fig6Space(redisapp.Components4()), syntheticMetrics, scenario.MetricThroughput, 9800, Options{Prune: true})
-	if err != nil {
+	// The floor excludes every configuration; the run still reports.
+	res, err := Engine{}.Run(context.Background(), Request{Space: Fig6Space(redisapp.Components4()), Measure: syntheticMetrics,
+		Prune: true, Constraints: []Constraint{BudgetConstraint(scenario.MetricThroughput, 9800)}})
+	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
 	}
 	if res.Evaluated == res.Total {

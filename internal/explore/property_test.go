@@ -1,114 +1,40 @@
-package explore
+package explore_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
-	"flexos/internal/harden"
-	"flexos/internal/isolation"
+	"flexos/internal/explore"
+	"flexos/internal/explore/exploretest"
+	"flexos/internal/scenario"
 )
 
 // Property tests for pruning soundness: on random configuration spaces
 // with random safety-monotone measure functions and random budgets, the
-// pruning engines must agree exactly with a brute-force oracle that
+// pruning engine must agree exactly with a brute-force oracle that
 // measures everything.
 
-var propComponents = []string{"app", "libc", "sched", "net"}
-
-// randomPartition splits the four components into 1..4 blocks.
-func randomPartition(rng *rand.Rand) [][]string {
-	nblocks := rng.Intn(4) + 1
-	blocks := make([][]string, nblocks)
-	for i, comp := range propComponents {
-		b := rng.Intn(nblocks)
-		if i < nblocks {
-			b = i // guarantee no block is empty
-		}
-		blocks[b] = append(blocks[b], comp)
-	}
-	return blocks
-}
-
-var propTechs = []harden.Tech{harden.CFI, harden.KASan, harden.UBSan, harden.StackProtector}
-
-// randomSpace generates n random configurations: random partitions,
-// per-component hardening subsets, mechanisms, gates and sharing
-// strategies. Duplicates are allowed (the engine must handle twins).
-func randomSpace(rng *rand.Rand, n int) []*Config {
-	mechs := []string{"none", "intel-mpk", "vm-ept"}
-	gates := []isolation.GateMode{isolation.GateLight, isolation.GateFull}
-	sharings := []isolation.Sharing{isolation.ShareStack, isolation.ShareDSS, isolation.ShareHeap}
-	cfgs := make([]*Config, n)
-	for i := range cfgs {
-		h := make(map[string]harden.Set)
-		for _, comp := range propComponents {
-			var techs []harden.Tech
-			for _, tech := range propTechs {
-				if rng.Intn(2) == 0 {
-					techs = append(techs, tech)
-				}
-			}
-			if len(techs) > 0 {
-				h[comp] = harden.NewSet(techs...)
-			}
-		}
-		cfgs[i] = &Config{
-			ID:        i,
-			Blocks:    randomPartition(rng),
-			Hardening: h,
-			Mechanism: mechs[rng.Intn(len(mechs))],
-			GateMode:  gates[rng.Intn(len(gates))],
-			Sharing:   sharings[rng.Intn(len(sharings))],
-		}
-	}
-	return cfgs
-}
-
-// monotoneMeasure builds a measure function with random positive
-// weights that is decreasing along the safety order: every dimension
-// the Leq relation compares contributes non-negatively to cost, so
-// a ≤ b implies measure(a) >= measure(b) — the §5 assumption pruning
-// relies on.
-func monotoneMeasure(rng *rand.Rand) Measure {
-	wComp := float64(rng.Intn(200) + 1)
-	wStrength := float64(rng.Intn(300) + 1)
-	wGate := float64(rng.Intn(50) + 1)
-	wShare := float64(rng.Intn(50) + 1)
-	wTech := make(map[harden.Tech]float64, len(propTechs))
-	for _, tech := range propTechs {
-		wTech[tech] = float64(rng.Intn(40) + 1)
-	}
-	return func(c *Config) (float64, error) {
-		cost := wComp*float64(c.NumCompartments()-1) +
-			wStrength*float64(c.strength()) +
-			wGate*float64(c.gateRank()) +
-			wShare*float64(c.sharingRank())
-		for _, comp := range c.Components() {
-			for _, tech := range propTechs {
-				if c.Hardening[comp].Has(tech) {
-					cost += wTech[tech]
-				}
-			}
-		}
-		return 100_000 - cost, nil
-	}
-}
-
 // TestPruningSoundnessVsBruteForceOracle is the main property: for
-// random spaces, random monotone measures and random budgets, both the
-// sequential and the parallel pruning engines must (a) never prune a
+// random spaces, random monotone measures and random budgets, the
+// pruning engine at one and at four workers must (a) never prune a
 // configuration that would have met the budget, and (b) report exactly
 // the safest set the exhaustive oracle derives.
 func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
+	floor := func(b float64) []explore.Constraint {
+		return []explore.Constraint{explore.BudgetConstraint(scenario.MetricThroughput, b)}
+	}
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfgs := randomSpace(rng, 60)
-		measure := monotoneMeasure(rng)
+		cfgs := exploretest.RandomSpace(rng, 60)
+		measure := exploretest.Lift(exploretest.MonotoneMeasure(rng))
 
 		// Brute force: measure everything, no pruning.
-		oracle, err := Run(cfgs, measure, 0, false)
+		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{
+			Space: cfgs, Measure: measure, Workers: 1, Constraints: floor(0)})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -129,20 +55,24 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 			sorted[len(sorted)-1] + 1,
 		}
 		for _, budget := range budgets {
-			wantSafest := oracle.Poset().Maximal(func(c *Config) bool {
+			wantSafest := oracle.Poset().Maximal(func(c *explore.Config) bool {
 				return perfs[indexOf(cfgs, c)] >= budget
 			})
 			sort.Ints(wantSafest)
 
-			seq, err := Run(randomSpaceCopy(cfgs), measure, budget, true)
-			if err != nil {
-				t.Fatalf("seed %d budget %v: sequential: %v", seed, budget, err)
+			// A budget above every configuration completes the run and
+			// reports it together with ErrNoFeasible.
+			run := func(workers int) *explore.Result {
+				res, err := explore.Engine{}.Run(context.Background(), explore.Request{
+					Space: exploretest.CopySpace(cfgs), Measure: measure,
+					Workers: workers, Prune: true, Constraints: floor(budget)})
+				if err != nil && !errors.Is(err, explore.ErrNoFeasible) {
+					t.Fatalf("seed %d budget %v workers %d: %v", seed, budget, workers, err)
+				}
+				return res
 			}
-			par, err := RunOpts(randomSpaceCopy(cfgs), measure, budget, Options{Prune: true, Workers: 4})
-			if err != nil {
-				t.Fatalf("seed %d budget %v: parallel: %v", seed, budget, err)
-			}
-			for name, res := range map[string]*Result{"sequential": seq, "parallel": par} {
+			seq, par := run(1), run(4)
+			for name, res := range map[string]*explore.Result{"sequential": seq, "parallel": par} {
 				if !reflect.DeepEqual(res.Safest, wantSafest) {
 					t.Fatalf("seed %d budget %v: %s safest %v, oracle %v",
 						seed, budget, name, res.Safest, wantSafest)
@@ -159,8 +89,8 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 				}
 			}
 			if seq.Evaluated < par.Evaluated {
-				// The parallel engine dedups twins, so it can only
-				// measure fewer fresh configurations, never more.
+				// Twins are deduplicated at every worker count, so the
+				// parallel run can never measure more.
 				t.Fatalf("seed %d budget %v: parallel measured more (%d) than sequential (%d)",
 					seed, budget, par.Evaluated, seq.Evaluated)
 			}
@@ -168,7 +98,7 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 	}
 }
 
-func indexOf(cfgs []*Config, c *Config) int {
+func indexOf(cfgs []*explore.Config, c *explore.Config) int {
 	for i := range cfgs {
 		if cfgs[i] == c {
 			return i
@@ -177,25 +107,14 @@ func indexOf(cfgs []*Config, c *Config) int {
 	return -1
 }
 
-// randomSpaceCopy clones a space so each engine run builds its own
-// poset over fresh pointers (Results key Maximal by pointer identity).
-func randomSpaceCopy(cfgs []*Config) []*Config {
-	out := make([]*Config, len(cfgs))
-	for i, c := range cfgs {
-		cc := *c
-		out[i] = &cc
-	}
-	return out
-}
-
 // TestLeqIsPartialOrderOnRandomSpaces validates the safety relation
 // itself on random configuration spaces — the foundation the pruning
 // argument rests on.
 func TestLeqIsPartialOrderOnRandomSpaces(t *testing.T) {
 	for seed := int64(50); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfgs := randomSpace(rng, 50)
-		p := Poset(cfgs)
+		cfgs := exploretest.RandomSpace(rng, 50)
+		p := explore.Poset(cfgs)
 		if err := p.CheckOrder(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

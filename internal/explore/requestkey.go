@@ -8,11 +8,38 @@ import (
 	"flexos/internal/scenario"
 )
 
-// CanonicalRequestKey digests everything about an exploration request
-// that can change the bytes of its result: the space identity (the
-// SpaceHash of the memo namespace plus every configuration key), the
-// resolved ranking metric, the constraint conjunction, whether
-// monotonic pruning is enabled, and the shard. Two requests share a
+// normalize resolves the request's defaults and drops the knobs the
+// engine ignores: the ranking metric falls back to the first
+// constraint's metric, then to throughput; a negative measurement
+// budget means none; the seed is meaningless without a budget; and
+// delta dispatch never prunes. Engine.Run runs the normalized request
+// and Key formats it, so the two cannot disagree.
+func (r Request) normalize() Request {
+	if r.Metric == "" {
+		if len(r.Constraints) > 0 {
+			r.Metric = r.Constraints[0].Metric
+		}
+		if r.Metric == "" {
+			r.Metric = scenario.MetricThroughput
+		}
+	}
+	if r.MeasureBudget < 0 {
+		r.MeasureBudget = 0
+	}
+	if r.MeasureBudget == 0 {
+		r.Seed = 0
+	}
+	if r.DeltaOnly {
+		r.Prune = false
+	}
+	return r
+}
+
+// Key digests everything about the request that can change the bytes
+// of its result: the space identity (the SpaceHash of the Workload
+// namespace plus every configuration key), the resolved ranking
+// metric, the constraint conjunction, pruning, the shard, the
+// measurement budget and seed, and delta mode. Two requests share a
 // key exactly when the engine is guaranteed to produce byte-identical
 // results for both — which is what lets a serving layer coalesce
 // concurrent requests onto one engine pass.
@@ -22,35 +49,16 @@ import (
 // statistics, never results), and the Progress/Observe hooks.
 // Constraints are rendered canonically and sorted, since feasibility
 // is their conjunction — "a AND b" and "b AND a" decide the same runs.
-//
-// The measurement budget and seed join the key: budgeted runs decide
-// (and skip) different configurations per (budget, seed) pair, so two
-// requests differing only there must not coalesce. The seed is
-// normalized to 0 when no budget is set — an unbudgeted request
-// ignores it, and ignored knobs must not split a flight. A delta
-// request keys separately too (its report covers only the re-measured
-// slice), and normalizes prune away since delta dispatch ignores it.
-func CanonicalRequestKey(workload string, cfgs []*Config, metric Metric, constraints []Constraint, prune bool, shard Shard, budget int, seed int64, delta bool) string {
-	// Resolve the ranking metric exactly as Engine.Run does.
-	if metric == "" {
-		if len(constraints) > 0 {
-			metric = constraints[0].Metric
-		}
-		if metric == "" {
-			metric = scenario.MetricThroughput
-		}
-	}
-	cs := make([]string, 0, len(constraints))
-	for _, c := range constraints {
+// The key formats the normalized request, so knobs the engine ignores
+// (a seed without a budget, prune under delta) never split a flight.
+func (r Request) Key() string {
+	r = r.normalize()
+	cs := make([]string, 0, len(r.Constraints))
+	for _, c := range r.Constraints {
 		cs = append(cs, c.String())
 	}
 	sort.Strings(cs)
-	if budget <= 0 {
-		budget, seed = 0, 0
-	}
-	if delta {
-		prune = false
-	}
 	return fmt.Sprintf("space=%s;metric=%s;constraints=%s;prune=%t;shard=%s;budget=%d;seed=%d;delta=%t",
-		SpaceHash(workload, cfgs), metric, strings.Join(cs, ","), prune, shard, budget, seed, delta)
+		SpaceHash(r.Workload, r.Space), r.Metric, strings.Join(cs, ","), r.Prune, r.Shard,
+		r.MeasureBudget, r.Seed, r.DeltaOnly)
 }

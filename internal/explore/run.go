@@ -1,8 +1,6 @@
 package explore
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -30,18 +28,6 @@ type Measure func(*Config) (float64, error)
 // cost). The engine constrains and ranks on chosen dimensions and
 // carries the whole vector through results, memos and Pareto frontiers.
 type MeasureMetrics func(*Config) (Metrics, error)
-
-// liftMeasure adapts a scalar measure into a metric-vector measure with
-// only the throughput dimension populated.
-func liftMeasure(measure Measure) MeasureMetrics {
-	return func(c *Config) (Metrics, error) {
-		v, err := measure(c)
-		if err != nil {
-			return Metrics{}, err
-		}
-		return Metrics{Throughput: v}, nil
-	}
-}
 
 // Measurement is one labeled poset node.
 type Measurement struct {
@@ -94,7 +80,7 @@ type Result struct {
 	// Constraints echoes the feasibility conjunction of the run.
 	Constraints []Constraint
 	// Budget echoes the ranking metric's bound when one of the
-	// constraints applies to it (legacy single-budget callers); Metric
+	// constraints applies to it (single-budget callers); Metric
 	// is the ranking dimension Perf reports.
 	Budget float64
 	Metric Metric
@@ -131,59 +117,6 @@ func (r *Result) Poset() *poset.Poset[*Config] {
 func (r *Result) Feasible(i int) bool {
 	m := r.Measurements[i]
 	return m.Evaluated && meetsAll(r.Constraints, m.Metrics)
-}
-
-// Run is the sequential form of the engine: one worker, no memo.
-//
-// Deprecated: use Engine.Run with Workers: 1, or a flexos.Query; Run
-// survives as a compile-compatible wrapper (and as the tests'
-// single-worker reference invocation).
-func Run(cfgs []*Config, measure Measure, budget float64, prune bool) (*Result, error) {
-	return RunMetricsSequential(cfgs, liftMeasure(measure), scenario.MetricThroughput, budget, prune)
-}
-
-// RunMetricsSequential is the sequential multi-metric form of the
-// engine: one worker, full metric vectors, a single natural-direction
-// budget on the chosen metric.
-//
-// Deprecated: use Engine.Run with Workers: 1 and explicit Constraints,
-// or a flexos.Query.
-func RunMetricsSequential(cfgs []*Config, measure MeasureMetrics, metric Metric, budget float64, prune bool) (*Result, error) {
-	res, err := Engine{}.Run(context.Background(), Request{
-		Space: cfgs, Measure: measure, Metric: metric, Workers: 1, Prune: prune,
-		Constraints: []Constraint{BudgetConstraint(metric, budget)}})
-	return res, ignoreNoFeasible(err)
-}
-
-// RunOpts explores a configuration space with the engine under the
-// legacy scalar single-budget surface.
-//
-// Deprecated: use Engine.Run with a Request, or a flexos.Query.
-func RunOpts(cfgs []*Config, measure Measure, budget float64, opts Options) (*Result, error) {
-	return RunMetrics(cfgs, liftMeasure(measure), scenario.MetricThroughput, budget, opts)
-}
-
-// RunMetrics explores a configuration space with full metric vectors
-// and a single natural-direction budget on the chosen metric (a floor
-// for throughput, a ceiling for latency/memory/boot).
-//
-// Deprecated: use Engine.Run with a Request carrying Constraints, or a
-// flexos.Query.
-func RunMetrics(cfgs []*Config, measure MeasureMetrics, metric Metric, budget float64, opts Options) (*Result, error) {
-	res, err := Engine{}.Run(context.Background(), Request{
-		Space: cfgs, Measure: measure, Metric: metric, Workers: opts.Workers, Prune: opts.Prune,
-		Memo: opts.Memo, Workload: opts.Workload, Progress: opts.Progress,
-		Constraints: []Constraint{BudgetConstraint(metric, budget)}})
-	return res, ignoreNoFeasible(err)
-}
-
-// ignoreNoFeasible restores the legacy contract of the Run* wrappers:
-// an infeasible-but-complete run is not an error, just an empty Safest.
-func ignoreNoFeasible(err error) error {
-	if errors.Is(err, ErrNoFeasible) {
-		return nil
-	}
-	return err
 }
 
 // safest computes the constraint-filtered maximal elements: the safest

@@ -37,15 +37,9 @@ type ConfigPerf struct {
 // Fig6Redis measures the 80-configuration Redis space (Figure 6 top):
 // MPK+DSS isolation, 5 partitions x 16 per-component hardening sets.
 // Results are sorted by throughput ascending, like the paper's plot.
-// Measurement fans out over GOMAXPROCS workers (see Fig6RedisWorkers).
-func Fig6Redis(requests int) ([]ConfigPerf, error) {
-	return Fig6RedisWorkers(context.Background(), requests, 0)
-}
-
-// Fig6RedisWorkers is Fig6Redis with an explicit worker count
-// (<= 0 selects GOMAXPROCS) and a context bounding the sweep. Results
-// are identical for every count.
-func Fig6RedisWorkers(ctx context.Context, requests, workers int) ([]ConfigPerf, error) {
+// ctx bounds the sweep; measurement fans out over workers goroutines
+// (<= 0 selects GOMAXPROCS), and results are identical for every count.
+func Fig6Redis(ctx context.Context, requests, workers int) ([]ConfigPerf, error) {
 	return fig6(ctx, redisapp.Components4(), workers, func(spec core.ImageSpec) (float64, error) {
 		res, err := redisapp.Benchmark(spec, requests)
 		if err != nil {
@@ -55,14 +49,9 @@ func Fig6RedisWorkers(ctx context.Context, requests, workers int) ([]ConfigPerf,
 	})
 }
 
-// Fig6Nginx measures the Nginx half of the space (Figure 6 bottom).
-func Fig6Nginx(requests int) ([]ConfigPerf, error) {
-	return Fig6NginxWorkers(context.Background(), requests, 0)
-}
-
-// Fig6NginxWorkers is Fig6Nginx with an explicit worker count and a
-// context bounding the sweep.
-func Fig6NginxWorkers(ctx context.Context, requests, workers int) ([]ConfigPerf, error) {
+// Fig6Nginx measures the Nginx half of the space (Figure 6 bottom),
+// with Fig6Redis's context and worker semantics.
+func Fig6Nginx(ctx context.Context, requests, workers int) ([]ConfigPerf, error) {
 	return fig6(ctx, nginxapp.Components4(), workers, func(spec core.ImageSpec) (float64, error) {
 		res, err := nginxapp.Benchmark(spec, requests)
 		if err != nil {
@@ -186,15 +175,9 @@ type Fig8Result struct {
 // Fig8 applies partial safety ordering to the Redis configuration space
 // with the paper's 500k req/s budget: it returns the safest
 // configurations meeting the budget (the stars) and how many
-// measurements monotonic pruning saved. Measurement is parallel; see
-// Fig8Workers for an explicit worker count.
-func Fig8(requests int, budget float64) (*Fig8Result, error) {
-	return Fig8Workers(context.Background(), requests, budget, 0)
-}
-
-// Fig8Workers is Fig8 with an explicit worker count (<= 0 selects
-// GOMAXPROCS) and a context bounding the exploration.
-func Fig8Workers(ctx context.Context, requests int, budget float64, workers int) (*Fig8Result, error) {
+// measurements monotonic pruning saved. ctx bounds the exploration;
+// workers <= 0 selects GOMAXPROCS.
+func Fig8(ctx context.Context, requests int, budget float64, workers int) (*Fig8Result, error) {
 	cfgs := explore.Fig6Space(redisapp.Components4())
 	measure := func(c *explore.Config) (explore.Metrics, error) {
 		res, err := redisapp.Benchmark(c.Spec(tcbLibs()), requests)

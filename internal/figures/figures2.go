@@ -34,14 +34,8 @@ type Fig5Node struct {
 // Fig5 reproduces the Figure 5 poset subset: a fixed two-compartment
 // Redis configuration (app+libc+sched / lwip), varying per-compartment
 // hardening over {none, CFI, ASAN, CFI+ASAN}, pruned under a budget.
-// Measurement is parallel; see Fig5Workers for an explicit count.
-func Fig5(requests int, budget float64) ([]Fig5Node, error) {
-	return Fig5Workers(context.Background(), requests, budget, 0)
-}
-
-// Fig5Workers is Fig5 with an explicit worker count (<= 0 selects
-// GOMAXPROCS) and a context bounding the sweep.
-func Fig5Workers(ctx context.Context, requests int, budget float64, workers int) ([]Fig5Node, error) {
+// ctx bounds the sweep; workers <= 0 selects GOMAXPROCS.
+func Fig5(ctx context.Context, requests int, budget float64, workers int) ([]Fig5Node, error) {
 	comps := [4]string{"libredis", libc.Name, oslib.SchedName, netstack.Name}
 	cfgs := explore.Fig5Space(
 		[]string{comps[0], comps[1], comps[2]},

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ const (
 )
 
 func TestFig6RedisShape(t *testing.T) {
-	rows, err := Fig6Redis(reqs)
+	rows, err := Fig6Redis(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestFig6RedisShape(t *testing.T) {
 }
 
 func TestFig6NginxFlatterHead(t *testing.T) {
-	redisRows, err := Fig6Redis(reqs)
+	redisRows, err := Fig6Redis(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nginxRows, err := Fig6Nginx(reqs)
+	nginxRows, err := Fig6Nginx(context.Background(), reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +78,8 @@ func TestFig6NginxFlatterHead(t *testing.T) {
 }
 
 func TestFig7PairsAllConfigs(t *testing.T) {
-	redisRows, _ := Fig6Redis(100)
-	nginxRows, _ := Fig6Nginx(100)
+	redisRows, _ := Fig6Redis(context.Background(), 100, 0)
+	nginxRows, _ := Fig6Nginx(context.Background(), 100, 0)
 	pts := Fig7(redisRows, nginxRows)
 	if len(pts) != 80 {
 		t.Fatalf("scatter points = %d, want 80", len(pts))
@@ -95,7 +96,7 @@ func TestFig7PairsAllConfigs(t *testing.T) {
 
 func TestFig8FindsAFewStars(t *testing.T) {
 	// Paper: the 500k req/s budget prunes 80 configurations to 5.
-	res, err := Fig8(reqs, 500_000)
+	res, err := Fig8(context.Background(), reqs, 500_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFig8FindsAFewStars(t *testing.T) {
 }
 
 func TestFig5LatticeAndBudget(t *testing.T) {
-	nodes, err := Fig5(100, 600_000)
+	nodes, err := Fig5(context.Background(), 100, 600_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,12 +46,12 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenFig6(t *testing.T) {
-	redisRows, err := Fig6RedisWorkers(context.Background(), goldenRequests, 0)
+	redisRows, err := Fig6Redis(context.Background(), goldenRequests, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig6-redis", FormatFig6("Redis", redisRows))
-	nginxRows, err := Fig6NginxWorkers(context.Background(), goldenRequests, 0)
+	nginxRows, err := Fig6Nginx(context.Background(), goldenRequests, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestGoldenFig6(t *testing.T) {
 }
 
 func TestGoldenFig7(t *testing.T) {
-	redisRows, err := Fig6RedisWorkers(context.Background(), goldenRequests, 0)
+	redisRows, err := Fig6Redis(context.Background(), goldenRequests, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nginxRows, err := Fig6NginxWorkers(context.Background(), goldenRequests, 0)
+	nginxRows, err := Fig6Nginx(context.Background(), goldenRequests, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestGoldenFig7(t *testing.T) {
 }
 
 func TestGoldenFig8(t *testing.T) {
-	res, err := Fig8Workers(context.Background(), goldenRequests, 500_000, 0)
+	res, err := Fig8(context.Background(), goldenRequests, 500_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

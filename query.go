@@ -251,17 +251,14 @@ func (q *Query) SpaceHash() string {
 // CanonicalKey digests everything about the query that can change the
 // bytes of its result — the space identity (SpaceHash: composed memo
 // namespace plus every configuration key), the ranking metric, the
-// constraint conjunction, pruning, and the shard — into a stable
-// string. Two queries share a key exactly when Run is guaranteed to
-// produce byte-identical results for both, which is what lets a
-// serving layer (flexos-serve) coalesce concurrent requests onto one
-// engine pass. Workers, Memo, Cache and the progress hooks are
-// deliberately excluded: none of them can change a result, only
-// statistics and wall-clock time.
-func (q *Query) CanonicalKey() string {
-	return explore.CanonicalRequestKey(q.namespaceKey(), q.space, q.metric, q.constraints, q.prune, q.shard,
-		q.budget, q.seed, q.deltaOnly)
-}
+// constraint conjunction, pruning, the shard, the measurement budget
+// and seed, and delta mode — into a stable string. Two queries share a
+// key exactly when Run is guaranteed to produce byte-identical results
+// for both, which is what lets a serving layer (flexos-serve) coalesce
+// concurrent requests onto one engine pass. Workers, Memo, Cache and
+// the progress hooks are deliberately excluded: none of them can
+// change a result, only statistics and wall-clock time.
+func (q *Query) CanonicalKey() string { return q.snapshot().Key() }
 
 // MemoNamespace returns the composed memo namespace the query's
 // measurements are keyed under — the caller's Namespace joined with
@@ -307,20 +304,9 @@ func (q *Query) namespaceKey() string {
 	return ns
 }
 
-// request snapshots the builder into an engine request.
-func (q *Query) request() (explore.Request, error) {
-	if q.err != nil {
-		return explore.Request{}, q.err
-	}
-	if q.measure == nil {
-		return explore.Request{}, errors.New("flexos: query has no measurement source; call Workload, Measure or MeasureScalar")
-	}
-	if q.cacheDir != "" && q.memo != nil {
-		return explore.Request{}, errors.New("flexos: Query.Cache and Query.Memo are exclusive; the cache directory already carries the memo's entries — share it instead")
-	}
-	if q.deltaOnly && q.cacheDir == "" && q.memo == nil {
-		return explore.Request{}, errors.New("flexos: Query.DeltaOnly needs a store to diff against; call Cache or Memo")
-	}
+// snapshot copies the builder into an engine request without
+// validating it.
+func (q *Query) snapshot() explore.Request {
 	return explore.Request{
 		Space:         q.space,
 		Measure:       q.measure,
@@ -335,7 +321,24 @@ func (q *Query) request() (explore.Request, error) {
 		Workload:      q.namespaceKey(),
 		Shard:         q.shard,
 		Progress:      q.progress,
-	}, nil
+	}
+}
+
+// request snapshots the builder into a validated engine request.
+func (q *Query) request() (explore.Request, error) {
+	if q.err != nil {
+		return explore.Request{}, q.err
+	}
+	if q.measure == nil {
+		return explore.Request{}, errors.New("flexos: query has no measurement source; call Workload, Measure or MeasureScalar")
+	}
+	if q.cacheDir != "" && q.memo != nil {
+		return explore.Request{}, errors.New("flexos: Query.Cache and Query.Memo are exclusive; the cache directory already carries the memo's entries — share it instead")
+	}
+	if q.deltaOnly && q.cacheDir == "" && q.memo == nil {
+		return explore.Request{}, errors.New("flexos: Query.DeltaOnly needs a store to diff against; call Cache or Memo")
+	}
+	return q.snapshot(), nil
 }
 
 // engineRun executes one snapshot of the query: it opens the cache
@@ -454,14 +457,4 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 		return res, err
 	}
 	return seq, final
-}
-
-// compatResult restores the legacy contract of the deprecated Explore*
-// wrappers: an infeasible-but-complete run is not an error, just an
-// empty Safest set.
-func compatResult(res *ExploreResult, err error) (*ExploreResult, error) {
-	if errors.Is(err, ErrNoFeasible) {
-		return res, nil
-	}
-	return res, err
 }

@@ -17,26 +17,6 @@ func syntheticScalar(c *flexos.ExploreConfig) (float64, error) {
 	return 1000 - 150*float64(c.NumCompartments()-1) - 80*float64(c.HardenedCount()), nil
 }
 
-func TestQueryMatchesDeprecatedExplore(t *testing.T) {
-	cfgs := flexos.Fig6Space(flexos.RedisComponents())
-	old, err := flexos.Explore(cfgs, syntheticScalar, 500, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := flexos.NewQuery(cfgs).
-		MeasureScalar(syntheticScalar).
-		Floor(flexos.MetricThroughput, 500).
-		Prune(true).
-		Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Safest, old.Safest) || res.Evaluated != old.Evaluated {
-		t.Fatalf("query diverges from deprecated wrapper: %v/%d vs %v/%d",
-			res.Safest, res.Evaluated, old.Safest, old.Evaluated)
-	}
-}
-
 func TestQueryRunCanceledContextReturnsErrCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -68,8 +48,8 @@ func TestQueryNoFeasibleReturnsTypedErrorAndResult(t *testing.T) {
 	}
 }
 
-// TestQueryScenarioMemoNamespace is the regression test for the
-// ExploreScenario memo-namespace gap: two different scenarios with the
+// TestQueryScenarioMemoNamespace is the regression test for a
+// memo-namespace gap: two different scenarios with the
 // same op count sharing one memo — and the same caller-supplied
 // namespace — must never inherit each other's measurements.
 func TestQueryScenarioMemoNamespace(t *testing.T) {
@@ -117,16 +97,6 @@ func TestQueryScenarioMemoNamespace(t *testing.T) {
 	third := run(get90)
 	if third.Evaluated != 0 || third.MemoHits != third.Total {
 		t.Fatalf("warm rerun: evaluated=%d hits=%d", third.Evaluated, third.MemoHits)
-	}
-	// And the deprecated wrapper inherits the fix.
-	dep, err := flexos.ExploreScenario(get50, flexos.MetricThroughput, 0,
-		flexos.ExploreOptions{Memo: memo, Workload: "user-namespace"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.Evaluated != 0 || dep.MemoHits != dep.Total {
-		t.Fatalf("deprecated wrapper no longer shares the fixed namespace: evaluated=%d hits=%d",
-			dep.Evaluated, dep.MemoHits)
 	}
 	// Different op counts of one scenario must not collide either.
 	ops80, err := flexos.NewQuery(cfgs).Workload(get90.WithOps(80)).
