@@ -409,9 +409,9 @@ func BenchmarkQuerySyntheticSequential(b *testing.B) { benchmarkQuerySynthetic(b
 // speedup on multi-core hosts).
 func BenchmarkQuerySyntheticParallel8(b *testing.B) { benchmarkQuerySynthetic(b, 8, false) }
 
-// BenchmarkQuerySyntheticPruned runs the pruning (safety-DAG dispatch)
-// engine over the synthetic space with a median budget, exercising the
-// coordinator's batched release path at 10k points.
+// BenchmarkQuerySyntheticPruned runs the pruned ready-frontier walk
+// over the synthetic space with a median budget, exercising its
+// pass-by-pass release at 10k points.
 func BenchmarkQuerySyntheticPruned(b *testing.B) { benchmarkQuerySynthetic(b, 8, true) }
 
 // BenchmarkQuerySyntheticBudgeted runs the budgeted branch-and-bound

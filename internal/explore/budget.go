@@ -3,8 +3,6 @@ package explore
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"flexos/internal/poset"
 )
@@ -15,22 +13,22 @@ import (
 // point. The budget selects one of two modes:
 //
 // Branch-and-bound sweep — when pruning is on and a monotone
-// constraint exists, the engine walks the grouped safety posets
-// bottom-up exactly like the exhaustive DAG mode, but stops issuing
-// fresh measurements when the budget runs out. One measurement that
-// fails a monotone floor decides its entire undecided up-set as pruned
+// constraint exists, the budget caps the ready-frontier walk (see
+// walk) the exhaustive pruned run takes: the walk stops issuing fresh
+// measurements when the budget runs out. One measurement that fails a
+// monotone floor decides its entire undecided up-set as pruned
 // *before* measuring it (the §5 monotonicity assumption,
 // contrapositive), so the sweep spends the budget only on the feasible
 // region plus the minimal infeasible boundary — the cheapest possible
 // certificate: every feasible configuration must be measured to be
 // reported, and every minimal infeasible element must be measured for
 // anything above it to be pruned soundly. A sweep that completes
-// within budget is therefore *exact*: its report is byte-identical to
-// the exhaustive pruned run's, safest set and Pareto staircase
-// included, at a fraction of the measurements. The sweep dispatches
-// deterministic ready-frontier batches (membership depends only on
-// prior decisions and the budget, never on worker count), so results
-// are byte-identical at every worker count, starved or not.
+// within budget is therefore *exact*: it is the exhaustive pruned
+// run, so its report is byte-identical, safest set and Pareto
+// staircase included, at a fraction of the measurements. Pass
+// membership depends only on prior decisions and the budget, never on
+// worker count, so results are byte-identical at every worker count,
+// starved or not.
 //
 // Successive halving — without a prunable constraint there is no
 // structure to exploit, so the engine ranks by sampling: candidate
@@ -64,163 +62,6 @@ func fnv64a(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// runBudgeted is the budgeted dispatch mode: the branch-and-bound
-// sweep when monotone pruning has structure to exploit, seeded
-// successive halving when it does not, then a wind-down that decides
-// everything the budget never reached as skipped.
-func (st *runState) runBudgeted(ctx context.Context, order *spaceOrder, workers int) {
-	n := len(st.cfgs)
-	if n == 0 {
-		return
-	}
-	budget := st.req.MeasureBudget
-	if st.req.Prune && anyMonotone(st.res.Constraints) {
-		st.budgetSweep(ctx, order, workers, budget)
-	} else {
-		st.budgetHalving(ctx, order, workers, budget)
-	}
-	if st.canceled || st.failed {
-		return
-	}
-	// Wind down: whatever the budget never reached is decided as
-	// skipped, in input order, so Progress/Observe complete the space.
-	for i := 0; i < n; i++ {
-		if !st.decided.Test(i) {
-			st.skip(i)
-		}
-	}
-}
-
-// budgetSweep is the exhaustive DAG walk under a measurement cap. Each
-// pass over the ready frontier (undecided configurations whose poset
-// predecessors are all decided — an antichain, so pass members never
-// prune each other) first takes the free decisions: prune-inheritance
-// from a predecessor that failed a monotone constraint, and twin
-// inheritance from a valued canonical. What remains is measured as one
-// deterministic batch, capped by the unspent budget — the batch is
-// fixed before any measurement starts, so worker count only moves
-// wall-clock time. A failing measurement keeps its vector (evaluated,
-// infeasible — the boundary of the feasible region, exactly as the
-// exhaustive mode reports it) and seeds prune-inheritance for
-// everything above. The sweep ends when the frontier drains (complete:
-// the result is the exhaustive pruned run's, byte for byte) or when a
-// pass can neither measure nor decide anything (starved: the wind-down
-// skips the rest).
-func (st *runState) budgetSweep(ctx context.Context, order *spaceOrder, workers, budget int) {
-	n := len(st.cfgs)
-	preds, succs := order.edges()
-	remaining := make([]int32, n)
-	frontier := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		remaining[i] = int32(len(preds[i]))
-		if remaining[i] == 0 {
-			frontier = append(frontier, int32(i))
-		}
-	}
-	// release decrements successor in-degrees of a decided node and
-	// collects the newly ready.
-	release := func(i int32, out []int32) []int32 {
-		for _, j := range succs[i] {
-			if remaining[j]--; remaining[j] == 0 && !st.decided.Test(int(j)) {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	var batch, next []int32
-	var slots []outcome
-	for len(frontier) > 0 {
-		if st.canceled || st.failed {
-			return
-		}
-		sort.Slice(frontier, func(a, b int) bool { return frontier[a] < frontier[b] })
-		batch, next = batch[:0], next[:0]
-		progressed := false
-		for _, i32 := range frontier {
-			i := int(i32)
-			if st.decided.Test(i) {
-				continue // a twin filled alongside its canonical below
-			}
-			inherited := false
-			for _, pr := range preds[i] {
-				if st.failsBudget.Test(int(pr)) {
-					inherited = true
-					break
-				}
-			}
-			if inherited {
-				st.res.Measurements[i].Pruned = true
-				st.failsBudget.Set(i) // propagate
-				st.markDecided(i)
-				next = release(i32, next)
-				progressed = true
-				continue
-			}
-			if st.canon[i32] != i32 {
-				// An identical twin: its canonical shares the predecessor
-				// set, so it sits in this very pass — the twin inherits
-				// right after the canonical's outcome lands below.
-				continue
-			}
-			batch = append(batch, i32)
-		}
-		// The budget cap is pessimistic — memo hits inside the batch are
-		// free and refund the cut configurations to a later pass.
-		if room := budget - st.res.Measured; len(batch) > room {
-			if room < 0 {
-				room = 0
-			}
-			batch = batch[:room]
-		}
-		if len(batch) > 0 {
-			if cap(slots) < len(batch) {
-				slots = make([]outcome, len(batch))
-			}
-			slots = slots[:len(batch)]
-			for k := range slots {
-				slots[k] = outcome{}
-			}
-			st.measureBatch(ctx, workers, batch, slots)
-			for k, i32 := range batch {
-				i, o := int(i32), &slots[k]
-				if o.err != nil {
-					if ctx.Err() != nil {
-						st.canceled = true
-						return
-					}
-					st.failed = true
-					st.errs = append(st.errs, failedMeasure{idx: i, err: o.err})
-					continue
-				}
-				if st.failed {
-					continue
-				}
-				// fill marks a monotone-failing vector in failsBudget
-				// itself, which is what seeds the prune-inheritance above.
-				st.fill(i, o.metrics, o.hit)
-				next = release(i32, next)
-				for _, t := range st.twins[i32] {
-					st.fill(int(t), o.metrics, true)
-					next = release(t, next)
-				}
-				progressed = true
-			}
-			if st.failed {
-				return
-			}
-		}
-		if !progressed {
-			return // starved: no budget for the frontier, nothing to inherit
-		}
-		for _, i32 := range frontier {
-			if !st.decided.Test(int(i32)) {
-				next = append(next, i32)
-			}
-		}
-		frontier = append(frontier[:0], next...)
-	}
 }
 
 // budgetHalving is the sampling mode: seeded successive halving with
@@ -267,7 +108,6 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 	picked := poset.NewBitset(n)
 	var survivors []int32
 	var round []int32
-	var slots []outcome
 	var pool []int32
 	next := 0
 	for {
@@ -317,36 +157,9 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 			return
 		}
 
-		if cap(slots) < len(round) {
-			slots = make([]outcome, len(round))
-		}
-		slots = slots[:len(round)]
-		for k := range slots {
-			slots[k] = outcome{}
-		}
-		st.measureBatch(ctx, workers, round, slots)
-
-		// Outcomes are processed strictly in round order — the only
-		// thing the parallel pool above decided is wall-clock time.
-		for k, i32 := range round {
-			i, o := int(i32), &slots[k]
-			if o.err != nil {
-				if ctx.Err() != nil {
-					st.canceled = true
-					return
-				}
-				st.failed = true
-				st.errs = append(st.errs, failedMeasure{idx: i, err: o.err})
-				continue
-			}
-			if st.failed {
-				continue
-			}
-			st.fill(i, o.metrics, o.hit)
-			for _, t := range st.twins[i32] {
-				st.fill(int(t), o.metrics, true)
-			}
-		}
+		// Round membership is fixed before the pool starts, so the pool
+		// decides only wall-clock time.
+		st.runList(ctx, workers, round, nil)
 		if st.failed || st.canceled {
 			return
 		}
@@ -370,36 +183,4 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 		sort.Slice(pool, func(a, b int) bool { return better(pool[a], pool[b]) })
 		survivors = pool[:(len(pool)+1)/2]
 	}
-}
-
-// measureBatch measures a fixed list of canonical configurations with
-// a small self-scheduling pool. Unlike runList it publishes nothing:
-// outcomes land in the caller's slots and the caller processes them in
-// list order after the pool drains.
-func (st *runState) measureBatch(ctx context.Context, workers int, list []int32, slots []outcome) {
-	if workers > len(list) {
-		workers = len(list)
-	}
-	if workers <= 1 {
-		for k := range list {
-			st.measureOne(ctx, list[k], &slots[k])
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := cursor.Add(1) - 1
-				if k >= int64(len(list)) {
-					return
-				}
-				st.measureOne(ctx, list[k], &slots[k])
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -80,63 +80,74 @@ func stableGoroutines(t *testing.T, base int) {
 	}
 }
 
+// TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe cancels a run
+// mid-flight in every engine mode — they all cancel through the one
+// worker pool.
 func TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe(t *testing.T) {
-	base := runtime.NumGoroutine()
-	memo := NewMemo()
 	cfgs := Fig6Space(fig6Comps)
-	ctx, cancel := context.WithCancel(context.Background())
+	for _, sh := range engineShapes(nil) {
+		t.Run(sh.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			memo := NewMemo()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 
-	// A slow, cooperative measure: the first two configs return
-	// instantly (unblocking the poset roots so the pool fills), the
-	// third triggers the cancel, and everything from the third on
-	// blocks until the context falls — like a real benchmark watching
-	// its context.
-	var measured atomic.Int64
-	slow := func(c *Config) (Metrics, error) {
-		n := measured.Add(1)
-		if n <= 2 {
-			return lift(syntheticMeasure)(c)
-		}
-		if n == 3 {
-			cancel()
-		}
-		select {
-		case <-ctx.Done():
-			return Metrics{}, ctx.Err()
-		case <-time.After(10 * time.Second):
-		}
-		return lift(syntheticMeasure)(c)
-	}
+			// A slow, cooperative measure: the first two configs return
+			// instantly (unblocking the poset roots so the pool fills),
+			// the third triggers the cancel, and everything from the
+			// third on blocks until the context falls — like a real
+			// benchmark watching its context.
+			var measured atomic.Int64
+			slow := func(c *Config) (Metrics, error) {
+				n := measured.Add(1)
+				if n <= 2 {
+					return lift(syntheticMeasure)(c)
+				}
+				if n == 3 {
+					cancel()
+				}
+				select {
+				case <-ctx.Done():
+					return Metrics{}, ctx.Err()
+				case <-time.After(10 * time.Second):
+				}
+				return lift(syntheticMeasure)(c)
+			}
 
-	start := time.Now()
-	_, err := Engine{}.Run(ctx, Request{Space: cfgs, Measure: slow, Workers: 4, Memo: memo, Workload: "w"})
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled run returned %v, want ErrCanceled", err)
-	}
-	// Prompt: nowhere near the 10s a non-cooperative wait would cost.
-	if elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
-	}
-	// No goroutines outlive Run.
-	stableGoroutines(t, base)
+			req := sh.req
+			req.Space, req.Measure, req.Workers = cfgs, slow, 4
+			req.Memo, req.Workload = memo, "w"
+			start := time.Now()
+			_, err := Engine{}.Run(ctx, req)
+			elapsed := time.Since(start)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("canceled run returned %v, want ErrCanceled", err)
+			}
+			// Prompt: nowhere near the 10s a non-cooperative wait would cost.
+			if elapsed > 2*time.Second {
+				t.Fatalf("cancellation took %v", elapsed)
+			}
+			// No goroutines outlive Run.
+			stableGoroutines(t, base)
 
-	// The memo must be reusable: no entry may be stuck in-flight, and
-	// canceled measurements must not have been cached as values. A
-	// fresh run against the same memo completes and measures what the
-	// aborted run never delivered.
-	res, err := Engine{}.Run(context.Background(), Request{
-		Space: cfgs, Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Workload: "w"})
-	if err != nil {
-		t.Fatalf("rerun against shared memo: %v", err)
-	}
-	if res.Evaluated+res.MemoHits != res.Total {
-		t.Fatalf("rerun accounting: evaluated=%d hits=%d total=%d", res.Evaluated, res.MemoHits, res.Total)
-	}
-	for i, m := range res.Measurements {
-		if want, _ := syntheticMeasure(cfgs[i]); m.Metrics.Throughput != want {
-			t.Fatalf("config %d: rerun value %v, want %v (stale canceled entry?)", i, m.Metrics.Throughput, want)
-		}
+			// The memo must be reusable: no entry may be stuck in-flight,
+			// and canceled measurements must not have been cached as
+			// values. A fresh run against the same memo completes and
+			// measures what the aborted run never delivered.
+			res, err := Engine{}.Run(context.Background(), Request{
+				Space: cfgs, Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Workload: "w"})
+			if err != nil {
+				t.Fatalf("rerun against shared memo: %v", err)
+			}
+			if res.Evaluated+res.MemoHits != res.Total {
+				t.Fatalf("rerun accounting: evaluated=%d hits=%d total=%d", res.Evaluated, res.MemoHits, res.Total)
+			}
+			for i, m := range res.Measurements {
+				if want, _ := syntheticMeasure(cfgs[i]); m.Metrics.Throughput != want {
+					t.Fatalf("config %d: rerun value %v, want %v (stale canceled entry?)", i, m.Metrics.Throughput, want)
+				}
+			}
+		})
 	}
 }
 

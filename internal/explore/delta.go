@@ -1,20 +1,17 @@
 package explore
 
-import "context"
-
-// runDelta is the delta re-exploration dispatch mode: after a space is
-// edited (configurations added, removed, or retuned), only the
+// skipStored is the first half of delta re-exploration: after a space
+// is edited (configurations added, removed, or retuned), only the
 // configurations whose canonical identity is absent from the memo and
-// its backing store are measured — the present ones are skipped
-// without even loading their vectors. The fresh measurements write
+// its backing store are measured — the present ones are decided here
+// as skipped, without even loading their vectors. Run then walks the
+// absent rest in one edgeless pass; their fresh measurements write
 // through to the backing as usual, so the store afterwards covers the
 // edited space and a plain warm run produces the full merged report.
 //
 // The skip pass runs in input order on the coordinator, so Progress /
-// Observe see one deterministic prefix-free sequence regardless of the
-// worker count; the absent configurations then measure on the ordinary
-// flat pool.
-func (st *runState) runDelta(ctx context.Context, workers int) {
+// Observe see one deterministic prefix regardless of the worker count.
+func (st *runState) skipStored() {
 	n := len(st.cfgs)
 	present := make(map[int32]bool)
 	for i := 0; i < n; i++ {
@@ -22,13 +19,9 @@ func (st *runState) runDelta(ctx context.Context, workers int) {
 			present[c] = true
 		}
 	}
-	list := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if present[st.canon[i]] {
 			st.skip(i)
-		} else if int(st.canon[i]) == i {
-			list = append(list, int32(i))
 		}
 	}
-	st.runList(ctx, workers, list)
 }

@@ -3,7 +3,9 @@ package explore
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -264,9 +266,9 @@ type outcome struct {
 	hit     bool
 }
 
-// batch sizing for both dispatch modes: large enough to amortize
-// claim/handoff costs, small enough to keep the pool load-balanced and
-// decision latency low.
+// maxBatch caps the chunk a worker claims from the pool's list: large
+// enough to amortize claim/handoff costs, small enough to keep the pool
+// load-balanced and decision latency low.
 const maxBatch = 64
 
 // runState is the coordinator-owned decision bookkeeping of one run.
@@ -291,6 +293,8 @@ type runState struct {
 	canceled bool
 	failed   bool
 	errs     []failedMeasure
+
+	slots []outcome // the pool's outcome slots, reused across passes
 }
 
 type failedMeasure struct {
@@ -372,15 +376,18 @@ func (st *runState) measureOne(ctx context.Context, i int32, slot *outcome) {
 // lowest-index occurrence measures, its twins inherit the value with
 // Cached set.
 //
-// Dispatch runs in one of two modes. When no monotone constraint can
-// prune (or pruning is off), every configuration is independently
-// measurable: workers steal fixed-size chunks of the canonical
-// measurement list off a shared atomic cursor — no per-configuration
-// channel traffic, no per-measurement allocation. When pruning is
-// active, the coordinator releases configurations in safety-DAG order
-// (a configuration is decided only after all its poset predecessors)
-// and hands them to the pool as batches; idle workers pull the next
-// batch, so load balancing survives uneven measure costs.
+// Every mode runs one of two algorithms over one worker pool. The
+// ready-frontier walk (see walk) decides configurations pass by pass
+// in safety order — a configuration is decided only after all its
+// poset predecessors — and measures each pass's batch on the pool.
+// When Prune is set and a monotone constraint can prune, the walk
+// follows the Hasse edges, with MeasureBudget (or no cap) bounding the
+// fresh measurements; otherwise it has no edges, so the whole space is
+// one pass. A delta run skips the stored keys first and walks the rest
+// without edges. A budget without a prunable constraint runs seeded
+// successive halving instead (see budgetHalving). Whatever a completed
+// run leaves undecided — configurations the budget never reached — is
+// decided as skipped, in input order.
 //
 // Cancellation: when ctx is canceled or its deadline expires, Run stops
 // submitting measurements, waits for in-flight ones to return (measure
@@ -480,19 +487,32 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	// Pruning can only ever fire when a monotone constraint exists;
-	// without one, every configuration is measured regardless of DAG
-	// order, so the engine takes the flat path — no Hasse edges, no
-	// per-decision ordering, pure batch-stolen measurement. A budget
-	// or a delta request selects the guided modes instead.
+	// without one the walk needs no Hasse edges and order.edges() is
+	// never built.
 	switch {
 	case req.DeltaOnly:
-		st.runDelta(ctx, workers)
-	case req.MeasureBudget > 0:
-		st.runBudgeted(ctx, order, workers)
+		st.skipStored()
+		st.walk(ctx, workers, nil, nil, math.MaxInt)
 	case req.Prune && anyMonotone(req.Constraints):
-		st.runDAG(ctx, order, workers)
+		budget := math.MaxInt
+		if req.MeasureBudget > 0 {
+			budget = req.MeasureBudget
+		}
+		preds, succs := order.edges()
+		st.walk(ctx, workers, preds, succs, budget)
+	case req.MeasureBudget > 0:
+		st.budgetHalving(ctx, order, workers, req.MeasureBudget)
 	default:
-		st.runFlat(ctx, workers)
+		st.walk(ctx, workers, nil, nil, math.MaxInt)
+	}
+	if !st.canceled && !st.failed {
+		// Wind down: whatever the budget never reached is decided as
+		// skipped, in input order, so Progress/Observe complete the space.
+		for i := 0; i < n; i++ {
+			if !st.decided.Test(i) {
+				st.skip(i)
+			}
+		}
 	}
 
 	// Cancellation wins over measure errors it provoked: a cooperative
@@ -522,44 +542,145 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// runFlat measures every canonical configuration with no ordering
-// between decisions: workers claim chunks of the measurement list off a
+// walk is the ready-frontier walk every engine mode except successive
+// halving runs on. Each pass over the frontier (undecided
+// configurations whose poset predecessors are all decided — an
+// antichain, so pass members never prune each other) first takes the
+// free decisions: prune-inheritance from a predecessor that failed a
+// monotone constraint, and twin inheritance from a valued canonical.
+// What remains is measured as one deterministic batch, capped by the
+// unspent budget — the batch is fixed before any measurement starts,
+// so worker count only moves wall-clock time. A failing measurement
+// keeps its vector (evaluated, infeasible — the boundary of the
+// feasible region) and seeds prune-inheritance for everything above.
+//
+// Without Hasse edges (preds == nil: nothing can prune) every
+// undecided configuration is ready at once and the walk is a single
+// pass over the whole space. With an unbounded budget the walk is the
+// exhaustive pruned run; with Request.MeasureBudget it is the
+// branch-and-bound sweep, which ends either when the frontier drains
+// (complete: the exhaustive pruned run's result, byte for byte) or
+// when a pass can neither measure nor decide anything (starved: Run's
+// wind-down skips the rest).
+func (st *runState) walk(ctx context.Context, workers int, preds, succs [][]int32, budget int) {
+	n := len(st.cfgs)
+	var remaining []int32
+	if preds != nil {
+		remaining = make([]int32, n)
+	}
+	frontier := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		if preds != nil {
+			remaining[i] = int32(len(preds[i]))
+		}
+		if (preds == nil || remaining[i] == 0) && !st.decided.Test(i) {
+			frontier = append(frontier, int32(i))
+		}
+	}
+	var batch, next []int32
+	// release decrements successor in-degrees of a decided node and
+	// collects the newly ready.
+	release := func(i int32) {
+		if succs == nil {
+			return
+		}
+		for _, j := range succs[i] {
+			if remaining[j]--; remaining[j] == 0 && !st.decided.Test(int(j)) {
+				next = append(next, j)
+			}
+		}
+	}
+	for len(frontier) > 0 {
+		if st.canceled || st.failed {
+			return
+		}
+		slices.Sort(frontier)
+		batch, next = batch[:0], next[:0]
+		pruned := false
+		for _, i32 := range frontier {
+			i := int(i32)
+			if st.decided.Test(i) {
+				continue // a twin, filled alongside its canonical
+			}
+			if preds != nil && st.prunedBy(preds[i]) {
+				st.res.Measurements[i].Pruned = true
+				st.failsBudget.Set(i) // propagate
+				st.markDecided(i)
+				release(i32)
+				pruned = true
+				continue
+			}
+			if st.canon[i32] != i32 {
+				// An identical twin: its canonical shares the predecessor
+				// set, so it sits in this very pass — the twin inherits
+				// right after the canonical's outcome lands.
+				continue
+			}
+			batch = append(batch, i32)
+		}
+		// The budget cap is pessimistic — memo hits inside the batch are
+		// free and refund the cut configurations to a later pass.
+		if room := max(budget-st.res.Measured, 0); len(batch) > room {
+			batch = batch[:room]
+		}
+		if len(batch) == 0 && !pruned {
+			return // starved: no budget for the frontier, nothing to inherit
+		}
+		// fill marks a monotone-failing vector in failsBudget itself,
+		// which is what seeds the prune-inheritance above.
+		st.runList(ctx, workers, batch, release)
+		for _, i32 := range frontier {
+			if !st.decided.Test(int(i32)) {
+				next = append(next, i32)
+			}
+		}
+		frontier = append(frontier[:0], next...)
+	}
+}
+
+// prunedBy reports whether any of a configuration's poset predecessors
+// failed a monotone constraint (measured, or pruned in turn).
+func (st *runState) prunedBy(preds []int32) bool {
+	for _, pr := range preds {
+		if st.failsBudget.Test(int(pr)) {
+			return true
+		}
+	}
+	return false
+}
+
+// runList is the engine's one worker pool. It measures a list of
+// canonical configurations: workers claim chunks of the list off a
 // shared atomic cursor (idle workers steal the next chunk as soon as
 // they finish one — chunk size adapts from maxBatch down to 1 as the
 // list drains, so the tail stays balanced), write outcomes into
 // preallocated slots, and report whole spans to the coordinator. The
 // hot loop performs no channel operation and no allocation per
 // configuration.
-func (st *runState) runFlat(ctx context.Context, workers int) {
-	list := make([]int32, 0, len(st.cfgs))
-	for i := range st.cfgs {
-		if int(st.canon[i]) == i {
-			list = append(list, int32(i))
-		}
-	}
-	st.runList(ctx, workers, list)
-}
-
-// runList is runFlat's engine room over an explicit canonical
-// measurement list: the flat path passes every canonical index, delta
-// re-exploration passes only the store-absent ones. Twins of each
-// listed index are filled alongside it.
-func (st *runState) runList(ctx context.Context, workers int, list []int32) {
+//
+// On the coordinating goroutine each successful outcome fills its
+// configuration and the configuration's twins, and settled (when
+// non-nil) is called for every index filled. The first failure or a
+// cancellation winds the pool down: spans already claimed still
+// report, failures are recorded, and nothing more is filled.
+func (st *runState) runList(ctx context.Context, workers int, list []int32, settled func(i int32)) {
 	if len(list) == 0 {
 		return
 	}
-	if workers > len(list) {
-		workers = len(list)
+	workers = min(workers, len(list))
+	if cap(st.slots) < len(list) {
+		st.slots = make([]outcome, len(list))
 	}
-	slots := make([]outcome, len(list))
-	spanCap := len(list)
-	if spanCap > 1024 {
-		spanCap = 1024
-	}
+	slots := st.slots[:len(list)]
+	clear(slots)
+	// spans is buffered so workers keep measuring while the
+	// coordinator is busy in Progress/Observe; every chunk holds at
+	// least one configuration, so a list of up to 1024 never blocks a
+	// worker.
 	var (
 		cursor atomic.Int64
 		stop   atomic.Bool
-		spans  = make(chan [2]int32, spanCap)
+		spans  = make(chan [2]int32, min(len(list), 1024))
 		wg     sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -570,26 +691,16 @@ func (st *runState) runList(ctx context.Context, workers int, list []int32) {
 			for !stop.Load() {
 				// Guided chunk sizing: claim 1/(4·workers) of what is
 				// left, clamped to [1, maxBatch].
-				sz := (total - cursor.Load()) / int64(4*workers)
-				if sz < 1 {
-					sz = 1
-				} else if sz > maxBatch {
-					sz = maxBatch
-				}
+				sz := min(max((total-cursor.Load())/int64(4*workers), 1), maxBatch)
 				hi := cursor.Add(sz)
 				lo := hi - sz
 				if lo >= total {
 					return
 				}
-				if hi > total {
-					hi = total
-				}
+				hi = min(hi, total)
 				for k := lo; k < hi; k++ {
 					st.measureOne(ctx, list[k], &slots[k])
 					if slots[k].err != nil {
-						// First failure winds the pool down; the spans
-						// already claimed still report, so the
-						// coordinator sees every outcome.
 						stop.Store(true)
 					}
 				}
@@ -613,219 +724,29 @@ func (st *runState) runList(ctx context.Context, workers int, list []int32) {
 			if !ok {
 				return
 			}
-			for k := s[0]; k < s[1]; k++ {
-				i := int(list[k])
-				o := &slots[k]
-				if st.canceled {
-					continue
-				}
+			for k := s[0]; k < s[1] && !st.canceled; k++ {
+				i, o := list[k], &slots[k]
 				if o.err != nil {
 					st.failed = true
-					st.errs = append(st.errs, failedMeasure{idx: i, err: o.err})
+					st.errs = append(st.errs, failedMeasure{idx: int(i), err: o.err})
 					continue
 				}
 				if st.failed {
 					continue
 				}
-				st.fill(i, o.metrics, o.hit)
-				for _, t := range st.twins[int32(i)] {
+				st.fill(int(i), o.metrics, o.hit)
+				if settled != nil {
+					settled(i)
+				}
+				for _, t := range st.twins[i] {
 					st.fill(int(t), o.metrics, true)
+					if settled != nil {
+						settled(t)
+					}
 				}
 			}
 		}
 	}
-}
-
-// runDAG measures in safety-DAG order for monotonic pruning: the
-// coordinator owns all decision state, releases a configuration only
-// when every poset predecessor is decided, accumulates ready
-// configurations into batches carved from a single arena, and hands
-// batches to the pool over a small channel with non-blocking sends (an
-// overflow queue keeps the coordinator live, so it can never deadlock
-// against workers reporting completions). Workers write outcomes into
-// slots indexed by configuration and return the batch itself as the
-// completion notice — per-configuration channel traffic and per-
-// measurement allocation are gone, which is what the batch dispatch is
-// for.
-func (st *runState) runDAG(ctx context.Context, order *spaceOrder, workers int) {
-	n := len(st.cfgs)
-	if n == 0 {
-		return
-	}
-	preds, succs := order.edges()
-	remaining := make([]int32, n)
-	for i := 0; i < n; i++ {
-		remaining[i] = int32(len(preds[i]))
-	}
-
-	var (
-		slots    = make([]outcome, n)
-		jobs     = make(chan []int32, workers*2)
-		doneCh   = make(chan []int32, workers*4)
-		wg       sync.WaitGroup
-		arena    = make([]int32, 0, n)  // every submitted index, in release order
-		flushed  = 0                    // arena[:flushed] has been batched
-		unsent   [][]int32              // batches not yet handed to the pool
-		inFlight = 0                    // configurations handed to the pool, outcome pending
-		waiters  map[int32][]int32      // twins waiting on their canonical index
-		toProp   = make([]int32, 0, 64) // decided nodes whose successors need updating
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range jobs {
-				for _, i := range b {
-					st.measureOne(ctx, i, &slots[i])
-				}
-				doneCh <- b
-			}
-		}()
-	}
-
-	ready := func(i int) {
-		if st.req.Prune {
-			for _, pr := range preds[i] {
-				if st.failsBudget.Test(int(pr)) {
-					st.res.Measurements[i].Pruned = true
-					st.failsBudget.Set(i) // propagate
-					st.markDecided(i)
-					toProp = append(toProp, int32(i))
-					return
-				}
-			}
-		}
-		if c := st.canon[i]; int(c) != i {
-			// An identical twin: inherit the canonical measurement, or
-			// wait for it (twins share predecessor sets, so the
-			// canonical node is ready by now too).
-			if st.valued.Test(int(c)) {
-				st.fill(i, st.res.Measurements[c].Metrics, true)
-				toProp = append(toProp, int32(i))
-			} else {
-				if waiters == nil {
-					waiters = make(map[int32][]int32)
-				}
-				waiters[c] = append(waiters[c], int32(i))
-			}
-			return
-		}
-		if st.failed || st.canceled {
-			return // abandoned run: stop submitting new measurements
-		}
-		arena = append(arena, int32(i))
-	}
-	// drain processes decision consequences until quiescent: successors
-	// of decided nodes whose predecessors are now all decided become
-	// ready themselves (measured, inherited, or pruned in turn).
-	drain := func() {
-		for len(toProp) > 0 {
-			i := toProp[0]
-			toProp = toProp[1:]
-			for _, j := range succs[i] {
-				if remaining[j]--; remaining[j] == 0 && !st.decided.Test(int(j)) {
-					ready(int(j))
-				}
-			}
-		}
-	}
-	// flush carves the newly released span of the arena into batches
-	// sized to spread across the pool, and trySend hands them over
-	// without ever blocking the coordinator.
-	flush := func() {
-		pend := len(arena) - flushed
-		if pend == 0 {
-			return
-		}
-		sz := (pend + workers - 1) / workers
-		if sz < 1 {
-			sz = 1
-		} else if sz > maxBatch {
-			sz = maxBatch
-		}
-		for flushed < len(arena) {
-			hi := flushed + sz
-			if hi > len(arena) {
-				hi = len(arena)
-			}
-			b := arena[flushed:hi:hi]
-			unsent = append(unsent, b)
-			inFlight += len(b)
-			flushed = hi
-		}
-	}
-	trySend := func() {
-		for len(unsent) > 0 {
-			select {
-			case jobs <- unsent[0]:
-				unsent = unsent[1:]
-			default:
-				return
-			}
-		}
-	}
-	abandon := func() {
-		// Batches never handed to the pool produce no outcomes; stop
-		// waiting for them.
-		for _, b := range unsent {
-			inFlight -= len(b)
-		}
-		unsent = nil
-	}
-
-	// Seed with the roots of the safety DAG, then react to completions.
-	for i := 0; i < n; i++ {
-		if remaining[i] == 0 {
-			ready(i)
-		}
-	}
-	drain()
-	flush()
-	trySend()
-
-	cancelCh := ctx.Done()
-	for inFlight > 0 {
-		var b []int32
-		select {
-		case <-cancelCh:
-			st.canceled = true
-			cancelCh = nil
-			abandon()
-			continue
-		case b = <-doneCh:
-		}
-		for _, i32 := range b {
-			inFlight--
-			i := int(i32)
-			o := &slots[i]
-			if st.canceled {
-				continue
-			}
-			if o.err != nil {
-				if !st.failed {
-					st.failed = true
-					abandon()
-				}
-				st.errs = append(st.errs, failedMeasure{idx: i, err: o.err})
-				continue
-			}
-			if st.failed {
-				continue
-			}
-			st.fill(i, o.metrics, o.hit)
-			toProp = append(toProp, i32)
-			for _, t := range waiters[i32] {
-				st.fill(int(t), o.metrics, true)
-				toProp = append(toProp, t)
-			}
-			delete(waiters, i32)
-		}
-		drain()
-		flush()
-		trySend()
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // anyMonotone reports whether any constraint can drive pruning.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -263,32 +264,69 @@ func TestEngineFailedMeasurementNotCached(t *testing.T) {
 	}
 }
 
+// engineShape is one request shape per engine mode; tests that must
+// hold in every mode range over engineShapes.
+type engineShape struct {
+	name string
+	req  Request
+}
+
+// engineShapes returns the mode fields of every engine mode's request:
+// the flat walk, the pruned walk, the branch-and-bound sweep (roomy and
+// starving), seeded successive halving, and delta re-exploration. The
+// caller fills in Space, Measure and Workers; memo backs the delta
+// shape, whose absent keys are the ones it re-measures.
+func engineShapes(memo *Memo) []engineShape {
+	return []engineShape{
+		{"flat", Request{}},
+		{"pruned", Request{Constraints: floor600, Prune: true}},
+		{"sweep", Request{Constraints: floor600, Prune: true, MeasureBudget: 40}},
+		{"starved-sweep", Request{Constraints: floor600, Prune: true, MeasureBudget: 3}},
+		{"halving", Request{Constraints: floor600, MeasureBudget: 20, Seed: 7}},
+		{"delta", Request{DeltaOnly: true, Memo: memo, Workload: "w"}},
+	}
+}
+
+// TestEngineProgressCoversEveryConfig pins the per-decision hooks in
+// every mode: each configuration is observed exactly once — measured,
+// pruned, inherited or skipped by the wind-down — and Progress counts
+// 1..n in order.
 func TestEngineProgressCoversEveryConfig(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	for _, workers := range []int{1, 4} {
-		var seen []int
-		_, err := Engine{}.Run(context.Background(), Request{
-			Space:       cfgs,
-			Measure:     lift(shakyMeasure),
-			Constraints: floor600,
-			Workers:     workers,
-			Prune:       true,
-			Progress: func(done, total int) {
-				if total != len(cfgs) {
-					t.Fatalf("progress total = %d", total)
-				}
-				seen = append(seen, done)
-			},
-		})
-		if err != nil {
+		// Half the space is stored, so the delta shape skips it.
+		memo := NewMemo()
+		if _, err := (Engine{}).Run(context.Background(), Request{Space: cfgs[:len(cfgs)/2],
+			Measure: lift(syntheticMeasure), Memo: memo, Workload: "w"}); err != nil {
 			t.Fatal(err)
 		}
-		if len(seen) != len(cfgs) {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(seen), len(cfgs))
-		}
-		for i, d := range seen {
-			if d != i+1 {
-				t.Fatalf("workers=%d: progress out of order at %d: %v", workers, i, seen[:i+1])
+		for _, sh := range engineShapes(memo) {
+			var seen []int
+			observed := make([]int, len(cfgs))
+			req := sh.req
+			req.Space, req.Measure, req.Workers = cfgs, lift(shakyMeasure), workers
+			req.Progress = func(done, total int) {
+				if total != len(cfgs) {
+					t.Fatalf("%s: progress total = %d", sh.name, total)
+				}
+				seen = append(seen, done)
+			}
+			req.Observe = func(idx int, m Measurement) { observed[idx]++ }
+			if _, err := (Engine{}).Run(context.Background(), req); err != nil && !errors.Is(err, ErrNoFeasible) {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			if len(seen) != len(cfgs) {
+				t.Fatalf("%s workers=%d: %d progress calls, want %d", sh.name, workers, len(seen), len(cfgs))
+			}
+			for i, d := range seen {
+				if d != i+1 {
+					t.Fatalf("%s workers=%d: progress out of order at %d: %v", sh.name, workers, i, seen[:i+1])
+				}
+			}
+			for i, k := range observed {
+				if k != 1 {
+					t.Fatalf("%s workers=%d: config %d observed %d times", sh.name, workers, i, k)
+				}
 			}
 		}
 	}

@@ -126,7 +126,7 @@ func newSpaceOrder(cfgs []*Config) *spaceOrder {
 // successor adjacency lists over global indices. Configurations of
 // different groups are incomparable, so the transitive reduction of the
 // space is exactly the union of the per-group reductions. Built once,
-// on first use (the flat dispatch path never needs it).
+// on first use (a walk that cannot prune never needs it).
 func (o *spaceOrder) edges() (preds, succs [][]int32) {
 	o.edgesOnce.Do(func() {
 		o.preds = make([][]int32, o.n)

@@ -16,9 +16,10 @@ import (
 // instrumentation, so these tests skip there.
 
 // allocBudgets pin whole-run allocations per configuration, with
-// headroom over the measured ~27 (flat) / ~31 (DAG) so Go-version noise
-// does not flap CI, but far below what reintroducing per-config channel
-// dispatch or the space-wide allocating poset build would cost.
+// headroom over the measured ~28 (flat walk) / ~32 (pruned walk) so
+// Go-version noise does not flap CI, but far below what reintroducing
+// per-config channel dispatch or the space-wide allocating poset build
+// would cost.
 const (
 	flatAllocsPerConfig = 35
 	dagAllocsPerConfig  = 42
@@ -49,7 +50,7 @@ func TestSynthMeasureZeroAllocs(t *testing.T) {
 }
 
 // TestEngineAllocsPerConfig pins the engine's total allocations per
-// configuration in both dispatch modes. The pin covers everything —
+// configuration for the flat and the pruned walk. The pin covers everything —
 // canonical keys, signatures, grouped posets, result slices — so it
 // bounds setup churn too; the measurement loop's share is separately
 // shown to be ~0 by TestMeasurementLoopAllocationFree.
@@ -67,7 +68,7 @@ func TestEngineAllocsPerConfig(t *testing.T) {
 		}
 	})
 	if per := allocs / n; per > flatAllocsPerConfig {
-		t.Errorf("flat dispatch: %.2f allocs per config, budget %d", per, flatAllocsPerConfig)
+		t.Errorf("flat walk: %.2f allocs per config, budget %d", per, flatAllocsPerConfig)
 	}
 
 	dag := flat
@@ -79,7 +80,7 @@ func TestEngineAllocsPerConfig(t *testing.T) {
 		}
 	})
 	if per := allocs / n; per > dagAllocsPerConfig {
-		t.Errorf("DAG dispatch: %.2f allocs per config, budget %d", per, dagAllocsPerConfig)
+		t.Errorf("pruned walk: %.2f allocs per config, budget %d", per, dagAllocsPerConfig)
 	}
 }
 

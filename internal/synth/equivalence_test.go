@@ -85,7 +85,7 @@ func TestEquivalenceMatrix10k(t *testing.T) {
 		oracleCore := renderCore(oracle)
 		oracleStrict := renderStrict(oracle)
 		if prune && oracle.Evaluated == oracle.Total {
-			t.Fatal("median budget pruned nothing; matrix would not exercise DAG dispatch")
+			t.Fatal("median budget pruned nothing; matrix would not exercise the pruned walk")
 		}
 
 		// Cold runs at every worker count: byte-identical to the oracle

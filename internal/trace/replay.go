@@ -189,7 +189,13 @@ func Replay(ctx context.Context, name string, sched []Scheduled, o ReplayOpts) (
 				s := sched[idx]
 				req := s.Request
 				req.Stream = false
+				// Open loop clocks latency from the request's due time,
+				// so time spent queued behind busy connections counts;
+				// closed loop issues on dequeue, so dequeue is the clock.
 				t0 := time.Now()
+				if !o.ClosedLoop {
+					t0 = start.Add(time.Duration(s.AtMs) * time.Millisecond)
+				}
 				res, err := o.Client.Explore(ctx, req)
 				lat := time.Since(t0)
 				h := fnv.New64a()

@@ -2,9 +2,11 @@ package trace_test
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"flexos/internal/cli"
 	"flexos/internal/serve"
@@ -98,5 +100,36 @@ func TestReplayCountsFailures(t *testing.T) {
 		if ph.Failed != ph.Requests {
 			t.Fatalf("phase %s: failed=%d requests=%d", ph.Phase, ph.Failed, ph.Requests)
 		}
+	}
+}
+
+// TestReplayOpenLoopCountsQueueingDelay pins the open-loop latency
+// clock: a request due while every connection is busy waits in the
+// queue, and that wait is part of its latency. One connection, a
+// handler that takes serviceMs, two requests due at 0 ms — the second
+// one's latency must include the first one's service time.
+func TestReplayOpenLoopCountsQueueingDelay(t *testing.T) {
+	const serviceMs = 100
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(serviceMs * time.Millisecond)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"report":"ok\n"}`)
+	}))
+	defer ts.Close()
+	sched := []trace.Scheduled{
+		{Index: 0, AtMs: 0, Phase: "p", Request: cli.Request{App: "redis"}},
+		{Index: 1, AtMs: 0, Phase: "p", Request: cli.Request{App: "redis"}},
+	}
+	client := &cli.Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+	rep, err := trace.Replay(context.Background(), "queue", sched, trace.ReplayOpts{Client: client, Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok != 2 {
+		t.Fatalf("ok=%d failed=%d %v, want 2 ok", rep.Ok, rep.Failed, rep.Errors)
+	}
+	if rep.Latency.Max < 2*serviceMs {
+		t.Fatalf("max latency %.1f ms, want >= %d ms: the queued request's wait went uncounted",
+			rep.Latency.Max, 2*serviceMs)
 	}
 }
