@@ -16,6 +16,7 @@ import (
 
 	"flexos"
 	"flexos/internal/figures"
+	"flexos/internal/scenario"
 )
 
 // Benchmark sizes: the simulation is deterministic, so modest request
@@ -206,17 +207,18 @@ func BenchmarkAblationGateFlavor(b *testing.B) {
 			},
 		}
 	}
+	get := scenario.RedisGet100.WithOps(benchRequests)
 	for i := 0; i < b.N; i++ {
-		light, err := flexos.BenchmarkRedis(split(flexos.GateLight, flexos.ShareStack), benchRequests)
+		light, err := get.Run(split(flexos.GateLight, flexos.ShareStack))
 		if err != nil {
 			b.Fatal(err)
 		}
-		full, err := flexos.BenchmarkRedis(split(flexos.GateFull, flexos.ShareDSS), benchRequests)
+		full, err := get.Run(split(flexos.GateFull, flexos.ShareDSS))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(light.ReqPerSec, "sim-light-req/s")
-		b.ReportMetric(full.ReqPerSec, "sim-full-req/s")
+		b.ReportMetric(light.Throughput, "sim-light-req/s")
+		b.ReportMetric(full.Throughput, "sim-full-req/s")
 	}
 }
 
@@ -232,29 +234,35 @@ func BenchmarkAblationSharingStrategy(b *testing.B) {
 			},
 		}
 	}
+	const bufSize = 64
+	stream := scenario.IPerfAt(bufSize).WithOps(benchPackets)
+	gbps := func(m flexos.Metrics) float64 { return m.Throughput * bufSize * 8 / 1e9 }
 	for i := 0; i < b.N; i++ {
-		dss, err := flexos.BenchmarkIPerf(spec(flexos.ShareDSS), 64, benchPackets)
+		dss, err := stream.Run(spec(flexos.ShareDSS))
 		if err != nil {
 			b.Fatal(err)
 		}
-		heap, err := flexos.BenchmarkIPerf(spec(flexos.ShareHeap), 64, benchPackets)
+		heap, err := stream.Run(spec(flexos.ShareHeap))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(dss.Gbps, "sim-dss-Gb/s")
-		b.ReportMetric(heap.Gbps, "sim-heap-Gb/s")
+		b.ReportMetric(gbps(dss), "sim-dss-Gb/s")
+		b.ReportMetric(gbps(heap), "sim-heap-Gb/s")
 	}
 }
 
-// redisMeasure adapts BenchmarkRedis into an exploration measure
-// function for the engine benchmarks below.
-func redisMeasure(c *flexos.ExploreConfig) (float64, error) {
-	res, err := flexos.BenchmarkRedis(c.Spec(flexos.TCBLibs()), benchRequests)
-	if err != nil {
-		return 0, err
+// throughputMeasure adapts a scenario at benchRequests operations into
+// a scalar exploration measure for the engine benchmarks below.
+func throughputMeasure(sc *flexos.Scenario) func(*flexos.ExploreConfig) (float64, error) {
+	sc = sc.WithOps(benchRequests)
+	return func(c *flexos.ExploreConfig) (float64, error) {
+		m, err := sc.Run(c.Spec(flexos.TCBLibs()))
+		return m.Throughput, err
 	}
-	return res.ReqPerSec, nil
 }
+
+// redisMeasure is Redis GET throughput (redis-get100).
+var redisMeasure = throughputMeasure(scenario.RedisGet100)
 
 // benchmarkQueryFig6 sweeps the 80-point Redis space exhaustively
 // (no pruning, no memo) with the given worker count, through the
@@ -343,14 +351,11 @@ func BenchmarkQueryMemoizedSweep(b *testing.B) {
 // 320-point two-application, two-mechanism space with pruning.
 func BenchmarkQueryCrossAppSpace(b *testing.B) {
 	cfgs := flexos.CrossAppSpace(nil, flexos.RedisComponents(), flexos.NginxComponents())
+	nginxMeasure := throughputMeasure(scenario.NginxKeepalive)
 	measure := func(c *flexos.ExploreConfig) (float64, error) {
 		for _, comp := range c.Components() {
 			if comp == flexos.LibNginx {
-				res, err := flexos.BenchmarkNginx(c.Spec(flexos.TCBLibs()), benchRequests)
-				if err != nil {
-					return 0, err
-				}
-				return res.ReqPerSec, nil
+				return nginxMeasure(c)
 			}
 		}
 		return redisMeasure(c)

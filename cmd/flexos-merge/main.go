@@ -83,33 +83,20 @@ func main() {
 	// opened read-only — the merge is the whole output; a miss here
 	// (a shard run with mismatched flags) measures fresh rather than
 	// silently growing the merged store.
-	metric, err := flexos.ParseMetric(*metricName)
+	r := cli.Request{App: *app, Scenario: *scenarioName, Requests: *requests, Ops: *ops,
+		Metric: *metricName, Budgets: budgets, Pareto: *pareto, Exhaustive: *exhaustive, Workers: *workers}
+	q, info, err := r.Build()
 	if err != nil {
 		fatal(2, err)
 	}
-	constraints, err := cli.ParseBudgets(budgets, metric)
-	if err != nil {
-		fatal(2, err)
-	}
-	sel := cli.Selection{App: *app, Scenario: *scenarioName, Requests: *requests, Ops: *ops}
-	q, title, scenarioMode, err := sel.Build()
-	if err != nil {
-		fatal(2, err)
-	}
-	if err := cli.ValidateScalar(scenarioMode, metric, constraints, *pareto); err != nil {
-		fatal(2, err)
-	}
-	for _, c := range constraints {
-		q.Constrain(c.Metric, c.Op, c.Bound)
-	}
-	q.RankBy(metric).Workers(*workers).Prune(!*exhaustive && !*pareto).CacheReadOnly(*out)
+	q.CacheReadOnly(*out)
 
 	res, err := q.Run(context.Background())
 	noFeasible := errors.Is(err, flexos.ErrNoFeasible)
 	if err != nil && !noFeasible {
 		fatal(1, err)
 	}
-	cli.PrintReport(os.Stdout, title, res, constraints, scenarioMode, *pareto, noFeasible)
+	cli.PrintReport(os.Stdout, info.Title, res, info.Constraints, info.ScenarioMode, r.Pareto, noFeasible)
 	cli.PrintStats(os.Stderr, "flexos-merge", res)
 }
 

@@ -34,8 +34,9 @@ sharing: dss
 }
 
 // ExampleNewQuery runs partial safety ordering over the Redis design
-// space with a synthetic measurement (real measurements use
-// BenchmarkRedis): one query, a throughput floor, monotonic pruning.
+// space with a synthetic measurement (real measurements run a
+// scenario, see ExampleQuery_Workload): one query, a throughput floor,
+// monotonic pruning.
 func ExampleNewQuery() {
 	cfgs := flexos.Fig6Space(flexos.RedisComponents())
 	measure := func(c *flexos.ExploreConfig) (float64, error) {

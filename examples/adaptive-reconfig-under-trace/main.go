@@ -41,12 +41,12 @@ func main() {
 	// Measure the design space once, offline and unconstrained; every
 	// phase decision below re-ranks these numbers without re-measuring.
 	cfgs := flexos.Fig6Space(flexos.RedisComponents())
+	// Redis GET throughput, as the redis-get100 scenario measures it.
+	get, _ := flexos.ScenarioByName("redis-get100")
+	get = get.WithOps(requests)
 	measure := func(c *flexos.ExploreConfig) (float64, error) {
-		res, err := flexos.BenchmarkRedis(c.Spec(flexos.TCBLibs()), requests)
-		if err != nil {
-			return 0, err
-		}
-		return res.ReqPerSec, nil
+		m, err := get.Run(c.Spec(flexos.TCBLibs()))
+		return m.Throughput, err
 	}
 	ctx := context.Background()
 	offline, err := flexos.NewQuery(cfgs).MeasureScalar(measure).Run(ctx)

@@ -24,12 +24,12 @@ import (
 func main() {
 	const requests = 250
 	cfgs := flexos.Fig6Space(flexos.RedisComponents())
+	// Redis GET throughput, as the redis-get100 scenario measures it.
+	get, _ := flexos.ScenarioByName("redis-get100")
+	get = get.WithOps(requests)
 	measure := func(c *flexos.ExploreConfig) (float64, error) {
-		res, err := flexos.BenchmarkRedis(c.Spec(flexos.TCBLibs()), requests)
-		if err != nil {
-			return 0, err
-		}
-		return res.ReqPerSec, nil
+		m, err := get.Run(c.Spec(flexos.TCBLibs()))
+		return m.Throughput, err
 	}
 
 	// Exhaustively measure once (offline, e.g. in CI); an unconstrained

@@ -25,12 +25,12 @@ func main() {
 	cfgs := flexos.Fig6Space(flexos.RedisComponents())
 	fmt.Printf("design space: %d configurations (5 partitions x 16 hardening sets)\n", len(cfgs))
 
+	// Redis GET throughput, as the redis-get100 scenario measures it.
+	get, _ := flexos.ScenarioByName("redis-get100")
+	get = get.WithOps(requests)
 	measure := func(c *flexos.ExploreConfig) (float64, error) {
-		res, err := flexos.BenchmarkRedis(c.Spec(flexos.TCBLibs()), requests)
-		if err != nil {
-			return 0, err
-		}
-		return res.ReqPerSec, nil
+		m, err := get.Run(c.Spec(flexos.TCBLibs()))
+		return m.Throughput, err
 	}
 
 	// One query expresses the whole workflow: the space, the

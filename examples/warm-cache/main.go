@@ -22,14 +22,12 @@ import (
 	"flexos"
 )
 
-// measure is a deterministic stand-in benchmark: the real examples run
-// the simulated Redis; here the point is cache behavior, not cycles.
+// measure runs a short Redis GET workload and keeps its throughput:
+// here the point is cache behavior, not cycles.
 func measure(c *flexos.ExploreConfig) (float64, error) {
-	res, err := flexos.BenchmarkRedis(c.Spec(flexos.TCBLibs()), 50)
-	if err != nil {
-		return 0, err
-	}
-	return res.ReqPerSec, nil
+	get, _ := flexos.ScenarioByName("redis-get100")
+	m, err := get.WithOps(50).Run(c.Spec(flexos.TCBLibs()))
+	return m.Throughput, err
 }
 
 func query() *flexos.Query {

@@ -353,38 +353,6 @@ const (
 	LibIPerf  = iperfapp.Name
 )
 
-// RedisResult, NginxResult, SQLiteResult and IPerfResult are the
-// application benchmark outcomes.
-type (
-	RedisResult  = redisapp.Result
-	NginxResult  = nginxapp.Result
-	SQLiteResult = sqliteapp.Result
-	IPerfResult  = iperfapp.Result
-)
-
-// BenchmarkRedis measures Redis GET throughput under a configuration
-// (the redis-benchmark analogue of Figure 6 top).
-func BenchmarkRedis(spec ImageSpec, requests int) (RedisResult, error) {
-	return redisapp.Benchmark(spec, requests)
-}
-
-// BenchmarkNginx measures HTTP throughput under a configuration (the wrk
-// analogue of Figure 6 bottom).
-func BenchmarkNginx(spec ImageSpec, requests int) (NginxResult, error) {
-	return nginxapp.Benchmark(spec, requests)
-}
-
-// BenchmarkSQLite measures the INSERT workload of Figure 10.
-func BenchmarkSQLite(spec ImageSpec, queries int) (SQLiteResult, error) {
-	return sqliteapp.Benchmark(spec, queries)
-}
-
-// BenchmarkIPerf measures network throughput at a receive-buffer size
-// (Figure 9).
-func BenchmarkIPerf(spec ImageSpec, bufSize, packets int) (IPerfResult, error) {
-	return iperfapp.Benchmark(spec, bufSize, packets)
-}
-
 // RedisComponents and NginxComponents list the four Figure 6 components
 // of each application, in the paper's row order.
 func RedisComponents() [4]string {

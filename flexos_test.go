@@ -96,6 +96,9 @@ func TestFullCatalogIndependence(t *testing.T) {
 	}
 }
 
+// TestBenchmarkHelpers runs each application's workload driver — one
+// scenario per application — on a single-compartment image through the
+// public surface.
 func TestBenchmarkHelpers(t *testing.T) {
 	one := func(libs ...string) flexos.ImageSpec {
 		return flexos.ImageSpec{
@@ -103,17 +106,23 @@ func TestBenchmarkHelpers(t *testing.T) {
 			Comps:     []flexos.CompSpec{{Name: "c0", Libs: append(flexos.TCBLibs(), libs...)}},
 		}
 	}
-	if _, err := flexos.BenchmarkRedis(one(flexos.LibRedis, flexos.LibC, flexos.LibSched, flexos.LibNet), 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flexos.BenchmarkNginx(one(flexos.LibNginx, flexos.LibC, flexos.LibSched, flexos.LibNet), 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flexos.BenchmarkSQLite(one(flexos.LibSQLite, flexos.LibC, flexos.LibSched, flexos.LibVFS, flexos.LibRamfs, flexos.LibTime), 5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := flexos.BenchmarkIPerf(one(flexos.LibIPerf, flexos.LibC, flexos.LibSched, flexos.LibNet), 256, 10); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		scenario string
+		ops      int
+		libs     []string
+	}{
+		{"redis-get100", 20, []string{flexos.LibRedis, flexos.LibC, flexos.LibSched, flexos.LibNet}},
+		{"nginx-keepalive", 20, []string{flexos.LibNginx, flexos.LibC, flexos.LibSched, flexos.LibNet}},
+		{"sqlite-batch1", 5, []string{flexos.LibSQLite, flexos.LibC, flexos.LibSched, flexos.LibVFS, flexos.LibRamfs, flexos.LibTime}},
+		{"iperf-stream1", 10, []string{flexos.LibIPerf, flexos.LibC, flexos.LibSched, flexos.LibNet}},
+	} {
+		sc, ok := flexos.ScenarioByName(tc.scenario)
+		if !ok {
+			t.Fatalf("scenario %s missing", tc.scenario)
+		}
+		if _, err := sc.WithOps(tc.ops).Run(one(tc.libs...)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@
 // small buffers the domain-crossing latency dominates, at large buffers
 // per-byte protocol processing does, so all backends converge to the
 // baseline.
+//
+// The package holds only the component; the iperf-* scenarios in
+// internal/scenario drive it.
 package iperf
 
 import (
@@ -95,57 +98,4 @@ func Catalog() (*core.Catalog, *State) {
 	netstack.Register(cat)
 	st := Register(cat)
 	return cat, st
-}
-
-// Result is one throughput measurement.
-type Result struct {
-	// Gbps is the simulated goodput in gigabits per second.
-	Gbps float64
-	// Bytes is the payload volume moved during measurement.
-	Bytes uint64
-	// BufSize is the receive buffer size swept by Figure 9.
-	BufSize int
-}
-
-// Benchmark streams `packets` packets of bufSize bytes through the stack
-// under the given configuration and returns goodput (the iPerf client
-// analogue).
-func Benchmark(spec core.ImageSpec, bufSize, packets int) (Result, error) {
-	cat, st := Catalog()
-	img, err := core.Build(cat, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	ctx, err := img.NewContext("iperf-main", Name)
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := ctx.Call(Name, "setup"); err != nil {
-		return Result{}, err
-	}
-	payload := make([]byte, bufSize)
-	for i := 0; i < packets; i++ {
-		if _, err := ctx.Call(netstack.Name, "rx_enqueue", st.sock, payload); err != nil {
-			return Result{}, err
-		}
-	}
-	start := img.Mach.Clock.Cycles()
-	var got uint64
-	for i := 0; i < packets; i++ {
-		v, err := ctx.Call(Name, "recv_once", bufSize)
-		if err != nil {
-			return Result{}, err
-		}
-		got += uint64(v.(int))
-	}
-	cycles := img.Mach.Clock.Cycles() - start
-	seconds := float64(cycles) / img.Mach.Costs.FreqHz
-	if got != uint64(bufSize*packets) {
-		return Result{}, fmt.Errorf("iperf: received %d bytes, want %d", got, bufSize*packets)
-	}
-	return Result{
-		Gbps:    float64(got) * 8 / seconds / 1e9,
-		Bytes:   got,
-		BufSize: bufSize,
-	}, nil
 }

@@ -6,6 +6,9 @@
 // application and the network stack per request — which is why the same
 // 80-configuration space produces a differently-shaped overhead
 // distribution (Fig. 7).
+//
+// The package holds only the component; the nginx-* scenarios in
+// internal/scenario drive it.
 package nginx
 
 import (
@@ -170,56 +173,6 @@ func Catalog() (*core.Catalog, *State) {
 	netstack.Register(cat)
 	st := Register(cat)
 	return cat, st
-}
-
-// Result is one benchmark measurement.
-type Result struct {
-	ReqPerSec float64
-	Requests  int
-	Cycles    uint64
-	Crossings uint64
-}
-
-// Benchmark measures HTTP throughput for a configuration (the wrk
-// analogue).
-func Benchmark(spec core.ImageSpec, requests int) (Result, error) {
-	cat, st := Catalog()
-	img, err := core.Build(cat, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	ctx, err := img.NewContext("nginx-main", Name)
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := ctx.Call(Name, "setup"); err != nil {
-		return Result{}, err
-	}
-	req := []byte("GET /index.html HTTP/1.1\r\nHost: flexos\r\n\r\n")
-	for i := 0; i < requests; i++ {
-		if _, err := ctx.Call(netstack.Name, "rx_enqueue", st.sock, req); err != nil {
-			return Result{}, err
-		}
-	}
-	startCycles := img.Mach.Clock.Cycles()
-	startCross := img.Crossings()
-	for i := 0; i < requests; i++ {
-		ok, err := ctx.Call(Name, "serve_req")
-		if err != nil {
-			return Result{}, err
-		}
-		if ok != true {
-			return Result{}, fmt.Errorf("nginx: request %d failed", i)
-		}
-	}
-	cycles := img.Mach.Clock.Cycles() - startCycles
-	seconds := float64(cycles) / img.Mach.Costs.FreqHz
-	return Result{
-		ReqPerSec: float64(requests) / seconds,
-		Requests:  requests,
-		Cycles:    cycles,
-		Crossings: img.Crossings() - startCross,
-	}, nil
 }
 
 // Components4 returns the Figure 6 component quadruple as a fixed-size

@@ -1,20 +1,33 @@
-package nginx
+package nginx_test
 
 import (
 	"testing"
 
+	"flexos/internal/apps/nginx"
 	"flexos/internal/core"
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
 	"flexos/internal/oslib"
+	"flexos/internal/scenario"
 )
+
+// serve runs the nginx-keepalive scenario — the wrk loop over one
+// kept-alive connection — for the given number of requests.
+func serve(t *testing.T, spec core.ImageSpec, requests int) scenario.Metrics {
+	t.Helper()
+	m, err := scenario.NginxKeepalive.WithOps(requests).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func oneComp() core.ImageSpec {
 	return core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "c0",
-			Libs: append([]string{oslib.BootName, oslib.MMName}, Components...),
+			Libs: append([]string{oslib.BootName, oslib.MMName}, nginx.Components...),
 		}},
 	}
 }
@@ -22,7 +35,7 @@ func oneComp() core.ImageSpec {
 func mpkSplit(isolated string) core.ImageSpec {
 	var rest []string
 	rest = append(rest, oslib.BootName, oslib.MMName)
-	for _, l := range Components {
+	for _, l := range nginx.Components {
 		if l != isolated {
 			rest = append(rest, l)
 		}
@@ -39,11 +52,8 @@ func mpkSplit(isolated string) core.ImageSpec {
 }
 
 func TestServeFunctional(t *testing.T) {
-	res, err := Benchmark(oneComp(), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 50 || res.ReqPerSec <= 0 {
+	res := serve(t, oneComp(), 50)
+	if res.Ops != 50 || res.Throughput <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
 }
@@ -51,15 +61,9 @@ func TestServeFunctional(t *testing.T) {
 func TestSchedulerIsolationIsCheapForNginx(t *testing.T) {
 	// Paper §6.1: "Compared to Redis, isolating the scheduler is much
 	// less expensive (6% versus 43%)".
-	base, err := Benchmark(oneComp(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schd, err := Benchmark(mpkSplit(oslib.SchedName), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := 1 - schd.ReqPerSec/base.ReqPerSec
+	base := serve(t, oneComp(), 300)
+	schd := serve(t, mpkSplit(oslib.SchedName), 300)
+	hit := 1 - schd.Throughput/base.Throughput
 	if hit < 0 || hit > 0.15 {
 		t.Fatalf("nginx scheduler isolation hit = %.1f%%, want ~6%%", 100*hit)
 	}
@@ -67,10 +71,7 @@ func TestSchedulerIsolationIsCheapForNginx(t *testing.T) {
 
 func TestSchedulerHardeningIsCheapForNginx(t *testing.T) {
 	// Paper §6.1: hardening the scheduler costs ~2% for Nginx.
-	base, err := Benchmark(oneComp(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := serve(t, oneComp(), 300)
 	spec := core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{
@@ -78,16 +79,13 @@ func TestSchedulerHardeningIsCheapForNginx(t *testing.T) {
 			{Name: "hard", Libs: []string{oslib.SchedName}, Hardening: harden.NewSet(harden.All)},
 		},
 	}
-	for _, l := range append([]string{oslib.BootName, oslib.MMName}, Components...) {
+	for _, l := range append([]string{oslib.BootName, oslib.MMName}, nginx.Components...) {
 		if l != oslib.SchedName {
 			spec.Comps[0].Libs = append(spec.Comps[0].Libs, l)
 		}
 	}
-	hardened, err := Benchmark(spec, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := 1 - hardened.ReqPerSec/base.ReqPerSec
+	hardened := serve(t, spec, 300)
+	hit := 1 - hardened.Throughput/base.Throughput
 	if hit < 0 || hit > 0.10 {
 		t.Fatalf("nginx scheduler hardening hit = %.1f%%, want ~2%%", 100*hit)
 	}
@@ -97,22 +95,22 @@ func TestNginxDistributionFlatterThanRedis(t *testing.T) {
 	// Fig. 6/7: Nginx has more low-overhead configurations than Redis
 	// because its hot path concentrates in the app+lwip pair. Verify the
 	// scheduler split is "isolation for free" territory.
-	base, _ := Benchmark(oneComp(), 200)
-	schd, _ := Benchmark(mpkSplit(oslib.SchedName), 200)
-	if schd.ReqPerSec < 0.85*base.ReqPerSec {
+	base := serve(t, oneComp(), 200)
+	schd := serve(t, mpkSplit(oslib.SchedName), 200)
+	if schd.Throughput < 0.85*base.Throughput {
 		t.Fatalf("scheduler split should stay within 15%% of baseline: %.0f vs %.0f",
-			schd.ReqPerSec, base.ReqPerSec)
+			schd.Throughput, base.Throughput)
 	}
 }
 
 func TestServedCounter(t *testing.T) {
-	cat, st := Catalog()
+	cat, st := nginx.Catalog()
 	img, err := core.Build(cat, oneComp())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, _ := img.NewContext("t", Name)
-	if _, err := ctx.Call(Name, "setup"); err != nil {
+	ctx, _ := img.NewContext("t", nginx.Name)
+	if _, err := ctx.Call(nginx.Name, "setup"); err != nil {
 		t.Fatal(err)
 	}
 	if st.Served() != 0 {

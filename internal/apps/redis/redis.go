@@ -8,6 +8,9 @@
 // paper measures: Redis's event loop talks to the scheduler intensely
 // (isolating uksched costs ~43%) but crosses into lwip only twice per
 // request (isolating lwip costs ~11%).
+//
+// The package holds only the component; the redis-get* scenarios in
+// internal/scenario drive it.
 package redis
 
 import (
@@ -306,64 +309,6 @@ func Catalog() (*core.Catalog, *State) {
 	netstack.Register(cat)
 	st := Register(cat)
 	return cat, st
-}
-
-// Result is one benchmark measurement.
-type Result struct {
-	// ReqPerSec is the simulated GET throughput.
-	ReqPerSec float64
-	// Requests is the number of requests served.
-	Requests int
-	// Cycles is the simulated cycle count of the measurement phase.
-	Cycles uint64
-	// Crossings is the number of cross-compartment gate transitions.
-	Crossings uint64
-}
-
-// Benchmark builds an image for the given spec, preloads the keyspace,
-// injects requests, and measures GET throughput over the serve phase
-// (the redis-benchmark analogue).
-func Benchmark(spec core.ImageSpec, requests int) (Result, error) {
-	cat, st := Catalog()
-	img, err := core.Build(cat, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	ctx, err := img.NewContext("redis-main", Name)
-	if err != nil {
-		return Result{}, err
-	}
-	const keys = 64
-	if _, err := ctx.Call(Name, "setup", keys); err != nil {
-		return Result{}, err
-	}
-	// Inject the request stream (the "NIC side" — not measured).
-	for i := 0; i < requests; i++ {
-		req := []byte(fmt.Sprintf("GET key%d\r\n", i%keys))
-		if _, err := ctx.Call(netstack.Name, "rx_enqueue", st.sock, req); err != nil {
-			return Result{}, err
-		}
-	}
-
-	startCycles := img.Mach.Clock.Cycles()
-	startCross := img.Crossings()
-	for i := 0; i < requests; i++ {
-		hit, err := ctx.Call(Name, "serve_get")
-		if err != nil {
-			return Result{}, err
-		}
-		if hit != true {
-			return Result{}, fmt.Errorf("redis: request %d missed", i)
-		}
-	}
-	cycles := img.Mach.Clock.Cycles() - startCycles
-	seconds := float64(cycles) / img.Mach.Costs.FreqHz
-	return Result{
-		ReqPerSec: float64(requests) / seconds,
-		Requests:  requests,
-		Cycles:    cycles,
-		Crossings: img.Crossings() - startCross,
-	}, nil
 }
 
 // Components4 returns the Figure 6 component quadruple as a fixed-size

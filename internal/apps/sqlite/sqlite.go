@@ -5,6 +5,9 @@
 // all in small chunks — generates the dense stream of vfs and time
 // crossings that makes the MPK3 (filesystem / time / rest) and EPT2
 // (filesystem+time / rest) scenarios of Figure 10 expensive.
+//
+// The package holds only the component; the sqlite-batch* scenarios in
+// internal/scenario drive it.
 package sqlite
 
 import (
@@ -237,50 +240,6 @@ func Catalog() (*core.Catalog, *State) {
 	return cat, st
 }
 
-// Result is one benchmark measurement.
-type Result struct {
-	// Seconds is the simulated execution time of the insert loop.
-	Seconds float64
-	// Queries is the number of INSERTs executed.
-	Queries   int
-	Cycles    uint64
-	Crossings uint64
-}
-
-// Benchmark executes `queries` INSERTs under the given configuration and
-// returns the simulated execution time — the Figure 10 measurement.
-func Benchmark(spec core.ImageSpec, queries int) (Result, error) {
-	cat, st := Catalog()
-	img, err := core.Build(cat, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	ctx, err := img.NewContext("sqlite-main", Name)
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := ctx.Call(Name, "open_db"); err != nil {
-		return Result{}, err
-	}
-	startCycles := img.Mach.Clock.Cycles()
-	startCross := img.Crossings()
-	for i := 0; i < queries; i++ {
-		if _, err := ctx.Call(Name, "exec_insert", i); err != nil {
-			return Result{}, err
-		}
-	}
-	if st.Rows() != uint64(queries) {
-		return Result{}, fmt.Errorf("sqlite: committed %d rows, want %d", st.Rows(), queries)
-	}
-	cycles := img.Mach.Clock.Cycles() - startCycles
-	return Result{
-		Seconds:   float64(cycles) / img.Mach.Costs.FreqHz,
-		Queries:   queries,
-		Cycles:    cycles,
-		Crossings: img.Crossings() - startCross,
-	}, nil
-}
-
 // FSOpsPerQuery reports the vfs-call count of one query (used by the
 // Figure 10 baseline comparators so that every system runs the same
 // workload shape).
@@ -293,21 +252,6 @@ func FSOpsPerQuery() int {
 // TimeOpsPerQuery reports direct uktime calls per query (excluding the
 // per-vfs-op timestamps, which FSOpsPerQuery implies).
 func TimeOpsPerQuery() int { return 2 }
-
-// BaseWorkCycles estimates the pure compute (no gates) of one query on
-// the calibrated cost model; baselines add their own crossing costs on
-// top. It is measured, not assumed: we run one query on a
-// single-compartment NONE image.
-func BaseWorkCycles() (uint64, error) {
-	res, err := Benchmark(core.ImageSpec{
-		Mechanism: "none",
-		Comps:     []core.CompSpec{{Name: "c0", Libs: Components2()}},
-	}, 50)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cycles / uint64(res.Queries), nil
-}
 
 // Components2 returns all components plus the TCB ones, for building
 // one-compartment images programmatically.

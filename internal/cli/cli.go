@@ -24,9 +24,9 @@ import (
 	"flexos"
 )
 
-// Selection is the space/workload choice the tools share: either a
+// selection is the space/workload choice the tools share: either a
 // scalar -app benchmark space or a multi-metric -scenario workload.
-type Selection struct {
+type selection struct {
 	// App selects a scalar benchmark space: redis | nginx | cross.
 	App string
 	// Scenario, when non-empty, selects a workload of the scenario
@@ -59,7 +59,7 @@ type memoKeyer interface{ MemoKey() string }
 // variants, and every measurement carries the attack scenario's
 // survival score. The memo namespace separates attack runs from plain
 // performance runs of the same workload.
-func (s Selection) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query, string, error) {
+func (s selection) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query, string, error) {
 	spec := flexos.AttackSpec{}
 	if s.Attack != "" {
 		att, ok := flexos.AttackByName(s.Attack)
@@ -103,10 +103,10 @@ func (s Selection) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query
 	return q, title + " vs " + spec.String(), nil
 }
 
-// Build assembles the query for the selection. It returns the query,
+// build assembles the query for the selection. It returns the query,
 // the report title, and whether the query measures full metric
 // vectors (scenario mode) rather than throughput only.
-func (s Selection) Build() (q *flexos.Query, title string, scenarioMode bool, err error) {
+func (s selection) build() (q *flexos.Query, title string, scenarioMode bool, err error) {
 	attackAxes := s.Attack != "" || s.Profile != "" || s.ASLR != ""
 	if s.Scenario == "" && attackAxes {
 		return nil, "", false, fmt.Errorf("-attack/-profile/-aslr require -scenario (the -app benchmarks have no attack-axis space)")
@@ -145,20 +145,18 @@ func (s Selection) Build() (q *flexos.Query, title string, scenarioMode bool, er
 		return flexos.NewQuery(flexos.Fig6Space(quad)).Workload(sc), sc.Name(), true, nil
 	}
 
-	measureRedis := func(c *flexos.ExploreConfig) (float64, error) {
-		res, err := flexos.BenchmarkRedis(c.Spec(flexos.TCBLibs()), s.Requests)
-		if err != nil {
-			return 0, err
+	// The -app spaces run the redis-get100 and nginx-keepalive
+	// scenarios but keep only throughput, under their own namespaces.
+	throughput := func(name string) func(*flexos.ExploreConfig) (float64, error) {
+		sc, _ := flexos.ScenarioByName(name)
+		sc = sc.WithOps(s.Requests)
+		return func(c *flexos.ExploreConfig) (float64, error) {
+			m, err := sc.Run(c.Spec(flexos.TCBLibs()))
+			return m.Throughput, err
 		}
-		return res.ReqPerSec, nil
 	}
-	measureNginx := func(c *flexos.ExploreConfig) (float64, error) {
-		res, err := flexos.BenchmarkNginx(c.Spec(flexos.TCBLibs()), s.Requests)
-		if err != nil {
-			return 0, err
-		}
-		return res.ReqPerSec, nil
-	}
+	measureRedis := throughput("redis-get100")
+	measureNginx := throughput("nginx-keepalive")
 	switch s.App {
 	case "redis":
 		return flexos.NewQuery(flexos.Fig6Space(flexos.RedisComponents())).
@@ -187,12 +185,12 @@ func (s Selection) Build() (q *flexos.Query, title string, scenarioMode bool, er
 	return nil, "", false, fmt.Errorf("unknown app %q", s.App)
 }
 
-// ParseBudgets turns repeated -budget values into constraints. A plain
+// parseBudgets turns repeated -budget values into constraints. A plain
 // number bounds the default metric in its natural direction; the full
 // syntax ("p99<=2.5") names its own metric and direction. No -budget
 // at all keeps the historical default of 500000 on the chosen metric —
 // except for survival, a probability, where the default floor is 0.5.
-func ParseBudgets(budgets []string, metric flexos.Metric) ([]flexos.ExploreConstraint, error) {
+func parseBudgets(budgets []string, metric flexos.Metric) ([]flexos.ExploreConstraint, error) {
 	if len(budgets) == 0 {
 		if metric == flexos.MetricSurvival {
 			budgets = []string{"0.5"}
@@ -245,11 +243,11 @@ func ParseBudgetSpec(s string) (budget int, seed int64, hasSeed bool, err error)
 	return budget, seed, hasSeed, nil
 }
 
-// ValidateScalar rejects option combinations a scalar -app space
+// validateScalar rejects option combinations a scalar -app space
 // cannot serve: the -app benchmarks measure only throughput, so a
 // frontier over the latency/memory axes, a non-throughput ranking, or
 // a constraint on an unmeasured dimension all need a -scenario run.
-func ValidateScalar(scenarioMode bool, metric flexos.Metric, constraints []flexos.ExploreConstraint, pareto bool) error {
+func validateScalar(scenarioMode bool, metric flexos.Metric, constraints []flexos.ExploreConstraint, pareto bool) error {
 	if scenarioMode {
 		return nil
 	}

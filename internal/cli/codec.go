@@ -17,7 +17,7 @@ import (
 //
 // The zero value normalizes to the CLI defaults: the redis -app space,
 // the throughput metric, 200 requests per measurement, and the
-// historical 500000 budget (ParseBudgets supplies it when Budgets is
+// historical 500000 budget (parseBudgets supplies it when Budgets is
 // empty).
 type Request struct {
 	// App selects a scalar benchmark space (redis | nginx | cross);
@@ -203,17 +203,17 @@ func (r *Request) Build() (*flexos.Query, *BuildInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	constraints, err := ParseBudgets(r.Budgets, metric)
+	constraints, err := parseBudgets(r.Budgets, metric)
 	if err != nil {
 		return nil, nil, err
 	}
-	sel := Selection{App: r.App, Scenario: r.Scenario, Requests: r.Requests, Ops: r.Ops,
+	sel := selection{App: r.App, Scenario: r.Scenario, Requests: r.Requests, Ops: r.Ops,
 		Attack: r.Attack, Profile: r.Profile, ASLR: r.ASLR}
-	q, title, scenarioMode, err := sel.Build()
+	q, title, scenarioMode, err := sel.build()
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ValidateScalar(scenarioMode, metric, constraints, r.Pareto); err != nil {
+	if err := validateScalar(scenarioMode, metric, constraints, r.Pareto); err != nil {
 		return nil, nil, err
 	}
 	if r.Attack == "" {

@@ -13,10 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	nginxapp "flexos/internal/apps/nginx"
-	redisapp "flexos/internal/apps/redis"
-
-	"flexos/internal/core"
 	"flexos/internal/explore"
 	"flexos/internal/oslib"
 	"flexos/internal/scenario"
@@ -40,36 +36,25 @@ type ConfigPerf struct {
 // ctx bounds the sweep; measurement fans out over workers goroutines
 // (<= 0 selects GOMAXPROCS), and results are identical for every count.
 func Fig6Redis(ctx context.Context, requests, workers int) ([]ConfigPerf, error) {
-	return fig6(ctx, redisapp.Components4(), workers, func(spec core.ImageSpec) (float64, error) {
-		res, err := redisapp.Benchmark(spec, requests)
-		if err != nil {
-			return 0, err
-		}
-		return res.ReqPerSec, nil
-	})
+	return fig6(ctx, scenario.RedisGet100.WithOps(requests), workers)
 }
 
 // Fig6Nginx measures the Nginx half of the space (Figure 6 bottom),
 // with Fig6Redis's context and worker semantics.
 func Fig6Nginx(ctx context.Context, requests, workers int) ([]ConfigPerf, error) {
-	return fig6(ctx, nginxapp.Components4(), workers, func(spec core.ImageSpec) (float64, error) {
-		res, err := nginxapp.Benchmark(spec, requests)
-		if err != nil {
-			return 0, err
-		}
-		return res.ReqPerSec, nil
-	})
+	return fig6(ctx, scenario.NginxKeepalive.WithOps(requests), workers)
 }
 
-// fig6 sweeps the space through the engine exhaustively (the figure
-// plots every point, so the run carries no constraints and nothing
-// prunes).
-func fig6(ctx context.Context, components [4]string, workers int, measure func(core.ImageSpec) (float64, error)) ([]ConfigPerf, error) {
-	cfgs := explore.Fig6Space(components)
+// fig6 sweeps the scenario's space through the engine exhaustively
+// (the figure plots every point, so the run carries no constraints and
+// nothing prunes), ranking by throughput alone.
+func fig6(ctx context.Context, sc *scenario.Scenario, workers int) ([]ConfigPerf, error) {
+	quad, _ := sc.Quad()
+	cfgs := explore.Fig6Space(quad)
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
 		Space: cfgs,
 		Measure: func(c *explore.Config) (explore.Metrics, error) {
-			v, err := measure(c.Spec(tcbLibs()))
+			v, err := throughput(sc, c.Spec(tcbLibs()))
 			return explore.Metrics{Throughput: v}, err
 		},
 		Workers: workers,
@@ -178,13 +163,15 @@ type Fig8Result struct {
 // measurements monotonic pruning saved. ctx bounds the exploration;
 // workers <= 0 selects GOMAXPROCS.
 func Fig8(ctx context.Context, requests int, budget float64, workers int) (*Fig8Result, error) {
-	cfgs := explore.Fig6Space(redisapp.Components4())
+	sc := scenario.RedisGet100.WithOps(requests)
+	quad, _ := sc.Quad()
+	cfgs := explore.Fig6Space(quad)
 	measure := func(c *explore.Config) (explore.Metrics, error) {
-		res, err := redisapp.Benchmark(c.Spec(tcbLibs()), requests)
+		v, err := throughput(sc, c.Spec(tcbLibs()))
 		if err != nil {
 			return explore.Metrics{}, err
 		}
-		return explore.Metrics{Throughput: res.ReqPerSec}, nil
+		return explore.Metrics{Throughput: v}, nil
 	}
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
 		Space:       cfgs,

@@ -36,17 +36,18 @@ type Fig5Node struct {
 // hardening over {none, CFI, ASAN, CFI+ASAN}, pruned under a budget.
 // ctx bounds the sweep; workers <= 0 selects GOMAXPROCS.
 func Fig5(ctx context.Context, requests int, budget float64, workers int) ([]Fig5Node, error) {
-	comps := [4]string{"libredis", libc.Name, oslib.SchedName, netstack.Name}
+	sc := scenario.RedisGet100.WithOps(requests)
+	comps, _ := sc.Quad()
 	cfgs := explore.Fig5Space(
 		[]string{comps[0], comps[1], comps[2]},
 		[]string{comps[3]},
 	)
 	measure := func(c *explore.Config) (explore.Metrics, error) {
-		res, err := redisBenchmark(c.Spec(tcbLibs()), requests)
+		v, err := throughput(sc, c.Spec(tcbLibs()))
 		if err != nil {
 			return explore.Metrics{}, err
 		}
-		return explore.Metrics{Throughput: res}, nil
+		return explore.Metrics{Throughput: v}, nil
 	}
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
 		Space:       cfgs,
@@ -133,14 +134,20 @@ func Fig9(packets int) ([]Fig9Row, error) {
 		{"FlexOS MPK2-dss", mpk2(isolation.GateFull, isolation.ShareDSS)},
 		{"FlexOS EPT2", ept2},
 	}
+	freq := machine.DefaultCosts().FreqHz
 	var rows []Fig9Row
 	for _, size := range sizes {
+		sc := scenario.IPerfAt(size).WithOps(packets)
 		for _, v := range variants {
-			res, err := iperfapp.Benchmark(v.spec, size, packets)
+			m, err := sc.Run(v.spec)
 			if err != nil {
 				return nil, fmt.Errorf("figures: fig9 %s @%dB: %w", v.name, size, err)
 			}
-			rows = append(rows, Fig9Row{BufSize: size, System: v.name, Gbps: res.Gbps})
+			// Goodput: every byte of every packet over the simulated
+			// time of the receive loop.
+			seconds := float64(m.Cycles) / freq
+			gbps := float64(uint64(size*m.Ops)) * 8 / seconds / 1e9
+			rows = append(rows, Fig9Row{BufSize: size, System: v.name, Gbps: gbps})
 		}
 	}
 	return rows, nil
@@ -200,19 +207,21 @@ func Fig10(queries int) ([]Fig10Row, error) {
 		{"FlexOS", "MPK3", sqliteSpecMPK3()},
 		{"FlexOS", "EPT2", sqliteSpecEPT2()},
 	}
+	costs := machine.DefaultCosts()
+	sc := scenario.SQLiteBatch1.WithOps(queries)
 	var rows []Fig10Row
 	var baseWork uint64
 	for _, s := range specs {
-		res, err := sqliteapp.Benchmark(s.spec, queries)
+		m, err := sc.Run(s.spec)
 		if err != nil {
 			return nil, fmt.Errorf("figures: fig10 %s/%s: %w", s.name, s.iso, err)
 		}
 		if s.name == "FlexOS" && s.iso == "NONE" {
-			baseWork = res.Cycles / uint64(res.Queries)
+			baseWork = m.Cycles / uint64(m.Ops)
 		}
 		rows = append(rows, Fig10Row{
 			System: s.name, Isolation: s.iso,
-			Seconds: res.Seconds * scale, Measured: true,
+			Seconds: float64(m.Cycles) / costs.FreqHz * scale, Measured: true,
 		})
 	}
 	w := baseline.Workload{
@@ -221,7 +230,6 @@ func Fig10(queries int) ([]Fig10Row, error) {
 		FSOps:          sqliteapp.FSOpsPerQuery(),
 		TimeOps:        sqliteapp.TimeOpsPerQuery(),
 	}
-	costs := machine.DefaultCosts()
 	for _, cmp := range baseline.Comparators() {
 		rows = append(rows, Fig10Row{
 			System: cmp.Name(), Isolation: cmp.Isolation(),

@@ -7,15 +7,14 @@ import (
 	sqliteapp "flexos/internal/apps/sqlite"
 
 	"flexos/internal/core"
+	"flexos/internal/scenario"
 )
 
-// redisBenchmark adapts the Redis benchmark to a plain perf value.
-func redisBenchmark(spec core.ImageSpec, requests int) (float64, error) {
-	res, err := redisapp.Benchmark(spec, requests)
-	if err != nil {
-		return 0, err
-	}
-	return res.ReqPerSec, nil
+// throughput runs a scenario on the spec and returns its throughput:
+// the single figure the Figure 5, 6 and 8 sweeps rank by.
+func throughput(sc *scenario.Scenario, spec core.ImageSpec) (float64, error) {
+	m, err := sc.Run(spec)
+	return m.Throughput, err
 }
 
 // registerApps registers all four applications into a catalog.

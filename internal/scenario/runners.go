@@ -35,9 +35,9 @@ var (
 
 	// iPerf stream counts: more concurrent streams mean more scheduler
 	// polling per packet, so isolating uksched costs more.
-	IPerfStream1 = register(iperfScenario("iperf-stream1", "iPerf, single stream, 1460B packets", 1))
-	IPerfStream4 = register(iperfScenario("iperf-stream4", "iPerf, 4 interleaved streams", 4))
-	IPerfStream8 = register(iperfScenario("iperf-stream8", "iPerf, 8 interleaved streams", 8))
+	IPerfStream1 = register(iperfScenario("iperf-stream1", "iPerf, single stream, 1460B packets", 1, iperfBufSize))
+	IPerfStream4 = register(iperfScenario("iperf-stream4", "iPerf, 4 interleaved streams", 4, iperfBufSize))
+	IPerfStream8 = register(iperfScenario("iperf-stream8", "iPerf, 8 interleaved streams", 8, iperfBufSize))
 
 	// SQLite transaction batches: INSERTs per transaction (the paper's
 	// Figure 10 runs one query per transaction == batch1).
@@ -193,10 +193,20 @@ func nginxScenario(name, desc string, keepPct int) *Scenario {
 	}
 }
 
-// iperfScenario streams fixed-size packets across `streams` interleaved
-// flows: each packet demuxes by polling the other streams' state in the
-// scheduler, so per-packet scheduler chatter grows with the count.
-func iperfScenario(name, desc string, streams int) *Scenario {
+// IPerfAt returns a single-stream iPerf scenario that receives into
+// buffers of bufSize bytes: the receive-buffer sweep of Figure 9.
+// iperf-stream1 is IPerfAt(1460). The scenario is not registered, so
+// the shipped library is unchanged.
+func IPerfAt(bufSize int) *Scenario {
+	return iperfScenario(fmt.Sprintf("iperf-buf%d", bufSize),
+		fmt.Sprintf("iPerf, single stream, %dB receive buffers", bufSize), 1, bufSize)
+}
+
+// iperfScenario streams bufSize-byte packets across `streams`
+// interleaved flows: each packet demuxes by polling the other streams'
+// state in the scheduler, so per-packet scheduler chatter grows with
+// the count.
+func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
 	return &Scenario{
 		name: name, desc: desc, app: "iperf",
 		quad: [4]string{iperfapp.Name, libc.Name, oslib.SchedName, netstack.Name}, has4: true,
@@ -220,7 +230,7 @@ func iperfScenario(name, desc string, streams int) *Scenario {
 
 			ops := s.ops
 			sock := sv.(int)
-			payload := make([]byte, iperfBufSize)
+			payload := make([]byte, bufSize)
 			for i := 0; i < ops; i++ {
 				if _, err := ctx.Call(netstack.Name, "rx_enqueue", sock, payload); err != nil {
 					return Metrics{}, err
@@ -232,11 +242,11 @@ func iperfScenario(name, desc string, streams int) *Scenario {
 			startCross := img.Crossings()
 			for i := 0; i < ops; i++ {
 				err := lat.Span(&img.Mach.Clock, func() error {
-					v, err := ctx.Call(iperfapp.Name, "recv_once", iperfBufSize)
+					v, err := ctx.Call(iperfapp.Name, "recv_once", bufSize)
 					if err != nil {
 						return err
 					}
-					if v.(int) != iperfBufSize {
+					if v.(int) != bufSize {
 						return fmt.Errorf("iperf: packet %d truncated to %d bytes", i, v)
 					}
 					// Poll the other streams before switching back.
@@ -251,8 +261,8 @@ func iperfScenario(name, desc string, streams int) *Scenario {
 					return Metrics{}, err
 				}
 			}
-			if st.Received() != uint64(ops)*iperfBufSize {
-				return Metrics{}, fmt.Errorf("iperf: received %d bytes, want %d", st.Received(), ops*iperfBufSize)
+			if st.Received() != uint64(ops*bufSize) {
+				return Metrics{}, fmt.Errorf("iperf: received %d bytes, want %d", st.Received(), ops*bufSize)
 			}
 			return collect(img, &lat, ops, boot, startCycles, startCross), nil
 		},
