@@ -12,21 +12,18 @@
 // the ratios. What remains is the engine's own overhead — worker-pool
 // coordination, memoization, pruning bookkeeping — relative to the
 // cost of raw sequential measurement, which is what must not regress.
-// Absolute ns/op is recorded in the baseline as a comment for human
-// eyes only.
+// Absolute ns/op is recorded in the baseline for human eyes only.
 //
-// The guard also maintains the repo's perf trajectory: -update writes
-// the normalized table a second time as a PR-numbered JSON record
-// (BENCH_0008.json) meant to be checked in next to the baseline, and
-// guard mode fails when that record is missing or stale — i.e. when
-// someone moved baseline.txt without regenerating the record. -json
-// additionally dumps the *current run's* normalized table, which CI
-// uploads as a per-commit artifact.
+// The baseline is the repo's perf-trajectory record, a PR-numbered
+// JSON file checked in at the repository root (BENCH_0009.json): guard
+// mode reads the ratios it pins, and -update rewrites it from the
+// current run. -json additionally dumps the *current run's* normalized
+// table in the same shape, which CI uploads as a per-commit artifact.
 //
 // Usage:
 //
 //	go run ./cmd/benchguard            # compare against the baseline
-//	go run ./cmd/benchguard -update    # rewrite baseline + JSON record
+//	go run ./cmd/benchguard -update    # rewrite the baseline record
 //	go run ./cmd/benchguard -tolerance 0.3 -benchtime 2s
 //	go run ./cmd/benchguard -json bench-table.json
 package main
@@ -38,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +48,7 @@ const reference = "BenchmarkQueryFig6Sequential"
 const recordID = "BENCH_0009"
 
 func main() {
-	update := flag.Bool("update", false, "rewrite the baseline file from this run")
+	update := flag.Bool("update", false, "rewrite the baseline record from this run")
 	tolerance := flag.Float64("tolerance", 0.20, "maximum allowed relative slowdown vs baseline")
 	benchtime := flag.String("benchtime", "1s", "-benchtime passed to go test")
 	count := flag.Int("count", 3, "-count passed to go test; the guard keeps each benchmark's fastest run")
@@ -62,8 +58,7 @@ func main() {
 	// scheduling variance while adding no coverage beyond the
 	// Fig6Sequential / Fig6Parallel pair.
 	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace", "benchmark pattern to guard")
-	baseline := flag.String("baseline", filepath.Join("cmd", "benchguard", "baseline.txt"), "baseline file")
-	record := flag.String("record", recordID+".json", "checked-in JSON record of the baseline's normalized table (written by -update, verified fresh otherwise; empty disables)")
+	baseline := flag.String("baseline", recordID+".json", "checked-in JSON record of the baseline's normalized table (rewritten by -update)")
 	jsonOut := flag.String("json", "", "write this run's normalized table to this JSON file (CI artifact)")
 	flag.Parse()
 
@@ -83,28 +78,16 @@ func main() {
 	}
 
 	if *update {
-		if err := writeBaseline(*baseline, ratios, nsop, ref); err != nil {
+		if err := writeRecord(*baseline, ratios, nsop, ref); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchguard: wrote %s (%d benchmarks)\n", *baseline, len(ratios))
-		if *record != "" {
-			if err := writeRecord(*record, ratios, nsop, ref); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("benchguard: wrote %s\n", *record)
-		}
 		return
 	}
 
-	want, err := readBaseline(*baseline)
+	want, err := readRecord(*baseline)
 	if err != nil {
 		fatal(fmt.Errorf("%w (run `go run ./cmd/benchguard -update` to create it)", err))
-	}
-	if *record != "" {
-		if err := verifyRecord(*record, want); err != nil {
-			fatal(fmt.Errorf("%w (run `go run ./cmd/benchguard -update` to regenerate it)", err))
-		}
-		fmt.Printf("benchguard: %s matches the baseline\n", *record)
 	}
 	var failures []string
 	for name, base := range want {
@@ -235,25 +218,9 @@ func runBenchmarks(pattern, benchtime string, count int) (map[string]float64, er
 	return nsop, nil
 }
 
-func writeBaseline(path string, ratios, nsop map[string]float64, ref float64) error {
-	names := make([]string, 0, len(ratios))
-	for name := range ratios {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("# benchguard baseline: ns/op ratio of each guarded benchmark to\n")
-	fmt.Fprintf(&b, "# %s, regenerated with `go run ./cmd/benchguard -update`.\n", reference)
-	fmt.Fprintf(&b, "# reference absolute: %.0f ns/op (informational, machine-dependent)\n", ref)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %.4f # %.0f ns/op\n", name, ratios[name], nsop[name])
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// benchRecord is the JSON shape of the checked-in perf-trajectory
-// record and of the per-run -json artifact: the full normalized table
-// plus the machine-dependent absolutes for human eyes.
+// benchRecord is the JSON shape of the checked-in baseline record and
+// of the per-run -json artifact: the full normalized table plus the
+// machine-dependent absolutes for human eyes.
 type benchRecord struct {
 	ID        string `json:"id"`
 	Reference string `json:"reference"`
@@ -269,10 +236,8 @@ type benchRow struct {
 	NsOp  float64 `json:"ns_op"`
 }
 
-// writeRecord serializes a normalized table as a benchRecord. Ratios
-// are rounded exactly like the textual baseline's %.4f, so a record
-// written in the same -update run as a baseline verifies as fresh
-// byte-for-byte on the ratio values.
+// writeRecord serializes a normalized table as a benchRecord, with
+// ratios rounded to four decimals.
 func writeRecord(path string, ratios, nsop map[string]float64, ref float64) error {
 	names := make([]string, 0, len(ratios))
 	for name := range ratios {
@@ -294,78 +259,39 @@ func writeRecord(path string, ratios, nsop map[string]float64, ref float64) erro
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// verifyRecord checks the checked-in record against the baseline: it
-// must exist, carry this tree's record ID and reference, and pin
-// exactly the baseline's benchmark set at exactly the baseline's
-// ratios. Any mismatch means the record predates the current baseline
-// — stale — and the guard fails rather than letting the trajectory
-// silently drift from the gate.
-func verifyRecord(path string, baseline map[string]float64) error {
+// readRecord reads the baseline ratios a record pins. The record must
+// carry this tree's record ID and reference and pin at least one
+// benchmark: a foreign record, or an empty one that would pass every
+// run, fails the guard instead of silently disabling it.
+func readRecord(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("benchguard: perf record: %w", err)
+		return nil, fmt.Errorf("benchguard: baseline record: %w", err)
 	}
 	var rec benchRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("benchguard: perf record %s: %w", path, err)
+		return nil, fmt.Errorf("benchguard: baseline record %s: %w", path, err)
 	}
 	if rec.ID != recordID {
-		return fmt.Errorf("benchguard: perf record %s has id %q, want %q", path, rec.ID, recordID)
+		return nil, fmt.Errorf("benchguard: baseline record %s has id %q, want %q", path, rec.ID, recordID)
 	}
 	if rec.Reference != reference {
-		return fmt.Errorf("benchguard: perf record %s normalizes to %q, want %q", path, rec.Reference, reference)
+		return nil, fmt.Errorf("benchguard: baseline record %s normalizes to %q, want %q", path, rec.Reference, reference)
 	}
-	got := map[string]float64{}
+	if len(rec.Benchmarks) == 0 {
+		return nil, fmt.Errorf("benchguard: baseline record %s pins no benchmarks", path)
+	}
+	out := make(map[string]float64, len(rec.Benchmarks))
 	for _, row := range rec.Benchmarks {
-		got[row.Name] = row.Ratio
+		out[row.Name] = row.Ratio
 	}
-	for name, base := range baseline {
-		r, ok := got[name]
-		if !ok {
-			return fmt.Errorf("benchguard: perf record %s is stale: missing %s", path, name)
-		}
-		if r != roundRatio(base) {
-			return fmt.Errorf("benchguard: perf record %s is stale: %s ratio %.4f, baseline %.4f", path, name, r, base)
-		}
-	}
-	for name := range got {
-		if _, ok := baseline[name]; !ok {
-			return fmt.Errorf("benchguard: perf record %s is stale: extra benchmark %s", path, name)
-		}
-	}
-	return nil
+	return out, nil
 }
 
-// roundRatio mirrors the baseline file's %.4f precision.
+// roundRatio keeps four decimals, the precision the record pins.
 func roundRatio(r float64) float64 {
 	v, _ := strconv.ParseFloat(fmt.Sprintf("%.4f", r), 64)
 	return v
-}
-
-func readBaseline(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for lineNo, line := range strings.Split(string(data), "\n") {
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("benchguard: %s:%d: want \"name ratio\", got %q", path, lineNo+1, line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchguard: %s:%d: %v", path, lineNo+1, err)
-		}
-		out[fields[0]] = v
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -50,21 +50,26 @@ func TestComputeRatiosZeroGuarded(t *testing.T) {
 	}
 }
 
+// TestBaselineRoundTrip writes a baseline record the way -update does
+// and reads back exactly the ratios guard mode compares against,
+// rounded to the record's four decimals.
 func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.txt")
+	path := filepath.Join(t.TempDir(), recordID+".json")
 	ratios := map[string]float64{
-		"BenchmarkQueryA": 1.25,
-		"BenchmarkQueryB": 0.5,
+		"BenchmarkQueryA":          1.25,
+		"BenchmarkQueryB":          0.5,
+		"BenchmarkQuerySyntheticC": 1.23456, // exercises the %.4f rounding
 	}
 	nsop := map[string]float64{
-		"BenchmarkQueryA": 125,
-		"BenchmarkQueryB": 50,
-		reference:         100,
+		"BenchmarkQueryA":          125,
+		"BenchmarkQueryB":          50,
+		"BenchmarkQuerySyntheticC": 123.456,
+		reference:                  100,
 	}
-	if err := writeBaseline(path, ratios, nsop, 100); err != nil {
+	if err := writeRecord(path, ratios, nsop, 100); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readBaseline(path)
+	got, err := readRecord(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,79 +77,51 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatalf("read %d entries, want %d", len(got), len(ratios))
 	}
 	for name, want := range ratios {
-		if got[name] != want {
-			t.Errorf("%s = %v, want %v", name, got[name], want)
+		if got[name] != roundRatio(want) {
+			t.Errorf("%s = %v, want %v", name, got[name], roundRatio(want))
+		}
+	}
+	if got["BenchmarkQuerySyntheticC"] != 1.2346 {
+		t.Errorf("rounded ratio = %v, want 1.2346", got["BenchmarkQuerySyntheticC"])
+	}
+}
+
+// TestReadRecordRejectsForeignRecords covers every record the guard
+// must refuse to compare against: a missing file, malformed JSON, a
+// foreign record ID, a foreign reference, and a record that pins no
+// benchmark (which would pass every run).
+func TestReadRecordRejectsForeignRecords(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := readRecord(filepath.Join(dir, "absent.json")); err == nil {
+		t.Error("missing record must fail")
+	}
+	row := `[{"name":"BenchmarkQueryA","ratio":1.5}]`
+	cases := map[string]string{
+		"malformed":         `{"id":`,
+		"foreign id":        `{"id":"BENCH_9999","reference":"` + reference + `","benchmarks":` + row + `}`,
+		"foreign reference": `{"id":"` + recordID + `","reference":"BenchmarkOther","benchmarks":` + row + `}`,
+		"no benchmarks":     `{"id":"` + recordID + `","reference":"` + reference + `","benchmarks":[]}`,
+	}
+	for name, data := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".json")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readRecord(path); err == nil {
+			t.Errorf("%s: readRecord accepted the record", name)
 		}
 	}
 }
 
-// TestRecordRoundTripMatchesBaseline writes a baseline and its record
-// from the same ratios, the way -update does, and requires verifyRecord
-// to accept the pair.
-func TestRecordRoundTripMatchesBaseline(t *testing.T) {
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "baseline.txt")
-	recPath := filepath.Join(dir, "record.json")
-	ratios := map[string]float64{
-		"BenchmarkQueryA":          1.23456, // exercises the %.4f rounding
-		"BenchmarkQuerySyntheticB": 0.5,
-	}
-	nsop := map[string]float64{
-		"BenchmarkQueryA":          123456,
-		"BenchmarkQuerySyntheticB": 50000,
-		reference:                  100000,
-	}
-	if err := writeBaseline(basePath, ratios, nsop, 100000); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRecord(recPath, ratios, nsop, 100000); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := readBaseline(basePath)
+// TestCheckedInBaselineParses reads the repository's own baseline
+// record, the file guard mode compares against by default.
+func TestCheckedInBaselineParses(t *testing.T) {
+	got, err := readRecord(filepath.Join("..", "..", recordID+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := verifyRecord(recPath, baseline); err != nil {
-		t.Fatalf("fresh record rejected: %v", err)
-	}
-}
-
-// TestVerifyRecordDetectsStaleness covers every staleness shape the
-// guard must catch: a missing record file, a benchmark the baseline
-// gained, one it lost, a drifted ratio, and a foreign record ID.
-func TestVerifyRecordDetectsStaleness(t *testing.T) {
-	dir := t.TempDir()
-	recPath := filepath.Join(dir, "record.json")
-	ratios := map[string]float64{"BenchmarkQueryA": 1.5}
-	nsop := map[string]float64{"BenchmarkQueryA": 150, reference: 100}
-
-	if err := verifyRecord(filepath.Join(dir, "absent.json"), ratios); err == nil {
-		t.Fatal("missing record must fail verification")
-	}
-	if err := writeRecord(recPath, ratios, nsop, 100); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := map[string]map[string]float64{
-		"baseline gained a benchmark": {"BenchmarkQueryA": 1.5, "BenchmarkQueryNew": 2},
-		"baseline lost a benchmark":   {},
-		"ratio drifted":               {"BenchmarkQueryA": 1.6},
-	}
-	for name, baseline := range cases {
-		if err := verifyRecord(recPath, baseline); err == nil {
-			t.Errorf("%s: verifyRecord accepted a stale record", name)
-		} else if !strings.Contains(err.Error(), "stale") && !strings.Contains(err.Error(), "missing") {
-			t.Errorf("%s: error does not name staleness: %v", name, err)
-		}
-	}
-
-	foreign := strings.Replace(recPath, "record.json", "foreign.json", 1)
-	data := `{"id":"BENCH_9999","reference":"` + reference + `","benchmarks":[{"name":"BenchmarkQueryA","ratio":1.5}]}`
-	if err := os.WriteFile(foreign, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := verifyRecord(foreign, ratios); err == nil {
-		t.Error("foreign record ID must fail verification")
+	if _, ok := got["BenchmarkQueryFig6Parallel"]; !ok {
+		t.Errorf("baseline record does not pin BenchmarkQueryFig6Parallel: %v", got)
 	}
 }
 
