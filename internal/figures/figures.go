@@ -52,11 +52,8 @@ func fig6(ctx context.Context, sc *scenario.Scenario, workers int) ([]ConfigPerf
 	quad, _ := sc.Quad()
 	cfgs := explore.Fig6Space(quad)
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
-		Space: cfgs,
-		Measure: func(c *explore.Config) (explore.Metrics, error) {
-			v, err := throughput(sc, c.Spec(tcbLibs()))
-			return explore.Metrics{Throughput: v}, err
-		},
+		Space:   cfgs,
+		Measure: throughputOf(sc),
 		Workers: workers,
 	})
 	if err != nil {
@@ -166,16 +163,9 @@ func Fig8(ctx context.Context, requests int, budget float64, workers int) (*Fig8
 	sc := scenario.RedisGet100.WithOps(requests)
 	quad, _ := sc.Quad()
 	cfgs := explore.Fig6Space(quad)
-	measure := func(c *explore.Config) (explore.Metrics, error) {
-		v, err := throughput(sc, c.Spec(tcbLibs()))
-		if err != nil {
-			return explore.Metrics{}, err
-		}
-		return explore.Metrics{Throughput: v}, nil
-	}
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
 		Space:       cfgs,
-		Measure:     measure,
+		Measure:     throughputOf(sc),
 		Constraints: []explore.Constraint{explore.BudgetConstraint(scenario.MetricThroughput, budget)},
 		Workers:     workers,
 		Prune:       true,

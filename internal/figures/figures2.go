@@ -42,16 +42,9 @@ func Fig5(ctx context.Context, requests int, budget float64, workers int) ([]Fig
 		[]string{comps[0], comps[1], comps[2]},
 		[]string{comps[3]},
 	)
-	measure := func(c *explore.Config) (explore.Metrics, error) {
-		v, err := throughput(sc, c.Spec(tcbLibs()))
-		if err != nil {
-			return explore.Metrics{}, err
-		}
-		return explore.Metrics{Throughput: v}, nil
-	}
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
 		Space:       cfgs,
-		Measure:     measure,
+		Measure:     throughputOf(sc),
 		Constraints: []explore.Constraint{explore.BudgetConstraint(scenario.MetricThroughput, budget)},
 		Workers:     workers,
 	})
@@ -146,7 +139,7 @@ func Fig9(packets int) ([]Fig9Row, error) {
 			// Goodput: every byte of every packet over the simulated
 			// time of the receive loop.
 			seconds := float64(m.Cycles) / freq
-			gbps := float64(uint64(size*m.Ops)) * 8 / seconds / 1e9
+			gbps := float64(size*m.Ops) * 8 / seconds / 1e9
 			rows = append(rows, Fig9Row{BufSize: size, System: v.name, Gbps: gbps})
 		}
 	}

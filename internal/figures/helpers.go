@@ -7,14 +7,17 @@ import (
 	sqliteapp "flexos/internal/apps/sqlite"
 
 	"flexos/internal/core"
+	"flexos/internal/explore"
 	"flexos/internal/scenario"
 )
 
-// throughput runs a scenario on the spec and returns its throughput:
-// the single figure the Figure 5, 6 and 8 sweeps rank by.
-func throughput(sc *scenario.Scenario, spec core.ImageSpec) (float64, error) {
-	m, err := sc.Run(spec)
-	return m.Throughput, err
+// throughputOf measures a configuration with the scenario and keeps
+// only its throughput, the single figure Figures 5, 6 and 8 rank by.
+func throughputOf(sc *scenario.Scenario) func(*explore.Config) (explore.Metrics, error) {
+	return func(c *explore.Config) (explore.Metrics, error) {
+		m, err := sc.Run(c.Spec(tcbLibs()))
+		return explore.Metrics{Throughput: m.Throughput}, err
+	}
 }
 
 // registerApps registers all four applications into a catalog.

@@ -172,6 +172,35 @@ func TestWithOps(t *testing.T) {
 	}
 }
 
+// TestIPerfAt checks the Figure 9 constructor: at the library's packet
+// size it is iperf-stream1 under another name, it stays out of the
+// registry, and the buffer size reaches the receive loop.
+func TestIPerfAt(t *testing.T) {
+	at := IPerfAt(iperfBufSize).WithOps(30)
+	spec := isolatedSpec(at)
+	got, err := at.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := IPerfStream1.WithOps(30).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("IPerfAt(%d) = %+v, iperf-stream1 = %+v", iperfBufSize, got, want)
+	}
+	if _, ok := ByName(at.Name()); ok {
+		t.Fatalf("IPerfAt registered %s in the library", at.Name())
+	}
+	small, err := IPerfAt(64).WithOps(30).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Throughput <= got.Throughput {
+		t.Fatalf("64B packets/s %.0f <= 1460B packets/s %.0f", small.Throughput, got.Throughput)
+	}
+}
+
 func TestRegistryLookups(t *testing.T) {
 	if _, ok := ByName("redis-get90"); !ok {
 		t.Fatal("redis-get90 missing from the library")
