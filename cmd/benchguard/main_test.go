@@ -51,20 +51,17 @@ func TestComputeRatiosZeroGuarded(t *testing.T) {
 }
 
 // TestBaselineRoundTrip writes a baseline record the way -update does
-// and reads back exactly the ratios guard mode compares against,
-// rounded to the record's four decimals.
+// and reads back exactly the ratios guard mode compares against.
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), recordID+".json")
 	ratios := map[string]float64{
-		"BenchmarkQueryA":          1.25,
-		"BenchmarkQueryB":          0.5,
-		"BenchmarkQuerySyntheticC": 1.23456, // exercises the %.4f rounding
+		"BenchmarkQueryA": 1.25,
+		"BenchmarkQueryB": 0.5,
 	}
 	nsop := map[string]float64{
-		"BenchmarkQueryA":          125,
-		"BenchmarkQueryB":          50,
-		"BenchmarkQuerySyntheticC": 123.456,
-		reference:                  100,
+		"BenchmarkQueryA": 125,
+		"BenchmarkQueryB": 50,
+		reference:         100,
 	}
 	if err := writeRecord(path, ratios, nsop, 100); err != nil {
 		t.Fatal(err)
@@ -77,12 +74,53 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatalf("read %d entries, want %d", len(got), len(ratios))
 	}
 	for name, want := range ratios {
-		if got[name] != roundRatio(want) {
-			t.Errorf("%s = %v, want %v", name, got[name], roundRatio(want))
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
 		}
 	}
-	if got["BenchmarkQuerySyntheticC"] != 1.2346 {
-		t.Errorf("rounded ratio = %v, want 1.2346", got["BenchmarkQuerySyntheticC"])
+}
+
+// TestRecordRoundTripMatchesBaseline writes the -json artifact record
+// and the -update baseline from the same run, as a CI run does, and
+// requires both to read back as the same ratios rounded to the
+// record's four decimals.
+func TestRecordRoundTripMatchesBaseline(t *testing.T) {
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, recordID+".json")
+	recPath := filepath.Join(dir, "record.json")
+	ratios := map[string]float64{
+		"BenchmarkQueryA":          1.23456, // exercises the %.4f rounding
+		"BenchmarkQuerySyntheticB": 0.5,
+	}
+	nsop := map[string]float64{
+		"BenchmarkQueryA":          123456,
+		"BenchmarkQuerySyntheticB": 50000,
+		reference:                  100000,
+	}
+	if err := writeRecord(basePath, ratios, nsop, 100000); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRecord(recPath, ratios, nsop, 100000); err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := readRecord(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := readRecord(recPath)
+	if err != nil {
+		t.Fatalf("fresh record rejected: %v", err)
+	}
+	if len(record) != len(baseline) || len(baseline) != len(ratios) {
+		t.Fatalf("record has %d entries, baseline %d, want %d", len(record), len(baseline), len(ratios))
+	}
+	for name, want := range ratios {
+		if baseline[name] != roundRatio(want) || record[name] != baseline[name] {
+			t.Errorf("%s: record %v, baseline %v, want %v", name, record[name], baseline[name], roundRatio(want))
+		}
+	}
+	if baseline["BenchmarkQueryA"] != 1.2346 {
+		t.Errorf("rounded ratio = %v, want 1.2346", baseline["BenchmarkQueryA"])
 	}
 }
 
