@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"flexos"
 	"flexos/internal/cli"
 	"flexos/internal/figures"
 )
@@ -17,6 +18,8 @@ import (
 // These digests fold the exact float64 bits, cycles and crossings of
 // every value the -app spaces and the two figures produce, so any
 // change to how an application image is driven or measured fails here.
+// The keyed/* digests cover the mechanisms the -app spaces never build,
+// each over its own CrossAppSpace.
 var bitPins = map[string]uint64{
 	"app/redis":            0x478eb9bae1fda1f3,
 	"app/nginx":            0xe9028981d6665fcf,
@@ -24,6 +27,8 @@ var bitPins = map[string]uint64{
 	"app/cross/exhaustive": 0xdbae479fbba4dde4,
 	"fig9/17":              0xb47bf7d1b94aa0d1,
 	"fig10/37":             0x1222b11fd80b8db5,
+	"keyed/cheri":          0xfd484fa0af648ca5,
+	"keyed/intel-sgx":      0xe96735cf78f6a41d,
 }
 
 type bitDigest struct{ h hash.Hash64 }
@@ -44,6 +49,29 @@ func (d *bitDigest) flag(v bool) {
 	} else {
 		d.u64(0)
 	}
+}
+
+// resultDigest folds every measurement of an exploration result.
+func resultDigest(res *flexos.ExploreResult) *bitDigest {
+	d := newBitDigest()
+	d.u64(uint64(len(res.Measurements)))
+	for _, m := range res.Measurements {
+		d.u64(uint64(m.Config.ID))
+		d.flag(m.Evaluated)
+		d.flag(m.Pruned)
+		d.f64(m.Perf)
+		mm := m.Metrics
+		for _, f := range []float64{mm.Throughput, mm.P50us, mm.P99us, mm.MaxUs, mm.Survival} {
+			d.f64(f)
+		}
+		for _, u := range []uint64{mm.PeakMemBytes, mm.BootCycles, mm.Cycles, uint64(mm.Ops), mm.Crossings} {
+			d.u64(u)
+		}
+	}
+	for _, i := range res.Safest {
+		d.u64(uint64(i))
+	}
+	return d
 }
 
 func checkBits(t *testing.T, name string, d *bitDigest) {
@@ -73,25 +101,29 @@ func TestMeasuredBitsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := newBitDigest()
-			d.u64(uint64(len(res.Measurements)))
-			for _, m := range res.Measurements {
-				d.u64(uint64(m.Config.ID))
-				d.flag(m.Evaluated)
-				d.flag(m.Pruned)
-				d.f64(m.Perf)
-				mm := m.Metrics
-				for _, f := range []float64{mm.Throughput, mm.P50us, mm.P99us, mm.MaxUs, mm.Survival} {
-					d.f64(f)
+			checkBits(t, name, resultDigest(res))
+		})
+	}
+
+	for _, mech := range []string{"cheri", "intel-sgx"} {
+		name := "keyed/" + mech
+		t.Run(name, func(t *testing.T) {
+			measure := func(c *flexos.ExploreConfig) (float64, error) {
+				sc, _ := flexos.ScenarioByName("nginx-keepalive")
+				for _, comp := range c.Components() {
+					if comp == flexos.LibRedis {
+						sc, _ = flexos.ScenarioByName("redis-get100")
+					}
 				}
-				for _, u := range []uint64{mm.PeakMemBytes, mm.BootCycles, mm.Cycles, uint64(mm.Ops), mm.Crossings} {
-					d.u64(u)
-				}
+				m, err := sc.WithOps(37).Run(c.Spec(flexos.TCBLibs()))
+				return m.Throughput, err
 			}
-			for _, i := range res.Safest {
-				d.u64(uint64(i))
+			cfgs := flexos.CrossAppSpace([]string{mech}, flexos.RedisComponents(), flexos.NginxComponents())
+			res, err := flexos.NewQuery(cfgs).MeasureScalar(measure).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkBits(t, name, d)
+			checkBits(t, name, resultDigest(res))
 		})
 	}
 
