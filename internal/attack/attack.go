@@ -264,16 +264,7 @@ func blockSize(c *explore.Config, comp string) int {
 // helpers of internal/explore through its public Leq semantics: they
 // must order exactly like the safety poset's dimensions, which the
 // oracle property suite checks.
-func strengthIndex(c *explore.Config) int {
-	switch explore.CanonicalMechanism(c.Mechanism) {
-	case "intel-mpk", "cheri":
-		return int(isolation.StrengthIntraAS)
-	case "vm-ept", "intel-sgx":
-		return int(isolation.StrengthInterAS)
-	default:
-		return int(isolation.StrengthNone)
-	}
-}
+func strengthIndex(c *explore.Config) int { return int(isolation.StrengthOf(c.Mechanism)) }
 
 func sharingRank(c *explore.Config) int {
 	if c.NumCompartments() == 1 || c.Sharing != isolation.ShareStack {

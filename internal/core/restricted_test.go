@@ -161,8 +161,8 @@ func TestRestrictedDomainReuseAndExhaustion(t *testing.T) {
 }
 
 func TestRestrictedFallbackWithoutSupportingBackend(t *testing.T) {
-	// EPT does not implement RestrictedSharer; whitelisted vars fall
-	// back to the global shared window.
+	// EPT has no restricted shared domains; whitelisted vars fall back
+	// to the global shared window.
 	spec := restrictedSpec()
 	spec.Mechanism = "vm-ept"
 	spec.GateMode = isolation.GateDefault

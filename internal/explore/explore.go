@@ -155,24 +155,6 @@ func (c *Config) Spec(tcbLibs []string) core.ImageSpec {
 	return spec
 }
 
-// CanonicalMechanism maps mechanism aliases ("mpk", "ept", "sgx", "")
-// onto the canonical backend names the toolchain registers, so that two
-// configurations naming the same backend differently share one identity.
-func CanonicalMechanism(m string) string {
-	switch m {
-	case "", "none":
-		return "none"
-	case "mpk", "intel-mpk":
-		return "intel-mpk"
-	case "ept", "vm-ept":
-		return "vm-ept"
-	case "sgx", "intel-sgx":
-		return "intel-sgx"
-	default:
-		return m
-	}
-}
-
 // Key returns the canonical identity of the configuration: two configs
 // have equal keys exactly when they describe the same image and would
 // measure identically on the deterministic machine. The key normalizes
@@ -184,7 +166,7 @@ func CanonicalMechanism(m string) string {
 func (c *Config) Key() string {
 	var b strings.Builder
 	b.WriteString("mech=")
-	b.WriteString(CanonicalMechanism(c.Mechanism))
+	b.WriteString(isolation.Canonical(c.Mechanism))
 	if c.NumCompartments() > 1 {
 		fmt.Fprintf(&b, ";gate=%s;share=%s", c.GateMode, c.Sharing)
 	}
@@ -233,16 +215,7 @@ func (c *Config) Hash() uint64 {
 }
 
 // strength ranks the isolation mechanism.
-func (c *Config) strength() isolation.Strength {
-	switch c.Mechanism {
-	case "intel-mpk", "mpk", "cheri":
-		return isolation.StrengthIntraAS
-	case "vm-ept", "ept", "intel-sgx", "sgx":
-		return isolation.StrengthInterAS
-	default:
-		return isolation.StrengthNone
-	}
-}
+func (c *Config) strength() isolation.Strength { return isolation.StrengthOf(c.Mechanism) }
 
 // sharingRank ranks the data sharing strategy's isolation: a fully
 // shared stack is weaker than DSS or stack-to-heap conversion (which

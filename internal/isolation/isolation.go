@@ -1,22 +1,27 @@
 // Package isolation defines FlexOS-Go's isolation backend API (§3.2 of the
-// paper) and its gate abstraction (§3.1), together with the three fully
-// implemented backends — NONE (plain function calls), Intel MPK
-// (intra-address-space protection keys) and EPT (one VM per compartment
-// with shared-memory RPC) — plus the CHERI backend sketched in §4.3.
+// paper), its gate abstraction (§3.1), and the backends behind it: NONE
+// (plain function calls) and four keyed-domain mechanisms — Intel MPK
+// (intra-address-space protection keys, §4.1), EPT (one VM per
+// compartment with shared-memory RPC, §4.2), CHERI (capability-checked
+// domains, §4.3) and Intel SGX (enclaves, future work in §9).
 //
 // The contract mirrors the paper: an isolation mechanism only has to
 // (1) implement protection domains with a domain-switching mechanism, and
 // (2) support some form of shared memory for cross-domain communication.
-// Backends plug into the core libraries through the scheduler hook API and
-// into the toolchain through gate construction; nothing else in the system
-// knows which mechanism is in use.
+// The four keyed mechanisms follow that one recipe, so a single backend
+// runs them, driven by one table row per mechanism (keyed.go); the same
+// table resolves every mechanism name, alias and strength. Backends plug
+// into the core libraries through the scheduler hook API and into the
+// toolchain through gate construction; nothing else in the system knows
+// which mechanism is in use.
 //
-// Simulation note (see DESIGN.md): the EPT backend reuses the page-key
-// machinery of internal/mem as its EPT permission table — one key per VM
-// models each VM's second-level mapping, and key mismatches are reported
-// as EPT violations. This preserves the functional semantics (disjoint
-// protection domains, aliased shared window, RPC-only crossings) while
-// keeping a single simulated physical memory.
+// Simulation note (see DESIGN.md): every keyed mechanism reuses the
+// page-key machinery of internal/mem as its permission table. Under EPT
+// one key per VM models each VM's second-level mapping, and key
+// mismatches are reported as EPT violations. This preserves the
+// functional semantics (disjoint protection domains, aliased shared
+// window, entry-point-only crossings) while keeping a single simulated
+// physical memory.
 package isolation
 
 import (
@@ -240,8 +245,8 @@ type Backend interface {
 type RestrictedSharer interface {
 	// RestrictedDomain returns a protection key covering exactly the
 	// given compartments, allocating one if needed. It returns false
-	// when the mechanism has run out of domains; callers then fall back
-	// to the global shared domain.
+	// when the mechanism has no such domains (only MPK has them) or has
+	// run out; callers then fall back to the global shared domain.
 	RestrictedDomain(comps []sched.CompID) (mem.Key, bool)
 }
 

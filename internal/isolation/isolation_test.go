@@ -33,18 +33,207 @@ func initBackend(t *testing.T, b Backend, sys *System) {
 	}
 }
 
-func TestRegistryNames(t *testing.T) {
-	for _, name := range []string{"none", "intel-mpk", "mpk", "vm-ept", "ept", "cheri", "intel-sgx", "sgx"} {
-		b, err := ForName(name)
-		if err != nil {
-			t.Fatalf("ForName(%q): %v", name, err)
-		}
-		if b == nil {
-			t.Fatalf("ForName(%q) returned nil", name)
+// mustBackend instantiates a registered backend.
+func mustBackend(t *testing.T, name string) Backend {
+	t.Helper()
+	b, err := ForName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// gateFlavour is one row of the gate table: a mechanism, the mode that
+// selects the flavour, and what the flavour must do.
+type gateFlavour struct {
+	mech  string
+	mode  GateMode
+	label string
+	cost  uint64 // Fig. 11b, under the default cost model
+	scrub bool   // registers are zeroed inside and restored after
+}
+
+var gateFlavours = []gateFlavour{
+	{"intel-mpk", GateFull, "mpk/full", 108, true},
+	{"intel-mpk", GateLight, "mpk/light", 62, false},
+	{"vm-ept", GateDefault, "ept/rpc", 462, true},
+	{"cheri", GateDefault, "cheri/cinvoke", 31, true},
+	{"intel-sgx", GateDefault, "sgx/ecall", 7600, true},
+}
+
+func flavourByLabel(t *testing.T, label string) gateFlavour {
+	t.Helper()
+	for _, f := range gateFlavours {
+		if f.label == label {
+			return f
 		}
 	}
-	if _, err := ForName("trustzone"); err == nil {
-		t.Fatal("unknown mechanism accepted")
+	t.Fatalf("no gate flavour %q", label)
+	return gateFlavour{}
+}
+
+// bind initializes the flavour's backend over two compartments and
+// returns a thread in compartment 1 and the flavour's gate 1 -> 0.
+func (f gateFlavour) bind(t *testing.T) (*System, *sched.Thread, Gate) {
+	t.Helper()
+	sys := newSys(t, 2)
+	b := mustBackend(t, f.mech)
+	initBackend(t, b, sys)
+	g, err := b.Gate(1, 0, f.mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.String() != f.label {
+		t.Fatalf("%s %v gate = %q, want %q", f.mech, f.mode, g, f.label)
+	}
+	return sys, sys.Sched.Spawn("app", 1), g
+}
+
+func checkTooManyCompartments(t *testing.T, f gateFlavour) {
+	if err := mustBackend(t, f.mech).Init(newSys(t, 16)); err == nil {
+		t.Fatal("16 compartments must exceed the 15-key budget")
+	}
+}
+
+func checkDoubleInit(t *testing.T, f gateFlavour) {
+	sys := newSys(t, 2)
+	b := mustBackend(t, f.mech)
+	initBackend(t, b, sys)
+	if err := b.Init(sys); err == nil {
+		t.Fatal("double Init accepted")
+	}
+}
+
+func checkRogueEntry(t *testing.T, f gateFlavour) {
+	sys, th, g := f.bind(t)
+	var err error
+	cost := sys.Mach.Clock.Span(func() {
+		err = g.Call(th, "not_an_entry", func() error { return nil })
+	})
+	if !mem.IsFault(err, mem.FaultCFI) {
+		t.Fatalf("rogue entry: got %v, want CFI fault", err)
+	}
+	if cost != 0 {
+		t.Fatalf("rejected entry charged %d cycles", cost)
+	}
+}
+
+func checkCost(t *testing.T, f gateFlavour) {
+	sys, th, g := f.bind(t)
+	if g.Cost() != f.cost {
+		t.Fatalf("gate cost = %d, want %d (Fig. 11b)", g.Cost(), f.cost)
+	}
+	var err error
+	cost := sys.Mach.Clock.Span(func() {
+		err = g.Call(th, "svc", func() error { return nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost != g.Cost() {
+		t.Fatalf("legal call charged %d cycles, want %d", cost, g.Cost())
+	}
+}
+
+func checkSwitch(t *testing.T, f gateFlavour) {
+	sys, th, g := f.bind(t)
+	before := th.PKRU
+	var inside mem.PKRU
+	var insideComp sched.CompID
+	err := g.Call(th, "svc", func() error {
+		inside, insideComp = th.PKRU, th.Comp
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if insideComp != 0 || inside != sys.Comps[0].PKRU() {
+		t.Fatal("gate did not switch to the callee domain")
+	}
+	if th.PKRU != before || th.Comp != 1 {
+		t.Fatal("gate did not restore the caller domain")
+	}
+}
+
+func checkRegisters(t *testing.T, f gateFlavour) {
+	_, th, g := f.bind(t)
+	th.Regs[0] = 0x5EC2E7
+	var seen uint64
+	g.Call(th, "svc", func() error {
+		seen = th.Regs[0]
+		th.Regs[1] = 0xCA11EE
+		return nil
+	})
+	if f.scrub {
+		if seen != 0 {
+			t.Fatalf("gate leaked register value %#x", seen)
+		}
+		if th.Regs[0] != 0x5EC2E7 || th.Regs[1] != 0 {
+			t.Fatalf("gate must restore caller registers, got %#x", th.Regs[:2])
+		}
+		return
+	}
+	// A stack-sharing gate shares the register set by design, both ways.
+	if seen != 0x5EC2E7 || th.Regs[1] != 0xCA11EE {
+		t.Fatalf("shared register set: callee saw %#x, caller got back %#x", seen, th.Regs[1])
+	}
+}
+
+// TestGateFlavours runs every check on every gate flavour.
+func TestGateFlavours(t *testing.T) {
+	checks := []struct {
+		name  string
+		check func(*testing.T, gateFlavour)
+	}{
+		{"too-many", checkTooManyCompartments},
+		{"double-init", checkDoubleInit},
+		{"rogue-entry", checkRogueEntry},
+		{"cost", checkCost},
+		{"switch", checkSwitch},
+		{"registers", checkRegisters},
+	}
+	for _, f := range gateFlavours {
+		for _, c := range checks {
+			t.Run(f.label+"/"+c.name, func(t *testing.T) { c.check(t, f) })
+		}
+	}
+}
+
+func TestRegistryNames(t *testing.T) {
+	for _, tc := range []struct {
+		name, canonical string
+		strength        Strength
+	}{
+		{"none", "none", StrengthNone},
+		{"intel-mpk", "intel-mpk", StrengthIntraAS},
+		{"mpk", "intel-mpk", StrengthIntraAS},
+		{"vm-ept", "vm-ept", StrengthInterAS},
+		{"ept", "vm-ept", StrengthInterAS},
+		{"cheri", "cheri", StrengthIntraAS},
+		{"intel-sgx", "intel-sgx", StrengthInterAS},
+		{"sgx", "intel-sgx", StrengthInterAS},
+		{"", "none", StrengthNone},
+		{"trustzone", "trustzone", StrengthNone},
+	} {
+		if got := Canonical(tc.name); got != tc.canonical {
+			t.Errorf("Canonical(%q) = %q, want %q", tc.name, got, tc.canonical)
+		}
+		if got := StrengthOf(tc.name); got != tc.strength {
+			t.Errorf("StrengthOf(%q) = %v, want %v", tc.name, got, tc.strength)
+		}
+		b, err := ForName(tc.name)
+		if tc.name == "" || tc.name == "trustzone" {
+			if err == nil {
+				t.Errorf("ForName(%q) accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("ForName(%q): %v", tc.name, err)
+		}
+		if b.Name() != Canonical(tc.name) || b.Strength() != StrengthOf(tc.name) {
+			t.Errorf("ForName(%q) = %s/%v, want %s/%v", tc.name, b.Name(), b.Strength(), Canonical(tc.name), StrengthOf(tc.name))
+		}
 	}
 }
 
@@ -60,8 +249,7 @@ func TestBackendStrengthOrdering(t *testing.T) {
 
 func TestMPKKeyAssignment(t *testing.T) {
 	sys := newSys(t, 3)
-	b := NewMPK()
-	initBackend(t, b, sys)
+	initBackend(t, mustBackend(t, "intel-mpk"), sys)
 	if sys.Comps[0].Key != mem.KeyTCB {
 		t.Fatalf("comp0 key = %d, want TCB key", sys.Comps[0].Key)
 	}
@@ -77,25 +265,17 @@ func TestMPKKeyAssignment(t *testing.T) {
 	}
 }
 
+// The per-mechanism tests below are spot checks of the flavour table.
+
 func TestMPKRejectsTooManyCompartments(t *testing.T) {
-	sys := newSys(t, 16)
-	if err := NewMPK().Init(sys); err == nil {
-		t.Fatal("16 compartments must exceed MPK's 15-key budget")
-	}
+	checkTooManyCompartments(t, flavourByLabel(t, "mpk/full"))
 }
 
-func TestMPKDoubleInit(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	if err := b.Init(sys); err == nil {
-		t.Fatal("double Init accepted")
-	}
-}
+func TestMPKDoubleInit(t *testing.T) { checkDoubleInit(t, flavourByLabel(t, "mpk/full")) }
 
 func TestMPKThreadCreationHookInstallsDomain(t *testing.T) {
 	sys := newSys(t, 2)
-	initBackend(t, NewMPK(), sys)
+	initBackend(t, mustBackend(t, "intel-mpk"), sys)
 	th := sys.Sched.Spawn("app", 1)
 	c1 := sys.Comps[1]
 	if th.PKRU != c1.PKRU() {
@@ -110,100 +290,32 @@ func TestMPKThreadCreationHookInstallsDomain(t *testing.T) {
 }
 
 func TestMPKGateSwitchesDomainAndRestores(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	th := sys.Sched.Spawn("app", 1)
-	g, err := b.Gate(1, 0, GateFull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := th.PKRU
-	var inside mem.PKRU
-	var insideComp sched.CompID
-	err = g.Call(th, "svc", func() error {
-		inside = th.PKRU
-		insideComp = th.Comp
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if insideComp != 0 || !inside.CanWrite(mem.KeyTCB) {
-		t.Fatal("gate did not switch to the callee domain")
-	}
-	if th.PKRU != before || th.Comp != 1 {
-		t.Fatal("gate did not restore the caller domain")
-	}
+	checkSwitch(t, flavourByLabel(t, "mpk/full"))
 }
 
 func TestMPKGateEnforcesEntryPoints(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	th := sys.Sched.Spawn("app", 1)
-	g, _ := b.Gate(1, 0, GateFull)
-	err := g.Call(th, "not_an_entry", func() error { return nil })
-	if !mem.IsFault(err, mem.FaultCFI) {
-		t.Fatalf("rogue entry: got %v, want CFI fault", err)
-	}
+	checkRogueEntry(t, flavourByLabel(t, "mpk/full"))
 }
 
 func TestMPKGateCostsMatchFig11b(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	light, _ := b.Gate(0, 1, GateLight)
-	full, _ := b.Gate(0, 1, GateFull)
-	if light.Cost() != 62 {
-		t.Errorf("light gate cost = %d, want 62", light.Cost())
-	}
-	if full.Cost() != 108 {
-		t.Errorf("full gate cost = %d, want 108", full.Cost())
-	}
+	light, full := flavourByLabel(t, "mpk/light"), flavourByLabel(t, "mpk/full")
+	checkCost(t, light)
+	checkCost(t, full)
 	// "MPK light gates are 80% faster than normal MPK gates."
-	if !(light.Cost() < full.Cost()) {
+	if !(light.cost < full.cost) {
 		t.Error("light gate must be cheaper than full gate")
 	}
 }
 
 func TestMPKFullGateIsolatesRegisters(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	th := sys.Sched.Spawn("app", 1)
-	th.Regs[0] = 0x5EC2E7
-	full, _ := b.Gate(1, 0, GateFull)
-	var leaked uint64
-	full.Call(th, "svc", func() error {
-		leaked = th.Regs[0]
-		return nil
-	})
-	if leaked != 0 {
-		t.Fatalf("full gate leaked register value %#x", leaked)
-	}
-	if th.Regs[0] == 0 {
-		t.Fatal("full gate must restore caller registers")
-	}
-
-	light, _ := b.Gate(1, 0, GateLight)
-	light.Call(th, "svc", func() error {
-		leaked = th.Regs[0]
-		return nil
-	})
-	if leaked == 0 {
-		t.Fatal("light gate shares the register set by design; expected leak")
-	}
+	checkRegisters(t, flavourByLabel(t, "mpk/full"))
+	checkRegisters(t, flavourByLabel(t, "mpk/light"))
 }
 
 func TestMPKGateStackSwitch(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	th := sys.Sched.Spawn("app", 1)
+	sys, th, g := flavourByLabel(t, "mpk/full").bind(t)
 	calleeStack := sched.NewStack(sys.AS, 0, 8*mem.PageSize, false, sys.Mach)
 	th.SetStack(0, calleeStack)
-	g, _ := b.Gate(1, 0, GateFull)
 	var depthInside int
 	g.Call(th, "svc", func() error {
 		depthInside = calleeStack.Depth()
@@ -220,7 +332,7 @@ func TestMPKGateStackSwitch(t *testing.T) {
 func TestSameCompartmentGateIsPlainCall(t *testing.T) {
 	for _, name := range []string{"none", "mpk", "ept", "cheri", "sgx"} {
 		sys := newSys(t, 2)
-		b, _ := ForName(name)
+		b := mustBackend(t, name)
 		initBackend(t, b, sys)
 		g, err := b.Gate(1, 1, GateDefault)
 		if err != nil {
@@ -250,83 +362,58 @@ func TestNoneBackendAllowsEverything(t *testing.T) {
 }
 
 func TestEPTGateCostAndCFI(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewEPT()
-	initBackend(t, b, sys)
-	th := sys.Sched.Spawn("app", 1)
-	th.PKRU = sys.Comps[1].PKRU()
-	g, _ := b.Gate(1, 0, GateDefault)
-	if g.Cost() != 462 {
-		t.Fatalf("EPT gate cost = %d, want 462 (Fig. 11b)", g.Cost())
-	}
 	// The RPC server rejects illegal function pointers.
-	err := g.Call(th, "rogue", func() error { return nil })
-	if !mem.IsFault(err, mem.FaultCFI) {
-		t.Fatalf("rogue RPC: got %v, want CFI fault", err)
-	}
-	if err := g.Call(th, "svc", func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if b.RPCs() != 1 {
-		t.Fatalf("RPC count = %d, want 1", b.RPCs())
-	}
+	f := flavourByLabel(t, "ept/rpc")
+	checkCost(t, f)
+	checkRogueEntry(t, f)
 }
 
 func TestEPTSpawnsRPCServerPools(t *testing.T) {
 	sys := newSys(t, 3)
-	b := NewEPT()
-	initBackend(t, b, sys)
-	// 3 VMs x 4 server threads.
+	initBackend(t, mustBackend(t, "vm-ept"), sys)
+	// 3 VMs x 4 server threads, each installed in its VM's domain.
 	if got := sys.Sched.Threads(); got != 12 {
 		t.Fatalf("RPC server threads = %d, want 12", got)
+	}
+	th := sys.Sched.Spawn("app", 2)
+	if th.PKRU != sys.Comps[2].PKRU() {
+		t.Fatal("thread creation hook must install the VM's view")
 	}
 }
 
 func TestEPTTCBDuplication(t *testing.T) {
 	sys := newSys(t, 3)
-	b := NewEPT()
+	b := mustBackend(t, "vm-ept")
 	initBackend(t, b, sys)
 	st := b.Stats()
 	if st.VMs != 3 || st.TCBCopies != 3 {
 		t.Fatalf("EPT stats = %+v, want 3 VMs / 3 TCB copies", st)
 	}
-	mpkStats := NewMPK().Stats()
-	if mpkStats.TCBCopies != 1 {
+	if mustBackend(t, "intel-mpk").Stats().TCBCopies != 1 {
 		t.Fatal("MPK must not duplicate the TCB")
 	}
 }
 
 func TestGateCostOrderingAcrossBackends(t *testing.T) {
-	// Fig. 11b ordering: call < cheri < mpk-light < mpk-full < ept.
-	sysM := newSys(t, 2)
-	mpk := NewMPK()
-	initBackend(t, mpk, sysM)
-	light, _ := mpk.Gate(0, 1, GateLight)
-	full, _ := mpk.Gate(0, 1, GateFull)
-
-	sysE := newSys(t, 2)
-	ept := NewEPT()
-	initBackend(t, ept, sysE)
-	rpc, _ := ept.Gate(0, 1, GateDefault)
-
-	sysC := newSys(t, 2)
-	cheri := NewCHERI()
-	initBackend(t, cheri, sysC)
-	cg, _ := cheri.Gate(0, 1, GateDefault)
-
-	fc := sysM.Mach.Costs.FuncCall
-	if !(fc < cg.Cost() && cg.Cost() < light.Cost() && light.Cost() < full.Cost() && full.Cost() < rpc.Cost()) {
-		t.Fatalf("cost ordering broken: call=%d cheri=%d light=%d full=%d ept=%d",
-			fc, cg.Cost(), light.Cost(), full.Cost(), rpc.Cost())
+	// Fig. 11b ordering: call < cheri < mpk-light < mpk-full < ept < sgx.
+	prev := machine.DefaultCosts().FuncCall
+	for _, label := range []string{"cheri/cinvoke", "mpk/light", "mpk/full", "ept/rpc", "sgx/ecall"} {
+		_, _, g := flavourByLabel(t, label).bind(t)
+		if g.Cost() <= prev {
+			t.Fatalf("%s gate cost %d does not exceed the previous %d", label, g.Cost(), prev)
+		}
+		prev = g.Cost()
 	}
 }
 
 func TestGateUnknownCompartment(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewMPK()
-	initBackend(t, b, sys)
-	if _, err := b.Gate(0, 9, GateFull); err == nil {
-		t.Fatal("gate to unknown compartment accepted")
+	for _, f := range gateFlavours {
+		sys := newSys(t, 2)
+		b := mustBackend(t, f.mech)
+		initBackend(t, b, sys)
+		if _, err := b.Gate(0, 9, f.mode); err == nil {
+			t.Fatalf("%s: gate to unknown compartment accepted", f.label)
+		}
 	}
 }
 
@@ -344,7 +431,7 @@ func TestCrossCompartmentMemoryIsolationEndToEnd(t *testing.T) {
 	// compartment 2's thread cannot read it, but can after crossing a
 	// gate into compartment 1.
 	sys := newSys(t, 3)
-	b := NewMPK()
+	b := mustBackend(t, "intel-mpk")
 	initBackend(t, b, sys)
 	c1 := sys.Comps[1]
 	secretPage := uintptr(10 * mem.PageSize)
@@ -372,36 +459,17 @@ func TestCrossCompartmentMemoryIsolationEndToEnd(t *testing.T) {
 }
 
 func TestSGXBackend(t *testing.T) {
-	sys := newSys(t, 2)
-	b := NewSGX()
-	initBackend(t, b, sys)
-	th := sys.Sched.Spawn("app", 0)
-	g, err := b.Gate(0, 1, GateDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Ecall-table enforcement; registers are always scrubbed (no light
+	// flavor).
+	f := flavourByLabel(t, "sgx/ecall")
+	checkCost(t, f)
+	checkRogueEntry(t, f)
+	checkRegisters(t, f)
 	// ECALL round trips dwarf even EPT RPC.
-	if g.Cost() <= sys.Mach.Costs.EPTGate {
-		t.Fatalf("SGX gate cost %d should exceed EPT's %d", g.Cost(), sys.Mach.Costs.EPTGate)
+	if ept := flavourByLabel(t, "ept/rpc"); f.cost <= ept.cost {
+		t.Fatalf("SGX gate cost %d should exceed EPT's %d", f.cost, ept.cost)
 	}
-	// Ecall-table enforcement.
-	if err := g.Call(th, "rogue", func() error { return nil }); !mem.IsFault(err, mem.FaultCFI) {
-		t.Fatalf("rogue ecall: %v", err)
-	}
-	if err := g.Call(th, "svc", func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if b.ECalls() != 1 {
-		t.Fatalf("ecalls = %d", b.ECalls())
-	}
-	// Registers are always scrubbed (no light flavor).
-	th.Regs[0] = 0xBEEF
-	var leaked uint64
-	g.Call(th, "svc", func() error { leaked = th.Regs[0]; return nil })
-	if leaked != 0 {
-		t.Fatal("SGX gate leaked registers")
-	}
-	if b.Strength() != StrengthInterAS {
+	if StrengthOf("intel-sgx") != StrengthInterAS {
 		t.Fatal("SGX must rank at inter-AS strength (protects against the TCB)")
 	}
 }
@@ -410,8 +478,7 @@ func TestSGXEnclaveMemoryHiddenFromDefaultCompartment(t *testing.T) {
 	// Unlike MPK's TCB key 0 view, enclave pages are unreadable from
 	// compartment 0's domain too: confidentiality against the host.
 	sys := newSys(t, 2)
-	b := NewSGX()
-	initBackend(t, b, sys)
+	initBackend(t, mustBackend(t, "intel-sgx"), sys)
 	encl := sys.Comps[1]
 	page := uintptr(4 * mem.PageSize)
 	if err := sys.AS.SetKeyRange(page, mem.PageSize, encl.Key); err != nil {

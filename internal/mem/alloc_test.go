@@ -55,10 +55,6 @@ func TestTLSFBasics(t *testing.T) {
 	testAllocatorBasics(t, func(a Arena, m *machine.Machine) Allocator { return NewTLSF(a, m) })
 }
 
-func TestLeaBasics(t *testing.T) {
-	testAllocatorBasics(t, func(a Arena, m *machine.Machine) Allocator { return NewLea(a, m) })
-}
-
 func TestBumpBasics(t *testing.T) {
 	a, m := newArena(t, 4)
 	b := NewBump(a, m)
@@ -92,24 +88,9 @@ func TestTLSFReusesFreedBlocks(t *testing.T) {
 	}
 }
 
-func TestLeaCoalescing(t *testing.T) {
-	a, m := newArena(t, 16)
-	al := NewLea(a, m)
-	p1, _ := al.Alloc(64)
-	p2, _ := al.Alloc(64)
-	p3, _ := al.Alloc(64)
-	_ = p3
-	al.Free(p1)
-	al.Free(p2) // should coalesce with p1's block
-	if got := al.FreeBlocks(); got != 1 {
-		t.Fatalf("free blocks after adjacent frees = %d, want 1 (coalesced)", got)
-	}
-}
-
 func TestAllocatorsExhaust(t *testing.T) {
 	for _, mk := range []func(Arena, *machine.Machine) Allocator{
 		func(a Arena, m *machine.Machine) Allocator { return NewTLSF(a, m) },
-		func(a Arena, m *machine.Machine) Allocator { return NewLea(a, m) },
 		func(a Arena, m *machine.Machine) Allocator { return NewBump(a, m) },
 	} {
 		a, m := newArena(t, 1)
@@ -130,7 +111,6 @@ func TestAllocatorsExhaust(t *testing.T) {
 func TestAllocatorNoOverlapProperty(t *testing.T) {
 	mkers := map[string]func(Arena, *machine.Machine) Allocator{
 		"tlsf": func(a Arena, m *machine.Machine) Allocator { return NewTLSF(a, m) },
-		"lea":  func(a Arena, m *machine.Machine) Allocator { return NewLea(a, m) },
 	}
 	for name, mk := range mkers {
 		t.Run(name, func(t *testing.T) {

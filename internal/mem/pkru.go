@@ -1,8 +1,8 @@
 // Package mem implements the simulated memory substrate of FlexOS-Go:
 // byte-addressable address spaces split into 4 KiB pages, Intel MPK-style
 // per-page protection keys checked against a per-thread PKRU register,
-// protection faults, and a family of allocators (TLSF-like, Lea-like, bump)
-// with an optional KASan shadow for functional redzone checking.
+// protection faults, and two allocators (TLSF-like and bump) with an
+// optional KASan shadow for functional redzone checking.
 //
 // Every load/store performed by the simulated OS and applications goes
 // through AddrSpace.Read / AddrSpace.Write, so isolation violations are

@@ -139,10 +139,10 @@ func Measure(seed int64) explore.MeasureMetrics {
 	wSP := float64(rng.Intn(40) + 10)
 	return func(c *explore.Config) (explore.Metrics, error) {
 		cost := 1000.0 + wComp*float64(len(c.Blocks)-1)
-		switch c.Mechanism {
-		case "intel-mpk", "mpk", "cheri":
+		switch isolation.StrengthOf(c.Mechanism) {
+		case isolation.StrengthIntraAS:
 			cost += wStrength
-		case "vm-ept", "ept", "intel-sgx", "sgx":
+		case isolation.StrengthInterAS:
 			cost += 2 * wStrength
 		}
 		multi := len(c.Blocks) > 1
