@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"flexos"
+	"flexos/internal/store"
 )
 
 // Request is the serializable form of one exploration request — the
@@ -361,10 +362,7 @@ type Response struct {
 // node exploring the same space can replay it into its own memo or
 // store. It is what a worker daemon returns to a coordinator and what
 // the store-sync endpoint (/v1/store/pull) ships between nodes.
-type Record struct {
-	Key     string         `json:"key"`
-	Metrics flexos.Metrics `json:"metrics"`
-}
+type Record = store.Record
 
 // RecordsOf renders a finished run into the partial-result codec: one
 // Record per valued measurement, keyed under the given memo namespace

@@ -16,6 +16,18 @@
 //   - GET /healthz — liveness.
 //   - GET /statsz — serving statistics (flights, coalescing, hit
 //     rates, in-flight gauges) as JSON.
+//   - GET /v1/store/pull?gen=G&since=N — one page of the store-sync
+//     log, for a peer's puller (see StartPull).
+//
+// # Record tier
+//
+// Every record the daemon learns lives in one *store.Store, and that
+// store backs the memo: the persistent store under Config.CacheDir
+// (with CacheReadOnly it indexes new records in memory and never
+// writes its directory), an in-memory store otherwise. Fresh
+// measurements write through to it, records gathered from a cluster
+// or pulled from a peer are inserted into it, and its arrival order
+// is the store-sync log that /v1/store/pull pages out.
 //
 // # Coalescing
 //
@@ -122,9 +134,10 @@ type Stats struct {
 	// StoreFlushErrors counts failed post-flight store flushes (the
 	// cache degrades; serving continues).
 	StoreFlushErrors int64 `json:"store_flush_errors,omitempty"`
-	// SyncLogLen is the store-sync log length — the upper bound of a
-	// peer's pull cursor. RecordsIngested counts records learned from
-	// peers (gathered shards, pulled pages); IngestConflicts those
+	// SyncLogLen is the length of the store's arrival order (the
+	// store-sync log) — the upper bound of a peer's pull cursor.
+	// RecordsIngested counts records learned from peers (gathered
+	// shards, pulled pages); IngestConflicts those
 	// dropped because they disagreed with a local value; PullPages and
 	// PullErrors describe this node's own puller.
 	SyncLogLen      int   `json:"sync_log_len"`
@@ -205,8 +218,8 @@ func (lw *latencyWindow) stats() LatencyStats {
 type Server struct {
 	cfg   Config
 	memo  *explore.Memo
-	st    *store.Store
-	sync  *syncLog
+	st    *store.Store // the memo's backing and the store-sync log
+	gen   string       // incarnation of st's arrival order, for pull cursors
 	start time.Time
 
 	baseCtx    context.Context
@@ -277,7 +290,11 @@ func (f *flight) recordsOnce() []cli.Record {
 	return f.records
 }
 
-// New creates a Server, opening the persistent store when configured.
+// New creates a Server over its record store: the persistent store
+// when configured, an in-memory one otherwise. The store backs the
+// memo and is the log /v1/store/pull pages out to other nodes: every
+// record the daemon learns — loaded at open, measured, or ingested
+// from a peer — lands in it.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -290,28 +307,26 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		sem:     make(chan struct{}, cfg.MaxFlights),
 		flights: make(map[string]*flight),
+		gen:     strconv.FormatInt(time.Now().UnixNano(), 36),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	if cfg.CacheDir != "" {
-		var (
-			st  *store.Store
-			err error
-		)
-		if cfg.CacheReadOnly {
-			st, err = store.OpenReadOnly(cfg.CacheDir)
-		} else {
-			st, err = store.Open(cfg.CacheDir)
+	switch {
+	case cfg.CacheDir == "":
+		s.st = store.Memory()
+	case cfg.CacheReadOnly:
+		st, err := store.OpenReadOnly(cfg.CacheDir)
+		if err != nil {
+			return nil, err
 		}
+		s.st = st
+	default:
+		st, err := store.Open(cfg.CacheDir)
 		if err != nil {
 			return nil, err
 		}
 		s.st = st
 	}
-	// The sync log sits between the memo and the store: it sees every
-	// record the daemon learns (write-through, open, peer ingest) and
-	// is what /v1/store/pull pages out to other nodes.
-	s.sync = newSyncLog(s.st, cfg.CacheReadOnly)
-	s.memo = explore.NewBackedMemo(s.sync)
+	s.memo = explore.NewBackedMemo(s.st)
+	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.Cluster != nil {
 		cfg.Cluster.SetLocal(s.localRecords)
 		cfg.Cluster.StartHealth(s.baseCtx)
@@ -321,7 +336,7 @@ func New(cfg Config) (*Server, error) {
 
 // localRecords is the coordinator's inline fallback: run the shard
 // sub-request on this node's own engine (through the shared memo, so
-// fresh measurements enter the sync log) and answer the partial-result
+// fresh measurements enter the store) and answer the partial-result
 // codec. ErrNoFeasible is a complete answer, not a failure.
 func (s *Server) localRecords(ctx context.Context, sub cli.Request) ([]cli.Record, error) {
 	q, info, err := sub.Build()
@@ -349,15 +364,12 @@ func (s *Server) Abort() {
 }
 
 // Close aborts (if Abort has not run already), waits for the flight
-// goroutines, and flushes and closes the persistent store. The first
-// store error is returned.
+// goroutines, and flushes and closes the store. The first store error
+// is returned.
 func (s *Server) Close() error {
 	s.Abort()
 	s.wg.Wait()
-	if s.st != nil {
-		return s.st.Close()
-	}
-	return nil
+	return s.st.Close()
 }
 
 // Stats snapshots the serving statistics.
@@ -377,8 +389,8 @@ func (s *Server) Stats() Stats {
 		st.HitRatePct = 100 * float64(st.MemoHits) / float64(st.Evaluated+st.MemoHits)
 	}
 	st.MemoEntries = s.memo.Len()
-	st.SyncLogLen = s.sync.len()
-	if s.st != nil {
+	st.SyncLogLen = s.st.Len()
+	if s.cfg.CacheDir != "" {
 		ss := s.st.Stats()
 		st.Store = &ss
 	}
@@ -470,7 +482,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "since must be an integer cursor")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sync.page(q.Get("gen"), since))
+	writeJSON(w, http.StatusOK, s.page(q.Get("gen"), since))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -641,8 +653,8 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 	}
 
 	// Coordinator path: gather the shards' partial results from the
-	// fleet and replay them into the sync log (and through it, the
-	// memo's backing) BEFORE the local pass. The pass below then runs
+	// fleet and replay them into the store (the memo's backing)
+	// BEFORE the local pass. The pass below then runs
 	// fully warm — every configuration the workers measured is a
 	// backing hit, indistinguishable from a fresh measurement — so the
 	// streamed lines and report are byte-identical to a single-node
@@ -653,11 +665,7 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 	if c := s.cfg.Cluster; c != nil && f.creq.MeasureBudget == 0 && !f.creq.DeltaOnly {
 		recs, gerr := c.Gather(f.ctx, f.creq)
 		if gerr == nil {
-			added, conflicts := s.sync.ingest(recs)
-			s.mu.Lock()
-			s.stats.RecordsIngested += int64(added)
-			s.stats.IngestConflicts += int64(conflicts)
-			s.mu.Unlock()
+			s.ingest(recs)
 		} else if f.ctx.Err() == nil {
 			s.mu.Lock()
 			s.stats.ClusterDegraded++
@@ -676,12 +684,10 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 		}
 	}
 	res, err := final()
-	if s.st != nil && !s.cfg.CacheReadOnly {
-		if ferr := s.st.Flush(); ferr != nil {
-			s.mu.Lock()
-			s.stats.StoreFlushErrors++
-			s.mu.Unlock()
-		}
+	if ferr := s.st.Flush(); ferr != nil {
+		s.mu.Lock()
+		s.stats.StoreFlushErrors++
+		s.mu.Unlock()
 	}
 	finish(res, err)
 }

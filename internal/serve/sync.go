@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"strconv"
-	"sync"
 	"time"
 
-	"flexos"
 	"flexos/internal/cli"
-	"flexos/internal/store"
 )
 
 // pullPageSize bounds one /v1/store/pull page; pullMaxPagesPerRound
@@ -17,148 +13,40 @@ const (
 	pullMaxPagesPerRound = 64
 )
 
-// syncLog is the Backing the server threads between its memo and the
-// (optional) persistent store: every record the daemon learns — a
-// fresh measurement writing through, a store record discovered at
-// open, a record ingested from a peer — is appended to an ordered key
-// log, which is what lets peers ask "everything after cursor N"
-// (GET /v1/store/pull) instead of re-shipping the whole store. The
-// log order is node-local and meaningless; only the (key, metrics)
-// records travel, and store.Merge semantics apply on arrival: a known
-// key with identical metrics is a no-op, a disagreeing one is counted
-// and dropped (first value wins — this node's history is what its
-// open flights already served from).
-//
-// Records that cannot land in the store (no store configured, or the
-// store is read-only) are kept in an in-memory overlay, so a
-// read-only daemon still warm-starts from its peers.
-type syncLog struct {
-	st       *store.Store // nil: memory only
-	readonly bool
-	gen      string // log incarnation; restarts rebuild in a new order
-
-	mu    sync.RWMutex
-	known map[string]struct{}       // every key in the log
-	log   []string                  // keys, arrival order
-	extra map[string]flexos.Metrics // records the store cannot hold
-}
-
-// newSyncLog builds the log, seeding it from the store's existing
-// records (sorted-key order — deterministic, though peers never rely
-// on it: the generation token invalidates their cursors anyway).
-func newSyncLog(st *store.Store, readonly bool) *syncLog {
-	l := &syncLog{
-		st:       st,
-		readonly: readonly,
-		gen:      strconv.FormatInt(time.Now().UnixNano(), 36),
-		known:    make(map[string]struct{}),
-		extra:    make(map[string]flexos.Metrics),
-	}
-	if st != nil {
-		for _, key := range st.Keys() {
-			l.known[key] = struct{}{}
-			l.log = append(l.log, key)
-		}
-	}
-	return l
-}
-
-// Load implements explore.Backing.
-func (l *syncLog) Load(key string) (flexos.Metrics, bool) {
-	if l.st != nil {
-		if m, ok := l.st.Load(key); ok {
-			return m, true
-		}
-	}
-	l.mu.RLock()
-	m, ok := l.extra[key]
-	l.mu.RUnlock()
-	return m, ok
-}
-
-// Store implements explore.Backing: the engine's write-through after
-// a fresh measurement. First value wins, like the store itself.
-func (l *syncLog) Store(key string, m flexos.Metrics) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.put(key, m)
-}
-
-// put records one (key, metrics) pair; caller holds l.mu. Reports
-// whether the key was new.
-func (l *syncLog) put(key string, m flexos.Metrics) bool {
-	if _, dup := l.known[key]; dup {
-		return false
-	}
-	l.known[key] = struct{}{}
-	l.log = append(l.log, key)
-	if l.st != nil && !l.readonly {
-		l.st.Store(key, m)
-	} else {
-		l.extra[key] = m
-	}
-	return true
-}
-
-// len returns the log length (the pull cursor's upper bound).
-func (l *syncLog) len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.log)
-}
-
-// ingest replays peer records into the log (and through it, the memo
-// tier and store): new keys are appended, identical duplicates are
-// no-ops, disagreeing duplicates are dropped and counted — the local
-// value wins, because this node's flights already served it.
-func (l *syncLog) ingest(recs []cli.Record) (added, conflicts int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// ingest replays peer records into the store (the memo's backing):
+// new keys are appended, identical duplicates are no-ops, disagreeing
+// duplicates are dropped and counted — the local value wins, because
+// this node's flights already served it.
+func (s *Server) ingest(recs []cli.Record) {
+	var added, conflicts int64
 	for _, rec := range recs {
-		if _, dup := l.known[rec.Key]; !dup {
-			l.put(rec.Key, rec.Metrics)
+		a, c := s.st.Insert(rec.Key, rec.Metrics)
+		if a {
 			added++
-			continue
-		}
-		if cur, ok := l.loadLocked(rec.Key); ok && cur != rec.Metrics {
+		} else if c {
 			conflicts++
 		}
 	}
-	return added, conflicts
+	s.mu.Lock()
+	s.stats.RecordsIngested += added
+	s.stats.IngestConflicts += conflicts
+	s.mu.Unlock()
 }
 
-func (l *syncLog) loadLocked(key string) (flexos.Metrics, bool) {
-	if l.st != nil {
-		if m, ok := l.st.Load(key); ok {
-			return m, true
-		}
-	}
-	m, ok := l.extra[key]
-	return m, ok
-}
-
-// page renders one pull page: the records after cursor `since` under
-// generation gen. A stale or empty generation (a restarted server, a
-// first pull) resets the cursor to the log head — the puller re-ships
-// everything, and ingest dedups it.
-func (l *syncLog) page(gen string, since int) cli.PullPage {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if gen != l.gen || since < 0 || since > len(l.log) {
+// page renders one pull page: the store's records after cursor since
+// under generation gen. A stale or empty generation (a restarted
+// server, a first pull) or an out-of-range cursor resets to the head
+// — the puller re-ships everything, and ingest dedups it.
+func (s *Server) page(gen string, since int) cli.PullPage {
+	if gen != s.gen {
 		since = 0
 	}
-	end := min(since+pullPageSize, len(l.log))
-	recs := make([]cli.Record, 0, end-since)
-	for _, key := range l.log[since:end] {
-		if m, ok := l.loadLocked(key); ok {
-			recs = append(recs, cli.Record{Key: key, Metrics: m})
-		}
-	}
-	return cli.PullPage{Gen: l.gen, Cursor: end, More: end < len(l.log), Records: recs}
+	recs, next, more := s.st.Page(since, pullPageSize)
+	return cli.PullPage{Gen: s.gen, Cursor: next, More: more, Records: recs}
 }
 
 // StartPull launches the store-sync puller against a peer daemon:
-// every interval it drains the peer's sync log (paged, bounded per
+// every interval it drains the peer's store-sync log (paged, bounded per
 // round) and ingests the records, so this node warm-starts from any
 // other node's measurements. It stops when the server closes.
 func (s *Server) StartPull(peer string, interval time.Duration) {
@@ -189,11 +77,9 @@ func (s *Server) StartPull(peer string, interval time.Duration) {
 					break
 				}
 				gen, cursor = pg.Gen, pg.Cursor
-				added, conflicts := s.sync.ingest(pg.Records)
+				s.ingest(pg.Records)
 				s.mu.Lock()
 				s.stats.PullPages++
-				s.stats.RecordsIngested += int64(added)
-				s.stats.IngestConflicts += int64(conflicts)
 				s.mu.Unlock()
 				if !pg.More {
 					break

@@ -17,62 +17,70 @@ func rec(i int) cli.Record {
 	}
 }
 
+// newLogServer is a daemon without a cache directory, for driving its
+// store-sync log (the in-memory store) directly.
+func newLogServer(t *testing.T) *Server {
+	t.Helper()
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
 func TestSyncLogIngestDedupAndConflict(t *testing.T) {
-	l := newSyncLog(nil, false)
-	added, conflicts := l.ingest([]cli.Record{rec(0), rec(1), rec(2)})
-	if added != 3 || conflicts != 0 {
-		t.Fatalf("fresh ingest: added=%d conflicts=%d", added, conflicts)
+	s := newLogServer(t)
+	check := func(what string, added, conflicts int64) {
+		t.Helper()
+		st := s.Stats()
+		if st.RecordsIngested != added || st.IngestConflicts != conflicts || st.SyncLogLen != 3 {
+			t.Fatalf("%s: ingested=%d conflicts=%d len=%d; want %d, %d, 3",
+				what, st.RecordsIngested, st.IngestConflicts, st.SyncLogLen, added, conflicts)
+		}
 	}
-	if l.len() != 3 {
-		t.Fatalf("log length %d, want 3", l.len())
-	}
+	s.ingest([]cli.Record{rec(0), rec(1), rec(2)})
+	check("fresh ingest", 3, 0)
 
 	// Identical duplicates are no-ops.
-	added, conflicts = l.ingest([]cli.Record{rec(1), rec(2)})
-	if added != 0 || conflicts != 0 {
-		t.Fatalf("duplicate ingest: added=%d conflicts=%d", added, conflicts)
-	}
+	s.ingest([]cli.Record{rec(1), rec(2)})
+	check("duplicate ingest", 3, 0)
 
 	// A disagreeing duplicate is counted and dropped: local wins.
 	bad := rec(1)
 	bad.Metrics.Throughput = 999
-	added, conflicts = l.ingest([]cli.Record{bad})
-	if added != 0 || conflicts != 1 {
-		t.Fatalf("conflicting ingest: added=%d conflicts=%d", added, conflicts)
-	}
-	if m, ok := l.Load(rec(1).Key); !ok || m != rec(1).Metrics {
+	s.ingest([]cli.Record{bad})
+	check("conflicting ingest", 3, 1)
+	if m, ok := s.st.Load(rec(1).Key); !ok || m != rec(1).Metrics {
 		t.Fatalf("conflict overwrote the local value: %v %v", m, ok)
-	}
-	if l.len() != 3 {
-		t.Fatalf("conflict grew the log: %d", l.len())
 	}
 }
 
 func TestSyncLogBackingWriteThrough(t *testing.T) {
-	l := newSyncLog(nil, false)
-	l.Store("k", flexos.Metrics{Throughput: 7})
-	if m, ok := l.Load("k"); !ok || m.Throughput != 7 {
+	s := newLogServer(t)
+	s.st.Store("k", flexos.Metrics{Throughput: 7})
+	if m, ok := s.st.Load("k"); !ok || m.Throughput != 7 {
 		t.Fatalf("load after store: %v %v", m, ok)
 	}
 	// First value wins, like the persistent store.
-	l.Store("k", flexos.Metrics{Throughput: 8})
-	if m, _ := l.Load("k"); m.Throughput != 7 {
+	s.st.Store("k", flexos.Metrics{Throughput: 8})
+	if m, _ := s.st.Load("k"); m.Throughput != 7 {
 		t.Fatalf("second store overwrote: %v", m)
 	}
-	if l.len() != 1 {
-		t.Fatalf("log length %d, want 1", l.len())
+	if pg := s.page("", 0); len(pg.Records) != 1 || pg.Records[0].Metrics.Throughput != 7 {
+		t.Fatalf("log after two stores of one key: %+v", pg)
 	}
 }
 
 func TestSyncLogPageCursorAndGeneration(t *testing.T) {
-	l := newSyncLog(nil, false)
+	s := newLogServer(t)
 	for i := 0; i < 5; i++ {
-		l.Store(rec(i).Key, rec(i).Metrics)
+		s.st.Store(rec(i).Key, rec(i).Metrics)
 	}
 
 	// A first pull (empty gen) starts at the head.
-	pg := l.page("", 3)
-	if pg.Gen != l.gen || pg.Cursor != 5 || pg.More || len(pg.Records) != 5 {
+	pg := s.page("", 3)
+	if pg.Gen != s.gen || pg.Cursor != 5 || pg.More || len(pg.Records) != 5 {
 		t.Fatalf("first pull: %+v", pg)
 	}
 	for i, r := range pg.Records {
@@ -82,37 +90,40 @@ func TestSyncLogPageCursorAndGeneration(t *testing.T) {
 	}
 
 	// A matching generation resumes from the cursor.
-	l.Store("late", flexos.Metrics{Throughput: 100})
-	pg2 := l.page(pg.Gen, pg.Cursor)
+	s.st.Store("late", flexos.Metrics{Throughput: 100})
+	pg2 := s.page(pg.Gen, pg.Cursor)
 	if len(pg2.Records) != 1 || pg2.Records[0].Key != "late" || pg2.Cursor != 6 {
 		t.Fatalf("incremental pull: %+v", pg2)
 	}
 
 	// A stale generation or absurd cursor resets to the head.
-	if pg := l.page("stale-gen", 6); pg.Cursor != 6 || len(pg.Records) != 6 {
+	if pg := s.page("stale-gen", 6); pg.Cursor != 6 || len(pg.Records) != 6 {
 		t.Fatalf("stale-gen pull did not reset: %+v", pg)
 	}
-	if pg := l.page(l.gen, 10_000); pg.Cursor != 6 || len(pg.Records) != 6 {
+	if pg := s.page(s.gen, 10_000); pg.Cursor != 6 || len(pg.Records) != 6 {
 		t.Fatalf("out-of-range cursor did not reset: %+v", pg)
+	}
+	if pg := s.page(s.gen, -1); pg.Cursor != 6 || len(pg.Records) != 6 {
+		t.Fatalf("negative cursor did not reset: %+v", pg)
 	}
 
 	// An exhausted cursor yields an empty page, same generation.
-	if pg := l.page(l.gen, 6); len(pg.Records) != 0 || pg.More || pg.Cursor != 6 {
+	if pg := s.page(s.gen, 6); len(pg.Records) != 0 || pg.More || pg.Cursor != 6 || pg.Gen != s.gen {
 		t.Fatalf("exhausted pull: %+v", pg)
 	}
 }
 
 func TestSyncLogPaginatesLargeLogs(t *testing.T) {
-	l := newSyncLog(nil, false)
+	s := newLogServer(t)
 	n := pullPageSize + 3
 	for i := 0; i < n; i++ {
-		l.Store(rec(i).Key, rec(i).Metrics)
+		s.st.Store(rec(i).Key, rec(i).Metrics)
 	}
-	pg := l.page("", 0)
+	pg := s.page("", 0)
 	if len(pg.Records) != pullPageSize || !pg.More || pg.Cursor != pullPageSize {
 		t.Fatalf("first page: %d records, more=%v, cursor=%d", len(pg.Records), pg.More, pg.Cursor)
 	}
-	pg = l.page(pg.Gen, pg.Cursor)
+	pg = s.page(pg.Gen, pg.Cursor)
 	if len(pg.Records) != 3 || pg.More || pg.Cursor != n {
 		t.Fatalf("last page: %d records, more=%v, cursor=%d", len(pg.Records), pg.More, pg.Cursor)
 	}
@@ -159,7 +170,7 @@ func TestPullEndpointOverHTTP(t *testing.T) {
 	if _, err := client.Explore(context.Background(), cli.Request{Scenario: "redis-get90"}); err != nil {
 		t.Fatal(err)
 	}
-	want := srv.sync.len()
+	want := srv.st.Len()
 	if want == 0 {
 		t.Fatal("sync log empty after a run")
 	}

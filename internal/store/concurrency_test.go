@@ -63,7 +63,7 @@ func TestStoreAfterCloseAppendsNothing(t *testing.T) {
 	}
 }
 
-// TestStoreReadWhileFlushHammer drives Load/Store/Len/Stats from many
+// TestStoreReadWhileFlushHammer drives Load/Store/Len/Stats/Page from many
 // goroutines while another loops Flush — the daemon's steady state.
 // Run under -race this is the regression net for the split
 // index/writer locking; it also asserts no write is lost.
@@ -115,6 +115,7 @@ func TestStoreReadWhileFlushHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				s.Load(fmt.Sprintf("w%d-%d", g, i))
+				s.Page(i, 16) // a peer pulling
 			}
 		}(g)
 	}

@@ -36,6 +36,16 @@
 // Stats.CorruptRecords. Corruption is therefore never fatal and never
 // poisons an exploration — a damaged entry is simply re-measured and
 // re-appended by the next warm run.
+//
+// # Arrival order
+//
+// Beside its index a Store keeps every key in arrival order: the keys
+// loaded at Open (segments in lexical order, records in file order),
+// then each key it newly accepts. That list is the store-sync log a
+// flexos-serve daemon pages out to its peers (Page), so a peer asks
+// for "everything after cursor N" instead of re-shipping the store.
+// The order is local to one handle and carries no meaning; only the
+// (key, metrics) records travel.
 package store
 
 import (
@@ -68,7 +78,15 @@ type header struct {
 	Version int    `json:"version"`
 }
 
-// record is one stored measurement.
+// Record is one measurement addressed by its full memo key (namespace
+// NUL-joined with the configuration's canonical identity): the unit
+// Page returns, and the JSON a peer receives from the store-sync log.
+type Record struct {
+	Key     string           `json:"key"`
+	Metrics scenario.Metrics `json:"metrics"`
+}
+
+// record is one stored measurement as a segment line.
 type record struct {
 	Addr    string           `json:"addr"`
 	Key     string           `json:"key"`
@@ -95,25 +113,29 @@ type Stats struct {
 	Written int `json:"written"`
 }
 
-// Store is a persistent result store opened on a directory. Every
-// method is safe for concurrent use: Load and Store are called from
-// the memo under worker concurrency, and a long-running owner (the
-// flexos-serve daemon) may Flush — or even Close — while explorations
-// are still reading and writing through. The index and the segment
-// writer are guarded separately, so a reader is never blocked behind
-// an fsync: Load takes only the index read-lock while Flush holds
-// only the writer lock. After Close the store degrades to its
-// in-memory index — Load keeps answering, Store records in memory but
-// appends nothing (it must not resurrect a segment file nobody will
-// flush again).
+// Store is a result store: an index of measurements, in memory and,
+// when opened on a directory, appended to segment files. Every method
+// is safe for concurrent use: Load and Store are called from the memo
+// under worker concurrency, and a long-running owner (the flexos-serve
+// daemon) may Flush — or even Close — while explorations are still
+// reading and writing through. The index and the segment writer are
+// guarded separately, so a reader is never blocked behind an fsync:
+// Load takes only the index read-lock while Flush holds only the
+// writer lock.
+//
+// A handle that cannot append — opened read-only, made by Memory, or
+// closed — is in one state: Load answers from the index, Store indexes
+// in memory, and neither touches disk (a closed handle must not
+// resurrect a segment file nobody will flush again).
 type Store struct {
-	dir      string
-	readonly bool
+	dir string // "" for a Memory store
 
-	// mu guards the index and the load-time statistics (written only
-	// during open, before the handle is shared).
+	// mu guards the index, the arrival order and the load-time
+	// statistics (written only during open, before the handle is
+	// shared).
 	mu    sync.RWMutex
 	index map[string]scenario.Metrics
+	order []string // every indexed key, in arrival order
 	stats Stats
 
 	// wmu guards the append path: the open segment, its buffered
@@ -124,8 +146,8 @@ type Store struct {
 	seg     *os.File
 	w       *bufio.Writer
 	written int
-	dirty   bool // appends since the last successful flush
-	closed  bool
+	dirty   bool  // appends since the last successful flush
+	closed  bool  // appends nothing: read-only, in memory, or closed
 	err     error // first deferred write error, surfaced by Flush/Close
 }
 
@@ -135,9 +157,15 @@ type Store struct {
 func Open(dir string) (*Store, error) { return open(dir, false) }
 
 // OpenReadOnly opens an existing store directory for reading only:
-// Store becomes a no-op and no segment file is created. Opening a
+// Store indexes in memory and no segment file is created. Opening a
 // directory that does not exist is an error.
 func OpenReadOnly(dir string) (*Store, error) { return open(dir, true) }
+
+// Memory returns an empty store with no directory: a Store that only
+// ever indexes in memory.
+func Memory() *Store {
+	return &Store{index: make(map[string]scenario.Metrics), closed: true}
+}
 
 func open(dir string, readonly bool) (*Store, error) {
 	if readonly {
@@ -151,7 +179,7 @@ func open(dir string, readonly bool) (*Store, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, readonly: readonly, index: make(map[string]scenario.Metrics)}
+	s := &Store{dir: dir, index: make(map[string]scenario.Metrics), closed: readonly}
 	if err := s.loadAll(); err != nil {
 		return nil, err
 	}
@@ -216,6 +244,7 @@ func (s *Store) loadSegment(name string) error {
 		}
 		if _, dup := s.index[r.Key]; !dup {
 			s.index[r.Key] = r.Metrics
+			s.order = append(s.order, r.Key)
 			s.stats.Loaded++
 		}
 	}
@@ -264,23 +293,33 @@ func (s *Store) Load(key string) (scenario.Metrics, bool) {
 }
 
 // Store appends one measurement (write-through from the memo) and
-// indexes it. On a read-only store it is a no-op; after Close it
-// indexes in memory only, never reopening a segment. Write errors are
-// deferred: they are remembered and surfaced by Flush or Close, so a
-// full disk degrades the cache rather than failing the exploration.
-// It implements explore.Backing.
-func (s *Store) Store(key string, m scenario.Metrics) {
-	if s.readonly {
-		return
-	}
+// indexes it; a handle that cannot append indexes it in memory only.
+// Write errors are deferred: they are remembered and surfaced by Flush
+// or Close, so a full disk degrades the cache rather than failing the
+// exploration. It implements explore.Backing.
+func (s *Store) Store(key string, m scenario.Metrics) { s.Insert(key, m) }
+
+// Insert is Store reporting what it did: added when the key was new
+// (indexed, appended to the arrival order and, on a writable handle,
+// to the segment), conflict when the key was already indexed under a
+// different vector. The first value always wins — it is the one this
+// store's readers have already been served.
+func (s *Store) Insert(key string, m scenario.Metrics) (added, conflict bool) {
 	s.mu.Lock()
-	if _, dup := s.index[key]; dup {
+	if cur, dup := s.index[key]; dup {
 		s.mu.Unlock()
-		return
+		return false, cur != m
 	}
 	s.index[key] = m
+	s.order = append(s.order, key)
 	s.mu.Unlock()
+	s.append(key, m)
+	return true, false
+}
 
+// append writes one record to the handle's segment, opening it on
+// first use; on a handle that cannot append it does nothing.
+func (s *Store) append(key string, m scenario.Metrics) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.closed || s.err != nil {
@@ -358,9 +397,9 @@ func (s *Store) flushLocked() error {
 	return s.err
 }
 
-// Close flushes and closes the open segment. The store is unusable for
-// writing afterwards — a straggling Store call indexes in memory but
-// appends nothing — and Load keeps working off the in-memory index.
+// Close flushes and closes the open segment. Afterwards the handle
+// appends nothing — a straggling Store call indexes in memory — and
+// Load keeps working off the index.
 func (s *Store) Close() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -380,6 +419,23 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.index)
+}
+
+// Page returns up to limit records of the arrival order after cursor
+// since, the cursor after them, and whether more follow. A cursor
+// outside [0, Len()] restarts from the head.
+func (s *Store) Page(since, limit int) (recs []Record, next int, more bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if since < 0 || since > len(s.order) {
+		since = 0
+	}
+	next = min(since+limit, len(s.order))
+	recs = make([]Record, 0, next-since)
+	for _, key := range s.order[since:next] {
+		recs = append(recs, Record{Key: key, Metrics: s.index[key]})
+	}
+	return recs, next, next < len(s.order)
 }
 
 // Keys returns every indexed memo key, sorted.
@@ -405,5 +461,5 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Dir returns the directory the store was opened on.
+// Dir returns the directory the store was opened on ("" for Memory).
 func (s *Store) Dir() string { return s.dir }

@@ -302,8 +302,8 @@ func TestReadOnlyStoreNeverWrites(t *testing.T) {
 		t.Fatal("read-only store must serve loads")
 	}
 	s.Store("ns\x00new", vec(9))
-	if _, ok := s.Load("ns\x00new"); ok {
-		t.Fatal("read-only Store must be a no-op")
+	if m, ok := s.Load("ns\x00new"); !ok || m != vec(9) {
+		t.Fatalf("read-only Store must index in memory, got %v %v", m, ok)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -349,5 +349,119 @@ func TestAppendAcrossHandlesAccumulates(t *testing.T) {
 	}
 	if m, _ := r.Load(key(7)); m.Throughput != 777 {
 		t.Fatalf("appended record lost: %v", m)
+	}
+}
+
+func TestInsertReportsAddedAndConflict(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, conflict := s.Insert(key(0), vec(1)); !added || conflict {
+		t.Fatalf("new key: added=%v conflict=%v", added, conflict)
+	}
+	if added, conflict := s.Insert(key(0), vec(1)); added || conflict {
+		t.Fatalf("identical duplicate: added=%v conflict=%v", added, conflict)
+	}
+	if added, conflict := s.Insert(key(0), vec(2)); added || !conflict {
+		t.Fatalf("disagreeing duplicate: added=%v conflict=%v", added, conflict)
+	}
+	if m, _ := s.Load(key(0)); m != vec(1) {
+		t.Fatalf("conflict overwrote the first value: %v", m)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Written != 1 || s.Len() != 1 {
+		t.Fatalf("three inserts of one key: written=%d len=%d, want 1 and 1", st.Written, s.Len())
+	}
+}
+
+// page drains a store's arrival order from cursor since, limit at a
+// time, returning the keys and the final cursor.
+func page(t *testing.T, s *store.Store, since, limit int) ([]string, int) {
+	t.Helper()
+	var keys []string
+	for {
+		recs, next, more := s.Page(since, limit)
+		if len(recs) > limit {
+			t.Fatalf("page of %d records over limit %d", len(recs), limit)
+		}
+		for _, r := range recs {
+			if m, _ := s.Load(r.Key); m != r.Metrics {
+				t.Fatalf("Page returned %v for %q, the index holds %v", r.Metrics, r.Key, m)
+			}
+			keys = append(keys, r.Key)
+		}
+		since = next
+		if !more {
+			return keys, since
+		}
+	}
+}
+
+// TestPageFollowsArrivalOrder: the arrival order is the keys loaded at
+// Open, in segment and file order, then each key newly accepted —
+// duplicates never repeat it.
+func TestPageFollowsArrivalOrder(t *testing.T) {
+	dir := t.TempDir()
+	writeStore(t, dir, 3) // seg-000001: key(0), key(1), key(2)
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Store(key(5), vec(5))
+	s.Store(key(4), vec(4))
+	s.Store(key(1), vec(1)) // already loaded
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := store.Open(dir) // seg-000002: key(5), key(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Store(key(3), vec(3))
+	want := []string{key(0), key(1), key(2), key(5), key(4), key(3)}
+	for _, limit := range []int{1, 2, 6, 100} {
+		if got, end := page(t, r, 0, limit); !reflect.DeepEqual(got, want) || end != len(want) {
+			t.Fatalf("limit %d: %q ending at %d, want %q ending at %d", limit, got, end, want, len(want))
+		}
+	}
+	if got, _ := page(t, r, 4, 100); !reflect.DeepEqual(got, want[4:]) {
+		t.Fatalf("after cursor 4: %q, want %q", got, want[4:])
+	}
+	for _, since := range []int{-1, len(want) + 1} {
+		if got, _ := page(t, r, since, 100); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cursor %d did not restart at the head: %q", since, got)
+		}
+	}
+	if recs, next, more := r.Page(len(want), 100); len(recs) != 0 || next != len(want) || more {
+		t.Fatalf("exhausted page: %d records, next=%d more=%v", len(recs), next, more)
+	}
+}
+
+func TestMemoryStoreIndexesWithoutDirectory(t *testing.T) {
+	s := store.Memory()
+	s.Store(key(0), vec(1))
+	if added, _ := s.Insert(key(1), vec(2)); !added {
+		t.Fatal("in-memory insert not added")
+	}
+	if m, ok := s.Load(key(0)); !ok || m != vec(1) {
+		t.Fatalf("in-memory load: %v %v", m, ok)
+	}
+	if got, _ := page(t, s, 0, 10); !reflect.DeepEqual(got, []string{key(0), key(1)}) {
+		t.Fatalf("in-memory arrival order: %q", got)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Written != 0 || s.Dir() != "" {
+		t.Fatalf("in-memory store wrote %d records under %q", st.Written, s.Dir())
 	}
 }
