@@ -33,7 +33,6 @@ import (
 
 	"flexos/internal/explore"
 	"flexos/internal/harden"
-	"flexos/internal/isolation"
 	"flexos/internal/machine"
 	"flexos/internal/scenario"
 )
@@ -206,11 +205,11 @@ func (s *Scenario) survivalRaw(c *explore.Config) float64 {
 	// Shared per-image factors: mechanism strength, data-sharing and
 	// gate ranks (rank 1 is the safer one and earns the <1 factor),
 	// and the attacker's chance against layout randomization.
-	img := s.mech[strengthIndex(c)]
-	if sharingRank(c) == 1 {
+	img := s.mech[c.Strength()]
+	if c.SharingRank() == 1 {
 		img *= s.share
 	}
-	if gateRank(c) == 1 {
+	if c.GateRank() == 1 {
 		img *= s.gate
 	}
 	aslr := math.Ldexp(1, s.log2Attempts-c.ASLR.EffectiveBits(s.probing))
@@ -258,26 +257,6 @@ func blockSize(c *explore.Config, comp string) int {
 		}
 	}
 	return 1
-}
-
-// strengthIndex, sharingRank and gateRank mirror the unexported rank
-// helpers of internal/explore through its public Leq semantics: they
-// must order exactly like the safety poset's dimensions, which the
-// oracle property suite checks.
-func strengthIndex(c *explore.Config) int { return int(isolation.StrengthOf(c.Mechanism)) }
-
-func sharingRank(c *explore.Config) int {
-	if c.NumCompartments() == 1 || c.Sharing != isolation.ShareStack {
-		return 1
-	}
-	return 0
-}
-
-func gateRank(c *explore.Config) int {
-	if c.NumCompartments() == 1 || c.GateMode != isolation.GateLight {
-		return 1
-	}
-	return 0
 }
 
 // Measure wraps a base measure function so every vector carries the

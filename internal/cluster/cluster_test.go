@@ -100,8 +100,7 @@ func newCluster(t *testing.T, nWorkers, fanout int) *testCluster {
 		Fanout: fanout,
 		// Tight per-call retry: a dead worker strikes out in
 		// milliseconds, re-dispatch is what we are testing.
-		Retry:         &cli.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-		MaxRedispatch: 2,
+		Retry: &cli.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
 		// Probes would resurrect killed-then-503 workers; in tests the
 		// dispatch strikes are the failure detector.
 		HealthInterval: time.Hour,

@@ -11,6 +11,14 @@ import (
 	"flexos/internal/cli"
 )
 
+// maxRedispatch bounds how many surviving workers a shard is re-routed
+// to after its owner fails, before falling back to an inline run on
+// the coordinator; healthTimeout bounds one failure-detector probe.
+const (
+	maxRedispatch = 2
+	healthTimeout = time.Second
+)
+
 // Config shapes a Coordinator.
 type Config struct {
 	// Fanout is the number of disjoint shard sub-requests one gather
@@ -22,15 +30,10 @@ type Config struct {
 	// blips (dial errors, 5xx) retried with backoff before the shard
 	// is re-dispatched to the next worker (nil: cli.DefaultRetry).
 	Retry *cli.RetryPolicy
-	// MaxRedispatch bounds how many surviving workers a shard is
-	// re-routed to after its owner fails, before falling back to an
-	// inline run on the coordinator (0: 2).
-	MaxRedispatch int
 	// HealthInterval is the failure detector's probe period (0: 2s);
-	// HealthTimeout bounds one probe (0: 1s); HealthStrikes is the
-	// consecutive-failure count that marks a worker dead (0: 2).
+	// HealthStrikes is the consecutive-failure count that marks a
+	// worker dead (0: 2). One probe is bounded by healthTimeout.
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	HealthStrikes  int
 	// CallTimeout bounds one worker's answer to one shard (0: none):
 	// a worker that hangs — accepts the dispatch but never answers —
@@ -227,7 +230,7 @@ func (c *Coordinator) Gather(ctx context.Context, req cli.Request) ([]cli.Record
 
 // dispatch routes one shard sub-request: to the ring owner of its
 // canonical key first, then — on failure — along the ring to
-// surviving successors (bounded by MaxRedispatch), and finally
+// surviving successors (bounded by maxRedispatch), and finally
 // inline. A worker that fails a call is struck immediately, so the
 // rest of the gather routes around it without waiting for the health
 // loop. Returns nil when every route failed; the caller's re-rank
@@ -240,12 +243,8 @@ func (c *Coordinator) dispatch(ctx context.Context, sub cli.Request) []cli.Recor
 		c.count(func(s *Stats) { s.ShardsLost++ })
 		return nil
 	}
-	hops := c.cfg.MaxRedispatch
-	if hops <= 0 {
-		hops = 2
-	}
 	tried := make(map[string]struct{})
-	for hop := 0; hop <= hops; hop++ {
+	for hop := 0; hop <= maxRedispatch; hop++ {
 		url := c.routeAround(key, tried)
 		if url == "" {
 			break

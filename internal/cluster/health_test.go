@@ -29,7 +29,7 @@ func TestProbeStrikesDeadAndResurrects(t *testing.T) {
 	a := healthzStub(t, &aHealthy)
 	b := healthzStub(t, &bHealthy) // starts sick
 
-	c := New(Config{HealthStrikes: 2, HealthTimeout: time.Second})
+	c := New(Config{HealthStrikes: 2})
 	c.Join(a.URL)
 	c.Join(b.URL)
 	ctx := context.Background()
@@ -72,7 +72,7 @@ func TestProbeStrikesDeadAndResurrects(t *testing.T) {
 func TestStartHealthLoop(t *testing.T) {
 	var healthy atomic.Bool
 	w := healthzStub(t, &healthy) // sick from the start
-	c := New(Config{HealthStrikes: 1, HealthInterval: 10 * time.Millisecond, HealthTimeout: time.Second})
+	c := New(Config{HealthStrikes: 1, HealthInterval: 10 * time.Millisecond})
 	c.Join(w.URL)
 
 	ctx, cancel := context.WithCancel(context.Background())

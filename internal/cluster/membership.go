@@ -69,7 +69,7 @@ func (ms *membership) liveRing() *Ring {
 				live = append(live, url)
 			}
 		}
-		ms.ring = NewRing(live, 0)
+		ms.ring = NewRing(live)
 	}
 	return ms.ring
 }
@@ -156,16 +156,12 @@ func (ms *membership) snapshot() (workers []WorkerStats, alive int) {
 // single-shot by design (see cli.Client.Healthz): the strike counter
 // is the debouncer, not hidden retries.
 func (c *Coordinator) probeAll(ctx context.Context) {
-	timeout := c.cfg.HealthTimeout
-	if timeout <= 0 {
-		timeout = time.Second
-	}
 	var wg sync.WaitGroup
 	for _, url := range c.members.urls() {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
+			pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			defer cancel()
 			client := cli.Client{BaseURL: url, HTTPClient: c.cfg.HTTPClient}
 			if err := client.Healthz(pctx); err != nil {

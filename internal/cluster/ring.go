@@ -15,10 +15,10 @@ import (
 	"strconv"
 )
 
-// defaultReplicas is the virtual-node count per member: enough that
-// a 3-node ring splits keys within a few percent of evenly, cheap
-// enough that ring rebuilds are negligible next to a measurement.
-const defaultReplicas = 64
+// replicas is the virtual-node count per member: enough that a 3-node
+// ring splits keys within a few percent of evenly, cheap enough that
+// ring rebuilds are negligible next to a measurement.
+const replicas = 64
 
 // Ring is a consistent-hash ring over member names (worker base
 // URLs). Each member occupies `replicas` pseudo-random points on a
@@ -47,11 +47,8 @@ func ringHash(s string) uint64 {
 }
 
 // NewRing builds a ring over the members (order-insensitive: the ring
-// depends only on the set). replicas <= 0 selects the default.
-func NewRing(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+// depends only on the set).
+func NewRing(members []string) *Ring {
 	r := &Ring{members: append([]string(nil), members...)}
 	sort.Strings(r.members)
 	r.points = make([]ringPoint, 0, len(r.members)*replicas)

@@ -14,8 +14,8 @@ func keys(n int) []string {
 }
 
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
-	a := NewRing([]string{"http://w1", "http://w2", "http://w3"}, 0)
-	b := NewRing([]string{"http://w3", "http://w1", "http://w2"}, 0)
+	a := NewRing([]string{"http://w1", "http://w2", "http://w3"})
+	b := NewRing([]string{"http://w3", "http://w1", "http://w2"})
 	for _, k := range keys(200) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner of %q depends on member order: %q vs %q", k, a.Owner(k), b.Owner(k))
@@ -25,7 +25,7 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	members := []string{"http://w1", "http://w2", "http://w3"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := make(map[string]int)
 	n := 3000
 	for _, k := range keys(n) {
@@ -43,8 +43,8 @@ func TestRingBalance(t *testing.T) {
 // the keys it owned — consistent hashing's defining property, and
 // what keeps fleet-wide coalescing warm across membership churn.
 func TestRingStabilityUnderRemoval(t *testing.T) {
-	full := NewRing([]string{"http://w1", "http://w2", "http://w3"}, 0)
-	reduced := NewRing([]string{"http://w1", "http://w3"}, 0)
+	full := NewRing([]string{"http://w1", "http://w2", "http://w3"})
+	reduced := NewRing([]string{"http://w1", "http://w3"})
 	for _, k := range keys(500) {
 		before := full.Owner(k)
 		after := reduced.Owner(k)
@@ -59,7 +59,7 @@ func TestRingStabilityUnderRemoval(t *testing.T) {
 
 func TestRingSequenceCoversAllMembersOnceOwnerFirst(t *testing.T) {
 	members := []string{"http://w1", "http://w2", "http://w3", "http://w4"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	for _, k := range keys(100) {
 		seq := r.Sequence(k)
 		if len(seq) != len(members) {
@@ -79,7 +79,7 @@ func TestRingSequenceCoversAllMembersOnceOwnerFirst(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if r.Owner("k") != "" || r.Sequence("k") != nil || r.Len() != 0 {
 		t.Fatal("empty ring must own nothing")
 	}

@@ -214,13 +214,13 @@ func (c *Config) Hash() uint64 {
 	return h.Sum64()
 }
 
-// strength ranks the isolation mechanism.
-func (c *Config) strength() isolation.Strength { return isolation.StrengthOf(c.Mechanism) }
+// Strength ranks the isolation mechanism.
+func (c *Config) Strength() isolation.Strength { return isolation.StrengthOf(c.Mechanism) }
 
-// sharingRank ranks the data sharing strategy's isolation: a fully
-// shared stack is weaker than DSS or stack-to-heap conversion (which
-// share only the annotated variables).
-func (c *Config) sharingRank() int {
+// SharingRank ranks the data sharing strategy's isolation: a fully
+// shared stack (0) is weaker than DSS or stack-to-heap conversion (1),
+// which share only the annotated variables.
+func (c *Config) SharingRank() int {
 	if c.NumCompartments() == 1 {
 		return 1 // no cross-compartment stack data at all
 	}
@@ -230,9 +230,9 @@ func (c *Config) sharingRank() int {
 	return 1
 }
 
-// gateRank ranks the gate flavor: the light gate shares registers and
-// stacks, the full gate isolates both.
-func (c *Config) gateRank() int {
+// GateRank ranks the gate flavor: the light gate (0) shares registers
+// and stacks, the full gate (1) isolates both.
+func (c *Config) GateRank() int {
 	if c.NumCompartments() == 1 {
 		return 1
 	}
@@ -254,7 +254,7 @@ func Leq(a, b *Config) bool {
 		return false
 	}
 	// (4) mechanism strength.
-	if a.strength() > b.strength() {
+	if a.Strength() > b.Strength() {
 		return false
 	}
 	// ASLR joins as a product dimension: b must dominate on both
@@ -283,7 +283,7 @@ func Leq(a, b *Config) bool {
 		}
 	}
 	// (2) data isolation (sharing strategy, gate flavor).
-	if a.sharingRank() > b.sharingRank() || a.gateRank() > b.gateRank() {
+	if a.SharingRank() > b.SharingRank() || a.GateRank() > b.GateRank() {
 		return false
 	}
 	return true

@@ -26,7 +26,7 @@ func scenarioMeasure(sc *scenario.Scenario) MeasureMetrics {
 // configurations get safer — matching the engine's pruning assumption.
 func syntheticMetrics(c *Config) (Metrics, error) {
 	cost := float64(c.NumCompartments()-1)*100 + float64(c.HardenedCount())*17 +
-		float64(c.strength())*250 + float64(c.gateRank())*3 + float64(c.sharingRank())*2
+		float64(c.Strength())*250 + float64(c.GateRank())*3 + float64(c.SharingRank())*2
 	return Metrics{
 		Throughput:   10_000 - cost,
 		P50us:        1 + cost/100,

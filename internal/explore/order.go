@@ -88,9 +88,9 @@ func newSpaceOrder(cfgs []*Config) *spaceOrder {
 		comps := c.Components()
 		s := &o.sigs[i]
 		s.comps = comps
-		s.strength = c.strength()
-		s.share = int8(c.sharingRank())
-		s.gate = int8(c.gateRank())
+		s.strength = c.Strength()
+		s.share = int8(c.SharingRank())
+		s.gate = int8(c.GateRank())
 		s.aslr = c.ASLR
 		b0, h0 := len(blockArena), len(hsArena)
 		for _, comp := range comps {

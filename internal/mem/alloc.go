@@ -19,7 +19,8 @@ type Allocator interface {
 	Free(addr uintptr) error
 	// SizeOf returns the usable size of an allocated block.
 	SizeOf(addr uintptr) (int, bool)
-	// Name identifies the allocator family ("tlsf", "lea", "bump").
+	// Name identifies the allocator family: "tlsf", "bump", or
+	// "kasan+" followed by the wrapped allocator's name.
 	Name() string
 	// Stats returns allocation counters.
 	Stats() AllocStats

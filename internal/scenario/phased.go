@@ -238,28 +238,14 @@ func (p *Phased) Run(spec core.ImageSpec) (Metrics, error) {
 		if m.Throughput > 0 {
 			seconds += float64(m.Ops) / m.Throughput
 		}
-		agg.P50us = maxF(agg.P50us, m.P50us)
-		agg.P99us = maxF(agg.P99us, m.P99us)
-		agg.MaxUs = maxF(agg.MaxUs, m.MaxUs)
-		agg.PeakMemBytes = maxU(agg.PeakMemBytes, m.PeakMemBytes)
-		agg.BootCycles = maxU(agg.BootCycles, m.BootCycles)
+		agg.P50us = max(agg.P50us, m.P50us)
+		agg.P99us = max(agg.P99us, m.P99us)
+		agg.MaxUs = max(agg.MaxUs, m.MaxUs)
+		agg.PeakMemBytes = max(agg.PeakMemBytes, m.PeakMemBytes)
+		agg.BootCycles = max(agg.BootCycles, m.BootCycles)
 	}
 	if seconds > 0 {
 		agg.Throughput = float64(agg.Ops) / seconds
 	}
 	return agg, nil
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

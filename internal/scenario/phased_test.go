@@ -174,10 +174,10 @@ func TestPhasedRunMergesWorstCase(t *testing.T) {
 		wantCycles += m.Cycles
 		wantCross += m.Crossings
 		seconds += float64(m.Ops) / m.Throughput
-		wantP99 = maxF(wantP99, m.P99us)
-		wantMax = maxF(wantMax, m.MaxUs)
-		wantMem = maxU(wantMem, m.PeakMemBytes)
-		wantBoot = maxU(wantBoot, m.BootCycles)
+		wantP99 = max(wantP99, m.P99us)
+		wantMax = max(wantMax, m.MaxUs)
+		wantMem = max(wantMem, m.PeakMemBytes)
+		wantBoot = max(wantBoot, m.BootCycles)
 	}
 	if merged.Ops != wantOps || merged.Cycles != wantCycles || merged.Crossings != wantCross {
 		t.Errorf("sums: got ops=%d cycles=%d cross=%d, want %d/%d/%d",
