@@ -80,7 +80,8 @@ type Config struct {
 	MaxFlights int
 	// CacheDir, when non-empty, backs the process-wide memo with a
 	// persistent result store: measurements survive daemon restarts.
-	// CacheReadOnly opens it load-only.
+	// CacheReadOnly opens it read-only: records learned later are
+	// indexed in memory and the directory is never written.
 	CacheDir      string
 	CacheReadOnly bool
 	// Cluster, when non-nil, makes this daemon a cluster coordinator:
@@ -137,9 +138,9 @@ type Stats struct {
 	// SyncLogLen is the length of the store's arrival order (the
 	// store-sync log) — the upper bound of a peer's pull cursor.
 	// RecordsIngested counts records learned from peers (gathered
-	// shards, pulled pages); IngestConflicts those
-	// dropped because they disagreed with a local value; PullPages and
-	// PullErrors describe this node's own puller.
+	// shards, pulled pages); IngestConflicts those dropped because they
+	// disagreed with a local value; PullPages and PullErrors describe
+	// this node's own puller.
 	SyncLogLen      int   `json:"sync_log_len"`
 	RecordsIngested int64 `json:"records_ingested"`
 	IngestConflicts int64 `json:"ingest_conflicts,omitempty"`
@@ -309,21 +310,17 @@ func New(cfg Config) (*Server, error) {
 		flights: make(map[string]*flight),
 		gen:     strconv.FormatInt(time.Now().UnixNano(), 36),
 	}
+	var err error
 	switch {
 	case cfg.CacheDir == "":
 		s.st = store.Memory()
 	case cfg.CacheReadOnly:
-		st, err := store.OpenReadOnly(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		s.st = st
+		s.st, err = store.OpenReadOnly(cfg.CacheDir)
 	default:
-		st, err := store.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		s.st = st
+		s.st, err = store.Open(cfg.CacheDir)
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.memo = explore.NewBackedMemo(s.st)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())

@@ -46,7 +46,7 @@ func (s *Server) page(gen string, since int) cli.PullPage {
 }
 
 // StartPull launches the store-sync puller against a peer daemon:
-// every interval it drains the peer's store-sync log (paged, bounded per
+// every interval it drains the peer's sync log (paged, bounded per
 // round) and ingests the records, so this node warm-starts from any
 // other node's measurements. It stops when the server closes.
 func (s *Server) StartPull(peer string, interval time.Duration) {
