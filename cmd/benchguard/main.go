@@ -5,17 +5,19 @@
 // against the checked-in baseline.
 //
 // Raw ns/op is meaningless across machines, so the guard normalizes
-// twice: every benchmark is expressed as a ratio to the single-worker
-// reference sweep (BenchmarkQueryFig6Sequential) measured in the
-// same run, and the whole suite runs under GOMAXPROCS=1 so parallel
-// speedup — which scales with the host's core count — cannot leak into
-// the ratios. What remains is the engine's own overhead — worker-pool
-// coordination, memoization, pruning bookkeeping — relative to the
-// cost of raw sequential measurement, which is what must not regress.
-// Absolute ns/op is recorded in the baseline for human eyes only.
+// twice: every benchmark is expressed as a ratio to a fixed calibration
+// loop (BenchmarkCalibration) measured in the same run, and the whole
+// suite runs under GOMAXPROCS=1 so parallel speedup — which scales
+// with the host's core count — cannot leak into the ratios. The
+// calibration loop calls only the standard library, so a guarded ratio
+// moves when its own code does and for no other reason: a faster
+// simulator lowers the simulating benchmarks' ratios and leaves the
+// engine-only and serving ones where they were. Each benchmark runs in
+// its own process, so none inherits another's heap. Absolute ns/op,
+// B/op and allocs/op are recorded in the baseline for human eyes only.
 //
 // The baseline is the repo's perf-trajectory record, a PR-numbered
-// JSON file checked in at the repository root (BENCH_0009.json): guard
+// JSON file checked in at the repository root (BENCH_0010.json): guard
 // mode reads the ratios it pins, and -update rewrites it from the
 // current run. -json additionally dumps the *current run's* normalized
 // table in the same shape, which CI uploads as a per-commit artifact.
@@ -24,7 +26,7 @@
 //
 //	go run ./cmd/benchguard            # compare against the baseline
 //	go run ./cmd/benchguard -update    # rewrite the baseline record
-//	go run ./cmd/benchguard -tolerance 0.3 -benchtime 2s
+//	go run ./cmd/benchguard -tolerance 0.3 -benchtime 2s -count 5
 //	go run ./cmd/benchguard -json bench-table.json
 package main
 
@@ -35,50 +37,61 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-const reference = "BenchmarkQueryFig6Sequential"
+// reference is the calibration benchmark every guarded benchmark is
+// divided by. It is always run, whatever -bench selects.
+const reference = "BenchmarkCalibration"
 
 // recordID names the checked-in perf-trajectory record this tree
 // maintains; bump it when a PR re-baselines the engine benchmarks so
 // the repo history keeps one record per baseline generation.
-const recordID = "BENCH_0009"
+const recordID = "BENCH_0010"
 
 func main() {
 	update := flag.Bool("update", false, "rewrite the baseline record from this run")
 	tolerance := flag.Float64("tolerance", 0.20, "maximum allowed relative slowdown vs baseline")
-	benchtime := flag.String("benchtime", "1s", "-benchtime passed to go test")
-	count := flag.Int("count", 3, "-count passed to go test; the guard keeps each benchmark's fastest run")
+	// On a shared host one run of a benchmark can be a third slower
+	// than the next, and slow spells last minutes. Many short runs,
+	// round-robin over the suite, give every benchmark and the
+	// reference a chance at the host's fast state.
+	benchtime := flag.String("benchtime", "500ms", "-benchtime of each run")
+	count := flag.Int("count", 10, "runs per benchmark, each in a fresh process; the guard keeps the fastest")
 	// BenchmarkQueryParallelSpeedup is deliberately not guarded: it is
 	// a speedup *meter* that times the sequential and parallel engines
 	// back to back, so its ns/op spans two runs and carries twice the
 	// scheduling variance while adding no coverage beyond the
 	// Fig6Sequential / Fig6Parallel pair.
-	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace", "benchmark pattern to guard")
+	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace", "benchmark pattern to guard (the reference always runs)")
 	baseline := flag.String("baseline", recordID+".json", "checked-in JSON record of the baseline's normalized table (rewritten by -update)")
 	jsonOut := flag.String("json", "", "write this run's normalized table to this JSON file (CI artifact)")
 	flag.Parse()
 
-	nsop, err := runBenchmarks(*pattern, *benchtime, *count)
+	results, err := runBenchmarks(*pattern, *benchtime, *count)
 	if err != nil {
 		fatal(err)
+	}
+	nsop := make(map[string]float64, len(results))
+	for name, r := range results {
+		nsop[name] = r.NsOp
 	}
 	ratios, ref, err := computeRatios(nsop, *pattern)
 	if err != nil {
 		fatal(err)
 	}
 	if *jsonOut != "" {
-		if err := writeRecord(*jsonOut, ratios, nsop, ref); err != nil {
+		if err := writeRecord(*jsonOut, ratios, results, ref); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchguard: wrote %s\n", *jsonOut)
 	}
 
 	if *update {
-		if err := writeRecord(*baseline, ratios, nsop, ref); err != nil {
+		if err := writeRecord(*baseline, ratios, results, ref); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchguard: wrote %s (%d benchmarks)\n", *baseline, len(ratios))
@@ -104,8 +117,8 @@ func main() {
 				fmt.Sprintf("%s: ratio %.3f vs baseline %.3f (%+.1f%% > %.0f%% tolerance)",
 					name, got, base, slowdown*100, *tolerance*100))
 		}
-		fmt.Printf("benchguard: %-34s ratio %.3f (baseline %.3f, %+.1f%%) %s\n",
-			name, got, base, slowdown*100, status)
+		fmt.Printf("benchguard: %-34s ratio %.3f (baseline %.3f, %+.1f%%) %s  [%d B/op, %d allocs/op]\n",
+			name, got, base, slowdown*100, status, results[name].BOp, results[name].AllocsOp)
 	}
 	for name := range ratios {
 		if _, ok := want[name]; !ok {
@@ -167,55 +180,110 @@ func normalizedTable(ratios, want map[string]float64) string {
 	return b.String()
 }
 
-// runBenchmarks executes the benchmark suite count times and parses
-// ns/op per benchmark (the -N CPU suffix is stripped), keeping the
-// fastest of the repeated runs — the standard noise-robust statistic,
-// which keeps the ratios stable on contended CI machines.
-func runBenchmarks(pattern, benchtime string, count int) (map[string]float64, error) {
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", pattern,
-		"-benchtime", benchtime, "-count", fmt.Sprint(count), ".")
-	// Single-threaded on every machine: parallel speedup scales with the
-	// core count and would make the ratios machine-dependent.
-	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
+// benchResult is one benchmark's measurement: ns/op, plus the B/op
+// and allocs/op -benchmem reports for the same run.
+type benchResult struct {
+	NsOp     float64
+	BOp      int64
+	AllocsOp int64
+}
+
+// runBenchmarks compiles the root package's test binary once, then
+// runs the reference and every guarded benchmark count times with
+// -benchmem, round-robin, each run in a fresh process. Benchmarks that
+// shared a process would share a heap: one that churned gigabytes
+// would change the GC pacing, and so the ns/op, of every benchmark
+// after it.
+func runBenchmarks(pattern, benchtime string, count int) (map[string]benchResult, error) {
+	dir, err := os.MkdirTemp("", "benchguard")
 	if err != nil {
-		return nil, fmt.Errorf("benchguard: go test: %w", err)
+		return nil, err
 	}
-	nsop := map[string]float64{}
-	sc := bufio.NewScanner(strings.NewReader(string(out)))
+	defer os.RemoveAll(dir)
+	bin := filepath.Join(dir, "bench.test")
+	build := exec.Command("go", "test", "-c", "-o", bin, ".")
+	build.Stdout, build.Stderr = os.Stderr, os.Stderr
+	if err := build.Run(); err != nil {
+		return nil, fmt.Errorf("benchguard: go test -c: %w", err)
+	}
+	list, err := exec.Command(bin, "-test.list", pattern).Output()
+	if err != nil {
+		return nil, fmt.Errorf("benchguard: listing benchmarks: %w", err)
+	}
+	names := benchNames(string(list))
+	if len(names) == 1 {
+		return nil, fmt.Errorf("benchguard: no benchmarks matched %q", pattern)
+	}
+	results := map[string]benchResult{}
+	for i := 0; i < count; i++ {
+		for _, name := range names {
+			cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", "^"+name+"$",
+				"-test.benchmem", "-test.benchtime", benchtime)
+			// Single-threaded on every machine: parallel speedup scales
+			// with the core count and would make the ratios
+			// machine-dependent.
+			cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
+			cmd.Stderr = os.Stderr
+			out, err := cmd.Output()
+			if err != nil {
+				return nil, fmt.Errorf("benchguard: %s: %w", name, err)
+			}
+			parseBenchOutput(results, string(out))
+		}
+	}
+	return results, nil
+}
+
+// benchNames turns `-test.list` output into the benchmarks to run: the
+// reference first, then every listed benchmark once.
+func benchNames(list string) []string {
+	names := []string{reference}
+	for _, line := range strings.Fields(list) {
+		if strings.HasPrefix(line, "Benchmark") && line != reference {
+			names = append(names, line)
+		}
+	}
+	return names
+}
+
+// parseBenchOutput reads `go test -bench -benchmem` output into
+// results. It strips the -N CPU suffix from each name and keeps each
+// benchmark's fastest run — the standard noise-robust statistic, which
+// keeps the ratios stable on contended CI machines — together with that
+// run's B/op and allocs/op.
+func parseBenchOutput(results map[string]benchResult, out string) {
+	sc := bufio.NewScanner(strings.NewReader(out))
 	for sc.Scan() {
+		// "BenchmarkX-8  123  456789 ns/op  12.00 configs  4096 B/op  7 allocs/op"
 		fields := strings.Fields(sc.Text())
-		// "BenchmarkX-8  123  456789 ns/op ..."
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		idx := -1
-		for i, f := range fields {
-			if f == "ns/op" {
-				idx = i - 1
-				break
+		var r benchResult
+		haveNs := false
+		for i := 2; i < len(fields); i++ {
+			v := fields[i-1]
+			switch fields[i] {
+			case "ns/op":
+				f, err := strconv.ParseFloat(v, 64)
+				r.NsOp, haveNs = f, err == nil
+			case "B/op":
+				r.BOp, _ = strconv.ParseInt(v, 10, 64)
+			case "allocs/op":
+				r.AllocsOp, _ = strconv.ParseInt(v, 10, 64)
 			}
 		}
-		if idx < 1 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[idx], 64)
-		if err != nil {
+		if !haveNs {
 			continue
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			name = name[:i]
 		}
-		if old, ok := nsop[name]; !ok || v < old {
-			nsop[name] = v
+		if old, ok := results[name]; !ok || r.NsOp < old.NsOp {
+			results[name] = r
 		}
 	}
-	if len(nsop) == 0 {
-		return nil, fmt.Errorf("benchguard: no benchmarks matched %q", pattern)
-	}
-	return nsop, nil
 }
 
 // benchRecord is the JSON shape of the checked-in baseline record and
@@ -234,11 +302,14 @@ type benchRow struct {
 	Name  string  `json:"name"`
 	Ratio float64 `json:"ratio"`
 	NsOp  float64 `json:"ns_op"`
+	// BOp and AllocsOp are informational: no gate reads them.
+	BOp      int64 `json:"b_op"`
+	AllocsOp int64 `json:"allocs_op"`
 }
 
 // writeRecord serializes a normalized table as a benchRecord, with
 // ratios rounded to four decimals.
-func writeRecord(path string, ratios, nsop map[string]float64, ref float64) error {
+func writeRecord(path string, ratios map[string]float64, results map[string]benchResult, ref float64) error {
 	names := make([]string, 0, len(ratios))
 	for name := range ratios {
 		names = append(names, name)
@@ -247,9 +318,11 @@ func writeRecord(path string, ratios, nsop map[string]float64, ref float64) erro
 	rec := benchRecord{ID: recordID, Reference: reference, ReferenceNsOp: ref}
 	for _, name := range names {
 		rec.Benchmarks = append(rec.Benchmarks, benchRow{
-			Name:  name,
-			Ratio: roundRatio(ratios[name]),
-			NsOp:  nsop[name],
+			Name:     name,
+			Ratio:    roundRatio(ratios[name]),
+			NsOp:     results[name].NsOp,
+			BOp:      results[name].BOp,
+			AllocsOp: results[name].AllocsOp,
 		})
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

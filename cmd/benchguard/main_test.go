@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,12 +62,12 @@ func TestBaselineRoundTrip(t *testing.T) {
 		"BenchmarkQueryA": 1.25,
 		"BenchmarkQueryB": 0.5,
 	}
-	nsop := map[string]float64{
-		"BenchmarkQueryA": 125,
-		"BenchmarkQueryB": 50,
-		reference:         100,
+	results := map[string]benchResult{
+		"BenchmarkQueryA": {NsOp: 125},
+		"BenchmarkQueryB": {NsOp: 50},
+		reference:         {NsOp: 100},
 	}
-	if err := writeRecord(path, ratios, nsop, 100); err != nil {
+	if err := writeRecord(path, ratios, results, 100); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readRecord(path)
@@ -92,15 +96,15 @@ func TestRecordRoundTripMatchesBaseline(t *testing.T) {
 		"BenchmarkQueryA":          1.23456, // exercises the %.4f rounding
 		"BenchmarkQuerySyntheticB": 0.5,
 	}
-	nsop := map[string]float64{
-		"BenchmarkQueryA":          123456,
-		"BenchmarkQuerySyntheticB": 50000,
-		reference:                  100000,
+	results := map[string]benchResult{
+		"BenchmarkQueryA":          {NsOp: 123456, BOp: 4096, AllocsOp: 12},
+		"BenchmarkQuerySyntheticB": {NsOp: 50000, BOp: 0, AllocsOp: 0},
+		reference:                  {NsOp: 100000, BOp: 900, AllocsOp: 8},
 	}
-	if err := writeRecord(basePath, ratios, nsop, 100000); err != nil {
+	if err := writeRecord(basePath, ratios, results, 100000); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRecord(recPath, ratios, nsop, 100000); err != nil {
+	if err := writeRecord(recPath, ratios, results, 100000); err != nil {
 		t.Fatal(err)
 	}
 	baseline, err := readRecord(basePath)
@@ -122,6 +126,104 @@ func TestRecordRoundTripMatchesBaseline(t *testing.T) {
 	if baseline["BenchmarkQueryA"] != 1.2346 {
 		t.Errorf("rounded ratio = %v, want 1.2346", baseline["BenchmarkQueryA"])
 	}
+	// The informational -benchmem columns ride along in both files.
+	for _, path := range []string{basePath, recPath} {
+		rec := readRawRecord(t, path)
+		for _, row := range rec.Benchmarks {
+			want := results[row.Name]
+			if row.NsOp != want.NsOp || row.BOp != want.BOp || row.AllocsOp != want.AllocsOp {
+				t.Errorf("%s: row %+v, want %+v", path, row, want)
+			}
+		}
+	}
+}
+
+// TestParseBenchOutput reads `go test -bench -benchmem` output: the CPU
+// suffix is stripped, custom metrics between the columns are skipped,
+// the fastest of repeated runs wins and brings its own B/op and
+// allocs/op, and lines without ns/op are ignored.
+func TestParseBenchOutput(t *testing.T) {
+	out := `goos: linux
+BenchmarkCalibration-2         	     240	   4900945 ns/op	  933786 B/op	    8294 allocs/op
+BenchmarkQueryFig6Sequential-2 	       2	 886116212 ns/op	        80.00 configs	3048703140 B/op	 1166858 allocs/op
+BenchmarkQueryFig6Sequential-2 	       2	 716000000 ns/op	        80.00 configs	3048700000 B/op	 1166850 allocs/op
+BenchmarkQueryFig6Sequential-2 	       2	 901000000 ns/op	        80.00 configs	1 B/op	 1 allocs/op
+BenchmarkNoTiming-2            	       1	        80.00 configs
+BenchmarkQueryPlain            	     100	     12.5 ns/op
+PASS
+ok  	flexos	10.057s
+`
+	got := map[string]benchResult{}
+	parseBenchOutput(got, out)
+	// A later process's slower run must not replace the fastest.
+	parseBenchOutput(got, "BenchmarkQueryPlain 100 13.5 ns/op\n")
+	want := map[string]benchResult{
+		reference:                      {NsOp: 4900945, BOp: 933786, AllocsOp: 8294},
+		"BenchmarkQueryFig6Sequential": {NsOp: 716000000, BOp: 3048700000, AllocsOp: 1166850},
+		"BenchmarkQueryPlain":          {NsOp: 12.5},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %v, want %v", got, want)
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s = %+v, want %+v", name, got[name], w)
+		}
+	}
+}
+
+// TestBenchNames puts the reference first and lists every benchmark
+// once, even when the pattern also matches the reference.
+func TestBenchNames(t *testing.T) {
+	got := benchNames("BenchmarkQueryA\nBenchmarkServeTraceB\n" + reference + "\nTestNotABenchmark\n")
+	want := []string{reference, "BenchmarkQueryA", "BenchmarkServeTraceB"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("benchNames = %v, want %v", got, want)
+	}
+}
+
+// TestReferenceIsStandardLibraryOnly finds the reference benchmark in
+// the root package's tests and requires its file to import nothing
+// from this module: a reference that ran repository code would move
+// every guarded ratio whenever that code changed.
+func TestReferenceIsStandardLibraryOnly(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Scope.Lookup(reference) == nil {
+			continue
+		}
+		found = true
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p == "flexos" || strings.HasPrefix(p, "flexos/") {
+				t.Errorf("%s: reference file imports repository package %q", path, p)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no root test file declares %s", reference)
+	}
+}
+
+func readRawRecord(t *testing.T, path string) benchRecord {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec benchRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // TestReadRecordRejectsForeignRecords covers every record the guard
@@ -158,8 +260,15 @@ func TestCheckedInBaselineParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := got["BenchmarkQueryFig6Parallel"]; !ok {
-		t.Errorf("baseline record does not pin BenchmarkQueryFig6Parallel: %v", got)
+	for _, name := range []string{"BenchmarkQueryFig6Sequential", "BenchmarkQueryFig6Parallel"} {
+		if _, ok := got[name]; !ok {
+			t.Errorf("baseline record does not pin %s: %v", name, got)
+		}
+	}
+	for _, row := range readRawRecord(t, filepath.Join("..", "..", recordID+".json")).Benchmarks {
+		if row.NsOp <= 0 || row.AllocsOp <= 0 {
+			t.Errorf("%s: baseline row lacks ns/op or allocs/op: %+v", row.Name, row)
+		}
 	}
 }
 
