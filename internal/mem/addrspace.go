@@ -10,20 +10,26 @@ import (
 // PageSize is the simulated MMU page size.
 const PageSize = 4096
 
-// AddrSpace is a simulated address space: a flat byte array with one
-// protection key per 4 KiB page. Under the MPK backend the whole system
-// shares one AddrSpace; under the EPT backend each compartment (VM) owns
-// its own, plus a window of memory aliased into all of them.
+// AddrSpace is a simulated address space of 4 KiB pages, each with one
+// protection key. Under the MPK backend the whole system shares one
+// AddrSpace; under the EPT backend each compartment (VM) owns its own,
+// plus a window of memory aliased into all of them.
 //
 // Reads and writes are checked against the caller-supplied PKRU value,
 // modeling the per-thread PKRU register; violations return *Fault and
 // charge the machine the page-fault cost. Successful bulk accesses charge
 // copy cost, so data movement is visible in the cycle clock.
+//
+// The host backs each page with a frame allocated on its first write; a
+// page never written reads as zero. A simulated OS touches a few dozen
+// KiB of its address space, so this keeps host memory proportional to
+// what it uses. Backing is invisible to the simulation: every check,
+// fault and cycle charge is the same whether a frame exists or not.
 type AddrSpace struct {
 	name   string
-	data   []byte
 	keys   []Key
-	shadow []byte // KASan poison shadow, 1 byte per 8 bytes; nil until enabled
+	pages  []page
+	shadow bool // KASan shadow enabled (each page holds its own part)
 	mach   *machine.Machine
 
 	// stats
@@ -31,6 +37,14 @@ type AddrSpace struct {
 	bytesRead     uint64
 	bytesWritten  uint64
 	faults        uint64
+}
+
+// page is the host backing of one simulated page.
+type page struct {
+	data *[PageSize]byte // nil until first written; reads as zero
+	// shadow is the page's KASan poison shadow, one byte per 8-byte
+	// granule. nil means wholly unpoisoned; Poison allocates it.
+	shadow *[granulesPerPage]byte
 }
 
 // NewAddrSpace creates an address space of the given size (rounded up to a
@@ -41,10 +55,10 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 	}
 	pages := (size + PageSize - 1) / PageSize
 	return &AddrSpace{
-		name: name,
-		data: make([]byte, pages*PageSize),
-		keys: make([]Key, pages),
-		mach: m,
+		name:  name,
+		keys:  make([]Key, pages),
+		pages: make([]page, pages),
+		mach:  m,
 	}
 }
 
@@ -52,7 +66,7 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 func (as *AddrSpace) Name() string { return as.name }
 
 // Size returns the size of the space in bytes.
-func (as *AddrSpace) Size() int { return len(as.data) }
+func (as *AddrSpace) Size() int { return len(as.pages) * PageSize }
 
 // Pages returns the number of pages.
 func (as *AddrSpace) Pages() int { return len(as.keys) }
@@ -68,7 +82,7 @@ func (as *AddrSpace) SetKeyRange(addr, length uintptr, k Key) error {
 		return nil
 	}
 	end := addr + length
-	if end > uintptr(len(as.data)) || end < addr {
+	if end > uintptr(as.Size()) || end < addr {
 		return &Fault{Kind: FaultUnmapped, Addr: addr, Len: int(length), Space: as.name}
 	}
 	for p := addr / PageSize; p <= (end-1)/PageSize; p++ {
@@ -85,7 +99,7 @@ func (as *AddrSpace) KeyAt(addr uintptr) Key {
 // check validates an access of n bytes at addr under pkru. On violation it
 // charges the page-fault cost and returns a *Fault.
 func (as *AddrSpace) check(pkru PKRU, addr uintptr, n int, write bool) error {
-	if n < 0 || addr+uintptr(n) > uintptr(len(as.data)) || addr+uintptr(n) < addr {
+	if n < 0 || addr+uintptr(n) > uintptr(as.Size()) || addr+uintptr(n) < addr {
 		as.faults++
 		as.mach.Charge(as.mach.Costs.PageFault)
 		return &Fault{Kind: FaultUnmapped, Addr: addr, Len: n, Write: write, PKRU: pkru, Space: as.name}
@@ -106,7 +120,7 @@ func (as *AddrSpace) check(pkru PKRU, addr uintptr, n int, write bool) error {
 			return &Fault{Kind: FaultKeyViolation, Addr: p * PageSize, Len: n, Write: write, Key: k, PKRU: pkru, Space: as.name}
 		}
 	}
-	if as.shadow != nil {
+	if as.shadow {
 		if err := as.checkShadow(addr, n, write, pkru); err != nil {
 			return err
 		}
@@ -120,7 +134,16 @@ func (as *AddrSpace) Read(pkru PKRU, addr uintptr, buf []byte) error {
 	if err := as.check(pkru, addr, len(buf), false); err != nil {
 		return err
 	}
-	copy(buf, as.data[addr:addr+uintptr(len(buf))])
+	for done := 0; done < len(buf); {
+		a := addr + uintptr(done)
+		n := min(len(buf)-done, PageSize-int(a%PageSize))
+		if f := as.pages[a/PageSize].data; f != nil {
+			copy(buf[done:done+n], f[a%PageSize:])
+		} else {
+			clear(buf[done : done+n])
+		}
+		done += n
+	}
 	as.reads++
 	as.bytesRead += uint64(len(buf))
 	as.mach.ChargeCopy(len(buf))
@@ -132,7 +155,12 @@ func (as *AddrSpace) Write(pkru PKRU, addr uintptr, src []byte) error {
 	if err := as.check(pkru, addr, len(src), true); err != nil {
 		return err
 	}
-	copy(as.data[addr:addr+uintptr(len(src))], src)
+	for done := 0; done < len(src); {
+		a := addr + uintptr(done)
+		n := min(len(src)-done, PageSize-int(a%PageSize))
+		copy(as.frame(a / PageSize)[a%PageSize:], src[done:done+n])
+		done += n
+	}
 	as.writes++
 	as.bytesWritten += uint64(len(src))
 	as.mach.ChargeCopy(len(src))
@@ -179,13 +207,53 @@ func (as *AddrSpace) Memmove(pkru PKRU, dst, src uintptr, n int) error {
 	if err := as.check(pkru, dst, n, true); err != nil {
 		return err
 	}
-	copy(as.data[dst:dst+uintptr(n)], as.data[src:src+uintptr(n)])
+	// Page-sized pieces in the direction that never overwrites source
+	// bytes before they are read, like memmove.
+	if dst <= src {
+		for done := 0; done < n; {
+			s, d := src+uintptr(done), dst+uintptr(done)
+			k := min(n-done, PageSize-int(s%PageSize), PageSize-int(d%PageSize))
+			as.movePiece(d, s, k)
+			done += k
+		}
+	} else {
+		for left := n; left > 0; {
+			s, d := src+uintptr(left), dst+uintptr(left) // one past the piece
+			k := min(left, int((s-1)%PageSize)+1, int((d-1)%PageSize)+1)
+			left -= k
+			as.movePiece(d-uintptr(k), s-uintptr(k), k)
+		}
+	}
 	as.reads++
 	as.writes++
 	as.bytesRead += uint64(n)
 	as.bytesWritten += uint64(n)
 	as.mach.ChargeCopy(n)
 	return nil
+}
+
+// movePiece copies n bytes from src to dst, each range inside one page.
+// Moving never-written (zero) bytes onto a never-written page leaves it
+// unallocated.
+func (as *AddrSpace) movePiece(dst, src uintptr, n int) {
+	from := as.pages[src/PageSize].data
+	if from == nil {
+		if to := as.pages[dst/PageSize].data; to != nil {
+			clear(to[dst%PageSize:][:n])
+		}
+		return
+	}
+	copy(as.frame(dst / PageSize)[dst%PageSize:][:n], from[src%PageSize:][:n])
+}
+
+// frame returns page p's data frame, allocating it on first use.
+func (as *AddrSpace) frame(p uintptr) *[PageSize]byte {
+	f := as.pages[p].data
+	if f == nil {
+		f = new([PageSize]byte)
+		as.pages[p].data = f
+	}
+	return f
 }
 
 // Stats reports access counters, used by tests and the bench harness.
