@@ -138,7 +138,7 @@ func Measure(seed int64) explore.MeasureMetrics {
 	wUBSan := float64(rng.Intn(120) + 40)
 	wSP := float64(rng.Intn(40) + 10)
 	return func(c *explore.Config) (explore.Metrics, error) {
-		cost := 1000.0 + wComp*float64(len(c.Blocks)-1)
+		cost := 1000.0 + float64(wComp*float64(len(c.Blocks)-1)) // rounded: no FMA on any GOARCH
 		switch isolation.StrengthOf(c.Mechanism) {
 		case isolation.StrengthIntraAS:
 			cost += wStrength

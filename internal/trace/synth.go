@@ -53,8 +53,9 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float returns a uniform float64 in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+// float returns a uniform float64 in [0, 1), rounded explicitly so
+// that, inlined, it never fuses into a caller's multiply-add.
+func (r *rng) float() float64 { return float64(float64(r.next()>>11) / (1 << 53)) }
 
 // intn returns a uniform int in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
@@ -99,7 +100,7 @@ func Synthesize(spec SynthSpec) (*Trace, error) {
 			}
 			req.Normalize()
 			t.Events = append(t.Events, Event{AtMs: baseMs + int64(at), Phase: ph.Name, Request: req})
-			at += (0.5 + r.float()) * meanMs
+			at += float64((0.5 + r.float()) * meanMs) // rounded: no FMA on any GOARCH
 		}
 		baseMs += ph.DurationMs
 	}
