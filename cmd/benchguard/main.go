@@ -138,7 +138,7 @@ func main() {
 	fmt.Println("benchguard: PASS")
 }
 
-// computeRatios normalizes every guarded benchmark to the sequential
+// computeRatios normalizes every guarded benchmark to the calibration
 // reference measured in the same run. A pattern that matched nothing
 // beyond the reference is an error — most often a stale pattern after
 // a benchmark rename — because pinning (or passing) an empty baseline
@@ -211,9 +211,6 @@ func runBenchmarks(pattern, benchtime string, count int) (map[string]benchResult
 		return nil, fmt.Errorf("benchguard: listing benchmarks: %w", err)
 	}
 	names := benchNames(string(list))
-	if len(names) == 1 {
-		return nil, fmt.Errorf("benchguard: no benchmarks matched %q", pattern)
-	}
 	results := map[string]benchResult{}
 	for i := 0; i < count; i++ {
 		for _, name := range names {
