@@ -49,7 +49,11 @@ type Image struct {
 	comps  []*CompRT
 	byLib  map[string]*CompRT
 	byName map[string]*CompRT
-	gates  map[[2]sched.CompID]*boundGate
+	// sites resolves every (library, function) pair of the image;
+	// gates holds the gate bound for each compartment pair, at
+	// from*len(comps)+to.
+	sites map[siteKey]*callSite
+	gates []boundGate
 
 	sharedHeap    mem.Allocator
 	sharedVars    map[string]uintptr
@@ -85,15 +89,25 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		AS:            mem.NewAddrSpace("flexos", spec.MemBytes, mach),
 		byLib:         make(map[string]*CompRT),
 		byName:        make(map[string]*CompRT),
-		gates:         make(map[[2]sched.CompID]*boundGate),
 		sharedVars:    make(map[string]uintptr),
 		sharedVarKeys: make(map[string]mem.Key),
 		restricted:    make(map[mem.Key]*mem.Bump),
 	}
 
-	// 1. Create compartments and register entry points (the gate
+	// 1. Create compartments, register entry points (the gate
 	// insertion step: the static call graph determines which symbols can
-	// be entered from outside).
+	// be entered from outside) and resolve every call site: its target
+	// compartment, entry symbol, and the callee's hardening and work
+	// charge.
+	nsites := 0
+	for _, cs := range spec.Comps {
+		for _, libName := range cs.Libs {
+			comp, _ := cat.Lookup(libName)
+			nsites += len(comp.Funcs)
+		}
+	}
+	sites := make([]callSite, 0, nsites)
+	img.sites = make(map[siteKey]*callSite, nsites)
 	for i, cs := range spec.Comps {
 		iso := &isolation.Compartment{ID: sched.CompID(i), Name: cs.Name}
 		rt := &CompRT{Compartment: iso, Hardening: cs.Hardening, libHard: cs.LibHardening}
@@ -101,11 +115,20 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 			comp, _ := cat.Lookup(libName)
 			rt.Libs = append(rt.Libs, comp)
 			img.byLib[libName] = rt
+			hard := rt.EffectiveHardening(libName)
 			for _, fname := range comp.FuncNames() {
 				f := comp.Funcs[fname]
+				entry := libName + "." + fname
 				if f.EntryPoint {
-					iso.AddEntryPoint(libName + "." + fname)
+					iso.AddEntryPoint(entry)
 				}
+				sites = append(sites, callSite{
+					target: rt, lib: libName, f: f, entry: entry,
+					cfi:    hard.Has(harden.CFI),
+					canary: hard.Has(harden.StackProtector),
+					work:   scaleWork(f.Work, hard),
+				})
+				img.sites[siteKey{libName, fname}] = &sites[len(sites)-1]
 			}
 		}
 		img.comps = append(img.comps, rt)
@@ -178,17 +201,18 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 
 	// 6. Bind gates for every compartment pair — the build-time
 	// replacement of abstract gates (Fig. 3 step 3/3').
+	img.gates = make([]boundGate, 0, len(img.comps)*len(img.comps))
 	for _, from := range img.comps {
 		for _, to := range img.comps {
 			g, err := backend.Gate(from.ID, to.ID, spec.GateMode)
 			if err != nil {
 				return nil, err
 			}
-			img.gates[[2]sched.CompID{from.ID, to.ID}] = &boundGate{
+			img.gates = append(img.gates, boundGate{
 				Gate: g, img: img,
 				from: from.ID, to: to.ID,
 				cross: from.ID != to.ID,
-			}
+			})
 		}
 	}
 
@@ -290,19 +314,57 @@ type boundGate struct {
 	calls    uint64
 }
 
-func (g *boundGate) Call(t *sched.Thread, entry string, fn func() error) error {
+func (g *boundGate) Call(t *sched.Thread, entry string, callee isolation.Callee) error {
 	g.calls++
 	if !g.cross {
-		return g.Gate.Call(t, entry, fn)
+		return g.Gate.Call(t, entry, callee)
 	}
 	g.img.crossings++
 	if tr := g.img.trace; tr != nil {
 		start := g.img.Mach.Clock.Cycles()
-		err := g.Gate.Call(t, entry, fn)
+		err := g.Gate.Call(t, entry, callee)
 		tr.record(g.from, g.to, entry, start, g.Gate.Cost())
 		return err
 	}
-	return g.Gate.Call(t, entry, fn)
+	return g.Gate.Call(t, entry, callee)
+}
+
+// siteKey names a call site: a library and one of its functions.
+type siteKey struct{ lib, fn string }
+
+// callSite is one (library, function) pair of an image, resolved at
+// build time: everything Ctx.Call needs except the gate, which depends
+// on the calling compartment.
+type callSite struct {
+	target *CompRT
+	lib    string
+	f      *Func
+	// entry is the gate entry symbol, "lib.fn".
+	entry string
+	// cfi and canary record whether the callee library's effective
+	// hardening includes CFI (a forward-edge check per entry) and the
+	// stack protector (a canary per frame).
+	cfi, canary bool
+	// work is f.Work under the callee's hardening multiplier.
+	work uint64
+}
+
+// unresolved explains why lib.fn has no call site: the library is not
+// in the image, or it has no such function.
+func (img *Image) unresolved(lib, fn string) error {
+	if _, ok := img.byLib[lib]; !ok {
+		return fmt.Errorf("core: call into unknown library %q", lib)
+	}
+	return fmt.Errorf("core: library %q has no function %q", lib, fn)
+}
+
+// scaleWork returns the cost of cycles of compute under a hardening
+// set. The product is rounded to float64 explicitly: without the
+// conversion, ppc64le and riscv64 fuse it with the float-to-integer
+// conversion into a multiply-subtract, and their cycle counts could
+// drift from amd64's.
+func scaleWork(cycles uint64, hs harden.Set) uint64 {
+	return uint64(float64(float64(cycles) * hs.WorkMultiplier()))
 }
 
 // EffectiveHardening returns the hardening applied to one library: the
@@ -359,7 +421,7 @@ func (img *Image) DSSBytes() uintptr { return img.dssBytes }
 
 // gate returns the bound gate between two compartments.
 func (img *Image) gate(from, to sched.CompID) *boundGate {
-	return img.gates[[2]sched.CompID{from, to}]
+	return &img.gates[int(from)*len(img.comps)+int(to)]
 }
 
 // allocStackRegion carves a stack (plus DSS shadow if configured) out of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -183,11 +184,14 @@ func TestReturnValueAndArgs(t *testing.T) {
 func TestCallUnknownTargets(t *testing.T) {
 	img := build(t, twoCompSpec("intel-mpk", 0, 0))
 	ctx, _ := img.NewContext("t", "app")
-	if _, err := ctx.Call("nolib", "f"); err == nil {
-		t.Fatal("unknown library accepted")
-	}
-	if _, err := ctx.Call("svc", "nofunc"); err == nil {
-		t.Fatal("unknown function accepted")
+	for _, tc := range []struct{ lib, fn, want string }{
+		{"nolib", "f", `core: call into unknown library "nolib"`},
+		{"svc", "nofunc", `core: library "svc" has no function "nofunc"`},
+	} {
+		_, err := ctx.Call(tc.lib, tc.fn)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Call(%q, %q) = %v, want %q", tc.lib, tc.fn, err, tc.want)
+		}
 	}
 }
 
@@ -206,6 +210,219 @@ func TestNonEntryPointRejectedAcrossCompartments(t *testing.T) {
 	ctx2, _ := img2.NewContext("t", "app")
 	if _, err := ctx2.Call("svc", "internal"); err != nil {
 		t.Fatalf("intra-compartment internal call failed: %v", err)
+	}
+}
+
+func TestRejectedNonEntryCallCharges(t *testing.T) {
+	// A rejected crossing charges the callee's CFI forward-edge check,
+	// if it has one, and nothing else: the gate refuses the entry point
+	// before it charges its own cost or runs the callee's work.
+	for _, tc := range []struct {
+		hard harden.Set
+		want uint64
+	}{
+		{harden.Set{}, 0},
+		{harden.NewSet(harden.CFI), 4},
+		{harden.NewSet(harden.CFI, harden.StackProtector, harden.KASan), 4},
+	} {
+		spec := twoCompSpec("intel-mpk", isolation.GateFull, isolation.ShareDSS)
+		spec.Comps[1].Hardening = tc.hard
+		img := build(t, spec)
+		ctx, _ := img.NewContext("t", "app")
+		before := img.Mach.Clock.Cycles()
+		if _, err := ctx.Call("svc", "internal"); !mem.IsFault(err, mem.FaultCFI) {
+			t.Fatalf("%v: got %v, want CFI fault", tc.hard, err)
+		}
+		if got := img.Mach.Clock.Cycles() - before; got != tc.want {
+			t.Errorf("%v: rejected call charged %d cycles, want %d", tc.hard, got, tc.want)
+		}
+	}
+}
+
+// chainCatalog returns a catalog whose "ping" and "pong" libraries call
+// each other through "down" until level depth, so that consecutive
+// levels alternate compartments when ping and pong are split. Level n
+// returns "level-n" and checks what its callee returned. At level
+// failAt-1, "down" makes the failing call instead: into pong's
+// non-entry "hidden" (fault "cfi") or into pong's canary-smashing
+// "smash" (fault "canary").
+func chainCatalog(t *testing.T, depth, failAt int, fault string) *Catalog {
+	t.Helper()
+	cat := NewCatalog()
+	boot := NewComponent("boot")
+	boot.TCB = true
+	cat.MustRegister(boot)
+	for _, lib := range []string{"ping", "pong"} {
+		other := map[string]string{"ping": "pong", "pong": "ping"}[lib]
+		c := NewComponent(lib)
+		c.AddFunc(&Func{Name: "down", Work: 10, EntryPoint: true,
+			Impl: func(ctx *Ctx, args ...any) (any, error) {
+				n := args[0].(int)
+				if ctx.depth != n || ctx.CurrentLib() != lib {
+					return nil, fmt.Errorf("level %d runs at depth %d in %s", n, ctx.depth, ctx.CurrentLib())
+				}
+				own := fmt.Sprintf("level-%d", n)
+				if n == depth {
+					return own, nil
+				}
+				comp := ctx.CurrentComp()
+				if n+1 == failAt {
+					fn := map[string]string{"cfi": "hidden", "canary": "smash"}[fault]
+					_, err := ctx.Call("pong", fn)
+					if ctx.depth != n || ctx.CurrentComp() != comp || ctx.CurrentLib() != lib {
+						return nil, fmt.Errorf("level %d after a failed call: depth %d, in %s", n, ctx.depth, ctx.CurrentLib())
+					}
+					return nil, err
+				}
+				// Two calls at the next depth: the second reuses the
+				// first's frame and must not clobber its result.
+				first, err := ctx.Call(other, "down", n+1)
+				if err != nil {
+					return nil, err
+				}
+				second, err := ctx.Call(other, "echo", own)
+				if err != nil {
+					return nil, err
+				}
+				if want := fmt.Sprintf("level-%d", n+1); first != want || second != own {
+					return nil, fmt.Errorf("level %d: callee returned %v then %v, want %s then %s", n, first, second, want, own)
+				}
+				if ctx.depth != n || ctx.CurrentComp() != comp || ctx.CurrentLib() != lib {
+					return nil, fmt.Errorf("level %d after its calls: depth %d, in %s", n, ctx.depth, ctx.CurrentLib())
+				}
+				return own, nil
+			}})
+		c.AddFunc(&Func{Name: "echo", Work: 5, EntryPoint: true,
+			Impl: func(ctx *Ctx, args ...any) (any, error) { return args[0], nil }})
+		cat.MustRegister(c)
+	}
+	pong, _ := cat.Lookup("pong")
+	pong.AddFunc(&Func{Name: "hidden", Work: 5})
+	pong.AddFunc(&Func{Name: "smash", Work: 5, EntryPoint: true,
+		Impl: func(ctx *Ctx, args ...any) (any, error) {
+			st := ctx.Thread().Stack(ctx.CurrentComp().ID)
+			for a := st.SP(); a < st.SP()+32; a += 8 {
+				if err := ctx.WriteUint64(a, 0x4141414141414141); err != nil {
+					return nil, err
+				}
+			}
+			return nil, nil
+		}})
+	return cat
+}
+
+// chainSpec splits ping and pong across an MPK gate; pong runs with
+// the stack protector.
+func chainSpec() ImageSpec {
+	return ImageSpec{
+		Mechanism: "intel-mpk", GateMode: isolation.GateFull, Sharing: isolation.ShareDSS,
+		Comps: []CompSpec{
+			{Name: "c0", Libs: []string{"boot", "ping"}},
+			{Name: "c1", Libs: []string{"pong"},
+				LibHardening: map[string]harden.Set{"pong": harden.NewSet(harden.StackProtector)}},
+		},
+	}
+}
+
+func TestCallFramesReusedWithoutClobbering(t *testing.T) {
+	const depth = 10
+	img, err := Build(chainCatalog(t, depth, 0, ""), chainSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, _ := img.NewContext("t", "ping")
+	for round := 0; round < 2; round++ {
+		got, err := ctx.Call("pong", "down", 1)
+		if err != nil || got != "level-1" {
+			t.Fatalf("round %d: got %v, %v; want level-1", round, got, err)
+		}
+		if ctx.depth != 0 || len(ctx.frames) != depth+1 {
+			t.Fatalf("round %d: depth %d with %d frames, want 0 with %d", round, ctx.depth, len(ctx.frames), depth+1)
+		}
+		for i, fr := range ctx.frames {
+			if fr.site != nil || fr.args != nil || fr.ret != nil || len(fr.locals) != 0 {
+				t.Fatalf("round %d: frame %d still holds its call", round, i)
+			}
+		}
+	}
+}
+
+func TestFailedCallRestoresContext(t *testing.T) {
+	for _, fault := range []struct {
+		name string
+		kind mem.FaultKind
+	}{{"cfi", mem.FaultCFI}, {"canary", mem.FaultStackSmash}} {
+		t.Run(fault.name, func(t *testing.T) {
+			img, err := Build(chainCatalog(t, 6, 3, fault.name), chainSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, _ := img.NewContext("t", "ping")
+			comp := ctx.CurrentComp()
+			stacks := make([]int, len(img.comps))
+			for i, c := range img.comps {
+				stacks[i] = ctx.Thread().Stack(c.ID).Depth()
+			}
+			if _, err := ctx.Call("pong", "down", 1); !mem.IsFault(err, fault.kind) {
+				t.Fatalf("got %v, want a %s fault", err, fault.name)
+			}
+			if ctx.depth != 0 || ctx.CurrentComp() != comp || ctx.CurrentLib() != "ping" {
+				t.Fatalf("after the fault: depth %d, in %s/%s", ctx.depth, ctx.CurrentComp().Name, ctx.CurrentLib())
+			}
+			for i, c := range img.comps {
+				if d := ctx.Thread().Stack(c.ID).Depth(); d != stacks[i] {
+					t.Fatalf("stack of %s left at depth %d, want %d", c.Name, d, stacks[i])
+				}
+			}
+			if got, err := ctx.Call("pong", "echo", "after"); err != nil || got != "after" {
+				t.Fatalf("next call: got %v, %v", got, err)
+			}
+		})
+	}
+}
+
+func TestCallAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	restricted, err := Build(restrictedCatalog(t), restrictedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		img              *Image
+		start, lib, fn   string
+		wantCrossingGate bool
+	}{
+		{"same-compartment", build(t, ImageSpec{Mechanism: "intel-mpk", Comps: []CompSpec{
+			{Name: "c0", Libs: []string{"boot", "app", "svc"}},
+		}}), "app", "svc", "ping", false},
+		{"mpk-gate", build(t, twoCompSpec("intel-mpk", isolation.GateFull, isolation.ShareDSS)),
+			"app", "svc", "ping", true},
+		// The callee's compartment holds a restricted-domain key, so
+		// the gate's PKRU image covers extra keys.
+		{"mpk-gate-extra-keys", restricted, "consumer", "sibling", "noop", true},
+	} {
+		ctx, err := tc.img.NewContext("t", tc.start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tc.img.Crossings()
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ctx.Call(tc.lib, tc.fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Ctx.Call allocated %v times per call, want 0", tc.name, allocs)
+		}
+		if crossed := tc.img.Crossings() > before; crossed != tc.wantCrossingGate {
+			t.Errorf("%s: crossed a gate: %v, want %v", tc.name, crossed, tc.wantCrossingGate)
+		}
+	}
+	if c, _ := restricted.Comp("sibling"); len(c.ExtraKeys) == 0 {
+		t.Fatal("the restricted image gives the callee compartment no extra keys")
 	}
 }
 

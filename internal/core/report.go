@@ -121,13 +121,13 @@ func (img *Image) Report() Report {
 		r.Comps = append(r.Comps, cr)
 	}
 	sort.Strings(r.TCBLibs)
-	for key, g := range img.gates {
-		from, to := key[0], key[1]
-		if from == to {
+	for i := range img.gates {
+		g := &img.gates[i]
+		if !g.cross {
 			continue
 		}
 		r.Gates = append(r.Gates, GateBinding{
-			From: img.comps[from].Name, To: img.comps[to].Name,
+			From: img.comps[g.from].Name, To: img.comps[g.to].Name,
 			Gate: g.Gate.String(), Cost: g.Gate.Cost(), Calls: g.calls,
 		})
 	}

@@ -20,9 +20,23 @@ type Ctx struct {
 	cur    *CompRT
 	curLib string
 
-	// heapLocals tracks stack-to-heap-converted shared locals per open
-	// frame, freed on frame pop (the costly strategy DSS replaces).
-	heapLocals [][]uintptr
+	// frames holds one reusable frame per call depth: frames[0] is the
+	// thread's entry frame and frames[depth] the innermost open call.
+	frames []*frame
+	depth  int
+}
+
+// frame is one open Call: the resolved call site, its arguments and
+// return value, and the shared locals converted to heap allocations
+// (freed on return; the costly strategy DSS replaces). A frame is the
+// isolation.Callee its gate runs, and the next call at the same depth
+// reuses it, so a call allocates nothing on the host.
+type frame struct {
+	ctx    *Ctx
+	site   *callSite
+	args   []any
+	ret    any
+	locals []uintptr
 }
 
 // NewContext spawns a thread whose entry point lives in the compartment
@@ -46,7 +60,7 @@ func (img *Image) NewContext(name, startLib string) (*Ctx, error) {
 		}
 	}
 	ctx := &Ctx{img: img, th: th, cur: comp, curLib: startLib}
-	ctx.heapLocals = append(ctx.heapLocals, nil)
+	ctx.frames = append(ctx.frames, &frame{ctx: ctx})
 	return ctx, nil
 }
 
@@ -77,75 +91,78 @@ func (c *Ctx) Hardening() harden.Set { return c.cur.EffectiveHardening(c.curLib)
 // Call invokes lib.fn through the abstract gate bound at build time. When
 // caller and callee share a compartment this is a plain function call;
 // otherwise the configured backend's gate performs the domain transition.
-// Work cycles are charged under the callee compartment's hardening
-// multiplier.
+// Work cycles are charged under the callee library's hardening
+// multiplier. Build resolved the call site — target compartment, entry
+// symbol, hardening flags and work charge — and bound a gate for every
+// compartment pair, so a call is one table lookup and one slice index,
+// like the paper's build-time gate binding, and costs no host allocation
+// beyond what the callee itself allocates.
 func (c *Ctx) Call(lib, fn string, args ...any) (any, error) {
-	target, ok := c.img.byLib[lib]
+	site, ok := c.img.sites[siteKey{lib, fn}]
 	if !ok {
-		return nil, fmt.Errorf("core: call into unknown library %q", lib)
+		return nil, c.img.unresolved(lib, fn)
 	}
-	comp, _ := c.img.Catalog.Lookup(lib)
-	f, ok := comp.Func(fn)
-	if !ok {
-		return nil, fmt.Errorf("core: library %q has no function %q", lib, fn)
-	}
-	gate := c.img.gate(c.cur.ID, target.ID)
-	if gate == nil {
-		return nil, fmt.Errorf("core: no gate bound %s -> %s", c.cur.Name, target.Name)
-	}
-
-	effective := target.EffectiveHardening(lib)
-	if effective.Has(harden.CFI) {
+	if site.cfi {
 		// Forward-edge check on entry into CFI-instrumented code.
 		c.img.Mach.Charge(cfiCheckCycles)
 	}
+	gate := c.img.gate(c.cur.ID, site.target.ID)
 
-	var ret any
-	entry := lib + "." + fn
-	err := gate.Call(c.th, entry, func() error {
-		prevComp, prevLib := c.cur, c.curLib
-		c.cur, c.curLib = target, lib
-
-		// Open a frame on the callee stack; the stack protector adds a
-		// canary when the callee library hardens with it.
-		st := c.th.Stack(target.ID)
-		canary := effective.Has(harden.StackProtector)
-		if st != nil {
-			if err := st.PushFrame(c.th.PKRU, canary); err != nil {
-				return err
-			}
-		}
-		c.heapLocals = append(c.heapLocals, nil)
-
-		// Charge the function's compute under the callee's hardening.
-		work := uint64(float64(f.Work) * effective.WorkMultiplier())
-		c.img.Mach.Charge(work)
-
-		var err error
-		if f.Impl != nil {
-			ret, err = f.Impl(c, args...)
-		}
-
-		// Close the frame: free heap-converted locals, verify canary.
-		locals := c.heapLocals[len(c.heapLocals)-1]
-		c.heapLocals = c.heapLocals[:len(c.heapLocals)-1]
-		for _, addr := range locals {
-			if ferr := c.img.sharedHeap.Free(addr); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
-		if st != nil {
-			if perr := st.PopFrame(c.th.PKRU); perr != nil && err == nil {
-				err = perr
-			}
-		}
-		c.cur, c.curLib = prevComp, prevLib
-		return err
-	})
+	c.depth++
+	if c.depth == len(c.frames) {
+		c.frames = append(c.frames, &frame{ctx: c})
+	}
+	fr := c.frames[c.depth]
+	fr.site, fr.args = site, args
+	err := gate.Call(c.th, site.entry, fr)
+	ret := fr.ret
+	fr.site, fr.args, fr.ret = nil, nil, nil
+	c.depth--
 	if err != nil {
 		return nil, err
 	}
 	return ret, nil
+}
+
+// Run implements isolation.Callee: it executes the frame's function in
+// the callee compartment, between the stack frame push and pop.
+func (fr *frame) Run() error {
+	c, s := fr.ctx, fr.site
+	prevComp, prevLib := c.cur, c.curLib
+	c.cur, c.curLib = s.target, s.lib
+
+	// Open a frame on the callee stack; the stack protector adds a
+	// canary when the callee library hardens with it.
+	st := c.th.Stack(s.target.ID)
+	if st != nil {
+		if err := st.PushFrame(c.th.PKRU, s.canary); err != nil {
+			c.cur, c.curLib = prevComp, prevLib
+			return err
+		}
+	}
+
+	// Charge the function's compute under the callee's hardening.
+	c.img.Mach.Charge(s.work)
+
+	var err error
+	if s.f.Impl != nil {
+		fr.ret, err = s.f.Impl(c, fr.args...)
+	}
+
+	// Close the frame: free heap-converted locals, verify canary.
+	for _, addr := range fr.locals {
+		if ferr := c.img.sharedHeap.Free(addr); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
+	fr.locals = fr.locals[:0]
+	if st != nil {
+		if perr := st.PopFrame(c.th.PKRU); perr != nil && err == nil {
+			err = perr
+		}
+	}
+	c.cur, c.curLib = prevComp, prevLib
+	return err
 }
 
 // StackAlloc allocates a local variable in the current frame. Shared
@@ -174,7 +191,8 @@ func (c *Ctx) StackAlloc(n int, shared bool) (uintptr, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.heapLocals[len(c.heapLocals)-1] = append(c.heapLocals[len(c.heapLocals)-1], addr)
+		fr := c.frames[c.depth]
+		fr.locals = append(fr.locals, addr)
 		return addr, nil
 	}
 }
@@ -231,5 +249,5 @@ func (c *Ctx) Yield() { c.img.Sched.Yield() }
 // hardening multiplier; component bodies use it for data-dependent work
 // (e.g. per-byte parsing loops).
 func (c *Ctx) Charge(cycles uint64) {
-	c.img.Mach.Charge(uint64(float64(cycles) * c.cur.Hardening.WorkMultiplier()))
+	c.img.Mach.Charge(scaleWork(cycles, c.cur.Hardening))
 }

@@ -147,9 +147,14 @@ type Compartment struct {
 }
 
 // PKRU returns the protection register image for a thread executing in
-// this compartment: own key + the global shared key + extra keys.
+// this compartment: own key + the global shared key + extra keys. Gates
+// compute it on every crossing, so it allocates nothing.
 func (c *Compartment) PKRU() mem.PKRU {
-	return mem.DomainPKRU(c.Key, append([]mem.Key{mem.KeyShared}, c.ExtraKeys...)...)
+	p := mem.DomainPKRU(c.Key, mem.KeyShared)
+	for _, k := range c.ExtraKeys {
+		p = p.Allow(k)
+	}
+	return p
 }
 
 // AddEntryPoint registers a legal gate entry at build time.
@@ -191,10 +196,17 @@ type Gate interface {
 	// copies (reported in Fig. 11b).
 	Cost() uint64
 	// Call transfers control to entry inside the target compartment,
-	// runs fn there (with the thread's protection domain switched), and
-	// returns to the caller's domain. fn runs synchronously, as the
-	// paper's gates are inlined calls, not trampolines.
-	Call(t *sched.Thread, entry string, fn func() error) error
+	// runs callee there (with the thread's protection domain switched),
+	// and returns to the caller's domain. The callee runs synchronously,
+	// as the paper's gates are inlined calls, not trampolines. The
+	// callee is an interface rather than a closure so that a caller can
+	// pass a reused value and a crossing costs no host allocation.
+	Call(t *sched.Thread, entry string, callee Callee) error
+}
+
+// Callee is the body a gate runs inside the target compartment.
+type Callee interface {
+	Run() error
 }
 
 // ImageStats describes backend-level layout consequences, e.g. TCB
@@ -263,9 +275,9 @@ func NewFuncGate(m *machine.Machine) Gate { return &funcGate{mach: m} }
 func (g *funcGate) String() string { return "call" }
 func (g *funcGate) Cost() uint64   { return g.mach.Costs.FuncCall }
 
-func (g *funcGate) Call(t *sched.Thread, entry string, fn func() error) error {
+func (g *funcGate) Call(t *sched.Thread, entry string, callee Callee) error {
 	g.mach.Charge(g.mach.Costs.FuncCall)
-	return fn()
+	return callee.Run()
 }
 
 // CFIFault builds the fault returned when a gate or RPC server rejects an

@@ -8,6 +8,11 @@ import (
 	"flexos/internal/sched"
 )
 
+// calleeFunc adapts a closure to the Callee a gate runs.
+type calleeFunc func() error
+
+func (f calleeFunc) Run() error { return f() }
+
 // newSys builds a System with n compartments named c0..c(n-1), each
 // exposing entry point "svc".
 func newSys(t *testing.T, n int) *System {
@@ -108,7 +113,7 @@ func checkRogueEntry(t *testing.T, f gateFlavour) {
 	sys, th, g := f.bind(t)
 	var err error
 	cost := sys.Mach.Clock.Span(func() {
-		err = g.Call(th, "not_an_entry", func() error { return nil })
+		err = g.Call(th, "not_an_entry", calleeFunc(func() error { return nil }))
 	})
 	if !mem.IsFault(err, mem.FaultCFI) {
 		t.Fatalf("rogue entry: got %v, want CFI fault", err)
@@ -125,7 +130,7 @@ func checkCost(t *testing.T, f gateFlavour) {
 	}
 	var err error
 	cost := sys.Mach.Clock.Span(func() {
-		err = g.Call(th, "svc", func() error { return nil })
+		err = g.Call(th, "svc", calleeFunc(func() error { return nil }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +145,10 @@ func checkSwitch(t *testing.T, f gateFlavour) {
 	before := th.PKRU
 	var inside mem.PKRU
 	var insideComp sched.CompID
-	err := g.Call(th, "svc", func() error {
+	err := g.Call(th, "svc", calleeFunc(func() error {
 		inside, insideComp = th.PKRU, th.Comp
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +164,11 @@ func checkRegisters(t *testing.T, f gateFlavour) {
 	_, th, g := f.bind(t)
 	th.Regs[0] = 0x5EC2E7
 	var seen uint64
-	g.Call(th, "svc", func() error {
+	g.Call(th, "svc", calleeFunc(func() error {
 		seen = th.Regs[0]
 		th.Regs[1] = 0xCA11EE
 		return nil
-	})
+	}))
 	if f.scrub {
 		if seen != 0 {
 			t.Fatalf("gate leaked register value %#x", seen)
@@ -317,10 +322,10 @@ func TestMPKGateStackSwitch(t *testing.T) {
 	calleeStack := sched.NewStack(sys.AS, 0, 8*mem.PageSize, false, sys.Mach)
 	th.SetStack(0, calleeStack)
 	var depthInside int
-	g.Call(th, "svc", func() error {
+	g.Call(th, "svc", calleeFunc(func() error {
 		depthInside = calleeStack.Depth()
 		return nil
-	})
+	}))
 	if depthInside != 1 {
 		t.Fatalf("callee stack depth inside gate = %d, want 1", depthInside)
 	}
@@ -354,7 +359,7 @@ func TestNoneBackendAllowsEverything(t *testing.T) {
 	}
 	g, _ := b.Gate(2, 0, GateDefault)
 	cost := sys.Mach.Clock.Span(func() {
-		g.Call(th, "anything", func() error { return nil })
+		g.Call(th, "anything", calleeFunc(func() error { return nil }))
 	})
 	if cost != sys.Mach.Costs.FuncCall {
 		t.Fatalf("none gate cost = %d, want plain call", cost)
@@ -450,9 +455,9 @@ func TestCrossCompartmentMemoryIsolationEndToEnd(t *testing.T) {
 	}
 
 	g, _ := b.Gate(2, 1, GateFull)
-	err = g.Call(intruder, "svc", func() error {
+	err = g.Call(intruder, "svc", calleeFunc(func() error {
 		return sys.AS.Read(intruder.PKRU, secretPage, make([]byte, 6))
-	})
+	}))
 	if err != nil {
 		t.Fatalf("legitimate gated read failed: %v", err)
 	}

@@ -347,7 +347,7 @@ func (g *keyedGate) Cost() uint64 { return g.cost }
 
 // Call implements Gate. Hardcoded gates mean compartments can only be
 // entered at well-defined points, an inexpensive form of CFI (§4.1).
-func (g *keyedGate) Call(t *sched.Thread, entry string, fn func() error) error {
+func (g *keyedGate) Call(t *sched.Thread, entry string, callee Callee) error {
 	if !g.to.EntryPoints[entry] {
 		return CFIFault(g.to.Name, entry)
 	}
@@ -371,7 +371,7 @@ func (g *keyedGate) Call(t *sched.Thread, entry string, fn func() error) error {
 	t.PKRU = pkru
 	t.Comp = g.to.ID
 
-	err := fn()
+	err := callee.Run()
 
 	t.PKRU = savedPKRU
 	t.Comp = savedComp
