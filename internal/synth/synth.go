@@ -180,7 +180,7 @@ func Measure(seed int64) explore.MeasureMetrics {
 				}
 			}
 		}
-		cost *= 1 + float64(jitter%1000)/4000
+		cost = float64(cost * (1 + float64(jitter%1000)/4000)) // rounded: no FMA on any GOARCH
 		mx := explore.Metrics{
 			Throughput:   1e9 / cost,
 			P50us:        cost / 100,
