@@ -548,3 +548,44 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCtxCall measures one simulated call through Ctx.Call to a
+// function without arguments: within the caller's compartment (a plain
+// call) and across a full MPK gate. Both cost no host allocation.
+func BenchmarkCtxCall(b *testing.B) {
+	newCatalog := func() *flexos.Catalog {
+		cat := flexos.FullCatalog()
+		c := &flexos.Component{Name: "bench", Funcs: map[string]*flexos.Func{}}
+		c.AddFunc(&flexos.Func{Name: "nop", Work: 10, EntryPoint: true,
+			Impl: func(*flexos.Ctx, ...any) (any, error) { return nil, nil }})
+		cat.MustRegister(c)
+		return cat
+	}
+	for _, bc := range []struct {
+		name  string
+		comps []flexos.CompSpec
+	}{
+		{"SameCompartment", []flexos.CompSpec{{Name: "c0", Libs: append(flexos.TCBLibs(), "bench")}}},
+		{"MPKGate", []flexos.CompSpec{{Name: "c0", Libs: flexos.TCBLibs()}, {Name: "c1", Libs: []string{"bench"}}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			img, err := flexos.Build(newCatalog(), flexos.ImageSpec{
+				Mechanism: "intel-mpk", GateMode: flexos.GateFull, Sharing: flexos.ShareDSS, Comps: bc.comps,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, err := img.NewContext("bench", flexos.LibBoot)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ctx.Call("bench", "nop"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,8 +1,9 @@
 // Command benchguard is the benchmark-regression gate for the
-// exploration engine and the trace-driven serving path: it runs the
-// BenchmarkQuery* and BenchmarkServeTrace* benchmarks and fails when
-// any of them slowed down by more than the tolerance (default 20%)
-// against the checked-in baseline.
+// exploration engine, the trace-driven serving path and the simulated
+// call path: it runs the BenchmarkQuery*, BenchmarkServeTrace* and
+// BenchmarkCtxCall benchmarks and fails when any of them slowed down by
+// more than the tolerance (default 20%) against the checked-in
+// baseline.
 //
 // Raw ns/op is meaningless across machines, so the guard normalizes
 // twice: every benchmark is expressed as a ratio to a fixed calibration
@@ -17,7 +18,7 @@
 // B/op and allocs/op are recorded in the baseline for human eyes only.
 //
 // The baseline is the repo's perf-trajectory record, a PR-numbered
-// JSON file checked in at the repository root (BENCH_0010.json): guard
+// JSON file checked in at the repository root (BENCH_0011.json): guard
 // mode reads the ratios it pins, and -update rewrites it from the
 // current run. -json additionally dumps the *current run's* normalized
 // table in the same shape, which CI uploads as a per-commit artifact.
@@ -50,7 +51,7 @@ const reference = "BenchmarkCalibration"
 // recordID names the checked-in perf-trajectory record this tree
 // maintains; bump it when a PR re-baselines the engine benchmarks so
 // the repo history keeps one record per baseline generation.
-const recordID = "BENCH_0010"
+const recordID = "BENCH_0011"
 
 func main() {
 	update := flag.Bool("update", false, "rewrite the baseline record from this run")
@@ -66,7 +67,7 @@ func main() {
 	// back to back, so its ns/op spans two runs and carries twice the
 	// scheduling variance while adding no coverage beyond the
 	// Fig6Sequential / Fig6Parallel pair.
-	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace", "benchmark pattern to guard (the reference always runs)")
+	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace|^BenchmarkCtxCall$", "benchmark pattern to guard (the reference always runs)")
 	baseline := flag.String("baseline", recordID+".json", "checked-in JSON record of the baseline's normalized table (rewritten by -update)")
 	jsonOut := flag.String("json", "", "write this run's normalized table to this JSON file (CI artifact)")
 	flag.Parse()
@@ -244,7 +245,8 @@ func benchNames(list string) []string {
 }
 
 // parseBenchOutput reads `go test -bench -benchmem` output into
-// results. It strips the -N CPU suffix from each name and keeps each
+// results. It strips the -N GOMAXPROCS suffix from each name (absent
+// when N is 1; a hyphen inside a sub-benchmark name is kept) and keeps each
 // benchmark's fastest run — the standard noise-robust statistic, which
 // keeps the ratios stable on contended CI machines — together with that
 // run's B/op and allocs/op.
@@ -275,7 +277,9 @@ func parseBenchOutput(results map[string]benchResult, out string) {
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			name = name[:i]
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
 		}
 		if old, ok := results[name]; !ok || r.NsOp < old.NsOp {
 			results[name] = r
@@ -305,7 +309,7 @@ type benchRow struct {
 }
 
 // writeRecord serializes a normalized table as a benchRecord, with
-// ratios rounded to four decimals.
+// ratios rounded to five significant digits.
 func writeRecord(path string, ratios map[string]float64, results map[string]benchResult, ref float64) error {
 	names := make([]string, 0, len(ratios))
 	for name := range ratios {
@@ -353,14 +357,20 @@ func readRecord(path string) (map[string]float64, error) {
 	}
 	out := make(map[string]float64, len(rec.Benchmarks))
 	for _, row := range rec.Benchmarks {
+		if !(row.Ratio > 0) {
+			return nil, fmt.Errorf("benchguard: baseline record %s pins %s at ratio %v; every ratio must be positive", path, row.Name, row.Ratio)
+		}
 		out[row.Name] = row.Ratio
 	}
 	return out, nil
 }
 
-// roundRatio keeps four decimals, the precision the record pins.
+// roundRatio keeps five significant digits, the precision the record
+// pins. Significant digits, not decimals: a single simulated call is
+// some 10^-5 calibration loops, which a fixed number of decimals would
+// round to a zero baseline.
 func roundRatio(r float64) float64 {
-	v, _ := strconv.ParseFloat(fmt.Sprintf("%.4f", r), 64)
+	v, _ := strconv.ParseFloat(fmt.Sprintf("%.5g", r), 64)
 	return v
 }
 

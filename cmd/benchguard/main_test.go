@@ -87,14 +87,15 @@ func TestBaselineRoundTrip(t *testing.T) {
 // TestRecordRoundTripMatchesBaseline writes the -json artifact record
 // and the -update baseline from the same run, as a CI run does, and
 // requires both to read back as the same ratios rounded to the
-// record's four decimals.
+// record's five significant digits.
 func TestRecordRoundTripMatchesBaseline(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, recordID+".json")
 	recPath := filepath.Join(dir, "record.json")
 	ratios := map[string]float64{
-		"BenchmarkQueryA":          1.23456, // exercises the %.4f rounding
+		"BenchmarkQueryA":          1.23456, // exercises the %.5g rounding
 		"BenchmarkQuerySyntheticB": 0.5,
+		"BenchmarkCtxCall/C":       2.8474e-5, // would round to 0 at four decimals
 	}
 	results := map[string]benchResult{
 		"BenchmarkQueryA":          {NsOp: 123456, BOp: 4096, AllocsOp: 12},
@@ -123,8 +124,9 @@ func TestRecordRoundTripMatchesBaseline(t *testing.T) {
 			t.Errorf("%s: record %v, baseline %v, want %v", name, record[name], baseline[name], roundRatio(want))
 		}
 	}
-	if baseline["BenchmarkQueryA"] != 1.2346 {
-		t.Errorf("rounded ratio = %v, want 1.2346", baseline["BenchmarkQueryA"])
+	if baseline["BenchmarkQueryA"] != 1.2346 || baseline["BenchmarkCtxCall/C"] != 2.8474e-5 {
+		t.Errorf("rounded ratios = %v and %v, want 1.2346 and 2.8474e-05",
+			baseline["BenchmarkQueryA"], baseline["BenchmarkCtxCall/C"])
 	}
 	// The informational -benchmem columns ride along in both files.
 	for _, path := range []string{basePath, recPath} {
@@ -150,6 +152,8 @@ BenchmarkQueryFig6Sequential-2 	       2	 716000000 ns/op	        80.00 configs	
 BenchmarkQueryFig6Sequential-2 	       2	 901000000 ns/op	        80.00 configs	1 B/op	 1 allocs/op
 BenchmarkNoTiming-2            	       1	        80.00 configs
 BenchmarkQueryPlain            	     100	     12.5 ns/op
+BenchmarkCtxCall/same-compartment-2 	10000000	     90.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkCtxCall/MPKGate       	 5000000	    160.5 ns/op	       0 B/op	       0 allocs/op
 PASS
 ok  	flexos	10.057s
 `
@@ -158,9 +162,11 @@ ok  	flexos	10.057s
 	// A later process's slower run must not replace the fastest.
 	parseBenchOutput(got, "BenchmarkQueryPlain 100 13.5 ns/op\n")
 	want := map[string]benchResult{
-		reference:                      {NsOp: 4900945, BOp: 933786, AllocsOp: 8294},
-		"BenchmarkQueryFig6Sequential": {NsOp: 716000000, BOp: 3048700000, AllocsOp: 1166850},
-		"BenchmarkQueryPlain":          {NsOp: 12.5},
+		reference:                           {NsOp: 4900945, BOp: 933786, AllocsOp: 8294},
+		"BenchmarkQueryFig6Sequential":      {NsOp: 716000000, BOp: 3048700000, AllocsOp: 1166850},
+		"BenchmarkQueryPlain":               {NsOp: 12.5},
+		"BenchmarkCtxCall/same-compartment": {NsOp: 90.5},
+		"BenchmarkCtxCall/MPKGate":          {NsOp: 160.5},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %v, want %v", got, want)
@@ -241,6 +247,7 @@ func TestReadRecordRejectsForeignRecords(t *testing.T) {
 		"foreign id":        `{"id":"BENCH_9999","reference":"` + reference + `","benchmarks":` + row + `}`,
 		"foreign reference": `{"id":"` + recordID + `","reference":"BenchmarkOther","benchmarks":` + row + `}`,
 		"no benchmarks":     `{"id":"` + recordID + `","reference":"` + reference + `","benchmarks":[]}`,
+		"zero ratio":        `{"id":"` + recordID + `","reference":"` + reference + `","benchmarks":[{"name":"BenchmarkQueryA","ratio":0}]}`,
 	}
 	for name, data := range cases {
 		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".json")
@@ -260,14 +267,18 @@ func TestCheckedInBaselineParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"BenchmarkQueryFig6Sequential", "BenchmarkQueryFig6Parallel"} {
+	for _, name := range []string{"BenchmarkQueryFig6Sequential", "BenchmarkQueryFig6Parallel",
+		"BenchmarkCtxCall/SameCompartment", "BenchmarkCtxCall/MPKGate"} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("baseline record does not pin %s: %v", name, got)
 		}
 	}
 	for _, row := range readRawRecord(t, filepath.Join("..", "..", recordID+".json")).Benchmarks {
-		if row.NsOp <= 0 || row.AllocsOp <= 0 {
-			t.Errorf("%s: baseline row lacks ns/op or allocs/op: %+v", row.Name, row)
+		// A simulated call allocates nothing; every other guarded
+		// benchmark allocates, so a zero there is a lost field.
+		zeroAlloc := strings.HasPrefix(row.Name, "BenchmarkCtxCall/")
+		if row.NsOp <= 0 || (row.AllocsOp == 0) != zeroAlloc {
+			t.Errorf("%s: baseline row lacks ns/op or has wrong allocs/op: %+v", row.Name, row)
 		}
 	}
 }
