@@ -11,6 +11,7 @@ package flexos_test
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,7 +455,10 @@ func BenchmarkQuerySyntheticBudgeted(b *testing.B) {
 // ranked by survival under a filter-only survival floor plus a monotone
 // (prunable) throughput floor. This is the cost of one full attack-axis
 // query — workload simulation, survival model, and the grouped safety
-// order over the 960-point space.
+// order over the 960-point space. The measure wrapper caches one
+// simulation per image for as long as it lives, so every iteration
+// builds a fresh one and times a cold query; "simulations" counts the
+// workload runs per query.
 func BenchmarkQueryAttackSurvival(b *testing.B) {
 	att, ok := flexos.AttackByName("combined")
 	if !ok {
@@ -468,16 +472,22 @@ func BenchmarkQueryAttackSurvival(b *testing.B) {
 	quad, _ := sc.Quad()
 	space := flexos.AttackSpace(flexos.Fig6Space(quad),
 		flexos.AttackSpec{Scenario: att.Name(), Profile: "riscv"})
-	q := flexos.NewQuery(space).
-		Measure(flexos.MeasureAttack(att, flexos.MeasureScenario(sc))).
-		RankBy(flexos.MetricSurvival).
-		Floor(flexos.MetricSurvival, 0.5).
-		Floor(flexos.MetricThroughput, 1).
-		Workers(8).
-		Prune(true).
-		Namespace(flexos.AttackNamespace(att, sc.MemoKey()))
+	base := flexos.MeasureScenario(sc)
+	var sims atomic.Int64
+	counted := func(c *flexos.ExploreConfig) (flexos.Metrics, error) {
+		sims.Add(1)
+		return base(c)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		q := flexos.NewQuery(space).
+			Measure(flexos.MeasureAttack(att, counted)).
+			RankBy(flexos.MetricSurvival).
+			Floor(flexos.MetricSurvival, 0.5).
+			Floor(flexos.MetricThroughput, 1).
+			Workers(8).
+			Prune(true).
+			Namespace(flexos.AttackNamespace(att, sc.MemoKey()))
 		res, err := q.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -490,6 +500,7 @@ func BenchmarkQueryAttackSurvival(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(sims.Load())/float64(b.N), "simulations")
 	b.ReportMetric(float64(len(space))*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
 }
 

@@ -18,7 +18,7 @@
 // B/op and allocs/op are recorded in the baseline for human eyes only.
 //
 // The baseline is the repo's perf-trajectory record, a PR-numbered
-// JSON file checked in at the repository root (BENCH_0011.json): guard
+// JSON file checked in at the repository root (BENCH_0012.json): guard
 // mode reads the ratios it pins, and -update rewrites it from the
 // current run. -json additionally dumps the *current run's* normalized
 // table in the same shape, which CI uploads as a per-commit artifact.
@@ -51,7 +51,7 @@ const reference = "BenchmarkCalibration"
 // recordID names the checked-in perf-trajectory record this tree
 // maintains; bump it when a PR re-baselines the engine benchmarks so
 // the repo history keeps one record per baseline generation.
-const recordID = "BENCH_0011"
+const recordID = "BENCH_0012"
 
 func main() {
 	update := flag.Bool("update", false, "rewrite the baseline record from this run")

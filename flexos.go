@@ -260,6 +260,11 @@ func StampSpace(base []*ExploreConfig, profile string, a ASLR, pinASLR bool) []*
 
 // MeasureAttack wraps a measure function so every vector carries the
 // attack scenario's survival score (the MetricSurvival dimension).
+// Configurations that differ only in ASLR build the same image, so the
+// wrapper calls base once per image (ExploreConfig.ImageKey) for as
+// long as it lives and scores survival per configuration. base must
+// therefore depend only on the built image, never on the ASLR level;
+// MeasureScenario obeys this. Build one wrapper per query.
 func MeasureAttack(s *AttackScenario, base func(*ExploreConfig) (Metrics, error)) func(*ExploreConfig) (Metrics, error) {
 	return attack.Measure(s, base)
 }

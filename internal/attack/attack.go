@@ -30,6 +30,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"flexos/internal/explore"
 	"flexos/internal/harden"
@@ -260,15 +261,43 @@ func blockSize(c *explore.Config, comp string) int {
 }
 
 // Measure wraps a base measure function so every vector carries the
-// scenario's survival score alongside its performance metrics. The
-// wrapped function stays deterministic and concurrency-safe whenever
-// the base is.
+// scenario's survival score alongside its performance metrics.
+//
+// Configurations with equal Config.ImageKey (the ASLR siblings of one
+// point) build the same image, so the wrapper calls base once per
+// image key: the first caller runs it, later ones wait for its result,
+// and each scores its own Survival. A base error reaches every
+// configuration of that image. The cache lives as long as the returned
+// function; build one per query. base must depend only on the built
+// image (c.Spec), never on c.ASLR. The wrapped function stays
+// deterministic and concurrency-safe whenever the base is.
 func Measure(s *Scenario, base func(*explore.Config) (scenario.Metrics, error)) func(*explore.Config) (scenario.Metrics, error) {
+	type image struct {
+		done    chan struct{}
+		metrics scenario.Metrics
+		err     error
+	}
+	var mu sync.Mutex
+	images := make(map[string]*image)
 	return func(c *explore.Config) (scenario.Metrics, error) {
-		m, err := base(c)
-		if err != nil {
-			return m, err
+		key := c.ImageKey()
+		mu.Lock()
+		img, ok := images[key]
+		if !ok {
+			img = &image{done: make(chan struct{})}
+			images[key] = img
 		}
+		mu.Unlock()
+		if ok {
+			<-img.done
+		} else {
+			img.metrics, img.err = base(c)
+			close(img.done)
+		}
+		if img.err != nil {
+			return img.metrics, img.err
+		}
+		m := img.metrics
 		m.Survival = s.Survival(c)
 		return m, nil
 	}

@@ -163,7 +163,18 @@ func (c *Config) Spec(tcbLibs []string) core.ImageSpec {
 // gate/sharing selections on single-compartment images (which build no
 // gates at all). The ID is deliberately excluded: identity is semantic,
 // which is what lets the engine memoize identical points across spaces.
-func (c *Config) Key() string {
+func (c *Config) Key() string { return c.key(true) }
+
+// ImageKey returns the canonical identity of the image Spec builds:
+// Key without its ASLR segment. Spec drops ASLR — layout randomization
+// changes what an attacker can reach, not what the program does — so
+// configurations that differ only in ASLR share an image key and
+// simulate identically.
+func (c *Config) ImageKey() string { return c.key(false) }
+
+// key renders the canonical key, with the ASLR segment when withASLR
+// is set. Key and ImageKey share it so the two cannot drift.
+func (c *Config) key(withASLR bool) string {
 	var b strings.Builder
 	b.WriteString("mech=")
 	b.WriteString(isolation.Canonical(c.Mechanism))
@@ -195,7 +206,7 @@ func (c *Config) Key() string {
 	// The attack axes render only when set, so every pre-attack key —
 	// and with it every persisted store record and canonical request
 	// key — is byte-stable.
-	if c.ASLR.Enabled() {
+	if withASLR && c.ASLR.Enabled() {
 		b.WriteString(";aslr=")
 		b.WriteString(c.ASLR.String())
 	}
