@@ -2,8 +2,8 @@
 // trace, deriving its issue schedule, and replaying it closed-loop
 // against an in-process flexos-serve daemon. These are the numbers the
 // loadgen CI job measures over real sockets; here they run over
-// httptest so benchguard can track the stack's regression ratio next
-// to the engine benchmarks.
+// httptest so benchguard can gate the stack next to the engine
+// benchmarks.
 package flexos_test
 
 import (
@@ -24,8 +24,8 @@ const benchTraceSpan = 30_000 // ms
 // BenchmarkServeTraceSynthesize measures trace synthesis alone:
 // turning a phase schedule into a checksummed, normalized event
 // sequence. Pure CPU — no server involved. A full hour of trace time
-// (several thousand events) keeps the cost large enough for
-// benchguard's %.4f-precision ratio to resolve.
+// (several thousand events) keeps one iteration in the milliseconds,
+// well above timer noise.
 func BenchmarkServeTraceSynthesize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,34 +1,27 @@
 // Command benchguard is the benchmark-regression gate for the
 // exploration engine, the trace-driven serving path and the simulated
-// call path: it runs the BenchmarkQuery*, BenchmarkServeTrace* and
-// BenchmarkCtxCall benchmarks and fails when any of them slowed down by
-// more than the tolerance (default 20%) against the checked-in
-// baseline.
+// call path. It runs the BenchmarkQuery*, BenchmarkServeTrace* and
+// BenchmarkCtxCall benchmarks of the working tree (HEAD) and of the
+// merge base of HEAD and -base side by side on one host. The base is
+// exported with `git archive` into a temporary directory, so nothing
+// is written under .git or into the working tree.
 //
-// Raw ns/op is meaningless across machines, so the guard normalizes
-// twice: every benchmark is expressed as a ratio to a fixed calibration
-// loop (BenchmarkCalibration) measured in the same run, and the whole
-// suite runs under GOMAXPROCS=1 so parallel speedup — which scales
-// with the host's core count — cannot leak into the ratios. The
-// calibration loop calls only the standard library, so a guarded ratio
-// moves when its own code does and for no other reason: a faster
-// simulator lowers the simulating benchmarks' ratios and leaves the
-// engine-only and serving ones where they were. Each benchmark runs in
-// its own process, so none inherits another's heap. Absolute ns/op,
-// B/op and allocs/op are recorded in the baseline for human eyes only.
-//
-// The baseline is the repo's perf-trajectory record, a PR-numbered
-// JSON file checked in at the repository root (BENCH_0012.json): guard
-// mode reads the ratios it pins, and -update rewrites it from the
-// current run. -json additionally dumps the *current run's* normalized
-// table in the same shape, which CI uploads as a per-commit artifact.
+// Each of -count rounds runs every benchmark once per test binary,
+// each run a fresh process, the two sides back to back and the side
+// that goes first alternating by round. A benchmark fails when the
+// median over rounds of its paired head/base ns/op ratio exceeds
+// 1 + tolerance, when its median allocs/op grew by more than 5%, or
+// when it exists at base and not at HEAD; one new at HEAD is reported,
+// not gated. On failure the full paired table goes to stderr. -json
+// writes the paired record (both revisions; per benchmark each side's
+// median ns/op, B/op and allocs/op and the median paired ratio): CI's
+// per-commit artifact and the form of a before/after BENCH_*.json.
 //
 // Usage:
 //
-//	go run ./cmd/benchguard            # compare against the baseline
-//	go run ./cmd/benchguard -update    # rewrite the baseline record
-//	go run ./cmd/benchguard -tolerance 0.3 -benchtime 2s -count 5
-//	go run ./cmd/benchguard -json bench-table.json
+//	go run ./cmd/benchguard                  # HEAD vs its merge base with origin/main
+//	go run ./cmd/benchguard -base HEAD~1 -count 5
+//	go run ./cmd/benchguard -bench '^BenchmarkCtxCall$' -json BENCH_0013.json
 package main
 
 import (
@@ -36,221 +29,196 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// reference is the calibration benchmark every guarded benchmark is
-// divided by. It is always run, whatever -bench selects.
-const reference = "BenchmarkCalibration"
-
-// recordID names the checked-in perf-trajectory record this tree
-// maintains; bump it when a PR re-baselines the engine benchmarks so
-// the repo history keeps one record per baseline generation.
-const recordID = "BENCH_0012"
+// allocTolerance bounds the growth of median allocs/op. Allocation
+// counts are near-deterministic here, but not exactly: on identical
+// binaries BenchmarkServeTraceReplay spans 3% between runs.
+const allocTolerance = 0.05
 
 func main() {
-	update := flag.Bool("update", false, "rewrite the baseline record from this run")
-	tolerance := flag.Float64("tolerance", 0.20, "maximum allowed relative slowdown vs baseline")
-	// On a shared host one run of a benchmark can be a third slower
-	// than the next, and slow spells last minutes. Many short runs,
-	// round-robin over the suite, give every benchmark and the
-	// reference a chance at the host's fast state.
+	base := flag.String("base", "origin/main", "revision to compare against; the gate builds the merge base of HEAD and it")
+	tolerance := flag.Float64("tolerance", 0.20, "maximum allowed median paired slowdown of HEAD vs base")
 	benchtime := flag.String("benchtime", "500ms", "-benchtime of each run")
-	count := flag.Int("count", 10, "runs per benchmark, each in a fresh process; the guard keeps the fastest")
+	count := flag.Int("count", 10, "rounds; each runs every benchmark once per binary, each run in a fresh process")
 	// BenchmarkQueryParallelSpeedup is deliberately not guarded: it is
 	// a speedup *meter* that times the sequential and parallel engines
 	// back to back, so its ns/op spans two runs and carries twice the
 	// scheduling variance while adding no coverage beyond the
 	// Fig6Sequential / Fig6Parallel pair.
-	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace|^BenchmarkCtxCall$", "benchmark pattern to guard (the reference always runs)")
-	baseline := flag.String("baseline", recordID+".json", "checked-in JSON record of the baseline's normalized table (rewritten by -update)")
-	jsonOut := flag.String("json", "", "write this run's normalized table to this JSON file (CI artifact)")
+	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServeTrace|^BenchmarkCtxCall$", "benchmark pattern to guard")
+	jsonOut := flag.String("json", "", "write the paired record to this JSON file")
 	flag.Parse()
 
-	results, err := runBenchmarks(*pattern, *benchtime, *count)
+	failed, err := guard(*base, *pattern, *benchtime, *count, *tolerance, *jsonOut)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, err)
 	}
-	nsop := make(map[string]float64, len(results))
-	for name, r := range results {
-		nsop[name] = r.NsOp
-	}
-	ratios, ref, err := computeRatios(nsop, *pattern)
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonOut != "" {
-		if err := writeRecord(*jsonOut, ratios, results, ref); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchguard: wrote %s\n", *jsonOut)
-	}
-
-	if *update {
-		if err := writeRecord(*baseline, ratios, results, ref); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchguard: wrote %s (%d benchmarks)\n", *baseline, len(ratios))
-		return
-	}
-
-	want, err := readRecord(*baseline)
-	if err != nil {
-		fatal(fmt.Errorf("%w (run `go run ./cmd/benchguard -update` to create it)", err))
-	}
-	var failures []string
-	for name, base := range want {
-		got, ok := ratios[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: benchmark disappeared", name))
-			continue
-		}
-		slowdown := got/base - 1
-		status := "ok"
-		if slowdown > *tolerance {
-			status = "REGRESSION"
-			failures = append(failures,
-				fmt.Sprintf("%s: ratio %.3f vs baseline %.3f (%+.1f%% > %.0f%% tolerance)",
-					name, got, base, slowdown*100, *tolerance*100))
-		}
-		fmt.Printf("benchguard: %-34s ratio %.3f (baseline %.3f, %+.1f%%) %s  [%d B/op, %d allocs/op]\n",
-			name, got, base, slowdown*100, status, results[name].BOp, results[name].AllocsOp)
-	}
-	for name := range ratios {
-		if _, ok := want[name]; !ok {
-			fmt.Printf("benchguard: %-34s ratio %.3f (no baseline; run -update to pin)\n", name, ratios[name])
-		}
-	}
-	if len(failures) > 0 {
-		fmt.Fprintln(os.Stderr, "benchguard: FAIL")
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
-		}
-		// Repeat the whole normalized table on stderr so a CI failure
-		// log carries the full picture, not just the regressed rows.
-		fmt.Fprint(os.Stderr, normalizedTable(ratios, want))
+	if err != nil || failed {
 		os.Exit(1)
 	}
 	fmt.Println("benchguard: PASS")
 }
 
-// computeRatios normalizes every guarded benchmark to the calibration
-// reference measured in the same run. A pattern that matched nothing
-// beyond the reference is an error — most often a stale pattern after
-// a benchmark rename — because pinning (or passing) an empty baseline
-// would disable the regression gate while reporting success.
-func computeRatios(nsop map[string]float64, pattern string) (map[string]float64, float64, error) {
-	ref, ok := nsop[reference]
-	if !ok || ref <= 0 {
-		return nil, 0, fmt.Errorf("reference %s missing from benchmark output", reference)
+// guard builds both binaries, runs the rounds, writes the record and
+// prints the paired table; it reports whether any benchmark failed.
+func guard(base, pattern, benchtime string, count int, tolerance float64, jsonOut string) (bool, error) {
+	dir, err := os.MkdirTemp("", "benchguard")
+	if err != nil {
+		return false, err
 	}
-	ratios := map[string]float64{}
-	for name, v := range nsop {
-		if name != reference {
-			ratios[name] = v / ref
+	defer os.RemoveAll(dir)
+	baseRev, headRev, baseBin, headBin, err := build(dir, base)
+	if err != nil {
+		return false, err
+	}
+	fmt.Printf("benchguard: base %s (merge base of HEAD and %s), head %s + working tree\n", baseRev, base, headRev)
+	baseRuns, headRuns, err := runPaired(baseBin, headBin, pattern, benchtime, count)
+	if err != nil {
+		return false, err
+	}
+	rows, failures, err := compare(baseRuns, headRuns, tolerance)
+	if err != nil {
+		return false, err
+	}
+	if jsonOut != "" {
+		rec := benchRecord{Base: baseRev, Head: headRev, Rounds: count, Benchmarks: rows}
+		if err := writeRecord(jsonOut, rec); err != nil {
+			return false, err
 		}
+		fmt.Printf("benchguard: wrote %s\n", jsonOut)
 	}
-	if len(ratios) == 0 {
-		return nil, 0, fmt.Errorf("pattern %q matched no benchmark beyond the reference %s: nothing to guard (stale -bench pattern?)", pattern, reference)
+	out := os.Stdout
+	if len(failures) > 0 {
+		out = os.Stderr
+		fmt.Fprintln(out, "benchguard: FAIL\n  "+strings.Join(failures, "\n  "))
 	}
-	return ratios, ref, nil
+	fmt.Fprint(out, table(rows))
+	return len(failures) > 0, nil
 }
 
-// normalizedTable renders every measured ratio next to its baseline,
-// sorted by name, for the failure log.
-func normalizedTable(ratios, want map[string]float64) string {
-	names := make([]string, 0, len(ratios))
-	for name := range ratios {
-		names = append(names, name)
+// build resolves the base to the merge base of HEAD and rev, exports
+// it into dir and compiles the root package's test binary there and
+// from the working tree.
+func build(dir, rev string) (baseRev, headRev, baseBin, headBin string, err error) {
+	if headRev, err = run("", "git", "rev-parse", "HEAD"); err != nil {
+		return
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("  normalized table (ns/op ratio to " + reference + "):\n")
-	for _, name := range names {
-		base := "none"
-		if v, ok := want[name]; ok {
-			base = fmt.Sprintf("%.3f", v)
+	if baseRev, err = run("", "git", "merge-base", "HEAD", rev); err != nil {
+		return
+	}
+	tarball := filepath.Join(dir, "base.tar")
+	baseBin, headBin = filepath.Join(dir, "base.test"), filepath.Join(dir, "head.test")
+	for _, cmd := range [][]string{
+		{"", "git", "archive", "--prefix=base/", "-o", tarball, baseRev},
+		{"", "tar", "-xf", tarball, "-C", dir},
+		{filepath.Join(dir, "base"), "go", "test", "-c", "-o", baseBin, "."},
+		{"", "go", "test", "-c", "-o", headBin, "."},
+	} {
+		if _, err = run(cmd[0], cmd[1], cmd[2:]...); err != nil {
+			return
 		}
-		fmt.Fprintf(&b, "  %-34s ratio %.3f baseline %s\n", name, ratios[name], base)
 	}
-	return b.String()
+	return
+}
+
+// run runs a command in dir (the working directory when empty) and
+// returns its trimmed stdout; its stderr passes through.
+func run(dir, name string, args ...string) (string, error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir, cmd.Stderr = dir, os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("benchguard: %s %s: %w", name, strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
 }
 
 // benchResult is one benchmark's measurement: ns/op, plus the B/op
 // and allocs/op -benchmem reports for the same run.
 type benchResult struct {
-	NsOp     float64
-	BOp      int64
-	AllocsOp int64
+	NsOp     float64 `json:"ns_op"`
+	BOp      int64   `json:"b_op"`
+	AllocsOp int64   `json:"allocs_op"`
 }
 
-// runBenchmarks compiles the root package's test binary once, then
-// runs the reference and every guarded benchmark count times with
-// -benchmem, round-robin, each run in a fresh process. Benchmarks that
-// shared a process would share a heap: one that churned gigabytes
-// would change the GC pacing, and so the ns/op, of every benchmark
-// after it.
-func runBenchmarks(pattern, benchtime string, count int) (map[string]benchResult, error) {
-	dir, err := os.MkdirTemp("", "benchguard")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "bench.test")
-	build := exec.Command("go", "test", "-c", "-o", bin, ".")
-	build.Stdout, build.Stderr = os.Stderr, os.Stderr
-	if err := build.Run(); err != nil {
-		return nil, fmt.Errorf("benchguard: go test -c: %w", err)
-	}
-	list, err := exec.Command(bin, "-test.list", pattern).Output()
-	if err != nil {
-		return nil, fmt.Errorf("benchguard: listing benchmarks: %w", err)
-	}
-	names := benchNames(string(list))
-	results := map[string]benchResult{}
-	for i := 0; i < count; i++ {
-		for _, name := range names {
-			cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", "^"+name+"$",
-				"-test.benchmem", "-test.benchtime", benchtime)
-			// Single-threaded on every machine: parallel speedup scales
-			// with the core count and would make the ratios
-			// machine-dependent.
-			cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
-			cmd.Stderr = os.Stderr
-			out, err := cmd.Output()
-			if err != nil {
-				return nil, fmt.Errorf("benchguard: %s: %w", name, err)
-			}
-			parseBenchOutput(results, string(out))
+// runPaired lists the benchmarks matching pattern in both binaries and
+// runs count rounds. Within a round each benchmark runs on one side
+// and then the other, so a pair shares the host's state; which side
+// goes first alternates by round. Every run is its own process, so no
+// benchmark inherits another's heap or GC pacing.
+func runPaired(baseBin, headBin, pattern, benchtime string, count int) (base, head map[string][]benchResult, err error) {
+	bins := [2]string{baseBin, headBin}
+	listed := [2]map[string]bool{{}, {}}
+	for k, bin := range bins {
+		list, err := run("", bin, "-test.list", pattern)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, name := range benchNames(list) {
+			listed[k][name] = true
 		}
 	}
-	return results, nil
+	runs := [2]map[string][]benchResult{{}, {}}
+	for i := 0; i < count; i++ {
+		fmt.Fprintf(os.Stderr, "benchguard: round %d/%d\n", i+1, count)
+		for _, name := range sortedKeys(listed[0], listed[1]) {
+			for _, k := range [2]int{i % 2, 1 - i%2} {
+				if !listed[k][name] {
+					continue
+				}
+				cmd := exec.Command(bins[k], "-test.run", "^$", "-test.bench", "^"+name+"$",
+					"-test.benchmem", "-test.benchtime", benchtime)
+				// One thread per run: a paired run that fans out over
+				// every core competes with the host's other load and
+				// with its own GC workers, which widens the spread
+				// between the two sides of a pair.
+				cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
+				cmd.Stderr = os.Stderr
+				out, err := cmd.Output()
+				if err != nil {
+					return nil, nil, fmt.Errorf("benchguard: %s %s: %w", bins[k], name, err)
+				}
+				for sub, r := range parseBenchOutput(string(out)) {
+					runs[k][sub] = append(runs[k][sub], r)
+				}
+			}
+		}
+	}
+	return runs[0], runs[1], nil
 }
 
-// benchNames turns `-test.list` output into the benchmarks to run: the
-// reference first, then every listed benchmark once.
+// sortedKeys returns the union of two maps' keys, sorted.
+func sortedKeys[V any](a, b map[string]V) []string {
+	keys := slices.AppendSeq(slices.Collect(maps.Keys(a)), maps.Keys(b))
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
+
+// benchNames turns `-test.list` output into the benchmarks to run.
 func benchNames(list string) []string {
-	names := []string{reference}
+	var names []string
 	for _, line := range strings.Fields(list) {
-		if strings.HasPrefix(line, "Benchmark") && line != reference {
+		if strings.HasPrefix(line, "Benchmark") {
 			names = append(names, line)
 		}
 	}
 	return names
 }
 
-// parseBenchOutput reads `go test -bench -benchmem` output into
-// results. It strips the -N GOMAXPROCS suffix from each name (absent
-// when N is 1; a hyphen inside a sub-benchmark name is kept) and keeps each
-// benchmark's fastest run — the standard noise-robust statistic, which
-// keeps the ratios stable on contended CI machines — together with that
-// run's B/op and allocs/op.
-func parseBenchOutput(results map[string]benchResult, out string) {
+// parseBenchOutput reads one process's `go test -bench -benchmem`
+// output. It strips the -N GOMAXPROCS suffix from each name (absent
+// when N is 1; a hyphen inside a sub-benchmark name is kept) and skips
+// custom metrics and lines without ns/op.
+func parseBenchOutput(out string) map[string]benchResult {
+	results := map[string]benchResult{}
 	sc := bufio.NewScanner(strings.NewReader(out))
 	for sc.Scan() {
 		// "BenchmarkX-8  123  456789 ns/op  12.00 configs  4096 B/op  7 allocs/op"
@@ -281,100 +249,113 @@ func parseBenchOutput(results map[string]benchResult, out string) {
 				name = name[:i]
 			}
 		}
-		if old, ok := results[name]; !ok || r.NsOp < old.NsOp {
-			results[name] = r
+		results[name] = r
+	}
+	return results
+}
+
+// benchRow is one benchmark of the paired table: each side's medians
+// over the rounds (nil for a side that lacks the benchmark) and the
+// median over rounds of the paired head/base ns/op ratio.
+type benchRow struct {
+	Name        string       `json:"name"`
+	Base        *benchResult `json:"base,omitempty"`
+	Head        *benchResult `json:"head,omitempty"`
+	PairedRatio float64      `json:"paired_ratio,omitempty"`
+}
+
+// benchRecord is the JSON shape of the -json record.
+type benchRecord struct {
+	Base       string     `json:"base"`
+	Head       string     `json:"head"`
+	Rounds     int        `json:"rounds"`
+	Benchmarks []benchRow `json:"benchmarks"`
+}
+
+// compare is the gate's decision, a pure function of each side's runs
+// per benchmark, in round order. It returns the paired table sorted by
+// name and one message per failure. A pattern that matched nothing at
+// base is an error — most often a stale pattern after a rename —
+// because an empty table passes.
+func compare(base, head map[string][]benchResult, tolerance float64) ([]benchRow, []string, error) {
+	var rows []benchRow
+	var failures []string
+	gated := false
+	for _, name := range sortedKeys(base, head) {
+		row := benchRow{Name: name, Base: medianResult(base[name]), Head: medianResult(head[name])}
+		gated = gated || row.Base != nil
+		switch {
+		case row.Base == nil: // new at HEAD: reported, not gated
+		case row.Head == nil:
+			failures = append(failures, name+": benchmark disappeared")
+		default:
+			ratios := make([]float64, min(len(base[name]), len(head[name])))
+			for i := range ratios {
+				ratios[i] = head[name][i].NsOp / base[name][i].NsOp
+			}
+			row.PairedRatio = median(ratios)
+			if r := row.PairedRatio; r > 1+tolerance {
+				failures = append(failures, fmt.Sprintf("%s: median paired ratio %.3f (%+.1f%% > %.0f%% tolerance)",
+					name, r, (r-1)*100, tolerance*100))
+			}
+			if float64(row.Head.AllocsOp) > float64(row.Base.AllocsOp)*(1+allocTolerance) {
+				failures = append(failures, fmt.Sprintf("%s: %d allocs/op vs %d at base (> %.0f%% tolerance)",
+					name, row.Head.AllocsOp, row.Base.AllocsOp, allocTolerance*100))
+			}
+		}
+		rows = append(rows, row)
+	}
+	if !gated {
+		return nil, nil, fmt.Errorf("benchguard: no benchmark measured at base: nothing to guard (stale -bench pattern?)")
+	}
+	return rows, failures, nil
+}
+
+// medianResult is the per-field median of one side's runs, or nil when
+// that side never ran the benchmark.
+func medianResult(runs []benchResult) *benchResult {
+	if len(runs) == 0 {
+		return nil
+	}
+	var ns, b, allocs []float64
+	for _, v := range runs {
+		ns, b, allocs = append(ns, v.NsOp), append(b, float64(v.BOp)), append(allocs, float64(v.AllocsOp))
+	}
+	return &benchResult{NsOp: median(ns), BOp: int64(median(b)), AllocsOp: int64(median(allocs))}
+}
+
+func median(v []float64) float64 {
+	s := slices.Sorted(slices.Values(v))
+	m := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[m]
+	}
+	return (s[m-1] + s[m]) / 2
+}
+
+// table renders the paired table, one row per benchmark.
+func table(rows []benchRow) string {
+	var b strings.Builder
+	b.WriteString("  paired table (medians over rounds):\n")
+	for _, row := range rows {
+		switch {
+		case row.Base == nil:
+			fmt.Fprintf(&b, "  %-36s new at head: %.0f ns/op, %d allocs/op (not gated)\n",
+				row.Name, row.Head.NsOp, row.Head.AllocsOp)
+		case row.Head == nil:
+			fmt.Fprintf(&b, "  %-36s missing at head (base %.0f ns/op)\n", row.Name, row.Base.NsOp)
+		default:
+			fmt.Fprintf(&b, "  %-36s ratio %6.3f  ns/op %.0f -> %.0f  allocs/op %d -> %d\n",
+				row.Name, row.PairedRatio, row.Base.NsOp, row.Head.NsOp, row.Base.AllocsOp, row.Head.AllocsOp)
 		}
 	}
+	return b.String()
 }
 
-// benchRecord is the JSON shape of the checked-in baseline record and
-// of the per-run -json artifact: the full normalized table plus the
-// machine-dependent absolutes for human eyes.
-type benchRecord struct {
-	ID        string `json:"id"`
-	Reference string `json:"reference"`
-	// ReferenceNsOp is informational and machine-dependent; only the
-	// ratios are comparable across machines.
-	ReferenceNsOp float64    `json:"reference_ns_op"`
-	Benchmarks    []benchRow `json:"benchmarks"`
-}
-
-type benchRow struct {
-	Name  string  `json:"name"`
-	Ratio float64 `json:"ratio"`
-	NsOp  float64 `json:"ns_op"`
-	// BOp and AllocsOp are informational: no gate reads them.
-	BOp      int64 `json:"b_op"`
-	AllocsOp int64 `json:"allocs_op"`
-}
-
-// writeRecord serializes a normalized table as a benchRecord, with
-// ratios rounded to five significant digits.
-func writeRecord(path string, ratios map[string]float64, results map[string]benchResult, ref float64) error {
-	names := make([]string, 0, len(ratios))
-	for name := range ratios {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rec := benchRecord{ID: recordID, Reference: reference, ReferenceNsOp: ref}
-	for _, name := range names {
-		rec.Benchmarks = append(rec.Benchmarks, benchRow{
-			Name:     name,
-			Ratio:    roundRatio(ratios[name]),
-			NsOp:     results[name].NsOp,
-			BOp:      results[name].BOp,
-			AllocsOp: results[name].AllocsOp,
-		})
-	}
+func writeRecord(path string, rec benchRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// readRecord reads the baseline ratios a record pins. The record must
-// carry this tree's record ID and reference and pin at least one
-// benchmark: a foreign record, or an empty one that would pass every
-// run, fails the guard instead of silently disabling it.
-func readRecord(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("benchguard: baseline record: %w", err)
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return nil, fmt.Errorf("benchguard: baseline record %s: %w", path, err)
-	}
-	if rec.ID != recordID {
-		return nil, fmt.Errorf("benchguard: baseline record %s has id %q, want %q", path, rec.ID, recordID)
-	}
-	if rec.Reference != reference {
-		return nil, fmt.Errorf("benchguard: baseline record %s normalizes to %q, want %q", path, rec.Reference, reference)
-	}
-	if len(rec.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchguard: baseline record %s pins no benchmarks", path)
-	}
-	out := make(map[string]float64, len(rec.Benchmarks))
-	for _, row := range rec.Benchmarks {
-		if !(row.Ratio > 0) {
-			return nil, fmt.Errorf("benchguard: baseline record %s pins %s at ratio %v; every ratio must be positive", path, row.Name, row.Ratio)
-		}
-		out[row.Name] = row.Ratio
-	}
-	return out, nil
-}
-
-// roundRatio keeps five significant digits, the precision the record
-// pins. Significant digits, not decimals: a single simulated call is
-// some 10^-5 calibration loops, which a fixed number of decimals would
-// round to a zero baseline.
-func roundRatio(r float64) float64 {
-	v, _ := strconv.ParseFloat(fmt.Sprintf("%.5g", r), 64)
-	return v
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -24,31 +24,6 @@ import (
 	"flexos"
 )
 
-// selection is the space/workload choice the tools share: either a
-// scalar -app benchmark space or a multi-metric -scenario workload.
-type selection struct {
-	// App selects a scalar benchmark space: redis | nginx | cross.
-	App string
-	// Scenario, when non-empty, selects a workload of the scenario
-	// library instead of App.
-	Scenario string
-	// Requests is the per-measurement request count for App spaces.
-	Requests int
-	// Ops overrides the scenario's default op count when > 0.
-	Ops int
-	// Attack, when non-empty, scores survival against an attack
-	// scenario ("rop-chain", "addr-probe", "comp-leak", "combined")
-	// and expands the space along the ASLR / control-flow-hardening
-	// axes. Requires Scenario.
-	Attack string
-	// Profile selects the machine profile ("x86", "riscv"). Requires
-	// Scenario.
-	Profile string
-	// ASLR pins a layout-randomization level ("off", "16", "16+leak")
-	// instead of sweeping the attack ladder. Requires Scenario.
-	ASLR string
-}
-
 // memoKeyer lets Build read a workload's memo namespace (Scenario and
 // PhasedScenario both implement it).
 type memoKeyer interface{ MemoKey() string }
@@ -59,22 +34,22 @@ type memoKeyer interface{ MemoKey() string }
 // variants, and every measurement carries the attack scenario's
 // survival score. The memo namespace separates attack runs from plain
 // performance runs of the same workload.
-func (s selection) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query, string, error) {
+func (r *Request) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query, string, error) {
 	spec := flexos.AttackSpec{}
-	if s.Attack != "" {
-		att, ok := flexos.AttackByName(s.Attack)
+	if r.Attack != "" {
+		att, ok := flexos.AttackByName(r.Attack)
 		if !ok {
-			return nil, "", fmt.Errorf("unknown attack scenario %q (want %s)", s.Attack, flexos.AttackNames())
+			return nil, "", fmt.Errorf("unknown attack scenario %q (want %s)", r.Attack, flexos.AttackNames())
 		}
 		spec.Scenario = att.Name()
 	}
-	canon, err := flexos.CanonicalProfile(s.Profile)
+	canon, err := flexos.CanonicalProfile(r.Profile)
 	if err != nil {
 		return nil, "", err
 	}
 	spec.Profile = canon
-	if s.ASLR != "" {
-		a, err := flexos.ParseASLR(s.ASLR)
+	if r.ASLR != "" {
+		a, err := flexos.ParseASLR(r.ASLR)
 		if err != nil {
 			return nil, "", err
 		}
@@ -103,43 +78,45 @@ func (s selection) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query
 	return q, title + " vs " + spec.String(), nil
 }
 
-// build assembles the query for the selection. It returns the query,
-// the report title, and whether the query measures full metric
-// vectors (scenario mode) rather than throughput only.
-func (s selection) build() (q *flexos.Query, title string, scenarioMode bool, err error) {
-	attackAxes := s.Attack != "" || s.Profile != "" || s.ASLR != ""
-	if s.Scenario == "" && attackAxes {
+// query assembles the query for the request's space and workload:
+// either a scalar App benchmark space or a multi-metric Scenario
+// workload. It returns the query, the report title, and whether the
+// query measures full metric vectors (scenario mode) rather than
+// throughput only.
+func (r *Request) query() (q *flexos.Query, title string, scenarioMode bool, err error) {
+	attackAxes := r.Attack != "" || r.Profile != "" || r.ASLR != ""
+	if r.Scenario == "" && attackAxes {
 		return nil, "", false, fmt.Errorf("-attack/-profile/-aslr require -scenario (the -app benchmarks have no attack-axis space)")
 	}
-	if s.Scenario != "" {
-		if flexos.IsPhasedSpec(s.Scenario) {
-			ph, err := flexos.ParsePhased(s.Scenario)
+	if r.Scenario != "" {
+		if flexos.IsPhasedSpec(r.Scenario) {
+			ph, err := flexos.ParsePhased(r.Scenario)
 			if err != nil {
 				return nil, "", false, err
 			}
-			if s.Ops > 0 {
-				ph = ph.WithOps(s.Ops)
+			if r.Ops > 0 {
+				ph = ph.WithOps(r.Ops)
 			}
 			quad, _ := ph.Quad() // ParsePhased rejects quad-less phases
 			if attackAxes {
-				q, title, err := s.attackQuery(ph, quad)
+				q, title, err := r.attackQuery(ph, quad)
 				return q, title, true, err
 			}
 			return flexos.NewQuery(flexos.Fig6Space(quad)).Workload(ph), ph.Name(), true, nil
 		}
-		sc, ok := flexos.ScenarioByName(s.Scenario)
+		sc, ok := flexos.ScenarioByName(r.Scenario)
 		if !ok {
-			return nil, "", false, fmt.Errorf("unknown scenario %q (try -list)", s.Scenario)
+			return nil, "", false, fmt.Errorf("unknown scenario %q (try -list)", r.Scenario)
 		}
-		if s.Ops > 0 {
-			sc = sc.WithOps(s.Ops)
+		if r.Ops > 0 {
+			sc = sc.WithOps(r.Ops)
 		}
 		quad, ok := sc.Quad()
 		if !ok {
 			return nil, "", false, fmt.Errorf("scenario %q has no four-component space", sc.Name())
 		}
 		if attackAxes {
-			q, title, err := s.attackQuery(sc, quad)
+			q, title, err := r.attackQuery(sc, quad)
 			return q, title, true, err
 		}
 		return flexos.NewQuery(flexos.Fig6Space(quad)).Workload(sc), sc.Name(), true, nil
@@ -149,7 +126,7 @@ func (s selection) build() (q *flexos.Query, title string, scenarioMode bool, er
 	// scenarios but keep only throughput, under their own namespaces.
 	throughput := func(name string) func(*flexos.ExploreConfig) (float64, error) {
 		sc, _ := flexos.ScenarioByName(name)
-		sc = sc.WithOps(s.Requests)
+		sc = sc.WithOps(r.Requests)
 		return func(c *flexos.ExploreConfig) (float64, error) {
 			m, err := sc.Run(c.Spec(flexos.TCBLibs()))
 			return m.Throughput, err
@@ -157,13 +134,13 @@ func (s selection) build() (q *flexos.Query, title string, scenarioMode bool, er
 	}
 	measureRedis := throughput("redis-get100")
 	measureNginx := throughput("nginx-keepalive")
-	switch s.App {
+	switch r.App {
 	case "redis":
 		return flexos.NewQuery(flexos.Fig6Space(flexos.RedisComponents())).
-			MeasureScalar(measureRedis).Namespace(fmt.Sprintf("redis/%d", s.Requests)), s.App, false, nil
+			MeasureScalar(measureRedis).Namespace(fmt.Sprintf("redis/%d", r.Requests)), r.App, false, nil
 	case "nginx":
 		return flexos.NewQuery(flexos.Fig6Space(flexos.NginxComponents())).
-			MeasureScalar(measureNginx).Namespace(fmt.Sprintf("nginx/%d", s.Requests)), s.App, false, nil
+			MeasureScalar(measureNginx).Namespace(fmt.Sprintf("nginx/%d", r.Requests)), r.App, false, nil
 	case "cross":
 		cfgs := flexos.CrossAppSpace(nil, flexos.RedisComponents(), flexos.NginxComponents())
 		// Dispatch on the application the configuration contains; the
@@ -180,9 +157,9 @@ func (s selection) build() (q *flexos.Query, title string, scenarioMode bool, er
 			return 0, fmt.Errorf("config %d contains no known application", c.ID)
 		}
 		return flexos.NewQuery(cfgs).MeasureScalar(measure).
-			Namespace(fmt.Sprintf("cross/%d", s.Requests)), s.App, false, nil
+			Namespace(fmt.Sprintf("cross/%d", r.Requests)), r.App, false, nil
 	}
-	return nil, "", false, fmt.Errorf("unknown app %q", s.App)
+	return nil, "", false, fmt.Errorf("unknown app %q", r.App)
 }
 
 // parseBudgets turns repeated -budget values into constraints. A plain

@@ -195,9 +195,9 @@ func (r *Request) Normalize() {
 
 // Build normalizes the request and assembles the flexos.Query it
 // describes, mirroring exactly what the flexos-explore flag path
-// does: selection, budget constraints, ranking, workers, derived
-// pruning, shard (with the title suffix). It does not attach a memo
-// or cache — the caller owns the caching tier.
+// does: space and workload, budget constraints, ranking, workers,
+// derived pruning, shard (with the title suffix). It does not attach a
+// memo or cache — the caller owns the caching tier.
 func (r *Request) Build() (*flexos.Query, *BuildInfo, error) {
 	r.Normalize()
 	metric, err := flexos.ParseMetric(r.Metric)
@@ -208,9 +208,7 @@ func (r *Request) Build() (*flexos.Query, *BuildInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sel := selection{App: r.App, Scenario: r.Scenario, Requests: r.Requests, Ops: r.Ops,
-		Attack: r.Attack, Profile: r.Profile, ASLR: r.ASLR}
-	q, title, scenarioMode, err := sel.build()
+	q, title, scenarioMode, err := r.query()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	redisapp "flexos/internal/apps/redis"
 
 	"flexos/internal/oslib"
+	"flexos/internal/poset"
 	"flexos/internal/scenario"
 )
 
@@ -141,6 +143,21 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 			t.Errorf("%s: safest %v, exhaustive oracle %v", metric, pruned.Safest, wantSafest)
 		}
 	}
+}
+
+// safest is the pruning test's oracle: the constraint-filtered maximal
+// elements of the poset, i.e. the safest configurations whose metric
+// vectors satisfy every constraint.
+func safest(p *poset.Poset[*Config], res *Result) []int {
+	index := make(map[*Config]int, len(res.Measurements))
+	for i := range res.Measurements {
+		index[res.Measurements[i].Config] = i
+	}
+	out := p.Maximal(func(c *Config) bool {
+		return res.Feasible(index[c])
+	})
+	sort.Ints(out)
+	return out
 }
 
 func median(vals []float64) float64 {

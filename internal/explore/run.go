@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 
 	"flexos/internal/poset"
 	"flexos/internal/scenario"
@@ -117,21 +116,6 @@ func (r *Result) Poset() *poset.Poset[*Config] {
 func (r *Result) Feasible(i int) bool {
 	m := r.Measurements[i]
 	return m.Evaluated && meetsAll(r.Constraints, m.Metrics)
-}
-
-// safest computes the constraint-filtered maximal elements: the safest
-// configurations whose metric vectors satisfy every constraint. Pruned
-// nodes cannot be feasible by the monotonicity assumption.
-func safest(p *poset.Poset[*Config], res *Result) []int {
-	index := make(map[*Config]int, len(res.Measurements))
-	for i := range res.Measurements {
-		index[res.Measurements[i].Config] = i
-	}
-	out := p.Maximal(func(c *Config) bool {
-		return res.Feasible(index[c])
-	})
-	sort.Ints(out)
-	return out
 }
 
 // SafestConfigs dereferences Result.Safest.

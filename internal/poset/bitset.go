@@ -1,7 +1,5 @@
 package poset
 
-import "math/bits"
-
 // Bitset is a fixed-size set of small integers backed by a []uint64,
 // the package's currency for order rows and for the exploration
 // engine's decided/feasible frontiers. The zero value is an empty set
@@ -34,25 +32,6 @@ func (b Bitset) Clear(i int) { b.words[i>>6] &^= 1 << uint(i&63) }
 // Test reports whether i is in the set.
 func (b Bitset) Test(i int) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 
-// Count returns the number of elements in the set.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// CountAnd returns |b ∩ o| without materializing the intersection.
-// The sets must have equal Len.
-func (b Bitset) CountAnd(o Bitset) int {
-	n := 0
-	for k, w := range b.words {
-		n += bits.OnesCount64(w & o.words[k])
-	}
-	return n
-}
-
 // Intersects reports whether the two sets share an element. The sets
 // must have equal Len.
 func (b Bitset) Intersects(o Bitset) bool {
@@ -72,25 +51,4 @@ func (b Bitset) ContainsAll(o Bitset) bool {
 		}
 	}
 	return true
-}
-
-// Reset empties the set in place.
-func (b Bitset) Reset() {
-	for k := range b.words {
-		b.words[k] = 0
-	}
-}
-
-// ForEach calls fn for every element of the set in ascending order.
-func (b Bitset) ForEach(fn func(i int)) {
-	for k, w := range b.words {
-		for w != 0 {
-			i := k<<6 + bits.TrailingZeros64(w)
-			if i >= b.n {
-				return
-			}
-			fn(i)
-			w &= w - 1
-		}
-	}
 }

@@ -52,34 +52,15 @@ func New[T any](items []T, leq func(a, b T) bool) *Poset[T] {
 // Len returns the number of items.
 func (p *Poset[T]) Len() int { return len(p.items) }
 
-// Item returns the i-th item.
-func (p *Poset[T]) Item(i int) T { return p.items[i] }
-
-// Items returns the underlying slice (not a copy; do not mutate).
-func (p *Poset[T]) Items() []T { return p.items }
-
 // row exposes the i-th matrix row — the set {j : leq(i, j)} — as a
 // bitset view over the shared storage, without copying.
 func (p *Poset[T]) row(i int) Bitset {
 	return bitsetOver(p.rows[i*p.words:(i+1)*p.words], len(p.items))
 }
 
-// UpSet exposes the up-set of item i — the set {j : leq(i, j)}, i.e.
-// everything at least as safe as i, including i itself and any
-// order-equivalent items — as a bitset view over the shared matrix
-// storage, without copying. Callers must not mutate it. The budgeted
-// exploration engine uses up-sets (and their transposes) as the
-// reachability currency of branch-and-bound pruning.
-func (p *Poset[T]) UpSet(i int) Bitset { return p.row(i) }
-
 // Leq reports whether item i is less-or-equally safe than item j.
 func (p *Poset[T]) Leq(i, j int) bool {
 	return p.row(i).Test(j)
-}
-
-// Comparable reports whether two items lie on a common path.
-func (p *Poset[T]) Comparable(i, j int) bool {
-	return p.Leq(i, j) || p.Leq(j, i)
 }
 
 // less is strict order: leq and not geq.
@@ -142,24 +123,6 @@ func (p *Poset[T]) Maximal(keep func(T) bool) []int {
 			}
 		}
 		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Minimal returns the indices of minimal elements (sources of the DAG).
-func (p *Poset[T]) Minimal() []int {
-	var out []int
-	for i := range p.items {
-		minimal := true
-		for j := range p.items {
-			if i != j && p.less(j, i) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
 			out = append(out, i)
 		}
 	}

@@ -20,7 +20,7 @@ func TestDividesPoset(t *testing.T) {
 	if !p.Leq(1, 3) { // 2 divides 4
 		t.Fatal("2 | 4 expected")
 	}
-	if p.Comparable(1, 2) { // 2 vs 3
+	if p.Leq(1, 2) || p.Leq(2, 1) { // 2 vs 3
 		t.Fatal("2 and 3 must be incomparable")
 	}
 	// Hasse edges: 1-2, 1-3, 2-4, 2-6, 3-6, 4-12, 6-12 (no 1-4 etc.).
@@ -60,19 +60,6 @@ func TestMaximalWithFilter(t *testing.T) {
 	sort.Ints(got)
 	if !reflect.DeepEqual(got, []int{3, 4}) {
 		t.Fatalf("filtered maximal = %v, want [3 4]", got)
-	}
-}
-
-func TestMinimal(t *testing.T) {
-	p := New([]int{2, 3, 4, 6, 12}, divides)
-	min := p.Minimal()
-	var got []int
-	for _, i := range min {
-		got = append(got, p.Item(i))
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{2, 3}) {
-		t.Fatalf("minimal = %v", got)
 	}
 }
 
@@ -136,7 +123,7 @@ func TestMaximalAntichainProperty(t *testing.T) {
 		max := p.Maximal(func(int) bool { return true })
 		for a := 0; a < len(max); a++ {
 			for b := a + 1; b < len(max); b++ {
-				if p.Comparable(max[a], max[b]) {
+				if p.Leq(max[a], max[b]) || p.Leq(max[b], max[a]) {
 					return false
 				}
 			}

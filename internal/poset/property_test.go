@@ -14,7 +14,7 @@ import (
 //
 // The relations are checked for reflexivity, antisymmetry and
 // transitivity directly, then the derived structures (Edges, Maximal,
-// Minimal, TopoOrder) are checked against their definitions.
+// TopoOrder) are checked against their definitions.
 
 // distinctMasks generates n distinct random uint16 bitmasks.
 func distinctMasks(rng *rand.Rand, n int) []uint16 {
@@ -131,8 +131,9 @@ func TestEdgesAreTransitiveReduction(t *testing.T) {
 	}
 }
 
-// TestMaximalMinimalProperties checks the extremal queries against
-// brute force under random keep-filters.
+// TestMaximalMinimalProperties checks the extremal elements against
+// brute force: Maximal under random keep-filters, and the minimal
+// elements as Maximal of the dual order.
 func TestMaximalMinimalProperties(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,8 +173,9 @@ func TestMaximalMinimalProperties(t *testing.T) {
 			}
 		}
 
+		dual := New(items, func(a, b uint16) bool { return subsetLeq(b, a) })
 		minimal := map[int]bool{}
-		for _, i := range p.Minimal() {
+		for _, i := range dual.Maximal(func(uint16) bool { return true }) {
 			minimal[i] = true
 		}
 		for i := range items {
