@@ -76,6 +76,7 @@ func TestGoldenFig8(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig8", FormatFig8(res))
+	checkGolden(t, "fig8-dot", res.Result.DOT("fig8"))
 }
 
 func TestGoldenScenarios(t *testing.T) {
