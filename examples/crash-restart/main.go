@@ -40,7 +40,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	poset := res.Poset()
 
 	// Day 0: the operator deployed the fastest configuration.
 	current := 0
@@ -59,7 +58,7 @@ func main() {
 		// Candidates: configurations strictly safer than the current
 		// one that still meet the SLA; pick the fastest of those.
 		next := -1
-		for _, j := range poset.Above(current) {
+		for _, j := range res.Above(current) {
 			if res.Measurements[j].Perf < sla {
 				continue
 			}

@@ -10,6 +10,7 @@ import (
 	"flexos/internal/explore"
 	"flexos/internal/explore/exploretest"
 	"flexos/internal/isolation"
+	"flexos/internal/poset"
 	"flexos/internal/scenario"
 )
 
@@ -45,7 +46,7 @@ func spaces(t *testing.T) map[string][]*explore.Config {
 // reason survival floors may filter but never prune.
 func TestSurvivalMonotoneAlongLeq(t *testing.T) {
 	for name, cfgs := range spaces(t) {
-		p := explore.Poset(cfgs)
+		p := poset.New(cfgs, explore.Leq)
 		for _, sc := range attack.All() {
 			surv := make([]float64, len(cfgs))
 			for i, c := range cfgs {

@@ -9,6 +9,7 @@ import (
 
 	"flexos/internal/explore"
 	"flexos/internal/explore/exploretest"
+	"flexos/internal/poset"
 	"flexos/internal/scenario"
 )
 
@@ -46,7 +47,7 @@ func TestAttackSpaceLeqIsPartialOrder(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfgs := exploretest.RandomAttackSpace(rng, 50)
-		p := explore.Poset(cfgs)
+		p := poset.New(cfgs, explore.Leq)
 		if err := p.CheckOrder(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

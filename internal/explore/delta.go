@@ -9,8 +9,8 @@ package explore
 // through to the backing as usual, so the store afterwards covers the
 // edited space and a plain warm run produces the full merged report.
 //
-// The skip pass runs in input order on the coordinator, so Progress /
-// Observe see one deterministic prefix regardless of the worker count.
+// The skip pass runs in input order on the coordinator, so Observe
+// sees one deterministic prefix regardless of the worker count.
 func (st *runState) skipStored() {
 	n := len(st.cfgs)
 	present := make(map[int32]bool)

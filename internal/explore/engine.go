@@ -111,19 +111,14 @@ type Request struct {
 	// exploration.
 	Shard Shard
 
-	// Progress, when non-nil, is called after each configuration is
-	// decided with the number decided so far and the space size. Runs
-	// on the coordinating goroutine, never concurrently with itself.
-	Progress func(done, total int)
-
 	// Observe, when non-nil, is called on the coordinating goroutine
 	// after each configuration is decided, with the configuration's
 	// index in the explored slice of Space (the whole Space when Shard
 	// is zero — with a shard, indices are relative to the shard's
 	// slice, like Result.Measurements) and its (final) Measurement — measured,
 	// memo-filled, inherited from a twin, or pruned. It is what
-	// Query.Stream builds on. Like Progress it never runs concurrently
-	// with itself and must not block indefinitely.
+	// Query.Stream and Query.Progress build on. It never runs
+	// concurrently with itself and must not block indefinitely.
 	Observe func(idx int, m Measurement)
 }
 
@@ -331,13 +326,10 @@ func (st *runState) skip(i int) {
 	st.markDecided(i)
 }
 
-// markDecided records the decision and fires the per-decision hooks.
+// markDecided records the decision and fires the per-decision hook.
 func (st *runState) markDecided(i int) {
 	st.decided.Set(i)
 	st.done++
-	if st.req.Progress != nil {
-		st.req.Progress(st.done, len(st.cfgs))
-	}
 	if st.req.Observe != nil {
 		st.req.Observe(i, st.res.Measurements[i])
 	}
@@ -507,7 +499,7 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	if !st.canceled && !st.failed {
 		// Wind down: whatever the budget never reached is decided as
-		// skipped, in input order, so Progress/Observe complete the space.
+		// skipped, in input order, so Observe completes the space.
 		for i := 0; i < n; i++ {
 			if !st.decided.Test(i) {
 				st.skip(i)
@@ -674,7 +666,7 @@ func (st *runState) runList(ctx context.Context, workers int, list []int32, sett
 	slots := st.slots[:len(list)]
 	clear(slots)
 	// spans is buffered so workers keep measuring while the
-	// coordinator is busy in Progress/Observe; every chunk holds at
+	// coordinator is busy in Observe; every chunk holds at
 	// least one configuration, so a list of up to 1024 never blocks a
 	// worker.
 	var (

@@ -11,6 +11,7 @@ import (
 
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
+	"flexos/internal/poset"
 )
 
 // dump serializes everything observable about a Result, so determinism
@@ -287,10 +288,10 @@ func engineShapes(memo *Memo) []engineShape {
 	}
 }
 
-// TestEngineProgressCoversEveryConfig pins the per-decision hooks in
+// TestEngineProgressCoversEveryConfig pins the per-decision hook in
 // every mode: each configuration is observed exactly once — measured,
-// pruned, inherited or skipped by the wind-down — and Progress counts
-// 1..n in order.
+// pruned, inherited or skipped by the wind-down. (Query.Progress, which
+// counts these decisions, is tested at the query layer.)
 func TestEngineProgressCoversEveryConfig(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	for _, workers := range []int{1, 4} {
@@ -301,27 +302,12 @@ func TestEngineProgressCoversEveryConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sh := range engineShapes(memo) {
-			var seen []int
 			observed := make([]int, len(cfgs))
 			req := sh.req
 			req.Space, req.Measure, req.Workers = cfgs, lift(shakyMeasure), workers
-			req.Progress = func(done, total int) {
-				if total != len(cfgs) {
-					t.Fatalf("%s: progress total = %d", sh.name, total)
-				}
-				seen = append(seen, done)
-			}
 			req.Observe = func(idx int, m Measurement) { observed[idx]++ }
 			if _, err := (Engine{}).Run(context.Background(), req); err != nil && !errors.Is(err, ErrNoFeasible) {
 				t.Fatalf("%s: %v", sh.name, err)
-			}
-			if len(seen) != len(cfgs) {
-				t.Fatalf("%s workers=%d: %d progress calls, want %d", sh.name, workers, len(seen), len(cfgs))
-			}
-			for i, d := range seen {
-				if d != i+1 {
-					t.Fatalf("%s workers=%d: progress out of order at %d: %v", sh.name, workers, i, seen[:i+1])
-				}
 			}
 			for i, k := range observed {
 				if k != 1 {
@@ -384,7 +370,7 @@ func TestCrossAppSpaceMechanismDeepensPoset(t *testing.T) {
 	if Leq(cfgs[0], other[0]) || Leq(other[0], cfgs[0]) {
 		t.Fatal("different applications must be incomparable")
 	}
-	if err := Poset(cfgs[:48]).CheckOrder(); err != nil {
+	if err := poset.New(cfgs[:48], Leq).CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
 	"flexos/internal/machine"
-	"flexos/internal/poset"
 )
 
 // Config is one point of the safety design space — a node of the poset.
@@ -251,68 +250,4 @@ func (c *Config) GateRank() int {
 		return 0
 	}
 	return 1
-}
-
-// Leq reports whether a is probabilistically at most as safe as b — the
-// partial order of §5, built from the paper's four monotonicity
-// assumptions: safety increases with (1) the number of compartments
-// (partition refinement), (2) data isolation, (3) stackable software
-// hardening, and (4) the strength of the isolation mechanism.
-func Leq(a, b *Config) bool {
-	// Different machines are different safety universes: configurations
-	// on distinct profiles never compare.
-	if a.Profile != b.Profile {
-		return false
-	}
-	// (4) mechanism strength.
-	if a.Strength() > b.Strength() {
-		return false
-	}
-	// ASLR joins as a product dimension: b must dominate on both
-	// entropy and leak resistance.
-	if !a.ASLR.Leq(b.ASLR) {
-		return false
-	}
-	// (1) b's partition must refine a's: components together in b are
-	// together in a.
-	comps := a.Components()
-	if !sameComponents(comps, b.Components()) {
-		return false
-	}
-	for i := 0; i < len(comps); i++ {
-		for j := i + 1; j < len(comps); j++ {
-			if b.blockOf(comps[i]) == b.blockOf(comps[j]) &&
-				a.blockOf(comps[i]) != a.blockOf(comps[j]) {
-				return false
-			}
-		}
-	}
-	// (3) per-component hardening must not shrink.
-	for _, comp := range comps {
-		if !a.Hardening[comp].Subset(b.Hardening[comp]) {
-			return false
-		}
-	}
-	// (2) data isolation (sharing strategy, gate flavor).
-	if a.SharingRank() > b.SharingRank() || a.GateRank() > b.GateRank() {
-		return false
-	}
-	return true
-}
-
-func sameComponents(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Poset builds the safety poset over a configuration space.
-func Poset(cfgs []*Config) *poset.Poset[*Config] {
-	return poset.New(cfgs, Leq)
 }

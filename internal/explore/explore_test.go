@@ -7,6 +7,7 @@ import (
 
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
+	"flexos/internal/poset"
 	"flexos/internal/scenario"
 )
 
@@ -39,7 +40,7 @@ func TestFig5SpaceSize(t *testing.T) {
 	if len(cfgs) != 16 {
 		t.Fatalf("Fig. 5 space = %d configs, want 16", len(cfgs))
 	}
-	p := Poset(cfgs)
+	p := poset.New(cfgs, Leq)
 	if err := p.CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestLeqSharingAndGateRank(t *testing.T) {
 
 func TestPosetIsValidOrder(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	if err := Poset(cfgs).CheckOrder(); err != nil {
+	if err := poset.New(cfgs, Leq).CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +159,7 @@ func syntheticMeasure(c *Config) (float64, error) {
 // lift adapts a scalar measure into a throughput-only metric vector:
 // exploretest.Lift for the in-package tests, which cannot import
 // exploretest without an import cycle.
-func lift(measure Measure) MeasureMetrics {
+func lift(measure func(*Config) (float64, error)) MeasureMetrics {
 	return func(c *Config) (Metrics, error) {
 		v, err := measure(c)
 		return Metrics{Throughput: v}, err
@@ -188,7 +189,7 @@ func TestRunExhaustive(t *testing.T) {
 		if res.Measurements[i].Perf < 600 {
 			t.Fatalf("safest config %d below budget", i)
 		}
-		for _, j := range res.Poset().Above(i) {
+		for _, j := range res.Above(i) {
 			m := res.Measurements[j]
 			if m.Evaluated && m.Perf >= 600 {
 				t.Fatalf("config %d meets budget but dominates 'safest' %d", j, i)

@@ -18,6 +18,7 @@ package exploretest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"flexos/internal/explore"
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
+	"flexos/internal/poset"
 	"flexos/internal/scenario"
 )
 
@@ -49,8 +51,55 @@ type Report struct {
 	MemoHits  int
 }
 
+// ReferenceLeq is the oracle's safety order: the allocating, field by
+// field statement of the §5 relation explore.Leq implements over
+// precomputed signatures — same profile, mechanism strength, ASLR as a
+// product dimension, an identical component set whose partition b
+// refines, per-component hardening that never shrinks, and the
+// data-isolation ranks. It reads only exported configuration fields,
+// so a test comparing the two compares independent statements.
+func ReferenceLeq(a, b *explore.Config) bool {
+	if a.Profile != b.Profile {
+		return false
+	}
+	if a.Strength() > b.Strength() {
+		return false
+	}
+	if !a.ASLR.Leq(b.ASLR) {
+		return false
+	}
+	comps := a.Components()
+	if !slices.Equal(comps, b.Components()) {
+		return false
+	}
+	for i := 0; i < len(comps); i++ {
+		for j := i + 1; j < len(comps); j++ {
+			if blockOf(b, comps[i]) == blockOf(b, comps[j]) &&
+				blockOf(a, comps[i]) != blockOf(a, comps[j]) {
+				return false
+			}
+		}
+	}
+	for _, comp := range comps {
+		if !a.Hardening[comp].Subset(b.Hardening[comp]) {
+			return false
+		}
+	}
+	return a.SharingRank() <= b.SharingRank() && a.GateRank() <= b.GateRank()
+}
+
+// blockOf returns the index of the block holding comp, or -1.
+func blockOf(c *explore.Config, comp string) int {
+	for i, blk := range c.Blocks {
+		if slices.Contains(blk, comp) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Reference is the oracle: a sequential explorer with map-backed
-// frontiers over the full space-wide poset. It reproduces the engine's
+// frontiers over the full space-wide ReferenceLeq poset. It reproduces the engine's
 // decision semantics — canonical-twin dedup, monotone pruning gated on
 // fully-decided predecessor sets — with none of its machinery: no
 // bitsets, no groups, no signatures, no batching, no budget. Budgeted
@@ -58,7 +107,7 @@ type Report struct {
 // truth.
 func Reference(cfgs []*explore.Config, measure explore.MeasureMetrics, metric explore.Metric, constraints []explore.Constraint, prune bool) *Report {
 	n := len(cfgs)
-	p := explore.Poset(cfgs)
+	p := poset.New(cfgs, ReferenceLeq)
 	preds := make([][]int, n)
 	for _, e := range p.Edges() {
 		preds[e[1]] = append(preds[e[1]], e[0])
@@ -209,15 +258,17 @@ func FeasibleSet(res *explore.Result, cs []explore.Constraint) map[int]bool {
 	return out
 }
 
-// SafestUnder recomputes the constraint-filtered maximal elements from
-// an exhaustive oracle result: the safest set the engine must report
+// SafestUnder recomputes the constraint-filtered maximal elements of
+// the ReferenceLeq poset from an exhaustive oracle result: the safest set the engine must report
 // under cs, regardless of which constraints the oracle itself ran with.
 func SafestUnder(res *explore.Result, cs []explore.Constraint) []int {
+	cfgs := make([]*explore.Config, len(res.Measurements))
 	index := make(map[*explore.Config]int, len(res.Measurements))
 	for i := range res.Measurements {
-		index[res.Measurements[i].Config] = i
+		cfgs[i] = res.Measurements[i].Config
+		index[cfgs[i]] = i
 	}
-	out := res.Poset().Maximal(func(c *explore.Config) bool {
+	out := poset.New(cfgs, ReferenceLeq).Maximal(func(c *explore.Config) bool {
 		m := res.Measurements[index[c]]
 		return m.Evaluated && MeetsAll(cs, m.Metrics)
 	})
@@ -466,7 +517,7 @@ func CopySpace(cfgs []*explore.Config) []*explore.Config {
 
 // The safety ranks the safety order compares, recomputed from the
 // exported configuration fields (the mirror of the engine's own
-// ranking — see explore.Leq's four monotonicity dimensions).
+// ranking — see ReferenceLeq's dimensions).
 func mechStrength(c *explore.Config) int {
 	switch c.Mechanism {
 	case "intel-mpk", "mpk", "cheri":
@@ -491,12 +542,17 @@ func sharingRank(c *explore.Config) int {
 	return 0
 }
 
+// Measure is a scalar measure function: one performance value per
+// configuration, higher is better. Lift turns it into the metric
+// vector the engine takes.
+type Measure func(*explore.Config) (float64, error)
+
 // MonotoneMeasure builds a measure function with random positive
 // weights that is decreasing along the safety order: every dimension
 // the Leq relation compares contributes non-negatively to cost, so
 // a ≤ b implies measure(a) >= measure(b) — the §5 assumption pruning
 // relies on.
-func MonotoneMeasure(rng *rand.Rand) explore.Measure {
+func MonotoneMeasure(rng *rand.Rand) Measure {
 	wComp := float64(rng.Intn(200) + 1)
 	wStrength := float64(rng.Intn(300) + 1)
 	wGate := float64(rng.Intn(50) + 1)
@@ -523,7 +579,7 @@ func MonotoneMeasure(rng *rand.Rand) explore.Measure {
 
 // Lift adapts a scalar measure into a metric-vector measure with only
 // the throughput dimension populated.
-func Lift(measure explore.Measure) explore.MeasureMetrics {
+func Lift(measure Measure) explore.MeasureMetrics {
 	return func(c *explore.Config) (explore.Metrics, error) {
 		v, err := measure(c)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"flexos/internal/explore"
 	"flexos/internal/explore/exploretest"
+	"flexos/internal/poset"
 )
 
 // Self-tests for the oracle harness: the generators must be
@@ -54,7 +55,7 @@ func TestMonotoneMeasureIsSafetyMonotone(t *testing.T) {
 			t.Fatalf("measure not deterministic for config %d", i)
 		}
 	}
-	p := explore.Poset(cfgs)
+	p := poset.New(cfgs, explore.Leq)
 	edges := 0
 	for _, e := range p.Edges() {
 		// A covering edge (i, j) means i < j: j is the safer end, and

@@ -10,11 +10,12 @@ import (
 
 	"flexos/internal/explore"
 	"flexos/internal/explore/exploretest"
+	"flexos/internal/poset"
 )
 
 // Property tests for the bitset-frontier engine: the exploretest
 // reference explorer — map-backed frontiers over the full allocating
-// Leq poset, the representation the engine had before bitsets — must
+// ReferenceLeq poset, the representation the engine had before bitsets — must
 // agree with Engine.Run byte for byte — same measurements, same prune
 // decisions, same safest set — on random spaces, random budgets and
 // every worker count.
@@ -77,9 +78,9 @@ func runForTest(t *testing.T, cfgs []*explore.Config, measure explore.MeasureMet
 }
 
 // TestSafetyLevelsMatchFlatPoset pins the grouped level computation to
-// the flat-poset grading it replaced: on random spaces the engine's
-// SafetyLevels (grouped Hasse edges) must equal the levels of the full
-// space-wide poset.
+// the definition over the flat space-wide poset: on random spaces the
+// engine's SafetyLevels (grouped Hasse edges) must equal the longest
+// strict chains of the exploretest.ReferenceLeq poset.
 func TestSafetyLevelsMatchFlatPoset(t *testing.T) {
 	for seed := int64(200); seed < 210; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -91,9 +92,7 @@ func TestSafetyLevelsMatchFlatPoset(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		got := res.SafetyLevels()
-
-		flat := &explore.Result{Measurements: res.Measurements, Total: res.Total}
-		want := flat.SafetyLevels() // order-free Result: flat-poset fallback path
+		want := flatLevels(poset.New(cfgs, exploretest.ReferenceLeq))
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: level lengths %d vs %d", seed, len(got), len(want))
 		}

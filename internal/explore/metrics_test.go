@@ -138,7 +138,7 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 		// Re-filter the exhaustive result with the pruning run's
 		// constraint to derive the expected stars.
 		exhaustive.Constraints = []Constraint{BudgetConstraint(metric, budget)}
-		wantSafest := safest(exhaustive.Poset(), exhaustive)
+		wantSafest := safest(exhaustive)
 		if !reflect.DeepEqual(pruned.Safest, wantSafest) {
 			t.Errorf("%s: safest %v, exhaustive oracle %v", metric, pruned.Safest, wantSafest)
 		}
@@ -146,14 +146,17 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 }
 
 // safest is the pruning test's oracle: the constraint-filtered maximal
-// elements of the poset, i.e. the safest configurations whose metric
-// vectors satisfy every constraint.
-func safest(p *poset.Poset[*Config], res *Result) []int {
+// elements of the flat Leq poset over the result's configurations, i.e.
+// the safest configurations whose metric vectors satisfy every
+// constraint.
+func safest(res *Result) []int {
+	cfgs := make([]*Config, len(res.Measurements))
 	index := make(map[*Config]int, len(res.Measurements))
 	for i := range res.Measurements {
-		index[res.Measurements[i].Config] = i
+		cfgs[i] = res.Measurements[i].Config
+		index[cfgs[i]] = i
 	}
-	out := p.Maximal(func(c *Config) bool {
+	out := poset.New(cfgs, Leq).Maximal(func(c *Config) bool {
 		return res.Feasible(index[c])
 	})
 	sort.Ints(out)

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,14 +11,32 @@ import (
 	"flexos/internal/poset"
 )
 
+// Leq reports whether a is probabilistically at most as safe as b — the
+// partial order of §5, built from the paper's four monotonicity
+// assumptions: safety increases with (1) the number of compartments
+// (partition refinement), (2) data isolation, (3) stackable software
+// hardening, and (4) the strength of the isolation mechanism. Different
+// machines are different safety universes: configurations on distinct
+// profiles never compare, and neither do configurations over different
+// component sets. Everything else is leqSig, the one comparison the
+// engine, the reports and this function share.
+func Leq(a, b *Config) bool {
+	if a.Profile != b.Profile {
+		return false
+	}
+	var blocks []int16
+	var hs []harden.Set
+	sa, sb := sigOf(a, &blocks, &hs), sigOf(b, &blocks, &hs)
+	return slices.Equal(sa.comps, sb.comps) && leqSig(&sa, &sb)
+}
+
 // sig is a precomputed comparison signature for one configuration: the
-// inputs Leq reads, extracted once so the safety order can be evaluated
+// inputs the safety order reads, extracted once so it can be evaluated
 // allocation-free. Component names are sorted; block and hs align with
 // comps positionally. Signatures of configurations with different
 // component sets are never compared (such configurations are
-// incomparable — Leq requires identical component sets), and neither are
-// signatures of configurations on different machine profiles (the group
-// key separates them).
+// incomparable), and neither are signatures of configurations on
+// different machine profiles (the group key separates them).
 type sig struct {
 	comps    []string
 	block    []int16
@@ -28,11 +47,33 @@ type sig struct {
 	aslr     isolation.ASLR
 }
 
-// leqSig mirrors Leq exactly for two configurations with identical
-// sorted component sets: mechanism strength, partition refinement,
-// per-component hardening subset, data-isolation ranks. It allocates
-// nothing, which is what makes building 10k–1M-point safety orders
-// practical (the allocating Leq costs ~350ns/pair; this costs ~20ns).
+// sigOf extracts c's signature, appending its positional columns to the
+// caller's arenas so a whole space shares two backing arrays.
+func sigOf(c *Config, blockArena *[]int16, hsArena *[]harden.Set) sig {
+	s := sig{
+		comps:    c.Components(),
+		strength: c.Strength(),
+		share:    int8(c.SharingRank()),
+		gate:     int8(c.GateRank()),
+		aslr:     c.ASLR,
+	}
+	b0, h0 := len(*blockArena), len(*hsArena)
+	for _, comp := range s.comps {
+		*blockArena = append(*blockArena, int16(c.blockOf(comp)))
+		*hsArena = append(*hsArena, c.Hardening[comp])
+	}
+	s.block = (*blockArena)[b0:len(*blockArena):len(*blockArena)]
+	s.hs = (*hsArena)[h0:len(*hsArena):len(*hsArena)]
+	return s
+}
+
+// leqSig is the safety order on two configurations with identical
+// sorted component sets on one profile: (4) mechanism strength, ASLR as
+// a product dimension (b must dominate on both entropy and leak
+// resistance), (1) partition refinement — components together in b are
+// together in a —, (3) per-component hardening that never shrinks, and
+// (2) the data-isolation ranks. It allocates nothing, which is what
+// makes building 10k–1M-point safety orders practical.
 func leqSig(a, b *sig) bool {
 	if a.strength > b.strength {
 		return false
@@ -85,26 +126,13 @@ func newSpaceOrder(cfgs []*Config) *spaceOrder {
 	hsArena := make([]harden.Set, 0, 4*n)
 	byComps := make(map[string]int32, n/16+1)
 	for i, c := range cfgs {
-		comps := c.Components()
-		s := &o.sigs[i]
-		s.comps = comps
-		s.strength = c.Strength()
-		s.share = int8(c.SharingRank())
-		s.gate = int8(c.GateRank())
-		s.aslr = c.ASLR
-		b0, h0 := len(blockArena), len(hsArena)
-		for _, comp := range comps {
-			blockArena = append(blockArena, int16(c.blockOf(comp)))
-			hsArena = append(hsArena, c.Hardening[comp])
-		}
-		s.block = blockArena[b0:len(blockArena):len(blockArena)]
-		s.hs = hsArena[h0:len(hsArena):len(hsArena)]
+		o.sigs[i] = sigOf(c, &blockArena, &hsArena)
 
 		// Distinct machine profiles are incomparable universes (Leq
 		// returns false across them), so they partition into separate
 		// groups; "\x01" cannot appear in a component name or profile,
 		// keeping the key unambiguous.
-		key := strings.Join(comps, "\x00") + "\x01" + c.Profile
+		key := strings.Join(o.sigs[i].comps, "\x00") + "\x01" + c.Profile
 		g, ok := byComps[key]
 		if !ok {
 			g = int32(len(o.groups))
@@ -159,7 +187,24 @@ func (o *spaceOrder) safest(res *Result) []int {
 	return out
 }
 
-// levels grades the space like Result.SafetyLevels: each
+// above returns the indices of the configurations strictly safer than
+// i, ascending. Only i's group can hold them.
+func (o *spaceOrder) above(i int) []int {
+	for g, members := range o.groups {
+		li, ok := slices.BinarySearch(members, int32(i))
+		if !ok {
+			continue
+		}
+		var out []int
+		for _, lj := range o.posets[g].Above(li) {
+			out = append(out, int(members[lj]))
+		}
+		return out
+	}
+	return nil
+}
+
+// levels grades the space for Result.SafetyLevels: each
 // configuration's longest strict safety chain below it, computed over
 // the grouped Hasse edges.
 func (o *spaceOrder) levels() []int {

@@ -10,6 +10,7 @@ import (
 
 	"flexos/internal/explore"
 	"flexos/internal/explore/exploretest"
+	"flexos/internal/poset"
 	"flexos/internal/scenario"
 )
 
@@ -43,6 +44,8 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 			perfs[i] = m.Perf
 		}
 
+		order := poset.New(cfgs, explore.Leq)
+
 		// Random budgets: quantiles of the measured distribution plus
 		// extremes that prune nothing / everything.
 		sorted := append([]float64(nil), perfs...)
@@ -55,7 +58,7 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 			sorted[len(sorted)-1] + 1,
 		}
 		for _, budget := range budgets {
-			wantSafest := oracle.Poset().Maximal(func(c *explore.Config) bool {
+			wantSafest := order.Maximal(func(c *explore.Config) bool {
 				return perfs[indexOf(cfgs, c)] >= budget
 			})
 			sort.Ints(wantSafest)
@@ -114,7 +117,7 @@ func TestLeqIsPartialOrderOnRandomSpaces(t *testing.T) {
 	for seed := int64(50); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfgs := exploretest.RandomSpace(rng, 50)
-		p := explore.Poset(cfgs)
+		p := poset.New(cfgs, explore.Leq)
 		if err := p.CheckOrder(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

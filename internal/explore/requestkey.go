@@ -46,7 +46,7 @@ func (r Request) normalize() Request {
 //
 // Deliberately excluded: the worker count (results are byte-identical
 // for every value), the memo/backing (a cache tier can change
-// statistics, never results), and the Progress/Observe hooks.
+// statistics, never results), and the Observe hook.
 // Constraints are rendered canonically and sorted, since feasibility
 // is their conjunction — "a AND b" and "b AND a" decide the same runs.
 // The key formats the normalized request, so knobs the engine ignores

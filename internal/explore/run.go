@@ -16,15 +16,10 @@ type (
 	Metric  = scenario.Metric
 )
 
-// Measure benchmarks one configuration and returns its performance
-// metric (higher is better: requests/s, Gb/s, 1/latency — any metric
-// "comparable across configurations and runs", §5). It is the scalar
-// form; MeasureMetrics is the multi-metric one.
-type Measure func(*Config) (float64, error)
-
 // MeasureMetrics benchmarks one configuration and returns its full
 // metric vector (throughput, latency percentiles, peak memory, boot
-// cost). The engine constrains and ranks on chosen dimensions and
+// cost) — any metric "comparable across configurations and runs", §5.
+// The engine constrains and ranks on chosen dimensions and
 // carries the whole vector through results, memos and Pareto frontiers.
 type MeasureMetrics func(*Config) (Metrics, error)
 
@@ -37,8 +32,8 @@ type Measurement struct {
 	// and cycles.
 	Perf float64
 	// Metrics is the full metric vector of the measurement (zero when
-	// pruned, or when a scalar Measure produced only Perf — then just
-	// the throughput dimension is populated).
+	// pruned; a scalar measure lifted into a vector populates just the
+	// throughput dimension).
 	Metrics Metrics
 	// Evaluated is false when monotonic pruning skipped the run.
 	Evaluated bool
@@ -87,29 +82,30 @@ type Result struct {
 	// space). Measurements and Total describe only that slice.
 	Shard Shard
 
-	// order is the engine's grouped safety order of the explored space
-	// (signatures + per-group posets); poset is the flat *Config poset
-	// some external consumers want, built lazily from the measurements
-	// on first Poset() call — the engine itself never materializes it.
+	// order is the grouped safety order of the explored space
+	// (signatures + per-group posets): the engine's own, or built on
+	// first use for a Result the engine did not build.
 	order *spaceOrder
-	poset *poset.Poset[*Config]
 }
 
-// Poset returns the safety poset underlying the result. It is built on
-// first use (the engine plans over a grouped decomposition instead, so
-// most runs never pay for the flat space-wide poset). Not safe for
-// concurrent first calls; results are normally consumed from one
-// goroutine.
-func (r *Result) Poset() *poset.Poset[*Config] {
-	if r.poset == nil {
+// safetyOrder returns the safety order of the result's configurations.
+// A Result the engine did not build gets it on first use, from its
+// measurements. Not safe for concurrent first calls; results are
+// normally consumed from one goroutine.
+func (r *Result) safetyOrder() *spaceOrder {
+	if r.order == nil {
 		cfgs := make([]*Config, len(r.Measurements))
 		for i := range r.Measurements {
 			cfgs[i] = r.Measurements[i].Config
 		}
-		r.poset = Poset(cfgs)
+		r.order = newSpaceOrder(cfgs)
 	}
-	return r.poset
+	return r.order
 }
+
+// Above returns the indices of the configurations strictly safer than
+// configuration i (see Leq), ascending.
+func (r *Result) Above(i int) []int { return r.safetyOrder().above(i) }
 
 // Feasible reports whether measurement i was evaluated and satisfies
 // every constraint of the run.
@@ -152,8 +148,8 @@ func (r *Result) DOT(name string) string {
 	for _, i := range r.Safest {
 		stars[i] = true
 	}
-	return r.Poset().DOT(name, func(i int, c *Config) poset.DOTNode {
-		m := r.Measurements[i]
+	nodes := make([]poset.DOTNode, len(r.Measurements))
+	for i, m := range r.Measurements {
 		shade := 0.0
 		if max > 0 {
 			shade = m.Perf / max
@@ -161,11 +157,13 @@ func (r *Result) DOT(name string) string {
 				shade = 1 - shade
 			}
 		}
-		return poset.DOTNode{
-			Label:  c.Label(),
+		nodes[i] = poset.DOTNode{
+			Label:  m.Config.Label(),
 			Shade:  shade,
 			Star:   stars[i],
 			Pruned: m.Pruned || (m.Evaluated && !r.Feasible(i)),
 		}
-	})
+	}
+	_, succs := r.safetyOrder().edges()
+	return poset.DOT(name, nodes, succs)
 }

@@ -20,16 +20,15 @@ type DOTNode struct {
 	Pruned bool
 }
 
-// DOT renders the poset's Hasse diagram (covering relation only) as a
-// Graphviz digraph, with nodes styled by the supplied descriptor
-// function. Piping the output through `dot -Tsvg` reproduces the
-// paper's Figure 5/Figure 8 visuals.
-func (p *Poset[T]) DOT(name string, describe func(i int, item T) DOTNode) string {
+// DOT renders a Hasse diagram as a Graphviz digraph: one styled node
+// per element, then one edge line per covering pair, in the order of
+// succs (succs[i] lists the elements covering i). Piping the output
+// through `dot -Tsvg` reproduces the paper's Figure 5/Figure 8 visuals.
+func DOT(name string, nodes []DOTNode, succs [][]int32) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", name)
 	b.WriteString("  rankdir=BT;\n  node [style=filled, fontname=\"Helvetica\"];\n")
-	for i, item := range p.items {
-		d := describe(i, item)
+	for i, d := range nodes {
 		gray := int(255 * (1 - clamp01(d.Shade)))
 		font := "black"
 		if gray < 110 {
@@ -45,8 +44,10 @@ func (p *Poset[T]) DOT(name string, describe func(i int, item T) DOTNode) string
 		}
 		fmt.Fprintf(&b, "  n%d [%s];\n", i, attrs)
 	}
-	for _, e := range p.Edges() {
-		fmt.Fprintf(&b, "  n%d -> n%d;\n", e[0], e[1])
+	for i, js := range succs {
+		for _, j := range js {
+			fmt.Fprintf(&b, "  n%d -> n%d;\n", i, j)
+		}
 	}
 	b.WriteString("}\n")
 	return b.String()

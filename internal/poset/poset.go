@@ -6,12 +6,13 @@
 // "safest configurations under the budget" are the maximal elements of
 // the sub-poset meeting the budget.
 //
-// The package is generic: the exploration layer instantiates it with its
-// configuration descriptor, and tests instantiate it with integers.
+// The package is generic: the exploration layer instantiates it with
+// configuration indices, one poset per group of mutually comparable
+// configurations, and tests instantiate it with integers.
 //
 // New evaluates the order relation once per ordered pair and stores the
 // result in a bitset matrix; every query afterwards — Leq, Edges,
-// Maximal, TopoOrder — runs on bit operations instead of re-invoking
+// Maximal, Above — runs on bit operations instead of re-invoking
 // the (potentially allocating) relation. The transitive reduction in
 // Edges intersects "strictly above" and "strictly below" bitsets, so
 // building the Hasse diagram of an n-point space costs O(n³/64) word
@@ -138,37 +139,6 @@ func (p *Poset[T]) Above(i int) []int {
 		}
 	}
 	return out
-}
-
-// TopoOrder returns the item indices in a topological order of the
-// safety DAG: less-safe items first. The exploration uses it to measure
-// in an order where monotonic pruning is sound.
-func (p *Poset[T]) TopoOrder() []int {
-	n := len(p.items)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
-	for _, e := range p.Edges() {
-		succ[e[0]] = append(succ[e[0]], e[1])
-		indeg[e[1]]++
-	}
-	var queue, order []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, j := range succ[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	return order
 }
 
 // CheckOrder verifies that leq is a partial order on the items:

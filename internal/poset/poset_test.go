@@ -77,24 +77,6 @@ func TestAbove(t *testing.T) {
 	}
 }
 
-func TestTopoOrderRespectsEdges(t *testing.T) {
-	items := []int{12, 1, 6, 2, 3, 4}
-	p := New(items, divides)
-	order := p.TopoOrder()
-	if len(order) != len(items) {
-		t.Fatalf("topo order dropped items: %v", order)
-	}
-	pos := make(map[int]int)
-	for idx, i := range order {
-		pos[i] = idx
-	}
-	for _, e := range p.Edges() {
-		if pos[e[0]] > pos[e[1]] {
-			t.Fatalf("topo order violates edge %v", e)
-		}
-	}
-}
-
 func TestCheckOrderRejectsBadRelation(t *testing.T) {
 	// "a <= b iff a < b" is not reflexive.
 	p := New([]int{1, 2}, func(a, b int) bool { return a < b })
@@ -136,13 +118,23 @@ func TestMaximalAntichainProperty(t *testing.T) {
 }
 
 func TestDOTOutput(t *testing.T) {
-	p := New([]int{1, 2, 4}, divides)
-	dot := p.DOT("lattice", func(i int, v int) DOTNode {
-		return DOTNode{Label: "v", Shade: float64(v) / 4, Star: v == 4, Pruned: v == 1}
-	})
+	items := []int{1, 2, 4}
+	p := New(items, divides)
+	nodes := make([]DOTNode, len(items))
+	for i, v := range items {
+		nodes[i] = DOTNode{Label: "v", Shade: float64(v) / 4, Star: v == 4, Pruned: v == 1}
+	}
+	succs := make([][]int32, len(items))
+	for _, e := range p.Edges() {
+		succs[e[0]] = append(succs[e[0]], int32(e[1]))
+	}
+	dot := DOT("lattice", nodes, succs)
 	for _, want := range []string{"digraph", "n0 -> n1", "n1 -> n2", "doubleoctagon", "dashed"} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, dot)
 		}
+	}
+	if strings.Contains(dot, "n0 -> n2") {
+		t.Fatalf("DOT draws a non-covering edge:\n%s", dot)
 	}
 }

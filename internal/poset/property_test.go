@@ -13,8 +13,8 @@ import (
 //   - divisibility order over random positive integers.
 //
 // The relations are checked for reflexivity, antisymmetry and
-// transitivity directly, then the derived structures (Edges, Maximal,
-// TopoOrder) are checked against their definitions.
+// transitivity directly, then the derived structures (Edges, Maximal)
+// are checked against their definitions.
 
 // distinctMasks generates n distinct random uint16 bitmasks.
 func distinctMasks(rng *rand.Rand, n int) []uint16 {
@@ -188,31 +188,6 @@ func TestMaximalMinimalProperties(t *testing.T) {
 			}
 			if hasBelow == minimal[i] {
 				t.Fatalf("seed %d: item %d hasBelow=%v minimal=%v", seed, i, hasBelow, minimal[i])
-			}
-		}
-	}
-}
-
-// TestTopoOrderRespectsEdges checks TopoOrder is a complete ordering
-// consistent with the covering relation on random spaces.
-func TestTopoOrderRespectsEdgesOnRandomSpaces(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		items := distinctMasks(rng, 40)
-		p := New(items, subsetLeq)
-
-		order := p.TopoOrder()
-		if len(order) != p.Len() {
-			t.Fatalf("seed %d: topo order covers %d of %d", seed, len(order), p.Len())
-		}
-		pos := make([]int, p.Len())
-		for rank, i := range order {
-			pos[i] = rank
-		}
-		for _, e := range p.Edges() {
-			if pos[e[0]] >= pos[e[1]] {
-				t.Fatalf("seed %d: edge (%d,%d) but positions %d >= %d",
-					seed, e[0], e[1], pos[e[0]], pos[e[1]])
 			}
 		}
 	}

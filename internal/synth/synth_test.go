@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexos/internal/explore"
+	"flexos/internal/poset"
 )
 
 // TestSpaceDeterministic: the same (seed, n) must yield the same space
@@ -86,7 +87,7 @@ func TestSpaceValid(t *testing.T) {
 // to key identity, transitive.
 func TestSpaceOrderSound(t *testing.T) {
 	cfgs := Space(5, perApp)
-	p := explore.Poset(cfgs)
+	p := poset.New(cfgs, explore.Leq)
 	if err := p.CheckOrder(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestMeasureDeterministicAndMonotone(t *testing.T) {
 			t.Fatalf("measure not deterministic for %s", c.Key())
 		}
 	}
-	p := explore.Poset(cfgs)
+	p := poset.New(cfgs, explore.Leq)
 	mxs := make([]explore.Metrics, len(cfgs))
 	for i, c := range cfgs {
 		mxs[i], _ = m1(c)

@@ -283,8 +283,9 @@ func (q *Query) Namespace(s string) *Query {
 
 // Progress installs a progress callback, invoked after each
 // configuration is decided (measured, memo-filled or pruned) with the
-// count decided so far and the space size. It runs on the coordinating
-// goroutine, never concurrently with itself.
+// count decided so far and the size of the explored slice (the shard,
+// when one is set). It runs on the coordinating goroutine, never
+// concurrently with itself.
 func (q *Query) Progress(fn func(done, total int)) *Query {
 	q.progress = fn
 	return q
@@ -320,7 +321,20 @@ func (q *Query) snapshot() explore.Request {
 		Memo:          q.memo,
 		Workload:      q.namespaceKey(),
 		Shard:         q.shard,
-		Progress:      q.progress,
+		Observe:       q.observeProgress(),
+	}
+}
+
+// observeProgress turns the Progress callback into the engine's
+// per-decision hook: it counts decisions over the explored slice.
+func (q *Query) observeProgress() func(int, ExploreMeasurement) {
+	if q.progress == nil {
+		return nil
+	}
+	total, done := q.shard.Size(len(q.space)), 0
+	return func(int, ExploreMeasurement) {
+		done++
+		q.progress(done, total)
 	}
 }
 
@@ -434,7 +448,11 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 			next    int
 			stopped bool
 		)
+		progress := req.Observe
 		req.Observe = func(idx int, m ExploreMeasurement) {
+			if progress != nil {
+				progress(idx, m)
+			}
 			buf[idx] = m
 			decided[idx] = true
 			// Release the longest decided prefix, in input order.

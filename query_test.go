@@ -267,3 +267,52 @@ func TestParseConstraintPublicSurface(t *testing.T) {
 		t.Fatal("bad constraint accepted")
 	}
 }
+
+// TestQueryProgressCountsEveryDecision pins Query.Progress: one call per
+// decided configuration — measured, memo-filled or pruned — counting
+// 1..n in order against the explored slice's size, whether the query
+// runs or streams, over the whole space or one shard of it.
+func TestQueryProgressCountsEveryDecision(t *testing.T) {
+	cfgs := flexos.Fig6Space(flexos.RedisComponents())
+	for _, shard := range [][2]int{{0, 0}, {1, 3}} {
+		for _, stream := range []bool{false, true} {
+			var seen []int
+			total := -1
+			q := flexos.NewQuery(cfgs).
+				MeasureScalar(syntheticScalar).
+				Floor(flexos.MetricThroughput, 600).
+				Prune(true).
+				Workers(4).
+				Progress(func(done, n int) {
+					seen = append(seen, done)
+					total = n
+				})
+			if shard[1] > 0 {
+				q.Shard(shard[0], shard[1])
+			}
+			var res *flexos.ExploreResult
+			var err error
+			if stream {
+				seq, final := q.Stream(context.Background())
+				for range seq {
+				}
+				res, err = final()
+			} else {
+				res, err = q.Run(context.Background())
+			}
+			if err != nil {
+				t.Fatalf("shard %v stream %t: %v", shard, stream, err)
+			}
+			n := len(res.Measurements)
+			if total != n || len(seen) != n {
+				t.Fatalf("shard %v stream %t: %d progress calls with total %d, want %d",
+					shard, stream, len(seen), total, n)
+			}
+			for i, d := range seen {
+				if d != i+1 {
+					t.Fatalf("shard %v stream %t: progress out of order at %d: %v", shard, stream, i, seen[:i+1])
+				}
+			}
+		}
+	}
+}
