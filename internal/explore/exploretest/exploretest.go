@@ -99,12 +99,12 @@ func blockOf(c *explore.Config, comp string) int {
 }
 
 // Reference is the oracle: a sequential explorer with map-backed
-// frontiers over the full space-wide ReferenceLeq poset. It reproduces the engine's
-// decision semantics — canonical-twin dedup, monotone pruning gated on
-// fully-decided predecessor sets — with none of its machinery: no
-// bitsets, no groups, no signatures, no batching, no budget. Budgeted
-// and delta runs are compared against it as the exhaustive ground
-// truth.
+// frontiers over the full space-wide ReferenceLeq poset. It reproduces
+// the engine's decision semantics — canonical-twin dedup, monotone
+// pruning gated on fully-decided predecessor sets — with none of its
+// machinery: no bitsets, no groups, no signatures, no batching, no
+// budget. Budgeted and delta runs are compared against it as the
+// exhaustive ground truth.
 func Reference(cfgs []*explore.Config, measure explore.MeasureMetrics, metric explore.Metric, constraints []explore.Constraint, prune bool) *Report {
 	n := len(cfgs)
 	p := poset.New(cfgs, ReferenceLeq)
@@ -259,8 +259,9 @@ func FeasibleSet(res *explore.Result, cs []explore.Constraint) map[int]bool {
 }
 
 // SafestUnder recomputes the constraint-filtered maximal elements of
-// the ReferenceLeq poset from an exhaustive oracle result: the safest set the engine must report
-// under cs, regardless of which constraints the oracle itself ran with.
+// the ReferenceLeq poset from an exhaustive oracle result: the safest
+// set the engine must report under cs, regardless of which constraints
+// the oracle itself ran with.
 func SafestUnder(res *explore.Result, cs []explore.Constraint) []int {
 	cfgs := make([]*explore.Config, len(res.Measurements))
 	index := make(map[*explore.Config]int, len(res.Measurements))
