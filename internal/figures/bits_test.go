@@ -31,6 +31,32 @@ var bitPins = map[string]uint64{
 	"keyed/intel-sgx":      0xe96735cf78f6a41d,
 }
 
+// scenarioPins digest every shipped library scenario at scenarioPinOps
+// operations over its Figure 6 space: the metric vector, crossings and
+// the call count of every cross-compartment gate of each run. They pin
+// the paths the -app spaces never drive (SET, pipelining, accept,
+// multi-stream receive, batched transactions), so a changed charge on
+// any of them fails here.
+var scenarioPins = map[string]uint64{
+	"redis-get100":    0x4af2c705ae5ece84,
+	"redis-get90":     0x70efa98cd3553387,
+	"redis-get50":     0xf6d552f36305a473,
+	"redis-pipe8":     0x5795fb780d8aa9cf,
+	"nginx-static":    0xc472fd3282d85532,
+	"nginx-keep75":    0x78966513107b4771,
+	"nginx-keepalive": 0x4a9c58afdd12c5c8,
+	"iperf-stream1":   0x40ea74d31d9bf409,
+	"iperf-stream4":   0x060728bb22557f5a,
+	"iperf-stream8":   0xb116a208879c1990,
+	"sqlite-batch1":   0x6af5c6f3ed45d3f5,
+	"sqlite-batch8":   0x0f94fb0a5c41d60c,
+	"sqlite-batch32":  0x0db1cfbf6d3890c7,
+}
+
+// scenarioPinOps is small enough that the thirteen spaces run in a few
+// seconds and large enough that every mix runs each of its operations.
+const scenarioPinOps = 24
+
 type bitDigest struct{ h hash.Hash64 }
 
 func newBitDigest() *bitDigest { return &bitDigest{fnv.New64a()} }
@@ -154,4 +180,48 @@ func TestMeasuredBitsPinned(t *testing.T) {
 		}
 		checkBits(t, "fig10/37", d)
 	})
+}
+
+// sqliteQuad is the Figure 6 shape of an SQLite image: the application,
+// the filesystem switch, the time subsystem and the C library each take
+// one block; the scheduler and ramfs stay with the TCB in the first
+// compartment.
+var sqliteQuad = [4]string{flexos.LibSQLite, flexos.LibVFS, flexos.LibTime, flexos.LibC}
+
+func TestScenarioBitsPinned(t *testing.T) {
+	for _, sc := range flexos.Scenarios() {
+		name := "scenario/" + sc.Name()
+		t.Run(name, func(t *testing.T) {
+			quad, ok := sc.Quad()
+			tcb := flexos.TCBLibs()
+			if !ok {
+				quad = sqliteQuad
+				tcb = append(tcb, flexos.LibSched, flexos.LibRamfs)
+			}
+			var report flexos.Report
+			run := sc.WithOps(scenarioPinOps).Observe(func(img *flexos.Image) { report = img.Report() })
+			d := newBitDigest()
+			for _, c := range flexos.Fig6Space(quad) {
+				d.h.Write([]byte(c.Key()))
+				m, err := run.Run(c.Spec(tcb))
+				if err != nil {
+					d.h.Write([]byte(err.Error()))
+					continue
+				}
+				for _, f := range []float64{m.Throughput, m.P50us, m.P99us, m.MaxUs} {
+					d.f64(f)
+				}
+				for _, u := range []uint64{m.PeakMemBytes, m.BootCycles, m.Cycles, uint64(m.Ops), m.Crossings} {
+					d.u64(u)
+				}
+				for _, g := range report.Gates {
+					d.h.Write([]byte(g.From + ">" + g.To))
+					d.u64(g.Calls)
+				}
+			}
+			if got, want := d.h.Sum64(), scenarioPins[sc.Name()]; got != want {
+				t.Errorf("%s: bit digest %#x, want %#x", name, got, want)
+			}
+		})
+	}
 }

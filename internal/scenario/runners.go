@@ -123,7 +123,7 @@ func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 			if got := st.Hits() + st.Sets(); got != uint64(ops) {
 				return Metrics{}, fmt.Errorf("redis: served %d ops, want %d", got, ops)
 			}
-			return collect(img, &lat, ops, boot, startCycles, startCross), nil
+			return s.collect(img, &lat, boot, startCycles, startCross), nil
 		},
 	}
 }
@@ -188,7 +188,7 @@ func nginxScenario(name, desc string, keepPct int) *Scenario {
 			if st.Served() != uint64(ops) {
 				return Metrics{}, fmt.Errorf("nginx: served %d requests, want %d", st.Served(), ops)
 			}
-			return collect(img, &lat, ops, boot, startCycles, startCross), nil
+			return s.collect(img, &lat, boot, startCycles, startCross), nil
 		},
 	}
 }
@@ -264,7 +264,7 @@ func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
 			if st.Received() != uint64(ops*bufSize) {
 				return Metrics{}, fmt.Errorf("iperf: received %d bytes, want %d", st.Received(), ops*bufSize)
 			}
-			return collect(img, &lat, ops, boot, startCycles, startCross), nil
+			return s.collect(img, &lat, boot, startCycles, startCross), nil
 		},
 	}
 }
@@ -314,7 +314,7 @@ func sqliteScenario(name, desc string, batch int) *Scenario {
 			if st.Rows() != uint64(ops) {
 				return Metrics{}, fmt.Errorf("sqlite: committed %d rows, want %d", st.Rows(), ops)
 			}
-			return collect(img, &lat, ops, boot, startCycles, startCross), nil
+			return s.collect(img, &lat, boot, startCycles, startCross), nil
 		},
 	}
 }

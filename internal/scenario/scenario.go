@@ -45,6 +45,9 @@ type Scenario struct {
 	comps []string // full component list (without the TCB)
 	ops   int      // primary operations per run
 	run   func(s *Scenario, spec core.ImageSpec) (Metrics, error)
+	// observe, when set, sees each run's image after its metrics are
+	// collected.
+	observe func(*core.Image)
 }
 
 var _ Workload = (*Scenario)(nil)
@@ -82,6 +85,17 @@ func (s *Scenario) WithOps(n int) *Scenario {
 	}
 	c := *s
 	c.ops = n
+	return &c
+}
+
+// Observe returns a copy of the scenario that hands each run's image to
+// fn once the run's metrics are collected, so a caller can inspect
+// state the metric vector does not carry, such as per-gate call counts
+// (Image.Report). fn must not drive the image further; the metrics are
+// already taken.
+func (s *Scenario) Observe(fn func(*core.Image)) *Scenario {
+	c := *s
+	c.observe = fn
 	return &c
 }
 
@@ -157,10 +171,15 @@ func peakMemory(img *core.Image) uint64 {
 	return total
 }
 
-// collect assembles the metric vector after a measurement loop:
-// bootCycles is the clock at first served operation, startCycles /
-// startCross the clock and gate counters when measurement began.
-func collect(img *core.Image, lat *machine.LatencySampler, ops int, bootCycles, startCycles, startCross uint64) Metrics {
+// collect assembles the metric vector after a measurement loop of s.ops
+// operations: bootCycles is the clock at first served operation,
+// startCycles / startCross the clock and gate counters when measurement
+// began. It then hands the image to the scenario's observer, if any.
+func (s *Scenario) collect(img *core.Image, lat *machine.LatencySampler, bootCycles, startCycles, startCross uint64) Metrics {
+	if s.observe != nil {
+		defer s.observe(img)
+	}
+	ops := s.ops
 	cycles := img.Mach.Clock.Cycles() - startCycles
 	seconds := float64(cycles) / img.Mach.Costs.FreqHz
 	var tput float64
