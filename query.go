@@ -3,6 +3,7 @@ package flexos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
 
 	"flexos/internal/explore"
@@ -466,6 +467,13 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 			}
 		}
 		res, err = q.engineRun(sctx, req)
+		// The engine may decide the last configuration before the
+		// consumer's break cancels it, and then returns a completed
+		// run. A broken stream still reports ErrCanceled, wrapped with
+		// the cause as on the canceled path.
+		if stopped && !errors.Is(err, ErrCanceled) {
+			res, err = nil, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(sctx))
+		}
 	}
 	seq := iter.Seq2[*ExploreConfig, Metrics](run)
 	final := func() (*ExploreResult, error) {
