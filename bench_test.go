@@ -560,24 +560,35 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCtxCall measures one simulated call through Ctx.Call to a
-// function without arguments: within the caller's compartment (a plain
-// call) and across a full MPK gate. Both cost no host allocation.
+// BenchmarkCtxCall measures one simulated call through Ctx.Call:
+// without arguments within the caller's compartment (a plain call) and
+// across a full MPK gate, then across the gate with each argument kind —
+// five words, the string slot, the byte slot. None costs a host
+// allocation, so the allocs/op gate guards every argument kind.
 func BenchmarkCtxCall(b *testing.B) {
 	newCatalog := func() *flexos.Catalog {
 		cat := flexos.FullCatalog()
 		c := &flexos.Component{Name: "bench", Funcs: map[string]*flexos.Func{}}
 		c.AddFunc(&flexos.Func{Name: "nop", Work: 10, EntryPoint: true,
-			Impl: func(*flexos.Ctx, ...any) (any, error) { return nil, nil }})
+			Impl: func(_ *flexos.Ctx, a *flexos.Args) (flexos.Ret, error) {
+				return flexos.Ret{W: a.W[4] + uint64(len(a.B)), S: a.S}, nil
+			}})
 		cat.MustRegister(c)
 		return cat
 	}
+	same := []flexos.CompSpec{{Name: "c0", Libs: append(flexos.TCBLibs(), "bench")}}
+	split := []flexos.CompSpec{{Name: "c0", Libs: flexos.TCBLibs()}, {Name: "c1", Libs: []string{"bench"}}}
+	withBytes := flexos.Args{B: []byte("GET key42\r\n")}
 	for _, bc := range []struct {
 		name  string
 		comps []flexos.CompSpec
+		args  flexos.Args
 	}{
-		{"SameCompartment", []flexos.CompSpec{{Name: "c0", Libs: append(flexos.TCBLibs(), "bench")}}},
-		{"MPKGate", []flexos.CompSpec{{Name: "c0", Libs: flexos.TCBLibs()}, {Name: "c1", Libs: []string{"bench"}}}},
+		{"SameCompartment", same, flexos.Args{}},
+		{"MPKGate", split, flexos.Args{}},
+		{"Words", split, flexos.Words(1, 2, 3, 4, 5)},
+		{"String", split, flexos.Args{S: "/test.db"}},
+		{"Bytes", split, withBytes},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			img, err := flexos.Build(newCatalog(), flexos.ImageSpec{
@@ -590,10 +601,11 @@ func BenchmarkCtxCall(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			nop := flexos.Symbol("bench", "nop")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ctx.Call("bench", "nop"); err != nil {
+				if _, err := ctx.Call(nop, bc.args); err != nil {
 					b.Fatal(err)
 				}
 			}

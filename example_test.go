@@ -106,8 +106,8 @@ func ExampleImage_NewContext() {
 		},
 	})
 	ctx, _ := img.NewContext("main", flexos.LibRedis)
-	sock, _ := ctx.Call(flexos.LibNet, "socket") // crosses an MPK gate
-	fmt.Printf("socket=%v crossings=%d\n", sock, img.Crossings())
+	sock, _ := ctx.Call(flexos.Symbol(flexos.LibNet, "socket"), flexos.Args{}) // crosses an MPK gate
+	fmt.Printf("socket=%d crossings=%d\n", sock.Int(), img.Crossings())
 	// Output:
 	// socket=1 crossings=1
 }

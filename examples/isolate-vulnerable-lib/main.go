@@ -32,15 +32,16 @@ func buildCatalog() *flexos.Catalog {
 	}
 	parser.AddFunc(&flexos.Func{
 		Name: "parse", Work: 300, EntryPoint: true,
-		Impl: func(ctx *flexos.Ctx, args ...any) (any, error) {
-			// The "image header" smuggles a pointer; the buggy parser
-			// reads through it — an arbitrary-read primitive.
-			evilPtr := args[0].(uintptr)
+		Impl: func(ctx *flexos.Ctx, a *flexos.Args) (flexos.Ret, error) {
+			// The "image header" smuggles a pointer in the first
+			// argument word; the buggy parser reads through it — an
+			// arbitrary-read primitive.
+			evilPtr := uintptr(a.W[0])
 			leak := make([]byte, 16)
 			if err := ctx.Read(evilPtr, leak); err != nil {
-				return nil, err
+				return flexos.Ret{}, err
 			}
-			return string(leak), nil
+			return flexos.Ret{S: string(leak)}, nil
 		},
 	})
 	if err := cat.Register(parser); err != nil {
@@ -67,11 +68,11 @@ func exploit(img *flexos.Image) (string, error) {
 	}
 	// The attacker triggers the parser with a crafted "file" whose
 	// header points at the secret.
-	out, err := ctx.Call("libparser", "parse", secretAddr)
+	out, err := ctx.Call(flexos.Symbol("libparser", "parse"), flexos.Words(uint64(secretAddr)))
 	if err != nil {
 		return "", err
 	}
-	return out.(string), nil
+	return out.S, nil
 }
 
 func main() {

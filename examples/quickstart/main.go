@@ -59,23 +59,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sockAny, err := ctx.Call(flexos.LibRedis, "setup", 16)
+	sock, err := ctx.Call(flexos.Symbol(flexos.LibRedis, "setup"), flexos.Words(16))
 	if err != nil {
 		log.Fatal(err)
 	}
-	sock := sockAny.(int)
+	// Requests travel to the stack in the frame's byte slot, after the
+	// socket descriptor in its first word.
+	enqueue := flexos.Words(sock.W)
 	for i := 0; i < 5; i++ {
-		req := fmt.Sprintf("GET key%d\r\n", i)
-		if _, err := ctx.Call(flexos.LibNet, "rx_enqueue", sock, []byte(req)); err != nil {
+		enqueue.B = fmt.Appendf(enqueue.B[:0], "GET key%d\r\n", i)
+		if _, err := ctx.Call(flexos.Symbol(flexos.LibNet, "rx_enqueue"), enqueue); err != nil {
 			log.Fatal(err)
 		}
 	}
+	serveGet := flexos.Symbol(flexos.LibRedis, "serve_get")
 	for i := 0; i < 5; i++ {
-		hit, err := ctx.Call(flexos.LibRedis, "serve_get")
+		hit, err := ctx.Call(serveGet, flexos.Args{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("request %d served, hit=%v\n", i, hit)
+		fmt.Printf("request %d served, hit=%v\n", i, hit.Bool())
 	}
 
 	// 4. The simulated machine accounts every cycle: compute, gates,

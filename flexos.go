@@ -66,6 +66,12 @@ type (
 	SharedVar = core.SharedVar
 	// Ctx is the execution context passed to component functions.
 	Ctx = core.Ctx
+	// Sym is an interned (library, function) pair; Ctx.Call takes one.
+	Sym = core.Sym
+	// Args is the fixed argument frame of a simulated call.
+	Args = core.Args
+	// Ret is the value a simulated call returns.
+	Ret = core.Ret
 	// Image is a built FlexOS system.
 	Image = core.Image
 	// ImageSpec is a build-time safety configuration.
@@ -284,6 +290,12 @@ func ParseProfile(s string) (MachineProfile, error) { return machine.ParseProfil
 // CanonicalProfile canonicalizes a machine profile name; the default
 // profile canonicalizes to "".
 func CanonicalProfile(s string) (string, error) { return machine.CanonicalProfile(s) }
+
+// Symbol interns a (library, function) pair for Ctx.Call.
+func Symbol(lib, fn string) Sym { return core.Symbol(lib, fn) }
+
+// Words returns an argument frame whose leading word slots hold ws.
+func Words(ws ...uint64) Args { return core.Words(ws...) }
 
 // NewCatalog returns an empty component catalog.
 func NewCatalog() *Catalog { return core.NewCatalog() }

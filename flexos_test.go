@@ -86,12 +86,14 @@ func TestFullCatalogIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctxA, _ := a.NewContext("a", flexos.LibRedis)
-	if _, err := ctxA.Call(flexos.LibRedis, "setup", 2); err != nil {
+	if _, err := ctxA.Call(flexos.Symbol(flexos.LibRedis, "setup"), flexos.Words(2)); err != nil {
 		t.Fatal(err)
 	}
 	ctxB, _ := b.NewContext("b", flexos.LibRedis)
 	// Image B's redis must not see image A's socket.
-	if _, err := ctxB.Call(flexos.LibNet, "rx_enqueue", 1, []byte("x")); err == nil {
+	enq := flexos.Words(1)
+	enq.B = []byte("x")
+	if _, err := ctxB.Call(flexos.Symbol(flexos.LibNet, "rx_enqueue"), enq); err == nil {
 		t.Fatal("catalog state leaked between images")
 	}
 }

@@ -10,8 +10,6 @@
 package iperf
 
 import (
-	"fmt"
-
 	"flexos/internal/core"
 	"flexos/internal/libc"
 	"flexos/internal/netstack"
@@ -26,6 +24,12 @@ var Components = []string{Name, libc.Name, oslib.SchedName, netstack.Name}
 
 // recvWork is the application-side bookkeeping per recv call.
 const recvWork = 160
+
+// The calls libiperf makes.
+var (
+	symSocket = core.Symbol(netstack.Name, "socket")
+	symRecv   = core.Symbol(netstack.Name, "recv")
+)
 
 // State is the per-image server state.
 type State struct {
@@ -51,13 +55,13 @@ func Register(cat *core.Catalog) *State {
 
 	c.AddFunc(&core.Func{
 		Name: "setup", Work: 300, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			v, err := ctx.Call(netstack.Name, "socket")
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			v, err := ctx.Call(symSocket, core.Args{})
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			st.sock = v.(int)
-			return st.sock, nil
+			st.sock = v.Int()
+			return v, nil
 		},
 	})
 
@@ -65,20 +69,17 @@ func Register(cat *core.Catalog) *State {
 	// the given size and returns the byte count.
 	c.AddFunc(&core.Func{
 		Name: "recv_once", Work: recvWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			size, ok := args[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("iperf: recv_once(size int)")
-			}
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			size := int(a.W[0])
 			buf, err := ctx.StackAlloc(size, true)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			v, err := ctx.Call(netstack.Name, "recv", st.sock, buf, size)
+			v, err := ctx.Call(symRecv, core.Words(uint64(st.sock), uint64(buf), uint64(size)))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			st.received += uint64(v.(int))
+			st.received += v.W
 			return v, nil
 		},
 	})

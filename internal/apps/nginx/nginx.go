@@ -13,6 +13,7 @@ package nginx
 
 import (
 	"fmt"
+	"strconv"
 
 	"flexos/internal/core"
 	"flexos/internal/libc"
@@ -37,6 +38,38 @@ const (
 	bodySize         = 128
 )
 
+// The calls libnginx makes.
+var (
+	symSocket  = core.Symbol(netstack.Name, "socket")
+	symRecv    = core.Symbol(netstack.Name, "recv")
+	symSend    = core.Symbol(netstack.Name, "send")
+	symPending = core.Symbol(netstack.Name, "pending")
+	symParse   = core.Symbol(libc.Name, "parse")
+	symFormat  = core.Symbol(libc.Name, "format")
+	symMemcpy  = core.Symbol(libc.Name, "memcpy")
+	symWake    = core.Symbol(oslib.SchedName, "wake")
+)
+
+// Process-wide constants: the response header, the cached document's
+// body, and the 36 __shared connection buffers.
+var (
+	header    = []byte("HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(bodySize) + "\r\n\r\n")
+	indexBody = func() []byte {
+		body := make([]byte, bodySize)
+		for i := range body {
+			body[i] = byte('a' + i%26)
+		}
+		return body
+	}()
+	sharedVars = func() []core.SharedVar {
+		vs := make([]core.SharedVar, 36)
+		for i := range vs {
+			vs[i] = core.SharedVar{Name: fmt.Sprintf("conn_buf_%d", i), Size: 64}
+		}
+		return vs
+	}()
+)
+
 // State is the per-image server state: the static file cache.
 type State struct {
 	files    map[string]uintptr // path -> private heap buffer (bodySize)
@@ -52,89 +85,84 @@ func Register(cat *core.Catalog) *State {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 470, 85
 	c.Imports = []string{libc.Name, oslib.SchedName, netstack.Name}
-	for i := 0; i < 36; i++ {
-		c.AddShared(core.SharedVar{Name: fmt.Sprintf("conn_buf_%d", i), Size: 64})
-	}
+	c.Shared = append(c.Shared, sharedVars...)
 
 	// setup(): listening socket plus the cached document root.
 	c.AddFunc(&core.Func{
 		Name: "setup", Work: 500, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			v, err := ctx.Call(netstack.Name, "socket")
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			v, err := ctx.Call(symSocket, core.Args{})
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			st.sock = v.(int)
-			body := make([]byte, bodySize)
-			for i := range body {
-				body[i] = byte('a' + i%26)
-			}
+			st.sock = v.Int()
 			addr, err := ctx.AllocPrivate(bodySize)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			if err := ctx.Write(addr, body); err != nil {
-				return nil, err
+			if err := ctx.Write(addr, indexBody); err != nil {
+				return core.Ret{}, err
 			}
 			st.files["/index.html"] = addr
-			return st.sock, nil
+			return core.Ret{W: uint64(st.sock)}, nil
 		},
 	})
 
 	// serve_req handles one HTTP GET end to end.
 	c.AddFunc(&core.Func{
 		Name: "serve_req", Work: serveWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			reqBuf, err := ctx.StackAlloc(128, true)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			v, err := ctx.Call(netstack.Name, "recv", st.sock, reqBuf, 128)
+			v, err := ctx.Call(symRecv, core.Words(uint64(st.sock), uint64(reqBuf), 128))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			n := v.(int)
+			n := v.W
 			if n == 0 {
-				return false, nil
+				return core.Ret{}, nil
 			}
-			method, err := ctx.Call(libc.Name, "parse", reqBuf, n)
+			method, err := ctx.Call(symParse, core.Words(uint64(reqBuf), n))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			if method.(string) != "GET" {
-				return false, nil
+			if method.S != "GET" {
+				return core.Ret{}, nil
 			}
 			// Route to the cached file.
 			ctx.Charge(routeWork)
 			addr, ok := st.files["/index.html"]
 			if !ok {
-				return false, nil
+				return core.Ret{}, nil
 			}
 
 			// Header + body into a shared transmit buffer.
 			txBuf, err := ctx.StackAlloc(64+bodySize, true)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			hdr := fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", bodySize)
-			hn, err := ctx.Call(libc.Name, "format", txBuf, hdr)
+			fa := core.Words(uint64(txBuf))
+			fa.B = header
+			hn, err := ctx.Call(symFormat, fa)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			if _, err := ctx.Call(libc.Name, "memcpy", txBuf+uintptr(hn.(int)), addr, bodySize); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symMemcpy, core.Words(uint64(txBuf)+hn.W, uint64(addr), bodySize)); err != nil {
+				return core.Ret{}, err
 			}
-			total := hn.(int) + bodySize
-			if _, err := ctx.Call(netstack.Name, "send", st.sock, txBuf, total); err != nil {
-				return nil, err
+			total := hn.W + bodySize
+			if _, err := ctx.Call(symSend, core.Words(uint64(st.sock), uint64(txBuf), total)); err != nil {
+				return core.Ret{}, err
 			}
 			for i := 0; i < schedCallsPerReq; i++ {
-				if _, err := ctx.Call(oslib.SchedName, "wake"); err != nil {
-					return nil, err
+				if _, err := ctx.Call(symWake, core.Args{}); err != nil {
+					return core.Ret{}, err
 				}
 			}
 			st.served++
-			return true, nil
+			return core.Ret{W: 1}, nil
 		},
 	})
 	// accept_conn models accepting a fresh TCP connection: the
@@ -143,15 +171,15 @@ func Register(cat *core.Catalog) *State {
 	// event loop, but reuses the listening socket's queue.
 	c.AddFunc(&core.Func{
 		Name: "accept_conn", Work: acceptWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if _, err := ctx.Call(netstack.Name, "pending", st.sock); err != nil {
-				return nil, err
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			if _, err := ctx.Call(symPending, core.Words(uint64(st.sock))); err != nil {
+				return core.Ret{}, err
 			}
-			if _, err := ctx.Call(oslib.SchedName, "wake"); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symWake, core.Args{}); err != nil {
+				return core.Ret{}, err
 			}
 			st.accepted++
-			return st.accepted, nil
+			return core.Ret{W: st.accepted}, nil
 		},
 	})
 	cat.MustRegister(c)

@@ -110,7 +110,7 @@ func TestServedCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", nginx.Name)
-	if _, err := ctx.Call(nginx.Name, "setup"); err != nil {
+	if _, err := ctx.Call(core.Symbol(nginx.Name, "setup"), core.Args{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Served() != 0 {

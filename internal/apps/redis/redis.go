@@ -14,7 +14,10 @@
 package redis
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"flexos/internal/core"
 	"flexos/internal/libc"
@@ -38,6 +41,35 @@ const (
 	requestBytes     = "GET key\r\n"
 )
 
+// The calls libredis makes, and the replies it sends verbatim.
+var (
+	symSocket = core.Symbol(netstack.Name, "socket")
+	symRecv   = core.Symbol(netstack.Name, "recv")
+	symSend   = core.Symbol(netstack.Name, "send")
+	symParse  = core.Symbol(libc.Name, "parse")
+	symFormat = core.Symbol(libc.Name, "format")
+	// symChatter is the scheduler call sequence of the event loop:
+	// call i is symChatter[i%3].
+	symChatter = [3]core.Sym{
+		core.Symbol(oslib.SchedName, "wake"),
+		core.Symbol(oslib.SchedName, "block_poll"),
+		core.Symbol(oslib.SchedName, "timer_arm"),
+	}
+
+	okReply   = []byte("+OK\r\n")
+	missReply = []byte("$-1\r\n")
+)
+
+// sharedVars are libredis's 16 __shared I/O buffers, named once per
+// process.
+var sharedVars = func() []core.SharedVar {
+	vs := make([]core.SharedVar, 16)
+	for i := range vs {
+		vs[i] = core.SharedVar{Name: fmt.Sprintf("io_buf_%d", i), Size: 64}
+	}
+	return vs
+}()
+
 // State is the per-image Redis state: the keyspace dictionary. Values
 // live in the compartment's private simulated heap.
 type State struct {
@@ -46,6 +78,12 @@ type State struct {
 	hits   uint64
 	misses uint64
 	sets   uint64
+
+	// Host scratch reused by every request: the request bytes read back
+	// from simulated memory, one value, and the reply being built.
+	req   []byte
+	val   [valueSize]byte
+	reply []byte
 }
 
 // Register adds libredis to a catalog (Table 1: +279/-90, 16 shared
@@ -55,34 +93,30 @@ func Register(cat *core.Catalog) *State {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 279, 90
 	c.Imports = []string{libc.Name, oslib.SchedName, netstack.Name}
-	for i := 0; i < 16; i++ {
-		c.AddShared(core.SharedVar{Name: fmt.Sprintf("io_buf_%d", i), Size: 64})
-	}
+	c.Shared = append(c.Shared, sharedVars...)
 
-	// setup(keys int): create the listening socket and preload keys.
+	// setup(keys): create the listening socket and preload keys.
 	c.AddFunc(&core.Func{
 		Name: "setup", Work: 400, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			keys, ok := args[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("redis: setup(keys int)")
-			}
-			v, err := ctx.Call(netstack.Name, "socket")
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			keys := int(a.W[0])
+			v, err := ctx.Call(symSocket, core.Args{})
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			st.sock = v.(int)
+			st.sock = v.Int()
 			for i := 0; i < keys; i++ {
 				addr, err := ctx.AllocPrivate(valueSize)
 				if err != nil {
-					return nil, err
+					return core.Ret{}, err
 				}
-				if err := ctx.Write(addr, []byte(fmt.Sprintf("value-%010d", i))); err != nil {
-					return nil, err
+				val := appendPadded(append(st.val[:0], "value-"...), i, 10)
+				if err := ctx.Write(addr, val); err != nil {
+					return core.Ret{}, err
 				}
-				st.values[fmt.Sprintf("key%d", i)] = addr
+				st.values["key"+strconv.Itoa(i)] = addr
 			}
-			return st.sock, nil
+			return core.Ret{W: uint64(st.sock)}, nil
 		},
 	})
 
@@ -90,43 +124,46 @@ func Register(cat *core.Catalog) *State {
 	// hit. It is the hot path Figure 6 measures.
 	c.AddFunc(&core.Func{
 		Name: "serve_get", Work: serveWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			reqBuf, n, cmd, err := st.recvCommand(ctx)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if n == 0 || cmd != "GET" {
 				st.misses++
-				return false, nil
+				return core.Ret{}, nil
 			}
 			key, err := st.parseKey(ctx, reqBuf, n)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 
 			// Dictionary lookup + value fetch from the private heap.
 			ctx.Charge(lookupWork)
-			valAddr, ok := st.values[key]
-			hit := ok
-			reply := "$-1\r\n"
-			if ok {
-				val := make([]byte, valueSize)
-				if err := ctx.Read(valAddr, val); err != nil {
-					return nil, err
+			valAddr, hit := st.values[string(key)]
+			reply := missReply
+			if hit {
+				if err := ctx.Read(valAddr, st.val[:]); err != nil {
+					return core.Ret{}, err
 				}
-				reply = fmt.Sprintf("$%d\r\n%s\r\n", valueSize, val)
+				reply = append(st.reply[:0], '$')
+				reply = strconv.AppendInt(reply, valueSize, 10)
+				reply = append(reply, "\r\n"...)
+				reply = append(reply, st.val[:]...)
+				reply = append(reply, "\r\n"...)
+				st.reply = reply
 				st.hits++
 			} else {
 				st.misses++
 			}
 
 			if err := st.sendReply(ctx, reply); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if err := eventLoopChatter(ctx); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			return hit, nil
+			return core.Ret{W: core.Bool(hit)}, nil
 		},
 	})
 	// serve_set handles one SET request end to end: parse, store the
@@ -135,101 +172,103 @@ func Register(cat *core.Catalog) *State {
 	// the multi-metric scenarios run.
 	c.AddFunc(&core.Func{
 		Name: "serve_set", Work: serveWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			reqBuf, n, cmd, err := st.recvCommand(ctx)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if n == 0 || cmd != "SET" {
 				st.misses++
-				return false, nil
+				return core.Ret{}, nil
 			}
 			key, val, err := st.parseKeyValue(ctx, reqBuf, n)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 
 			// Dict insert: overwrite in place, or allocate a fresh private
 			// value slot.
 			ctx.Charge(lookupWork + storeWork)
-			addr, ok := st.values[key]
+			addr, ok := st.values[string(key)]
 			if !ok {
 				if addr, err = ctx.AllocPrivate(valueSize); err != nil {
-					return nil, err
+					return core.Ret{}, err
 				}
-				st.values[key] = addr
+				st.values[string(key)] = addr
 			}
-			stored := make([]byte, valueSize)
-			copy(stored, val)
-			if err := ctx.Write(addr, stored); err != nil {
-				return nil, err
+			clear(st.val[:])
+			copy(st.val[:], val)
+			if err := ctx.Write(addr, st.val[:]); err != nil {
+				return core.Ret{}, err
 			}
 			st.sets++
 
-			if err := st.sendReply(ctx, "+OK\r\n"); err != nil {
-				return nil, err
+			if err := st.sendReply(ctx, okReply); err != nil {
+				return core.Ret{}, err
 			}
 			if err := eventLoopChatter(ctx); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			return true, nil
+			return core.Ret{W: 1}, nil
 		},
 	})
 	cat.MustRegister(c)
 	return st
 }
 
+// readRequest reads a received request back from simulated memory into
+// the state's scratch; the result is valid until the next request.
+func (st *State) readRequest(ctx *core.Ctx, buf uintptr, n int) ([]byte, error) {
+	st.req = slices.Grow(st.req[:0], n)[:n]
+	return st.req, ctx.Read(buf, st.req)
+}
+
 // parseKey extracts the key token after "GET ".
-func (st *State) parseKey(ctx *core.Ctx, buf uintptr, n int) (string, error) {
-	raw := make([]byte, n)
-	if err := ctx.Read(buf, raw); err != nil {
-		return "", err
+func (st *State) parseKey(ctx *core.Ctx, buf uintptr, n int) ([]byte, error) {
+	raw, err := st.readRequest(ctx, buf, n)
+	if err != nil {
+		return nil, err
 	}
-	s := string(raw)
 	const prefix = "GET "
-	if len(s) <= len(prefix) {
-		return "", fmt.Errorf("redis: malformed request %q", s)
+	if len(raw) <= len(prefix) {
+		return nil, fmt.Errorf("redis: malformed request %q", raw)
 	}
-	key := s[len(prefix):]
-	for i := 0; i < len(key); i++ {
-		if key[i] == '\r' || key[i] == '\n' {
-			key = key[:i]
-			break
-		}
-	}
-	return key, nil
+	return cutLine(raw[len(prefix):]), nil
 }
 
 // parseKeyValue extracts the key and value tokens after "SET ".
-func (st *State) parseKeyValue(ctx *core.Ctx, buf uintptr, n int) (string, string, error) {
-	raw := make([]byte, n)
-	if err := ctx.Read(buf, raw); err != nil {
-		return "", "", err
+func (st *State) parseKeyValue(ctx *core.Ctx, buf uintptr, n int) (key, val []byte, err error) {
+	raw, err := st.readRequest(ctx, buf, n)
+	if err != nil {
+		return nil, nil, err
 	}
-	s := string(raw)
 	const prefix = "SET "
-	if len(s) <= len(prefix) {
-		return "", "", fmt.Errorf("redis: malformed request %q", s)
+	if len(raw) <= len(prefix) {
+		return nil, nil, fmt.Errorf("redis: malformed request %q", raw)
 	}
-	rest := s[len(prefix):]
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == '\r' || rest[i] == '\n' {
-			rest = rest[:i]
-			break
-		}
-	}
-	key := rest
-	val := ""
-	for i := 0; i < len(rest); i++ {
-		if rest[i] == ' ' {
-			key, val = rest[:i], rest[i+1:]
-			break
-		}
-	}
-	if key == "" {
-		return "", "", fmt.Errorf("redis: malformed SET %q", s)
+	key, val, _ = bytes.Cut(cutLine(raw[len(prefix):]), []byte(" "))
+	if len(key) == 0 {
+		return nil, nil, fmt.Errorf("redis: malformed SET %q", raw)
 	}
 	return key, val, nil
+}
+
+// cutLine returns b up to its first CR or LF.
+func cutLine(b []byte) []byte {
+	if i := bytes.IndexAny(b, "\r\n"); i >= 0 {
+		return b[:i]
+	}
+	return b
+}
+
+// appendPadded appends v in decimal, zero-padded to width digits.
+func appendPadded(b []byte, v, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(v), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // recvCommand runs the shared request prologue: allocate the DSS
@@ -242,33 +281,35 @@ func (st *State) recvCommand(ctx *core.Ctx) (buf uintptr, n int, cmd string, err
 	if err != nil {
 		return 0, 0, "", err
 	}
-	v, err := ctx.Call(netstack.Name, "recv", st.sock, buf, 64)
+	v, err := ctx.Call(symRecv, core.Words(uint64(st.sock), uint64(buf), 64))
 	if err != nil {
 		return 0, 0, "", err
 	}
-	n = v.(int)
+	n = v.Int()
 	if n == 0 {
 		return buf, 0, "", nil
 	}
-	cmdAny, err := ctx.Call(libc.Name, "parse", buf, n)
+	tok, err := ctx.Call(symParse, core.Words(uint64(buf), uint64(n)))
 	if err != nil {
 		return 0, 0, "", err
 	}
-	return buf, n, cmdAny.(string), nil
+	return buf, n, tok.S, nil
 }
 
 // sendReply formats a reply into a fresh shared buffer and transmits
 // it — the epilogue both command paths share.
-func (st *State) sendReply(ctx *core.Ctx, reply string) error {
+func (st *State) sendReply(ctx *core.Ctx, reply []byte) error {
 	repBuf, err := ctx.StackAlloc(64, true)
 	if err != nil {
 		return err
 	}
-	nv, err := ctx.Call(libc.Name, "format", repBuf, reply)
+	fa := core.Words(uint64(repBuf))
+	fa.B = reply
+	nv, err := ctx.Call(symFormat, fa)
 	if err != nil {
 		return err
 	}
-	_, err = ctx.Call(netstack.Name, "send", st.sock, repBuf, nv.(int))
+	_, err = ctx.Call(symSend, core.Words(uint64(st.sock), uint64(repBuf), nv.W))
 	return err
 }
 
@@ -277,14 +318,7 @@ func (st *State) sendReply(ctx *core.Ctx, reply string) error {
 // identical on the GET and SET paths.
 func eventLoopChatter(ctx *core.Ctx) error {
 	for i := 0; i < schedCallsPerReq; i++ {
-		fn := "wake"
-		switch i % 3 {
-		case 1:
-			fn = "block_poll"
-		case 2:
-			fn = "timer_arm"
-		}
-		if _, err := ctx.Call(oslib.SchedName, fn); err != nil {
+		if _, err := ctx.Call(symChatter[i%3], core.Args{}); err != nil {
 			return err
 		}
 	}

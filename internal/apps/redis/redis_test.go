@@ -159,21 +159,23 @@ func TestStateCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", redis.Name)
-	if _, err := ctx.Call(redis.Name, "setup", 4); err != nil {
+	if _, err := ctx.Call(core.Symbol(redis.Name, "setup"), core.Words(4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Call(netstack.Name, "rx_enqueue", 1, []byte("GET key1\r\n")); err != nil {
+	enq := core.Words(1)
+	enq.B = []byte("GET key1\r\n")
+	if _, err := ctx.Call(core.Symbol(netstack.Name, "rx_enqueue"), enq); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := ctx.Call(redis.Name, "serve_get")
+	hit, err := ctx.Call(core.Symbol(redis.Name, "serve_get"), core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit != true || st.Hits() != 1 || st.Misses() != 0 {
-		t.Fatalf("hit=%v hits=%d misses=%d", hit, st.Hits(), st.Misses())
+	if !hit.Bool() || st.Hits() != 1 || st.Misses() != 0 {
+		t.Fatalf("hit=%v hits=%d misses=%d", hit.Bool(), st.Hits(), st.Misses())
 	}
 	// Empty queue -> miss.
-	if hit, _ := ctx.Call(redis.Name, "serve_get"); hit != false {
+	if hit, _ := ctx.Call(core.Symbol(redis.Name, "serve_get"), core.Args{}); hit.Bool() {
 		t.Fatal("empty queue should miss")
 	}
 }

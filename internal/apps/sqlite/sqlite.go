@@ -12,6 +12,7 @@ package sqlite
 
 import (
 	"fmt"
+	"strconv"
 
 	"flexos/internal/core"
 	"flexos/internal/libc"
@@ -38,11 +39,41 @@ const (
 	pageSize    = 2048
 )
 
+// The calls libsqlite makes.
+var (
+	symNow    = core.Symbol(timesys.Name, "now")
+	symFormat = core.Symbol(libc.Name, "format")
+	symOpen   = core.Symbol(vfs.Name, "open")
+	symWrite  = core.Symbol(vfs.Name, "write")
+	symFsync  = core.Symbol(vfs.Name, "fsync")
+	symSeek   = core.Symbol(vfs.Name, "seek")
+	symClose  = core.Symbol(vfs.Name, "close")
+	symUnlink = core.Symbol(vfs.Name, "unlink")
+)
+
+// Database and journal paths.
+const (
+	dbPath      = "/test.db"
+	journalPath = "/test.db-journal"
+)
+
+// sharedVars are libsqlite's 24 __shared pager buffers, named once per
+// process.
+var sharedVars = func() []core.SharedVar {
+	vs := make([]core.SharedVar, 24)
+	for i := range vs {
+		vs[i] = core.SharedVar{Name: fmt.Sprintf("pager_buf_%d", i), Size: 64}
+	}
+	return vs
+}()
+
 // State is the per-image engine state.
 type State struct {
 	rows   uint64
 	dbFD   int
 	opened bool
+	// row is the reused host buffer each statement's text is built in.
+	row []byte
 }
 
 // Register adds libsqlite to a catalog (Table 1: +199/-145, 24 shared
@@ -52,21 +83,19 @@ func Register(cat *core.Catalog) *State {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 199, 145
 	c.Imports = []string{libc.Name, vfs.Name, timesys.Name}
-	for i := 0; i < 24; i++ {
-		c.AddShared(core.SharedVar{Name: fmt.Sprintf("pager_buf_%d", i), Size: 64})
-	}
+	c.Shared = append(c.Shared, sharedVars...)
 
 	// open_db() opens the database file.
 	c.AddFunc(&core.Func{
 		Name: "open_db", Work: 900, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			v, err := ctx.Call(vfs.Name, "open", "/test.db")
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			v, err := ctx.Call(symOpen, core.Args{S: dbPath})
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			st.dbFD = v.(int)
+			st.dbFD = v.Int()
 			st.opened = true
-			return st.dbFD, nil
+			return v, nil
 		},
 	})
 
@@ -75,72 +104,49 @@ func Register(cat *core.Catalog) *State {
 	// query is in a separate transaction".
 	c.AddFunc(&core.Func{
 		Name: "exec_insert", Work: execWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
 			if !st.opened {
-				return nil, fmt.Errorf("sqlite: database not open")
-			}
-			i, ok := args[0].(int)
-			if !ok {
-				return nil, fmt.Errorf("sqlite: exec_insert(i int)")
+				return core.Ret{}, fmt.Errorf("sqlite: database not open")
 			}
 			// Timestamp the transaction start.
-			if _, err := ctx.Call(timesys.Name, "now"); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symNow, core.Args{}); err != nil {
+				return core.Ret{}, err
 			}
 
 			// Stage the SQL text and row image in a shared buffer (it
 			// crosses into vfs).
 			buf, err := ctx.StackAlloc(chunkSize, true)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			row := fmt.Sprintf("INSERT(%d)", i)
-			if _, err := ctx.Call(libc.Name, "format", buf, row); err != nil {
-				return nil, err
+			if err := st.formatRow(ctx, buf, int(a.W[0])); err != nil {
+				return core.Ret{}, err
 			}
 
 			// 1. Open the rollback journal and write the page backup.
-			jv, err := ctx.Call(vfs.Name, "open", "/test.db-journal")
+			jfd, err := st.writeJournal(ctx, buf)
 			if err != nil {
-				return nil, err
-			}
-			jfd := jv.(int)
-			for off := 0; off < journalSize; off += chunkSize {
-				if _, err := ctx.Call(vfs.Name, "write", jfd, buf, chunkSize); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := ctx.Call(vfs.Name, "fsync", jfd); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 
 			// 2. Write the modified b-tree page to the database.
-			if _, err := ctx.Call(vfs.Name, "seek", st.dbFD, 0); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symSeek, core.Words(uint64(st.dbFD), 0)); err != nil {
+				return core.Ret{}, err
 			}
-			for off := 0; off < pageSize; off += chunkSize {
-				if _, err := ctx.Call(vfs.Name, "write", st.dbFD, buf, chunkSize); err != nil {
-					return nil, err
-				}
+			if err := st.writePage(ctx, buf); err != nil {
+				return core.Ret{}, err
 			}
-			if _, err := ctx.Call(vfs.Name, "fsync", st.dbFD); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symFsync, core.Words(uint64(st.dbFD))); err != nil {
+				return core.Ret{}, err
 			}
 
-			// 3. Commit: close and delete the journal.
-			if _, err := ctx.Call(vfs.Name, "close", jfd); err != nil {
-				return nil, err
-			}
-			if _, err := ctx.Call(vfs.Name, "unlink", "/test.db-journal"); err != nil {
-				return nil, err
-			}
-
-			// Timestamp the commit.
-			if _, err := ctx.Call(timesys.Name, "now"); err != nil {
-				return nil, err
+			// 3. Commit: close and delete the journal, and timestamp
+			// the commit.
+			if err := commit(ctx, jfd); err != nil {
+				return core.Ret{}, err
 			}
 			st.rows++
-			return st.rows, nil
+			return core.Ret{W: st.rows}, nil
 		},
 	})
 	// exec_batch(start, n) runs n INSERTs inside one transaction:
@@ -150,78 +156,105 @@ func Register(cat *core.Catalog) *State {
 	// exec_insert's query-per-transaction shape.
 	c.AddFunc(&core.Func{
 		Name: "exec_batch", Work: 0, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
 			if !st.opened {
-				return nil, fmt.Errorf("sqlite: database not open")
+				return core.Ret{}, fmt.Errorf("sqlite: database not open")
 			}
-			if len(args) != 2 {
-				return nil, fmt.Errorf("sqlite: exec_batch(start, n int)")
+			start, n := int(a.W[0]), int(a.W[1])
+			if n <= 0 {
+				return core.Ret{}, fmt.Errorf("sqlite: exec_batch(start, n int) with n > 0")
 			}
-			start, ok1 := args[0].(int)
-			n, ok2 := args[1].(int)
-			if !ok1 || !ok2 || n <= 0 {
-				return nil, fmt.Errorf("sqlite: exec_batch(start, n int) with n > 0")
-			}
-			if _, err := ctx.Call(timesys.Name, "now"); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symNow, core.Args{}); err != nil {
+				return core.Ret{}, err
 			}
 
 			buf, err := ctx.StackAlloc(chunkSize, true)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 
 			// One journal cycle guards the whole transaction.
-			jv, err := ctx.Call(vfs.Name, "open", "/test.db-journal")
+			jfd, err := st.writeJournal(ctx, buf)
 			if err != nil {
-				return nil, err
-			}
-			jfd := jv.(int)
-			for off := 0; off < journalSize; off += chunkSize {
-				if _, err := ctx.Call(vfs.Name, "write", jfd, buf, chunkSize); err != nil {
-					return nil, err
-				}
-			}
-			if _, err := ctx.Call(vfs.Name, "fsync", jfd); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 
 			// n statement executions against the same page set.
-			if _, err := ctx.Call(vfs.Name, "seek", st.dbFD, 0); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symSeek, core.Words(uint64(st.dbFD), 0)); err != nil {
+				return core.Ret{}, err
 			}
 			for q := 0; q < n; q++ {
 				ctx.Charge(execWork)
-				row := fmt.Sprintf("INSERT(%d)", start+q)
-				if _, err := ctx.Call(libc.Name, "format", buf, row); err != nil {
-					return nil, err
+				if err := st.formatRow(ctx, buf, start+q); err != nil {
+					return core.Ret{}, err
 				}
-				for off := 0; off < pageSize; off += chunkSize {
-					if _, err := ctx.Call(vfs.Name, "write", st.dbFD, buf, chunkSize); err != nil {
-						return nil, err
-					}
+				if err := st.writePage(ctx, buf); err != nil {
+					return core.Ret{}, err
 				}
 				st.rows++
 			}
-			if _, err := ctx.Call(vfs.Name, "fsync", st.dbFD); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symFsync, core.Words(uint64(st.dbFD))); err != nil {
+				return core.Ret{}, err
 			}
 
 			// Commit once for the batch.
-			if _, err := ctx.Call(vfs.Name, "close", jfd); err != nil {
-				return nil, err
+			if err := commit(ctx, jfd); err != nil {
+				return core.Ret{}, err
 			}
-			if _, err := ctx.Call(vfs.Name, "unlink", "/test.db-journal"); err != nil {
-				return nil, err
-			}
-			if _, err := ctx.Call(timesys.Name, "now"); err != nil {
-				return nil, err
-			}
-			return st.rows, nil
+			return core.Ret{W: st.rows}, nil
 		},
 	})
 	cat.MustRegister(c)
 	return st
+}
+
+// formatRow stages row i's statement text in the shared buffer.
+func (st *State) formatRow(ctx *core.Ctx, buf uintptr, i int) error {
+	st.row = append(strconv.AppendInt(append(st.row[:0], "INSERT("...), int64(i), 10), ')')
+	a := core.Words(uint64(buf))
+	a.B = st.row
+	_, err := ctx.Call(symFormat, a)
+	return err
+}
+
+// writeJournal opens the rollback journal, writes the page backup in
+// chunks and syncs it; it returns the journal's descriptor.
+func (st *State) writeJournal(ctx *core.Ctx, buf uintptr) (uint64, error) {
+	jv, err := ctx.Call(symOpen, core.Args{S: journalPath})
+	if err != nil {
+		return 0, err
+	}
+	for off := 0; off < journalSize; off += chunkSize {
+		if _, err := ctx.Call(symWrite, core.Words(jv.W, uint64(buf), chunkSize)); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := ctx.Call(symFsync, core.Words(jv.W)); err != nil {
+		return 0, err
+	}
+	return jv.W, nil
+}
+
+// writePage writes one b-tree page to the database in chunks.
+func (st *State) writePage(ctx *core.Ctx, buf uintptr) error {
+	for off := 0; off < pageSize; off += chunkSize {
+		if _, err := ctx.Call(symWrite, core.Words(uint64(st.dbFD), uint64(buf), chunkSize)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// commit closes and deletes the journal, then timestamps the commit.
+func commit(ctx *core.Ctx, jfd uint64) error {
+	if _, err := ctx.Call(symClose, core.Words(jfd)); err != nil {
+		return err
+	}
+	if _, err := ctx.Call(symUnlink, core.Args{S: journalPath}); err != nil {
+		return err
+	}
+	_, err := ctx.Call(symNow, core.Args{})
+	return err
 }
 
 // Rows returns the number of committed inserts (test hook).

@@ -139,22 +139,22 @@ func TestRamfsVfscoreEntanglement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Call(sqlite.Name, "open_db"); err != nil {
+	if _, err := ctx.Call(core.Symbol(sqlite.Name, "open_db"), core.Args{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Call(sqlite.Name, "exec_insert", 1); err != nil {
+	if _, err := ctx.Call(core.Symbol(sqlite.Name, "exec_insert"), core.Words(1)); err != nil {
 		t.Fatal(err)
 	}
 	// The database file must contain the written page.
-	v, err := ctx.Call(vfs.Name, "size", "/test.db")
+	v, err := ctx.Call(core.Symbol(vfs.Name, "size"), core.Args{S: "/test.db"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(int) != 2048 {
-		t.Fatalf("db size = %d, want 2048", v)
+	if v.Int() != 2048 {
+		t.Fatalf("db size = %d, want 2048", v.Int())
 	}
 	// The journal must be gone after commit.
-	if _, err := ctx.Call(vfs.Name, "size", "/test.db-journal"); err == nil {
+	if _, err := ctx.Call(core.Symbol(vfs.Name, "size"), core.Args{S: "/test.db-journal"}); err == nil {
 		t.Fatal("journal survived the commit")
 	}
 }

@@ -49,10 +49,11 @@ type Image struct {
 	comps  []*CompRT
 	byLib  map[string]*CompRT
 	byName map[string]*CompRT
-	// sites resolves every (library, function) pair of the image;
-	// gates holds the gate bound for each compartment pair, at
+	// sites resolves every (library, function) pair of the image,
+	// indexed by its Sym; a pair the image lacks is nil or past the
+	// end. gates holds the gate bound for each compartment pair, at
 	// from*len(comps)+to.
-	sites map[siteKey]*callSite
+	sites []*callSite
 	gates []boundGate
 
 	sharedHeap    mem.Allocator
@@ -107,7 +108,7 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		}
 	}
 	sites := make([]callSite, 0, nsites)
-	img.sites = make(map[siteKey]*callSite, nsites)
+	var maxSym Sym
 	for i, cs := range spec.Comps {
 		iso := &isolation.Compartment{ID: sched.CompID(i), Name: cs.Name}
 		rt := &CompRT{Compartment: iso, Hardening: cs.Hardening, libHard: cs.LibHardening}
@@ -122,17 +123,22 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 				if f.EntryPoint {
 					iso.AddEntryPoint(entry)
 				}
+				sym := Symbol(libName, fname)
+				maxSym = max(maxSym, sym)
 				sites = append(sites, callSite{
-					target: rt, lib: libName, f: f, entry: entry,
+					sym: sym, target: rt, lib: libName, f: f, entry: entry,
 					cfi:    hard.Has(harden.CFI),
 					canary: hard.Has(harden.StackProtector),
 					work:   scaleWork(f.Work, hard),
 				})
-				img.sites[siteKey{libName, fname}] = &sites[len(sites)-1]
 			}
 		}
 		img.comps = append(img.comps, rt)
 		img.byName[cs.Name] = rt
+	}
+	img.sites = make([]*callSite, maxSym+1)
+	for i := range sites {
+		img.sites[sites[i].sym] = &sites[i]
 	}
 
 	// 2. Initialize the isolation backend (key / VM assignment, hooks).
@@ -329,13 +335,11 @@ func (g *boundGate) Call(t *sched.Thread, entry string, callee isolation.Callee)
 	return g.Gate.Call(t, entry, callee)
 }
 
-// siteKey names a call site: a library and one of its functions.
-type siteKey struct{ lib, fn string }
-
 // callSite is one (library, function) pair of an image, resolved at
 // build time: everything Ctx.Call needs except the gate, which depends
 // on the calling compartment.
 type callSite struct {
+	sym    Sym
 	target *CompRT
 	lib    string
 	f      *Func

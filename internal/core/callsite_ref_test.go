@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"flexos/internal/harden"
 )
@@ -50,25 +51,41 @@ func refResolve(img *Image, from *CompRT, lib, fn string) (refSite, error) {
 	}, nil
 }
 
-// DiffCallSites checks an image's call-site table against refResolve
-// for every caller compartment, every library of the catalog and every
-// function of that library, plus one function no library has. It
-// returns one line per disagreement.
+// afterBuild numbers the pairs DiffCallSites interns after the image it
+// checks was built.
+var afterBuild atomic.Int64
+
+// DiffCallSites checks an image's Sym-indexed call-site table against
+// refResolve for every caller compartment, every library of the catalog
+// and every function of that library, plus one function no library has
+// and one function interned only now, after Build, whose Sym lies past
+// the table. It returns one line per disagreement.
 func DiffCallSites(img *Image) []string {
 	var diffs []string
+	late := fmt.Sprintf("after-build-%d", afterBuild.Add(1))
 	for _, from := range img.comps {
 		for _, lib := range img.Catalog.Names() {
 			comp, _ := img.Catalog.Lookup(lib)
-			for _, fn := range append(comp.FuncNames(), "no-such-function") {
+			fns := append(comp.FuncNames(), "no-such-function")
+			if lib == img.Catalog.Names()[0] {
+				fns = append(fns, late)
+			}
+			for _, fn := range fns {
 				want, werr := refResolve(img, from, lib, fn)
 				// What Ctx.Call resolves.
+				sym := Symbol(lib, fn)
+				var s *callSite
+				if uint(sym) < uint(len(img.sites)) {
+					s = img.sites[sym]
+				}
 				var got refSite
 				var gerr error
-				if s, ok := img.sites[siteKey{lib, fn}]; !ok {
-					gerr = img.unresolved(lib, fn)
-				} else if s.lib != lib {
-					gerr = fmt.Errorf("site of %s.%s records library %q", lib, fn, s.lib)
-				} else {
+				switch {
+				case s == nil:
+					gerr = img.unresolved(sym.Name())
+				case s.sym != sym || s.lib != lib || s.f.Name != fn:
+					gerr = fmt.Errorf("slot of %s.%s holds %d, %s.%s", lib, fn, s.sym, s.lib, s.f.Name)
+				default:
 					got = refSite{target: s.target, f: s.f, gate: img.gate(from.ID, s.target.ID),
 						entry: s.entry, cfi: s.cfi, canary: s.canary, work: s.work}
 				}

@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // SharedVar is a __shared annotation (§3.1): a variable of a component
@@ -39,8 +40,113 @@ type SharedVar struct {
 
 // FuncImpl is the body of a component function. It runs inside the
 // callee's protection domain: memory accesses made through ctx use the
-// thread's switched PKRU. The returned value flows back through the gate.
-type FuncImpl func(ctx *Ctx, args ...any) (any, error)
+// thread's switched PKRU. a is the caller's argument frame; the returned
+// value flows back through the gate.
+type FuncImpl func(ctx *Ctx, a *Args) (Ret, error)
+
+// MaxWords is the number of word slots in an argument frame: enough for
+// the widest shipped signature, ramfs.write_node(id, off, src, n, mtime).
+const MaxWords = 5
+
+// Args is the fixed argument frame of a simulated call. Integers,
+// addresses, descriptors and flags travel as words (see Bool), in the
+// order the callee documents; S and B carry at most one string and one
+// byte slice. A call passes its frame by value, so no argument is boxed
+// and a call allocates nothing on the host.
+type Args struct {
+	W [MaxWords]uint64
+	S string
+	B []byte
+}
+
+// Words returns a frame whose leading word slots hold ws. It panics
+// when given more than MaxWords words.
+func Words(ws ...uint64) Args {
+	var a Args
+	if copy(a.W[:], ws) < len(ws) {
+		panic(fmt.Sprintf("core: %d argument words, the frame holds %d", len(ws), MaxWords))
+	}
+	return a
+}
+
+// Ret is the value a simulated call returns: one word and one string.
+type Ret struct {
+	W uint64
+	S string
+}
+
+// Int returns the word as an int.
+func (r Ret) Int() int { return int(r.W) }
+
+// Bool reports whether the word is non-zero.
+func (r Ret) Bool() bool { return r.W != 0 }
+
+// Bool encodes a flag as a word: 1 for true, 0 for false.
+func Bool(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Sym is an interned (library, function) pair: the name a simulated call
+// is made by. Components keep their callees as package-level handles,
+//
+//	var symRecv = core.Symbol(netstack.Name, "recv")
+//
+// and Build indexes each image's call sites by Sym, so resolving a call
+// hashes no string.
+type Sym uint32
+
+// symtab is the process-wide intern table behind Symbol.
+var symtab struct {
+	mu    sync.RWMutex
+	ids   map[symKey]Sym
+	names []symKey
+}
+
+// symKey is one (library, function) pair.
+type symKey struct{ lib, fn string }
+
+// Symbol interns lib.fn and returns its handle; the same pair always
+// gives the same Sym within a process. It is safe for concurrent use and
+// takes only a read lock for a pair already interned. The table is never
+// trimmed: it holds one entry per distinct pair ever named, which is
+// bounded by the (library, function) names written in code, because no
+// component or function name is built at run time.
+func Symbol(lib, fn string) Sym {
+	k := symKey{lib, fn}
+	symtab.mu.RLock()
+	s, ok := symtab.ids[k]
+	symtab.mu.RUnlock()
+	if ok {
+		return s
+	}
+	symtab.mu.Lock()
+	defer symtab.mu.Unlock()
+	if s, ok := symtab.ids[k]; ok {
+		return s
+	}
+	if symtab.ids == nil {
+		symtab.ids = make(map[symKey]Sym)
+	}
+	s = Sym(len(symtab.names))
+	symtab.ids[k] = s
+	symtab.names = append(symtab.names, k)
+	return s
+}
+
+// Name returns the library and function s was interned from; a Sym no
+// Symbol call returned names nothing.
+func (s Sym) Name() (lib, fn string) {
+	symtab.mu.RLock()
+	defer symtab.mu.RUnlock()
+	if uint(s) >= uint(len(symtab.names)) {
+		return "", ""
+	}
+	k := symtab.names[s]
+	return k.lib, k.fn
+}
 
 // Func is one entry in a component's interface.
 type Func struct {

@@ -13,6 +13,13 @@ import (
 
 func parseConfig(text string) (*config.Config, error) { return config.Parse(text) }
 
+// The calls the tests make into testCatalog's libraries.
+var (
+	symMain     = Symbol("app", "main")
+	symPing     = Symbol("svc", "ping")
+	symInternal = Symbol("svc", "internal")
+)
+
 // testCatalog builds a miniature system: an "app" that calls a "svc"
 // library, plus a TCB "boot" component.
 func testCatalog(t testing.TB) *Catalog {
@@ -28,11 +35,14 @@ func testCatalog(t testing.TB) *Catalog {
 	svc.AddShared(SharedVar{Name: "state", Size: 64})
 	svc.AddFunc(&Func{
 		Name: "ping", Work: 100, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
-			if len(args) == 1 {
-				return args[0], nil
+		// ping echoes its first word plus the byte slot's length, and
+		// its string slot, or "pong" when that is empty.
+		Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+			s := a.S
+			if s == "" {
+				s = "pong"
 			}
-			return "pong", nil
+			return Ret{W: a.W[0] + uint64(len(a.B)), S: s}, nil
 		},
 	})
 	svc.AddFunc(&Func{Name: "internal", Work: 10})
@@ -42,8 +52,8 @@ func testCatalog(t testing.TB) *Catalog {
 	app.Imports = []string{"svc"}
 	app.AddFunc(&Func{
 		Name: "main", Work: 200, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
-			return ctx.Call("svc", "ping")
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
+			return ctx.Call(symPing, Args{})
 		},
 	})
 	cat.MustRegister(app)
@@ -103,7 +113,7 @@ func TestSameCompartmentCallIsZeroOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	mpkCost := imgMPK.Mach.Clock.Span(func() {
-		if _, err := ctx.Call("app", "main"); err != nil {
+		if _, err := ctx.Call(symMain, Args{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -113,7 +123,7 @@ func TestSameCompartmentCallIsZeroOverhead(t *testing.T) {
 	}})
 	ctxN, _ := imgNone.NewContext("t", "app")
 	noneCost := imgNone.Mach.Clock.Span(func() {
-		if _, err := ctxN.Call("app", "main"); err != nil {
+		if _, err := ctxN.Call(symMain, Args{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -132,11 +142,11 @@ func TestCrossCompartmentCallCostsGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := img.Mach.Clock.Span(func() {
-		out, err := ctx.Call("app", "main")
+		out, err := ctx.Call(symMain, Args{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out != "pong" {
+		if out.S != "pong" {
 			t.Fatalf("call returned %v", out)
 		}
 	})
@@ -152,13 +162,13 @@ func TestCrossCompartmentCallCostsGate(t *testing.T) {
 func TestHardeningMultipliesCalleeWork(t *testing.T) {
 	plain := build(t, twoCompSpec("none", 0, 0))
 	ctxP, _ := plain.NewContext("t", "app")
-	base := plain.Mach.Clock.Span(func() { ctxP.Call("svc", "ping") })
+	base := plain.Mach.Clock.Span(func() { ctxP.Call(symPing, Args{}) })
 
 	spec := twoCompSpec("none", 0, 0)
 	spec.Comps[1].Hardening = harden.NewSet(harden.All)
 	hard := build(t, spec)
 	ctxH, _ := hard.NewContext("t", "app")
-	hardened := hard.Mach.Clock.Span(func() { ctxH.Call("svc", "ping") })
+	hardened := hard.Mach.Clock.Span(func() { ctxH.Call(symPing, Args{}) })
 
 	if hardened <= base {
 		t.Fatalf("hardened call (%d) not slower than plain (%d)", hardened, base)
@@ -172,25 +182,36 @@ func TestHardeningMultipliesCalleeWork(t *testing.T) {
 func TestReturnValueAndArgs(t *testing.T) {
 	img := build(t, twoCompSpec("intel-mpk", 0, 0))
 	ctx, _ := img.NewContext("t", "app")
-	out, err := ctx.Call("svc", "ping", 42)
+	out, err := ctx.Call(symPing, Words(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != 42 {
-		t.Fatalf("gate did not marshal return value: %v", out)
+	if out != (Ret{W: 42, S: "pong"}) {
+		t.Fatalf("gate did not marshal return value: %+v", out)
+	}
+	a := Words(1)
+	a.S, a.B = "echo", []byte("abc")
+	if out, err = ctx.Call(symPing, a); err != nil || out != (Ret{W: 4, S: "echo"}) {
+		t.Fatalf("gate did not pass the string and byte slots: %+v, %v", out, err)
 	}
 }
 
 func TestCallUnknownTargets(t *testing.T) {
 	img := build(t, twoCompSpec("intel-mpk", 0, 0))
 	ctx, _ := img.NewContext("t", "app")
-	for _, tc := range []struct{ lib, fn, want string }{
-		{"nolib", "f", `core: call into unknown library "nolib"`},
-		{"svc", "nofunc", `core: library "svc" has no function "nofunc"`},
+	for _, tc := range []struct {
+		sym  Sym
+		want string
+	}{
+		{Symbol("nolib", "f"), `core: call into unknown library "nolib"`},
+		{Symbol("svc", "nofunc"), `core: library "svc" has no function "nofunc"`},
+		// A Sym no Symbol call returned names no library.
+		{Sym(1<<32 - 1), `core: call into unknown library ""`},
 	} {
-		_, err := ctx.Call(tc.lib, tc.fn)
+		_, err := ctx.Call(tc.sym, Args{})
 		if err == nil || err.Error() != tc.want {
-			t.Errorf("Call(%q, %q) = %v, want %q", tc.lib, tc.fn, err, tc.want)
+			lib, fn := tc.sym.Name()
+			t.Errorf("Call(%q, %q) = %v, want %q", lib, fn, err, tc.want)
 		}
 	}
 }
@@ -198,7 +219,7 @@ func TestCallUnknownTargets(t *testing.T) {
 func TestNonEntryPointRejectedAcrossCompartments(t *testing.T) {
 	img := build(t, twoCompSpec("intel-mpk", 0, 0))
 	ctx, _ := img.NewContext("t", "app")
-	_, err := ctx.Call("svc", "internal")
+	_, err := ctx.Call(symInternal, Args{})
 	if !mem.IsFault(err, mem.FaultCFI) {
 		t.Fatalf("cross-compartment call to non-entry: got %v, want CFI fault", err)
 	}
@@ -208,7 +229,7 @@ func TestNonEntryPointRejectedAcrossCompartments(t *testing.T) {
 	}}
 	img2 := build(t, spec)
 	ctx2, _ := img2.NewContext("t", "app")
-	if _, err := ctx2.Call("svc", "internal"); err != nil {
+	if _, err := ctx2.Call(symInternal, Args{}); err != nil {
 		t.Fatalf("intra-compartment internal call failed: %v", err)
 	}
 }
@@ -230,7 +251,7 @@ func TestRejectedNonEntryCallCharges(t *testing.T) {
 		img := build(t, spec)
 		ctx, _ := img.NewContext("t", "app")
 		before := img.Mach.Clock.Cycles()
-		if _, err := ctx.Call("svc", "internal"); !mem.IsFault(err, mem.FaultCFI) {
+		if _, err := ctx.Call(symInternal, Args{}); !mem.IsFault(err, mem.FaultCFI) {
 			t.Fatalf("%v: got %v, want CFI fault", tc.hard, err)
 		}
 		if got := img.Mach.Clock.Cycles() - before; got != tc.want {
@@ -256,57 +277,57 @@ func chainCatalog(t *testing.T, depth, failAt int, fault string) *Catalog {
 		other := map[string]string{"ping": "pong", "pong": "ping"}[lib]
 		c := NewComponent(lib)
 		c.AddFunc(&Func{Name: "down", Work: 10, EntryPoint: true,
-			Impl: func(ctx *Ctx, args ...any) (any, error) {
-				n := args[0].(int)
+			Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+				n := int(a.W[0])
 				if ctx.depth != n || ctx.CurrentLib() != lib {
-					return nil, fmt.Errorf("level %d runs at depth %d in %s", n, ctx.depth, ctx.CurrentLib())
+					return Ret{}, fmt.Errorf("level %d runs at depth %d in %s", n, ctx.depth, ctx.CurrentLib())
 				}
-				own := fmt.Sprintf("level-%d", n)
+				own := Ret{S: fmt.Sprintf("level-%d", n)}
 				if n == depth {
 					return own, nil
 				}
 				comp := ctx.CurrentComp()
 				if n+1 == failAt {
 					fn := map[string]string{"cfi": "hidden", "canary": "smash"}[fault]
-					_, err := ctx.Call("pong", fn)
+					_, err := ctx.Call(Symbol("pong", fn), Args{})
 					if ctx.depth != n || ctx.CurrentComp() != comp || ctx.CurrentLib() != lib {
-						return nil, fmt.Errorf("level %d after a failed call: depth %d, in %s", n, ctx.depth, ctx.CurrentLib())
+						return Ret{}, fmt.Errorf("level %d after a failed call: depth %d, in %s", n, ctx.depth, ctx.CurrentLib())
 					}
-					return nil, err
+					return Ret{}, err
 				}
 				// Two calls at the next depth: the second reuses the
 				// first's frame and must not clobber its result.
-				first, err := ctx.Call(other, "down", n+1)
+				first, err := ctx.Call(Symbol(other, "down"), Words(uint64(n+1)))
 				if err != nil {
-					return nil, err
+					return Ret{}, err
 				}
-				second, err := ctx.Call(other, "echo", own)
+				second, err := ctx.Call(Symbol(other, "echo"), Args{S: own.S})
 				if err != nil {
-					return nil, err
+					return Ret{}, err
 				}
-				if want := fmt.Sprintf("level-%d", n+1); first != want || second != own {
-					return nil, fmt.Errorf("level %d: callee returned %v then %v, want %s then %s", n, first, second, want, own)
+				if want := fmt.Sprintf("level-%d", n+1); first.S != want || second != own {
+					return Ret{}, fmt.Errorf("level %d: callee returned %v then %v, want %s then %s", n, first, second, want, own.S)
 				}
 				if ctx.depth != n || ctx.CurrentComp() != comp || ctx.CurrentLib() != lib {
-					return nil, fmt.Errorf("level %d after its calls: depth %d, in %s", n, ctx.depth, ctx.CurrentLib())
+					return Ret{}, fmt.Errorf("level %d after its calls: depth %d, in %s", n, ctx.depth, ctx.CurrentLib())
 				}
 				return own, nil
 			}})
 		c.AddFunc(&Func{Name: "echo", Work: 5, EntryPoint: true,
-			Impl: func(ctx *Ctx, args ...any) (any, error) { return args[0], nil }})
+			Impl: func(_ *Ctx, a *Args) (Ret, error) { return Ret{S: a.S}, nil }})
 		cat.MustRegister(c)
 	}
 	pong, _ := cat.Lookup("pong")
 	pong.AddFunc(&Func{Name: "hidden", Work: 5})
 	pong.AddFunc(&Func{Name: "smash", Work: 5, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
 			st := ctx.Thread().Stack(ctx.CurrentComp().ID)
 			for a := st.SP(); a < st.SP()+32; a += 8 {
 				if err := ctx.WriteUint64(a, 0x4141414141414141); err != nil {
-					return nil, err
+					return Ret{}, err
 				}
 			}
-			return nil, nil
+			return Ret{}, nil
 		}})
 	return cat
 }
@@ -332,15 +353,16 @@ func TestCallFramesReusedWithoutClobbering(t *testing.T) {
 	}
 	ctx, _ := img.NewContext("t", "ping")
 	for round := 0; round < 2; round++ {
-		got, err := ctx.Call("pong", "down", 1)
-		if err != nil || got != "level-1" {
+		got, err := ctx.Call(Symbol("pong", "down"), Words(1))
+		if err != nil || got.S != "level-1" {
 			t.Fatalf("round %d: got %v, %v; want level-1", round, got, err)
 		}
 		if ctx.depth != 0 || len(ctx.frames) != depth+1 {
 			t.Fatalf("round %d: depth %d with %d frames, want 0 with %d", round, ctx.depth, len(ctx.frames), depth+1)
 		}
 		for i, fr := range ctx.frames {
-			if fr.site != nil || fr.args != nil || fr.ret != nil || len(fr.locals) != 0 {
+			if fr.site != nil || fr.args.W != [MaxWords]uint64{} || fr.args.S != "" || fr.args.B != nil ||
+				fr.ret != (Ret{}) || len(fr.locals) != 0 {
 				t.Fatalf("round %d: frame %d still holds its call", round, i)
 			}
 		}
@@ -363,7 +385,7 @@ func TestFailedCallRestoresContext(t *testing.T) {
 			for i, c := range img.comps {
 				stacks[i] = ctx.Thread().Stack(c.ID).Depth()
 			}
-			if _, err := ctx.Call("pong", "down", 1); !mem.IsFault(err, fault.kind) {
+			if _, err := ctx.Call(Symbol("pong", "down"), Words(1)); !mem.IsFault(err, fault.kind) {
 				t.Fatalf("got %v, want a %s fault", err, fault.name)
 			}
 			if ctx.depth != 0 || ctx.CurrentComp() != comp || ctx.CurrentLib() != "ping" {
@@ -374,13 +396,16 @@ func TestFailedCallRestoresContext(t *testing.T) {
 					t.Fatalf("stack of %s left at depth %d, want %d", c.Name, d, stacks[i])
 				}
 			}
-			if got, err := ctx.Call("pong", "echo", "after"); err != nil || got != "after" {
+			if got, err := ctx.Call(Symbol("pong", "echo"), Args{S: "after"}); err != nil || got.S != "after" {
 				t.Fatalf("next call: got %v, %v", got, err)
 			}
 		})
 	}
 }
 
+// TestCallAllocatesNothing checks that a call allocates nothing on the
+// host for any argument kind — words, the string slot, the byte slot —
+// in one compartment and across MPK gates.
 func TestCallAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -389,36 +414,51 @@ func TestCallAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := []byte("payload")
+	withAll := Words(1, 2, 3, 4, 5)
+	withAll.S, withAll.B = "key", payload
 	for _, tc := range []struct {
 		name             string
 		img              *Image
-		start, lib, fn   string
+		start            string
+		sym              Sym
 		wantCrossingGate bool
 	}{
 		{"same-compartment", build(t, ImageSpec{Mechanism: "intel-mpk", Comps: []CompSpec{
 			{Name: "c0", Libs: []string{"boot", "app", "svc"}},
-		}}), "app", "svc", "ping", false},
+		}}), "app", symPing, false},
 		{"mpk-gate", build(t, twoCompSpec("intel-mpk", isolation.GateFull, isolation.ShareDSS)),
-			"app", "svc", "ping", true},
+			"app", symPing, true},
 		// The callee's compartment holds a restricted-domain key, so
 		// the gate's PKRU image covers extra keys.
-		{"mpk-gate-extra-keys", restricted, "consumer", "sibling", "noop", true},
+		{"mpk-gate-extra-keys", restricted, "consumer", Symbol("sibling", "noop"), true},
 	} {
 		ctx, err := tc.img.NewContext("t", tc.start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := tc.img.Crossings()
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ctx.Call(tc.lib, tc.fn); err != nil {
-				t.Fatal(err)
+		for _, arg := range []struct {
+			name string
+			a    Args
+		}{
+			{"none", Args{}},
+			{"words", Words(1, 2, 3, 4, 5)},
+			{"string", Args{S: "key"}},
+			{"bytes", Args{B: payload}},
+			{"all", withAll},
+		} {
+			before := tc.img.Crossings()
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := ctx.Call(tc.sym, arg.a); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: Ctx.Call allocated %v times per call, want 0", tc.name, arg.name, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Ctx.Call allocated %v times per call, want 0", tc.name, allocs)
-		}
-		if crossed := tc.img.Crossings() > before; crossed != tc.wantCrossingGate {
-			t.Errorf("%s: crossed a gate: %v, want %v", tc.name, crossed, tc.wantCrossingGate)
+			if crossed := tc.img.Crossings() > before; crossed != tc.wantCrossingGate {
+				t.Errorf("%s/%s: crossed a gate: %v, want %v", tc.name, arg.name, crossed, tc.wantCrossingGate)
+			}
 		}
 	}
 	if c, _ := restricted.Comp("sibling"); len(c.ExtraKeys) == 0 {
@@ -431,9 +471,7 @@ func TestPrivateHeapIsolation(t *testing.T) {
 	ctx, _ := img.NewContext("t", "app")
 
 	// Allocate private data inside svc's compartment via a gate...
-	addrAny, err := ctx.Call("svc", "ping", nil)
-	_ = addrAny
-	if err != nil {
+	if _, err := ctx.Call(symPing, Args{}); err != nil {
 		t.Fatal(err)
 	}
 	svcComp, _ := img.Comp("svc")
@@ -473,7 +511,7 @@ func TestSharedAnnotationsPlacedInSharedDomain(t *testing.T) {
 	if err := ctx.Write(addr, []byte("x")); err != nil {
 		t.Fatalf("app write to __shared var: %v", err)
 	}
-	if _, err := ctx.Call("svc", "ping"); err != nil {
+	if _, err := ctx.Call(symPing, Args{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -502,8 +540,8 @@ func TestDSSStackLayoutAndSharing(t *testing.T) {
 	if err := ctx.WriteUint64(shadow, 7); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ctx.Call("svc", "ping", shadow)
-	if err != nil || out != shadow {
+	out, err := ctx.Call(symPing, Words(uint64(shadow)))
+	if err != nil || out.W != uint64(shadow) {
 		t.Fatalf("passing DSS pointer across: %v %v", out, err)
 	}
 	if img.DSSBytes() == 0 {
@@ -517,10 +555,10 @@ func TestShareHeapConversionFreesOnReturn(t *testing.T) {
 	var localAddr uintptr
 	svcComp.AddFunc(&Func{
 		Name: "with_local", Work: 10, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
 			a, err := ctx.StackAlloc(16, true)
 			localAddr = a
-			return nil, err
+			return Ret{}, err
 		},
 	})
 	img, err := Build(cat, twoCompSpec("intel-mpk", isolation.GateFull, isolation.ShareHeap))
@@ -528,7 +566,7 @@ func TestShareHeapConversionFreesOnReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", "app")
-	if _, err := ctx.Call("svc", "with_local"); err != nil {
+	if _, err := ctx.Call(Symbol("svc", "with_local"), Args{}); err != nil {
 		t.Fatal(err)
 	}
 	if localAddr == 0 {
@@ -550,7 +588,7 @@ func TestStackProtectorAppliedPerCompartment(t *testing.T) {
 	spec.Comps[1].Hardening = harden.NewSet(harden.StackProtector)
 	img := build(t, spec)
 	ctx, _ := img.NewContext("t", "app")
-	if _, err := ctx.Call("svc", "ping"); err != nil {
+	if _, err := ctx.Call(symPing, Args{}); err != nil {
 		t.Fatalf("hardened call failed: %v", err)
 	}
 }
@@ -588,8 +626,8 @@ func TestEPTImageTCBDuplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ctx.Call("svc", "ping")
-	if err != nil || out != "pong" {
+	out, err := ctx.Call(symPing, Args{})
+	if err != nil || out.S != "pong" {
 		t.Fatalf("EPT RPC call: %v %v", out, err)
 	}
 }
@@ -670,7 +708,7 @@ sharing: dss
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", "app")
-	if out, err := ctx.Call("app", "main"); err != nil || out != "pong" {
+	if out, err := ctx.Call(symMain, Args{}); err != nil || out.S != "pong" {
 		t.Fatalf("end-to-end call: %v %v", out, err)
 	}
 }

@@ -21,14 +21,14 @@ func TestPortingWorkflow(t *testing.T) {
 		// A freshly-ported library: its consumer passes a buffer in.
 		lib := NewComponent("newlib2")
 		lib.AddFunc(&Func{Name: "fill", Work: 40, EntryPoint: true,
-			Impl: func(ctx *Ctx, args ...any) (any, error) {
-				return nil, ctx.Write(args[0].(uintptr), []byte("data"))
+			Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+				return Ret{}, ctx.Write(uintptr(a.W[0]), []byte("data"))
 			}})
 		cat.MustRegister(lib)
 
 		app := NewComponent("app")
 		app.AddFunc(&Func{Name: "main", Work: 40, EntryPoint: true,
-			Impl: func(ctx *Ctx, args ...any) (any, error) {
+			Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
 				var buf uintptr
 				var err error
 				if annotated {
@@ -40,9 +40,9 @@ func TestPortingWorkflow(t *testing.T) {
 					buf, err = ctx.StackAlloc(16, false)
 				}
 				if err != nil {
-					return nil, err
+					return Ret{}, err
 				}
-				return ctx.Call("newlib2", "fill", buf)
+				return ctx.Call(Symbol("newlib2", "fill"), Words(uint64(buf)))
 			}})
 		cat.MustRegister(app)
 		return cat
@@ -63,7 +63,7 @@ func TestPortingWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", "app")
-	_, err = ctx.Call("app", "main")
+	_, err = ctx.Call(Symbol("app", "main"), Args{})
 	if !mem.IsFault(err, mem.FaultKeyViolation) {
 		t.Fatalf("unported run: got %v, want memory access violation", err)
 	}
@@ -83,7 +83,7 @@ func TestPortingWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx2, _ := img2.NewContext("t", "app")
-	if _, err := ctx2.Call("app", "main"); err != nil {
+	if _, err := ctx2.Call(Symbol("app", "main"), Args{}); err != nil {
 		t.Fatalf("annotated run failed: %v", err)
 	}
 }

@@ -21,7 +21,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				ctx.Call("svc", "ping")
+				ctx.Call(symPing, Args{})
 			case 1:
 				if p, err := ctx.AllocPrivate(int(op)%128 + 1); err == nil {
 					ctx.FreePrivate(p)
@@ -59,9 +59,9 @@ func TestImageDeterminismProperty(t *testing.T) {
 			}
 			for _, s := range seed {
 				if s%2 == 0 {
-					ctx.Call("svc", "ping")
+					ctx.Call(symPing, Args{})
 				} else {
-					ctx.Call("app", "main")
+					ctx.Call(symMain, Args{})
 				}
 			}
 			return img.Mach.Clock.Cycles()
@@ -87,7 +87,7 @@ func TestHardeningNeverSpeedsUpProperty(t *testing.T) {
 		}
 		return img.Mach.Clock.Span(func() {
 			for i := 0; i < 10; i++ {
-				ctx.Call("svc", "ping")
+				ctx.Call(symPing, Args{})
 			}
 		})
 	}
@@ -125,10 +125,10 @@ func TestCrossingAccountingProperty(t *testing.T) {
 		want := uint64(0)
 		for _, cross := range seq {
 			if cross {
-				ctx.Call("svc", "ping") // app comp -> svc comp
+				ctx.Call(symPing, Args{}) // app comp -> svc comp
 				want++
 			} else {
-				ctx.Call("app", "main") // same comp entry, but main calls svc
+				ctx.Call(symMain, Args{}) // same comp entry, but main calls svc
 				want++
 			}
 		}

@@ -22,9 +22,9 @@ func restrictedCatalog(t *testing.T) *Catalog {
 	producer.AddShared(SharedVar{Name: "global", Size: 32})
 	producer.AddShared(SharedVar{Name: "local", Size: 32, With: []string{"sibling"}})
 	producer.AddFunc(&Func{Name: "touch", Work: 10, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
-			addr := args[0].(uintptr)
-			return nil, ctx.Write(addr, []byte{1})
+		Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+			addr := uintptr(a.W[0])
+			return Ret{}, ctx.Write(addr, []byte{1})
 		}})
 	cat.MustRegister(producer)
 
@@ -34,19 +34,21 @@ func restrictedCatalog(t *testing.T) *Catalog {
 
 	consumer := NewComponent("consumer")
 	consumer.AddFunc(&Func{Name: "read_var", Work: 10, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
-			addr := args[0].(uintptr)
+		Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+			addr := uintptr(a.W[0])
 			buf := make([]byte, 1)
-			return buf[0], ctx.Read(addr, buf)
+			err := ctx.Read(addr, buf)
+			return Ret{W: uint64(buf[0])}, err
 		}})
 	cat.MustRegister(consumer)
 
 	intruder := NewComponent("intruder")
 	intruder.AddFunc(&Func{Name: "read_var", Work: 10, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
-			addr := args[0].(uintptr)
+		Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+			addr := uintptr(a.W[0])
 			buf := make([]byte, 1)
-			return buf[0], ctx.Read(addr, buf)
+			err := ctx.Read(addr, buf)
+			return Ret{W: uint64(buf[0])}, err
 		}})
 	cat.MustRegister(intruder)
 	return cat
@@ -104,22 +106,22 @@ func TestRestrictedDomainEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Producer can write it.
-	if _, err := ctx.Call("producer", "touch", addr); err != nil {
+	if _, err := ctx.Call(Symbol("producer", "touch"), Words(uint64(addr))); err != nil {
 		t.Fatalf("producer write failed: %v", err)
 	}
 	// Whitelisted consumer (other compartment) can read it.
-	if _, err := ctx.Call("consumer", "read_var", addr); err != nil {
+	if _, err := ctx.Call(Symbol("consumer", "read_var"), Words(uint64(addr))); err != nil {
 		t.Fatalf("whitelisted consumer read failed: %v", err)
 	}
 	// The third compartment cannot — that is the whole point of
 	// restricted domains over one global shared heap.
-	_, err = ctx.Call("intruder", "read_var", addr)
+	_, err = ctx.Call(Symbol("intruder", "read_var"), Words(uint64(addr)))
 	if !mem.IsFault(err, mem.FaultKeyViolation) {
 		t.Fatalf("intruder read: got %v, want key violation", err)
 	}
 	// The global var, by contrast, is readable by everyone.
 	gaddr, _ := img.SharedVarAddr("producer", "global")
-	if _, err := ctx.Call("intruder", "read_var", gaddr); err != nil {
+	if _, err := ctx.Call(Symbol("intruder", "read_var"), Words(uint64(gaddr))); err != nil {
 		t.Fatalf("global var read failed: %v", err)
 	}
 }

@@ -26,16 +26,16 @@ type Ctx struct {
 	depth  int
 }
 
-// frame is one open Call: the resolved call site, its arguments and
-// return value, and the shared locals converted to heap allocations
-// (freed on return; the costly strategy DSS replaces). A frame is the
-// isolation.Callee its gate runs, and the next call at the same depth
-// reuses it, so a call allocates nothing on the host.
+// frame is one open Call: the resolved call site, its argument frame
+// and return value (both by value), and the shared locals converted to
+// heap allocations (freed on return; the costly strategy DSS replaces).
+// A frame is the isolation.Callee its gate runs, and the next call at
+// the same depth reuses it, so a call allocates nothing on the host.
 type frame struct {
 	ctx    *Ctx
 	site   *callSite
-	args   []any
-	ret    any
+	args   Args
+	ret    Ret
 	locals []uintptr
 }
 
@@ -88,19 +88,23 @@ const cfiCheckCycles = 4
 // helpers).
 func (c *Ctx) Hardening() harden.Set { return c.cur.EffectiveHardening(c.curLib) }
 
-// Call invokes lib.fn through the abstract gate bound at build time. When
-// caller and callee share a compartment this is a plain function call;
-// otherwise the configured backend's gate performs the domain transition.
-// Work cycles are charged under the callee library's hardening
-// multiplier. Build resolved the call site — target compartment, entry
-// symbol, hardening flags and work charge — and bound a gate for every
-// compartment pair, so a call is one table lookup and one slice index,
-// like the paper's build-time gate binding, and costs no host allocation
-// beyond what the callee itself allocates.
-func (c *Ctx) Call(lib, fn string, args ...any) (any, error) {
-	site, ok := c.img.sites[siteKey{lib, fn}]
-	if !ok {
-		return nil, c.img.unresolved(lib, fn)
+// Call invokes the function sym names through the abstract gate bound
+// at build time. When caller and callee share a compartment this is a
+// plain function call; otherwise the configured backend's gate performs
+// the domain transition. Work cycles are charged under the callee
+// library's hardening multiplier. Build resolved the call site — target
+// compartment, entry symbol, hardening flags and work charge — into a
+// table indexed by Sym and bound a gate for every compartment pair, so a
+// call is two slice indexes, like the paper's build-time gate binding.
+// The argument frame and the return value travel by value, so a call
+// costs no host allocation beyond what the callee itself allocates.
+func (c *Ctx) Call(sym Sym, a Args) (Ret, error) {
+	var site *callSite
+	if uint(sym) < uint(len(c.img.sites)) {
+		site = c.img.sites[sym]
+	}
+	if site == nil {
+		return Ret{}, c.img.unresolved(sym.Name())
 	}
 	if site.cfi {
 		// Forward-edge check on entry into CFI-instrumented code.
@@ -113,13 +117,13 @@ func (c *Ctx) Call(lib, fn string, args ...any) (any, error) {
 		c.frames = append(c.frames, &frame{ctx: c})
 	}
 	fr := c.frames[c.depth]
-	fr.site, fr.args = site, args
+	fr.site, fr.args = site, a
 	err := gate.Call(c.th, site.entry, fr)
 	ret := fr.ret
-	fr.site, fr.args, fr.ret = nil, nil, nil
+	fr.site, fr.args, fr.ret = nil, Args{}, Ret{}
 	c.depth--
 	if err != nil {
-		return nil, err
+		return Ret{}, err
 	}
 	return ret, nil
 }
@@ -146,7 +150,7 @@ func (fr *frame) Run() error {
 
 	var err error
 	if s.f.Impl != nil {
-		fr.ret, err = s.f.Impl(c, fr.args...)
+		fr.ret, err = s.f.Impl(c, &fr.args)
 	}
 
 	// Close the frame: free heap-converted locals, verify canary.

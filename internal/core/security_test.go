@@ -21,53 +21,53 @@ func attackCatalog(t *testing.T) *Catalog {
 
 	victim := NewComponent("victim")
 	victim.AddFunc(&Func{Name: "api", Work: 50, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) { return "ok", nil }})
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) { return Ret{S: "ok"}, nil }})
 	victim.AddFunc(&Func{Name: "helper", Work: 10}) // not an entry point
 	cat.MustRegister(victim)
 
 	evil := NewComponent("evil")
 	// arbitrary_read: the attacker's exploit primitive.
 	evil.AddFunc(&Func{Name: "arbitrary_read", Work: 20, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
-			addr := args[0].(uintptr)
+		Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+			addr := uintptr(a.W[0])
 			buf := make([]byte, 8)
 			if err := ctx.Read(addr, buf); err != nil {
-				return nil, err
+				return Ret{}, err
 			}
-			return string(buf), nil
+			return Ret{S: string(buf)}, nil
 		}})
 	// smash: overwrite the canary below the current frame.
 	evil.AddFunc(&Func{Name: "smash", Work: 20, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
 			st := ctx.Thread().Stack(ctx.CurrentComp().ID)
 			// Scribble over the stack including the canary slot.
 			for a := st.SP(); a < st.SP()+32; a += 8 {
 				if err := ctx.WriteUint64(a, 0x4141414141414141); err != nil {
-					return nil, err
+					return Ret{}, err
 				}
 			}
-			return nil, nil
+			return Ret{}, nil
 		}})
 	// overflow: a classic heap overflow off an allocation.
 	evil.AddFunc(&Func{Name: "overflow", Work: 20, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
 			p, err := ctx.AllocPrivate(24)
 			if err != nil {
-				return nil, err
+				return Ret{}, err
 			}
-			return nil, ctx.Write(p, make([]byte, 64)) // 40 bytes OOB
+			return Ret{}, ctx.Write(p, make([]byte, 64)) // 40 bytes OOB
 		}})
 	// uaf: use after free.
 	evil.AddFunc(&Func{Name: "uaf", Work: 20, EntryPoint: true,
-		Impl: func(ctx *Ctx, args ...any) (any, error) {
+		Impl: func(ctx *Ctx, _ *Args) (Ret, error) {
 			p, err := ctx.AllocPrivate(24)
 			if err != nil {
-				return nil, err
+				return Ret{}, err
 			}
 			if err := ctx.FreePrivate(p); err != nil {
-				return nil, err
+				return Ret{}, err
 			}
-			return nil, ctx.Read(p, make([]byte, 8))
+			return Ret{}, ctx.Read(p, make([]byte, 8))
 		}})
 	cat.MustRegister(evil)
 	return cat
@@ -100,7 +100,7 @@ func TestExfiltrationBlockedByEveryRealBackend(t *testing.T) {
 		}
 		secret := plantSecret(t, img)
 		ctx, _ := img.NewContext("t", "evil")
-		_, err = ctx.Call("evil", "arbitrary_read", secret)
+		_, err = ctx.Call(Symbol("evil", "arbitrary_read"), Words(uint64(secret)))
 		if !mem.IsFault(err, mem.FaultKeyViolation) {
 			t.Errorf("%s: exfiltration: got %v, want key violation", mech, err)
 		}
@@ -115,8 +115,8 @@ func TestExfiltrationBlockedByEveryRealBackend(t *testing.T) {
 	})
 	secret := plantSecret(t, img)
 	ctx, _ := img.NewContext("t", "evil")
-	out, err := ctx.Call("evil", "arbitrary_read", secret)
-	if err != nil || out != "S3CR3T!!" {
+	out, err := ctx.Call(Symbol("evil", "arbitrary_read"), Words(uint64(secret)))
+	if err != nil || out.S != "S3CR3T!!" {
 		t.Fatalf("NONE image should leak: %v %v", out, err)
 	}
 }
@@ -136,12 +136,12 @@ func TestROPIntoCompartmentBlockedByGateCFI(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, _ := img.NewContext("t", "evil")
-		_, err = ctx.Call("victim", "helper")
+		_, err = ctx.Call(Symbol("victim", "helper"), Args{})
 		if !mem.IsFault(err, mem.FaultCFI) {
 			t.Errorf("%s: ROP into helper: got %v, want CFI fault", mech, err)
 		}
 		// The legal API entry still works.
-		if out, err := ctx.Call("victim", "api"); err != nil || out != "ok" {
+		if out, err := ctx.Call(Symbol("victim", "api"), Args{}); err != nil || out.S != "ok" {
 			t.Errorf("%s: legal entry failed: %v %v", mech, out, err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestStackSmashCaughtByStackProtector(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", "evil")
-	_, err = ctx.Call("evil", "smash")
+	_, err = ctx.Call(Symbol("evil", "smash"), Args{})
 	if !mem.IsFault(err, mem.FaultStackSmash) {
 		t.Fatalf("smash with stack protector: got %v, want stack-smash fault", err)
 	}
@@ -171,7 +171,7 @@ func TestStackSmashCaughtByStackProtector(t *testing.T) {
 	spec.Comps[1].Hardening = harden.Set{}
 	img2, _ := Build(attackCatalog(t), spec)
 	ctx2, _ := img2.NewContext("t", "evil")
-	if _, err := ctx2.Call("evil", "smash"); err != nil {
+	if _, err := ctx2.Call(Symbol("evil", "smash"), Args{}); err != nil {
 		t.Fatalf("unprotected smash should pass silently, got %v", err)
 	}
 }
@@ -192,11 +192,11 @@ func TestHeapOverflowCaughtByKASanOnly(t *testing.T) {
 	}
 	img := mk(harden.NewSet(harden.KASan))
 	ctx, _ := img.NewContext("t", "evil")
-	_, err := ctx.Call("evil", "overflow")
+	_, err := ctx.Call(Symbol("evil", "overflow"), Args{})
 	if !mem.IsFault(err, mem.FaultKASanRedzone) {
 		t.Fatalf("overflow under kasan: got %v, want redzone fault", err)
 	}
-	_, err = ctx.Call("evil", "uaf")
+	_, err = ctx.Call(Symbol("evil", "uaf"), Args{})
 	if !mem.IsFault(err, mem.FaultKASanRedzone) {
 		t.Fatalf("UAF under kasan: got %v, want redzone fault", err)
 	}
@@ -204,10 +204,10 @@ func TestHeapOverflowCaughtByKASanOnly(t *testing.T) {
 	// The unhardened compartment misses both (within its own heap).
 	img2 := mk(harden.Set{})
 	ctx2, _ := img2.NewContext("t", "evil")
-	if _, err := ctx2.Call("evil", "overflow"); err != nil {
+	if _, err := ctx2.Call(Symbol("evil", "overflow"), Args{}); err != nil {
 		t.Fatalf("unhardened overflow should pass: %v", err)
 	}
-	if _, err := ctx2.Call("evil", "uaf"); err != nil {
+	if _, err := ctx2.Call(Symbol("evil", "uaf"), Args{}); err != nil {
 		t.Fatalf("unhardened UAF should pass: %v", err)
 	}
 }

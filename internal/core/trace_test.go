@@ -15,7 +15,7 @@ func TestTraceRecordsCrossings(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := ctx.Call("svc", "ping"); err != nil {
+		if _, err := ctx.Call(symPing, Args{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestTraceSameCompartmentCallsInvisible(t *testing.T) {
 	}})
 	tr := img.EnableTrace(0)
 	ctx, _ := img.NewContext("t", "app")
-	ctx.Call("svc", "ping")
+	ctx.Call(symPing, Args{})
 	if tr.Total() != 0 {
 		t.Fatal("same-compartment calls must not appear in the crossing trace")
 	}
@@ -58,7 +58,7 @@ func TestTraceCapBoundsMemory(t *testing.T) {
 	tr := img.EnableTrace(2)
 	ctx, _ := img.NewContext("t", "app")
 	for i := 0; i < 5; i++ {
-		ctx.Call("svc", "ping")
+		ctx.Call(symPing, Args{})
 	}
 	if len(tr.Events) != 2 {
 		t.Fatalf("capped events = %d, want 2", len(tr.Events))

@@ -19,18 +19,18 @@ func TestAnyFig6ConfigBuildsAndRuns(t *testing.T) {
 		for _, name := range comps[1:] {
 			comp := core.NewComponent(name)
 			comp.AddFunc(&core.Func{Name: "entry", Work: 50, EntryPoint: true,
-				Impl: func(ctx *core.Ctx, args ...any) (any, error) { return nil, nil }})
+				Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) { return core.Ret{}, nil }})
 			c.MustRegister(comp)
 		}
 		appComp := core.NewComponent("app")
 		appComp.AddFunc(&core.Func{Name: "run", Work: 100, EntryPoint: true,
-			Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+			Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 				for _, target := range comps[1:] {
-					if _, err := ctx.Call(target, "entry"); err != nil {
-						return nil, err
+					if _, err := ctx.Call(core.Symbol(target, "entry"), core.Args{}); err != nil {
+						return core.Ret{}, err
 					}
 				}
-				return nil, nil
+				return core.Ret{}, nil
 			}})
 		c.MustRegister(appComp)
 		return c
@@ -50,7 +50,7 @@ func TestAnyFig6ConfigBuildsAndRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: context: %v", i, err)
 		}
-		if _, err := ctx.Call("app", "run"); err != nil {
+		if _, err := ctx.Call(core.Symbol("app", "run"), core.Args{}); err != nil {
 			t.Fatalf("config %d (%s, %s): run: %v", i, mech, cfg.Label(), err)
 		}
 	}

@@ -317,15 +317,15 @@ func measureAllocCost(sharing isolation.Sharing, buffers int) (uint64, error) {
 	comp := core.NewComponent("alloctest")
 	comp.AddFunc(&core.Func{
 		Name: "run", Work: 1, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			start := ctx.Machine().Clock.Cycles()
 			for i := 0; i < buffers; i++ {
 				if _, err := ctx.StackAlloc(1, true); err != nil {
-					return nil, err
+					return core.Ret{}, err
 				}
 			}
 			allocCycles = ctx.Machine().Clock.Cycles() - start
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 	cat.MustRegister(comp)
@@ -347,10 +347,11 @@ func measureAllocCost(sharing isolation.Sharing, buffers int) (uint64, error) {
 	}
 	// Warm the allocator (first allocation may take the slow path),
 	// then measure, like the paper's microbenchmark loop.
-	if _, err := ctx.Call("alloctest", "run"); err != nil {
+	run := core.Symbol("alloctest", "run")
+	if _, err := ctx.Call(run, core.Args{}); err != nil {
 		return 0, err
 	}
-	if _, err := ctx.Call("alloctest", "run"); err != nil {
+	if _, err := ctx.Call(run, core.Args{}); err != nil {
 		return 0, err
 	}
 	return allocCycles, nil
@@ -401,11 +402,12 @@ func Fig11b() ([]Fig11bRow, error) {
 		}
 		// Warm, then measure one crossing; subtract the frame cost by
 		// measuring the raw gate binding too.
-		if _, err := ctx.Call("target", "noop"); err != nil {
+		noop := core.Symbol("target", "noop")
+		if _, err := ctx.Call(noop, core.Args{}); err != nil {
 			return 0, err
 		}
 		start := img.Mach.Clock.Cycles()
-		if _, err := ctx.Call("target", "noop"); err != nil {
+		if _, err := ctx.Call(noop, core.Args{}); err != nil {
 			return 0, err
 		}
 		return img.Mach.Clock.Cycles() - start - costs.StackAlloc, nil

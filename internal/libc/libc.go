@@ -8,7 +8,7 @@
 package libc
 
 import (
-	"fmt"
+	"slices"
 
 	"flexos/internal/core"
 )
@@ -25,121 +25,101 @@ const (
 	memcpyBase = 20
 )
 
+// maxTokens bounds a catalog's parse intern table: past it, new tokens
+// are returned as fresh strings.
+const maxTokens = 64
+
 // Register adds the newlib component to the catalog.
 func Register(cat *core.Catalog) {
 	c := core.NewComponent(Name)
 	// newlib row is not in Table 1 (it ships pre-ported with FlexOS),
 	// but it is a first-class Figure 6 component.
 
-	// parse tokenizes a request buffer in simulated memory: args are
-	// (addr uintptr, n int); returns the first token as a string.
+	// scratch receives simulated reads; no body here calls back out, so
+	// one buffer per catalog serves every call. tokens interns parse's
+	// results, so a request's command token costs no host allocation.
+	var scratch []byte
+	read := func(ctx *core.Ctx, addr uintptr, n int) ([]byte, error) {
+		scratch = slices.Grow(scratch[:0], n)[:n]
+		return scratch, ctx.Read(addr, scratch)
+	}
+	tokens := make(map[string]string)
+
+	// parse tokenizes a request buffer in simulated memory: words are
+	// (addr, n); returns the first token in S.
 	c.AddFunc(&core.Func{
 		Name: "parse", Work: parseWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			addr, n, err := addrLen(args)
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			n := int(a.W[1])
+			buf, err := read(ctx, uintptr(a.W[0]), n)
 			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, n)
-			if err := ctx.Read(addr, buf); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			ctx.Charge(uint64(n)) // per-byte scan
-			for i, b := range buf {
-				if b == ' ' || b == '\r' || b == '\n' || b == 0 {
-					return string(buf[:i]), nil
+			if i := slices.IndexFunc(buf, isDelim); i >= 0 {
+				buf = buf[:i]
+			}
+			tok, ok := tokens[string(buf)]
+			if !ok {
+				tok = string(buf)
+				if len(tokens) < maxTokens {
+					tokens[tok] = tok
 				}
 			}
-			return string(buf), nil
+			return core.Ret{S: tok}, nil
 		},
 	})
 
-	// format writes a reply string into a buffer: args are
-	// (addr uintptr, s string); returns the byte count.
+	// format writes a reply into a buffer: the word is addr, the
+	// payload is B; returns the byte count.
 	c.AddFunc(&core.Func{
 		Name: "format", Work: formatWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("libc: format(addr, s)")
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			ctx.Charge(uint64(len(a.B)))
+			if err := ctx.Write(uintptr(a.W[0]), a.B); err != nil {
+				return core.Ret{}, err
 			}
-			addr, ok := args[0].(uintptr)
-			if !ok {
-				return nil, fmt.Errorf("libc: format addr must be uintptr")
-			}
-			s, ok := args[1].(string)
-			if !ok {
-				return nil, fmt.Errorf("libc: format value must be string")
-			}
-			ctx.Charge(uint64(len(s)))
-			if err := ctx.Write(addr, []byte(s)); err != nil {
-				return nil, err
-			}
-			return len(s), nil
+			return core.Ret{W: uint64(len(a.B))}, nil
 		},
 	})
 
-	// strcmp compares a simulated buffer to a constant: args are
-	// (addr uintptr, n int, s string); returns bool.
+	// strcmp compares a simulated buffer to a constant: words are
+	// (addr, n), the constant is S; returns a flag.
 	c.AddFunc(&core.Func{
 		Name: "strcmp", Work: strcmpWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("libc: strcmp(addr, n, s)")
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			buf, err := read(ctx, uintptr(a.W[0]), int(a.W[1]))
+			if err != nil {
+				return core.Ret{}, err
 			}
-			addr := args[0].(uintptr)
-			n := args[1].(int)
-			s := args[2].(string)
-			buf := make([]byte, n)
-			if err := ctx.Read(addr, buf); err != nil {
-				return nil, err
-			}
-			return string(buf) == s, nil
+			return core.Ret{W: core.Bool(string(buf) == a.S)}, nil
 		},
 	})
 
-	// memcpy copies between simulated buffers: args are (dst, src
-	// uintptr, n int).
+	// memcpy copies between simulated buffers: words are (dst, src, n).
 	c.AddFunc(&core.Func{
 		Name: "memcpy", Work: memcpyBase, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("libc: memcpy(dst, src, n)")
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			n := int(a.W[2])
+			if err := ctx.Memmove(uintptr(a.W[0]), uintptr(a.W[1]), n); err != nil {
+				return core.Ret{}, err
 			}
-			dst := args[0].(uintptr)
-			src := args[1].(uintptr)
-			n := args[2].(int)
-			if err := ctx.Memmove(dst, src, n); err != nil {
-				return nil, err
-			}
-			return n, nil
+			return core.Ret{W: uint64(n)}, nil
 		},
 	})
 
-	// checked_add is the UBSan-instrumented arithmetic helper: overflow
-	// traps when the hosting compartment enables ubsan.
+	// checked_add is the UBSan-instrumented arithmetic helper: words
+	// are two int64 operands; overflow traps when the hosting
+	// compartment enables ubsan.
 	c.AddFunc(&core.Func{
 		Name: "checked_add", Work: 6, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("libc: checked_add(a, b)")
-			}
-			return ctx.Hardening().CheckedAdd(args[0].(int64), args[1].(int64))
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			sum, err := ctx.Hardening().CheckedAdd(int64(a.W[0]), int64(a.W[1]))
+			return core.Ret{W: uint64(sum)}, err
 		},
 	})
 	cat.MustRegister(c)
 }
 
-func addrLen(args []any) (uintptr, int, error) {
-	if len(args) != 2 {
-		return 0, 0, fmt.Errorf("libc: want (addr, n)")
-	}
-	addr, ok := args[0].(uintptr)
-	if !ok {
-		return 0, 0, fmt.Errorf("libc: addr must be uintptr")
-	}
-	n, ok := args[1].(int)
-	if !ok {
-		return 0, 0, fmt.Errorf("libc: n must be int")
-	}
-	return addr, n, nil
-}
+// isDelim reports whether b ends a parse token.
+func isDelim(b byte) bool { return b == ' ' || b == '\r' || b == '\n' || b == 0 }

@@ -14,6 +14,7 @@ package netstack
 
 import (
 	"fmt"
+	"slices"
 
 	"flexos/internal/core"
 )
@@ -57,6 +58,8 @@ type State struct {
 	nextID  int
 	rxTotal uint64
 	txTotal uint64
+	// scratch receives the bytes send reads from the caller's buffer.
+	scratch []byte
 }
 
 // Register adds the lwip component to the catalog.
@@ -65,50 +68,42 @@ func Register(cat *core.Catalog) *State {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 542, 275 // Table 1
 	c.Imports = []string{"uksched"}
-	for _, v := range sharedVars() {
-		c.AddShared(v)
-	}
+	c.Shared = append(c.Shared, sharedVars...)
 
 	// socket() creates an endpoint and returns its descriptor.
 	c.AddFunc(&core.Func{
 		Name: "socket", Work: socketWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			st.nextID++
 			s := &socket{id: st.nextID}
 			st.sockets[s.id] = s
-			return s.id, nil
+			return core.Ret{W: uint64(s.id)}, nil
 		},
 	})
 
-	// rx_enqueue(sock, payload []byte) is the driver-side injection
-	// point standing in for the NIC: it copies the payload into the
-	// stack's private packet pool.
+	// rx_enqueue(sock; B payload) is the driver-side injection point
+	// standing in for the NIC: it copies the payload into the stack's
+	// private packet pool.
 	c.AddFunc(&core.Func{
 		Name: "rx_enqueue", Work: enqueueWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("netstack: rx_enqueue(sock, payload)")
-			}
-			s, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			payload, ok := args[1].([]byte)
-			if !ok {
-				return nil, fmt.Errorf("netstack: payload must be []byte")
-			}
+			payload := a.B
 			addr, err := ctx.AllocPrivate(len(payload))
 			if err != nil {
 				s.rxDrops++
-				return nil, err
+				return core.Ret{}, err
 			}
 			if err := ctx.Write(addr, payload); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			ctx.Charge(uint64(len(payload)) * ProcessPerByte)
 			s.rxQueue = append(s.rxQueue, packet{addr: addr, n: len(payload), orig: addr})
 			st.rxTotal += uint64(len(payload))
-			return len(payload), nil
+			return core.Ret{W: uint64(len(payload))}, nil
 		},
 	})
 
@@ -119,92 +114,71 @@ func Register(cat *core.Catalog) *State {
 	// buffers, per the __shared porting rule.
 	c.AddFunc(&core.Func{
 		Name: "recv", Work: recvWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("netstack: recv(sock, bufAddr, bufLen)")
-			}
-			s, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			bufAddr, ok1 := args[1].(uintptr)
-			bufLen, ok2 := args[2].(int)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("netstack: recv buffer args must be (uintptr, int)")
-			}
+			bufAddr, bufLen := uintptr(a.W[1]), int(a.W[2])
 			if len(s.rxQueue) == 0 {
-				return 0, nil
+				return core.Ret{}, nil
 			}
 			pkt := s.rxQueue[0]
-			n := pkt.n
-			if n > bufLen {
-				n = bufLen
-			}
+			n := min(pkt.n, bufLen)
 			// Protocol processing + copy into the caller's buffer.
 			ctx.Charge(uint64(n) * ProcessPerByte)
 			if err := ctx.Memmove(bufAddr, pkt.addr, n); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if n == pkt.n {
 				s.rxQueue = s.rxQueue[1:]
 				if err := ctx.FreePrivate(pkt.orig); err != nil {
-					return nil, err
+					return core.Ret{}, err
 				}
 			} else {
 				s.rxQueue[0] = packet{addr: pkt.addr + uintptr(n), n: pkt.n - n, orig: pkt.orig}
 			}
-			return n, nil
+			return core.Ret{W: uint64(n)}, nil
 		},
 	})
 
 	// send(sock, bufAddr, n) transmits n bytes from the caller's buffer.
 	c.AddFunc(&core.Func{
 		Name: "send", Work: sendWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("netstack: send(sock, bufAddr, n)")
-			}
-			s, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			bufAddr, ok1 := args[1].(uintptr)
-			n, ok2 := args[2].(int)
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("netstack: send buffer args must be (uintptr, int)")
-			}
+			n := int(a.W[2])
 			// The stack must be able to read the caller's buffer.
-			tmp := make([]byte, n)
-			if err := ctx.Read(bufAddr, tmp); err != nil {
-				return nil, err
+			st.scratch = slices.Grow(st.scratch[:0], n)[:n]
+			if err := ctx.Read(uintptr(a.W[1]), st.scratch); err != nil {
+				return core.Ret{}, err
 			}
 			ctx.Charge(uint64(n) * ProcessPerByte)
 			s.txBytes += uint64(n)
 			st.txTotal += uint64(n)
-			return n, nil
+			return core.Ret{W: uint64(n)}, nil
 		},
 	})
 
 	// pending(sock) reports queued packets (driver/test hook).
 	c.AddFunc(&core.Func{
 		Name: "pending", Work: 20, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			s, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			return len(s.rxQueue), nil
+			return core.Ret{W: uint64(len(s.rxQueue))}, nil
 		},
 	})
 	cat.MustRegister(c)
 	return st
 }
 
-func (st *State) lookup(arg any) (*socket, error) {
-	id, ok := arg.(int)
-	if !ok {
-		return nil, fmt.Errorf("netstack: socket descriptor must be int")
-	}
+func (st *State) lookup(id int) (*socket, error) {
 	s, ok := st.sockets[id]
 	if !ok {
 		return nil, fmt.Errorf("netstack: bad socket %d", id)
@@ -220,8 +194,9 @@ func (st *State) RxBytes() uint64 { return st.rxTotal }
 
 // sharedVars reproduces the 23 shared-variable annotations Table 1
 // reports for the LwIP port: packet pools, protocol control blocks and
-// statistics exchanged with applications and the platform layer.
-func sharedVars() []core.SharedVar {
+// statistics exchanged with applications and the platform layer. It is
+// computed once per process.
+var sharedVars = func() []core.SharedVar {
 	base := []core.SharedVar{
 		{Name: "pbuf_pool", Size: 256},
 		{Name: "netif_default", Size: 64},
@@ -240,4 +215,4 @@ func sharedVars() []core.SharedVar {
 		base = append(base, core.SharedVar{Name: fmt.Sprintf("sock_state_%d", i), Size: 32})
 	}
 	return base
-}
+}()

@@ -53,27 +53,52 @@ func splitImage(t *testing.T) (*core.Image, *State) {
 	return img, st
 }
 
-func TestSocketAndEnqueueRecv(t *testing.T) {
-	img, st := oneCompImage(t)
-	ctx, _ := img.NewContext("t", Name)
-	v, err := ctx.Call(Name, "socket")
+var (
+	symSocket    = core.Symbol(Name, "socket")
+	symRxEnqueue = core.Symbol(Name, "rx_enqueue")
+	symRecv      = core.Symbol(Name, "recv")
+	symSend      = core.Symbol(Name, "send")
+	symPending   = core.Symbol(Name, "pending")
+)
+
+func newSocket(t *testing.T, ctx *core.Ctx) uint64 {
+	t.Helper()
+	v, err := ctx.Call(symSocket, core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sock := v.(int)
-	if _, err := ctx.Call(Name, "rx_enqueue", sock, []byte("hello")); err != nil {
+	return v.W
+}
+
+func enqueue(ctx *core.Ctx, sock uint64, payload []byte) error {
+	a := core.Words(sock)
+	a.B = payload
+	_, err := ctx.Call(symRxEnqueue, a)
+	return err
+}
+
+func recv(ctx *core.Ctx, sock uint64, buf uintptr, n int) (int, error) {
+	v, err := ctx.Call(symRecv, core.Words(sock, uint64(buf), uint64(n)))
+	return v.Int(), err
+}
+
+func TestSocketAndEnqueueRecv(t *testing.T) {
+	img, st := oneCompImage(t)
+	ctx, _ := img.NewContext("t", Name)
+	sock := newSocket(t, ctx)
+	if err := enqueue(ctx, sock, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := ctx.Call(Name, "pending", sock); p != 1 {
-		t.Fatalf("pending = %v", p)
+	if p, _ := ctx.Call(symPending, core.Words(sock)); p.Int() != 1 {
+		t.Fatalf("pending = %d", p.Int())
 	}
 	buf, _ := ctx.AllocPrivate(16)
-	n, err := ctx.Call(Name, "recv", sock, buf, 16)
+	n, err := recv(ctx, sock, buf, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
-		t.Fatalf("recv = %v bytes", n)
+		t.Fatalf("recv = %d bytes", n)
 	}
 	out := make([]byte, 5)
 	ctx.Read(buf, out)
@@ -88,28 +113,27 @@ func TestSocketAndEnqueueRecv(t *testing.T) {
 func TestRecvEmptyQueueReturnsZero(t *testing.T) {
 	img, _ := oneCompImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "socket")
+	sock := newSocket(t, ctx)
 	buf, _ := ctx.AllocPrivate(16)
-	n, err := ctx.Call(Name, "recv", v.(int), buf, 16)
+	n, err := recv(ctx, sock, buf, 16)
 	if err != nil || n != 0 {
-		t.Fatalf("recv on empty queue = %v, %v", n, err)
+		t.Fatalf("recv on empty queue = %d, %v", n, err)
 	}
 }
 
 func TestPartialRecvKeepsRemainder(t *testing.T) {
 	img, _ := oneCompImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "socket")
-	sock := v.(int)
-	ctx.Call(Name, "rx_enqueue", sock, []byte("abcdefgh"))
+	sock := newSocket(t, ctx)
+	enqueue(ctx, sock, []byte("abcdefgh"))
 	buf, _ := ctx.AllocPrivate(4)
-	n, err := ctx.Call(Name, "recv", sock, buf, 4)
+	n, err := recv(ctx, sock, buf, 4)
 	if err != nil || n != 4 {
-		t.Fatalf("first recv = %v, %v", n, err)
+		t.Fatalf("first recv = %d, %v", n, err)
 	}
-	n, err = ctx.Call(Name, "recv", sock, buf, 4)
+	n, err = recv(ctx, sock, buf, 4)
 	if err != nil || n != 4 {
-		t.Fatalf("second recv = %v, %v", n, err)
+		t.Fatalf("second recv = %d, %v", n, err)
 	}
 	out := make([]byte, 4)
 	ctx.Read(buf, out)
@@ -121,11 +145,11 @@ func TestPartialRecvKeepsRemainder(t *testing.T) {
 func TestSendChargesAndCounts(t *testing.T) {
 	img, st := oneCompImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "socket")
+	sock := newSocket(t, ctx)
 	buf, _ := ctx.AllocPrivate(64)
 	ctx.Write(buf, make([]byte, 64))
 	cost := img.Mach.Clock.Span(func() {
-		if _, err := ctx.Call(Name, "send", v.(int), buf, 64); err != nil {
+		if _, err := ctx.Call(symSend, core.Words(sock, uint64(buf), 64)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -140,11 +164,14 @@ func TestSendChargesAndCounts(t *testing.T) {
 func TestBadSocket(t *testing.T) {
 	img, _ := oneCompImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	if _, err := ctx.Call(Name, "recv", 999, uintptr(0), 4); err == nil {
-		t.Fatal("bad socket accepted")
+	if _, err := recv(ctx, 999, 0, 4); err == nil || err.Error() != "netstack: bad socket 999" {
+		t.Fatalf("recv on a bad socket: %v", err)
 	}
-	if _, err := ctx.Call(Name, "rx_enqueue", "x", []byte("y")); err == nil {
-		t.Fatal("bad descriptor type accepted")
+	if err := enqueue(ctx, 7, []byte("y")); err == nil {
+		t.Fatal("enqueue on a bad socket accepted")
+	}
+	if _, err := ctx.Call(symSend, core.Words(999, 0, 4)); err == nil {
+		t.Fatal("send on a bad socket accepted")
 	}
 }
 
@@ -157,12 +184,8 @@ func TestCrossCompartmentRecvNeedsSharedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ctx.Call(Name, "socket")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sock := v.(int)
-	if _, err := ctx.Call(Name, "rx_enqueue", sock, []byte("data")); err != nil {
+	sock := newSocket(t, ctx)
+	if err := enqueue(ctx, sock, []byte("data")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -171,7 +194,7 @@ func TestCrossCompartmentRecvNeedsSharedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ctx.Call(Name, "recv", sock, private, 16)
+	_, err = recv(ctx, sock, private, 16)
 	if !mem.IsFault(err, mem.FaultKeyViolation) {
 		t.Fatalf("recv into private buffer: got %v, want key violation", err)
 	}
@@ -182,12 +205,12 @@ func TestCrossCompartmentRecvNeedsSharedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ctx.Call(Name, "recv", sock, shared, 16)
+	n, err := recv(ctx, sock, shared, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 4 {
-		t.Fatalf("recv = %v", n)
+		t.Fatalf("recv = %d", n)
 	}
 }
 

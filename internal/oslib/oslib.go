@@ -71,38 +71,38 @@ func RegisterSched(cat *core.Catalog) *SchedState {
 
 	c.AddFunc(&core.Func{
 		Name: "wake", Work: wakeWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
 			st.wakes++
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "block_poll", Work: blockWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
 			st.blocks++
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "timer_arm", Work: timerWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
 			st.timers++
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "current", Work: currentWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			return ctx.Thread().ID, nil
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			return core.Ret{W: uint64(ctx.Thread().ID)}, nil
 		},
 	})
 	// yield performs a real cooperative context switch; not on the
 	// request hot path.
 	c.AddFunc(&core.Func{
 		Name: "yield", Work: 24, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			ctx.Yield()
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 	cat.MustRegister(c)

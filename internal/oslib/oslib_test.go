@@ -39,14 +39,14 @@ func TestSchedSurfaceCounters(t *testing.T) {
 	img, st := testImage(t)
 	ctx, _ := img.NewContext("t", SchedName)
 	for i := 0; i < 3; i++ {
-		if _, err := ctx.Call(SchedName, "wake"); err != nil {
+		if _, err := ctx.Call(core.Symbol(SchedName, "wake"), core.Args{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ctx.Call(SchedName, "block_poll"); err != nil {
+	if _, err := ctx.Call(core.Symbol(SchedName, "block_poll"), core.Args{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Call(SchedName, "timer_arm"); err != nil {
+	if _, err := ctx.Call(core.Symbol(SchedName, "timer_arm"), core.Args{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Wakes() != 3 || st.Blocks() != 1 {
@@ -57,12 +57,12 @@ func TestSchedSurfaceCounters(t *testing.T) {
 func TestCurrentReturnsThreadID(t *testing.T) {
 	img, _ := testImage(t)
 	ctx, _ := img.NewContext("t", SchedName)
-	v, err := ctx.Call(SchedName, "current")
+	v, err := ctx.Call(core.Symbol(SchedName, "current"), core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(int) != ctx.Thread().ID {
-		t.Fatalf("current = %v, want %d", v, ctx.Thread().ID)
+	if v.Int() != ctx.Thread().ID {
+		t.Fatalf("current = %d, want %d", v.Int(), ctx.Thread().ID)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestYieldContextSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := img.Sched.Switches()
-	if _, err := ctxA.Call(SchedName, "yield"); err != nil {
+	if _, err := ctxA.Call(core.Symbol(SchedName, "yield"), core.Args{}); err != nil {
 		t.Fatal(err)
 	}
 	if img.Sched.Switches() != before+1 {

@@ -50,11 +50,11 @@ func Register(cat *core.Catalog) *State {
 	// create() allocates a node and returns its id.
 	c.AddFunc(&core.Func{
 		Name: "create", Work: nodeWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
 			st.nextID++
 			n := &node{id: st.nextID}
 			st.nodes[n.id] = n
-			return n.id, nil
+			return core.Ret{W: uint64(n.id)}, nil
 		},
 	})
 
@@ -62,110 +62,95 @@ func Register(cat *core.Catalog) *State {
 	// the node, growing its private buffer as needed.
 	c.AddFunc(&core.Func{
 		Name: "write_node", Work: nodeWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 5 {
-				return nil, fmt.Errorf("ramfs: write_node(id, off, src, n, mtime)")
-			}
-			n, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			off := args[1].(int)
-			src := args[2].(uintptr)
-			cnt := args[3].(int)
-			mtime := args[4].(uint64)
+			off, src, cnt, mtime := int(a.W[1]), uintptr(a.W[2]), int(a.W[3]), a.W[4]
 			if err := st.ensure(ctx, n, off+cnt); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if err := ctx.Memmove(n.addr+uintptr(off), src, cnt); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if off+cnt > n.size {
 				n.size = off + cnt
 			}
 			n.mtime = mtime
-			return cnt, nil
+			return core.Ret{W: uint64(cnt)}, nil
 		},
 	})
 
 	// read_node(id, off, dstAddr, n) copies node bytes out.
 	c.AddFunc(&core.Func{
 		Name: "read_node", Work: nodeWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 4 {
-				return nil, fmt.Errorf("ramfs: read_node(id, off, dst, n)")
-			}
-			n, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			off := args[1].(int)
-			dst := args[2].(uintptr)
-			cnt := args[3].(int)
+			off, dst, cnt := int(a.W[1]), uintptr(a.W[2]), int(a.W[3])
 			if off >= n.size {
-				return 0, nil
+				return core.Ret{}, nil
 			}
 			if off+cnt > n.size {
 				cnt = n.size - off
 			}
 			if err := ctx.Memmove(dst, n.addr+uintptr(off), cnt); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			return cnt, nil
+			return core.Ret{W: uint64(cnt)}, nil
 		},
 	})
 
 	// truncate(id) drops the node's content.
 	c.AddFunc(&core.Func{
 		Name: "truncate", Work: nodeWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			n, err := st.lookup(args[0])
+		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			n.size = 0
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 
 	// remove(id) deletes the node and frees its buffer.
 	c.AddFunc(&core.Func{
 		Name: "remove", Work: nodeWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			n, err := st.lookup(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			if n.addr != 0 {
 				if err := ctx.FreePrivate(n.addr); err != nil {
-					return nil, err
+					return core.Ret{}, err
 				}
 			}
 			delete(st.nodes, n.id)
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 
 	// node_size(id) returns the current size.
 	c.AddFunc(&core.Func{
 		Name: "node_size", Work: 12, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			n, err := st.lookup(args[0])
+		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			return n.size, nil
+			return core.Ret{W: uint64(n.size)}, nil
 		},
 	})
 	cat.MustRegister(c)
 	return st
 }
 
-func (st *State) lookup(arg any) (*node, error) {
-	id, ok := arg.(int)
-	if !ok {
-		return nil, fmt.Errorf("ramfs: node id must be int")
-	}
+func (st *State) lookup(id int) (*node, error) {
 	n, ok := st.nodes[id]
 	if !ok {
 		return nil, fmt.Errorf("ramfs: no node %d", id)

@@ -27,23 +27,23 @@ func testImage(t *testing.T) (*core.Image, *State) {
 func TestCreateWriteRead(t *testing.T) {
 	img, st := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, err := ctx.Call(Name, "create")
+	v, err := ctx.Call(core.Symbol(Name, "create"), core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := v.(int)
+	id := v.Int()
 	src, _ := ctx.AllocPrivate(16)
 	ctx.Write(src, []byte("filesystem data!"))
-	if _, err := ctx.Call(Name, "write_node", id, 0, src, 16, uint64(1)); err != nil {
+	if _, err := ctx.Call(core.Symbol(Name, "write_node"), core.Words(uint64(id), 0, uint64(src), 16, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if sz, _ := ctx.Call(Name, "node_size", id); sz != 16 {
-		t.Fatalf("size = %v", sz)
+	if sz, _ := ctx.Call(core.Symbol(Name, "node_size"), core.Words(uint64(id))); sz.Int() != 16 {
+		t.Fatalf("size = %d", sz.Int())
 	}
 	dst, _ := ctx.AllocPrivate(16)
-	n, err := ctx.Call(Name, "read_node", id, 0, dst, 16)
-	if err != nil || n != 16 {
-		t.Fatalf("read = %v, %v", n, err)
+	n, err := ctx.Call(core.Symbol(Name, "read_node"), core.Words(uint64(id), 0, uint64(dst), 16))
+	if err != nil || n.Int() != 16 {
+		t.Fatalf("read = %d, %v", n.Int(), err)
 	}
 	out := make([]byte, 16)
 	ctx.Read(dst, out)
@@ -58,52 +58,52 @@ func TestCreateWriteRead(t *testing.T) {
 func TestWriteGrowsBuffer(t *testing.T) {
 	img, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "create")
-	id := v.(int)
+	v, _ := ctx.Call(core.Symbol(Name, "create"), core.Args{})
+	id := v.Int()
 	src, _ := ctx.AllocPrivate(64)
 	// Write well past the initial 512-byte quantum.
 	for off := 0; off < 4096; off += 64 {
-		if _, err := ctx.Call(Name, "write_node", id, off, src, 64, uint64(off)); err != nil {
+		if _, err := ctx.Call(core.Symbol(Name, "write_node"), core.Words(uint64(id), uint64(off), uint64(src), 64, uint64(off))); err != nil {
 			t.Fatalf("write at %d: %v", off, err)
 		}
 	}
-	if sz, _ := ctx.Call(Name, "node_size", id); sz != 4096 {
-		t.Fatalf("size = %v, want 4096", sz)
+	if sz, _ := ctx.Call(core.Symbol(Name, "node_size"), core.Words(uint64(id))); sz.Int() != 4096 {
+		t.Fatalf("size = %d, want 4096", sz.Int())
 	}
 }
 
 func TestReadPastEOF(t *testing.T) {
 	img, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "create")
-	id := v.(int)
+	v, _ := ctx.Call(core.Symbol(Name, "create"), core.Args{})
+	id := v.Int()
 	dst, _ := ctx.AllocPrivate(8)
-	n, err := ctx.Call(Name, "read_node", id, 100, dst, 8)
-	if err != nil || n != 0 {
-		t.Fatalf("read past EOF = %v, %v", n, err)
+	n, err := ctx.Call(core.Symbol(Name, "read_node"), core.Words(uint64(id), 100, uint64(dst), 8))
+	if err != nil || n.Int() != 0 {
+		t.Fatalf("read past EOF = %d, %v", n.Int(), err)
 	}
 }
 
 func TestTruncateAndRemove(t *testing.T) {
 	img, st := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "create")
-	id := v.(int)
+	v, _ := ctx.Call(core.Symbol(Name, "create"), core.Args{})
+	id := v.Int()
 	src, _ := ctx.AllocPrivate(8)
-	ctx.Call(Name, "write_node", id, 0, src, 8, uint64(1))
-	if _, err := ctx.Call(Name, "truncate", id); err != nil {
+	ctx.Call(core.Symbol(Name, "write_node"), core.Words(uint64(id), 0, uint64(src), 8, 1))
+	if _, err := ctx.Call(core.Symbol(Name, "truncate"), core.Words(uint64(id))); err != nil {
 		t.Fatal(err)
 	}
-	if sz, _ := ctx.Call(Name, "node_size", id); sz != 0 {
-		t.Fatalf("size after truncate = %v", sz)
+	if sz, _ := ctx.Call(core.Symbol(Name, "node_size"), core.Words(uint64(id))); sz.Int() != 0 {
+		t.Fatalf("size after truncate = %d", sz.Int())
 	}
-	if _, err := ctx.Call(Name, "remove", id); err != nil {
+	if _, err := ctx.Call(core.Symbol(Name, "remove"), core.Words(uint64(id))); err != nil {
 		t.Fatal(err)
 	}
 	if st.Nodes() != 0 {
 		t.Fatal("node survived remove")
 	}
-	if _, err := ctx.Call(Name, "node_size", id); err == nil {
+	if _, err := ctx.Call(core.Symbol(Name, "node_size"), core.Words(uint64(id))); err == nil {
 		t.Fatal("removed node still accessible")
 	}
 }
@@ -111,10 +111,10 @@ func TestTruncateAndRemove(t *testing.T) {
 func TestBadNodeID(t *testing.T) {
 	img, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	if _, err := ctx.Call(Name, "node_size", 42); err == nil {
+	if _, err := ctx.Call(core.Symbol(Name, "node_size"), core.Words(42)); err == nil {
 		t.Fatal("bad node id accepted")
 	}
-	if _, err := ctx.Call(Name, "write_node", "x", 0, uintptr(0), 1, uint64(0)); err == nil {
-		t.Fatal("bad id type accepted")
+	if _, err := ctx.Call(core.Symbol(Name, "write_node"), core.Words(7, 0, 0, 1, 0)); err == nil || err.Error() != "ramfs: no node 7" {
+		t.Fatalf("write to a bad node id: %v", err)
 	}
 }

@@ -12,17 +12,19 @@ import (
 
 // TestRedisRunAllocationBudget pins the host memory one measurement
 // costs: building, booting and running any Figure 6 Redis configuration
-// allocates less than 4 MiB, in fewer than 8,000 host allocations. The
+// allocates less than 1 MiB, in fewer than 1,000 host allocations. The
 // simulated address space is 32 MiB; only the pages the run writes (and
 // the KASan shadow of the pages it poisons) may be backed. Simulated
-// calls resolve through the call-site table Build fills and reuse their
-// frames, so what remains is mostly argument boxing in component code
-// (resolving each call at run time took over 17,000 allocations).
+// calls resolve through the Sym-indexed call-site table Build fills,
+// pass typed argument frames and reuse their frames, and the component
+// bodies reuse host scratch, so what remains is the image itself
+// (resolving each call at run time took over 17,000 allocations, and
+// boxing arguments over 5,000).
 func TestRedisRunAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation totals are not meaningful under -race")
 	}
-	const budget, mallocBudget = 4 << 20, 8000
+	const budget, mallocBudget = 1 << 20, 1000
 	tcb := []string{oslib.BootName, oslib.MMName}
 	var worst, worstMallocs uint64
 	for _, c := range explore.Fig6Space(redisapp.Components4()) {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 
 	iperfapp "flexos/internal/apps/iperf"
 	nginxapp "flexos/internal/apps/nginx"
@@ -51,6 +52,35 @@ const (
 	iperfBufSize = 1460
 )
 
+// The calls the runners make into the images they drive.
+var (
+	symRxEnqueue  = core.Symbol(netstack.Name, "rx_enqueue")
+	symBlockPoll  = core.Symbol(oslib.SchedName, "block_poll")
+	symRedisSetup = core.Symbol(redisapp.Name, "setup")
+	symServeGet   = core.Symbol(redisapp.Name, "serve_get")
+	symServeSet   = core.Symbol(redisapp.Name, "serve_set")
+	symNginxSetup = core.Symbol(nginxapp.Name, "setup")
+	symAcceptConn = core.Symbol(nginxapp.Name, "accept_conn")
+	symServeReq   = core.Symbol(nginxapp.Name, "serve_req")
+	symIPerfSetup = core.Symbol(iperfapp.Name, "setup")
+	symRecvOnce   = core.Symbol(iperfapp.Name, "recv_once")
+	symOpenDB     = core.Symbol(sqliteapp.Name, "open_db")
+	symExecBatch  = core.Symbol(sqliteapp.Name, "exec_batch")
+)
+
+// nginxRequest is the request every nginx scenario replays.
+var nginxRequest = []byte("GET /index.html HTTP/1.1\r\nHost: flexos\r\n\r\n")
+
+// appendPadded appends v in decimal, zero-padded to width digits.
+func appendPadded(b []byte, v, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(v), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
+}
+
 // redisScenario drives GET/SET mixes with optional pipelining: setPct%
 // of operations are SETs of fresh keys, and latency is sampled per
 // pipeline batch of `pipe` requests.
@@ -70,24 +100,27 @@ func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 			if err != nil {
 				return Metrics{}, err
 			}
-			sv, err := ctx.Call(redisapp.Name, "setup", redisKeys)
+			sv, err := ctx.Call(symRedisSetup, core.Words(redisKeys))
 			if err != nil {
 				return Metrics{}, err
 			}
 			boot := img.Mach.Clock.Cycles()
 
 			ops := s.ops
-			sock := sv.(int)
 			// Inject the whole request stream first (the NIC side), in
-			// the exact order the serve loop will consume it.
+			// the exact order the serve loop will consume it. The stack
+			// copies each request, so one buffer serves them all.
+			enq := core.Words(sv.W)
 			for i := 0; i < ops; i++ {
-				var req string
+				req := enq.B[:0]
 				if mixHit(i, setPct) {
-					req = fmt.Sprintf("SET skey%d v%010d\r\n", i, i)
+					req = strconv.AppendInt(append(req, "SET skey"...), int64(i), 10)
+					req = appendPadded(append(req, " v"...), i, 10)
 				} else {
-					req = fmt.Sprintf("GET key%d\r\n", i%redisKeys)
+					req = strconv.AppendInt(append(req, "GET key"...), int64(i%redisKeys), 10)
 				}
-				if _, err := ctx.Call(netstack.Name, "rx_enqueue", sock, []byte(req)); err != nil {
+				enq.B = append(req, "\r\n"...)
+				if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
 					return Metrics{}, err
 				}
 			}
@@ -102,15 +135,16 @@ func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 				}
 				err := lat.Span(&img.Mach.Clock, func() error {
 					for j := i; j < i+batch; j++ {
-						fn := "serve_get"
+						sym := symServeGet
 						if mixHit(j, setPct) {
-							fn = "serve_set"
+							sym = symServeSet
 						}
-						ok, err := ctx.Call(redisapp.Name, fn)
+						ok, err := ctx.Call(sym, core.Args{})
 						if err != nil {
 							return err
 						}
-						if ok != true {
+						if !ok.Bool() {
+							_, fn := sym.Name()
 							return fmt.Errorf("redis: op %d (%s) failed", j, fn)
 						}
 					}
@@ -146,17 +180,17 @@ func nginxScenario(name, desc string, keepPct int) *Scenario {
 			if err != nil {
 				return Metrics{}, err
 			}
-			sv, err := ctx.Call(nginxapp.Name, "setup")
+			sv, err := ctx.Call(symNginxSetup, core.Args{})
 			if err != nil {
 				return Metrics{}, err
 			}
 			boot := img.Mach.Clock.Cycles()
 
 			ops := s.ops
-			sock := sv.(int)
-			req := []byte("GET /index.html HTTP/1.1\r\nHost: flexos\r\n\r\n")
+			enq := core.Words(sv.W)
+			enq.B = nginxRequest
 			for i := 0; i < ops; i++ {
-				if _, err := ctx.Call(netstack.Name, "rx_enqueue", sock, req); err != nil {
+				if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
 					return Metrics{}, err
 				}
 			}
@@ -168,15 +202,15 @@ func nginxScenario(name, desc string, keepPct int) *Scenario {
 				fresh := !mixHit(i, keepPct)
 				err := lat.Span(&img.Mach.Clock, func() error {
 					if fresh {
-						if _, err := ctx.Call(nginxapp.Name, "accept_conn"); err != nil {
+						if _, err := ctx.Call(symAcceptConn, core.Args{}); err != nil {
 							return err
 						}
 					}
-					ok, err := ctx.Call(nginxapp.Name, "serve_req")
+					ok, err := ctx.Call(symServeReq, core.Args{})
 					if err != nil {
 						return err
 					}
-					if ok != true {
+					if !ok.Bool() {
 						return fmt.Errorf("nginx: request %d failed", i)
 					}
 					return nil
@@ -222,17 +256,17 @@ func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
 			if err != nil {
 				return Metrics{}, err
 			}
-			sv, err := ctx.Call(iperfapp.Name, "setup")
+			sv, err := ctx.Call(symIPerfSetup, core.Args{})
 			if err != nil {
 				return Metrics{}, err
 			}
 			boot := img.Mach.Clock.Cycles()
 
 			ops := s.ops
-			sock := sv.(int)
-			payload := make([]byte, bufSize)
+			enq := core.Words(sv.W)
+			enq.B = make([]byte, bufSize)
 			for i := 0; i < ops; i++ {
-				if _, err := ctx.Call(netstack.Name, "rx_enqueue", sock, payload); err != nil {
+				if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
 					return Metrics{}, err
 				}
 			}
@@ -242,16 +276,16 @@ func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
 			startCross := img.Crossings()
 			for i := 0; i < ops; i++ {
 				err := lat.Span(&img.Mach.Clock, func() error {
-					v, err := ctx.Call(iperfapp.Name, "recv_once", bufSize)
+					v, err := ctx.Call(symRecvOnce, core.Words(uint64(bufSize)))
 					if err != nil {
 						return err
 					}
-					if v.(int) != bufSize {
-						return fmt.Errorf("iperf: packet %d truncated to %d bytes", i, v)
+					if v.Int() != bufSize {
+						return fmt.Errorf("iperf: packet %d truncated to %d bytes", i, v.Int())
 					}
 					// Poll the other streams before switching back.
 					for k := 1; k < streams; k++ {
-						if _, err := ctx.Call(oslib.SchedName, "block_poll"); err != nil {
+						if _, err := ctx.Call(symBlockPoll, core.Args{}); err != nil {
 							return err
 						}
 					}
@@ -286,7 +320,7 @@ func sqliteScenario(name, desc string, batch int) *Scenario {
 			if err != nil {
 				return Metrics{}, err
 			}
-			if _, err := ctx.Call(sqliteapp.Name, "open_db"); err != nil {
+			if _, err := ctx.Call(symOpenDB, core.Args{}); err != nil {
 				return Metrics{}, err
 			}
 			boot := img.Mach.Clock.Cycles()
@@ -303,7 +337,7 @@ func sqliteScenario(name, desc string, batch int) *Scenario {
 				}
 				start := done
 				err := lat.Span(&img.Mach.Clock, func() error {
-					_, err := ctx.Call(sqliteapp.Name, "exec_batch", start, n)
+					_, err := ctx.Call(symExecBatch, core.Words(uint64(start), uint64(n)))
 					return err
 				})
 				if err != nil {

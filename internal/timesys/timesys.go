@@ -28,15 +28,15 @@ func Register(cat *core.Catalog) *State {
 
 	c.AddFunc(&core.Func{
 		Name: "now", Work: nowWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
+		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
 			st.ticks++
-			return st.ticks, nil
+			return core.Ret{W: st.ticks}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "monotonic", Work: nowWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			return st.ticks, nil
+		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
+			return core.Ret{W: st.ticks}, nil
 		},
 	})
 	cat.MustRegister(c)

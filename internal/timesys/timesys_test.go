@@ -30,16 +30,16 @@ func TestNowMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := ctx.Call(Name, "now")
+	v1, err := ctx.Call(core.Symbol(Name, "now"), core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ctx.Call(Name, "now")
+	v2, err := ctx.Call(core.Symbol(Name, "now"), core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.(uint64) <= v1.(uint64) {
-		t.Fatalf("clock not monotonic: %v then %v", v1, v2)
+	if v2.W <= v1.W {
+		t.Fatalf("clock not monotonic: %d then %d", v1.W, v2.W)
 	}
 	if st.Ticks() != 2 {
 		t.Fatalf("ticks = %d, want 2", st.Ticks())
@@ -49,13 +49,13 @@ func TestNowMonotonic(t *testing.T) {
 func TestMonotonicDoesNotAdvance(t *testing.T) {
 	img, st := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	ctx.Call(Name, "now")
+	ctx.Call(core.Symbol(Name, "now"), core.Args{})
 	before := st.Ticks()
-	v, err := ctx.Call(Name, "monotonic")
+	v, err := ctx.Call(core.Symbol(Name, "monotonic"), core.Args{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.(uint64) != before || st.Ticks() != before {
+	if v.W != before || st.Ticks() != before {
 		t.Fatal("monotonic read must not advance the clocksource")
 	}
 }
@@ -63,7 +63,7 @@ func TestMonotonicDoesNotAdvance(t *testing.T) {
 func TestNowChargesCycles(t *testing.T) {
 	img, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	cost := img.Mach.Clock.Span(func() { ctx.Call(Name, "now") })
+	cost := img.Mach.Clock.Span(func() { ctx.Call(core.Symbol(Name, "now"), core.Args{}) })
 	if cost < nowWork {
 		t.Fatalf("now cost = %d, want >= %d", cost, nowWork)
 	}

@@ -26,6 +26,16 @@ const (
 	syncWork   = 45
 )
 
+// The calls vfscore makes into ramfs and uktime.
+var (
+	symNow       = core.Symbol(timesys.Name, "now")
+	symCreate    = core.Symbol(ramfs.Name, "create")
+	symWriteNode = core.Symbol(ramfs.Name, "write_node")
+	symReadNode  = core.Symbol(ramfs.Name, "read_node")
+	symRemove    = core.Symbol(ramfs.Name, "remove")
+	symNodeSize  = core.Symbol(ramfs.Name, "node_size")
+)
+
 // file is an open descriptor.
 type file struct {
 	fd     int
@@ -66,62 +76,50 @@ func Register(cat *core.Catalog) *State {
 	}
 
 	now := func(ctx *core.Ctx) (uint64, error) {
-		v, err := ctx.Call(timesys.Name, "now")
-		if err != nil {
-			return 0, err
-		}
-		return v.(uint64), nil
+		v, err := ctx.Call(symNow, core.Args{})
+		return v.W, err
 	}
 
-	// open(path) creates the file if needed and returns an fd.
+	// open(S path) creates the file if needed and returns an fd.
 	c.AddFunc(&core.Func{
 		Name: "open", Work: lookupWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			path, ok := args[0].(string)
-			if !ok {
-				return nil, fmt.Errorf("vfs: open(path string)")
-			}
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
 			if _, err := now(ctx); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			nodeID, ok := st.paths[path]
+			nodeID, ok := st.paths[a.S]
 			if !ok {
-				v, err := ctx.Call(ramfs.Name, "create")
+				v, err := ctx.Call(symCreate, core.Args{})
 				if err != nil {
-					return nil, err
+					return core.Ret{}, err
 				}
-				nodeID = v.(int)
-				st.paths[path] = nodeID
+				nodeID = v.Int()
+				st.paths[a.S] = nodeID
 			}
 			st.nextFD++
 			st.files[st.nextFD] = &file{fd: st.nextFD, nodeID: nodeID}
 			st.ops++
-			return st.nextFD, nil
+			return core.Ret{W: uint64(st.nextFD)}, nil
 		},
 	})
 
 	// write(fd, srcAddr, n) appends at the cursor.
 	c.AddFunc(&core.Func{
 		Name: "write", Work: fdWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("vfs: write(fd, src, n)")
-			}
-			f, err := st.file(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			f, err := st.file(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			src := args[1].(uintptr)
-			n := args[2].(int)
 			t, err := now(ctx)
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			v, err := ctx.Call(ramfs.Name, "write_node", f.nodeID, f.pos, src, n, t)
+			v, err := ctx.Call(symWriteNode, core.Words(uint64(f.nodeID), uint64(f.pos), a.W[1], a.W[2], t))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			f.pos += v.(int)
+			f.pos += v.Int()
 			st.ops++
 			return v, nil
 		},
@@ -130,24 +128,19 @@ func Register(cat *core.Catalog) *State {
 	// read(fd, dstAddr, n) reads from the cursor.
 	c.AddFunc(&core.Func{
 		Name: "read", Work: fdWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("vfs: read(fd, dst, n)")
-			}
-			f, err := st.file(args[0])
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			f, err := st.file(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			dst := args[1].(uintptr)
-			n := args[2].(int)
 			if _, err := now(ctx); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			v, err := ctx.Call(ramfs.Name, "read_node", f.nodeID, f.pos, dst, n)
+			v, err := ctx.Call(symReadNode, core.Words(uint64(f.nodeID), uint64(f.pos), a.W[1], a.W[2]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			f.pos += v.(int)
+			f.pos += v.Int()
 			st.ops++
 			return v, nil
 		},
@@ -156,93 +149,81 @@ func Register(cat *core.Catalog) *State {
 	// seek(fd, pos) repositions the cursor.
 	c.AddFunc(&core.Func{
 		Name: "seek", Work: 14, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			f, err := st.file(args[0])
+		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+			f, err := st.file(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			f.pos = args[1].(int)
-			return f.pos, nil
+			f.pos = int(a.W[1])
+			return core.Ret{W: uint64(f.pos)}, nil
 		},
 	})
 
 	// fsync(fd) flushes (a ramfs no-op with sync bookkeeping cost).
 	c.AddFunc(&core.Func{
 		Name: "fsync", Work: syncWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			if _, err := st.file(args[0]); err != nil {
-				return nil, err
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			if _, err := st.file(int(a.W[0])); err != nil {
+				return core.Ret{}, err
 			}
 			if _, err := now(ctx); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			st.ops++
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 
 	// close(fd) drops the descriptor.
 	c.AddFunc(&core.Func{
 		Name: "close", Work: fdWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			f, err := st.file(args[0])
+		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+			f, err := st.file(int(a.W[0]))
 			if err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
 			delete(st.files, f.fd)
 			st.ops++
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 
-	// unlink(path) removes a file entirely.
+	// unlink(S path) removes a file entirely.
 	c.AddFunc(&core.Func{
 		Name: "unlink", Work: lookupWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			path, ok := args[0].(string)
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			nodeID, ok := st.paths[a.S]
 			if !ok {
-				return nil, fmt.Errorf("vfs: unlink(path string)")
-			}
-			nodeID, ok := st.paths[path]
-			if !ok {
-				return nil, fmt.Errorf("vfs: unlink %q: no such file", path)
+				return core.Ret{}, fmt.Errorf("vfs: unlink %q: no such file", a.S)
 			}
 			if _, err := now(ctx); err != nil {
-				return nil, err
+				return core.Ret{}, err
 			}
-			if _, err := ctx.Call(ramfs.Name, "remove", nodeID); err != nil {
-				return nil, err
+			if _, err := ctx.Call(symRemove, core.Words(uint64(nodeID))); err != nil {
+				return core.Ret{}, err
 			}
-			delete(st.paths, path)
+			delete(st.paths, a.S)
 			st.ops++
-			return nil, nil
+			return core.Ret{}, nil
 		},
 	})
 
-	// size(path) returns the file size.
+	// size(S path) returns the file size.
 	c.AddFunc(&core.Func{
 		Name: "size", Work: lookupWork, EntryPoint: true,
-		Impl: func(ctx *core.Ctx, args ...any) (any, error) {
-			path, ok := args[0].(string)
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			nodeID, ok := st.paths[a.S]
 			if !ok {
-				return nil, fmt.Errorf("vfs: size(path string)")
+				return core.Ret{}, fmt.Errorf("vfs: size %q: no such file", a.S)
 			}
-			nodeID, ok := st.paths[path]
-			if !ok {
-				return nil, fmt.Errorf("vfs: size %q: no such file", path)
-			}
-			return ctx.Call(ramfs.Name, "node_size", nodeID)
+			return ctx.Call(symNodeSize, core.Words(uint64(nodeID)))
 		},
 	})
 	cat.MustRegister(c)
 	return st
 }
 
-func (st *State) file(arg any) (*file, error) {
-	fd, ok := arg.(int)
-	if !ok {
-		return nil, fmt.Errorf("vfs: fd must be int")
-	}
+func (st *State) file(fd int) (*file, error) {
 	f, ok := st.files[fd]
 	if !ok {
 		return nil, fmt.Errorf("vfs: bad fd %d", fd)

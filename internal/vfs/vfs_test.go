@@ -32,23 +32,23 @@ func testImage(t *testing.T) (*core.Image, *State, *timesys.State) {
 func TestOpenWriteReadRoundTrip(t *testing.T) {
 	img, _, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, err := ctx.Call(Name, "open", "/etc/motd")
+	v, err := ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/etc/motd"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := v.(int)
+	fd := v.Int()
 	buf, _ := ctx.AllocPrivate(16)
 	ctx.Write(buf, []byte("welcome to flex!"))
-	n, err := ctx.Call(Name, "write", fd, buf, 16)
-	if err != nil || n != 16 {
-		t.Fatalf("write = %v, %v", n, err)
+	n, err := ctx.Call(core.Symbol(Name, "write"), core.Words(uint64(fd), uint64(buf), 16))
+	if err != nil || n.Int() != 16 {
+		t.Fatalf("write = %d, %v", n.Int(), err)
 	}
 	// Reopen and read back.
-	v2, _ := ctx.Call(Name, "open", "/etc/motd")
+	v2, _ := ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/etc/motd"})
 	out, _ := ctx.AllocPrivate(16)
-	n, err = ctx.Call(Name, "read", v2.(int), out, 16)
-	if err != nil || n != 16 {
-		t.Fatalf("read = %v, %v", n, err)
+	n, err = ctx.Call(core.Symbol(Name, "read"), core.Words(v2.W, uint64(out), 16))
+	if err != nil || n.Int() != 16 {
+		t.Fatalf("read = %d, %v", n.Int(), err)
 	}
 	raw := make([]byte, 16)
 	ctx.Read(out, raw)
@@ -60,21 +60,21 @@ func TestOpenWriteReadRoundTrip(t *testing.T) {
 func TestCursorAdvancesAndSeek(t *testing.T) {
 	img, _, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "open", "/f")
-	fd := v.(int)
+	v, _ := ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/f"})
+	fd := v.Int()
 	buf, _ := ctx.AllocPrivate(4)
 	ctx.Write(buf, []byte("abcd"))
-	ctx.Call(Name, "write", fd, buf, 4)
-	ctx.Call(Name, "write", fd, buf, 4) // appends at cursor
-	if sz, _ := ctx.Call(Name, "size", "/f"); sz != 8 {
-		t.Fatalf("size = %v, want 8", sz)
+	ctx.Call(core.Symbol(Name, "write"), core.Words(uint64(fd), uint64(buf), 4))
+	ctx.Call(core.Symbol(Name, "write"), core.Words(uint64(fd), uint64(buf), 4)) // appends at cursor
+	if sz, _ := ctx.Call(core.Symbol(Name, "size"), core.Args{S: "/f"}); sz.Int() != 8 {
+		t.Fatalf("size = %d, want 8", sz.Int())
 	}
-	if _, err := ctx.Call(Name, "seek", fd, 0); err != nil {
+	if _, err := ctx.Call(core.Symbol(Name, "seek"), core.Words(uint64(fd), 0)); err != nil {
 		t.Fatal(err)
 	}
-	ctx.Call(Name, "write", fd, buf, 4) // overwrite at 0
-	if sz, _ := ctx.Call(Name, "size", "/f"); sz != 8 {
-		t.Fatalf("size after overwrite = %v, want 8", sz)
+	ctx.Call(core.Symbol(Name, "write"), core.Words(uint64(fd), uint64(buf), 4)) // overwrite at 0
+	if sz, _ := ctx.Call(core.Symbol(Name, "size"), core.Args{S: "/f"}); sz.Int() != 8 {
+		t.Fatalf("size after overwrite = %d, want 8", sz.Int())
 	}
 }
 
@@ -84,10 +84,10 @@ func TestEveryOpTimestamps(t *testing.T) {
 	img, _, tst := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
 	before := tst.Ticks()
-	v, _ := ctx.Call(Name, "open", "/f")
+	v, _ := ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/f"})
 	buf, _ := ctx.AllocPrivate(4)
-	ctx.Call(Name, "write", v.(int), buf, 4)
-	ctx.Call(Name, "fsync", v.(int))
+	ctx.Call(core.Symbol(Name, "write"), core.Words(v.W, uint64(buf), 4))
+	ctx.Call(core.Symbol(Name, "fsync"), core.Words(v.W))
 	if tst.Ticks() < before+3 {
 		t.Fatalf("ticks advanced by %d, want >= 3", tst.Ticks()-before)
 	}
@@ -96,14 +96,14 @@ func TestEveryOpTimestamps(t *testing.T) {
 func TestUnlinkRemovesFile(t *testing.T) {
 	img, _, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	ctx.Call(Name, "open", "/gone")
-	if _, err := ctx.Call(Name, "unlink", "/gone"); err != nil {
+	ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/gone"})
+	if _, err := ctx.Call(core.Symbol(Name, "unlink"), core.Args{S: "/gone"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Call(Name, "size", "/gone"); err == nil {
+	if _, err := ctx.Call(core.Symbol(Name, "size"), core.Args{S: "/gone"}); err == nil {
 		t.Fatal("unlinked file still visible")
 	}
-	if _, err := ctx.Call(Name, "unlink", "/gone"); err == nil {
+	if _, err := ctx.Call(core.Symbol(Name, "unlink"), core.Args{S: "/gone"}); err == nil {
 		t.Fatal("double unlink accepted")
 	}
 }
@@ -111,13 +111,13 @@ func TestUnlinkRemovesFile(t *testing.T) {
 func TestCloseInvalidatesFD(t *testing.T) {
 	img, _, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
-	v, _ := ctx.Call(Name, "open", "/f")
-	fd := v.(int)
-	if _, err := ctx.Call(Name, "close", fd); err != nil {
+	v, _ := ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/f"})
+	fd := v.Int()
+	if _, err := ctx.Call(core.Symbol(Name, "close"), core.Words(uint64(fd))); err != nil {
 		t.Fatal(err)
 	}
 	buf, _ := ctx.AllocPrivate(4)
-	if _, err := ctx.Call(Name, "write", fd, buf, 4); err == nil {
+	if _, err := ctx.Call(core.Symbol(Name, "write"), core.Words(uint64(fd), uint64(buf), 4)); err == nil {
 		t.Fatal("write on closed fd accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestOpsCounter(t *testing.T) {
 	img, st, _ := testImage(t)
 	ctx, _ := img.NewContext("t", Name)
 	before := st.Ops()
-	ctx.Call(Name, "open", "/f")
+	ctx.Call(core.Symbol(Name, "open"), core.Args{S: "/f"})
 	if st.Ops() != before+1 {
 		t.Fatal("ops counter did not advance")
 	}
