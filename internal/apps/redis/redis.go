@@ -110,7 +110,7 @@ func Register(cat *core.Catalog) *State {
 				if err != nil {
 					return core.Ret{}, err
 				}
-				val := appendPadded(append(st.val[:0], "value-"...), i, 10)
+				val := AppendPadded(append(st.val[:0], "value-"...), i, 10)
 				if err := ctx.Write(addr, val); err != nil {
 					return core.Ret{}, err
 				}
@@ -261,8 +261,9 @@ func cutLine(b []byte) []byte {
 	return b
 }
 
-// appendPadded appends v in decimal, zero-padded to width digits.
-func appendPadded(b []byte, v, width int) []byte {
+// AppendPadded appends v in decimal, zero-padded to width digits: the
+// spelling of the preloaded values and of the scenarios' SET values.
+func AppendPadded(b []byte, v, width int) []byte {
 	var d [20]byte
 	digits := strconv.AppendInt(d[:0], int64(v), 10)
 	for i := len(digits); i < width; i++ {

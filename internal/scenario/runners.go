@@ -71,16 +71,6 @@ var (
 // nginxRequest is the request every nginx scenario replays.
 var nginxRequest = []byte("GET /index.html HTTP/1.1\r\nHost: flexos\r\n\r\n")
 
-// appendPadded appends v in decimal, zero-padded to width digits.
-func appendPadded(b []byte, v, width int) []byte {
-	var d [20]byte
-	digits := strconv.AppendInt(d[:0], int64(v), 10)
-	for i := len(digits); i < width; i++ {
-		b = append(b, '0')
-	}
-	return append(b, digits...)
-}
-
 // redisScenario drives GET/SET mixes with optional pipelining: setPct%
 // of operations are SETs of fresh keys, and latency is sampled per
 // pipeline batch of `pipe` requests.
@@ -115,7 +105,7 @@ func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 				req := enq.B[:0]
 				if mixHit(i, setPct) {
 					req = strconv.AppendInt(append(req, "SET skey"...), int64(i), 10)
-					req = appendPadded(append(req, " v"...), i, 10)
+					req = redisapp.AppendPadded(append(req, " v"...), i, 10)
 				} else {
 					req = strconv.AppendInt(append(req, "GET key"...), int64(i%redisKeys), 10)
 				}
