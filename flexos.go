@@ -96,6 +96,10 @@ type (
 	Sharing = isolation.Sharing
 	// ExploreConfig is one point of an exploration space.
 	ExploreConfig = explore.Config
+	// ExploreSpace is an immutable enumerated space with its canonical
+	// keys rendered once and its safety order built on first use; see
+	// NewSpace and NewSpaceQuery.
+	ExploreSpace = explore.Space
 	// ExploreResult is the outcome of a design-space exploration.
 	ExploreResult = explore.Result
 	// ExploreMeasurement is one decided configuration of an
@@ -384,6 +388,11 @@ func NginxComponents() [4]string {
 // Fig6Space generates the paper's 80-configuration design space for a
 // four-component application.
 func Fig6Space(components [4]string) []*ExploreConfig { return explore.Fig6Space(components) }
+
+// NewSpace wraps an enumerated space for NewSpaceQuery. Every query
+// over one Space reuses its keys and safety order, so a caller that
+// explores the same space again and again builds it once.
+func NewSpace(cfgs []*ExploreConfig) *ExploreSpace { return explore.NewSpace(cfgs) }
 
 // Fig5Space generates the 16-configuration hardening lattice of Figure 5.
 func Fig5Space(blockA, blockB []string) []*ExploreConfig {

@@ -24,18 +24,14 @@ import (
 var fig6Quad = [4]string{"libredis", "newlib", "uksched", "lwip"}
 
 // spaces returns the corpus the oracle sweeps: random attack-axis
-// spaces plus the real rop-expanded Fig6 space on both machine
-// profiles.
+// spaces plus every shipped space.
 func spaces(t *testing.T) map[string][]*explore.Config {
 	t.Helper()
-	out := map[string][]*explore.Config{}
+	out := exploretest.ShippedSpaces()
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		out["random-"+string(rune('a'+seed))] = exploretest.RandomAttackSpace(rng, 50)
 	}
-	base := explore.Fig6Space(fig6Quad)
-	out["fig6-x86"] = attack.Space(base, attack.Spec{Scenario: "combined"})
-	out["fig6-riscv"] = attack.Space(base, attack.Spec{Scenario: "combined", Profile: "riscv"})
 	return out
 }
 
@@ -146,7 +142,7 @@ func TestAttackEngineMatchesOracleAtEveryWorkerCount(t *testing.T) {
 		measure := attack.Measure(sc, exploretest.VectorMeasure(rng))
 
 		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{
-			Space: exploretest.CopySpace(cfgs), Measure: measure, Workers: 4,
+			Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: measure, Workers: 4,
 		})
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", sc.Name(), err)
@@ -159,7 +155,7 @@ func TestAttackEngineMatchesOracleAtEveryWorkerCount(t *testing.T) {
 			scenario.MetricSurvival, cs, true).Render()
 		for _, workers := range []int{1, 4, 8} {
 			res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space:       exploretest.CopySpace(cfgs),
+				Space:       explore.NewSpace(exploretest.CopySpace(cfgs)),
 				Measure:     measure,
 				Metric:      scenario.MetricSurvival,
 				Constraints: cs,

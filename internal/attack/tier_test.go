@@ -124,7 +124,7 @@ func TestTierMatchesUntieredPath(t *testing.T) {
 			for _, prune := range []bool{true, false} {
 				run := func(m measureFunc, workers int) *explore.Result {
 					res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-						Space:       exploretest.CopySpace(cfgs),
+						Space:       explore.NewSpace(exploretest.CopySpace(cfgs)),
 						Measure:     m,
 						Metric:      scenario.MetricSurvival,
 						Constraints: cs,
@@ -173,7 +173,7 @@ func TestTierFailureMatchesUntieredPath(t *testing.T) {
 			name := fmt.Sprintf("prune=%v workers=%d", prune, workers)
 			run := func(m measureFunc) *explore.MeasureError {
 				_, err := explore.Engine{}.Run(context.Background(), explore.Request{
-					Space:       exploretest.CopySpace(cfgs),
+					Space:       explore.NewSpace(exploretest.CopySpace(cfgs)),
 					Measure:     m,
 					Constraints: []explore.Constraint{explore.BudgetConstraint("", 0)},
 					Workers:     workers,
@@ -231,7 +231,7 @@ func TestTierOnExploreColdAttackQuery(t *testing.T) {
 	cs := []explore.Constraint{explore.BudgetConstraint("", 500_000)}
 	run := func(m measureFunc) *explore.Result {
 		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-			Space: exploretest.CopySpace(cfgs), Measure: m, Constraints: cs, Workers: 2, Prune: true,
+			Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: m, Constraints: cs, Workers: 2, Prune: true,
 		})
 		if err != nil {
 			t.Fatal(err)

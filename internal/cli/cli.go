@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"flexos"
 )
@@ -57,24 +58,20 @@ func (r *Request) attackQuery(w flexos.Workload, quad [4]string) (*flexos.Query,
 		spec.PinASLR = true
 	}
 
-	space := flexos.Fig6Space(quad)
 	ns := w.Name()
 	if mk, ok := w.(memoKeyer); ok {
 		ns = mk.MemoKey()
 	}
 	measure := flexos.MeasureScenario(w)
+	q := flexos.NewSpaceQuery(fig6Space(quad, spec))
 	title := w.Name()
 	if spec.Scenario == "" {
-		// Profile and/or pinned ASLR without an attacker: stamp the
-		// space, keep the plain performance measure.
-		space = flexos.StampSpace(space, spec.Profile, spec.ASLR, spec.PinASLR)
-		return flexos.NewQuery(space).Measure(measure).Namespace(ns), title, nil
+		// Profile and/or pinned ASLR without an attacker: the space is
+		// stamped, the measure is the plain performance one.
+		return q.Measure(measure).Namespace(ns), title, nil
 	}
 	att, _ := flexos.AttackByName(spec.Scenario)
-	space = flexos.AttackSpace(space, spec)
-	q := flexos.NewQuery(space).
-		Measure(flexos.MeasureAttack(att, measure)).
-		Namespace(flexos.AttackNamespace(att, ns))
+	q.Measure(flexos.MeasureAttack(att, measure)).Namespace(flexos.AttackNamespace(att, ns))
 	return q, title + " vs " + spec.String(), nil
 }
 
@@ -102,7 +99,7 @@ func (r *Request) query() (q *flexos.Query, title string, scenarioMode bool, err
 				q, title, err := r.attackQuery(ph, quad)
 				return q, title, true, err
 			}
-			return flexos.NewQuery(flexos.Fig6Space(quad)).Workload(ph), ph.Name(), true, nil
+			return flexos.NewSpaceQuery(fig6Space(quad, flexos.AttackSpec{})).Workload(ph), ph.Name(), true, nil
 		}
 		sc, ok := flexos.ScenarioByName(r.Scenario)
 		if !ok {
@@ -119,7 +116,7 @@ func (r *Request) query() (q *flexos.Query, title string, scenarioMode bool, err
 			q, title, err := r.attackQuery(sc, quad)
 			return q, title, true, err
 		}
-		return flexos.NewQuery(flexos.Fig6Space(quad)).Workload(sc), sc.Name(), true, nil
+		return flexos.NewSpaceQuery(fig6Space(quad, flexos.AttackSpec{})).Workload(sc), sc.Name(), true, nil
 	}
 
 	// The -app spaces run the redis-get100 and nginx-keepalive
@@ -136,13 +133,12 @@ func (r *Request) query() (q *flexos.Query, title string, scenarioMode bool, err
 	measureNginx := throughput("nginx-keepalive")
 	switch r.App {
 	case "redis":
-		return flexos.NewQuery(flexos.Fig6Space(flexos.RedisComponents())).
+		return flexos.NewSpaceQuery(fig6Space(flexos.RedisComponents(), flexos.AttackSpec{})).
 			MeasureScalar(measureRedis).Namespace(fmt.Sprintf("redis/%d", r.Requests)), r.App, false, nil
 	case "nginx":
-		return flexos.NewQuery(flexos.Fig6Space(flexos.NginxComponents())).
+		return flexos.NewSpaceQuery(fig6Space(flexos.NginxComponents(), flexos.AttackSpec{})).
 			MeasureScalar(measureNginx).Namespace(fmt.Sprintf("nginx/%d", r.Requests)), r.App, false, nil
 	case "cross":
-		cfgs := flexos.CrossAppSpace(nil, flexos.RedisComponents(), flexos.NginxComponents())
 		// Dispatch on the application the configuration contains; the
 		// two sub-spaces are incomparable and explore independently.
 		measure := func(c *flexos.ExploreConfig) (float64, error) {
@@ -156,7 +152,7 @@ func (r *Request) query() (q *flexos.Query, title string, scenarioMode bool, err
 			}
 			return 0, fmt.Errorf("config %d contains no known application", c.ID)
 		}
-		return flexos.NewQuery(cfgs).MeasureScalar(measure).
+		return flexos.NewSpaceQuery(crossSpace()).MeasureScalar(measure).
 			Namespace(fmt.Sprintf("cross/%d", r.Requests)), r.App, false, nil
 	}
 	return nil, "", false, fmt.Errorf("unknown app %q", r.App)
@@ -294,10 +290,47 @@ func PrintReport(w io.Writer, title string, res *flexos.ExploreResult, constrain
 // bytes, which is what makes a remote -stream run byte-identical to a
 // local one.
 func StreamLine(scenarioMode bool, cfg *flexos.ExploreConfig, m flexos.Metrics) string {
+	b := make([]byte, 0, 160)
+	b = append(b, "measured "...)
+	b = appendLeft(b, cfg.Label(), labelWidth)
+	b = append(b, ' ')
 	if scenarioMode {
-		return fmt.Sprintf("measured %-55s %s", cfg.Label(), m)
+		b = m.Append(b)
+	} else {
+		start := len(b)
+		b = strconv.AppendFloat(b, m.Throughput/1000, 'f', 1, 64)
+		b = alignRight(b, start, 9)
+		b = append(b, "k req/s"...)
 	}
-	return fmt.Sprintf("measured %-55s %9.1fk req/s", cfg.Label(), m.Throughput/1000)
+	return string(b)
+}
+
+// labelWidth is the label column of report and stream lines.
+const labelWidth = 55
+
+// appendLeft appends s left-justified in a column of width runes, as
+// fmt's %-*s does.
+func appendLeft(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// alignRight right-justifies the ASCII text b[start:] in a column of
+// width bytes, as fmt's %*f does for a number.
+func alignRight(b []byte, start, width int) []byte {
+	pad := width - (len(b) - start)
+	if pad <= 0 {
+		return b
+	}
+	b = append(b, make([]byte, pad)...)
+	copy(b[start+pad:], b[start:len(b)-pad])
+	for i := start; i < start+pad; i++ {
+		b[i] = ' '
+	}
+	return b
 }
 
 // RenderReport renders the deterministic report body a local

@@ -379,7 +379,7 @@ func RecordsOf(namespace string, res *flexos.ExploreResult) []Record {
 		if !m.Evaluated {
 			continue
 		}
-		key := flexos.MemoKey(namespace, m.Config)
+		key := res.MemoKey(namespace, i)
 		if _, dup := seen[key]; dup {
 			continue
 		}

@@ -423,3 +423,40 @@ func TestClusterWorkerJoinEndpoint(t *testing.T) {
 		t.Fatal("plain daemon accepted a join")
 	}
 }
+
+// TestClusterSpaceCacheColdEqualsWarm: through a coordinator over two
+// workers, complete and streamed responses match the single-node
+// oracle whether every node built the request's space just now or
+// found it in the space cache, at one worker and at eight.
+func TestClusterSpaceCacheColdEqualsWarm(t *testing.T) {
+	tc := newCluster(t, 2, 2)
+	ctx := context.Background()
+	for _, creq := range []cli.Request{
+		{Scenario: "redis-get90", Ops: 24},
+		{Scenario: "redis-get90", Ops: 24, Attack: "combined", Profile: "riscv", Budgets: []string{"survival>=0.5"}},
+	} {
+		for _, workers := range []int{1, 8} {
+			creq.Workers = workers
+			wantReport, wantLines := oracle(t, creq)
+			cli.ResetSpaceCache()
+			for pass := 0; pass < 2; pass++ {
+				resp, err := tc.client.Explore(ctx, creq)
+				if err != nil {
+					t.Fatalf("%+v: %v", creq, err)
+				}
+				var lines []string
+				sresp, err := tc.client.ExploreStream(ctx, creq, func(l string) { lines = append(lines, l) })
+				if err != nil {
+					t.Fatalf("%+v stream: %v", creq, err)
+				}
+				if resp.Report != wantReport || sresp.Report != wantReport ||
+					strings.Join(lines, "\n") != strings.Join(wantLines, "\n") {
+					t.Fatalf("%+v pass %d: cluster bytes differ from the single-node oracle", creq, pass)
+				}
+			}
+			if st := cli.SpaceCache(); st.Misses != 1 || st.Hits == 0 {
+				t.Fatalf("%+v: space cache %+v, want one build shared by every node", creq, st)
+			}
+		}
+	}
+}

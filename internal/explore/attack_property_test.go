@@ -30,7 +30,7 @@ func attackOracle(t *testing.T, seed int64, n int) ([]*explore.Config, explore.M
 	cfgs := exploretest.RandomAttackSpace(rng, n)
 	measure := exploretest.SurvivalMeasure(rng)
 	res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-		Space: exploretest.CopySpace(cfgs), Measure: measure, Workers: 4,
+		Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: measure, Workers: 4,
 	})
 	if err != nil {
 		t.Fatalf("seed %d: oracle: %v", seed, err)
@@ -90,7 +90,7 @@ func TestAttackSpaceMatchesOracleAtEveryWorkerCount(t *testing.T) {
 			scenario.MetricSurvival, cs, true).Render()
 		for _, workers := range []int{1, 4, 8} {
 			res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space:       exploretest.CopySpace(cfgs),
+				Space:       explore.NewSpace(exploretest.CopySpace(cfgs)),
 				Measure:     measure,
 				Metric:      scenario.MetricSurvival,
 				Constraints: cs,
@@ -122,7 +122,7 @@ func TestSurvivalFloorFiltersWithoutPruning(t *testing.T) {
 			t.Fatalf("seed %d: survival floor %v claims to be monotone-prunable", seed, floor)
 		}
 		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-			Space:       exploretest.CopySpace(cfgs),
+			Space:       explore.NewSpace(exploretest.CopySpace(cfgs)),
 			Measure:     measure,
 			Metric:      scenario.MetricSurvival,
 			Constraints: []explore.Constraint{floor},

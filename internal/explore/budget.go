@@ -76,6 +76,9 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 	// samples a different subset and a fixed seed always samples the
 	// same one.
 	seed := uint64(st.req.Seed)
+	// Ties order by canonical key: the memo keys share the namespace
+	// prefix, so they order alike.
+	keys := st.space.keys
 	type cand struct {
 		i    int32
 		prio uint64
@@ -85,13 +88,13 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 		if int(st.canon[i]) != i || st.decided.Test(i) {
 			continue
 		}
-		elig = append(elig, cand{int32(i), splitmix64(seed ^ fnv64a(st.keys[i]))})
+		elig = append(elig, cand{int32(i), splitmix64(seed ^ fnv64a(st.memoKey(i)))})
 	}
 	sort.Slice(elig, func(a, b int) bool {
 		if elig[a].prio != elig[b].prio {
 			return elig[a].prio < elig[b].prio
 		}
-		return st.keys[elig[a].i] < st.keys[elig[b].i]
+		return keys[elig[a].i] < keys[elig[b].i]
 	})
 
 	better := func(a, b int32) bool {
@@ -102,7 +105,7 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 			}
 			return pa < pb
 		}
-		return st.keys[a] < st.keys[b]
+		return keys[a] < keys[b]
 	}
 
 	picked := poset.NewBitset(n)

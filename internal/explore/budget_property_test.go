@@ -40,7 +40,7 @@ func exhaustiveOracle(t *testing.T, seed int64, n int) (*explore.Result, []*expl
 	t.Helper()
 	cfgs := synth.Space(seed, n)
 	res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-		Space: cfgs, Measure: synth.Measure(seed), Workers: 4,
+		Space: explore.NewSpace(cfgs), Measure: synth.Measure(seed), Workers: 4,
 	})
 	if err != nil {
 		t.Fatalf("seed %d: oracle: %v", seed, err)
@@ -53,7 +53,7 @@ func exhaustiveOracle(t *testing.T, seed int64, n int) (*explore.Result, []*expl
 func exhaustivePruned(t *testing.T, seed int64, cfgs []*explore.Config, cs []explore.Constraint) *explore.Result {
 	t.Helper()
 	res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-		Space: exploretest.CopySpace(cfgs), Measure: synth.Measure(seed),
+		Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: synth.Measure(seed),
 		Constraints: cs, Workers: 4, Prune: true,
 	})
 	if err != nil && !errors.Is(err, explore.ErrNoFeasible) {
@@ -65,7 +65,7 @@ func exhaustivePruned(t *testing.T, seed int64, cfgs []*explore.Config, cs []exp
 func runBudgeted(t *testing.T, seed int64, cfgs []*explore.Config, cs []explore.Constraint, prune bool, budget int, prngSeed int64, workers int) *explore.Result {
 	t.Helper()
 	res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-		Space:         exploretest.CopySpace(cfgs),
+		Space:         explore.NewSpace(exploretest.CopySpace(cfgs)),
 		Measure:       synth.Measure(seed),
 		Constraints:   cs,
 		Workers:       workers,

@@ -18,7 +18,7 @@ func TestEngineCanceledBeforeStart(t *testing.T) {
 	cancel()
 	var calls atomic.Int64
 	res, err := Engine{}.Run(ctx, Request{
-		Space: Fig6Space(fig6Comps),
+		Space: NewSpace(Fig6Space(fig6Comps)),
 		Measure: func(c *Config) (Metrics, error) {
 			calls.Add(1)
 			return lift(syntheticMeasure)(c)
@@ -42,7 +42,7 @@ func TestEngineDeadlineReturnsErrCanceled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := Engine{}.Run(ctx, Request{
-		Space: Fig6Space(fig6Comps),
+		Space: NewSpace(Fig6Space(fig6Comps)),
 		Measure: func(c *Config) (Metrics, error) {
 			select {
 			case <-ctx.Done():
@@ -115,7 +115,7 @@ func TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe(t *testing.T) {
 			}
 
 			req := sh.req
-			req.Space, req.Measure, req.Workers = cfgs, slow, 4
+			req.Space, req.Measure, req.Workers = NewSpace(cfgs), slow, 4
 			req.Memo, req.Workload = memo, "w"
 			start := time.Now()
 			_, err := Engine{}.Run(ctx, req)
@@ -135,7 +135,7 @@ func TestEngineCancelMidRunIsPromptLeakFreeAndMemoSafe(t *testing.T) {
 			// values. A fresh run against the same memo completes and
 			// measures what the aborted run never delivered.
 			res, err := Engine{}.Run(context.Background(), Request{
-				Space: cfgs, Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Workload: "w"})
+				Space: NewSpace(cfgs), Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Workload: "w"})
 			if err != nil {
 				t.Fatalf("rerun against shared memo: %v", err)
 			}
@@ -161,7 +161,7 @@ func TestEngineCompletedRunSurvivesLateCancel(t *testing.T) {
 	defer cancel()
 	var decided atomic.Int64
 	res, err := Engine{}.Run(ctx, Request{
-		Space:   cfgs,
+		Space:   NewSpace(cfgs),
 		Measure: lift(syntheticMeasure),
 		Workers: 4,
 		Observe: func(idx int, m Measurement) {
@@ -190,7 +190,7 @@ func TestEngineCancelDuringStreamObserve(t *testing.T) {
 	defer cancel()
 	var observed atomic.Int64
 	_, err := Engine{}.Run(ctx, Request{
-		Space:   cfgs,
+		Space:   NewSpace(cfgs),
 		Measure: lift(shakyMeasure),
 		Workers: 4,
 		Observe: func(idx int, m Measurement) {

@@ -29,7 +29,7 @@ func TestMultiConstraintIsIntersection(t *testing.T) {
 		cfgs := exploretest.RandomSpace(rng, 50)
 		measure := exploretest.VectorMeasure(rng)
 
-		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{Space: cfgs, Measure: measure})
+		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{Space: explore.NewSpace(cfgs), Measure: measure})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -38,7 +38,7 @@ func TestMultiConstraintIsIntersection(t *testing.T) {
 
 		run := func(cs ...explore.Constraint) *explore.Result {
 			res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space: exploretest.CopySpace(cfgs), Measure: measure, Constraints: cs, Workers: 4})
+				Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: measure, Constraints: cs, Workers: 4})
 			if err != nil && !errors.Is(err, explore.ErrNoFeasible) {
 				t.Fatalf("seed %d %v: %v", seed, cs, err)
 			}
@@ -77,7 +77,7 @@ func TestMixedConstraintPruningSoundVsBruteForce(t *testing.T) {
 		cfgs := exploretest.RandomSpace(rng, 50)
 		measure := exploretest.VectorMeasure(rng)
 
-		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{Space: cfgs, Measure: measure})
+		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{Space: explore.NewSpace(cfgs), Measure: measure})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -92,7 +92,7 @@ func TestMixedConstraintPruningSoundVsBruteForce(t *testing.T) {
 		var wantRender string
 		for _, workers := range []int{1, 4, 8} {
 			res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space: exploretest.CopySpace(cfgs), Measure: measure, Constraints: cs,
+				Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: measure, Constraints: cs,
 				Workers: workers, Prune: true})
 			if err != nil && !errors.Is(err, explore.ErrNoFeasible) {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)

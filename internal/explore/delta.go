@@ -15,7 +15,7 @@ func (st *runState) skipStored() {
 	n := len(st.cfgs)
 	present := make(map[int32]bool)
 	for i := 0; i < n; i++ {
-		if c := st.canon[i]; int(c) == i && st.req.Memo.peek(st.keys[i]) {
+		if c := st.canon[i]; int(c) == i && st.req.Memo.peek(st.memoKey(i)) {
 			present[c] = true
 		}
 	}

@@ -35,7 +35,7 @@ func TestDeltaRunRemeasuresExactlyTheEditedKeys(t *testing.T) {
 		run := func(space []*explore.Config, memo *explore.Memo, delta bool) *explore.Result {
 			t.Helper()
 			res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space: space, Measure: measure, Workers: 4, Memo: memo, DeltaOnly: delta,
+				Space: explore.NewSpace(space), Measure: measure, Workers: 4, Memo: memo, DeltaOnly: delta,
 			})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)

@@ -16,8 +16,9 @@ import (
 // Request describes one exploration for Engine.Run: the space, how to
 // measure it, the feasibility constraints, and the engine knobs.
 type Request struct {
-	// Space is the configuration space to explore.
-	Space []*Config
+	// Space is the configuration space to explore (see NewSpace). A
+	// nil Space is empty.
+	Space *Space
 
 	// Measure benchmarks one configuration into a full metric vector.
 	// It must be deterministic, and safe for concurrent use when
@@ -168,9 +169,10 @@ func NewMemo() *Memo { return &Memo{entries: make(map[string]*memoEntry)} }
 // persists, and — because it is reproducible from (namespace, config)
 // alone — the unit of exchange when runs ship results to each other
 // (shard-merge, cluster store sync).
-func MemoKey(workload string, c *Config) string {
-	return workload + "\x00" + c.Key()
-}
+func MemoKey(workload string, c *Config) string { return memoKey(workload, c.Key()) }
+
+// memoKey composes a memo key from an already rendered canonical key.
+func memoKey(workload, key string) string { return workload + "\x00" + key }
 
 // NewBackedMemo returns a measurement cache whose misses fall through
 // to a persistent backing and whose fresh measurements write through
@@ -274,9 +276,9 @@ const maxBatch = 64
 type runState struct {
 	req    *Request
 	res    *Result
+	space  *Space
 	cfgs   []*Config
 	metric Metric
-	keys   []string
 	canon  []int32
 	twins  map[int32][]int32
 
@@ -335,6 +337,12 @@ func (st *runState) markDecided(i int) {
 	}
 }
 
+// memoKey composes configuration i's memo key from its cached
+// canonical key. Only configurations the run looks up pay for it.
+func (st *runState) memoKey(i int) string {
+	return memoKey(st.req.Workload, st.space.keys[i])
+}
+
 // measureOne resolves one canonical configuration: canceled-while-
 // queued check, then memo (join/backing/fresh) or a direct measure
 // call. Safe for concurrent use; the result lands in a caller-owned
@@ -347,7 +355,7 @@ func (st *runState) measureOne(ctx context.Context, i int32, slot *outcome) {
 		return
 	}
 	if st.req.Memo != nil {
-		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.keys[i], func() (Metrics, error) {
+		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.memoKey(int(i)), func() (Metrics, error) {
 			return st.req.Measure(st.cfgs[i])
 		})
 		return
@@ -355,8 +363,9 @@ func (st *runState) measureOne(ctx context.Context, i int32, slot *outcome) {
 	slot.metrics, slot.err = st.req.Measure(st.cfgs[i])
 }
 
-// Run explores a configuration space: it builds the grouped safety
-// order, fans measurement across a worker pool in batch-claimed chunks,
+// Run explores a configuration space: it reads the grouped safety
+// order and the canonical keys from the Space (building the order on
+// the Space's first use), fans measurement across a worker pool in batch-claimed chunks,
 // deduplicates identical configurations (within the space, and — given
 // a Memo — across spaces and runs), prunes monotonically when asked,
 // and extracts the safest feasible configurations. The Result is
@@ -409,10 +418,11 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		return nil, canceledError(ctx)
 	}
 	metric := req.Metric
-	cfgs, err := req.Shard.slice(req.Space)
+	sp, err := req.Space.shard(req.Shard)
 	if err != nil {
 		return nil, err
 	}
+	cfgs := sp.cfgs
 	workers := req.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -422,14 +432,14 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	n := len(cfgs)
-	order := newSpaceOrder(cfgs)
+	order := sp.safetyOrder()
 	res := &Result{
 		Measurements: make([]Measurement, n),
 		Total:        n,
 		Metric:       metric,
 		Constraints:  append([]Constraint(nil), req.Constraints...),
 		Shard:        req.Shard,
-		order:        order,
+		space:        sp,
 	}
 	// Budget echoes the ranking metric's bound for single-budget
 	// consumers (Result.String, the figures).
@@ -443,36 +453,14 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		res.Measurements[i].Config = c
 	}
 
-	// Canonical-identity groups. Only the lowest-index member of each
-	// group is measured; its twins inherit the value. Identical configs
-	// occupy the same poset position (same predecessor sets), so their
-	// pruning decisions always agree.
-	keys := make([]string, n)
-	canon := make([]int32, n)
-	var twins map[int32][]int32
-	group := make(map[string]int32, n)
-	for i, c := range cfgs {
-		keys[i] = MemoKey(req.Workload, c)
-		if first, ok := group[keys[i]]; ok {
-			canon[i] = first
-			if twins == nil {
-				twins = make(map[int32][]int32)
-			}
-			twins[first] = append(twins[first], int32(i))
-		} else {
-			group[keys[i]] = int32(i)
-			canon[i] = int32(i)
-		}
-	}
-
 	st := &runState{
 		req:         &req,
 		res:         res,
+		space:       sp,
 		cfgs:        cfgs,
 		metric:      metric,
-		keys:        keys,
-		canon:       canon,
-		twins:       twins,
+		canon:       sp.canon,
+		twins:       sp.twins,
 		decided:     poset.NewBitset(n),
 		valued:      poset.NewBitset(n),
 		failsBudget: poset.NewBitset(n),
@@ -521,7 +509,7 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		sort.Slice(st.errs, func(a, b int) bool { return st.errs[a].idx < st.errs[b].idx })
 		o := st.errs[0]
 		c := cfgs[o.idx]
-		return nil, &MeasureError{ID: c.ID, Key: c.Key(), Label: c.Label(), Err: o.err}
+		return nil, &MeasureError{ID: c.ID, Key: sp.keys[o.idx], Label: c.Label(), Err: o.err}
 	}
 
 	res.Safest = order.safest(res)

@@ -40,14 +40,14 @@ func shakyMeasure(c *Config) (float64, error) {
 func TestEngineMatchesSequentialOracle(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	for _, prune := range []bool{false, true} {
-		want, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		want, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 			Measure: lift(syntheticMeasure), Workers: 1, Prune: prune, Constraints: floor600})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantDump := dump(want)
 		for _, workers := range []int{1, 4, 8} {
-			got, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+			got, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 				Measure: lift(shakyMeasure), Workers: workers, Prune: prune, Constraints: floor600})
 			if err != nil {
 				t.Fatal(err)
@@ -62,12 +62,12 @@ func TestEngineMatchesSequentialOracle(t *testing.T) {
 
 func TestEngineDefaultWorkers(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	want, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	want, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	got, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(shakyMeasure), Prune: true, Constraints: floor600}) // Workers: 0 → GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestEngineEmptySpace(t *testing.T) {
 func TestEngineMemoSecondRunIsFree(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
 	memo := NewMemo()
-	first, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	first, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestEngineMemoSecondRunIsFree(t *testing.T) {
 	}
 	var wantDump string
 	for _, workers := range []int{1, 4, 8} {
-		second, err := Engine{}.Run(context.Background(), Request{Space: cfgs, Measure: lift(func(c *Config) (float64, error) {
+		second, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs), Measure: lift(func(c *Config) (float64, error) {
 			t.Errorf("config %d measured despite warm memo", c.ID)
 			return syntheticMeasure(c)
 		}), Workers: workers, Memo: memo, Constraints: floor600})
@@ -132,11 +132,11 @@ func TestEngineMemoSharesPointsAcrossSpaces(t *testing.T) {
 	// spaces". A shared memo must measure it only once.
 	memo := NewMemo()
 	app, libcN, schedN, lwipN := fig6Comps[0], fig6Comps[1], fig6Comps[2], fig6Comps[3]
-	if _, err := (Engine{}).Run(context.Background(), Request{Space: Fig6Space(fig6Comps),
+	if _, err := (Engine{}).Run(context.Background(), Request{Space: NewSpace(Fig6Space(fig6Comps)),
 		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{}.Run(context.Background(), Request{Space: Fig5Space([]string{app, libcN, schedN}, []string{lwipN}),
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig5Space([]string{app, libcN, schedN}, []string{lwipN})),
 		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -154,11 +154,11 @@ func TestEngineWorkloadNamespacesMemo(t *testing.T) {
 	// measurements.
 	memo := NewMemo()
 	cfgs := Fig6Space(fig6Comps)
-	if _, err := (Engine{}).Run(context.Background(), Request{Space: cfgs,
+	if _, err := (Engine{}).Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Memo: memo, Workload: "redis", Constraints: floor600}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Memo: memo, Workload: "nginx", Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestEngineDeduplicatesIdenticalConfigs(t *testing.T) {
 	var wantDump string
 	for _, workers := range []int{1, 4, 8} {
 		calls.Store(0)
-		res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 			Measure: lift(counting), Workers: workers, Constraints: floor600})
 		if err != nil {
 			t.Fatal(err)
@@ -221,7 +221,7 @@ func TestEngineErrorIsStableAcrossWorkers(t *testing.T) {
 	}
 	var want string
 	for _, workers := range []int{1, 4, 8} {
-		_, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+		_, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 			Measure: lift(failing), Workers: workers, Constraints: floor600})
 		if err == nil {
 			t.Fatalf("workers=%d: failure swallowed", workers)
@@ -247,7 +247,7 @@ func TestEngineFailedMeasurementNotCached(t *testing.T) {
 		}
 		return syntheticMeasure(c)
 	}
-	if _, err := (Engine{}).Run(context.Background(), Request{Space: cfgs,
+	if _, err := (Engine{}).Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(measure), Memo: memo, Constraints: floor600}); err == nil {
 		t.Fatal("failure swallowed")
 	}
@@ -255,7 +255,7 @@ func TestEngineFailedMeasurementNotCached(t *testing.T) {
 		t.Fatalf("failed measurement cached: %d entries", memo.Len())
 	}
 	fail = false
-	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(measure), Memo: memo, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +297,14 @@ func TestEngineProgressCoversEveryConfig(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		// Half the space is stored, so the delta shape skips it.
 		memo := NewMemo()
-		if _, err := (Engine{}).Run(context.Background(), Request{Space: cfgs[:len(cfgs)/2],
+		if _, err := (Engine{}).Run(context.Background(), Request{Space: NewSpace(cfgs[:len(cfgs)/2]),
 			Measure: lift(syntheticMeasure), Memo: memo, Workload: "w"}); err != nil {
 			t.Fatal(err)
 		}
 		for _, sh := range engineShapes(memo) {
 			observed := make([]int, len(cfgs))
 			req := sh.req
-			req.Space, req.Measure, req.Workers = cfgs, lift(shakyMeasure), workers
+			req.Space, req.Measure, req.Workers = NewSpace(cfgs), lift(shakyMeasure), workers
 			req.Observe = func(idx int, m Measurement) { observed[idx]++ }
 			if _, err := (Engine{}).Run(context.Background(), req); err != nil && !errors.Is(err, ErrNoFeasible) {
 				t.Fatalf("%s: %v", sh.name, err)
@@ -328,12 +328,12 @@ func TestEnginePruningSavesOnCrossAppSpace(t *testing.T) {
 			t.Fatalf("config %d has ID %d", i, c.ID)
 		}
 	}
-	exhaustive, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	exhaustive, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(shakyMeasure), Workers: 8, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	pruned, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(shakyMeasure), Workers: 8, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestEnginePruningSavesOnCrossAppSpace(t *testing.T) {
 		t.Fatalf("pruning changed the stars: %v vs %v", pruned.Safest, exhaustive.Safest)
 	}
 	// And the whole pruned result matches the sequential oracle.
-	want, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	want, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ package explore
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 
@@ -96,27 +97,44 @@ func (c *Config) HardenedCount() int {
 // Label renders a compact description, e.g.
 // "redis+newlib/lwip h={lwip}".
 func (c *Config) Label() string {
-	var blocks []string
-	for _, blk := range c.Blocks {
-		blocks = append(blocks, strings.Join(blk, "+"))
-	}
-	var hardened []string
-	for _, comp := range c.Components() {
-		if !c.Hardening[comp].Empty() {
-			hardened = append(hardened, comp)
+	var b strings.Builder
+	b.Grow(64)
+	var scratch [8]string
+	hardened := scratch[:0]
+	for i, blk := range c.Blocks {
+		if i > 0 {
+			b.WriteString(" / ")
+		}
+		for j, comp := range blk {
+			if j > 0 {
+				b.WriteByte('+')
+			}
+			b.WriteString(comp)
+			if !c.Hardening[comp].Empty() {
+				hardened = append(hardened, comp)
+			}
 		}
 	}
-	s := strings.Join(blocks, " / ")
 	if len(hardened) > 0 {
-		s += " h={" + strings.Join(hardened, ",") + "}"
+		slices.Sort(hardened)
+		b.WriteString(" h={")
+		for i, comp := range hardened {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(comp)
+		}
+		b.WriteByte('}')
 	}
 	if c.ASLR.Enabled() {
-		s += " aslr=" + c.ASLR.String()
+		b.WriteString(" aslr=")
+		b.WriteString(c.ASLR.String())
 	}
 	if c.Profile != "" {
-		s += " @" + c.Profile
+		b.WriteString(" @")
+		b.WriteString(c.Profile)
 	}
-	return s
+	return b.String()
 }
 
 // Spec materializes the config into a buildable image spec; tcbLibs

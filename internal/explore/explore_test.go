@@ -45,7 +45,7 @@ func TestFig5SpaceSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The all-hardened config dominates everything: unique maximum.
-	max := p.Maximal(func(*Config) bool { return true })
+	max := p.Maximal(poset.BitsetOf(len(cfgs), func(int) bool { return true }))
 	if len(max) != 1 {
 		t.Fatalf("maximal = %v, want unique top", max)
 	}
@@ -172,7 +172,7 @@ var floor600 = []Constraint{BudgetConstraint(scenario.MetricThroughput, 600)}
 
 func TestRunExhaustive(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 1, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -200,12 +200,12 @@ func TestRunExhaustive(t *testing.T) {
 
 func TestRunPruningIsSoundAndSaves(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	exhaustive, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	exhaustive, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 1, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	pruned, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestLabel(t *testing.T) {
 
 func TestResultDOT(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	res, err := Engine{}.Run(context.Background(), Request{Space: cfgs,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 1, Prune: true, Constraints: floor600})
 	if err != nil {
 		t.Fatal(err)

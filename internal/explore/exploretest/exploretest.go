@@ -183,14 +183,9 @@ func Reference(cfgs []*explore.Config, measure explore.MeasureMetrics, metric ex
 			panic("exploretest: reference explorer wedged: cycle in poset")
 		}
 	}
-	rep.Safest = p.Maximal(func(c *explore.Config) bool {
-		for i := range cfgs {
-			if cfgs[i] == c {
-				return out[i].Evaluated && MeetsAll(constraints, out[i].Metrics)
-			}
-		}
-		return false
-	})
+	rep.Safest = p.Maximal(poset.BitsetOf(n, func(i int) bool {
+		return out[i].Evaluated && MeetsAll(constraints, out[i].Metrics)
+	}))
 	sort.Ints(rep.Safest)
 	return rep
 }
@@ -263,16 +258,15 @@ func FeasibleSet(res *explore.Result, cs []explore.Constraint) map[int]bool {
 // set the engine must report under cs, regardless of which constraints
 // the oracle itself ran with.
 func SafestUnder(res *explore.Result, cs []explore.Constraint) []int {
-	cfgs := make([]*explore.Config, len(res.Measurements))
-	index := make(map[*explore.Config]int, len(res.Measurements))
+	n := len(res.Measurements)
+	cfgs := make([]*explore.Config, n)
 	for i := range res.Measurements {
 		cfgs[i] = res.Measurements[i].Config
-		index[cfgs[i]] = i
 	}
-	out := poset.New(cfgs, ReferenceLeq).Maximal(func(c *explore.Config) bool {
-		m := res.Measurements[index[c]]
+	out := poset.New(cfgs, ReferenceLeq).Maximal(poset.BitsetOf(n, func(i int) bool {
+		m := &res.Measurements[i]
 		return m.Evaluated && MeetsAll(cs, m.Metrics)
-	})
+	}))
 	sort.Ints(out)
 	return out
 }

@@ -64,7 +64,7 @@ func TestBitsetFrontiersMatchMapFrontierOracle(t *testing.T) {
 func runForTest(t *testing.T, cfgs []*explore.Config, measure explore.MeasureMetrics, constraints []explore.Constraint, workers int, prune bool) (*explore.Result, error) {
 	t.Helper()
 	res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-		Space:       exploretest.CopySpace(cfgs),
+		Space:       explore.NewSpace(exploretest.CopySpace(cfgs)),
 		Measure:     measure,
 		Metric:      "throughput",
 		Constraints: constraints,
@@ -86,7 +86,7 @@ func TestSafetyLevelsMatchFlatPoset(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfgs := exploretest.RandomSpace(rng, 70)
 		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-			Space: cfgs, Measure: exploretest.Lift(exploretest.MonotoneMeasure(rng)), Workers: 4,
+			Space: explore.NewSpace(cfgs), Measure: exploretest.Lift(exploretest.MonotoneMeasure(rng)), Workers: 4,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -7,48 +7,9 @@ import (
 
 	"flexos/internal/attack"
 	"flexos/internal/explore"
-	"flexos/internal/isolation"
+	"flexos/internal/explore/exploretest"
 	"flexos/internal/oslib"
-	"flexos/internal/scenario"
 )
-
-// shippedSpaces returns every configuration space the front-ends
-// build: Figure 6 for Redis, Nginx and every library scenario's
-// quadruple, the cross-application space, the attack spaces on both
-// machine profiles (swept and pinned), and the -aslr/-profile stamped
-// spaces.
-func shippedSpaces() map[string][]*explore.Config {
-	redis := [4]string{"libredis", "newlib", "uksched", "lwip"}
-	nginx := [4]string{"libnginx", "newlib", "uksched", "lwip"}
-	out := map[string][]*explore.Config{
-		"fig6/redis": explore.Fig6Space(redis),
-		"fig6/nginx": explore.Fig6Space(nginx),
-		"cross":      explore.CrossAppSpace(nil, redis, nginx),
-		"cross/keyed": explore.CrossAppSpace(
-			[]string{"intel-mpk", "vm-ept", "cheri", "intel-sgx"}, redis, nginx),
-	}
-	for _, sc := range scenario.All() {
-		if quad, ok := sc.Quad(); ok {
-			out["fig6/"+sc.Name()] = explore.Fig6Space(quad)
-		}
-	}
-	base := explore.Fig6Space(redis)
-	for _, profile := range []string{"", "riscv"} {
-		for _, att := range attack.All() {
-			out[fmt.Sprintf("attack/%s@%s", att.Name(), profile)] =
-				attack.Space(base, attack.Spec{Scenario: att.Name(), Profile: profile})
-		}
-		out["attack/pinned@"+profile] = attack.Space(base, attack.Spec{
-			Scenario: "combined", Profile: profile,
-			ASLR: isolation.ASLR{EntropyBits: 16, LeakResistant: true}, PinASLR: true,
-		})
-		out["stamp/profile@"+profile] = attack.Stamp(base, profile, isolation.ASLR{}, false)
-		for _, a := range attack.Ladder {
-			out[fmt.Sprintf("stamp/aslr=%s@%s", a, profile)] = attack.Stamp(base, profile, a, true)
-		}
-	}
-	return out
-}
 
 // TestImageKeyIdentifiesSpec pins Config.ImageKey as the identity of
 // the built image over the union of every shipped space: equal image
@@ -60,7 +21,7 @@ func TestImageKeyIdentifiesSpec(t *testing.T) {
 	tcb := []string{oslib.BootName, oslib.MMName}
 	byKey := map[string]*explore.Config{}  // image key -> first config
 	bySpec := map[string]*explore.Config{} // rendered spec -> first config
-	for name, cfgs := range shippedSpaces() {
+	for name, cfgs := range exploretest.ShippedSpaces() {
 		for _, c := range cfgs {
 			ik := c.ImageKey()
 			if !c.ASLR.Enabled() && ik != c.Key() {

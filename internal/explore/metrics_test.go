@@ -59,7 +59,7 @@ func TestMetricVectorsDeterministicAcrossWorkers(t *testing.T) {
 
 	mkSpace := func() []*Config { return Fig6Space(redisapp.Components4()) }
 	budgeted := []Constraint{BudgetConstraint(metric, budget)}
-	oracle, err := Engine{}.Run(context.Background(), Request{Space: mkSpace(), Measure: measure, Metric: metric,
+	oracle, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(mkSpace()), Measure: measure, Metric: metric,
 		Workers: 1, Prune: true, Constraints: budgeted})
 	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMetricVectorsDeterministicAcrossWorkers(t *testing.T) {
 	oracleFront := oracle.ParetoFront()
 
 	for _, workers := range []int{1, 4, 8} {
-		res, err := Engine{}.Run(context.Background(), Request{Space: mkSpace(), Measure: measure, Metric: metric,
+		res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(mkSpace()), Measure: measure, Metric: metric,
 			Workers: workers, Prune: true, Constraints: budgeted})
 		if err != nil && !errors.Is(err, ErrNoFeasible) {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -109,7 +109,7 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 		cfgs := CrossAppSpace(nil, redisapp.Components4())
 		// A zero ceiling excludes every configuration: the run still
 		// measures the whole space and returns it with ErrNoFeasible.
-		exhaustive, err := Engine{}.Run(context.Background(), Request{Space: cfgs, Measure: syntheticMetrics,
+		exhaustive, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs), Measure: syntheticMetrics,
 			Workers: 1, Constraints: []Constraint{BudgetConstraint(metric, 0)}})
 		if err != nil && !errors.Is(err, ErrNoFeasible) {
 			t.Fatal(err)
@@ -121,7 +121,7 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 		}
 		budget := median(vals)
 
-		pruned, err := Engine{}.Run(context.Background(), Request{Space: CrossAppSpace(nil, redisapp.Components4()),
+		pruned, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(CrossAppSpace(nil, redisapp.Components4())),
 			Measure: syntheticMetrics, Prune: true, Constraints: []Constraint{BudgetConstraint(metric, budget)}})
 		if err != nil {
 			t.Fatal(err)
@@ -151,14 +151,10 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 // constraint.
 func safest(res *Result) []int {
 	cfgs := make([]*Config, len(res.Measurements))
-	index := make(map[*Config]int, len(res.Measurements))
 	for i := range res.Measurements {
 		cfgs[i] = res.Measurements[i].Config
-		index[cfgs[i]] = i
 	}
-	out := poset.New(cfgs, Leq).Maximal(func(c *Config) bool {
-		return res.Feasible(index[c])
-	})
+	out := poset.New(cfgs, Leq).Maximal(poset.BitsetOf(len(cfgs), res.Feasible))
 	sort.Ints(out)
 	return out
 }
@@ -178,7 +174,7 @@ func median(vals []float64) float64 {
 func TestMemoCarriesMetricVectors(t *testing.T) {
 	memo := NewMemo()
 	run := func(metric Metric, budget float64) (*Result, error) {
-		return Engine{}.Run(context.Background(), Request{Space: Fig6Space(redisapp.Components4()), Measure: syntheticMetrics,
+		return Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space(redisapp.Components4())), Measure: syntheticMetrics,
 			Metric: metric, Memo: memo, Workload: "synthetic", Constraints: []Constraint{BudgetConstraint(metric, budget)}})
 	}
 	first, err := run(scenario.MetricThroughput, 0)
@@ -223,12 +219,12 @@ func TestScalarRunStillWorks(t *testing.T) {
 	// No configuration meets this floor: both runs report their full
 	// result with ErrNoFeasible.
 	floor := []Constraint{BudgetConstraint(scenario.MetricThroughput, 9800)}
-	seq, err := Engine{}.Run(context.Background(), Request{Space: Fig6Space(redisapp.Components4()), Measure: lift(measure),
+	seq, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space(redisapp.Components4())), Measure: lift(measure),
 		Workers: 1, Prune: true, Constraints: floor})
 	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
 	}
-	par, err := Engine{}.Run(context.Background(), Request{Space: cfgs, Measure: lift(measure), Prune: true, Constraints: floor})
+	par, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs), Measure: lift(measure), Prune: true, Constraints: floor})
 	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
 	}
@@ -250,7 +246,7 @@ func TestScalarRunStillWorks(t *testing.T) {
 // metric distribution: no frontier point is dominated, every
 // non-frontier point is, and pruned points are excluded.
 func TestParetoFrontProperties(t *testing.T) {
-	res, err := Engine{}.Run(context.Background(), Request{Space: CrossAppSpace(nil, redisapp.Components4()), Measure: syntheticMetrics,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(CrossAppSpace(nil, redisapp.Components4())), Measure: syntheticMetrics,
 		Constraints: []Constraint{BudgetConstraint(scenario.MetricThroughput, 0)}})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +288,7 @@ func TestParetoFrontProperties(t *testing.T) {
 // ranks evaluated configurations.
 func TestParetoExcludesPruned(t *testing.T) {
 	// The floor excludes every configuration; the run still reports.
-	res, err := Engine{}.Run(context.Background(), Request{Space: Fig6Space(redisapp.Components4()), Measure: syntheticMetrics,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space(redisapp.Components4())), Measure: syntheticMetrics,
 		Prune: true, Constraints: []Constraint{BudgetConstraint(scenario.MetricThroughput, 9800)}})
 	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)

@@ -173,13 +173,18 @@ func (o *spaceOrder) edges() (preds, succs [][]int32) {
 // safest computes the constraint-filtered maximal elements of the
 // space — group by group, since maximality never crosses incomparable
 // groups — and returns them ascending, exactly as the global
-// poset.Maximal computation would.
+// poset.Maximal computation would. Feasibility is evaluated once per
+// configuration, into a bitset over the group.
 func (o *spaceOrder) safest(res *Result) []int {
 	var out []int
 	for g, members := range o.groups {
-		for _, li := range o.posets[g].Maximal(func(i int32) bool {
-			return res.Feasible(int(i))
-		}) {
+		keep := poset.NewBitset(len(members))
+		for li, i := range members {
+			if res.Feasible(int(i)) {
+				keep.Set(li)
+			}
+		}
+		for _, li := range o.posets[g].Maximal(keep) {
 			out = append(out, int(members[li]))
 		}
 	}

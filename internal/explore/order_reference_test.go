@@ -23,10 +23,10 @@ import (
 
 // distinctShippedSpaces returns the shipped spaces in name order,
 // dropping any space whose configuration keys repeat an earlier one's
-// (several attack scenarios and scenario quadruples enumerate the same
+// (several scenario quadruples and stamps enumerate the same
 // points), since the order cannot tell them apart.
 func distinctShippedSpaces() ([]string, [][]*explore.Config) {
-	spaces := shippedSpaces()
+	spaces := exploretest.ShippedSpaces()
 	names := make([]string, 0, len(spaces))
 	for name := range spaces {
 		names = append(names, name)
@@ -91,7 +91,7 @@ func TestOrderMatchesFlatReferencePoset(t *testing.T) {
 		}
 		sort.Float64s(perfs)
 		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-			Space: cfgs, Measure: measure, Workers: 2,
+			Space: explore.NewSpace(cfgs), Measure: measure, Workers: 2,
 			Constraints: []explore.Constraint{explore.BudgetConstraint("throughput", perfs[len(perfs)/2])},
 		})
 		if err != nil && !errors.Is(err, explore.ErrNoFeasible) {
@@ -115,11 +115,7 @@ func TestOrderMatchesFlatReferencePoset(t *testing.T) {
 		if got, want := res.SafetyLevels(), flatLevels(flat); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: SafetyLevels %v, flat reference %v", names[k], got, want)
 		}
-		index := make(map[*explore.Config]int, len(cfgs))
-		for i, c := range cfgs {
-			index[c] = i
-		}
-		wantSafest := flat.Maximal(func(c *explore.Config) bool { return res.Feasible(index[c]) })
+		wantSafest := flat.Maximal(poset.BitsetOf(len(cfgs), res.Feasible))
 		sort.Ints(wantSafest)
 		if !reflect.DeepEqual(res.Safest, wantSafest) {
 			t.Fatalf("%s: Safest %v, flat reference %v", names[k], res.Safest, wantSafest)

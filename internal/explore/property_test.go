@@ -35,7 +35,7 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 
 		// Brute force: measure everything, no pruning.
 		oracle, err := explore.Engine{}.Run(context.Background(), explore.Request{
-			Space: cfgs, Measure: measure, Workers: 1, Constraints: floor(0)})
+			Space: explore.NewSpace(cfgs), Measure: measure, Workers: 1, Constraints: floor(0)})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v", seed, err)
 		}
@@ -58,16 +58,16 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 			sorted[len(sorted)-1] + 1,
 		}
 		for _, budget := range budgets {
-			wantSafest := order.Maximal(func(c *explore.Config) bool {
-				return perfs[indexOf(cfgs, c)] >= budget
-			})
+			wantSafest := order.Maximal(poset.BitsetOf(len(cfgs), func(i int) bool {
+				return perfs[i] >= budget
+			}))
 			sort.Ints(wantSafest)
 
 			// A budget above every configuration completes the run and
 			// reports it together with ErrNoFeasible.
 			run := func(workers int) *explore.Result {
 				res, err := explore.Engine{}.Run(context.Background(), explore.Request{
-					Space: exploretest.CopySpace(cfgs), Measure: measure,
+					Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: measure,
 					Workers: workers, Prune: true, Constraints: floor(budget)})
 				if err != nil && !errors.Is(err, explore.ErrNoFeasible) {
 					t.Fatalf("seed %d budget %v workers %d: %v", seed, budget, workers, err)
@@ -99,15 +99,6 @@ func TestPruningSoundnessVsBruteForceOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-func indexOf(cfgs []*explore.Config, c *explore.Config) int {
-	for i := range cfgs {
-		if cfgs[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestLeqIsPartialOrderOnRandomSpaces validates the safety relation

@@ -15,6 +15,9 @@ import (
 // delta dispatch never prunes. Engine.Run runs the normalized request
 // and Key formats it, so the two cannot disagree.
 func (r Request) normalize() Request {
+	if r.Space == nil {
+		r.Space = emptySpace
+	}
 	if r.Metric == "" {
 		if len(r.Constraints) > 0 {
 			r.Metric = r.Constraints[0].Metric
@@ -36,7 +39,7 @@ func (r Request) normalize() Request {
 }
 
 // Key digests everything about the request that can change the bytes
-// of its result: the space identity (the SpaceHash of the Workload
+// of its result: the space identity (Space.Hash of the Workload
 // namespace plus every configuration key), the resolved ranking
 // metric, the constraint conjunction, pruning, the shard, the
 // measurement budget and seed, and delta mode. Two requests share a
@@ -59,6 +62,6 @@ func (r Request) Key() string {
 	}
 	sort.Strings(cs)
 	return fmt.Sprintf("space=%s;metric=%s;constraints=%s;prune=%t;shard=%s;budget=%d;seed=%d;delta=%t",
-		SpaceHash(r.Workload, r.Space), r.Metric, strings.Join(cs, ","), r.Prune, r.Shard,
+		r.Space.Hash(r.Workload), r.Metric, strings.Join(cs, ","), r.Prune, r.Shard,
 		r.MeasureBudget, r.Seed, r.DeltaOnly)
 }

@@ -82,25 +82,34 @@ type Result struct {
 	// space). Measurements and Total describe only that slice.
 	Shard Shard
 
-	// order is the grouped safety order of the explored space
-	// (signatures + per-group posets): the engine's own, or built on
+	// space is the explored space (the shard's slice when sharded),
+	// which carries its safety order: the engine's own, or built on
 	// first use for a Result the engine did not build.
-	order *spaceOrder
+	space *Space
 }
 
-// safetyOrder returns the safety order of the result's configurations.
-// A Result the engine did not build gets it on first use, from its
-// measurements. Not safe for concurrent first calls; results are
-// normally consumed from one goroutine.
-func (r *Result) safetyOrder() *spaceOrder {
-	if r.order == nil {
+// explored returns the result's Space. A Result the engine did not
+// build gets one on first use, from its measurements. Not safe for
+// concurrent first calls on such a Result; results are normally
+// consumed from one goroutine.
+func (r *Result) explored() *Space {
+	if r.space == nil {
 		cfgs := make([]*Config, len(r.Measurements))
 		for i := range r.Measurements {
 			cfgs[i] = r.Measurements[i].Config
 		}
-		r.order = newSpaceOrder(cfgs)
+		r.space = NewSpace(cfgs)
 	}
-	return r.order
+	return r.space
+}
+
+// safetyOrder returns the safety order of the result's configurations.
+func (r *Result) safetyOrder() *spaceOrder { return r.explored().safetyOrder() }
+
+// MemoKey returns MemoKey(workload, r.Measurements[i].Config), composed
+// from the key the explored Space rendered once.
+func (r *Result) MemoKey(workload string, i int) string {
+	return memoKey(workload, r.explored().keys[i])
 }
 
 // Above returns the indices of the configurations strictly safer than
@@ -110,7 +119,7 @@ func (r *Result) Above(i int) []int { return r.safetyOrder().above(i) }
 // Feasible reports whether measurement i was evaluated and satisfies
 // every constraint of the run.
 func (r *Result) Feasible(i int) bool {
-	m := r.Measurements[i]
+	m := &r.Measurements[i]
 	return m.Evaluated && meetsAll(r.Constraints, m.Metrics)
 }
 

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 )
@@ -67,15 +66,6 @@ func (s Shard) Size(n int) int {
 	return hi - lo
 }
 
-// slice applies the shard to a space.
-func (s Shard) slice(cfgs []*Config) ([]*Config, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	lo, hi := s.bounds(len(cfgs))
-	return cfgs[lo:hi], nil
-}
-
 // ParseShard parses the CLI shard syntax "index/count" with
 // 0 <= index < count (e.g. "0/4" … "3/4").
 func ParseShard(s string) (Shard, error) {
@@ -99,20 +89,4 @@ func ParseShard(s string) (Shard, error) {
 		return Shard{}, err
 	}
 	return sh, nil
-}
-
-// SpaceHash digests the canonical identity of an exploration — the
-// memo namespace plus every configuration key, in enumeration order —
-// into a 16-hex-digit FNV-1a handle. Two explorations share a hash
-// exactly when they would populate the same result-store entries, so
-// the hash is the natural cache key for a persistent store directory
-// (CI keys its warm-explore cache on it).
-func SpaceHash(workload string, cfgs []*Config) string {
-	h := fnv.New64a()
-	h.Write([]byte(workload))
-	for _, c := range cfgs {
-		h.Write([]byte{0})
-		h.Write([]byte(c.Key()))
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -32,7 +32,7 @@ func TestEngineShardMatchesManualSubslice(t *testing.T) {
 		for idx := 0; idx < count; idx++ {
 			sh := explore.Shard{Index: idx, Count: count}
 			sharded, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space: exploretest.CopySpace(cfgs), Measure: measure, Prune: true, Workers: 3, Shard: sh,
+				Space: explore.NewSpace(exploretest.CopySpace(cfgs)), Measure: measure, Prune: true, Workers: 3, Shard: sh,
 			})
 			if err != nil {
 				t.Fatalf("shard %v: %v", sh, err)
@@ -42,7 +42,7 @@ func TestEngineShardMatchesManualSubslice(t *testing.T) {
 				t.Fatalf("shard %v: Size %d, balanced partition says %d", sh, sh.Size(len(cfgs)), hi-lo)
 			}
 			manual, err := explore.Engine{}.Run(context.Background(), explore.Request{
-				Space: exploretest.CopySpace(cfgs)[lo:hi], Measure: measure, Prune: true, Workers: 3,
+				Space: explore.NewSpace(exploretest.CopySpace(cfgs)[lo:hi]), Measure: measure, Prune: true, Workers: 3,
 			})
 			if err != nil {
 				t.Fatalf("manual %v: %v", sh, err)
@@ -77,7 +77,7 @@ func TestShardedBackingsWarmStartFullRun(t *testing.T) {
 		budget := 99_000.0
 		req := func(space []*explore.Config) explore.Request {
 			return explore.Request{
-				Space: space, Measure: measure, Prune: true, Workers: 4,
+				Space: explore.NewSpace(space), Measure: measure, Prune: true, Workers: 4,
 				Constraints: []explore.Constraint{explore.BudgetConstraint("", budget)},
 			}
 		}

@@ -18,18 +18,25 @@ import (
 func TestShardSliceProperties(t *testing.T) {
 	for n := 0; n <= 13; n++ {
 		cfgs := Fig6Space([4]string{"app", "libc", "sched", "net"})[:n]
+		space := NewSpace(cfgs)
 		for count := 1; count <= 6; count++ {
 			var union []*Config
 			for idx := 0; idx < count; idx++ {
-				part, err := Shard{Index: idx, Count: count}.slice(cfgs)
+				sub, err := space.shard(Shard{Index: idx, Count: count})
 				if err != nil {
 					t.Fatalf("n=%d shard %d/%d: %v", n, idx, count, err)
 				}
+				part := sub.Configs()
 				if lo, hi := (Shard{Index: idx, Count: count}).bounds(n); hi-lo != len(part) {
 					t.Fatalf("n=%d shard %d/%d: bounds disagree with slice", n, idx, count)
 				}
 				if len(part) < n/count || len(part) > n/count+1 {
 					t.Fatalf("n=%d shard %d/%d: unbalanced size %d", n, idx, count, len(part))
+				}
+				for i, c := range part {
+					if sub.Key(i) != c.Key() {
+						t.Fatalf("n=%d shard %d/%d: key %d is %q, want %q", n, idx, count, i, sub.Key(i), c.Key())
+					}
 				}
 				union = append(union, part...)
 			}
@@ -48,14 +55,14 @@ func TestShardSliceProperties(t *testing.T) {
 }
 
 func TestShardValidation(t *testing.T) {
-	cfgs := Fig6Space([4]string{"app", "libc", "sched", "net"})
+	space := NewSpace(Fig6Space([4]string{"app", "libc", "sched", "net"}))
 	for _, bad := range []Shard{{Index: -1, Count: 3}, {Index: 3, Count: 3}, {Index: 0, Count: -1}, {Index: 2, Count: 0}} {
-		if _, err := bad.slice(cfgs); err == nil {
+		if _, err := space.shard(bad); err == nil {
 			t.Errorf("shard %+v: want error, got nil", bad)
 		}
 	}
 	for _, ok := range []Shard{{}, {Index: 0, Count: 1}, {Index: 4, Count: 5}} {
-		if _, err := ok.slice(cfgs); err != nil {
+		if _, err := space.shard(ok); err != nil {
 			t.Errorf("shard %+v: %v", ok, err)
 		}
 	}
@@ -165,19 +172,20 @@ func TestBackedMemoLoadAndWriteThrough(t *testing.T) {
 func TestSpaceHashIdentity(t *testing.T) {
 	a := Fig6Space([4]string{"app", "libc", "sched", "net"})
 	b := Fig6Space([4]string{"app2", "libc", "sched", "net"})
-	if SpaceHash("w", a) != SpaceHash("w", a) {
+	hash := func(w string, cfgs []*Config) string { return NewSpace(cfgs).Hash(w) }
+	if hash("w", a) != hash("w", a) {
 		t.Fatal("hash not stable")
 	}
-	if SpaceHash("w", a) == SpaceHash("w2", a) {
+	if hash("w", a) == hash("w2", a) {
 		t.Fatal("hash ignores the namespace")
 	}
-	if SpaceHash("w", a) == SpaceHash("w", b) {
+	if hash("w", a) == hash("w", b) {
 		t.Fatal("hash ignores the space")
 	}
-	if SpaceHash("w", a) == SpaceHash("w", a[:40]) {
+	if hash("w", a) == hash("w", a[:40]) {
 		t.Fatal("hash ignores the space length")
 	}
-	if len(SpaceHash("w", a)) != 16 {
-		t.Fatalf("hash %q: want 16 hex digits", SpaceHash("w", a))
+	if len(hash("w", a)) != 16 {
+		t.Fatalf("hash %q: want 16 hex digits", hash("w", a))
 	}
 }

@@ -1,9 +1,135 @@
 package explore
 
 import (
+	"fmt"
+	"hash/fnv"
+	"sync"
+
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
 )
+
+// Space is an enumerated configuration space together with the work
+// every exploration of it repeats: each configuration's canonical key
+// (Config.Key), rendered once; the canonical-twin grouping (identical
+// configurations measure once per run); and the grouped safety order,
+// built on first use. A Space is immutable and safe for concurrent
+// use, so a serving daemon can build one per distinct space and answer
+// every request over it without enumerating, keying or ordering the
+// configurations again. Its configurations must not be modified after
+// NewSpace.
+type Space struct {
+	cfgs  []*Config
+	keys  []string
+	canon []int32           // each configuration's lowest-index identical twin
+	twins map[int32][]int32 // canonical index -> its later identical twins
+
+	orderOnce sync.Once
+	order     *spaceOrder
+
+	hashMu sync.Mutex
+	hashes map[string]string // Hash by workload, at most maxHashes
+}
+
+// maxHashes bounds the hashes a Space remembers. A serving mix names a
+// few workloads per space (one per op count); past the bound the
+// remembered hashes are dropped and recomputed on demand.
+const maxHashes = 64
+
+// emptySpace is the Space of a request that names none.
+var emptySpace = NewSpace(nil)
+
+// NewSpace wraps an enumerated configuration space, rendering every
+// canonical key.
+func NewSpace(cfgs []*Config) *Space {
+	keys := make([]string, len(cfgs))
+	for i, c := range cfgs {
+		keys[i] = c.Key()
+	}
+	return newSpace(cfgs, keys)
+}
+
+// newSpace groups the configurations by key. Only the lowest-index
+// member of each group is measured; its twins inherit the value.
+// Identical configurations occupy the same poset position (same
+// predecessor sets), so their pruning decisions always agree.
+func newSpace(cfgs []*Config, keys []string) *Space {
+	s := &Space{cfgs: cfgs, keys: keys, canon: make([]int32, len(cfgs))}
+	group := make(map[string]int32, len(cfgs))
+	for i, k := range keys {
+		if first, ok := group[k]; ok {
+			s.canon[i] = first
+			if s.twins == nil {
+				s.twins = make(map[int32][]int32)
+			}
+			s.twins[first] = append(s.twins[first], int32(i))
+		} else {
+			group[k] = int32(i)
+			s.canon[i] = int32(i)
+		}
+	}
+	return s
+}
+
+// Len returns the number of configurations.
+func (s *Space) Len() int { return len(s.cfgs) }
+
+// Configs returns the configurations in enumeration order. The slice
+// is the Space's own: read it, never modify it.
+func (s *Space) Configs() []*Config { return s.cfgs }
+
+// Key returns configuration i's canonical key.
+func (s *Space) Key(i int) string { return s.keys[i] }
+
+// Hash digests the canonical identity of an exploration of the space —
+// the memo namespace plus every configuration key, in enumeration
+// order — into a 16-hex-digit FNV-1a handle. Two explorations share a
+// hash exactly when they would populate the same result-store entries,
+// so the hash is the natural cache key for a persistent store
+// directory (CI keys its warm-explore cache on it). The Space
+// remembers the hash of each workload it was asked for.
+func (s *Space) Hash(workload string) string {
+	s.hashMu.Lock()
+	defer s.hashMu.Unlock()
+	if h, ok := s.hashes[workload]; ok {
+		return h
+	}
+	h := fnv.New64a()
+	h.Write([]byte(workload))
+	for _, k := range s.keys {
+		h.Write([]byte{0})
+		h.Write([]byte(k))
+	}
+	sum := fmt.Sprintf("%016x", h.Sum64())
+	if len(s.hashes) >= maxHashes || s.hashes == nil {
+		s.hashes = make(map[string]string)
+	}
+	s.hashes[workload] = sum
+	return sum
+}
+
+// safetyOrder returns the grouped safety order, building it on first
+// use.
+func (s *Space) safetyOrder() *spaceOrder {
+	s.orderOnce.Do(func() { s.order = newSpaceOrder(s.cfgs) })
+	return s.order
+}
+
+// shard returns the slice of the space a shard explores: the space
+// itself for the whole space, otherwise a new Space over the slice,
+// which reuses the rendered keys but groups and orders its own
+// members — a shard's Hasse diagram is not a restriction of the full
+// one.
+func (s *Space) shard(sh Shard) (*Space, error) {
+	if err := sh.validate(); err != nil {
+		return nil, err
+	}
+	if sh.IsZero() {
+		return s, nil
+	}
+	lo, hi := sh.bounds(len(s.cfgs))
+	return newSpace(s.cfgs[lo:hi], s.keys[lo:hi]), nil
+}
 
 // Fig6Space generates the paper's 80-configuration space for a
 // four-component application (§6.2): the five compartmentalization

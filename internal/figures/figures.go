@@ -52,7 +52,7 @@ func fig6(ctx context.Context, sc *scenario.Scenario, workers int) ([]ConfigPerf
 	quad, _ := sc.Quad()
 	cfgs := explore.Fig6Space(quad)
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
-		Space:   cfgs,
+		Space:   explore.NewSpace(cfgs),
 		Measure: throughputOf(sc),
 		Workers: workers,
 	})
@@ -164,7 +164,7 @@ func Fig8(ctx context.Context, requests int, budget float64, workers int) (*Fig8
 	quad, _ := sc.Quad()
 	cfgs := explore.Fig6Space(quad)
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
-		Space:       cfgs,
+		Space:       explore.NewSpace(cfgs),
 		Measure:     throughputOf(sc),
 		Constraints: []explore.Constraint{explore.BudgetConstraint(scenario.MetricThroughput, budget)},
 		Workers:     workers,

@@ -43,7 +43,7 @@ func Fig5(ctx context.Context, requests int, budget float64, workers int) ([]Fig
 		[]string{comps[3]},
 	)
 	res, err := explore.Engine{}.Run(ctx, explore.Request{
-		Space:       cfgs,
+		Space:       explore.NewSpace(cfgs),
 		Measure:     throughputOf(sc),
 		Constraints: []explore.Constraint{explore.BudgetConstraint(scenario.MetricThroughput, budget)},
 		Workers:     workers,

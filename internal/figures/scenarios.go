@@ -153,7 +153,7 @@ func ScenarioPareto(ctx context.Context, name string, workers int) (*explore.Res
 		return nil, fmt.Errorf("figures: scenario %q has no Fig6 space", name)
 	}
 	return explore.Engine{}.Run(ctx, explore.Request{
-		Space: explore.Fig6Space(quad),
+		Space: explore.NewSpace(explore.Fig6Space(quad)),
 		Measure: func(c *explore.Config) (scenario.Metrics, error) {
 			return sc.Run(c.Spec(tcbLibs()))
 		},

@@ -16,6 +16,17 @@ func NewBitset(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// BitsetOf returns the set of i in [0, n) for which in(i) holds.
+func BitsetOf(n int, in func(i int) bool) Bitset {
+	b := NewBitset(n)
+	for i := 0; i < n; i++ {
+		if in(i) {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
 // bitsetOver wraps existing word storage as a bitset over [0, n); the
 // poset uses it to expose matrix rows without copying.
 func bitsetOver(words []uint64, n int) Bitset { return Bitset{words: words, n: n} }

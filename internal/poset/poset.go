@@ -21,7 +21,10 @@
 // point cross-application spaces.
 package poset
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Poset is a finite partially ordered set over items of type T with
 // order relation leq ("less or equally safe"). leq must be reflexive,
@@ -105,25 +108,18 @@ func (p *Poset[T]) Edges() [][2]int {
 }
 
 // Maximal returns the indices of the maximal elements among the items
-// for which keep returns true — the sinks of the filtered DAG (the green
-// nodes of Figure 5, the stars of Figure 8).
-func (p *Poset[T]) Maximal(keep func(T) bool) []int {
+// in keep — the sinks of the filtered DAG (the green nodes of Figure 5,
+// the stars of Figure 8). keep is a set over item indices and must
+// have Len() == p.Len(). An item is dominated when its row, masked by
+// keep, holds an item strictly above it, so the filter is read as
+// words and no predicate is called per pair.
+func (p *Poset[T]) Maximal(keep Bitset) []int {
+	if keep.Len() != len(p.items) {
+		panic(fmt.Sprintf("poset: Maximal filter over %d items, poset has %d", keep.Len(), len(p.items)))
+	}
 	var out []int
-	for i, it := range p.items {
-		if !keep(it) {
-			continue
-		}
-		dominated := false
-		for j, jt := range p.items {
-			if i == j || !keep(jt) {
-				continue
-			}
-			if p.less(i, j) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+	for i := range p.items {
+		if keep.Test(i) && p.firstAbove(i, keep.words) < 0 {
 			out = append(out, i)
 		}
 	}
@@ -133,12 +129,30 @@ func (p *Poset[T]) Maximal(keep func(T) bool) []int {
 // Above returns the indices of all items strictly safer than i.
 func (p *Poset[T]) Above(i int) []int {
 	var out []int
-	for j := range p.items {
-		if j != i && p.less(i, j) {
-			out = append(out, j)
+	row := p.rows[i*p.words : (i+1)*p.words]
+	for k, w := range row {
+		for ; w != 0; w &= w - 1 {
+			if j := k<<6 + bits.TrailingZeros64(w); j != i && !p.Leq(j, i) {
+				out = append(out, j)
+			}
 		}
 	}
 	return out
+}
+
+// firstAbove returns the lowest index j in mask strictly above i, or
+// -1. It scans row i word by word: a set bit j != i is strictly above
+// unless the two items are equivalent (j <= i as well).
+func (p *Poset[T]) firstAbove(i int, mask []uint64) int {
+	row := p.rows[i*p.words : (i+1)*p.words]
+	for k, w := range row {
+		for w &= mask[k]; w != 0; w &= w - 1 {
+			if j := k<<6 + bits.TrailingZeros64(w); j != i && !p.Leq(j, i) {
+				return j
+			}
+		}
+	}
+	return -1
 }
 
 // CheckOrder verifies that leq is a partial order on the items:

@@ -47,12 +47,12 @@ func TestMaximalWithFilter(t *testing.T) {
 	items := []int{1, 2, 3, 4, 6, 12}
 	p := New(items, divides)
 	// Unfiltered: 12 is the unique maximum.
-	max := p.Maximal(func(int) bool { return true })
+	max := p.Maximal(BitsetOf(len(items), func(int) bool { return true }))
 	if len(max) != 1 || items[max[0]] != 12 {
 		t.Fatalf("maximal = %v", max)
 	}
 	// Budget-style filter excluding 12 and 6: maximal become 4 and 3.
-	max = p.Maximal(func(v int) bool { return v != 12 && v != 6 })
+	max = p.Maximal(BitsetOf(len(items), func(i int) bool { return items[i] != 12 && items[i] != 6 }))
 	var got []int
 	for _, i := range max {
 		got = append(got, items[i])
@@ -102,7 +102,7 @@ func TestMaximalAntichainProperty(t *testing.T) {
 			return true
 		}
 		p := New(items, divides)
-		max := p.Maximal(func(int) bool { return true })
+		max := p.Maximal(BitsetOf(len(items), func(int) bool { return true }))
 		for a := 0; a < len(max); a++ {
 			for b := a + 1; b < len(max); b++ {
 				if p.Leq(max[a], max[b]) || p.Leq(max[b], max[a]) {

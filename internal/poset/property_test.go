@@ -2,6 +2,7 @@ package poset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -148,7 +149,7 @@ func TestMaximalMinimalProperties(t *testing.T) {
 		keep := func(v uint16) bool { return keepSet[v] }
 
 		maximal := map[int]bool{}
-		for _, i := range p.Maximal(keep) {
+		for _, i := range p.Maximal(BitsetOf(len(items), func(i int) bool { return keep(items[i]) })) {
 			maximal[i] = true
 			if !keep(items[i]) {
 				t.Fatalf("seed %d: Maximal returned filtered-out %d", seed, i)
@@ -175,7 +176,7 @@ func TestMaximalMinimalProperties(t *testing.T) {
 
 		dual := New(items, func(a, b uint16) bool { return subsetLeq(b, a) })
 		minimal := map[int]bool{}
-		for _, i := range dual.Maximal(func(uint16) bool { return true }) {
+		for _, i := range dual.Maximal(BitsetOf(len(items), func(int) bool { return true })) {
 			minimal[i] = true
 		}
 		for i := range items {
@@ -188,6 +189,57 @@ func TestMaximalMinimalProperties(t *testing.T) {
 			}
 			if hasBelow == minimal[i] {
 				t.Fatalf("seed %d: item %d hasBelow=%v minimal=%v", seed, i, hasBelow, minimal[i])
+			}
+		}
+	}
+}
+
+// TestMaximalAndAboveMatchBruteForce checks the row-scanning Maximal
+// and Above against their definitions on random preorders: subset
+// order over masks drawn from a small universe, so equal masks make
+// equivalent items (the engine's identical twins), and sizes that
+// straddle word boundaries. The keep filters range from empty to full.
+func TestMaximalAndAboveMatchBruteForce(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 130, 200} {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
+			items := make([]uint16, n)
+			for i := range items {
+				items[i] = uint16(rng.Intn(1 << 7))
+			}
+			p := New(items, subsetLeq)
+			density := rng.Float64()
+			keep := BitsetOf(n, func(int) bool { return rng.Float64() < density })
+
+			var want []int
+			for i := 0; i < n; i++ {
+				if !keep.Test(i) {
+					continue
+				}
+				dominated := false
+				for j := 0; j < n; j++ {
+					if j != i && keep.Test(j) && subsetLeq(items[i], items[j]) && !subsetLeq(items[j], items[i]) {
+						dominated = true
+						break
+					}
+				}
+				if !dominated {
+					want = append(want, i)
+				}
+			}
+			if got := p.Maximal(keep); !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed=%d: Maximal = %v, brute force %v", n, seed, got, want)
+			}
+
+			i := rng.Intn(n)
+			var above []int
+			for j := 0; j < n; j++ {
+				if j != i && subsetLeq(items[i], items[j]) && !subsetLeq(items[j], items[i]) {
+					above = append(above, j)
+				}
+			}
+			if got := p.Above(i); !slices.Equal(got, above) {
+				t.Fatalf("n=%d seed=%d: Above(%d) = %v, brute force %v", n, seed, i, got, above)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Metrics is the full metric vector one workload run produces. Every
 // field is computed from the deterministic simulated machine (cycle
@@ -40,13 +43,29 @@ type Metrics struct {
 }
 
 // String renders the vector compactly.
-func (m Metrics) String() string {
-	s := fmt.Sprintf("%.1fk op/s p50=%.2fµs p99=%.2fµs max=%.2fµs mem=%dB boot=%dcy",
-		m.Throughput/1000, m.P50us, m.P99us, m.MaxUs, m.PeakMemBytes, m.BootCycles)
+func (m Metrics) String() string { return string(m.Append(nil)) }
+
+// Append appends String's rendering to b, e.g. "1234.5k op/s
+// p50=1.23µs p99=4.56µs max=7.89µs mem=1024B boot=5678cy", then
+// " surv=0.123456" when Survival is set.
+func (m Metrics) Append(b []byte) []byte {
+	b = strconv.AppendFloat(b, m.Throughput/1000, 'f', 1, 64)
+	b = append(b, "k op/s p50="...)
+	b = strconv.AppendFloat(b, m.P50us, 'f', 2, 64)
+	b = append(b, "µs p99="...)
+	b = strconv.AppendFloat(b, m.P99us, 'f', 2, 64)
+	b = append(b, "µs max="...)
+	b = strconv.AppendFloat(b, m.MaxUs, 'f', 2, 64)
+	b = append(b, "µs mem="...)
+	b = strconv.AppendUint(b, m.PeakMemBytes, 10)
+	b = append(b, "B boot="...)
+	b = strconv.AppendUint(b, m.BootCycles, 10)
+	b = append(b, "cy"...)
 	if m.Survival > 0 {
-		s += fmt.Sprintf(" surv=%.6f", m.Survival)
+		b = append(b, " surv="...)
+		b = strconv.AppendFloat(b, m.Survival, 'f', 6, 64)
 	}
-	return s
+	return b
 }
 
 // Metric selects one dimension of a Metrics vector — the axis a

@@ -132,6 +132,10 @@ type Stats struct {
 	// persistent tier's statistics when one is configured.
 	MemoEntries int          `json:"memo_entries"`
 	Store       *store.Stats `json:"store,omitempty"`
+	// SpaceCache describes the process-wide cache of enumerated spaces
+	// (with their keys and safety orders) that every request's space is
+	// drawn from: entries held, hits, misses and evictions.
+	SpaceCache cli.SpaceCacheStats `json:"space_cache"`
 	// StoreFlushErrors counts failed post-flight store flushes (the
 	// cache degrades; serving continues).
 	StoreFlushErrors int64 `json:"store_flush_errors,omitempty"`
@@ -386,6 +390,7 @@ func (s *Server) Stats() Stats {
 		st.HitRatePct = 100 * float64(st.MemoHits) / float64(st.Evaluated+st.MemoHits)
 	}
 	st.MemoEntries = s.memo.Len()
+	st.SpaceCache = cli.SpaceCache()
 	st.SyncLogLen = s.st.Len()
 	if s.cfg.CacheDir != "" {
 		ss := s.st.Stats()

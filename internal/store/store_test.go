@@ -78,7 +78,7 @@ func TestWriteThroughThenColdReloadEqualsInMemoryMemo(t *testing.T) {
 		return vec(float64(c.Hash()%100_000) + 1), nil
 	}
 	req := func(memo *explore.Memo) explore.Request {
-		return explore.Request{Space: space(), Measure: measure, Workers: 4, Memo: memo, Workload: "rt"}
+		return explore.Request{Space: explore.NewSpace(space()), Measure: measure, Workers: 4, Memo: memo, Workload: "rt"}
 	}
 
 	s, err := store.Open(dir)

@@ -61,12 +61,18 @@ func TestEngineAllocsPerConfig(t *testing.T) {
 	measure := Measure(1)
 	engine := explore.Engine{}
 
-	flat := explore.Request{Space: cfgs, Measure: measure, Workers: 1}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := engine.Run(context.Background(), flat); err != nil {
-			t.Fatal(err)
+	// Each run enumerates a fresh Space, so the pin covers the per-space
+	// setup a first request pays.
+	run := func(req explore.Request) func() {
+		return func() {
+			req.Space = explore.NewSpace(cfgs)
+			if _, err := engine.Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+	}
+	flat := explore.Request{Measure: measure, Workers: 1}
+	allocs := testing.AllocsPerRun(3, run(flat))
 	if per := allocs / n; per > flatAllocsPerConfig {
 		t.Errorf("flat walk: %.2f allocs per config, budget %d", per, flatAllocsPerConfig)
 	}
@@ -74,11 +80,7 @@ func TestEngineAllocsPerConfig(t *testing.T) {
 	dag := flat
 	dag.Prune = true
 	dag.Constraints = []explore.Constraint{explore.BudgetConstraint("throughput", MedianThroughput(1, cfgs))}
-	allocs = testing.AllocsPerRun(3, func() {
-		if _, err := engine.Run(context.Background(), dag); err != nil {
-			t.Fatal(err)
-		}
-	})
+	allocs = testing.AllocsPerRun(3, run(dag))
 	if per := allocs / n; per > dagAllocsPerConfig {
 		t.Errorf("pruned walk: %.2f allocs per config, budget %d", per, dagAllocsPerConfig)
 	}
@@ -97,16 +99,18 @@ func TestMeasurementLoopAllocationFree(t *testing.T) {
 	measure := Measure(1)
 	engine := explore.Engine{}
 
+	// Both runs share one Space, so neither pays the per-space setup.
+	space := explore.NewSpace(cfgs)
 	cold := testing.AllocsPerRun(3, func() {
 		if _, err := engine.Run(context.Background(), explore.Request{
-			Space: cfgs, Measure: measure, Workers: 1,
+			Space: space, Measure: measure, Workers: 1,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	})
 
 	memo := explore.NewMemo()
-	warmReq := explore.Request{Space: cfgs, Measure: measure, Workers: 1, Memo: memo, Workload: "w"}
+	warmReq := explore.Request{Space: space, Measure: measure, Workers: 1, Memo: memo, Workload: "w"}
 	if _, err := engine.Run(context.Background(), warmReq); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestEquivalenceMatrix10k(t *testing.T) {
 
 	for _, prune := range []bool{false, true} {
 		req := explore.Request{
-			Space: cfgs, Measure: measure, Workers: 1, Prune: prune,
+			Space: explore.NewSpace(cfgs), Measure: measure, Workers: 1, Prune: prune,
 			Constraints: []explore.Constraint{explore.BudgetConstraint("throughput", budget)},
 			Workload:    "synth42",
 		}

@@ -34,7 +34,7 @@ import (
 // Memo makes the repeats nearly free) and builder calls between runs
 // take effect on the next run. It is not safe for concurrent mutation.
 type Query struct {
-	space       []*ExploreConfig
+	space       *ExploreSpace
 	measure     func(*ExploreConfig) (Metrics, error)
 	workload    string // memo namespace contributed by Workload
 	namespace   string // caller-supplied extra namespace
@@ -57,7 +57,11 @@ type Query struct {
 // Fig5Space, CrossAppSpace, or hand-built ExploreConfigs). Give it a
 // measurement source (Workload, Measure or MeasureScalar) before
 // running.
-func NewQuery(space []*ExploreConfig) *Query { return &Query{space: space} }
+func NewQuery(space []*ExploreConfig) *Query { return NewSpaceQuery(NewSpace(space)) }
+
+// NewSpaceQuery starts a query over a Space (see NewSpace): the keys
+// and safety order the Space holds serve every query over it.
+func NewSpaceQuery(space *ExploreSpace) *Query { return &Query{space: space} }
 
 // Workload measures every configuration by running w on it (each
 // configuration is materialized into an image with the TCB libraries in
@@ -246,7 +250,7 @@ func (q *Query) Shard(index, count int) *Query {
 // the whole space regardless of Shard, so all shards of one
 // exploration agree on it.
 func (q *Query) SpaceHash() string {
-	return explore.SpaceHash(q.namespaceKey(), q.space)
+	return q.space.Hash(q.namespaceKey())
 }
 
 // CanonicalKey digests everything about the query that can change the
@@ -270,9 +274,12 @@ func (q *Query) CanonicalKey() string { return q.snapshot().Key() }
 // node holding the same namespace can replay them into its own memo.
 func (q *Query) MemoNamespace() string { return q.namespaceKey() }
 
+// Space returns the configuration space the query explores.
+func (q *Query) Space() *ExploreSpace { return q.space }
+
 // SpaceSize returns the number of configurations the query would
 // enumerate before sharding — the denominator of any Shard split.
-func (q *Query) SpaceSize() int { return len(q.space) }
+func (q *Query) SpaceSize() int { return q.space.Len() }
 
 // Namespace adds a caller-defined namespace component to the memo keys
 // (e.g. a request count baked into a custom measure function). It
@@ -332,7 +339,7 @@ func (q *Query) observeProgress() func(int, ExploreMeasurement) {
 	if q.progress == nil {
 		return nil
 	}
-	total, done := q.shard.Size(len(q.space)), 0
+	total, done := q.shard.Size(q.space.Len()), 0
 	return func(int, ExploreMeasurement) {
 		done++
 		q.progress(done, total)
@@ -442,7 +449,7 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 		// Observe indices are relative to the explored slice (the
 		// shard when one is set), so the reorder buffers need only
 		// cover that slice.
-		n := req.Shard.Size(len(req.Space))
+		n := req.Shard.Size(req.Space.Len())
 		var (
 			buf     = make([]ExploreMeasurement, n)
 			decided = make([]bool, n)
