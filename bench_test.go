@@ -385,14 +385,17 @@ const synthBenchSize = 10_000
 // engine itself: order construction, dispatch, frontier bookkeeping.
 func benchmarkQuerySynthetic(b *testing.B, workers int, prune bool) {
 	cfgs := flexos.SynthSpace(42, synthBenchSize)
-	q := flexos.NewQuery(cfgs).
-		Measure(flexos.SynthMeasure(42)).
-		Floor(flexos.MetricThroughput, flexos.SynthMedianThroughput(42, cfgs)).
-		Workers(workers).
-		Prune(prune)
+	floor := flexos.SynthMedianThroughput(42, cfgs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := q.Run(context.Background())
+		// A fresh query wraps a fresh Space, so every iteration pays
+		// the keys and the order a first query over the space pays.
+		res, err := flexos.NewQuery(cfgs).
+			Measure(flexos.SynthMeasure(42)).
+			Floor(flexos.MetricThroughput, floor).
+			Workers(workers).
+			Prune(prune).
+			Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,15 +430,17 @@ func BenchmarkQuerySyntheticPruned(b *testing.B) { benchmarkQuerySynthetic(b, 8,
 // the feasible region plus its minimal infeasible boundary.
 func BenchmarkQuerySyntheticBudgeted(b *testing.B) {
 	cfgs := flexos.SynthSpace(42, synthBenchSize)
-	q := flexos.NewQuery(cfgs).
-		Measure(flexos.SynthMeasure(42)).
-		Floor(flexos.MetricThroughput, flexos.SynthQuantileThroughput(42, cfgs, 0.95)).
-		Workers(8).
-		Prune(true).
-		MeasureBudget(2_000)
+	floor := flexos.SynthQuantileThroughput(42, cfgs, 0.95)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := q.Run(context.Background())
+		// A fresh Space per iteration, as in benchmarkQuerySynthetic.
+		res, err := flexos.NewQuery(cfgs).
+			Measure(flexos.SynthMeasure(42)).
+			Floor(flexos.MetricThroughput, floor).
+			Workers(8).
+			Prune(true).
+			MeasureBudget(2_000).
+			Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

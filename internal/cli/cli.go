@@ -305,7 +305,8 @@ func StreamLine(scenarioMode bool, cfg *flexos.ExploreConfig, m flexos.Metrics) 
 	return string(b)
 }
 
-// labelWidth is the label column of report and stream lines.
+// labelWidth is the label column of stream lines, as wide as the
+// report's.
 const labelWidth = 55
 
 // appendLeft appends s left-justified in a column of width runes, as

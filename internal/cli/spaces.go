@@ -8,11 +8,11 @@ import (
 	"flexos"
 )
 
-// SpaceCacheCap bounds the process-wide space cache. A shipped space
-// is at most 960 configurations, its keys and its safety order, under
-// a megabyte, and a serving mix names a handful of spaces; the cap
-// keeps a daemon answering every attack × profile × ASLR variant from
-// holding them all.
+// SpaceCacheCap bounds the process-wide space cache. The largest
+// shipped space, 960 configurations with their keys and safety order,
+// holds about 1 MB of heap, and a serving mix names a handful of
+// spaces; the cap keeps a daemon asked for every attack × profile ×
+// ASLR variant to about 32 MB of them.
 const SpaceCacheCap = 32
 
 // SpaceCacheStats is a snapshot of the process-wide space cache:

@@ -62,8 +62,8 @@ func freshSpace(t *testing.T, r Request) []*flexos.ExploreConfig {
 }
 
 // TestSpaceCacheMatchesFreshEnumeration: for every cacheable space,
-// the Space a request builds — on the miss and on the hit — holds the
-// configurations, keys and hash of a fresh enumeration.
+// the Space a request builds — on the miss and on the hit — has the
+// size and the hash (every key, in order) of a fresh enumeration.
 func TestSpaceCacheMatchesFreshEnumeration(t *testing.T) {
 	ResetSpaceCache()
 	for _, r := range spaceShapes(t) {
@@ -73,18 +73,11 @@ func TestSpaceCacheMatchesFreshEnumeration(t *testing.T) {
 				t.Fatalf("%+v: %v", r, err)
 			}
 			cfgs := freshSpace(t, r)
-			fresh := flexos.NewSpace(cfgs)
-			if got, want := q.SpaceHash(), fresh.Hash(q.MemoNamespace()); got != want {
+			if q.SpaceSize() != len(cfgs) {
+				t.Fatalf("%+v pass %d: %d configurations, fresh %d", r, pass, q.SpaceSize(), len(cfgs))
+			}
+			if got, want := q.SpaceHash(), flexos.NewSpace(cfgs).Hash(q.MemoNamespace()); got != want {
 				t.Fatalf("%+v pass %d: space hash %s, fresh %s", r, pass, got, want)
-			}
-			sp := q.Space()
-			if sp.Len() != len(cfgs) {
-				t.Fatalf("%+v pass %d: %d configurations, fresh %d", r, pass, sp.Len(), len(cfgs))
-			}
-			for i, c := range cfgs {
-				if got := sp.Configs()[i]; sp.Key(i) != c.Key() || got.ID != c.ID || got.Label() != c.Label() {
-					t.Fatalf("%+v pass %d: configuration %d differs from a fresh enumeration", r, pass, i)
-				}
 			}
 		}
 	}

@@ -364,14 +364,15 @@ func (st *runState) measureOne(ctx context.Context, i int32, slot *outcome) {
 }
 
 // Run explores a configuration space: it reads the grouped safety
-// order and the canonical keys from the Space (building the order on
-// the Space's first use), fans measurement across a worker pool in batch-claimed chunks,
-// deduplicates identical configurations (within the space, and — given
-// a Memo — across spaces and runs), prunes monotonically when asked,
-// and extracts the safest feasible configurations. The Result is
-// byte-identical for every worker count: decisions depend only on the
-// safety order, the constraints and the deterministic measure function;
-// pool scheduling only affects wall-clock time.
+// order, the canonical keys and the identical-twin grouping from the
+// Space (which builds the order on first use), fans measurement across
+// a worker pool in batch-claimed chunks, deduplicates identical
+// configurations (within the space, and — given a Memo — across spaces
+// and runs), prunes monotonically when asked, and extracts the safest
+// feasible configurations. The Result is byte-identical for every
+// worker count: decisions depend only on the safety order, the
+// constraints and the deterministic measure function; pool scheduling
+// only affects wall-clock time.
 //
 // Identical configurations within one space are measured once: the
 // lowest-index occurrence measures, its twins inherit the value with

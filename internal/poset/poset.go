@@ -119,7 +119,7 @@ func (p *Poset[T]) Maximal(keep Bitset) []int {
 	}
 	var out []int
 	for i := range p.items {
-		if keep.Test(i) && p.firstAbove(i, keep.words) < 0 {
+		if keep.Test(i) && !p.dominated(i, keep.words) {
 			out = append(out, i)
 		}
 	}
@@ -140,19 +140,19 @@ func (p *Poset[T]) Above(i int) []int {
 	return out
 }
 
-// firstAbove returns the lowest index j in mask strictly above i, or
-// -1. It scans row i word by word: a set bit j != i is strictly above
-// unless the two items are equivalent (j <= i as well).
-func (p *Poset[T]) firstAbove(i int, mask []uint64) int {
+// dominated reports whether some item in mask is strictly above i. It
+// scans row i word by word: a set bit j != i is strictly above unless
+// the two items are equivalent (j <= i as well).
+func (p *Poset[T]) dominated(i int, mask []uint64) bool {
 	row := p.rows[i*p.words : (i+1)*p.words]
 	for k, w := range row {
 		for w &= mask[k]; w != 0; w &= w - 1 {
 			if j := k<<6 + bits.TrailingZeros64(w); j != i && !p.Leq(j, i) {
-				return j
+				return true
 			}
 		}
 	}
-	return -1
+	return false
 }
 
 // CheckOrder verifies that leq is a partial order on the items:

@@ -274,9 +274,6 @@ func (q *Query) CanonicalKey() string { return q.snapshot().Key() }
 // node holding the same namespace can replay them into its own memo.
 func (q *Query) MemoNamespace() string { return q.namespaceKey() }
 
-// Space returns the configuration space the query explores.
-func (q *Query) Space() *ExploreSpace { return q.space }
-
 // SpaceSize returns the number of configurations the query would
 // enumerate before sharding — the denominator of any Shard split.
 func (q *Query) SpaceSize() int { return q.space.Len() }
