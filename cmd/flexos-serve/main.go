@@ -1,6 +1,6 @@
 // Command flexos-serve runs the exploration service: a long-running
 // HTTP daemon executing flexos-explore-shaped requests on the shared
-// engine over one process-wide two-tier memo, with single-flight
+// engine over one process-wide store-backed memo, with single-flight
 // coalescing of identical concurrent requests (see internal/serve).
 //
 // Endpoints:

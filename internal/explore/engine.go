@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"flexos/internal/poset"
+	"flexos/internal/store"
 )
 
 // Request describes one exploration for Engine.Run: the space, how to
@@ -53,7 +54,7 @@ type Request struct {
 	// canonical configuration identity (Config.Key). Share one Memo
 	// only among runs whose measure functions agree for identical
 	// configurations; use Workload to namespace several benchmarks in
-	// one memo. Entries carry full metric vectors, so runs constraining
+	// one memo. Records carry full metric vectors, so runs constraining
 	// different metrics can share a memo as long as the workload
 	// matches.
 	Memo *Memo
@@ -123,16 +124,13 @@ type Request struct {
 	Observe func(idx int, m Measurement)
 }
 
-// Backing is the second tier of a Memo: a persistent result store
-// consulted when the in-memory tier misses, and written through after
-// every fresh measurement. Load returns the stored vector for a memo
-// key; Store records one. Both must be safe for concurrent use — they
-// are called from the worker pool. The package does not flush or close
-// a backing; its owner does (flush-on-close), which is how a Query
-// with a cache directory scopes the store to a run.
-//
-// A backing hit is indistinguishable from an in-memory hit to the
-// engine: results are byte-identical whether a run is cold, warm, or
+// Backing is a Memo's record tier, the store of every finished
+// measurement. Load returns the stored vector for a memo key; Store
+// records one, which later Loads must return. Both must be safe for
+// concurrent use — they are called from the worker pool. The package
+// does not flush or close a backing; its owner does (flush-on-close),
+// which is how a Query with a cache directory scopes the store to a
+// run. Results are byte-identical whether a run is cold, warm, or
 // mixed, at any worker count — only Result.MemoHits/Evaluated move.
 type Backing interface {
 	Load(key string) (Metrics, bool)
@@ -140,17 +138,15 @@ type Backing interface {
 }
 
 // Memo is a concurrency-safe measurement cache keyed by canonical
-// configuration identity. A Memo may be shared by concurrent runs; a
-// measurement in flight is joined rather than repeated, and failed
-// measurements are not cached (a later run retries them). Each entry
-// stores the full metric vector of the measurement.
-//
-// A Memo may carry a Backing — a persistent second tier (load-on-miss,
-// write-through on measure). See NewBackedMemo.
+// configuration identity, and may be shared by concurrent runs.
+// Finished measurements live only in its Backing; the Memo holds the
+// measurements in flight, which concurrent callers join rather than
+// repeat. Failed measurements are not stored (a later run retries
+// them).
 type Memo struct {
-	mu      sync.Mutex
-	entries map[string]*memoEntry
-	backing Backing
+	mu       sync.Mutex
+	inflight map[string]*memoEntry
+	backing  Backing
 }
 
 type memoEntry struct {
@@ -159,8 +155,8 @@ type memoEntry struct {
 	err     error
 }
 
-// NewMemo returns an empty measurement cache.
-func NewMemo() *Memo { return &Memo{entries: make(map[string]*memoEntry)} }
+// NewMemo returns an empty measurement cache over an in-memory store.
+func NewMemo() *Memo { return NewBackedMemo(store.Memory()) }
 
 // MemoKey composes the memo/store key of one configuration under a
 // workload namespace: the namespace and the configuration's canonical
@@ -174,76 +170,73 @@ func MemoKey(workload string, c *Config) string { return memoKey(workload, c.Key
 // memoKey composes a memo key from an already rendered canonical key.
 func memoKey(workload, key string) string { return workload + "\x00" + key }
 
-// NewBackedMemo returns a measurement cache whose misses fall through
-// to a persistent backing and whose fresh measurements write through
-// to it. A nil backing is equivalent to NewMemo.
+// NewBackedMemo returns a measurement cache whose records live in b:
+// lookups read it and fresh measurements write through to it. A nil
+// backing is an in-memory store (store.Memory).
 func NewBackedMemo(b Backing) *Memo {
-	m := NewMemo()
-	m.backing = b
-	return m
+	if b == nil {
+		b = store.Memory()
+	}
+	return &Memo{inflight: make(map[string]*memoEntry), backing: b}
 }
 
-// Len returns the number of cached (or in-flight) measurements.
+// Len returns the number of measurements in flight (0 when idle).
 func (m *Memo) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return len(m.inflight)
 }
 
-// do returns the cached vector for key or computes it with f, joining an
-// in-flight computation if one exists. hit reports whether the value
-// predates this call — an in-memory entry and a backing entry count
-// alike. A fresh computation writes through to the backing.
+// do returns the stored vector for key or computes it with f, joining
+// an in-flight computation if one exists; hit reports whether the value
+// predates this call. The backing is read outside the mutex, since it
+// may do I/O. A fresh value is stored before its entry leaves the
+// table, so the Load after inserting an entry sees every measurement
+// that finished since the first: a key is measured at most once.
 func (m *Memo) do(key string, f func() (Metrics, error)) (mx Metrics, hit bool, err error) {
-	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
-		m.mu.Unlock()
+	e, mine := m.entry(key, false)
+	if e == nil {
+		if mx, ok := m.backing.Load(key); ok {
+			return mx, true, nil
+		}
+		e, mine = m.entry(key, true)
+	}
+	if !mine {
 		<-e.done
 		return e.metrics, true, e.err
 	}
-	e := &memoEntry{done: make(chan struct{})}
-	m.entries[key] = e
-	m.mu.Unlock()
-
-	// Both tiers are consulted outside the mutex: a backing may do
-	// I/O, and concurrent callers of the same key join on e.done
-	// rather than the lock, so the worker pool never serializes
-	// behind a lookup. The loaded value lands in the in-memory entry,
-	// so the backing is consulted once per key per memo.
-	if m.backing != nil {
-		if mx, ok := m.backing.Load(key); ok {
-			e.metrics = mx
-			close(e.done)
-			return mx, true, nil
+	if e.metrics, hit = m.backing.Load(key); !hit {
+		if e.metrics, e.err = f(); e.err == nil {
+			m.backing.Store(key, e.metrics)
 		}
 	}
-	e.metrics, e.err = f()
-	if e.err != nil {
-		m.mu.Lock()
-		delete(m.entries, key)
-		m.mu.Unlock()
-	} else if m.backing != nil {
-		m.backing.Store(key, e.metrics)
-	}
+	m.mu.Lock()
+	delete(m.inflight, key)
+	m.mu.Unlock()
 	close(e.done)
-	return e.metrics, false, e.err
+	return e.metrics, hit, e.err
 }
 
-// peek reports whether key is already resolvable without measuring:
-// an in-memory entry (including one in flight) or a backing-store
-// record. Unlike do, a backing hit is not promoted into the in-memory
-// tier — peek is a pure presence probe, used by delta re-exploration
-// to decide what to skip.
-func (m *Memo) peek(key string) bool {
+// entry returns key's in-flight entry, or nil. With insert it inserts
+// a missing one, and mine reports that the caller must resolve it.
+func (m *Memo) entry(key string, insert bool) (e *memoEntry, mine bool) {
 	m.mu.Lock()
-	_, ok := m.entries[key]
-	m.mu.Unlock()
-	if ok {
+	defer m.mu.Unlock()
+	if e = m.inflight[key]; e == nil && insert {
+		e, mine = &memoEntry{done: make(chan struct{})}, true
+		m.inflight[key] = e
+	}
+	return e, mine
+}
+
+// peek reports whether key is already resolvable without measuring: a
+// measurement in flight or a stored record. Delta re-exploration uses
+// it to decide what to skip.
+func (m *Memo) peek(key string) bool {
+	if e, _ := m.entry(key, false); e != nil {
 		return true
 	}
-	if m.backing != nil {
-		_, ok = m.backing.Load(key)
-	}
+	_, ok := m.backing.Load(key)
 	return ok
 }
 

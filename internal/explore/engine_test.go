@@ -12,6 +12,7 @@ import (
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
 	"flexos/internal/poset"
+	"flexos/internal/store"
 )
 
 // dump serializes everything observable about a Result, so determinism
@@ -89,7 +90,8 @@ func TestEngineEmptySpace(t *testing.T) {
 
 func TestEngineMemoSecondRunIsFree(t *testing.T) {
 	cfgs := Fig6Space(fig6Comps)
-	memo := NewMemo()
+	st := store.Memory()
+	memo := NewBackedMemo(st)
 	first, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),
 		Measure: lift(syntheticMeasure), Workers: 4, Memo: memo, Constraints: floor600})
 	if err != nil {
@@ -98,8 +100,8 @@ func TestEngineMemoSecondRunIsFree(t *testing.T) {
 	if first.Evaluated != 80 || first.MemoHits != 0 {
 		t.Fatalf("cold run: evaluated=%d hits=%d", first.Evaluated, first.MemoHits)
 	}
-	if memo.Len() != 80 {
-		t.Fatalf("memo holds %d entries, want 80", memo.Len())
+	if st.Len() != 80 || memo.Len() != 0 {
+		t.Fatalf("backing holds %d records and %d are in flight, want 80 and 0", st.Len(), memo.Len())
 	}
 	var wantDump string
 	for _, workers := range []int{1, 4, 8} {
@@ -238,7 +240,8 @@ func TestEngineErrorIsStableAcrossWorkers(t *testing.T) {
 }
 
 func TestEngineFailedMeasurementNotCached(t *testing.T) {
-	memo := NewMemo()
+	st := store.Memory()
+	memo := NewBackedMemo(st)
 	cfgs := Fig6Space(fig6Comps)[:1]
 	fail := true
 	measure := func(c *Config) (float64, error) {
@@ -251,8 +254,8 @@ func TestEngineFailedMeasurementNotCached(t *testing.T) {
 		Measure: lift(measure), Memo: memo, Constraints: floor600}); err == nil {
 		t.Fatal("failure swallowed")
 	}
-	if memo.Len() != 0 {
-		t.Fatalf("failed measurement cached: %d entries", memo.Len())
+	if _, ok := st.Load(MemoKey("", cfgs[0])); ok || memo.Len() != 0 {
+		t.Fatalf("failed measurement stored (%v) or still in flight (%d)", ok, memo.Len())
 	}
 	fail = false
 	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs),

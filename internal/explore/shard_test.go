@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// White-box unit tests for shard arithmetic and the backed memo's
-// two-tier protocol. The engine-level shard/backing properties (a
+// White-box unit tests for shard arithmetic and the memo's protocol
+// over its backing. The engine-level shard/backing properties (a
 // sharded run matches the manual subslice; sharded backings warm-start
 // a full run) live in shard_property_test.go on the exploretest
 // harness.
@@ -123,9 +123,11 @@ func (b *countingBacking) Store(key string, m Metrics) {
 	b.m[key] = m
 }
 
-// TestBackedMemoLoadAndWriteThrough: a miss falls through to the
-// backing, a fresh measurement writes through, a backing hit counts as
-// a memo hit and is promoted so it is loaded once.
+// TestBackedMemoLoadAndWriteThrough: the backing is the memo's only
+// record tier. A fresh measurement writes through once, every later
+// lookup of the finished key reads the backing (a hit, never a second
+// measurement or write), a fresh memo over the same backing starts
+// warm, and Len returns to 0 once nothing is in flight.
 func TestBackedMemoLoadAndWriteThrough(t *testing.T) {
 	b := &countingBacking{m: make(map[string]Metrics)}
 	memo := NewBackedMemo(b)
@@ -138,31 +140,24 @@ func TestBackedMemoLoadAndWriteThrough(t *testing.T) {
 	if calls != 1 || b.stores != 1 {
 		t.Fatalf("calls=%d stores=%d, want 1/1 (write-through)", calls, b.stores)
 	}
-	if _, hit, _ := memo.do("k", f); !hit {
-		t.Fatal("second call must hit the in-memory tier")
+	if n := memo.Len(); n != 0 {
+		t.Fatalf("Len()=%d after the measurement finished, want 0", n)
+	}
+	for _, m := range []*Memo{memo, NewBackedMemo(b), memo} {
+		loads := b.loads
+		mx, hit, err := m.do("k", f)
+		if err != nil || !hit || mx.Throughput != 42 {
+			t.Fatalf("finished key: mx=%v hit=%v err=%v", mx, hit, err)
+		}
+		if b.loads != loads+1 {
+			t.Fatalf("a lookup of a finished key made %d backing loads, want 1", b.loads-loads)
+		}
+		if n := m.Len(); n != 0 {
+			t.Fatalf("Len()=%d after a hit, want 0", n)
+		}
 	}
 	if calls != 1 || b.stores != 1 {
-		t.Fatalf("hit must not re-measure or re-store (calls=%d stores=%d)", calls, b.stores)
-	}
-
-	// A fresh memo over the same backing: warm from the second tier.
-	warm := NewBackedMemo(b)
-	mx, hit, err := warm.do("k", func() (Metrics, error) {
-		t.Fatal("warm hit must not measure")
-		return Metrics{}, nil
-	})
-	if err != nil || !hit || mx.Throughput != 42 {
-		t.Fatalf("warm: mx=%v hit=%v err=%v", mx, hit, err)
-	}
-	loadsAfterWarm := b.loads
-	if _, hit, _ := warm.do("k", f); !hit {
-		t.Fatal("promoted entry must hit in memory")
-	}
-	if b.loads != loadsAfterWarm {
-		t.Fatal("promoted entry must not consult the backing again")
-	}
-	if b.stores != 1 {
-		t.Fatalf("backing hits must not write back (stores=%d)", b.stores)
+		t.Fatalf("hits must not re-measure or re-store (calls=%d stores=%d)", calls, b.stores)
 	}
 }
 

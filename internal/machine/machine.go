@@ -180,7 +180,7 @@ func (m CostModel) MPKFullGate() uint64 {
 
 // CopyCost returns the cycle cost of copying n bytes through the simulated
 // memory system.
-func (m CostModel) CopyCost(n int) uint64 {
+func (m *CostModel) CopyCost(n int) uint64 {
 	if n <= 0 {
 		return 0
 	}

@@ -1,8 +1,8 @@
 // Package serve implements exploration-as-a-service: a long-running
 // HTTP daemon (cmd/flexos-serve) that executes exploration requests
-// on the shared engine over one process-wide two-tier memo, so many
-// callers asking for overlapping slices of the configuration space
-// pay for each measurement once.
+// on the shared engine over one process-wide memo, so many callers
+// asking for overlapping slices of the configuration space pay for
+// each measurement once.
 //
 // # Protocol
 //
@@ -21,10 +21,11 @@
 //
 // # Record tier
 //
-// Every record the daemon learns lives in one *store.Store, and that
-// store backs the memo: the persistent store under Config.CacheDir
-// (with CacheReadOnly it indexes new records in memory and never
-// writes its directory), an in-memory store otherwise. Fresh
+// Every record the daemon learns lives in one *store.Store, the
+// memo's only record tier; the memo itself holds just the
+// measurements in flight. The store is the persistent one under
+// Config.CacheDir (with CacheReadOnly it indexes new records in memory
+// and never writes its directory), an in-memory one otherwise. Fresh
 // measurements write through to it, records gathered from a cluster
 // or pulled from a peer are inserted into it, and its arrival order
 // is the store-sync log that /v1/store/pull pages out.
@@ -124,12 +125,12 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 	// Evaluated and MemoHits accumulate the per-run statistics across
 	// completed flights; HitRatePct is their ratio — how much of the
-	// served work the two-tier memo absorbed.
+	// served work the memo absorbed.
 	Evaluated  int64   `json:"evaluated"`
 	MemoHits   int64   `json:"memo_hits"`
 	HitRatePct float64 `json:"hit_rate_pct"`
-	// MemoEntries is the in-memory tier's current size; Store the
-	// persistent tier's statistics when one is configured.
+	// MemoEntries counts measurements in flight (0 when idle: records
+	// live in the store); Store the persistent store's statistics.
 	MemoEntries int          `json:"memo_entries"`
 	Store       *store.Stats `json:"store,omitempty"`
 	// SpaceCache describes the process-wide cache of enumerated spaces
@@ -256,8 +257,8 @@ type flight struct {
 	cancel       context.CancelFunc
 
 	mu      sync.Mutex
-	lines   []string      // streamed measurements, in Query.Stream order
-	notify  chan struct{} // closed and replaced on every append
+	decided []flexos.ExploreMeasurement // streamed, in Query.Stream order
+	notify  chan struct{}               // closed and replaced on every append
 	subs    int
 	records []cli.Record // partial-result codec, rendered on demand
 
@@ -266,21 +267,22 @@ type flight struct {
 	err  error
 }
 
-// appendLine publishes one streamed measurement to the subscribers.
-func (f *flight) appendLine(line string) {
+// publish hands one streamed measurement to the subscribers. Only
+// streaming subscribers render it into a stream line.
+func (f *flight) publish(cfg *flexos.ExploreConfig, m flexos.Metrics) {
 	f.mu.Lock()
-	f.lines = append(f.lines, line)
+	f.decided = append(f.decided, flexos.ExploreMeasurement{Config: cfg, Metrics: m})
 	close(f.notify)
 	f.notify = make(chan struct{})
 	f.mu.Unlock()
 }
 
-// snapshot returns the lines decided since from, and the channel that
-// signals the next append.
-func (f *flight) snapshot(from int) ([]string, chan struct{}) {
+// snapshot returns the measurements decided since from, and the
+// channel that signals the next one.
+func (f *flight) snapshot(from int) ([]flexos.ExploreMeasurement, chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lines[from:], f.notify
+	return f.decided[from:], f.notify
 }
 
 // recordsOnce renders the flight's partial-result codec on first
@@ -675,12 +677,12 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 		}
 	}
 
-	// Always run streaming: the decided lines are shared state every
-	// streaming subscriber replays and then follows, whatever moment
-	// it attached, so all of them see the same byte sequence.
+	// Always run streaming: the decided measurements are shared state
+	// every streaming subscriber replays and then follows, whatever
+	// moment it attached, so all of them see the same byte sequence.
 	seq, final := q.Stream(f.ctx)
 	for cfg, m := range seq {
-		f.appendLine(cli.StreamLine(f.scenarioMode, cfg, m))
+		f.publish(cfg, m)
 		if s.onDecided != nil {
 			s.onDecided(f.key)
 		}
@@ -746,28 +748,24 @@ func (s *Server) respondStream(w http.ResponseWriter, ctx context.Context, f *fl
 	}
 
 	next := 0
-	for {
-		lines, notify := f.snapshot(next)
-		for _, line := range lines {
+	for finished := false; ; {
+		decided, notify := f.snapshot(next)
+		for _, d := range decided {
 			next++
-			if !emit(cli.Response{Line: line}) {
+			if !emit(cli.Response{Line: cli.StreamLine(f.scenarioMode, d.Config, d.Metrics)}) {
 				return
 			}
+		}
+		if finished {
+			resp, _ := render(f, req, info)
+			emit(resp)
+			return
 		}
 		select {
 		case <-f.done:
 			// Everything published happens-before done: one last drain,
 			// then the final document.
-			lines, _ := f.snapshot(next)
-			for _, line := range lines {
-				next++
-				if !emit(cli.Response{Line: line}) {
-					return
-				}
-			}
-			resp, _ := render(f, req, info)
-			emit(resp)
-			return
+			finished = true
 		case <-notify:
 		case <-ctx.Done():
 			emit(cli.Response{Key: f.key, Error: "request canceled or timed out while the exploration was in flight"})

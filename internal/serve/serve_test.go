@@ -167,9 +167,9 @@ func TestServeOracleEquivalenceRequestMatrix(t *testing.T) {
 	}
 }
 
-// TestServeColdEqualsWarm pins the two-tier-memo guarantee at the
-// service boundary: the same request served cold, then entirely from
-// the shared memo, returns byte-identical reports — only statistics
+// TestServeColdEqualsWarm pins the memo's guarantee at the service
+// boundary: the same request served cold, then entirely from the
+// shared memo's store, returns byte-identical reports — only statistics
 // move.
 func TestServeColdEqualsWarm(t *testing.T) {
 	_, client := newTestServer(t, Config{Workers: 4, CacheDir: t.TempDir()})
@@ -294,8 +294,11 @@ func TestServeHealthzStatsz(t *testing.T) {
 	if st.Requests != 1 || st.FlightsStarted != 1 || st.Completed != 1 {
 		t.Errorf("stats after one request: %+v", st)
 	}
-	if st.Evaluated == 0 || st.MemoEntries == 0 {
+	if st.Evaluated == 0 || st.SyncLogLen != int(st.Evaluated) {
 		t.Errorf("stats did not accumulate run statistics: %+v", st)
+	}
+	if st.MemoEntries != 0 {
+		t.Errorf("an idle memo holds %d measurements in flight, want 0: %+v", st.MemoEntries, st)
 	}
 	if st.UptimeMs <= 0 {
 		t.Errorf("uptime gauge did not advance: %+v", st)

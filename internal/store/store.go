@@ -5,12 +5,13 @@
 // namespace joined with Config.Key, addressed by a 64-bit FNV-1a
 // digest, the namespaced analogue of Config.Hash).
 //
-// The store is the second tier of the exploration memo (see
-// explore.Backing): the in-memory Memo consults it on a miss and
-// writes through to it after every fresh measurement, so a rerun of
-// an exploration — in the same process or days later in a CI job that
-// restored the directory from a cache — measures only configurations
-// the store has never seen. Because measurements are deterministic,
+// The store is the exploration memo's record tier (see
+// explore.Backing): the Memo holds only measurements in flight, reads
+// every finished value from the store and writes through to it after
+// every fresh measurement. A rerun of an exploration — in the same
+// process or days later in a CI job that restored the directory from
+// a cache — therefore measures only configurations the store has
+// never seen. Because measurements are deterministic,
 // results are byte-identical whether a run is cold, warm, or mixed,
 // at any worker count; only the evaluated/hit statistics move.
 //
