@@ -337,25 +337,11 @@ func TableOne(cat *Catalog) []core.TableOneRow { return core.TableOne(cat) }
 // stack, the filesystem pair, the time subsystem, and all four
 // applications. Each call returns a fresh, independent catalog (component
 // state is per-catalog).
-func FullCatalog() *Catalog {
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	timesys.Register(cat)
-	ramfs.Register(cat)
-	vfs.Register(cat)
-	redisapp.Register(cat)
-	nginxapp.Register(cat)
-	sqliteapp.Register(cat)
-	iperfapp.Register(cat)
-	return cat
-}
+func FullCatalog() *Catalog { return scenario.FullCatalog() }
 
 // TCBLibs are the trusted-computing-base components every image links
 // into its default compartment.
-func TCBLibs() []string { return []string{oslib.BootName, oslib.MMName} }
+func TCBLibs() []string { return oslib.TCB() }
 
 // Component names shipped by the repository, for building ImageSpecs
 // programmatically.
@@ -376,14 +362,10 @@ const (
 
 // RedisComponents and NginxComponents list the four Figure 6 components
 // of each application, in the paper's row order.
-func RedisComponents() [4]string {
-	return [4]string{redisapp.Name, libc.Name, oslib.SchedName, netstack.Name}
-}
+func RedisComponents() [4]string { return [4]string(redisapp.Components) }
 
 // NginxComponents lists Nginx's Figure 6 components.
-func NginxComponents() [4]string {
-	return [4]string{nginxapp.Name, libc.Name, oslib.SchedName, netstack.Name}
-}
+func NginxComponents() [4]string { return [4]string(nginxapp.Components) }
 
 // Fig6Space generates the paper's 80-configuration design space for a
 // four-component application.

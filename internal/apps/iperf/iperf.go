@@ -89,14 +89,3 @@ func Register(cat *core.Catalog) *State {
 
 // Received returns total bytes received by the application (test hook).
 func (st *State) Received() uint64 { return st.received }
-
-// Catalog builds a fresh catalog with everything an iPerf image needs.
-func Catalog() (*core.Catalog, *State) {
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	st := Register(cat)
-	return cat, st
-}

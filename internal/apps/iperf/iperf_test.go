@@ -32,7 +32,7 @@ func specNone() core.ImageSpec {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "c0",
-			Libs: append([]string{oslib.BootName, oslib.MMName}, iperf.Components...),
+			Libs: append(oslib.TCB(), iperf.Components...),
 		}},
 	}
 }
@@ -46,7 +46,7 @@ func specMPK2(mode isolation.GateMode, sharing isolation.Sharing) core.ImageSpec
 		GateMode:  mode,
 		Sharing:   sharing,
 		Comps: []core.CompSpec{
-			{Name: "sys", Libs: []string{oslib.BootName, oslib.MMName, "newlib", oslib.SchedName, netstack.Name}},
+			{Name: "sys", Libs: append(oslib.TCB(), "newlib", oslib.SchedName, netstack.Name)},
 			{Name: "app", Libs: []string{iperf.Name}},
 		},
 	}

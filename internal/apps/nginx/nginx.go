@@ -191,20 +191,3 @@ func (st *State) Served() uint64 { return st.served }
 
 // Accepted returns the number of accepted connections (test hook).
 func (st *State) Accepted() uint64 { return st.accepted }
-
-// Catalog builds a fresh catalog with everything an Nginx image needs.
-func Catalog() (*core.Catalog, *State) {
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	st := Register(cat)
-	return cat, st
-}
-
-// Components4 returns the Figure 6 component quadruple as a fixed-size
-// array (app, libc, scheduler, network stack).
-func Components4() [4]string {
-	return [4]string{Name, libc.Name, oslib.SchedName, netstack.Name}
-}

@@ -7,6 +7,8 @@ import (
 	"flexos/internal/core"
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
+	"flexos/internal/libc"
+	"flexos/internal/netstack"
 	"flexos/internal/oslib"
 	"flexos/internal/scenario"
 )
@@ -27,14 +29,13 @@ func oneComp() core.ImageSpec {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "c0",
-			Libs: append([]string{oslib.BootName, oslib.MMName}, nginx.Components...),
+			Libs: append(oslib.TCB(), nginx.Components...),
 		}},
 	}
 }
 
 func mpkSplit(isolated string) core.ImageSpec {
-	var rest []string
-	rest = append(rest, oslib.BootName, oslib.MMName)
+	rest := oslib.TCB()
 	for _, l := range nginx.Components {
 		if l != isolated {
 			rest = append(rest, l)
@@ -79,7 +80,7 @@ func TestSchedulerHardeningIsCheapForNginx(t *testing.T) {
 			{Name: "hard", Libs: []string{oslib.SchedName}, Hardening: harden.NewSet(harden.All)},
 		},
 	}
-	for _, l := range append([]string{oslib.BootName, oslib.MMName}, nginx.Components...) {
+	for _, l := range append(oslib.TCB(), nginx.Components...) {
 		if l != oslib.SchedName {
 			spec.Comps[0].Libs = append(spec.Comps[0].Libs, l)
 		}
@@ -104,7 +105,13 @@ func TestNginxDistributionFlatterThanRedis(t *testing.T) {
 }
 
 func TestServedCounter(t *testing.T) {
-	cat, st := nginx.Catalog()
+	// A catalog of its own, so the test can read the app's counters.
+	cat := core.NewCatalog()
+	oslib.RegisterTCB(cat)
+	oslib.RegisterSched(cat)
+	libc.Register(cat)
+	netstack.Register(cat)
+	st := nginx.Register(cat)
 	img, err := core.Build(cat, oneComp())
 	if err != nil {
 		t.Fatal(err)

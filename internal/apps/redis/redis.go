@@ -334,20 +334,3 @@ func (st *State) Hits() uint64 { return st.hits }
 
 // Misses returns the number of failed GETs (test hook).
 func (st *State) Misses() uint64 { return st.misses }
-
-// Catalog builds a fresh catalog with everything a Redis image needs.
-func Catalog() (*core.Catalog, *State) {
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	st := Register(cat)
-	return cat, st
-}
-
-// Components4 returns the Figure 6 component quadruple as a fixed-size
-// array (app, libc, scheduler, network stack).
-func Components4() [4]string {
-	return [4]string{Name, libc.Name, oslib.SchedName, netstack.Name}
-}

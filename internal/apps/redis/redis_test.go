@@ -7,6 +7,7 @@ import (
 	"flexos/internal/core"
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
+	"flexos/internal/libc"
 	"flexos/internal/netstack"
 	"flexos/internal/oslib"
 	"flexos/internal/scenario"
@@ -28,7 +29,7 @@ func oneComp() core.ImageSpec {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "c0",
-			Libs: append([]string{oslib.BootName, oslib.MMName}, redis.Components...),
+			Libs: append(oslib.TCB(), redis.Components...),
 		}},
 	}
 }
@@ -38,8 +39,7 @@ func mpkSplit(isolated ...string) core.ImageSpec {
 	for _, l := range isolated {
 		iso[l] = true
 	}
-	var rest, sep []string
-	rest = append(rest, oslib.BootName, oslib.MMName)
+	rest, sep := oslib.TCB(), []string(nil)
 	for _, l := range redis.Components {
 		if iso[l] {
 			sep = append(sep, l)
@@ -112,7 +112,7 @@ func TestHardeningCostsFollowWorkDistribution(t *testing.T) {
 			{Name: "c0", Libs: nil},
 			{Name: "hard", Libs: []string{lib}, Hardening: harden.NewSet(harden.All)},
 		}
-		for _, l := range append([]string{oslib.BootName, oslib.MMName}, redis.Components...) {
+		for _, l := range append(oslib.TCB(), redis.Components...) {
 			if l != lib {
 				spec.Comps[0].Libs = append(spec.Comps[0].Libs, l)
 			}
@@ -153,7 +153,13 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestStateCounters(t *testing.T) {
-	cat, st := redis.Catalog()
+	// A catalog of its own, so the test can read the app's counters.
+	cat := core.NewCatalog()
+	oslib.RegisterTCB(cat)
+	oslib.RegisterSched(cat)
+	libc.Register(cat)
+	netstack.Register(cat)
+	st := redis.Register(cat)
 	img, err := core.Build(cat, oneComp())
 	if err != nil {
 		t.Fatal(err)

@@ -260,19 +260,6 @@ func commit(ctx *core.Ctx, jfd uint64) error {
 // Rows returns the number of committed inserts (test hook).
 func (st *State) Rows() uint64 { return st.rows }
 
-// Catalog builds a fresh catalog with everything an SQLite image needs.
-func Catalog() (*core.Catalog, *State) {
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	timesys.Register(cat)
-	ramfs.Register(cat)
-	vfs.Register(cat)
-	st := Register(cat)
-	return cat, st
-}
-
 // FSOpsPerQuery reports the vfs-call count of one query (used by the
 // Figure 10 baseline comparators so that every system runs the same
 // workload shape).
@@ -285,9 +272,3 @@ func FSOpsPerQuery() int {
 // TimeOpsPerQuery reports direct uktime calls per query (excluding the
 // per-vfs-op timestamps, which FSOpsPerQuery implies).
 func TimeOpsPerQuery() int { return 2 }
-
-// Components2 returns all components plus the TCB ones, for building
-// one-compartment images programmatically.
-func Components2() []string {
-	return append([]string{oslib.BootName, oslib.MMName}, Components...)
-}

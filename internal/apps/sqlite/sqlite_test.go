@@ -35,14 +35,14 @@ func seconds(m scenario.Metrics) float64 {
 func specNone() core.ImageSpec {
 	return core.ImageSpec{
 		Mechanism: "none",
-		Comps:     []core.CompSpec{{Name: "c0", Libs: sqlite.Components2()}},
+		Comps:     []core.CompSpec{{Name: "c0", Libs: append(oslib.TCB(), sqlite.Components...)}},
 	}
 }
 
 // specMPK3 is the paper's MPK3 scenario: filesystem isolated from the
 // time subsystem from the rest of the system.
 func specMPK3() core.ImageSpec {
-	rest := []string{oslib.BootName, oslib.MMName, sqlite.Name, "newlib", oslib.SchedName}
+	rest := append(oslib.TCB(), sqlite.Name, "newlib", oslib.SchedName)
 	return core.ImageSpec{
 		Mechanism: "intel-mpk",
 		GateMode:  isolation.GateFull,
@@ -58,7 +58,7 @@ func specMPK3() core.ImageSpec {
 // specEPT2 is the paper's EPT2 scenario: the filesystem (with its time
 // dependency) isolated from the application.
 func specEPT2() core.ImageSpec {
-	rest := []string{oslib.BootName, oslib.MMName, sqlite.Name, "newlib", oslib.SchedName}
+	rest := append(oslib.TCB(), sqlite.Name, "newlib", oslib.SchedName)
 	return core.ImageSpec{
 		Mechanism: "vm-ept",
 		Comps: []core.CompSpec{
@@ -130,8 +130,7 @@ func TestRamfsVfscoreEntanglement(t *testing.T) {
 	// is wrong — in FlexOS-Go, splitting them means vfs passes node
 	// buffers it cannot reach. Verify the sanctioned split (together)
 	// works and that the state stays consistent.
-	cat, _ := sqlite.Catalog()
-	img, err := core.Build(cat, specMPK3())
+	img, err := core.Build(scenario.FullCatalog(), specMPK3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +161,7 @@ func TestRamfsVfscoreEntanglement(t *testing.T) {
 func TestDirectPrivateFSAccessFaults(t *testing.T) {
 	// An application thread must not be able to touch filesystem state
 	// directly when the fs is compartmentalized: that is the whole point.
-	cat, _ := sqlite.Catalog()
-	img, err := core.Build(cat, specMPK3())
+	img, err := core.Build(scenario.FullCatalog(), specMPK3())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,7 @@ func TestTierOnExploreColdAttackQuery(t *testing.T) {
 	w = w.WithOps(240)
 	quad, _ := w.Quad()
 	cfgs := attack.Space(explore.Fig6Space(quad), attack.Spec{Scenario: sc.Name(), Profile: "riscv"})
-	tcb := []string{oslib.BootName, oslib.MMName}
+	tcb := oslib.TCB()
 	base := func(c *explore.Config) (scenario.Metrics, error) { return w.Run(c.Spec(tcb)) }
 	cs := []explore.Constraint{explore.BudgetConstraint("", 500_000)}
 	run := func(m measureFunc) *explore.Result {

@@ -164,7 +164,7 @@ func TestEngineCompletedRunSurvivesLateCancel(t *testing.T) {
 		Space:   NewSpace(cfgs),
 		Measure: lift(syntheticMeasure),
 		Workers: 4,
-		Observe: func(idx int, m Measurement) {
+		Observe: func(idx int, m *Measurement) {
 			// Fires on the coordinating goroutine; canceling on the
 			// final decision means the context is already dead when Run
 			// wraps up.
@@ -193,7 +193,7 @@ func TestEngineCancelDuringStreamObserve(t *testing.T) {
 		Space:   NewSpace(cfgs),
 		Measure: lift(shakyMeasure),
 		Workers: 4,
-		Observe: func(idx int, m Measurement) {
+		Observe: func(idx int, m *Measurement) {
 			if observed.Add(1) == 5 {
 				cancel()
 			}

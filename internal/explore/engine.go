@@ -117,11 +117,14 @@ type Request struct {
 	// after each configuration is decided, with the configuration's
 	// index in the explored slice of Space (the whole Space when Shard
 	// is zero — with a shard, indices are relative to the shard's
-	// slice, like Result.Measurements) and its (final) Measurement — measured,
-	// memo-filled, inherited from a twin, or pruned. It is what
-	// Query.Stream and Query.Progress build on. It never runs
-	// concurrently with itself and must not block indefinitely.
-	Observe func(idx int, m Measurement)
+	// slice, like Result.Measurements) and its final Measurement —
+	// measured, memo-filled, inherited from a twin, or pruned. m points
+	// at the Result's own slot, which the engine never rewrites once
+	// the configuration is decided, so it stays valid after the hook
+	// returns; Observe must not modify it. It is what Query.Stream and
+	// Query.Progress build on. It never runs concurrently with itself
+	// and must not block indefinitely.
+	Observe func(idx int, m *Measurement)
 }
 
 // Backing is a Memo's record tier, the store of every finished
@@ -326,7 +329,7 @@ func (st *runState) markDecided(i int) {
 	st.decided.Set(i)
 	st.done++
 	if st.req.Observe != nil {
-		st.req.Observe(i, st.res.Measurements[i])
+		st.req.Observe(i, &st.res.Measurements[i])
 	}
 }
 

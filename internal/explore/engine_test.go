@@ -308,7 +308,7 @@ func TestEngineProgressCoversEveryConfig(t *testing.T) {
 			observed := make([]int, len(cfgs))
 			req := sh.req
 			req.Space, req.Measure, req.Workers = NewSpace(cfgs), lift(shakyMeasure), workers
-			req.Observe = func(idx int, m Measurement) { observed[idx]++ }
+			req.Observe = func(idx int, m *Measurement) { observed[idx]++ }
 			if _, err := (Engine{}).Run(context.Background(), req); err != nil && !errors.Is(err, ErrNoFeasible) {
 				t.Fatalf("%s: %v", sh.name, err)
 			}

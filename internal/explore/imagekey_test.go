@@ -18,7 +18,7 @@ import (
 // what lets attack.Measure simulate each image once for all its ASLR
 // siblings.
 func TestImageKeyIdentifiesSpec(t *testing.T) {
-	tcb := []string{oslib.BootName, oslib.MMName}
+	tcb := oslib.TCB()
 	byKey := map[string]*explore.Config{}  // image key -> first config
 	bySpec := map[string]*explore.Config{} // rendered spec -> first config
 	for name, cfgs := range exploretest.ShippedSpaces() {

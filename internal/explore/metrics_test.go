@@ -18,7 +18,7 @@ import (
 // Fig6Space configurations.
 func scenarioMeasure(sc *scenario.Scenario) MeasureMetrics {
 	return func(c *Config) (Metrics, error) {
-		return sc.Run(c.Spec([]string{oslib.BootName, oslib.MMName}))
+		return sc.Run(c.Spec(oslib.TCB()))
 	}
 }
 
@@ -57,7 +57,7 @@ func TestMetricVectorsDeterministicAcrossWorkers(t *testing.T) {
 	// fact, so each run reports its full result with ErrNoFeasible.
 	budget := 0.6
 
-	mkSpace := func() []*Config { return Fig6Space(redisapp.Components4()) }
+	mkSpace := func() []*Config { return Fig6Space([4]string(redisapp.Components)) }
 	budgeted := []Constraint{BudgetConstraint(metric, budget)}
 	oracle, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(mkSpace()), Measure: measure, Metric: metric,
 		Workers: 1, Prune: true, Constraints: budgeted})
@@ -106,7 +106,7 @@ func TestMetricVectorsDeterministicAcrossWorkers(t *testing.T) {
 // the safest set must equal the exhaustively-derived one.
 func TestLowerBetterCeilingPruning(t *testing.T) {
 	for _, metric := range []Metric{scenario.MetricP99, scenario.MetricPeakMem, scenario.MetricBoot} {
-		cfgs := CrossAppSpace(nil, redisapp.Components4())
+		cfgs := CrossAppSpace(nil, [4]string(redisapp.Components))
 		// A zero ceiling excludes every configuration: the run still
 		// measures the whole space and returns it with ErrNoFeasible.
 		exhaustive, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(cfgs), Measure: syntheticMetrics,
@@ -121,7 +121,7 @@ func TestLowerBetterCeilingPruning(t *testing.T) {
 		}
 		budget := median(vals)
 
-		pruned, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(CrossAppSpace(nil, redisapp.Components4())),
+		pruned, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(CrossAppSpace(nil, [4]string(redisapp.Components))),
 			Measure: syntheticMetrics, Prune: true, Constraints: []Constraint{BudgetConstraint(metric, budget)}})
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func median(vals []float64) float64 {
 func TestMemoCarriesMetricVectors(t *testing.T) {
 	memo := NewMemo()
 	run := func(metric Metric, budget float64) (*Result, error) {
-		return Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space(redisapp.Components4())), Measure: syntheticMetrics,
+		return Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space([4]string(redisapp.Components))), Measure: syntheticMetrics,
 			Metric: metric, Memo: memo, Workload: "synthetic", Constraints: []Constraint{BudgetConstraint(metric, budget)}})
 	}
 	first, err := run(scenario.MetricThroughput, 0)
@@ -215,11 +215,11 @@ func TestScalarRunStillWorks(t *testing.T) {
 		m, _ := syntheticMetrics(c)
 		return m.Throughput, nil
 	}
-	cfgs := Fig6Space(redisapp.Components4())
+	cfgs := Fig6Space([4]string(redisapp.Components))
 	// No configuration meets this floor: both runs report their full
 	// result with ErrNoFeasible.
 	floor := []Constraint{BudgetConstraint(scenario.MetricThroughput, 9800)}
-	seq, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space(redisapp.Components4())), Measure: lift(measure),
+	seq, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space([4]string(redisapp.Components))), Measure: lift(measure),
 		Workers: 1, Prune: true, Constraints: floor})
 	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestScalarRunStillWorks(t *testing.T) {
 // metric distribution: no frontier point is dominated, every
 // non-frontier point is, and pruned points are excluded.
 func TestParetoFrontProperties(t *testing.T) {
-	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(CrossAppSpace(nil, redisapp.Components4())), Measure: syntheticMetrics,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(CrossAppSpace(nil, [4]string(redisapp.Components))), Measure: syntheticMetrics,
 		Constraints: []Constraint{BudgetConstraint(scenario.MetricThroughput, 0)}})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestParetoFrontProperties(t *testing.T) {
 // ranks evaluated configurations.
 func TestParetoExcludesPruned(t *testing.T) {
 	// The floor excludes every configuration; the run still reports.
-	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space(redisapp.Components4())), Measure: syntheticMetrics,
+	res, err := Engine{}.Run(context.Background(), Request{Space: NewSpace(Fig6Space([4]string(redisapp.Components))), Measure: syntheticMetrics,
 		Prune: true, Constraints: []Constraint{BudgetConstraint(scenario.MetricThroughput, 9800)}})
 	if err != nil && !errors.Is(err, ErrNoFeasible) {
 		t.Fatal(err)

@@ -83,33 +83,18 @@ type Result struct {
 	Shard Shard
 
 	// space is the explored space (the shard's slice when sharded),
-	// which carries its safety order: the engine's own, or built on
-	// first use for a Result the engine did not build.
+	// which carries its safety order. Engine.Run sets it on every
+	// Result.
 	space *Space
 }
 
-// explored returns the result's Space. A Result the engine did not
-// build gets one on first use, from its measurements. Not safe for
-// concurrent first calls on such a Result; results are normally
-// consumed from one goroutine.
-func (r *Result) explored() *Space {
-	if r.space == nil {
-		cfgs := make([]*Config, len(r.Measurements))
-		for i := range r.Measurements {
-			cfgs[i] = r.Measurements[i].Config
-		}
-		r.space = NewSpace(cfgs)
-	}
-	return r.space
-}
-
 // safetyOrder returns the safety order of the result's configurations.
-func (r *Result) safetyOrder() *spaceOrder { return r.explored().safetyOrder() }
+func (r *Result) safetyOrder() *spaceOrder { return r.space.safetyOrder() }
 
 // MemoKey returns MemoKey(workload, r.Measurements[i].Config), composed
 // from the key the explored Space rendered once.
 func (r *Result) MemoKey(workload string, i int) string {
-	return memoKey(workload, r.explored().keys[i])
+	return memoKey(workload, r.space.keys[i])
 }
 
 // Above returns the indices of the configurations strictly safer than

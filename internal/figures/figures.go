@@ -14,12 +14,8 @@ import (
 	"strings"
 
 	"flexos/internal/explore"
-	"flexos/internal/oslib"
 	"flexos/internal/scenario"
 )
-
-// tcbLibs joins every default compartment.
-func tcbLibs() []string { return []string{oslib.BootName, oslib.MMName} }
 
 // ConfigPerf is one measured configuration of the Figure 6 space.
 type ConfigPerf struct {

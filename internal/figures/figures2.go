@@ -97,7 +97,7 @@ type Fig9Row struct {
 // and EPT2.
 func Fig9(packets int) ([]Fig9Row, error) {
 	sizes := []int{16, 64, 128, 256, 1024, 4096, 16384}
-	sysLibs := []string{oslib.BootName, oslib.MMName, libc.Name, oslib.SchedName, netstack.Name}
+	sysLibs := append(oslib.TCB(), libc.Name, oslib.SchedName, netstack.Name)
 
 	specNone := core.ImageSpec{
 		Mechanism: "none",
@@ -235,7 +235,7 @@ func Fig10(queries int) ([]Fig10Row, error) {
 func sqliteSpecNone() core.ImageSpec {
 	return core.ImageSpec{
 		Mechanism: "none",
-		Comps:     []core.CompSpec{{Name: "c0", Libs: sqliteapp.Components2()}},
+		Comps:     []core.CompSpec{{Name: "c0", Libs: append(oslib.TCB(), sqliteapp.Components...)}},
 	}
 }
 
@@ -245,7 +245,7 @@ func sqliteSpecMPK3() core.ImageSpec {
 		GateMode:  isolation.GateFull,
 		Sharing:   isolation.ShareDSS,
 		Comps: []core.CompSpec{
-			{Name: "comp0", Libs: []string{oslib.BootName, oslib.MMName, sqliteapp.Name, libc.Name, oslib.SchedName}},
+			{Name: "comp0", Libs: append(oslib.TCB(), sqliteapp.Name, libc.Name, oslib.SchedName)},
 			{Name: "fs", Libs: []string{vfs.Name, ramfs.Name}},
 			{Name: "time", Libs: []string{timesys.Name}},
 		},
@@ -256,7 +256,7 @@ func sqliteSpecEPT2() core.ImageSpec {
 	return core.ImageSpec{
 		Mechanism: "vm-ept",
 		Comps: []core.CompSpec{
-			{Name: "comp0", Libs: []string{oslib.BootName, oslib.MMName, sqliteapp.Name, libc.Name, oslib.SchedName}},
+			{Name: "comp0", Libs: append(oslib.TCB(), sqliteapp.Name, libc.Name, oslib.SchedName)},
 			{Name: "fs", Libs: []string{vfs.Name, ramfs.Name, timesys.Name}},
 		},
 	}
@@ -334,7 +334,7 @@ func measureAllocCost(sharing isolation.Sharing, buffers int) (uint64, error) {
 		GateMode:  isolation.GateFull,
 		Sharing:   sharing,
 		Comps: []core.CompSpec{
-			{Name: "c0", Libs: []string{oslib.BootName, oslib.MMName}},
+			{Name: "c0", Libs: oslib.TCB()},
 			{Name: "c1", Libs: []string{"alloctest"}},
 		},
 	})
@@ -389,7 +389,7 @@ func Fig11b() ([]Fig11bRow, error) {
 		img, err := core.Build(cat, core.ImageSpec{
 			Mechanism: mech, GateMode: mode, Sharing: isolation.ShareDSS,
 			Comps: []core.CompSpec{
-				{Name: "c0", Libs: []string{oslib.BootName, oslib.MMName}},
+				{Name: "c0", Libs: oslib.TCB()},
 				{Name: "c1", Libs: []string{"target"}},
 			},
 		})
@@ -449,16 +449,7 @@ func FormatFig11b(rows []Fig11bRow) string {
 
 // Table1 reproduces the porting-effort table over the shipped catalog.
 func Table1() []core.TableOneRow {
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	timesys.Register(cat)
-	ramfs.Register(cat)
-	vfs.Register(cat)
-	registerApps(cat)
-	return core.TableOne(cat)
+	return core.TableOne(scenario.FullCatalog())
 }
 
 // FormatTable1 renders the table.

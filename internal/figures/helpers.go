@@ -1,13 +1,8 @@
 package figures
 
 import (
-	iperfapp "flexos/internal/apps/iperf"
-	nginxapp "flexos/internal/apps/nginx"
-	redisapp "flexos/internal/apps/redis"
-	sqliteapp "flexos/internal/apps/sqlite"
-
-	"flexos/internal/core"
 	"flexos/internal/explore"
+	"flexos/internal/oslib"
 	"flexos/internal/scenario"
 )
 
@@ -15,15 +10,7 @@ import (
 // only its throughput, the single figure Figures 5, 6 and 8 rank by.
 func throughputOf(sc *scenario.Scenario) func(*explore.Config) (explore.Metrics, error) {
 	return func(c *explore.Config) (explore.Metrics, error) {
-		m, err := sc.Run(c.Spec(tcbLibs()))
+		m, err := sc.Run(c.Spec(oslib.TCB()))
 		return explore.Metrics{Throughput: m.Throughput}, err
 	}
-}
-
-// registerApps registers all four applications into a catalog.
-func registerApps(cat *core.Catalog) {
-	redisapp.Register(cat)
-	nginxapp.Register(cat)
-	sqliteapp.Register(cat)
-	iperfapp.Register(cat)
 }

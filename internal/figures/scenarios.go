@@ -9,6 +9,7 @@ import (
 	"flexos/internal/explore"
 	"flexos/internal/isolation"
 	"flexos/internal/netstack"
+	"flexos/internal/oslib"
 	"flexos/internal/ramfs"
 	"flexos/internal/scenario"
 	"flexos/internal/vfs"
@@ -31,7 +32,7 @@ func scenarioBaselineSpec(comps []string) core.ImageSpec {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "comp0",
-			Libs: append(tcbLibs(), comps...),
+			Libs: append(oslib.TCB(), comps...),
 		}},
 	}
 }
@@ -59,7 +60,7 @@ func scenarioIsolatedSpec(app string, comps []string) core.ImageSpec {
 		GateMode:  isolation.GateFull,
 		Sharing:   isolation.ShareDSS,
 		Comps: []core.CompSpec{
-			{Name: "comp0", Libs: append(tcbLibs(), comp0...)},
+			{Name: "comp0", Libs: append(oslib.TCB(), comp0...)},
 			{Name: "comp1", Libs: comp1},
 		},
 	}
@@ -155,7 +156,7 @@ func ScenarioPareto(ctx context.Context, name string, workers int) (*explore.Res
 	return explore.Engine{}.Run(ctx, explore.Request{
 		Space: explore.NewSpace(explore.Fig6Space(quad)),
 		Measure: func(c *explore.Config) (scenario.Metrics, error) {
-			return sc.Run(c.Spec(tcbLibs()))
+			return sc.Run(c.Spec(oslib.TCB()))
 		},
 		Metric:  scenario.MetricThroughput,
 		Workers: workers,

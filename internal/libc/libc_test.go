@@ -26,7 +26,7 @@ func testImage(t *testing.T, hs harden.Set) *core.Image {
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
-			Name: "c0", Libs: []string{oslib.BootName, oslib.MMName, Name},
+			Name: "c0", Libs: append(oslib.TCB(), Name),
 			Hardening: hs,
 		}},
 	})

@@ -19,7 +19,7 @@ func oneCompImage(t *testing.T) (*core.Image, *State) {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "c0",
-			Libs: []string{oslib.BootName, oslib.MMName, oslib.SchedName, Name},
+			Libs: append(oslib.TCB(), oslib.SchedName, Name),
 		}},
 	})
 	if err != nil {
@@ -43,7 +43,7 @@ func splitImage(t *testing.T) (*core.Image, *State) {
 		GateMode:  isolation.GateFull,
 		Sharing:   isolation.ShareDSS,
 		Comps: []core.CompSpec{
-			{Name: "sys", Libs: []string{oslib.BootName, oslib.MMName, oslib.SchedName, Name}},
+			{Name: "sys", Libs: append(oslib.TCB(), oslib.SchedName, Name)},
 			{Name: "app", Libs: []string{"app"}},
 		},
 	})

@@ -36,6 +36,11 @@ type SchedState struct {
 	wakes, blocks, timers uint64
 }
 
+// TCB lists the trusted-computing-base components every image links
+// into its default compartment. Each call returns a fresh slice, so
+// callers may append an image's other components to it.
+func TCB() []string { return []string{BootName, MMName} }
+
 // RegisterTCB adds the boot and memory-manager TCB components.
 func RegisterTCB(cat *core.Catalog) {
 	boot := core.NewComponent(BootName)

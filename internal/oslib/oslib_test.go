@@ -14,7 +14,7 @@ func testImage(t *testing.T) (*core.Image, *SchedState) {
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
-			Name: "c0", Libs: []string{BootName, MMName, SchedName},
+			Name: "c0", Libs: append(TCB(), SchedName),
 		}},
 	})
 	if err != nil {
@@ -27,7 +27,7 @@ func TestTCBFlags(t *testing.T) {
 	cat := core.NewCatalog()
 	RegisterTCB(cat)
 	RegisterSched(cat)
-	for _, name := range []string{BootName, MMName, SchedName} {
+	for _, name := range append(TCB(), SchedName) {
 		c, ok := cat.Lookup(name)
 		if !ok || !c.TCB {
 			t.Fatalf("%s must be registered as TCB", name)

@@ -15,7 +15,7 @@ func testImage(t *testing.T) (*core.Image, *State) {
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
-			Name: "c0", Libs: []string{oslib.BootName, oslib.MMName, Name},
+			Name: "c0", Libs: append(oslib.TCB(), Name),
 		}},
 	})
 	if err != nil {

@@ -25,9 +25,9 @@ func TestRedisRunAllocationBudget(t *testing.T) {
 		t.Skip("allocation totals are not meaningful under -race")
 	}
 	const budget, mallocBudget = 1 << 20, 1000
-	tcb := []string{oslib.BootName, oslib.MMName}
+	tcb := oslib.TCB()
 	var worst, worstMallocs uint64
-	for _, c := range explore.Fig6Space(redisapp.Components4()) {
+	for _, c := range explore.Fig6Space([4]string(redisapp.Components)) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := scenario.RedisGet100.Run(c.Spec(tcb)); err != nil {

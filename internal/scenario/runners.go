@@ -11,9 +11,11 @@ import (
 
 	"flexos/internal/core"
 	"flexos/internal/libc"
-	"flexos/internal/machine"
 	"flexos/internal/netstack"
 	"flexos/internal/oslib"
+	"flexos/internal/ramfs"
+	"flexos/internal/timesys"
+	"flexos/internal/vfs"
 )
 
 // The shipped scenario library. Each scenario fixes its mix parameters
@@ -52,7 +54,7 @@ const (
 	iperfBufSize = 1460
 )
 
-// The calls the runners make into the images they drive.
+// The calls the drivers make into the images they run.
 var (
 	symRxEnqueue  = core.Symbol(netstack.Name, "rx_enqueue")
 	symBlockPoll  = core.Symbol(oslib.SchedName, "block_poll")
@@ -71,83 +73,88 @@ var (
 // nginxRequest is the request every nginx scenario replays.
 var nginxRequest = []byte("GET /index.html HTTP/1.1\r\nHost: flexos\r\n\r\n")
 
+// baseCatalog returns a fresh catalog of what every application image
+// links: the TCB, the scheduler and the C library. Each measurement
+// assembles its own, since component state is per catalog.
+func baseCatalog() *core.Catalog {
+	cat := core.NewCatalog()
+	oslib.RegisterTCB(cat)
+	oslib.RegisterSched(cat)
+	libc.Register(cat)
+	return cat
+}
+
+// netCatalog adds the network stack the server applications link.
+func netCatalog() *core.Catalog {
+	cat := baseCatalog()
+	netstack.Register(cat)
+	return cat
+}
+
+// fsCatalog adds the time subsystem and filesystem pair SQLite links.
+func fsCatalog() *core.Catalog {
+	cat := baseCatalog()
+	timesys.Register(cat)
+	ramfs.Register(cat)
+	vfs.Register(cat)
+	return cat
+}
+
+// FullCatalog assembles every component the repository ships: the TCB,
+// the scheduler, the C library, the network stack, the time subsystem,
+// the filesystem pair and all four applications. Each call returns a
+// fresh, independent catalog.
+func FullCatalog() *core.Catalog {
+	cat := fsCatalog()
+	netstack.Register(cat)
+	redisapp.Register(cat)
+	nginxapp.Register(cat)
+	sqliteapp.Register(cat)
+	iperfapp.Register(cat)
+	return cat
+}
+
 // redisScenario drives GET/SET mixes with optional pipelining: setPct%
 // of operations are SETs of fresh keys, and latency is sampled per
 // pipeline batch of `pipe` requests.
 func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 	return &Scenario{
-		name: name, desc: desc, app: "redis",
-		quad: redisapp.Components4(), has4: true,
-		comps: append([]string(nil), redisapp.Components...),
-		ops:   240,
-		run: func(s *Scenario, spec core.ImageSpec) (Metrics, error) {
-			cat, st := redisapp.Catalog()
-			img, err := core.Build(cat, spec)
-			if err != nil {
-				return Metrics{}, err
-			}
-			ctx, err := img.NewContext("redis-scenario", redisapp.Name)
-			if err != nil {
-				return Metrics{}, err
-			}
-			sv, err := ctx.Call(symRedisSetup, core.Words(redisKeys))
-			if err != nil {
-				return Metrics{}, err
-			}
-			boot := img.Mach.Clock.Cycles()
-
-			ops := s.ops
-			// Inject the whole request stream first (the NIC side), in
-			// the exact order the serve loop will consume it. The stack
-			// copies each request, so one buffer serves them all.
-			enq := core.Words(sv.W)
-			for i := 0; i < ops; i++ {
-				req := enq.B[:0]
+		name: name, desc: desc, app: "redis", comps: redisapp.Components, ops: 240,
+		drv: driver{
+			catalog: func() (*core.Catalog, func() uint64) {
+				cat := netCatalog()
+				st := redisapp.Register(cat)
+				return cat, func() uint64 { return st.Hits() + st.Sets() }
+			},
+			setup: symRedisSetup, args: core.Words(redisKeys),
+			request: func(b []byte, i int) []byte {
 				if mixHit(i, setPct) {
-					req = strconv.AppendInt(append(req, "SET skey"...), int64(i), 10)
-					req = redisapp.AppendPadded(append(req, " v"...), i, 10)
+					b = strconv.AppendInt(append(b, "SET skey"...), int64(i), 10)
+					b = redisapp.AppendPadded(append(b, " v"...), i, 10)
 				} else {
-					req = strconv.AppendInt(append(req, "GET key"...), int64(i%redisKeys), 10)
+					b = strconv.AppendInt(append(b, "GET key"...), int64(i%redisKeys), 10)
 				}
-				enq.B = append(req, "\r\n"...)
-				if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
-					return Metrics{}, err
-				}
-			}
-
-			var lat machine.LatencySampler
-			startCycles := img.Mach.Clock.Cycles()
-			startCross := img.Crossings()
-			for i := 0; i < ops; i += pipe {
-				batch := pipe
-				if i+batch > ops {
-					batch = ops - i
-				}
-				err := lat.Span(&img.Mach.Clock, func() error {
-					for j := i; j < i+batch; j++ {
-						sym := symServeGet
-						if mixHit(j, setPct) {
-							sym = symServeSet
-						}
-						ok, err := ctx.Call(sym, core.Args{})
-						if err != nil {
-							return err
-						}
-						if !ok.Bool() {
-							_, fn := sym.Name()
-							return fmt.Errorf("redis: op %d (%s) failed", j, fn)
-						}
+				return append(b, "\r\n"...)
+			},
+			per: pipe,
+			span: func(ctx *core.Ctx, i, n int) error {
+				for j := i; j < i+n; j++ {
+					sym := symServeGet
+					if mixHit(j, setPct) {
+						sym = symServeSet
 					}
-					return nil
-				})
-				if err != nil {
-					return Metrics{}, err
+					ok, err := ctx.Call(sym, core.Args{})
+					if err != nil {
+						return err
+					}
+					if !ok.Bool() {
+						_, fn := sym.Name()
+						return fmt.Errorf("redis: op %d (%s) failed", j, fn)
+					}
 				}
-			}
-			if got := st.Hits() + st.Sets(); got != uint64(ops) {
-				return Metrics{}, fmt.Errorf("redis: served %d ops, want %d", got, ops)
-			}
-			return s.collect(img, &lat, boot, startCycles, startCross), nil
+				return nil
+			},
+			unit: 1,
 		},
 	}
 }
@@ -156,63 +163,31 @@ func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 // reuse their connection; the rest accept a fresh one first.
 func nginxScenario(name, desc string, keepPct int) *Scenario {
 	return &Scenario{
-		name: name, desc: desc, app: "nginx",
-		quad: nginxapp.Components4(), has4: true,
-		comps: append([]string(nil), nginxapp.Components...),
-		ops:   240,
-		run: func(s *Scenario, spec core.ImageSpec) (Metrics, error) {
-			cat, st := nginxapp.Catalog()
-			img, err := core.Build(cat, spec)
-			if err != nil {
-				return Metrics{}, err
-			}
-			ctx, err := img.NewContext("nginx-scenario", nginxapp.Name)
-			if err != nil {
-				return Metrics{}, err
-			}
-			sv, err := ctx.Call(symNginxSetup, core.Args{})
-			if err != nil {
-				return Metrics{}, err
-			}
-			boot := img.Mach.Clock.Cycles()
-
-			ops := s.ops
-			enq := core.Words(sv.W)
-			enq.B = nginxRequest
-			for i := 0; i < ops; i++ {
-				if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
-					return Metrics{}, err
-				}
-			}
-
-			var lat machine.LatencySampler
-			startCycles := img.Mach.Clock.Cycles()
-			startCross := img.Crossings()
-			for i := 0; i < ops; i++ {
-				fresh := !mixHit(i, keepPct)
-				err := lat.Span(&img.Mach.Clock, func() error {
-					if fresh {
-						if _, err := ctx.Call(symAcceptConn, core.Args{}); err != nil {
-							return err
-						}
-					}
-					ok, err := ctx.Call(symServeReq, core.Args{})
-					if err != nil {
+		name: name, desc: desc, app: "nginx", comps: nginxapp.Components, ops: 240,
+		drv: driver{
+			catalog: func() (*core.Catalog, func() uint64) {
+				cat := netCatalog()
+				return cat, nginxapp.Register(cat).Served
+			},
+			setup:   symNginxSetup,
+			request: func([]byte, int) []byte { return nginxRequest },
+			per:     1,
+			span: func(ctx *core.Ctx, i, _ int) error {
+				if !mixHit(i, keepPct) {
+					if _, err := ctx.Call(symAcceptConn, core.Args{}); err != nil {
 						return err
 					}
-					if !ok.Bool() {
-						return fmt.Errorf("nginx: request %d failed", i)
-					}
-					return nil
-				})
-				if err != nil {
-					return Metrics{}, err
 				}
-			}
-			if st.Served() != uint64(ops) {
-				return Metrics{}, fmt.Errorf("nginx: served %d requests, want %d", st.Served(), ops)
-			}
-			return s.collect(img, &lat, boot, startCycles, startCross), nil
+				ok, err := ctx.Call(symServeReq, core.Args{})
+				if err != nil {
+					return err
+				}
+				if !ok.Bool() {
+					return fmt.Errorf("nginx: request %d failed", i)
+				}
+				return nil
+			},
+			unit: 1,
 		},
 	}
 }
@@ -231,64 +206,35 @@ func IPerfAt(bufSize int) *Scenario {
 // state in the scheduler, so per-packet scheduler chatter grows with
 // the count.
 func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
+	// The stack copies each packet, so every run enqueues this one.
+	packet := make([]byte, bufSize)
 	return &Scenario{
-		name: name, desc: desc, app: "iperf",
-		quad: [4]string{iperfapp.Name, libc.Name, oslib.SchedName, netstack.Name}, has4: true,
-		comps: append([]string(nil), iperfapp.Components...),
-		ops:   240,
-		run: func(s *Scenario, spec core.ImageSpec) (Metrics, error) {
-			cat, st := iperfapp.Catalog()
-			img, err := core.Build(cat, spec)
-			if err != nil {
-				return Metrics{}, err
-			}
-			ctx, err := img.NewContext("iperf-scenario", iperfapp.Name)
-			if err != nil {
-				return Metrics{}, err
-			}
-			sv, err := ctx.Call(symIPerfSetup, core.Args{})
-			if err != nil {
-				return Metrics{}, err
-			}
-			boot := img.Mach.Clock.Cycles()
-
-			ops := s.ops
-			enq := core.Words(sv.W)
-			enq.B = make([]byte, bufSize)
-			for i := 0; i < ops; i++ {
-				if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
-					return Metrics{}, err
+		name: name, desc: desc, app: "iperf", comps: iperfapp.Components, ops: 240,
+		drv: driver{
+			catalog: func() (*core.Catalog, func() uint64) {
+				cat := netCatalog()
+				return cat, iperfapp.Register(cat).Received
+			},
+			setup:   symIPerfSetup,
+			request: func([]byte, int) []byte { return packet },
+			per:     1,
+			span: func(ctx *core.Ctx, i, _ int) error {
+				v, err := ctx.Call(symRecvOnce, core.Words(uint64(bufSize)))
+				if err != nil {
+					return err
 				}
-			}
-
-			var lat machine.LatencySampler
-			startCycles := img.Mach.Clock.Cycles()
-			startCross := img.Crossings()
-			for i := 0; i < ops; i++ {
-				err := lat.Span(&img.Mach.Clock, func() error {
-					v, err := ctx.Call(symRecvOnce, core.Words(uint64(bufSize)))
-					if err != nil {
+				if v.Int() != bufSize {
+					return fmt.Errorf("iperf: packet %d truncated to %d bytes", i, v.Int())
+				}
+				// Poll the other streams before switching back.
+				for k := 1; k < streams; k++ {
+					if _, err := ctx.Call(symBlockPoll, core.Args{}); err != nil {
 						return err
 					}
-					if v.Int() != bufSize {
-						return fmt.Errorf("iperf: packet %d truncated to %d bytes", i, v.Int())
-					}
-					// Poll the other streams before switching back.
-					for k := 1; k < streams; k++ {
-						if _, err := ctx.Call(symBlockPoll, core.Args{}); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return Metrics{}, err
 				}
-			}
-			if st.Received() != uint64(ops*bufSize) {
-				return Metrics{}, fmt.Errorf("iperf: received %d bytes, want %d", st.Received(), ops*bufSize)
-			}
-			return s.collect(img, &lat, boot, startCycles, startCross), nil
+				return nil
+			},
+			unit: uint64(bufSize),
 		},
 	}
 }
@@ -297,48 +243,19 @@ func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
 // latency is sampled per transaction.
 func sqliteScenario(name, desc string, batch int) *Scenario {
 	return &Scenario{
-		name: name, desc: desc, app: "sqlite",
-		comps: append([]string(nil), sqliteapp.Components...),
-		ops:   96,
-		run: func(s *Scenario, spec core.ImageSpec) (Metrics, error) {
-			cat, st := sqliteapp.Catalog()
-			img, err := core.Build(cat, spec)
-			if err != nil {
-				return Metrics{}, err
-			}
-			ctx, err := img.NewContext("sqlite-scenario", sqliteapp.Name)
-			if err != nil {
-				return Metrics{}, err
-			}
-			if _, err := ctx.Call(symOpenDB, core.Args{}); err != nil {
-				return Metrics{}, err
-			}
-			boot := img.Mach.Clock.Cycles()
-
-			ops := s.ops
-			var lat machine.LatencySampler
-			startCycles := img.Mach.Clock.Cycles()
-			startCross := img.Crossings()
-			done := 0
-			for done < ops {
-				n := batch
-				if done+n > ops {
-					n = ops - done
-				}
-				start := done
-				err := lat.Span(&img.Mach.Clock, func() error {
-					_, err := ctx.Call(symExecBatch, core.Words(uint64(start), uint64(n)))
-					return err
-				})
-				if err != nil {
-					return Metrics{}, err
-				}
-				done += n
-			}
-			if st.Rows() != uint64(ops) {
-				return Metrics{}, fmt.Errorf("sqlite: committed %d rows, want %d", st.Rows(), ops)
-			}
-			return s.collect(img, &lat, boot, startCycles, startCross), nil
+		name: name, desc: desc, app: "sqlite", comps: sqliteapp.Components, ops: 96,
+		drv: driver{
+			catalog: func() (*core.Catalog, func() uint64) {
+				cat := fsCatalog()
+				return cat, sqliteapp.Register(cat).Rows
+			},
+			setup: symOpenDB,
+			per:   batch,
+			span: func(ctx *core.Ctx, i, n int) error {
+				_, err := ctx.Call(symExecBatch, core.Words(uint64(i), uint64(n)))
+				return err
+			},
+			unit: 1,
 		},
 	}
 }

@@ -39,12 +39,10 @@ type Workload interface {
 type Scenario struct {
 	name  string
 	desc  string
-	app   string    // application selector: "redis", "nginx", "iperf", "sqlite"
-	quad  [4]string // Figure-6 component quadruple, when the app has one
-	has4  bool
-	comps []string // full component list (without the TCB)
+	app   string   // application selector: "redis", "nginx", "iperf", "sqlite"
+	comps []string // full component list (without the TCB), application first
 	ops   int      // primary operations per run
-	run   func(s *Scenario, spec core.ImageSpec) (Metrics, error)
+	drv   driver
 	// observe, when set, sees each run's image after its metrics are
 	// collected.
 	observe func(*core.Image)
@@ -69,7 +67,12 @@ func (s *Scenario) Ops() int { return s.ops }
 // libc, scheduler, network stack) when it has one — the shape the
 // Fig6Space generator partitions. SQLite images link six components and
 // report ok == false.
-func (s *Scenario) Quad() ([4]string, bool) { return s.quad, s.has4 }
+func (s *Scenario) Quad() (quad [4]string, ok bool) {
+	if len(s.comps) != len(quad) {
+		return quad, false
+	}
+	return [4]string(s.comps), true
+}
 
 // Components returns the full component list an image for this scenario
 // must link, excluding the TCB libraries.
@@ -108,11 +111,81 @@ func (s *Scenario) MemoKey() string { return fmt.Sprintf("%s/%d", s.name, s.ops)
 
 // Run implements Workload.
 func (s *Scenario) Run(spec core.ImageSpec) (Metrics, error) {
-	m, err := s.run(s, spec)
+	m, err := s.drive(spec)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("scenario %s: %w", s.name, err)
 	}
 	return m, nil
+}
+
+// driver is what one application's measurement loop varies: the
+// scenario constructors in runners.go fill it in and drive runs it.
+type driver struct {
+	// catalog assembles a fresh catalog for one run and returns it with
+	// the run's completion count, read once every operation has run.
+	catalog func() (*core.Catalog, func() uint64)
+	// setup is the application's first call and args its arguments.
+	// Its result word addresses the NIC requests.
+	setup core.Sym
+	args  core.Args
+	// request, when set, builds operation i's NIC request, reusing b;
+	// every request is enqueued before measurement begins.
+	request func(b []byte, i int) []byte
+	// span runs operations i through i+n-1 as one latency sample, where
+	// n is per except for a shorter last span.
+	per  int
+	span func(ctx *core.Ctx, i, n int) error
+	// unit is the amount each operation adds to the completion count.
+	unit uint64
+}
+
+// drive runs one measurement of the scenario on a fresh image for spec:
+// build, set up, enqueue every request, time the operations span by
+// span, check that each completed, and collect the metric vector.
+func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
+	d := &s.drv
+	cat, completed := d.catalog()
+	img, err := core.Build(cat, spec)
+	if err != nil {
+		return Metrics{}, err
+	}
+	ctx, err := img.NewContext(s.name, s.comps[0])
+	if err != nil {
+		return Metrics{}, err
+	}
+	sv, err := ctx.Call(d.setup, d.args)
+	if err != nil {
+		return Metrics{}, err
+	}
+	boot := img.Mach.Clock.Cycles()
+
+	ops := s.ops
+	if d.request != nil {
+		// Inject the whole request stream first (the NIC side), in the
+		// order the loop will consume it. The stack copies each
+		// request, so one buffer serves them all.
+		enq := core.Words(sv.W)
+		for i := 0; i < ops; i++ {
+			enq.B = d.request(enq.B[:0], i)
+			if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
+				return Metrics{}, err
+			}
+		}
+	}
+
+	var lat machine.LatencySampler
+	startCycles := img.Mach.Clock.Cycles()
+	startCross := img.Crossings()
+	for i := 0; i < ops; i += d.per {
+		n := min(d.per, ops-i)
+		if err := lat.Span(&img.Mach.Clock, func() error { return d.span(ctx, i, n) }); err != nil {
+			return Metrics{}, err
+		}
+	}
+	if got, want := completed(), uint64(ops)*d.unit; got != want {
+		return Metrics{}, fmt.Errorf("%s: completed %d, want %d", s.app, got, want)
+	}
+	return s.collect(img, &lat, boot, startCycles, startCross), nil
 }
 
 // registry holds the shipped library, populated in runners.go.

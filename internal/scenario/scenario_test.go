@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ func baselineSpec(s *Scenario) core.ImageSpec {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "comp0",
-			Libs: append([]string{oslib.BootName, oslib.MMName}, s.Components()...),
+			Libs: append(oslib.TCB(), s.Components()...),
 		}},
 	}
 }
@@ -32,7 +34,7 @@ func isolatedSpec(s *Scenario) core.ImageSpec {
 		GateMode:  isolation.GateFull,
 		Sharing:   isolation.ShareDSS,
 		Comps: []core.CompSpec{
-			{Name: "comp0", Libs: append([]string{oslib.BootName, oslib.MMName}, comps[:len(comps)-1]...)},
+			{Name: "comp0", Libs: append(oslib.TCB(), comps[:len(comps)-1]...)},
 			{Name: "comp1", Libs: comps[len(comps)-1:]},
 		},
 	}
@@ -228,6 +230,31 @@ func TestRegistryLookups(t *testing.T) {
 		if !apps[app] {
 			t.Errorf("no scenario for %s", app)
 		}
+	}
+}
+
+// TestScenarioCatalogsMatchComponents pins that every run registers
+// exactly the components its scenario declares, plus the TCB, and that
+// FullCatalog registers their union.
+func TestScenarioCatalogsMatchComponents(t *testing.T) {
+	union := map[string]bool{}
+	for _, sc := range append(All(), IPerfAt(64)) {
+		want := append(oslib.TCB(), sc.Components()...)
+		slices.Sort(want)
+		cat, _ := sc.drv.catalog()
+		if got := cat.Names(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: runs register %v, scenario declares %v", sc.Name(), got, want)
+		}
+		for _, name := range want {
+			union[name] = true
+		}
+	}
+	want := slices.Sorted(maps.Keys(union))
+	if got := FullCatalog().Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("FullCatalog registers %v, scenarios declare %v", got, want)
+	}
+	if len(want) != 12 {
+		t.Errorf("scenarios declare %d components, want 12", len(want))
 	}
 }
 

@@ -258,7 +258,7 @@ type flight struct {
 
 	mu      sync.Mutex
 	decided []flexos.ExploreMeasurement // streamed, in Query.Stream order
-	notify  chan struct{}               // closed and replaced on every append
+	notify  chan struct{}               // made by a waiting snapshot, closed and cleared by the next append
 	subs    int
 	records []cli.Record // partial-result codec, rendered on demand
 
@@ -272,16 +272,22 @@ type flight struct {
 func (f *flight) publish(cfg *flexos.ExploreConfig, m flexos.Metrics) {
 	f.mu.Lock()
 	f.decided = append(f.decided, flexos.ExploreMeasurement{Config: cfg, Metrics: m})
-	close(f.notify)
-	f.notify = make(chan struct{})
+	if f.notify != nil {
+		close(f.notify)
+		f.notify = nil
+	}
 	f.mu.Unlock()
 }
 
 // snapshot returns the measurements decided since from, and the
-// channel that signals the next one.
+// channel that signals the next one. The channel is made on demand, so
+// a flight no streaming subscriber waits on makes none.
 func (f *flight) snapshot(from int) ([]flexos.ExploreMeasurement, chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.notify == nil {
+		f.notify = make(chan struct{})
+	}
 	return f.decided[from:], f.notify
 }
 
@@ -576,7 +582,6 @@ func (s *Server) attach(key string, q *flexos.Query, info *cli.BuildInfo, req *c
 		creq:         *req,
 		ctx:          ctx,
 		cancel:       cancel,
-		notify:       make(chan struct{}),
 		done:         make(chan struct{}),
 		subs:         1,
 	}

@@ -20,7 +20,7 @@ func testImage(t *testing.T) (*core.Image, *State, *timesys.State) {
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
 			Name: "c0",
-			Libs: []string{oslib.BootName, oslib.MMName, timesys.Name, ramfs.Name, Name},
+			Libs: append(oslib.TCB(), timesys.Name, ramfs.Name, Name),
 		}},
 	})
 	if err != nil {

@@ -332,12 +332,12 @@ func (q *Query) snapshot() explore.Request {
 
 // observeProgress turns the Progress callback into the engine's
 // per-decision hook: it counts decisions over the explored slice.
-func (q *Query) observeProgress() func(int, ExploreMeasurement) {
+func (q *Query) observeProgress() func(int, *ExploreMeasurement) {
 	if q.progress == nil {
 		return nil
 	}
 	total, done := q.shard.Size(q.space.Len()), 0
-	return func(int, ExploreMeasurement) {
+	return func(int, *ExploreMeasurement) {
 		done++
 		q.progress(done, total)
 	}
@@ -444,25 +444,23 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 		sctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		// Observe indices are relative to the explored slice (the
-		// shard when one is set), so the reorder buffers need only
-		// cover that slice.
+		// shard when one is set), so the reorder state need only cover
+		// that slice: a pointer to each decided slot, nil until then.
 		n := req.Shard.Size(req.Space.Len())
 		var (
-			buf     = make([]ExploreMeasurement, n)
-			decided = make([]bool, n)
+			decided = make([]*ExploreMeasurement, n)
 			next    int
 			stopped bool
 		)
 		progress := req.Observe
-		req.Observe = func(idx int, m ExploreMeasurement) {
+		req.Observe = func(idx int, m *ExploreMeasurement) {
 			if progress != nil {
 				progress(idx, m)
 			}
-			buf[idx] = m
-			decided[idx] = true
+			decided[idx] = m
 			// Release the longest decided prefix, in input order.
-			for next < n && decided[next] {
-				m := buf[next]
+			for next < n && decided[next] != nil {
+				m := decided[next]
 				next++
 				if m.Evaluated && !stopped && !yield(m.Config, m.Metrics) {
 					stopped = true
