@@ -31,6 +31,14 @@ type CompRT struct {
 	HeapBase uintptr
 }
 
+// placedVar is a __shared annotation as the builder placed it.
+type placedVar struct {
+	lib, name string
+	size      int // the annotation's Size, or 8 when it gives none
+	addr      uintptr
+	key       mem.Key
+}
+
 // staticPagesPerComp sizes the simulated private sections.
 const staticPagesPerComp = 4
 
@@ -56,10 +64,11 @@ type Image struct {
 	sites []*callSite
 	gates []boundGate
 
-	sharedHeap    mem.Allocator
-	sharedVars    map[string]uintptr
-	sharedVarKeys map[string]mem.Key
-	restricted    map[mem.Key]*mem.Bump
+	sharedHeap mem.Allocator
+	// sharedVars holds every placed __shared annotation, in placement
+	// order.
+	sharedVars []placedVar
+	restricted map[mem.Key]*mem.Bump
 
 	stackCursor, stackEnd uintptr
 
@@ -83,16 +92,14 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 
 	mach := machine.New(spec.Costs)
 	img := &Image{
-		Spec:          spec,
-		Catalog:       cat,
-		Mach:          mach,
-		Sched:         sched.New(mach),
-		AS:            mem.NewAddrSpace("flexos", spec.MemBytes, mach),
-		byLib:         make(map[string]*CompRT),
-		byName:        make(map[string]*CompRT),
-		sharedVars:    make(map[string]uintptr),
-		sharedVarKeys: make(map[string]mem.Key),
-		restricted:    make(map[mem.Key]*mem.Bump),
+		Spec:       spec,
+		Catalog:    cat,
+		Mach:       mach,
+		Sched:      sched.New(mach),
+		AS:         mem.NewAddrSpace("flexos", spec.MemBytes, mach),
+		byLib:      make(map[string]*CompRT),
+		byName:     make(map[string]*CompRT),
+		restricted: make(map[mem.Key]*mem.Bump),
 	}
 
 	// 1. Create compartments, register entry points (the gate
@@ -100,11 +107,12 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	// be entered from outside) and resolve every call site: its target
 	// compartment, entry symbol, and the callee's hardening and work
 	// charge.
-	nsites := 0
+	nsites, nshared := 0, 0
 	for _, cs := range spec.Comps {
 		for _, libName := range cs.Libs {
 			comp, _ := cat.Lookup(libName)
 			nsites += len(comp.Funcs)
+			nshared += len(comp.Shared)
 		}
 	}
 	sites := make([]callSite, 0, nsites)
@@ -174,13 +182,14 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		if err := arena.SetKey(c.Key); err != nil {
 			return nil, err
 		}
-		var heap mem.Allocator = mem.NewTLSF(arena, mach)
+		tlsf := mem.NewTLSF(arena, mach)
+		var heap mem.Allocator = tlsf
 		kasan := c.Hardening.Has(harden.KASan)
 		for _, hs := range c.libHard {
 			kasan = kasan || hs.Has(harden.KASan)
 		}
 		if kasan {
-			heap = mem.NewKASanAllocator(heap, img.AS, mach)
+			heap = mem.NewKASanAllocator(tlsf, img.AS, mach)
 		}
 		c.Heap = heap
 		c.Compartment.Heap = heap
@@ -227,15 +236,15 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	// offers one; variables whose whole whitelist lives in the owner's
 	// compartment stay private; everything else lands in the global
 	// shared domain.
+	img.sharedVars = make([]placedVar, 0, nshared)
 	for _, c := range img.comps {
 		for _, comp := range c.Libs {
 			for _, sv := range comp.Shared {
-				addr, key, err := img.placeSharedVar(c, comp.Name, sv)
+				v, err := img.placeSharedVar(c, comp.Name, sv)
 				if err != nil {
 					return nil, fmt.Errorf("core: placing shared var %s.%s: %w", comp.Name, sv.Name, err)
 				}
-				img.sharedVars[comp.Name+"."+sv.Name] = addr
-				img.sharedVarKeys[comp.Name+"."+sv.Name] = key
+				img.sharedVars = append(img.sharedVars, v)
 			}
 		}
 	}
@@ -246,12 +255,13 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 const restrictedArenaPages = 16
 
 // placeSharedVar decides the protection domain of one annotation and
-// allocates it there. It returns the address and the key of the domain.
-func (img *Image) placeSharedVar(owner *CompRT, lib string, sv SharedVar) (uintptr, mem.Key, error) {
-	size := sv.Size
-	if size <= 0 {
-		size = 8
+// allocates it there.
+func (img *Image) placeSharedVar(owner *CompRT, lib string, sv SharedVar) (placedVar, error) {
+	v := placedVar{lib: lib, name: sv.Name, size: sv.Size}
+	if v.size <= 0 {
+		v.size = 8
 	}
+	var err error
 	// Resolve the whitelist to compartments.
 	group := map[sched.CompID]bool{owner.ID: true}
 	resolved := len(sv.With) > 0
@@ -266,8 +276,9 @@ func (img *Image) placeSharedVar(owner *CompRT, lib string, sv SharedVar) (uintp
 	if resolved && len(group) == 1 {
 		// Whole whitelist inside the owner's compartment: the variable
 		// can stay private (zero sharing).
-		addr, err := owner.Heap.Alloc(size)
-		return addr, owner.Key, err
+		v.addr, err = owner.Heap.Alloc(v.size)
+		v.key = owner.Key
+		return v, err
 	}
 	if resolved {
 		if rs, ok := img.Backend.(isolation.RestrictedSharer); ok {
@@ -276,14 +287,16 @@ func (img *Image) placeSharedVar(owner *CompRT, lib string, sv SharedVar) (uintp
 				ids = append(ids, id)
 			}
 			if key, ok := rs.RestrictedDomain(ids); ok {
-				addr, err := img.restrictedAlloc(key, size)
-				return addr, key, err
+				v.addr, err = img.restrictedAlloc(key, v.size)
+				v.key = key
+				return v, err
 			}
 		}
 	}
 	// Fallback: the global shared domain.
-	addr, err := img.sharedHeap.Alloc(size)
-	return addr, mem.KeyShared, err
+	v.addr, err = img.sharedHeap.Alloc(v.size)
+	v.key = mem.KeyShared
+	return v, err
 }
 
 // restrictedAlloc allocates from the arena backing a restricted shared
@@ -396,19 +409,30 @@ func (img *Image) Compartments() []*CompRT { return img.comps }
 // SharedHeap returns the communication heap.
 func (img *Image) SharedHeap() mem.Allocator { return img.sharedHeap }
 
+// sharedVar returns the placement of lib's __shared annotation name:
+// the last one placed, should lib annotate the name twice.
+func (img *Image) sharedVar(lib, name string) (placedVar, bool) {
+	for i := len(img.sharedVars) - 1; i >= 0; i-- {
+		if v := img.sharedVars[i]; v.lib == lib && v.name == name {
+			return v, true
+		}
+	}
+	return placedVar{}, false
+}
+
 // SharedVarAddr returns the shared-domain address the builder assigned to
 // a __shared annotation.
 func (img *Image) SharedVarAddr(lib, name string) (uintptr, bool) {
-	a, ok := img.sharedVars[lib+"."+name]
-	return a, ok
+	v, ok := img.sharedVar(lib, name)
+	return v.addr, ok
 }
 
 // SharedVarKey returns the protection key of the domain a __shared
 // annotation was placed in: the owner's key (whitelist fully local), a
 // restricted pairwise key, or mem.KeyShared.
 func (img *Image) SharedVarKey(lib, name string) (mem.Key, bool) {
-	k, ok := img.sharedVarKeys[lib+"."+name]
-	return k, ok
+	v, ok := img.sharedVar(lib, name)
+	return v.key, ok
 }
 
 // RestrictedDomains returns how many restricted shared domains the image
@@ -473,21 +497,9 @@ func (img *Image) allocStackRegion(c *CompRT) (*sched.Stack, error) {
 // triggered the crash, at which point the developer can annotate it for
 // sharing".
 func (img *Image) Describe(addr uintptr) string {
-	for name, a := range img.sharedVars {
-		comp, _ := img.Catalog.Lookup(strings.SplitN(name, ".", 2)[0])
-		var size int
-		if comp != nil {
-			for _, sv := range comp.Shared {
-				if strings.HasSuffix(name, "."+sv.Name) {
-					size = sv.Size
-				}
-			}
-		}
-		if size <= 0 {
-			size = 8
-		}
-		if addr >= a && addr < a+uintptr(size) {
-			return fmt.Sprintf("__shared variable %s", name)
+	for _, v := range img.sharedVars {
+		if addr >= v.addr && addr < v.addr+uintptr(v.size) {
+			return fmt.Sprintf("__shared variable %s.%s", v.lib, v.name)
 		}
 	}
 	for _, c := range img.comps {

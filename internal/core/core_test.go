@@ -99,6 +99,11 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(cat, ImageSpec{Mechanism: "trustzone", Comps: []CompSpec{{Name: "c", Libs: nil}}}); err == nil {
 		t.Fatal("unknown mechanism accepted")
 	}
+	huge := twoCompSpec("mpk", 0, 0)
+	huge.HeapPages = maxHeapPages + 1
+	if _, err := Build(cat, huge); err == nil || !strings.Contains(err.Error(), "heap of") {
+		t.Fatalf("heap over the allocator's limit: %v", err)
+	}
 }
 
 func TestSameCompartmentCallIsZeroOverhead(t *testing.T) {

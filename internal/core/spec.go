@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"flexos/internal/config"
 	"flexos/internal/harden"
@@ -83,7 +84,8 @@ func (s ImageSpec) normalized() ImageSpec {
 }
 
 // Validate checks the spec against a catalog: compartments must be named
-// and unique, and every assigned library must exist.
+// and unique, every assigned library must exist, and heaps must fit the
+// allocator.
 func (s ImageSpec) Validate(cat *Catalog) error {
 	if len(s.Comps) == 0 {
 		return fmt.Errorf("core: image needs at least one compartment")
@@ -108,11 +110,18 @@ func (s ImageSpec) Validate(cat *Catalog) error {
 			seenLib[lib] = true
 		}
 	}
+	if s.HeapPages > maxHeapPages {
+		return fmt.Errorf("core: heap of %d pages exceeds the allocator's %d", s.HeapPages, maxHeapPages)
+	}
 	if err := s.Costs.Validate(); err != nil && s.Costs.FreqHz != 0 {
 		return err
 	}
 	return nil
 }
+
+// maxHeapPages bounds HeapPages: a heap arena must stay under the 2 GiB
+// mem.TLSF keeps block sizes in.
+const maxHeapPages = math.MaxInt32 / mem.PageSize
 
 // SpecFromConfig converts a parsed configuration file into an ImageSpec.
 // Libraries not mentioned in the file land in the default compartment.

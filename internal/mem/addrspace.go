@@ -21,15 +21,19 @@ const PageSize = 4096
 // copy cost, so data movement is visible in the cycle clock.
 //
 // The host backs each page with a frame allocated on its first write; a
-// page never written reads as zero. A simulated OS touches a few dozen
-// KiB of its address space, so this keeps host memory proportional to
-// what it uses. Backing is invisible to the simulation: every check,
-// fault and cycle charge is the same whether a frame exists or not.
+// page never written reads as zero. Pages are grouped in chunks of
+// chunkPages, and a chunk's page records are allocated only when one of
+// its pages first gets a frame or a poison shadow, so an untouched
+// space costs its key table and a directory of chunk pointers. A
+// simulated OS touches a few dozen KiB of its address space, so this
+// keeps host memory proportional to what it uses. Backing is invisible
+// to the simulation: every check, fault and cycle charge is the same
+// whether a chunk or frame exists or not.
 type AddrSpace struct {
 	name   string
 	keys   []Key
-	pages  []page
-	shadow bool // KASan shadow enabled (each page holds its own part)
+	dir    []*chunk // chunk c holds pages [c*chunkPages, (c+1)*chunkPages); nil until touched
+	shadow bool     // KASan shadow enabled (each page holds its own part)
 	mach   *machine.Machine
 
 	// stats
@@ -47,6 +51,14 @@ type page struct {
 	shadow *[granulesPerPage]byte
 }
 
+// chunkPages is the number of pages one directory entry covers: a
+// 32 MiB space has a directory of 128 pointers, and a chunk's page
+// records take 1 KiB.
+const chunkPages = 64
+
+// chunk holds the page records of chunkPages consecutive pages.
+type chunk [chunkPages]page
+
 // NewAddrSpace creates an address space of the given size (rounded up to a
 // whole number of pages), with all pages holding KeyTCB.
 func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
@@ -55,10 +67,10 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 	}
 	pages := (size + PageSize - 1) / PageSize
 	return &AddrSpace{
-		name:  name,
-		keys:  make([]Key, pages),
-		pages: make([]page, pages),
-		mach:  m,
+		name: name,
+		keys: make([]Key, pages),
+		dir:  make([]*chunk, (pages+chunkPages-1)/chunkPages),
+		mach: m,
 	}
 }
 
@@ -66,7 +78,7 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 func (as *AddrSpace) Name() string { return as.name }
 
 // Size returns the size of the space in bytes.
-func (as *AddrSpace) Size() int { return len(as.pages) * PageSize }
+func (as *AddrSpace) Size() int { return len(as.keys) * PageSize }
 
 // Pages returns the number of pages.
 func (as *AddrSpace) Pages() int { return len(as.keys) }
@@ -137,7 +149,7 @@ func (as *AddrSpace) Read(pkru PKRU, addr uintptr, buf []byte) error {
 	for done := 0; done < len(buf); {
 		a := addr + uintptr(done)
 		n := min(len(buf)-done, PageSize-int(a%PageSize))
-		if f := as.pages[a/PageSize].data; f != nil {
+		if f := as.data(a / PageSize); f != nil {
 			copy(buf[done:done+n], f[a%PageSize:])
 		} else {
 			clear(buf[done : done+n])
@@ -236,9 +248,9 @@ func (as *AddrSpace) Memmove(pkru PKRU, dst, src uintptr, n int) error {
 // Moving never-written (zero) bytes onto a never-written page leaves it
 // unallocated.
 func (as *AddrSpace) movePiece(dst, src uintptr, n int) {
-	from := as.pages[src/PageSize].data
+	from := as.data(src / PageSize)
 	if from == nil {
-		if to := as.pages[dst/PageSize].data; to != nil {
+		if to := as.data(dst / PageSize); to != nil {
 			clear(to[dst%PageSize:][:n])
 		}
 		return
@@ -246,14 +258,40 @@ func (as *AddrSpace) movePiece(dst, src uintptr, n int) {
 	copy(as.frame(dst / PageSize)[dst%PageSize:][:n], from[src%PageSize:][:n])
 }
 
+// page returns page p's record, or nil when its chunk was never touched.
+func (as *AddrSpace) page(p uintptr) *page {
+	if c := as.dir[p/chunkPages]; c != nil {
+		return &c[p%chunkPages]
+	}
+	return nil
+}
+
+// data returns page p's data frame, or nil when the page was never
+// written.
+func (as *AddrSpace) data(p uintptr) *[PageSize]byte {
+	if pg := as.page(p); pg != nil {
+		return pg.data
+	}
+	return nil
+}
+
+// touch returns page p's record, allocating its chunk on first use.
+func (as *AddrSpace) touch(p uintptr) *page {
+	c := as.dir[p/chunkPages]
+	if c == nil {
+		c = new(chunk)
+		as.dir[p/chunkPages] = c
+	}
+	return &c[p%chunkPages]
+}
+
 // frame returns page p's data frame, allocating it on first use.
 func (as *AddrSpace) frame(p uintptr) *[PageSize]byte {
-	f := as.pages[p].data
-	if f == nil {
-		f = new([PageSize]byte)
-		as.pages[p].data = f
+	pg := as.touch(p)
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
 	}
-	return f
+	return pg.data
 }
 
 // Stats reports access counters, used by tests and the bench harness.

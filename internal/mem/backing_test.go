@@ -8,13 +8,15 @@ import (
 )
 
 // TestAddrSpaceBackingIsLazy pins the host cost of an untouched address
-// space: a 32 MiB space with the KASan shadow enabled allocates its page
-// table, not its pages. Eager backing would allocate 36 MiB here.
+// space: a 32 MiB space with the KASan shadow enabled allocates its key
+// table (8 KiB) and a directory of 128 chunk pointers, not its pages or
+// their records. Eager backing would allocate 36 MiB here, and an eager
+// record per page 128 KiB.
 func TestAddrSpaceBackingIsLazy(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation totals are not meaningful under -race")
 	}
-	const budget = 512 << 10
+	const budget = 32 << 10
 	m := machine.New(machine.CostModel{})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -8,7 +8,8 @@ package mem
 // The shadow maps each 8-byte granule of the address space to one byte:
 // 0 means fully addressable, poison values mark redzones / freed memory.
 // Like the data, it is held per page and allocated only when a page is
-// first poisoned; a page with no shadow is wholly addressable.
+// first poisoned; a page with no shadow (or in a chunk never touched) is
+// wholly addressable.
 
 const (
 	shadowScale = 8
@@ -58,18 +59,20 @@ func (as *AddrSpace) Unpoison(addr uintptr, n int) {
 // page's shadow is allocated only to hold poison: unpoisoning a page
 // that has none leaves it without.
 func (as *AddrSpace) fillShadow(first, last uintptr, v byte) {
-	last = min(last, uintptr(len(as.pages))*granulesPerPage)
+	last = min(last, uintptr(len(as.keys))*granulesPerPage)
 	for g := first; g < last; {
 		p := g / granulesPerPage
 		end := min(last, (p+1)*granulesPerPage)
-		sh := as.pages[p].shadow
-		if sh == nil && v != poisonNone {
-			sh = new([granulesPerPage]byte)
-			as.pages[p].shadow = sh
+		pg := as.page(p)
+		if v != poisonNone {
+			pg = as.touch(p)
+			if pg.shadow == nil {
+				pg.shadow = new([granulesPerPage]byte)
+			}
 		}
-		if sh != nil {
+		if pg != nil && pg.shadow != nil {
 			for i := g % granulesPerPage; i < end-p*granulesPerPage; i++ {
-				sh[i] = v
+				pg.shadow[i] = v
 			}
 		}
 		g = end
@@ -84,9 +87,9 @@ func (as *AddrSpace) checkShadow(addr uintptr, n int, write bool, pkru PKRU) err
 	for g := addr / shadowScale; g <= last; {
 		p := g / granulesPerPage
 		end := min(last+1, (p+1)*granulesPerPage)
-		if sh := as.pages[p].shadow; sh != nil {
+		if pg := as.page(p); pg != nil && pg.shadow != nil {
 			for ; g < end; g++ {
-				if sh[g%granulesPerPage] != poisonNone {
+				if pg.shadow[g%granulesPerPage] != poisonNone {
 					as.faults++
 					as.mach.Charge(as.mach.Costs.PageFault)
 					return &Fault{

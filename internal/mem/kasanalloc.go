@@ -12,13 +12,16 @@ import "flexos/internal/machine"
 // FlexOS' capacity to have an allocator per-compartment to enable flexible
 // SH": wrapping only one compartment's allocator instruments only that
 // compartment.
+//
+// The wrapper owns its inner allocator: every inner block is one live
+// allocation, its raw address RedzoneSize below the user address, so
+// the inner allocator's own bookkeeping tells valid user addresses
+// apart and the wrapper keeps none.
 type KASanAllocator struct {
-	inner Allocator
+	inner *TLSF
 	as    *AddrSpace
 	mach  *machine.Machine
 	stats AllocStats
-	// userAddr -> raw block address (allocation includes redzones).
-	raw map[uintptr]uintptr
 }
 
 // RedzoneSize is the poisoned guard placed on each side of an allocation.
@@ -28,10 +31,11 @@ const RedzoneSize = 16
 // for shadow poisoning, on top of the wrapped allocator's own cost.
 const kasanAllocOverheadCycles = 34
 
-// NewKASanAllocator wraps inner. It enables the address space's shadow.
-func NewKASanAllocator(inner Allocator, as *AddrSpace, m *machine.Machine) *KASanAllocator {
+// NewKASanAllocator wraps inner, which no one else may allocate from
+// or free to. It enables the address space's shadow.
+func NewKASanAllocator(inner *TLSF, as *AddrSpace, m *machine.Machine) *KASanAllocator {
 	as.EnableShadow()
-	return &KASanAllocator{inner: inner, as: as, mach: m, raw: make(map[uintptr]uintptr)}
+	return &KASanAllocator{inner: inner, as: as, mach: m}
 }
 
 // Alloc implements Allocator: it over-allocates for the two redzones,
@@ -48,7 +52,6 @@ func (k *KASanAllocator) Alloc(n int) (uintptr, error) {
 	k.as.Poison(raw, RedzoneSize, false)
 	k.as.Unpoison(user, n)
 	k.as.Poison(user+uintptr(n), RedzoneSize, false)
-	k.raw[user] = raw
 	k.mach.Charge(kasanAllocOverheadCycles)
 	k.stats.Allocs++
 	k.stats.BytesLive += uint64(n)
@@ -61,13 +64,12 @@ func (k *KASanAllocator) Alloc(n int) (uintptr, error) {
 // Free implements Allocator: the whole block is poisoned as freed before
 // being returned, so dangling accesses fault.
 func (k *KASanAllocator) Free(user uintptr) error {
-	raw, ok := k.raw[user]
+	raw := user - RedzoneSize
+	n, ok := k.inner.SizeOf(raw)
 	if !ok {
 		return ErrBadFree
 	}
-	n, _ := k.inner.SizeOf(raw)
 	k.as.Poison(raw, n, true)
-	delete(k.raw, user)
 	k.stats.Frees++
 	if sz := n - 2*RedzoneSize; sz > 0 {
 		k.stats.BytesLive -= uint64(sz)
@@ -78,11 +80,7 @@ func (k *KASanAllocator) Free(user uintptr) error {
 
 // SizeOf implements Allocator.
 func (k *KASanAllocator) SizeOf(user uintptr) (int, bool) {
-	raw, ok := k.raw[user]
-	if !ok {
-		return 0, false
-	}
-	n, ok := k.inner.SizeOf(raw)
+	n, ok := k.inner.SizeOf(user - RedzoneSize)
 	if !ok {
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"math/bits"
 
 	"flexos/internal/machine"
@@ -16,26 +17,49 @@ import (
 // Costs.HeapAllocFast; a split from a larger class charges a bit more; a
 // carve from the wilderness charges the slow path. This reproduces the
 // 100-300+ cycle band of Figure 11a.
+//
+// Block bookkeeping lives in one slot table with an int32 per
+// allocAlign-byte slot of the carved part of the arena, [Base, brk): a
+// positive value is an allocated block's usable size, a negative value
+// a free block's total size, and zero no block start. The table grows
+// with brk, so its host cost follows what the simulated heap has used.
 type TLSF struct {
 	arena Arena
 	mach  *machine.Machine
 
-	classes [48][]uintptr   // free lists per log2 size class
-	blocks  map[uintptr]int // allocated block -> usable size
-	freesz  map[uintptr]int // free block -> total size
-	brk     uintptr         // wilderness pointer
+	classes [48][]uintptr // free lists per log2 size class
+	slots   []int32       // block at Base+i*allocAlign: size (+), free total (-) or none (0)
+	brk     uintptr       // wilderness pointer
 	stats   AllocStats
 }
 
-// NewTLSF returns a TLSF allocator over the arena.
+// NewTLSF returns a TLSF allocator over the arena. Block sizes are kept
+// as int32, so the arena must be smaller than 2 GiB.
 func NewTLSF(arena Arena, m *machine.Machine) *TLSF {
-	return &TLSF{
-		arena:  arena,
-		mach:   m,
-		blocks: make(map[uintptr]int),
-		freesz: make(map[uintptr]int),
-		brk:    arena.Base,
+	if arena.Size > math.MaxInt32 {
+		panic("mem: TLSF arena of 2 GiB or more")
 	}
+	return &TLSF{arena: arena, mach: m, brk: arena.Base}
+}
+
+// carve advances brk by n bytes and extends the slot table to cover
+// them, growing its capacity geometrically up to the whole arena.
+func (t *TLSF) carve(n uintptr) {
+	t.brk += n
+	want := int((t.brk - t.arena.Base) / allocAlign)
+	if want > cap(t.slots) {
+		limit := int(t.arena.Size / allocAlign)
+		grown := make([]int32, len(t.slots), min(max(want, 2*cap(t.slots), 64), limit))
+		copy(grown, t.slots)
+		t.slots = grown
+	}
+	t.slots = t.slots[:want]
+}
+
+// at returns the slot of the block starting at addr, which must be an
+// aligned address in [Base, brk).
+func (t *TLSF) at(addr uintptr) *int32 {
+	return &t.slots[(addr-t.arena.Base)/allocAlign]
 }
 
 func sizeClass(n uintptr) int {
@@ -57,7 +81,6 @@ func (t *TLSF) Alloc(n int) (uintptr, error) {
 	if lst := t.classes[cls]; len(lst) > 0 {
 		addr := lst[len(lst)-1]
 		t.classes[cls] = lst[:len(lst)-1]
-		delete(t.freesz, addr)
 		t.mach.Charge(t.mach.Costs.HeapAllocFast)
 		t.finish(addr, n)
 		return addr, nil
@@ -70,8 +93,7 @@ func (t *TLSF) Alloc(n int) (uintptr, error) {
 		}
 		addr := lst[len(lst)-1]
 		t.classes[c] = lst[:len(lst)-1]
-		total := uintptr(t.freesz[addr])
-		delete(t.freesz, addr)
+		total := uintptr(-*t.at(addr))
 		blockSz := uintptr(1) << uint(cls)
 		if rem := total - blockSz; rem >= allocAlign {
 			remAddr := addr + blockSz
@@ -87,14 +109,15 @@ func (t *TLSF) Alloc(n int) (uintptr, error) {
 		return 0, ErrOutOfMemory
 	}
 	addr := t.brk
-	t.brk += blockSz
+	t.carve(blockSz)
 	t.mach.Charge(t.mach.Costs.HeapAllocFast + t.mach.Costs.HeapAllocFast/4)
 	t.finish(addr, n)
 	return addr, nil
 }
 
+// finish records the allocated block at addr and counts it.
 func (t *TLSF) finish(addr uintptr, n int) {
-	t.blocks[addr] = n
+	*t.at(addr) = int32(n)
 	t.stats.Allocs++
 	t.stats.BytesLive += uint64(n)
 	if t.stats.BytesLive > t.stats.BytesPeak {
@@ -113,20 +136,19 @@ func (t *TLSF) insertFree(addr uintptr, total int) {
 		return
 	}
 	t.classes[cls] = append(t.classes[cls], addr)
-	t.freesz[addr] = total
+	*t.at(addr) = int32(-total)
 }
 
 // Free implements Allocator.
 func (t *TLSF) Free(addr uintptr) error {
-	n, ok := t.blocks[addr]
+	n, ok := t.SizeOf(addr)
 	if !ok {
 		return ErrBadFree
 	}
-	delete(t.blocks, addr)
 	total := alignUp(uintptr(n), allocAlign)
 	cls := sizeClass(total)
 	t.classes[cls] = append(t.classes[cls], addr)
-	t.freesz[addr] = int(uintptr(1) << uint(cls))
+	*t.at(addr) = -int32(uintptr(1) << uint(cls))
 	t.stats.Frees++
 	t.stats.BytesLive -= uint64(n)
 	t.mach.Charge(t.mach.Costs.HeapFree)
@@ -134,9 +156,16 @@ func (t *TLSF) Free(addr uintptr) error {
 }
 
 // SizeOf implements Allocator.
+// An address that is unaligned, below the arena or at or above brk is
+// no block.
 func (t *TLSF) SizeOf(addr uintptr) (int, bool) {
-	n, ok := t.blocks[addr]
-	return n, ok
+	if addr < t.arena.Base || addr >= t.brk || (addr-t.arena.Base)%allocAlign != 0 {
+		return 0, false
+	}
+	if n := *t.at(addr); n > 0 {
+		return int(n), true
+	}
+	return 0, false
 }
 
 // Name implements Allocator.
