@@ -573,7 +573,7 @@ func BenchmarkBuild(b *testing.B) {
 func BenchmarkCtxCall(b *testing.B) {
 	newCatalog := func() *flexos.Catalog {
 		cat := flexos.FullCatalog()
-		c := &flexos.Component{Name: "bench", Funcs: map[string]*flexos.Func{}}
+		c := &flexos.Component{Name: "bench"}
 		c.AddFunc(&flexos.Func{Name: "nop", Work: 10, EntryPoint: true,
 			Impl: func(_ *flexos.Ctx, a *flexos.Args) (flexos.Ret, error) {
 				return flexos.Ret{W: a.W[4] + uint64(len(a.B)), S: a.S}, nil

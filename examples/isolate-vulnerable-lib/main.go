@@ -26,10 +26,7 @@ import (
 // attacker-controlled pointer and returns the bytes it reads.
 func buildCatalog() *flexos.Catalog {
 	cat := flexos.FullCatalog()
-	parser := &flexos.Component{
-		Name:  "libparser",
-		Funcs: map[string]*flexos.Func{},
-	}
+	parser := &flexos.Component{Name: "libparser"}
 	parser.AddFunc(&flexos.Func{
 		Name: "parse", Work: 300, EntryPoint: true,
 		Impl: func(ctx *flexos.Ctx, a *flexos.Args) (flexos.Ret, error) {

@@ -65,8 +65,8 @@ func TestFullCatalogContents(t *testing.T) {
 }
 
 func TestFullCatalogIndependence(t *testing.T) {
-	// Component state must be per catalog: two catalogs, two images,
-	// no cross-talk.
+	// Component state must be per image: no cross-talk between images
+	// of two catalogs, nor between two images of one catalog.
 	spec := flexos.ImageSpec{
 		Mechanism: "none",
 		Comps: []flexos.CompSpec{{
@@ -77,24 +77,35 @@ func TestFullCatalogIndependence(t *testing.T) {
 				flexos.LibNginx, flexos.LibSQLite, flexos.LibIPerf),
 		}},
 	}
-	a, err := flexos.Build(flexos.FullCatalog(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := flexos.Build(flexos.FullCatalog(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxA, _ := a.NewContext("a", flexos.LibRedis)
-	if _, err := ctxA.Call(flexos.Symbol(flexos.LibRedis, "setup"), flexos.Words(2)); err != nil {
-		t.Fatal(err)
-	}
-	ctxB, _ := b.NewContext("b", flexos.LibRedis)
-	// Image B's redis must not see image A's socket.
-	enq := flexos.Words(1)
-	enq.B = []byte("x")
-	if _, err := ctxB.Call(flexos.Symbol(flexos.LibNet, "rx_enqueue"), enq); err == nil {
-		t.Fatal("catalog state leaked between images")
+	shared := flexos.FullCatalog()
+	for _, tc := range []struct {
+		name string
+		a, b *flexos.Catalog
+	}{
+		{"two catalogs", flexos.FullCatalog(), flexos.FullCatalog()},
+		{"one catalog", shared, shared},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := flexos.Build(tc.a, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := flexos.Build(tc.b, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctxA, _ := a.NewContext("a", flexos.LibRedis)
+			if _, err := ctxA.Call(flexos.Symbol(flexos.LibRedis, "setup"), flexos.Words(2)); err != nil {
+				t.Fatal(err)
+			}
+			ctxB, _ := b.NewContext("b", flexos.LibRedis)
+			// Image B's redis must not see image A's socket.
+			enq := flexos.Words(1)
+			enq.B = []byte("x")
+			if _, err := ctxB.Call(flexos.Symbol(flexos.LibNet, "rx_enqueue"), enq); err == nil {
+				t.Fatal("component state leaked between images")
+			}
+		})
 	}
 }
 

@@ -39,23 +39,25 @@ type State struct {
 
 // Register adds libiperf to a catalog (Table 1: +15/-14, 4 shared
 // variables).
-func Register(cat *core.Catalog) *State {
-	st := &State{}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is libiperf, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
+	c.NewState = func() any { return &State{} }
 	c.PatchAdd, c.PatchDel = 15, 14
-	for _, v := range []core.SharedVar{
+	c.Shared = []core.SharedVar{
 		{Name: "recv_window", Size: 64},
 		{Name: "perf_stats", Size: 64},
 		{Name: "ctrl_block", Size: 32},
 		{Name: "report_buf", Size: 64},
-	} {
-		c.AddShared(v)
 	}
 	c.Imports = []string{netstack.Name}
 
 	c.AddFunc(&core.Func{
 		Name: "setup", Work: 300, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			v, err := ctx.Call(symSocket, core.Args{})
 			if err != nil {
 				return core.Ret{}, err
@@ -70,6 +72,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "recv_once", Work: recvWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			size := int(a.W[0])
 			buf, err := ctx.StackAlloc(size, true)
 			if err != nil {
@@ -83,9 +86,8 @@ func Register(cat *core.Catalog) *State {
 			return v, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 // Received returns total bytes received by the application (test hook).
 func (st *State) Received() uint64 { return st.received }

@@ -80,9 +80,12 @@ type State struct {
 
 // Register adds libnginx to a catalog (Table 1: +470/-85, 36 shared
 // variables).
-func Register(cat *core.Catalog) *State {
-	st := &State{files: make(map[string]uintptr)}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is libnginx, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
+	c.NewState = func() any { return &State{files: make(map[string]uintptr)} }
 	c.PatchAdd, c.PatchDel = 470, 85
 	c.Imports = []string{libc.Name, oslib.SchedName, netstack.Name}
 	c.Shared = append(c.Shared, sharedVars...)
@@ -91,6 +94,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "setup", Work: 500, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			v, err := ctx.Call(symSocket, core.Args{})
 			if err != nil {
 				return core.Ret{}, err
@@ -112,6 +116,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "serve_req", Work: serveWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			reqBuf, err := ctx.StackAlloc(128, true)
 			if err != nil {
 				return core.Ret{}, err
@@ -172,6 +177,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "accept_conn", Work: acceptWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			if _, err := ctx.Call(symPending, core.Words(uint64(st.sock))); err != nil {
 				return core.Ret{}, err
 			}
@@ -182,12 +188,8 @@ func Register(cat *core.Catalog) *State {
 			return core.Ret{W: st.accepted}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 // Served returns the number of completed requests (test hook).
 func (st *State) Served() uint64 { return st.served }
-
-// Accepted returns the number of accepted connections (test hook).
-func (st *State) Accepted() uint64 { return st.accepted }

@@ -7,8 +7,6 @@ import (
 	"flexos/internal/core"
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
-	"flexos/internal/libc"
-	"flexos/internal/netstack"
 	"flexos/internal/oslib"
 	"flexos/internal/scenario"
 )
@@ -105,17 +103,11 @@ func TestNginxDistributionFlatterThanRedis(t *testing.T) {
 }
 
 func TestServedCounter(t *testing.T) {
-	// A catalog of its own, so the test can read the app's counters.
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	st := nginx.Register(cat)
-	img, err := core.Build(cat, oneComp())
+	img, err := core.Build(scenario.FullCatalog(), oneComp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := img.State(nginx.Name).(*nginx.State)
 	ctx, _ := img.NewContext("t", nginx.Name)
 	if _, err := ctx.Call(core.Symbol(nginx.Name, "setup"), core.Args{}); err != nil {
 		t.Fatal(err)

@@ -88,9 +88,12 @@ type State struct {
 
 // Register adds libredis to a catalog (Table 1: +279/-90, 16 shared
 // variables).
-func Register(cat *core.Catalog) *State {
-	st := &State{values: make(map[string]uintptr)}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is libredis, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
+	c.NewState = func() any { return &State{values: make(map[string]uintptr)} }
 	c.PatchAdd, c.PatchDel = 279, 90
 	c.Imports = []string{libc.Name, oslib.SchedName, netstack.Name}
 	c.Shared = append(c.Shared, sharedVars...)
@@ -99,6 +102,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "setup", Work: 400, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			keys := int(a.W[0])
 			v, err := ctx.Call(symSocket, core.Args{})
 			if err != nil {
@@ -125,6 +129,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "serve_get", Work: serveWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			reqBuf, n, cmd, err := st.recvCommand(ctx)
 			if err != nil {
 				return core.Ret{}, err
@@ -173,6 +178,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "serve_set", Work: serveWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			reqBuf, n, cmd, err := st.recvCommand(ctx)
 			if err != nil {
 				return core.Ret{}, err
@@ -212,9 +218,8 @@ func Register(cat *core.Catalog) *State {
 			return core.Ret{W: 1}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 // readRequest reads a received request back from simulated memory into
 // the state's scratch; the result is valid until the next request.

@@ -7,7 +7,6 @@ import (
 	"flexos/internal/core"
 	"flexos/internal/harden"
 	"flexos/internal/isolation"
-	"flexos/internal/libc"
 	"flexos/internal/netstack"
 	"flexos/internal/oslib"
 	"flexos/internal/scenario"
@@ -153,17 +152,11 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestStateCounters(t *testing.T) {
-	// A catalog of its own, so the test can read the app's counters.
-	cat := core.NewCatalog()
-	oslib.RegisterTCB(cat)
-	oslib.RegisterSched(cat)
-	libc.Register(cat)
-	netstack.Register(cat)
-	st := redis.Register(cat)
-	img, err := core.Build(cat, oneComp())
+	img, err := core.Build(scenario.FullCatalog(), oneComp())
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := img.State(redis.Name).(*redis.State)
 	ctx, _ := img.NewContext("t", redis.Name)
 	if _, err := ctx.Call(core.Symbol(redis.Name, "setup"), core.Words(4)); err != nil {
 		t.Fatal(err)

@@ -78,9 +78,12 @@ type State struct {
 
 // Register adds libsqlite to a catalog (Table 1: +199/-145, 24 shared
 // variables).
-func Register(cat *core.Catalog) *State {
-	st := &State{}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is libsqlite, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
+	c.NewState = func() any { return &State{} }
 	c.PatchAdd, c.PatchDel = 199, 145
 	c.Imports = []string{libc.Name, vfs.Name, timesys.Name}
 	c.Shared = append(c.Shared, sharedVars...)
@@ -89,6 +92,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "open_db", Work: 900, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			v, err := ctx.Call(symOpen, core.Args{S: dbPath})
 			if err != nil {
 				return core.Ret{}, err
@@ -105,6 +109,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "exec_insert", Work: execWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			if !st.opened {
 				return core.Ret{}, fmt.Errorf("sqlite: database not open")
 			}
@@ -157,6 +162,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "exec_batch", Work: 0, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			if !st.opened {
 				return core.Ret{}, fmt.Errorf("sqlite: database not open")
 			}
@@ -204,9 +210,8 @@ func Register(cat *core.Catalog) *State {
 			return core.Ret{W: st.rows}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 // formatRow stages row i's statement text in the shared buffer.
 func (st *State) formatRow(ctx *core.Ctx, buf uintptr, i int) error {

@@ -18,6 +18,9 @@ type CompRT struct {
 	Hardening harden.Set
 	libHard   map[string]harden.Set
 	Libs      []*Component
+	// states holds this image's state of each of Libs, by position:
+	// what the component's NewState returned, or nil.
+	states []any
 
 	// Heap is the compartment's private allocator (KASan-wrapped when
 	// the compartment enables kasan).
@@ -74,7 +77,6 @@ type Image struct {
 
 	crossings uint64
 	dssBytes  uintptr
-	trace     *Trace
 }
 
 // Build runs the build-time instantiation: compartment creation, backend
@@ -102,16 +104,16 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		restricted: make(map[mem.Key]*mem.Bump),
 	}
 
-	// 1. Create compartments, register entry points (the gate
-	// insertion step: the static call graph determines which symbols can
-	// be entered from outside) and resolve every call site: its target
-	// compartment, entry symbol, and the callee's hardening and work
-	// charge.
+	// 1. Create compartments, give each linked component fresh state,
+	// register entry points (the gate insertion step: the static call
+	// graph determines which symbols can be entered from outside) and
+	// resolve every call site: its target compartment, entry symbol,
+	// state, and the callee's hardening and work charge.
 	nsites, nshared := 0, 0
 	for _, cs := range spec.Comps {
 		for _, libName := range cs.Libs {
 			comp, _ := cat.Lookup(libName)
-			nsites += len(comp.Funcs)
+			nsites += len(comp.funcs)
 			nshared += len(comp.Shared)
 		}
 	}
@@ -119,22 +121,25 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	var maxSym Sym
 	for i, cs := range spec.Comps {
 		iso := &isolation.Compartment{ID: sched.CompID(i), Name: cs.Name}
-		rt := &CompRT{Compartment: iso, Hardening: cs.Hardening, libHard: cs.LibHardening}
+		rt := &CompRT{Compartment: iso, Hardening: cs.Hardening, libHard: cs.LibHardening,
+			Libs: make([]*Component, 0, len(cs.Libs)), states: make([]any, 0, len(cs.Libs))}
 		for _, libName := range cs.Libs {
 			comp, _ := cat.Lookup(libName)
+			var state any
+			if comp.NewState != nil {
+				state = comp.NewState()
+			}
 			rt.Libs = append(rt.Libs, comp)
+			rt.states = append(rt.states, state)
 			img.byLib[libName] = rt
 			hard := rt.EffectiveHardening(libName)
-			for _, fname := range comp.FuncNames() {
-				f := comp.Funcs[fname]
-				entry := libName + "." + fname
+			for _, f := range comp.funcs {
 				if f.EntryPoint {
-					iso.AddEntryPoint(entry)
+					iso.AddEntryPoint(f.entry)
 				}
-				sym := Symbol(libName, fname)
-				maxSym = max(maxSym, sym)
+				maxSym = max(maxSym, f.sym)
 				sites = append(sites, callSite{
-					sym: sym, target: rt, lib: libName, f: f, entry: entry,
+					sym: f.sym, target: rt, lib: libName, f: f.Func, entry: f.entry, state: state,
 					cfi:    hard.Has(harden.CFI),
 					canary: hard.Has(harden.StackProtector),
 					work:   scaleWork(f.Work, hard),
@@ -323,8 +328,7 @@ func (img *Image) restrictedAlloc(key mem.Key, size int) (uintptr, error) {
 	return al.Alloc(size)
 }
 
-// boundGate decorates a backend gate with crossing accounting and
-// optional tracing.
+// boundGate decorates a backend gate with crossing accounting.
 type boundGate struct {
 	isolation.Gate
 	img      *Image
@@ -335,15 +339,8 @@ type boundGate struct {
 
 func (g *boundGate) Call(t *sched.Thread, entry string, callee isolation.Callee) error {
 	g.calls++
-	if !g.cross {
-		return g.Gate.Call(t, entry, callee)
-	}
-	g.img.crossings++
-	if tr := g.img.trace; tr != nil {
-		start := g.img.Mach.Clock.Cycles()
-		err := g.Gate.Call(t, entry, callee)
-		tr.record(g.from, g.to, entry, start, g.Gate.Cost())
-		return err
+	if g.cross {
+		g.img.crossings++
 	}
 	return g.Gate.Call(t, entry, callee)
 }
@@ -358,6 +355,8 @@ type callSite struct {
 	f      *Func
 	// entry is the gate entry symbol, "lib.fn".
 	entry string
+	// state is the image's state of the callee's component.
+	state any
 	// cfi and canary record whether the callee library's effective
 	// hardening includes CFI (a forward-edge check per entry) and the
 	// stack protector (a canary per frame).
@@ -401,6 +400,20 @@ func (img *Image) Comp(lib string) (*CompRT, bool) {
 func (img *Image) CompByName(name string) (*CompRT, bool) {
 	c, ok := img.byName[name]
 	return c, ok
+}
+
+// State returns the image's state of the component lib: what its
+// NewState returned when Build linked it. It is nil when the image does
+// not link lib or the component is stateless.
+func (img *Image) State(lib string) any {
+	if c, ok := img.byLib[lib]; ok {
+		for i, l := range c.Libs {
+			if l.Name == lib {
+				return c.states[i]
+			}
+		}
+	}
+	return nil
 }
 
 // Compartments returns the image's compartments in ID order.

@@ -66,7 +66,10 @@ func DiffCallSites(img *Image) []string {
 	for _, from := range img.comps {
 		for _, lib := range img.Catalog.Names() {
 			comp, _ := img.Catalog.Lookup(lib)
-			fns := append(comp.FuncNames(), "no-such-function")
+			fns := []string{"no-such-function"}
+			for _, f := range comp.funcs {
+				fns = append(fns, f.Name)
+			}
 			if lib == img.Catalog.Names()[0] {
 				fns = append(fns, late)
 			}

@@ -21,7 +21,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -167,9 +169,14 @@ type Func struct {
 // granularity of isolation (P1). Components declare their functions,
 // their shared-data annotations, and which other libraries they call
 // (the static call graph the gate-insertion analysis of §3.1 derives).
+//
+// A component is a description: it holds no per-image state, so one
+// value serves every catalog and every image of a process, concurrently.
+// What its functions mutate lives in the value NewState returns, which
+// each image that links the component gets afresh.
 type Component struct {
 	// Name is the library name used in configuration files ("lwip",
-	// "uksched", "libredis", ...).
+	// "uksched", "libredis", ...). Set it before adding functions.
 	Name string
 	// TCB marks trusted-computing-base components (boot, memory manager,
 	// scheduler, backend runtime; §3.3). Multi-AS backends duplicate
@@ -180,8 +187,6 @@ type Component struct {
 	// properties even when mixed with unverified code; the paper
 	// formally verified a version of its scheduler with Dafny).
 	Verified bool
-	// Funcs is the component's interface.
-	Funcs map[string]*Func
 	// Shared lists the component's __shared annotations. Its length is
 	// the "shared vars" column of Table 1.
 	Shared []SharedVar
@@ -191,21 +196,41 @@ type Component struct {
 	// PatchAdd/PatchDel record the porting-effort patch size from the
 	// paper's Table 1 (informational; reproduced by the Table 1 harness).
 	PatchAdd, PatchDel int
+	// NewState returns fresh per-image state. Build calls it once for
+	// every image that links the component, and the component's
+	// function bodies reach the value through Ctx.State. Nil means the
+	// component is stateless.
+	NewState func() any
+
+	// funcs is the component's interface, sorted by name.
+	funcs []linkedFunc
+}
+
+// linkedFunc is a function as AddFunc registered it, with the names
+// Build binds it by: its Sym and its gate entry symbol, "lib.fn".
+type linkedFunc struct {
+	*Func
+	sym   Sym
+	entry string
 }
 
 // NewComponent returns an empty component.
 func NewComponent(name string) *Component {
-	return &Component{Name: name, Funcs: make(map[string]*Func)}
+	return &Component{Name: name}
 }
 
 // AddFunc registers a function and returns the component for chaining.
 func (c *Component) AddFunc(f *Func) *Component {
-	if _, dup := c.Funcs[f.Name]; dup {
+	i, dup := slices.BinarySearchFunc(c.funcs, f.Name, byName)
+	if dup {
 		panic(fmt.Sprintf("core: duplicate function %s.%s", c.Name, f.Name))
 	}
-	c.Funcs[f.Name] = f
+	c.funcs = slices.Insert(c.funcs, i, linkedFunc{f, Symbol(c.Name, f.Name), c.Name + "." + f.Name})
 	return c
 }
+
+// byName orders linked functions by name.
+func byName(f linkedFunc, name string) int { return strings.Compare(f.Name, name) }
 
 // AddShared records a __shared annotation.
 func (c *Component) AddShared(v SharedVar) *Component {
@@ -215,22 +240,17 @@ func (c *Component) AddShared(v SharedVar) *Component {
 
 // Func looks up a function.
 func (c *Component) Func(name string) (*Func, bool) {
-	f, ok := c.Funcs[name]
-	return f, ok
-}
-
-// FuncNames returns the sorted function list (deterministic reports).
-func (c *Component) FuncNames() []string {
-	names := make([]string, 0, len(c.Funcs))
-	for n := range c.Funcs {
-		names = append(names, n)
+	i, ok := slices.BinarySearchFunc(c.funcs, name, byName)
+	if !ok {
+		return nil, false
 	}
-	sort.Strings(names)
-	return names
+	return c.funcs[i].Func, true
 }
 
 // Catalog is the set of available components an image can be built from —
-// the analogue of the Unikraft library pool.
+// the analogue of the Unikraft library pool. It only names components, so
+// one catalog serves any number of images, and one component may sit in
+// any number of catalogs.
 type Catalog struct {
 	comps map[string]*Component
 }

@@ -79,6 +79,16 @@ func (c *Ctx) CurrentLib() string { return c.curLib }
 // CurrentComp returns the compartment currently executing.
 func (c *Ctx) CurrentComp() *CompRT { return c.cur }
 
+// State returns the image's state of the component whose function is
+// running: what that component's NewState returned when Build linked
+// it, or nil for a stateless component or outside any call.
+func (c *Ctx) State() any {
+	if s := c.frames[c.depth].site; s != nil {
+		return s.state
+	}
+	return nil
+}
+
 // cfiCheckCycles is the forward-edge check cost charged per entry into
 // CFI-instrumented code.
 const cfiCheckCycles = 4

@@ -25,33 +25,44 @@ const (
 	memcpyBase = 20
 )
 
-// maxTokens bounds a catalog's parse intern table: past it, new tokens
+// maxTokens bounds an image's parse intern table: past it, new tokens
 // are returned as fresh strings.
 const maxTokens = 64
 
+// State is newlib's per-image host scratch.
+type State struct {
+	// scratch receives simulated reads; no body here calls back out, so
+	// one buffer serves every call of an image.
+	scratch []byte
+	// tokens interns parse's results, so a request's command token
+	// costs no host allocation.
+	tokens map[string]string
+}
+
+// read reads n bytes at addr into the state's scratch.
+func (st *State) read(ctx *core.Ctx, addr uintptr, n int) ([]byte, error) {
+	st.scratch = slices.Grow(st.scratch[:0], n)[:n]
+	return st.scratch, ctx.Read(addr, st.scratch)
+}
+
 // Register adds the newlib component to the catalog.
-func Register(cat *core.Catalog) {
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is newlib, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
 	// newlib row is not in Table 1 (it ships pre-ported with FlexOS),
 	// but it is a first-class Figure 6 component.
-
-	// scratch receives simulated reads; no body here calls back out, so
-	// one buffer per catalog serves every call. tokens interns parse's
-	// results, so a request's command token costs no host allocation.
-	var scratch []byte
-	read := func(ctx *core.Ctx, addr uintptr, n int) ([]byte, error) {
-		scratch = slices.Grow(scratch[:0], n)[:n]
-		return scratch, ctx.Read(addr, scratch)
-	}
-	tokens := make(map[string]string)
+	c.NewState = func() any { return &State{tokens: make(map[string]string)} }
 
 	// parse tokenizes a request buffer in simulated memory: words are
 	// (addr, n); returns the first token in S.
 	c.AddFunc(&core.Func{
 		Name: "parse", Work: parseWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			n := int(a.W[1])
-			buf, err := read(ctx, uintptr(a.W[0]), n)
+			buf, err := st.read(ctx, uintptr(a.W[0]), n)
 			if err != nil {
 				return core.Ret{}, err
 			}
@@ -59,11 +70,11 @@ func Register(cat *core.Catalog) {
 			if i := slices.IndexFunc(buf, isDelim); i >= 0 {
 				buf = buf[:i]
 			}
-			tok, ok := tokens[string(buf)]
+			tok, ok := st.tokens[string(buf)]
 			if !ok {
 				tok = string(buf)
-				if len(tokens) < maxTokens {
-					tokens[tok] = tok
+				if len(st.tokens) < maxTokens {
+					st.tokens[tok] = tok
 				}
 			}
 			return core.Ret{S: tok}, nil
@@ -88,7 +99,7 @@ func Register(cat *core.Catalog) {
 	c.AddFunc(&core.Func{
 		Name: "strcmp", Work: strcmpWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
-			buf, err := read(ctx, uintptr(a.W[0]), int(a.W[1]))
+			buf, err := ctx.State().(*State).read(ctx, uintptr(a.W[0]), int(a.W[1]))
 			if err != nil {
 				return core.Ret{}, err
 			}
@@ -118,8 +129,8 @@ func Register(cat *core.Catalog) {
 			return core.Ret{W: uint64(sum)}, err
 		},
 	})
-	cat.MustRegister(c)
-}
+	return c
+}()
 
 // isDelim reports whether b ends a parse token.
 func isDelim(b byte) bool { return b == ' ' || b == '\r' || b == '\n' || b == 0 }

@@ -63,17 +63,21 @@ type State struct {
 }
 
 // Register adds the lwip component to the catalog.
-func Register(cat *core.Catalog) *State {
-	st := &State{sockets: make(map[int]*socket)}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is lwip, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 542, 275 // Table 1
 	c.Imports = []string{"uksched"}
 	c.Shared = append(c.Shared, sharedVars...)
+	c.NewState = func() any { return &State{sockets: make(map[int]*socket)} }
 
 	// socket() creates an endpoint and returns its descriptor.
 	c.AddFunc(&core.Func{
 		Name: "socket", Work: socketWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			st.nextID++
 			s := &socket{id: st.nextID}
 			st.sockets[s.id] = s
@@ -87,6 +91,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "rx_enqueue", Work: enqueueWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -115,6 +120,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "recv", Work: recvWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -146,6 +152,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "send", Work: sendWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -167,6 +174,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "pending", Work: 20, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			s, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -174,9 +182,8 @@ func Register(cat *core.Catalog) *State {
 			return core.Ret{W: uint64(len(s.rxQueue))}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 func (st *State) lookup(id int) (*socket, error) {
 	s, ok := st.sockets[id]

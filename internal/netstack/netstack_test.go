@@ -14,7 +14,7 @@ func oneCompImage(t *testing.T) (*core.Image, *State) {
 	cat := core.NewCatalog()
 	oslib.RegisterTCB(cat)
 	oslib.RegisterSched(cat)
-	st := Register(cat)
+	Register(cat)
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
@@ -25,7 +25,7 @@ func oneCompImage(t *testing.T) (*core.Image, *State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, st
+	return img, img.State(Name).(*State)
 }
 
 func splitImage(t *testing.T) (*core.Image, *State) {
@@ -33,7 +33,7 @@ func splitImage(t *testing.T) (*core.Image, *State) {
 	cat := core.NewCatalog()
 	oslib.RegisterTCB(cat)
 	oslib.RegisterSched(cat)
-	st := Register(cat)
+	Register(cat)
 	// A tiny app component in its own compartment to drive the stack.
 	app := core.NewComponent("app")
 	app.AddFunc(&core.Func{Name: "main", Work: 1, EntryPoint: true})
@@ -50,7 +50,7 @@ func splitImage(t *testing.T) (*core.Image, *State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, st
+	return img, img.State(Name).(*State)
 }
 
 var (

@@ -31,7 +31,9 @@ const (
 	currentWork = 18
 )
 
-// SchedState counts scheduler-surface activity per image.
+// SchedState counts scheduler-surface activity per image. Build gives
+// every image that links uksched a fresh one; read it with
+// img.State(SchedName).(*SchedState).
 type SchedState struct {
 	wakes, blocks, timers uint64
 }
@@ -41,57 +43,60 @@ type SchedState struct {
 // callers may append an image's other components to it.
 func TCB() []string { return []string{BootName, MMName} }
 
+// The TCB components, built once per process.
+var (
+	boot = (&core.Component{Name: BootName, TCB: true}).AddFunc(&core.Func{Name: "early_init", Work: 500, EntryPoint: true})
+	mm   = (&core.Component{Name: MMName, TCB: true}).AddFunc(&core.Func{Name: "map_pages", Work: 300, EntryPoint: true})
+)
+
 // RegisterTCB adds the boot and memory-manager TCB components.
 func RegisterTCB(cat *core.Catalog) {
-	boot := core.NewComponent(BootName)
-	boot.TCB = true
-	boot.AddFunc(&core.Func{Name: "early_init", Work: 500, EntryPoint: true})
 	cat.MustRegister(boot)
-
-	mm := core.NewComponent(MMName)
-	mm.TCB = true
-	mm.AddFunc(&core.Func{Name: "map_pages", Work: 300, EntryPoint: true})
 	cat.MustRegister(mm)
 }
 
 // RegisterSched adds the uksched component (Table 1: +48/-8, 5 shared
 // variables).
-func RegisterSched(cat *core.Catalog) *SchedState {
-	st := &SchedState{}
+func RegisterSched(cat *core.Catalog) { cat.MustRegister(sched) }
+
+// schedState returns the running image's scheduler state.
+func schedState(ctx *core.Ctx) *SchedState { return ctx.State().(*SchedState) }
+
+// sched is uksched, built once per process.
+var sched = func() *core.Component {
 	c := core.NewComponent(SchedName)
 	c.TCB = true
 	// The paper formally verified a version of its scheduler using
 	// Dafny (§3.3).
 	c.Verified = true
 	c.PatchAdd, c.PatchDel = 48, 8
-	for _, v := range []core.SharedVar{
+	c.NewState = func() any { return &SchedState{} }
+	c.Shared = []core.SharedVar{
 		{Name: "runqueue_len", Size: 8},
 		{Name: "current_tid", Size: 8},
 		{Name: "timer_next", Size: 8},
 		{Name: "wait_bitmap", Size: 16},
 		{Name: "idle_flag", Size: 8},
-	} {
-		c.AddShared(v)
 	}
 
 	c.AddFunc(&core.Func{
 		Name: "wake", Work: wakeWork, EntryPoint: true,
-		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
-			st.wakes++
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			schedState(ctx).wakes++
 			return core.Ret{}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "block_poll", Work: blockWork, EntryPoint: true,
-		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
-			st.blocks++
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			schedState(ctx).blocks++
 			return core.Ret{}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "timer_arm", Work: timerWork, EntryPoint: true,
-		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
-			st.timers++
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			schedState(ctx).timers++
 			return core.Ret{}, nil
 		},
 	})
@@ -110,9 +115,8 @@ func RegisterSched(cat *core.Catalog) *SchedState {
 			return core.Ret{}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 // Wakes returns the number of wake calls (test hook).
 func (s *SchedState) Wakes() uint64 { return s.wakes }

@@ -10,7 +10,7 @@ func testImage(t *testing.T) (*core.Image, *SchedState) {
 	t.Helper()
 	cat := core.NewCatalog()
 	RegisterTCB(cat)
-	st := RegisterSched(cat)
+	RegisterSched(cat)
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
@@ -20,7 +20,7 @@ func testImage(t *testing.T) (*core.Image, *SchedState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, st
+	return img, img.State(SchedName).(*SchedState)
 }
 
 func TestTCBFlags(t *testing.T) {

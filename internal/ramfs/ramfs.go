@@ -42,15 +42,19 @@ type State struct {
 }
 
 // Register adds the ramfs component to the catalog.
-func Register(cat *core.Catalog) *State {
-	st := &State{nodes: make(map[int]*node)}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is ramfs, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
 	// Table 1 groups ramfs with vfscore; patch metadata lives on vfscore.
+	c.NewState = func() any { return &State{nodes: make(map[int]*node)} }
 
 	// create() allocates a node and returns its id.
 	c.AddFunc(&core.Func{
 		Name: "create", Work: nodeWork, EntryPoint: true,
-		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			st.nextID++
 			n := &node{id: st.nextID}
 			st.nodes[n.id] = n
@@ -63,6 +67,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "write_node", Work: nodeWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -86,6 +91,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "read_node", Work: nodeWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -107,7 +113,8 @@ func Register(cat *core.Catalog) *State {
 	// truncate(id) drops the node's content.
 	c.AddFunc(&core.Func{
 		Name: "truncate", Work: nodeWork, EntryPoint: true,
-		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -121,6 +128,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "remove", Work: nodeWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -138,7 +146,8 @@ func Register(cat *core.Catalog) *State {
 	// node_size(id) returns the current size.
 	c.AddFunc(&core.Func{
 		Name: "node_size", Work: 12, EntryPoint: true,
-		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			n, err := st.lookup(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -146,9 +155,8 @@ func Register(cat *core.Catalog) *State {
 			return core.Ret{W: uint64(n.size)}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 func (st *State) lookup(id int) (*node, error) {
 	n, ok := st.nodes[id]

@@ -11,7 +11,7 @@ func testImage(t *testing.T) (*core.Image, *State) {
 	t.Helper()
 	cat := core.NewCatalog()
 	oslib.RegisterTCB(cat)
-	st := Register(cat)
+	Register(cat)
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
@@ -21,7 +21,7 @@ func testImage(t *testing.T) (*core.Image, *State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, st
+	return img, img.State(Name).(*State)
 }
 
 func TestCreateWriteRead(t *testing.T) {

@@ -73,45 +73,38 @@ var (
 // nginxRequest is the request every nginx scenario replays.
 var nginxRequest = []byte("GET /index.html HTTP/1.1\r\nHost: flexos\r\n\r\n")
 
-// baseCatalog returns a fresh catalog of what every application image
-// links: the TCB, the scheduler and the C library. Each measurement
-// assembles its own, since component state is per catalog.
-func baseCatalog() *core.Catalog {
+// The catalogs the scenarios build their images from, assembled once per
+// process over the shared components: each holds exactly what one
+// application's images link.
+var (
+	redisCatalog  = catalog(netstack.Register, redisapp.Register)
+	nginxCatalog  = catalog(netstack.Register, nginxapp.Register)
+	iperfCatalog  = catalog(netstack.Register, iperfapp.Register)
+	sqliteCatalog = catalog(timesys.Register, ramfs.Register, vfs.Register, sqliteapp.Register)
+)
+
+// catalog returns a fresh catalog of what every application image
+// links — the TCB, the scheduler and the C library — plus what the
+// registers add.
+func catalog(registers ...func(*core.Catalog)) *core.Catalog {
 	cat := core.NewCatalog()
 	oslib.RegisterTCB(cat)
 	oslib.RegisterSched(cat)
 	libc.Register(cat)
-	return cat
-}
-
-// netCatalog adds the network stack the server applications link.
-func netCatalog() *core.Catalog {
-	cat := baseCatalog()
-	netstack.Register(cat)
-	return cat
-}
-
-// fsCatalog adds the time subsystem and filesystem pair SQLite links.
-func fsCatalog() *core.Catalog {
-	cat := baseCatalog()
-	timesys.Register(cat)
-	ramfs.Register(cat)
-	vfs.Register(cat)
+	for _, register := range registers {
+		register(cat)
+	}
 	return cat
 }
 
 // FullCatalog assembles every component the repository ships: the TCB,
 // the scheduler, the C library, the network stack, the time subsystem,
 // the filesystem pair and all four applications. Each call returns a
-// fresh, independent catalog.
+// fresh catalog over the shared components, so a caller may register
+// its own components into it.
 func FullCatalog() *core.Catalog {
-	cat := fsCatalog()
-	netstack.Register(cat)
-	redisapp.Register(cat)
-	nginxapp.Register(cat)
-	sqliteapp.Register(cat)
-	iperfapp.Register(cat)
-	return cat
+	return catalog(netstack.Register, timesys.Register, ramfs.Register, vfs.Register,
+		redisapp.Register, nginxapp.Register, sqliteapp.Register, iperfapp.Register)
 }
 
 // redisScenario drives GET/SET mixes with optional pipelining: setPct%
@@ -121,10 +114,10 @@ func redisScenario(name, desc string, setPct, pipe int) *Scenario {
 	return &Scenario{
 		name: name, desc: desc, app: "redis", comps: redisapp.Components, ops: 240,
 		drv: driver{
-			catalog: func() (*core.Catalog, func() uint64) {
-				cat := netCatalog()
-				st := redisapp.Register(cat)
-				return cat, func() uint64 { return st.Hits() + st.Sets() }
+			catalog: redisCatalog,
+			completed: func(img *core.Image) uint64 {
+				st := img.State(redisapp.Name).(*redisapp.State)
+				return st.Hits() + st.Sets()
 			},
 			setup: symRedisSetup, args: core.Words(redisKeys),
 			request: func(b []byte, i int) []byte {
@@ -165,9 +158,9 @@ func nginxScenario(name, desc string, keepPct int) *Scenario {
 	return &Scenario{
 		name: name, desc: desc, app: "nginx", comps: nginxapp.Components, ops: 240,
 		drv: driver{
-			catalog: func() (*core.Catalog, func() uint64) {
-				cat := netCatalog()
-				return cat, nginxapp.Register(cat).Served
+			catalog: nginxCatalog,
+			completed: func(img *core.Image) uint64 {
+				return img.State(nginxapp.Name).(*nginxapp.State).Served()
 			},
 			setup:   symNginxSetup,
 			request: func([]byte, int) []byte { return nginxRequest },
@@ -211,9 +204,9 @@ func iperfScenario(name, desc string, streams, bufSize int) *Scenario {
 	return &Scenario{
 		name: name, desc: desc, app: "iperf", comps: iperfapp.Components, ops: 240,
 		drv: driver{
-			catalog: func() (*core.Catalog, func() uint64) {
-				cat := netCatalog()
-				return cat, iperfapp.Register(cat).Received
+			catalog: iperfCatalog,
+			completed: func(img *core.Image) uint64 {
+				return img.State(iperfapp.Name).(*iperfapp.State).Received()
 			},
 			setup:   symIPerfSetup,
 			request: func([]byte, int) []byte { return packet },
@@ -245,9 +238,9 @@ func sqliteScenario(name, desc string, batch int) *Scenario {
 	return &Scenario{
 		name: name, desc: desc, app: "sqlite", comps: sqliteapp.Components, ops: 96,
 		drv: driver{
-			catalog: func() (*core.Catalog, func() uint64) {
-				cat := fsCatalog()
-				return cat, sqliteapp.Register(cat).Rows
+			catalog: sqliteCatalog,
+			completed: func(img *core.Image) uint64 {
+				return img.State(sqliteapp.Name).(*sqliteapp.State).Rows()
 			},
 			setup: symOpenDB,
 			per:   batch,

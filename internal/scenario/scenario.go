@@ -121,9 +121,11 @@ func (s *Scenario) Run(spec core.ImageSpec) (Metrics, error) {
 // driver is what one application's measurement loop varies: the
 // scenario constructors in runners.go fill it in and drive runs it.
 type driver struct {
-	// catalog assembles a fresh catalog for one run and returns it with
-	// the run's completion count, read once every operation has run.
-	catalog func() (*core.Catalog, func() uint64)
+	// catalog is what every run builds its image from.
+	catalog *core.Catalog
+	// completed reads a run's completion count from its image once
+	// every operation has run.
+	completed func(*core.Image) uint64
 	// setup is the application's first call and args its arguments.
 	// Its result word addresses the NIC requests.
 	setup core.Sym
@@ -144,8 +146,7 @@ type driver struct {
 // span, check that each completed, and collect the metric vector.
 func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 	d := &s.drv
-	cat, completed := d.catalog()
-	img, err := core.Build(cat, spec)
+	img, err := core.Build(d.catalog, spec)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -182,7 +183,7 @@ func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 			return Metrics{}, err
 		}
 	}
-	if got, want := completed(), uint64(ops)*d.unit; got != want {
+	if got, want := d.completed(img), uint64(ops)*d.unit; got != want {
 		return Metrics{}, fmt.Errorf("%s: completed %d, want %d", s.app, got, want)
 	}
 	return s.collect(img, &lat, boot, startCycles, startCross), nil

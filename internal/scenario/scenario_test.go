@@ -233,16 +233,15 @@ func TestRegistryLookups(t *testing.T) {
 	}
 }
 
-// TestScenarioCatalogsMatchComponents pins that every run registers
-// exactly the components its scenario declares, plus the TCB, and that
-// FullCatalog registers their union.
+// TestScenarioCatalogsMatchComponents pins that every scenario's catalog
+// registers exactly the components the scenario declares, plus the TCB,
+// and that FullCatalog registers their union.
 func TestScenarioCatalogsMatchComponents(t *testing.T) {
 	union := map[string]bool{}
 	for _, sc := range append(All(), IPerfAt(64)) {
 		want := append(oslib.TCB(), sc.Components()...)
 		slices.Sort(want)
-		cat, _ := sc.drv.catalog()
-		if got := cat.Names(); !reflect.DeepEqual(got, want) {
+		if got := sc.drv.catalog.Names(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: runs register %v, scenario declares %v", sc.Name(), got, want)
 		}
 		for _, name := range want {

@@ -19,29 +19,31 @@ type State struct {
 	ticks uint64
 }
 
-// Register adds the uktime component to the catalog and returns its
-// state handle.
-func Register(cat *core.Catalog) *State {
-	st := &State{}
+// Register adds the uktime component to the catalog.
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is uktime, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 10, 9 // Table 1
+	c.NewState = func() any { return &State{} }
 
 	c.AddFunc(&core.Func{
 		Name: "now", Work: nowWork, EntryPoint: true,
-		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			st.ticks++
 			return core.Ret{W: st.ticks}, nil
 		},
 	})
 	c.AddFunc(&core.Func{
 		Name: "monotonic", Work: nowWork, EntryPoint: true,
-		Impl: func(*core.Ctx, *core.Args) (core.Ret, error) {
-			return core.Ret{W: st.ticks}, nil
+		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
+			return core.Ret{W: ctx.State().(*State).ticks}, nil
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 // Ticks exposes the counter for tests.
 func (s *State) Ticks() uint64 { return s.ticks }

@@ -53,12 +53,15 @@ type State struct {
 
 // Register adds the vfscore component. It requires ramfs and uktime to be
 // registered in the same catalog.
-func Register(cat *core.Catalog) *State {
-	st := &State{paths: make(map[string]int), files: make(map[int]*file)}
+func Register(cat *core.Catalog) { cat.MustRegister(component) }
+
+// component is vfscore, built once per process.
+var component = func() *core.Component {
 	c := core.NewComponent(Name)
 	c.PatchAdd, c.PatchDel = 148, 37 // Table 1 (vfscore+ramfs)
 	c.Imports = []string{ramfs.Name, timesys.Name}
-	for _, v := range []core.SharedVar{
+	c.NewState = func() any { return &State{paths: make(map[string]int), files: make(map[int]*file)} }
+	c.Shared = []core.SharedVar{
 		{Name: "fd_table", Size: 256},
 		{Name: "mount_table", Size: 128},
 		{Name: "cwd", Size: 64},
@@ -71,8 +74,6 @@ func Register(cat *core.Catalog) *State {
 		{Name: "io_vec", Size: 64},
 		{Name: "lock_table", Size: 64},
 		{Name: "statfs_buf", Size: 64},
-	} {
-		c.AddShared(v)
 	}
 
 	now := func(ctx *core.Ctx) (uint64, error) {
@@ -84,6 +85,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "open", Work: lookupWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			if _, err := now(ctx); err != nil {
 				return core.Ret{}, err
 			}
@@ -107,6 +109,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "write", Work: fdWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			f, err := st.file(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -129,6 +132,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "read", Work: fdWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			f, err := st.file(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -149,7 +153,8 @@ func Register(cat *core.Catalog) *State {
 	// seek(fd, pos) repositions the cursor.
 	c.AddFunc(&core.Func{
 		Name: "seek", Work: 14, EntryPoint: true,
-		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			f, err := st.file(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -163,6 +168,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "fsync", Work: syncWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			if _, err := st.file(int(a.W[0])); err != nil {
 				return core.Ret{}, err
 			}
@@ -177,7 +183,8 @@ func Register(cat *core.Catalog) *State {
 	// close(fd) drops the descriptor.
 	c.AddFunc(&core.Func{
 		Name: "close", Work: fdWork, EntryPoint: true,
-		Impl: func(_ *core.Ctx, a *core.Args) (core.Ret, error) {
+		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			f, err := st.file(int(a.W[0]))
 			if err != nil {
 				return core.Ret{}, err
@@ -192,6 +199,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "unlink", Work: lookupWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			nodeID, ok := st.paths[a.S]
 			if !ok {
 				return core.Ret{}, fmt.Errorf("vfs: unlink %q: no such file", a.S)
@@ -212,6 +220,7 @@ func Register(cat *core.Catalog) *State {
 	c.AddFunc(&core.Func{
 		Name: "size", Work: lookupWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, a *core.Args) (core.Ret, error) {
+			st := ctx.State().(*State)
 			nodeID, ok := st.paths[a.S]
 			if !ok {
 				return core.Ret{}, fmt.Errorf("vfs: size %q: no such file", a.S)
@@ -219,9 +228,8 @@ func Register(cat *core.Catalog) *State {
 			return ctx.Call(symNodeSize, core.Words(uint64(nodeID)))
 		},
 	})
-	cat.MustRegister(c)
-	return st
-}
+	return c
+}()
 
 func (st *State) file(fd int) (*file, error) {
 	f, ok := st.files[fd]

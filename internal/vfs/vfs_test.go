@@ -13,9 +13,9 @@ func testImage(t *testing.T) (*core.Image, *State, *timesys.State) {
 	t.Helper()
 	cat := core.NewCatalog()
 	oslib.RegisterTCB(cat)
-	tst := timesys.Register(cat)
+	timesys.Register(cat)
 	ramfs.Register(cat)
-	st := Register(cat)
+	Register(cat)
 	img, err := core.Build(cat, core.ImageSpec{
 		Mechanism: "none",
 		Comps: []core.CompSpec{{
@@ -26,7 +26,7 @@ func testImage(t *testing.T) (*core.Image, *State, *timesys.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, st, tst
+	return img, img.State(Name).(*State), img.State(timesys.Name).(*timesys.State)
 }
 
 func TestOpenWriteReadRoundTrip(t *testing.T) {
