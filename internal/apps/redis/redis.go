@@ -70,8 +70,9 @@ var sharedVars = func() []core.SharedVar {
 	return vs
 }()
 
-// State is the per-image Redis state: the keyspace dictionary. Values
-// live in the compartment's private simulated heap.
+// State is the per-image Redis state: the keyspace dictionary, which
+// setup makes, sized for the keys it preloads. Values live in the
+// compartment's private simulated heap.
 type State struct {
 	values map[string]uintptr
 	sock   int
@@ -93,7 +94,7 @@ func Register(cat *core.Catalog) { cat.MustRegister(component) }
 // component is libredis, built once per process.
 var component = func() *core.Component {
 	c := core.NewComponent(Name)
-	c.NewState = func() any { return &State{values: make(map[string]uintptr)} }
+	c.NewState = func() any { return &State{} }
 	c.PatchAdd, c.PatchDel = 279, 90
 	c.Imports = []string{libc.Name, oslib.SchedName, netstack.Name}
 	c.Shared = append(c.Shared, sharedVars...)
@@ -109,6 +110,7 @@ var component = func() *core.Component {
 				return core.Ret{}, err
 			}
 			st.sock = v.Int()
+			st.values = make(map[string]uintptr, keys)
 			for i := 0; i < keys; i++ {
 				addr, err := ctx.AllocPrivate(valueSize)
 				if err != nil {

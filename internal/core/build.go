@@ -16,7 +16,6 @@ import (
 type CompRT struct {
 	*isolation.Compartment
 	Hardening harden.Set
-	libHard   map[string]harden.Set
 	Libs      []*Component
 	// states holds this image's state of each of Libs, by position:
 	// what the component's NewState returned, or nil.
@@ -57,9 +56,8 @@ type Image struct {
 	AS      *mem.AddrSpace
 	Backend isolation.Backend
 
-	comps  []*CompRT
-	byLib  map[string]*CompRT
-	byName map[string]*CompRT
+	comps []*CompRT
+	byLib map[string]*CompRT
 	// sites resolves every (library, function) pair of the image,
 	// indexed by its Sym; a pair the image lacks is nil or past the
 	// end. gates holds the gate bound for each compartment pair, at
@@ -100,15 +98,14 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		Sched:      sched.New(mach),
 		AS:         mem.NewAddrSpace("flexos", spec.MemBytes, mach),
 		byLib:      make(map[string]*CompRT),
-		byName:     make(map[string]*CompRT),
 		restricted: make(map[mem.Key]*mem.Bump),
 	}
 
-	// 1. Create compartments, give each linked component fresh state,
-	// register entry points (the gate insertion step: the static call
-	// graph determines which symbols can be entered from outside) and
-	// resolve every call site: its target compartment, entry symbol,
-	// state, and the callee's hardening and work charge.
+	// 1. Create compartments, give each linked component fresh state
+	// and resolve every call site: its target compartment, its function
+	// (whose EntryPoint flag crossing gates enforce: the gate insertion
+	// step), state, and the callee library's effective hardening and
+	// work charge.
 	nsites, nshared := 0, 0
 	for _, cs := range spec.Comps {
 		for _, libName := range cs.Libs {
@@ -121,7 +118,7 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	var maxSym Sym
 	for i, cs := range spec.Comps {
 		iso := &isolation.Compartment{ID: sched.CompID(i), Name: cs.Name}
-		rt := &CompRT{Compartment: iso, Hardening: cs.Hardening, libHard: cs.LibHardening,
+		rt := &CompRT{Compartment: iso, Hardening: cs.Hardening,
 			Libs: make([]*Component, 0, len(cs.Libs)), states: make([]any, 0, len(cs.Libs))}
 		for _, libName := range cs.Libs {
 			comp, _ := cat.Lookup(libName)
@@ -132,22 +129,16 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 			rt.Libs = append(rt.Libs, comp)
 			rt.states = append(rt.states, state)
 			img.byLib[libName] = rt
-			hard := rt.EffectiveHardening(libName)
+			hard := cs.libHardening(libName)
 			for _, f := range comp.funcs {
-				if f.EntryPoint {
-					iso.AddEntryPoint(f.entry)
-				}
 				maxSym = max(maxSym, f.sym)
 				sites = append(sites, callSite{
-					sym: f.sym, target: rt, lib: libName, f: f.Func, entry: f.entry, state: state,
-					cfi:    hard.Has(harden.CFI),
-					canary: hard.Has(harden.StackProtector),
-					work:   scaleWork(f.Work, hard),
+					sym: f.sym, target: rt, lib: libName, f: f.Func, state: state,
+					hard: hard, work: scaleWork(f.Work, hard),
 				})
 			}
 		}
 		img.comps = append(img.comps, rt)
-		img.byName[cs.Name] = rt
 	}
 	img.sites = make([]*callSite, maxSym+1)
 	for i := range sites {
@@ -190,14 +181,13 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		tlsf := mem.NewTLSF(arena, mach)
 		var heap mem.Allocator = tlsf
 		kasan := c.Hardening.Has(harden.KASan)
-		for _, hs := range c.libHard {
+		for _, hs := range spec.Comps[c.ID].LibHardening {
 			kasan = kasan || hs.Has(harden.KASan)
 		}
 		if kasan {
 			heap = mem.NewKASanAllocator(tlsf, img.AS, mach)
 		}
 		c.Heap = heap
-		c.Compartment.Heap = heap
 		cursor += heapBytes
 	}
 
@@ -212,9 +202,6 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	}
 	img.sharedHeap = mem.NewTLSF(sharedArena, mach)
 	cursor += heapBytes
-	for _, c := range img.comps {
-		c.Compartment.SharedHeap = img.sharedHeap
-	}
 
 	// 5. Stack region: the rest of memory.
 	img.stackCursor, img.stackEnd = cursor, uintptr(spec.MemBytes)
@@ -337,31 +324,30 @@ type boundGate struct {
 	calls    uint64
 }
 
-func (g *boundGate) Call(t *sched.Thread, entry string, callee isolation.Callee) error {
+func (g *boundGate) Call(t *sched.Thread, callee isolation.Callee) error {
 	g.calls++
 	if g.cross {
 		g.img.crossings++
 	}
-	return g.Gate.Call(t, entry, callee)
+	return g.Gate.Call(t, callee)
 }
 
 // callSite is one (library, function) pair of an image, resolved at
 // build time: everything Ctx.Call needs except the gate, which depends
-// on the calling compartment.
+// on the calling compartment. The innermost open call's site says where
+// execution is; a thread's entry frame holds a site with no function.
 type callSite struct {
 	sym    Sym
 	target *CompRT
 	lib    string
 	f      *Func
-	// entry is the gate entry symbol, "lib.fn".
-	entry string
 	// state is the image's state of the callee's component.
 	state any
-	// cfi and canary record whether the callee library's effective
-	// hardening includes CFI (a forward-edge check per entry) and the
-	// stack protector (a canary per frame).
-	cfi, canary bool
-	// work is f.Work under the callee's hardening multiplier.
+	// hard is the callee library's effective hardening: CFI adds a
+	// forward-edge check per entry, the stack protector a canary per
+	// frame, and UBSan traps in Ctx.Hardening's helpers.
+	hard harden.Set
+	// work is f.Work under hard's multiplier.
 	work uint64
 }
 
@@ -383,22 +369,9 @@ func scaleWork(cycles uint64, hs harden.Set) uint64 {
 	return uint64(float64(float64(cycles) * hs.WorkMultiplier()))
 }
 
-// EffectiveHardening returns the hardening applied to one library: the
-// compartment-wide set plus the library's own toggles (Figure 6's
-// per-component hardening).
-func (c *CompRT) EffectiveHardening(lib string) harden.Set {
-	return c.Hardening.Union(c.libHard[lib])
-}
-
 // Comp returns the compartment hosting the given library.
 func (img *Image) Comp(lib string) (*CompRT, bool) {
 	c, ok := img.byLib[lib]
-	return c, ok
-}
-
-// CompByName returns a compartment by its configuration name.
-func (img *Image) CompByName(name string) (*CompRT, bool) {
-	c, ok := img.byName[name]
 	return c, ok
 }
 

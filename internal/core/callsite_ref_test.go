@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"flexos/internal/harden"
@@ -11,18 +12,22 @@ import (
 // before Build tabulated call sites: the oracle the table is checked
 // against.
 type refSite struct {
-	target      *CompRT
-	f           *Func
-	gate        *boundGate
-	entry       string
-	cfi, canary bool
-	work        uint64
+	target *CompRT
+	f      *Func
+	gate   *boundGate
+	// entryPoint and symbol are what a gate asks the callee: whether
+	// another compartment may enter it, and its "lib.fn" name.
+	entryPoint bool
+	symbol     string
+	hard       harden.Set
+	work       uint64
 }
 
 // refResolve resolves lib.fn called from compartment from by the
 // per-call lookups: byLib, Catalog.Lookup and Func, the gate bound
-// between the two compartments (found by scanning, not by index),
-// EffectiveHardening, the entry concatenation and the work product.
+// between the two compartments (found by scanning, not by index), the
+// effective hardening read from the spec of the compartment listing
+// lib, the symbol concatenation and the work product.
 func refResolve(img *Image, from *CompRT, lib, fn string) (refSite, error) {
 	target, ok := img.byLib[lib]
 	if !ok {
@@ -42,12 +47,16 @@ func refResolve(img *Image, from *CompRT, lib, fn string) (refSite, error) {
 	if gate == nil {
 		return refSite{}, fmt.Errorf("core: no gate bound %s -> %s", from.Name, target.Name)
 	}
-	effective := target.EffectiveHardening(lib)
+	var effective harden.Set
+	for _, cs := range img.Spec.Comps {
+		if slices.Contains(cs.Libs, lib) {
+			effective = cs.Hardening.Union(cs.LibHardening[lib])
+		}
+	}
 	return refSite{
-		target: target, f: f, gate: gate, entry: lib + "." + fn,
-		cfi:    effective.Has(harden.CFI),
-		canary: effective.Has(harden.StackProtector),
-		work:   uint64(float64(float64(f.Work) * effective.WorkMultiplier())),
+		target: target, f: f, gate: gate,
+		entryPoint: f.EntryPoint, symbol: lib + "." + fn, hard: effective,
+		work: uint64(float64(float64(f.Work) * effective.WorkMultiplier())),
 	}, nil
 }
 
@@ -89,8 +98,9 @@ func DiffCallSites(img *Image) []string {
 				case s.sym != sym || s.lib != lib || s.f.Name != fn:
 					gerr = fmt.Errorf("slot of %s.%s holds %d, %s.%s", lib, fn, s.sym, s.lib, s.f.Name)
 				default:
+					callee := &frame{site: s}
 					got = refSite{target: s.target, f: s.f, gate: img.gate(from.ID, s.target.ID),
-						entry: s.entry, cfi: s.cfi, canary: s.canary, work: s.work}
+						entryPoint: callee.EntryPoint(), symbol: callee.Symbol(), hard: s.hard, work: s.work}
 				}
 				if fmt.Sprint(werr) != fmt.Sprint(gerr) || got != want {
 					diffs = append(diffs, fmt.Sprintf("%s -> %s.%s: table %+v (%v), reference %+v (%v)",

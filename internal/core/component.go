@@ -160,8 +160,9 @@ type Func struct {
 	Work uint64
 	// Impl is the functional body; may be nil for pure-work functions.
 	Impl FuncImpl
-	// EntryPoint marks functions callable from other compartments. Gates
-	// enforce this set (the hardcoded-gates CFI of §3.1/§4.1).
+	// EntryPoint marks functions callable from other compartments.
+	// Crossing gates ask the callee for it (the hardcoded-gates CFI of
+	// §3.1/§4.1).
 	EntryPoint bool
 }
 
@@ -206,12 +207,11 @@ type Component struct {
 	funcs []linkedFunc
 }
 
-// linkedFunc is a function as AddFunc registered it, with the names
-// Build binds it by: its Sym and its gate entry symbol, "lib.fn".
+// linkedFunc is a function as AddFunc registered it, with the Sym
+// Build binds it by.
 type linkedFunc struct {
 	*Func
-	sym   Sym
-	entry string
+	sym Sym
 }
 
 // NewComponent returns an empty component.
@@ -221,16 +221,16 @@ func NewComponent(name string) *Component {
 
 // AddFunc registers a function and returns the component for chaining.
 func (c *Component) AddFunc(f *Func) *Component {
-	i, dup := slices.BinarySearchFunc(c.funcs, f.Name, byName)
+	i, dup := slices.BinarySearchFunc(c.funcs, f.Name, funcOrder)
 	if dup {
 		panic(fmt.Sprintf("core: duplicate function %s.%s", c.Name, f.Name))
 	}
-	c.funcs = slices.Insert(c.funcs, i, linkedFunc{f, Symbol(c.Name, f.Name), c.Name + "." + f.Name})
+	c.funcs = slices.Insert(c.funcs, i, linkedFunc{f, Symbol(c.Name, f.Name)})
 	return c
 }
 
-// byName orders linked functions by name.
-func byName(f linkedFunc, name string) int { return strings.Compare(f.Name, name) }
+// funcOrder orders linked functions by name.
+func funcOrder(f linkedFunc, name string) int { return strings.Compare(f.Name, name) }
 
 // AddShared records a __shared annotation.
 func (c *Component) AddShared(v SharedVar) *Component {
@@ -240,7 +240,7 @@ func (c *Component) AddShared(v SharedVar) *Component {
 
 // Func looks up a function.
 func (c *Component) Func(name string) (*Func, bool) {
-	i, ok := slices.BinarySearchFunc(c.funcs, name, byName)
+	i, ok := slices.BinarySearchFunc(c.funcs, name, funcOrder)
 	if !ok {
 		return nil, false
 	}

@@ -225,8 +225,8 @@ func TestNonEntryPointRejectedAcrossCompartments(t *testing.T) {
 	img := build(t, twoCompSpec("intel-mpk", 0, 0))
 	ctx, _ := img.NewContext("t", "app")
 	_, err := ctx.Call(symInternal, Args{})
-	if !mem.IsFault(err, mem.FaultCFI) {
-		t.Fatalf("cross-compartment call to non-entry: got %v, want CFI fault", err)
+	if f, ok := err.(*mem.Fault); !ok || f.Kind != mem.FaultCFI || f.Space != "comp1:svc.internal" {
+		t.Fatalf("cross-compartment call to non-entry: got %v, want CFI fault in comp1:svc.internal", err)
 	}
 	// But legal from within the same compartment.
 	spec := ImageSpec{Mechanism: "intel-mpk", Comps: []CompSpec{
@@ -357,6 +357,10 @@ func TestCallFramesReusedWithoutClobbering(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, _ := img.NewContext("t", "ping")
+	entry := ctx.frames[0].site
+	if entry == nil || entry.f != nil || entry.state != nil || entry.lib != "ping" {
+		t.Fatalf("entry frame site = %+v, want ping with no function and no state", entry)
+	}
 	for round := 0; round < 2; round++ {
 		got, err := ctx.Call(Symbol("pong", "down"), Words(1))
 		if err != nil || got.S != "level-1" {
@@ -366,7 +370,12 @@ func TestCallFramesReusedWithoutClobbering(t *testing.T) {
 			t.Fatalf("round %d: depth %d with %d frames, want 0 with %d", round, ctx.depth, len(ctx.frames), depth+1)
 		}
 		for i, fr := range ctx.frames {
-			if fr.site != nil || fr.args.W != [MaxWords]uint64{} || fr.args.S != "" || fr.args.B != nil ||
+			// The entry frame keeps the site NewContext made for it.
+			wantSite := entry
+			if i > 0 {
+				wantSite = nil
+			}
+			if fr.site != wantSite || fr.args.W != [MaxWords]uint64{} || fr.args.S != "" || fr.args.B != nil ||
 				fr.ret != (Ret{}) || len(fr.locals) != 0 {
 				t.Fatalf("round %d: frame %d still holds its call", round, i)
 			}
@@ -718,18 +727,52 @@ sharing: dss
 	}
 }
 
+// TestUBSanHelperThroughCtx checks that a function body reads its own
+// library's effective hardening through the context: UBSan set on the
+// callee library alone traps inside the call, UBSan set on the caller
+// library alone does not, and outside any call the context reports the
+// start library's compartment-wide set plus its own toggles.
 func TestUBSanHelperThroughCtx(t *testing.T) {
-	spec := twoCompSpec("none", 0, 0)
-	spec.Comps[1].Hardening = harden.NewSet(harden.UBSan)
-	img := build(t, spec)
-	cat := img.Catalog
-	svcComp, _ := cat.Lookup("svc")
-	_ = svcComp
-	ctx, _ := img.NewContext("t", "app")
-	_ = ctx
-	c1, _ := img.CompByName("comp1")
-	if _, err := c1.Hardening.CheckedAdd(1<<62, 1<<62); err == nil {
-		t.Fatal("ubsan helper did not trap")
+	ubsan := harden.NewSet(harden.UBSan)
+	for _, tc := range []struct {
+		lib  string // the library UBSan is set on
+		comp int    // its compartment in twoCompSpec
+		trap bool
+	}{
+		{"svc", 1, true},
+		{"app", 0, false},
+	} {
+		t.Run(tc.lib, func(t *testing.T) {
+			cat := testCatalog(t)
+			svc, _ := cat.Lookup("svc")
+			svc.AddFunc(&Func{Name: "add", Work: 10, EntryPoint: true,
+				Impl: func(ctx *Ctx, a *Args) (Ret, error) {
+					sum, err := ctx.Hardening().CheckedAdd(int64(a.W[0]), int64(a.W[1]))
+					return Ret{W: uint64(sum)}, err
+				}})
+			spec := twoCompSpec("intel-mpk", 0, 0)
+			spec.Comps[0].Hardening = harden.NewSet(harden.StackProtector)
+			spec.Comps[tc.comp].LibHardening = map[string]harden.Set{tc.lib: ubsan}
+			img, err := Build(cat, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, _ := img.NewContext("t", "app")
+			want := spec.Comps[0].Hardening
+			if tc.lib == "app" {
+				want = want.Union(ubsan)
+			}
+			if got := ctx.Hardening(); !got.Equal(want) {
+				t.Fatalf("hardening at depth 0 = %v, want %v", got, want)
+			}
+			_, err = ctx.Call(Symbol("svc", "add"), Words(1<<62, 1<<62))
+			switch {
+			case tc.trap && (err == nil || !strings.Contains(err.Error(), "ubsan")):
+				t.Fatalf("overflow inside svc.add: got %v, want a ubsan trap", err)
+			case !tc.trap && err != nil:
+				t.Fatalf("overflow inside svc.add: got %v, want no trap", err)
+			}
+		})
 	}
 }
 

@@ -10,18 +10,18 @@ import (
 )
 
 // Ctx is the execution context handed to component functions: it tracks
-// the running thread, the compartment currently executing, and provides
-// the abstract compartmentalization API — Call (abstract gates), memory
-// accessors checked under the thread's protection domain, stack locals
-// with the configured sharing strategy, and per-compartment heaps.
+// the running thread and its open calls, and provides the abstract
+// compartmentalization API — Call (abstract gates), memory accessors
+// checked under the thread's protection domain, stack locals with the
+// configured sharing strategy, and per-compartment heaps.
 type Ctx struct {
-	img    *Image
-	th     *sched.Thread
-	cur    *CompRT
-	curLib string
+	img *Image
+	th  *sched.Thread
 
 	// frames holds one reusable frame per call depth: frames[0] is the
-	// thread's entry frame and frames[depth] the innermost open call.
+	// thread's entry frame and frames[depth] the innermost open call,
+	// whose site gives the compartment, library, hardening and state
+	// execution is in.
 	frames []*frame
 	depth  int
 }
@@ -59,8 +59,9 @@ func (img *Image) NewContext(name, startLib string) (*Ctx, error) {
 			return nil, err
 		}
 	}
-	ctx := &Ctx{img: img, th: th, cur: comp, curLib: startLib}
-	ctx.frames = append(ctx.frames, &frame{ctx: ctx})
+	ctx := &Ctx{img: img, th: th}
+	entry := &callSite{target: comp, lib: startLib, hard: img.Spec.Comps[comp.ID].libHardening(startLib)}
+	ctx.frames = append(ctx.frames, &frame{ctx: ctx, site: entry})
 	return ctx, nil
 }
 
@@ -73,21 +74,19 @@ func (c *Ctx) Machine() *machine.Machine { return c.img.Mach }
 // Thread returns the underlying thread.
 func (c *Ctx) Thread() *sched.Thread { return c.th }
 
+// site returns the innermost open call's site.
+func (c *Ctx) site() *callSite { return c.frames[c.depth].site }
+
 // CurrentLib returns the library currently executing.
-func (c *Ctx) CurrentLib() string { return c.curLib }
+func (c *Ctx) CurrentLib() string { return c.site().lib }
 
 // CurrentComp returns the compartment currently executing.
-func (c *Ctx) CurrentComp() *CompRT { return c.cur }
+func (c *Ctx) CurrentComp() *CompRT { return c.site().target }
 
 // State returns the image's state of the component whose function is
 // running: what that component's NewState returned when Build linked
 // it, or nil for a stateless component or outside any call.
-func (c *Ctx) State() any {
-	if s := c.frames[c.depth].site; s != nil {
-		return s.state
-	}
-	return nil
-}
+func (c *Ctx) State() any { return c.site().state }
 
 // cfiCheckCycles is the forward-edge check cost charged per entry into
 // CFI-instrumented code.
@@ -96,14 +95,14 @@ const cfiCheckCycles = 4
 // Hardening returns the hardening in force for the currently executing
 // library; component code uses it for instrumented arithmetic (UBSan
 // helpers).
-func (c *Ctx) Hardening() harden.Set { return c.cur.EffectiveHardening(c.curLib) }
+func (c *Ctx) Hardening() harden.Set { return c.site().hard }
 
 // Call invokes the function sym names through the abstract gate bound
 // at build time. When caller and callee share a compartment this is a
 // plain function call; otherwise the configured backend's gate performs
 // the domain transition. Work cycles are charged under the callee
 // library's hardening multiplier. Build resolved the call site — target
-// compartment, entry symbol, hardening flags and work charge — into a
+// compartment, function, hardening and work charge — into a
 // table indexed by Sym and bound a gate for every compartment pair, so a
 // call is two slice indexes, like the paper's build-time gate binding.
 // The argument frame and the return value travel by value, so a call
@@ -116,11 +115,11 @@ func (c *Ctx) Call(sym Sym, a Args) (Ret, error) {
 	if site == nil {
 		return Ret{}, c.img.unresolved(sym.Name())
 	}
-	if site.cfi {
+	if site.hard.Has(harden.CFI) {
 		// Forward-edge check on entry into CFI-instrumented code.
 		c.img.Mach.Charge(cfiCheckCycles)
 	}
-	gate := c.img.gate(c.cur.ID, site.target.ID)
+	gate := c.img.gate(c.CurrentComp().ID, site.target.ID)
 
 	c.depth++
 	if c.depth == len(c.frames) {
@@ -128,7 +127,7 @@ func (c *Ctx) Call(sym Sym, a Args) (Ret, error) {
 	}
 	fr := c.frames[c.depth]
 	fr.site, fr.args = site, a
-	err := gate.Call(c.th, site.entry, fr)
+	err := gate.Call(c.th, fr)
 	ret := fr.ret
 	fr.site, fr.args, fr.ret = nil, Args{}, Ret{}
 	c.depth--
@@ -138,19 +137,23 @@ func (c *Ctx) Call(sym Sym, a Args) (Ret, error) {
 	return ret, nil
 }
 
+// EntryPoint implements isolation.Callee.
+func (fr *frame) EntryPoint() bool { return fr.site.f.EntryPoint }
+
+// Symbol implements isolation.Callee.
+func (fr *frame) Symbol() string { return fr.site.lib + "." + fr.site.f.Name }
+
 // Run implements isolation.Callee: it executes the frame's function in
-// the callee compartment, between the stack frame push and pop.
+// the callee compartment, between the stack frame push and pop. The
+// frame is the innermost, so its site is where execution is.
 func (fr *frame) Run() error {
 	c, s := fr.ctx, fr.site
-	prevComp, prevLib := c.cur, c.curLib
-	c.cur, c.curLib = s.target, s.lib
 
 	// Open a frame on the callee stack; the stack protector adds a
 	// canary when the callee library hardens with it.
 	st := c.th.Stack(s.target.ID)
 	if st != nil {
-		if err := st.PushFrame(c.th.PKRU, s.canary); err != nil {
-			c.cur, c.curLib = prevComp, prevLib
+		if err := st.PushFrame(c.th.PKRU, s.hard.Has(harden.StackProtector)); err != nil {
 			return err
 		}
 	}
@@ -175,7 +178,6 @@ func (fr *frame) Run() error {
 			err = perr
 		}
 	}
-	c.cur, c.curLib = prevComp, prevLib
 	return err
 }
 
@@ -188,9 +190,10 @@ func (fr *frame) Run() error {
 //     heap, freed automatically when the enclosing call returns (this is
 //     the 100-300+ cycle path of Fig. 11a).
 func (c *Ctx) StackAlloc(n int, shared bool) (uintptr, error) {
-	st := c.th.Stack(c.cur.ID)
+	cur := c.CurrentComp()
+	st := c.th.Stack(cur.ID)
 	if st == nil {
-		return 0, fmt.Errorf("core: thread has no stack in compartment %s", c.cur.Name)
+		return 0, fmt.Errorf("core: thread has no stack in compartment %s", cur.Name)
 	}
 	if !shared {
 		return st.AllocLocal(n, false)
@@ -212,10 +215,10 @@ func (c *Ctx) StackAlloc(n int, shared bool) (uintptr, error) {
 }
 
 // AllocPrivate allocates from the current compartment's private heap.
-func (c *Ctx) AllocPrivate(n int) (uintptr, error) { return c.cur.Heap.Alloc(n) }
+func (c *Ctx) AllocPrivate(n int) (uintptr, error) { return c.CurrentComp().Heap.Alloc(n) }
 
 // FreePrivate returns a private-heap block.
-func (c *Ctx) FreePrivate(addr uintptr) error { return c.cur.Heap.Free(addr) }
+func (c *Ctx) FreePrivate(addr uintptr) error { return c.CurrentComp().Heap.Free(addr) }
 
 // AllocShared allocates from the shared communication heap.
 func (c *Ctx) AllocShared(n int) (uintptr, error) { return c.img.sharedHeap.Alloc(n) }
@@ -263,5 +266,5 @@ func (c *Ctx) Yield() { c.img.Sched.Yield() }
 // hardening multiplier; component bodies use it for data-dependent work
 // (e.g. per-byte parsing loops).
 func (c *Ctx) Charge(cycles uint64) {
-	c.img.Mach.Charge(scaleWork(cycles, c.cur.Hardening))
+	c.img.Mach.Charge(scaleWork(cycles, c.CurrentComp().Hardening))
 }

@@ -239,8 +239,19 @@ func TestPerCompartmentHardeningDoesNotTaxNeighbors(t *testing.T) {
 func TestVariableInterfaceSurface(t *testing.T) {
 	// §3.3: "the system call API is divided into a variable number of
 	// sub-interfaces depending on the chosen configuration" — more
-	// compartments expose more, smaller gate surfaces. Count entry
-	// points per compartment across configurations.
+	// compartments expose more, smaller gate surfaces. Count the entry
+	// points of each compartment's libraries across configurations.
+	surface := func(c *CompRT) int {
+		n := 0
+		for _, l := range c.Libs {
+			for _, f := range l.funcs {
+				if f.EntryPoint {
+					n++
+				}
+			}
+		}
+		return n
+	}
 	cat := attackCatalog(t)
 	one, err := Build(cat, ImageSpec{
 		Mechanism: "intel-mpk",
@@ -252,8 +263,8 @@ func TestVariableInterfaceSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One compartment: no cross-compartment surface at all.
-	if got := len(one.Compartments()[0].EntryPoints); got == 0 {
-		t.Fatal("entry points should still be registered")
+	if got := surface(one.Compartments()[0]); got == 0 {
+		t.Fatal("the libraries should still export entry points")
 	}
 	split, err := Build(attackCatalog(t), ImageSpec{
 		Mechanism: "intel-mpk",
@@ -268,7 +279,7 @@ func TestVariableInterfaceSurface(t *testing.T) {
 	}
 	// Each compartment's attack surface is now only its own exports.
 	vcomp, _ := split.Comp("victim")
-	if len(vcomp.EntryPoints) != 1 {
-		t.Fatalf("victim surface = %d entries, want 1 (api only)", len(vcomp.EntryPoints))
+	if got := surface(vcomp); got != 1 {
+		t.Fatalf("victim surface = %d entries, want 1 (api only)", got)
 	}
 }

@@ -28,6 +28,13 @@ type CompSpec struct {
 	LibHardening map[string]harden.Set
 }
 
+// libHardening returns the hardening applied to lib: the
+// compartment-wide set plus the library's own toggles (Figure 6's
+// per-component hardening).
+func (cs CompSpec) libHardening(lib string) harden.Set {
+	return cs.Hardening.Union(cs.LibHardening[lib])
+}
+
 // ImageSpec is the build-time safety configuration (P1-P3): the
 // compartmentalization strategy, the isolation mechanism, the gate flavor,
 // the data sharing strategy, and per-compartment hardening.

@@ -13,7 +13,6 @@ package isolation
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -61,14 +60,6 @@ func (a ASLR) EffectiveBits(probing bool) int {
 		return a.EntropyBits / 2
 	}
 	return a.EntropyBits
-}
-
-// GuessProbability is the chance a single attacker guess defeats the
-// randomization: exactly 2^-EffectiveBits, computed with math.Ldexp so
-// the value is a bit-exact power of two on every platform (no
-// transcendental functions — see DESIGN §12's determinism contract).
-func (a ASLR) GuessProbability(probing bool) float64 {
-	return math.Ldexp(1, -a.EffectiveBits(probing))
 }
 
 // String renders the axis in configuration syntax: "off", "16", or

@@ -134,16 +134,6 @@ type Compartment struct {
 	// ExtraKeys are additional shared domains this compartment may
 	// access (restricted pairwise shared regions, §4.1).
 	ExtraKeys []mem.Key
-
-	// EntryPoints is the set of legal gate entry symbols into this
-	// compartment, fixed at build time. Gates enforce it (the paper's
-	// "inexpensive albeit incomplete form of CFI").
-	EntryPoints map[string]bool
-
-	// Heap is the compartment's private allocator; SharedHeap is the
-	// communication heap. Both are installed by the builder.
-	Heap       mem.Allocator
-	SharedHeap mem.Allocator
 }
 
 // PKRU returns the protection register image for a thread executing in
@@ -155,14 +145,6 @@ func (c *Compartment) PKRU() mem.PKRU {
 		p = p.Allow(k)
 	}
 	return p
-}
-
-// AddEntryPoint registers a legal gate entry at build time.
-func (c *Compartment) AddEntryPoint(symbol string) {
-	if c.EntryPoints == nil {
-		c.EntryPoints = make(map[string]bool)
-	}
-	c.EntryPoints[symbol] = true
 }
 
 // System is the runtime context backends operate on: the machine, the
@@ -195,17 +177,25 @@ type Gate interface {
 	// Cost is the fixed round-trip cost in cycles, excluding argument
 	// copies (reported in Fig. 11b).
 	Cost() uint64
-	// Call transfers control to entry inside the target compartment,
-	// runs callee there (with the thread's protection domain switched),
-	// and returns to the caller's domain. The callee runs synchronously,
-	// as the paper's gates are inlined calls, not trampolines. The
-	// callee is an interface rather than a closure so that a caller can
-	// pass a reused value and a crossing costs no host allocation.
-	Call(t *sched.Thread, entry string, callee Callee) error
+	// Call transfers control to callee inside the target compartment,
+	// runs it there (with the thread's protection domain switched), and
+	// returns to the caller's domain. The callee runs synchronously, as
+	// the paper's gates are inlined calls, not trampolines. The callee
+	// is an interface rather than a closure so that a caller can pass a
+	// reused value and a crossing costs no host allocation.
+	Call(t *sched.Thread, callee Callee) error
 }
 
-// Callee is the body a gate runs inside the target compartment.
+// Callee is the function a gate runs inside the target compartment.
 type Callee interface {
+	// EntryPoint reports whether the function is a legal entry into its
+	// compartment, fixed at build time. Crossing gates enforce it (the
+	// paper's "inexpensive albeit incomplete form of CFI").
+	EntryPoint() bool
+	// Symbol names the function, "lib.fn"; gates ask for it only to
+	// report a rejected entry.
+	Symbol() string
+	// Run executes the function.
 	Run() error
 }
 
@@ -275,7 +265,7 @@ func NewFuncGate(m *machine.Machine) Gate { return &funcGate{mach: m} }
 func (g *funcGate) String() string { return "call" }
 func (g *funcGate) Cost() uint64   { return g.mach.Costs.FuncCall }
 
-func (g *funcGate) Call(t *sched.Thread, entry string, callee Callee) error {
+func (g *funcGate) Call(t *sched.Thread, callee Callee) error {
 	g.mach.Charge(g.mach.Costs.FuncCall)
 	return callee.Run()
 }

@@ -8,13 +8,21 @@ import (
 	"flexos/internal/sched"
 )
 
-// calleeFunc adapts a closure to the Callee a gate runs.
-type calleeFunc func() error
+// svc adapts a closure to a Callee that is a legal entry point.
+type svc func() error
 
-func (f calleeFunc) Run() error { return f() }
+func (svc) EntryPoint() bool { return true }
+func (svc) Symbol() string   { return "svc" }
+func (f svc) Run() error     { return f() }
 
-// newSys builds a System with n compartments named c0..c(n-1), each
-// exposing entry point "svc".
+// rogue is a Callee that is not an entry point of its compartment.
+type rogue struct{}
+
+func (rogue) EntryPoint() bool { return false }
+func (rogue) Symbol() string   { return "not_an_entry" }
+func (rogue) Run() error       { return nil }
+
+// newSys builds a System with n compartments named c0..c(n-1).
 func newSys(t *testing.T, n int) *System {
 	t.Helper()
 	m := machine.New(machine.CostModel{})
@@ -24,9 +32,7 @@ func newSys(t *testing.T, n int) *System {
 		AS:    mem.NewAddrSpace("sys", 256*mem.PageSize, m),
 	}
 	for i := 0; i < n; i++ {
-		c := &Compartment{ID: sched.CompID(i), Name: "c" + string(rune('0'+i))}
-		c.AddEntryPoint("svc")
-		s.Comps = append(s.Comps, c)
+		s.Comps = append(s.Comps, &Compartment{ID: sched.CompID(i), Name: "c" + string(rune('0'+i))})
 	}
 	return s
 }
@@ -113,10 +119,10 @@ func checkRogueEntry(t *testing.T, f gateFlavour) {
 	sys, th, g := f.bind(t)
 	var err error
 	cost := sys.Mach.Clock.Span(func() {
-		err = g.Call(th, "not_an_entry", calleeFunc(func() error { return nil }))
+		err = g.Call(th, rogue{})
 	})
-	if !mem.IsFault(err, mem.FaultCFI) {
-		t.Fatalf("rogue entry: got %v, want CFI fault", err)
+	if f, ok := err.(*mem.Fault); !ok || f.Kind != mem.FaultCFI || f.Space != "c0:not_an_entry" {
+		t.Fatalf("rogue entry: got %v, want CFI fault in c0:not_an_entry", err)
 	}
 	if cost != 0 {
 		t.Fatalf("rejected entry charged %d cycles", cost)
@@ -130,7 +136,7 @@ func checkCost(t *testing.T, f gateFlavour) {
 	}
 	var err error
 	cost := sys.Mach.Clock.Span(func() {
-		err = g.Call(th, "svc", calleeFunc(func() error { return nil }))
+		err = g.Call(th, svc(func() error { return nil }))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +151,7 @@ func checkSwitch(t *testing.T, f gateFlavour) {
 	before := th.PKRU
 	var inside mem.PKRU
 	var insideComp sched.CompID
-	err := g.Call(th, "svc", calleeFunc(func() error {
+	err := g.Call(th, svc(func() error {
 		inside, insideComp = th.PKRU, th.Comp
 		return nil
 	}))
@@ -164,7 +170,7 @@ func checkRegisters(t *testing.T, f gateFlavour) {
 	_, th, g := f.bind(t)
 	th.Regs[0] = 0x5EC2E7
 	var seen uint64
-	g.Call(th, "svc", calleeFunc(func() error {
+	g.Call(th, svc(func() error {
 		seen = th.Regs[0]
 		th.Regs[1] = 0xCA11EE
 		return nil
@@ -322,7 +328,7 @@ func TestMPKGateStackSwitch(t *testing.T) {
 	calleeStack := sched.NewStack(sys.AS, 0, 8*mem.PageSize, false, sys.Mach)
 	th.SetStack(0, calleeStack)
 	var depthInside int
-	g.Call(th, "svc", calleeFunc(func() error {
+	g.Call(th, svc(func() error {
 		depthInside = calleeStack.Depth()
 		return nil
 	}))
@@ -359,7 +365,7 @@ func TestNoneBackendAllowsEverything(t *testing.T) {
 	}
 	g, _ := b.Gate(2, 0, GateDefault)
 	cost := sys.Mach.Clock.Span(func() {
-		g.Call(th, "anything", calleeFunc(func() error { return nil }))
+		g.Call(th, rogue{})
 	})
 	if cost != sys.Mach.Costs.FuncCall {
 		t.Fatalf("none gate cost = %d, want plain call", cost)
@@ -455,7 +461,7 @@ func TestCrossCompartmentMemoryIsolationEndToEnd(t *testing.T) {
 	}
 
 	g, _ := b.Gate(2, 1, GateFull)
-	err = g.Call(intruder, "svc", calleeFunc(func() error {
+	err = g.Call(intruder, svc(func() error {
 		return sys.AS.Read(intruder.PKRU, secretPage, make([]byte, 6))
 	}))
 	if err != nil {

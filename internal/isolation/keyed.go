@@ -347,9 +347,9 @@ func (g *keyedGate) Cost() uint64 { return g.cost }
 
 // Call implements Gate. Hardcoded gates mean compartments can only be
 // entered at well-defined points, an inexpensive form of CFI (§4.1).
-func (g *keyedGate) Call(t *sched.Thread, entry string, callee Callee) error {
-	if !g.to.EntryPoints[entry] {
-		return CFIFault(g.to.Name, entry)
+func (g *keyedGate) Call(t *sched.Thread, callee Callee) error {
+	if !callee.EntryPoint() {
+		return CFIFault(g.to.Name, callee.Symbol())
 	}
 	g.mach.Charge(g.cost)
 

@@ -2,7 +2,7 @@
 // versioned, checksummed JSONL trace format of timestamped exploration
 // requests, a deterministic seeded synthesizer that composes the
 // scenario library into phase schedules (diurnal ramps, flash crowds,
-// phase shifts), and the record/replay machinery flexos-loadgen drives
+// phase shifts), and the replay machinery flexos-loadgen drives
 // against a flexos-serve daemon or a cluster coordinator.
 //
 // A trace file is one JSON document per line:
@@ -246,62 +246,4 @@ func (t *Trace) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Recorder appends events to a trace file as they happen — the
-// "record" half of record/replay. It stamps each event with the
-// caller-supplied trace time, enforcing monotonicity, so a proxy in
-// front of a daemon can capture live traffic for later replay.
-type Recorder struct {
-	w      *bufio.Writer
-	c      io.Closer
-	lastMs int64
-	events int
-}
-
-// NewRecorder writes the header and returns a recorder appending to w.
-func NewRecorder(w io.Writer, name string, seed int64) (*Recorder, error) {
-	rec := &Recorder{w: bufio.NewWriter(w)}
-	if c, ok := w.(io.Closer); ok {
-		rec.c = c
-	}
-	hdr, err := json.Marshal(header{Format: FormatName, Version: Version, Name: name, Seed: seed})
-	if err != nil {
-		return nil, fmt.Errorf("trace: record header: %w", err)
-	}
-	rec.w.Write(hdr)
-	rec.w.WriteByte('\n')
-	return rec, nil
-}
-
-// Record appends one event at atMs milliseconds of trace time. Events
-// must arrive in non-decreasing time order.
-func (rec *Recorder) Record(atMs int64, phase string, req cli.Request) error {
-	if atMs < rec.lastMs {
-		return fmt.Errorf("trace: record: event at %dms precedes the previous at %dms", atMs, rec.lastMs)
-	}
-	rec.lastMs = atMs
-	raw := req.Encode()
-	line, err := json.Marshal(wireEvent{AtMs: atMs, Phase: phase, Request: raw, Sum: eventSum(atMs, phase, raw)})
-	if err != nil {
-		return fmt.Errorf("trace: record event: %w", err)
-	}
-	rec.w.Write(line)
-	rec.w.WriteByte('\n')
-	rec.events++
-	return nil
-}
-
-// Events returns how many events the recorder has appended.
-func (rec *Recorder) Events() int { return rec.events }
-
-// Close flushes (and closes the underlying writer when it can).
-func (rec *Recorder) Close() error {
-	if err := rec.w.Flush(); err != nil {
-		return err
-	}
-	if rec.c != nil {
-		return rec.c.Close()
-	}
-	return nil
 }

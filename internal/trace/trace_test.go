@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"flexos/internal/cli"
 	"flexos/internal/trace"
 )
 
@@ -168,47 +167,6 @@ func TestDecodeCorruptionTruncates(t *testing.T) {
 			t.Errorf("stats = %+v, want 2 events and 2 corrupt lines", st)
 		}
 	})
-}
-
-func TestRecorderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	rec, err := trace.NewRecorder(&buf, "captured", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := []trace.Event{
-		{AtMs: 0, Phase: "warm", Request: cli.Request{Scenario: "redis-get90"}},
-		{AtMs: 120, Phase: "warm", Request: cli.Request{Scenario: "redis-get50", Ops: 100}},
-		{AtMs: 120, Phase: "shift", Request: cli.Request{Scenario: "redis-get90*2+redis-pipe8"}},
-	}
-	for _, ev := range evs {
-		if err := rec.Record(ev.AtMs, ev.Phase, ev.Request); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rec.Record(50, "late", cli.Request{}); err == nil {
-		t.Fatal("recorder accepted a time regression")
-	}
-	if rec.Events() != 3 {
-		t.Fatalf("Events() = %d", rec.Events())
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := trace.Decode(bytes.NewReader(buf.Bytes()))
-	if err != nil || st.CorruptEvents != 0 {
-		t.Fatalf("decode recorded trace: %v (stats %+v)", err, st)
-	}
-	if got.Name != "captured" || got.Seed != 7 || len(got.Events) != 3 {
-		t.Fatalf("decoded %q seed %d with %d events", got.Name, got.Seed, len(got.Events))
-	}
-	for i, ev := range got.Events {
-		want := evs[i].Request
-		want.Normalize()
-		if ev.AtMs != evs[i].AtMs || ev.Phase != evs[i].Phase || !reflect.DeepEqual(ev.Request, want) {
-			t.Errorf("event %d = %+v, want %+v", i, ev, evs[i])
-		}
-	}
 }
 
 func TestBuildSchedule(t *testing.T) {
