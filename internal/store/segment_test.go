@@ -72,19 +72,6 @@ func writeGoldenSegment(t *testing.T, dir string) []byte {
 	return data
 }
 
-// sameBits reports whether two vectors are equal bit for bit, so that
-// negative zero and zero differ.
-func sameBits(a, b scenario.Metrics) bool {
-	fa := [...]float64{a.Throughput, a.P50us, a.P99us, a.MaxUs, a.Survival}
-	fb := [...]float64{b.Throughput, b.P50us, b.P99us, b.MaxUs, b.Survival}
-	for i := range fa {
-		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
-			return false
-		}
-	}
-	return a == b
-}
-
 // TestSegmentGolden pins the bytes the store writes: the records of
 // goldenRecords appended through Store must reproduce
 // testdata/segment.golden exactly.
@@ -129,7 +116,7 @@ func TestGoldenSegmentOpens(t *testing.T) {
 	}
 	for i, r := range recs {
 		want := goldenRecords[i]
-		if r.Key != want.Key || !sameBits(r.Metrics, want.Metrics) {
+		if r.Key != want.Key || !store.BitsEqual(r.Metrics, want.Metrics) {
 			t.Errorf("record %d: %q %+v, want %q %+v", i, r.Key, r.Metrics, want.Key, want.Metrics)
 		}
 	}
@@ -180,7 +167,7 @@ func TestDamageAtEveryByte(t *testing.T) {
 		}
 		for _, k := range s.Keys() {
 			m, _ := s.Load(k)
-			if w, ok := want[k]; !ok || !sameBits(m, w) {
+			if w, ok := want[k]; !ok || !store.BitsEqual(m, w) {
 				t.Fatalf("%s: key %q loaded %+v, wrote %+v (written: %v)", what, k, m, w, ok)
 			}
 		}

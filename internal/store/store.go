@@ -27,6 +27,12 @@
 //	{"addr":"<16-hex FNV-1a of key>","key":"<namespace\x00 configkey>",
 //	 "metrics":{...},"sum":"<8-hex CRC-32 of addr+key+metrics>"}
 //
+// One record codec writes and reads every record line. The line is
+// exactly encoding/json's rendering of those four fields, and the
+// reader accepts only that spelling: it scans the fields in place and
+// checks the address and checksum without reflection. A line it cannot
+// parse is damaged.
+//
 // Nothing in a segment is trusted: a file whose header is missing,
 // unparsable, names a foreign format, or carries a version this build
 // does not know is quarantined — skipped whole, counted in
@@ -55,10 +61,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -85,14 +90,6 @@ type header struct {
 type Record struct {
 	Key     string           `json:"key"`
 	Metrics scenario.Metrics `json:"metrics"`
-}
-
-// record is one stored measurement as a segment line.
-type record struct {
-	Addr    string           `json:"addr"`
-	Key     string           `json:"key"`
-	Metrics scenario.Metrics `json:"metrics"`
-	Sum     string           `json:"sum"`
 }
 
 // Stats describes what Open found on disk and what the store has done
@@ -207,81 +204,71 @@ func (s *Store) loadAll() error {
 // header and truncating it logically at the first damaged record. Only
 // I/O failures (not content failures) are returned as errors.
 func (s *Store) loadSegment(name string) error {
-	f, err := os.Open(name)
+	data, err := os.ReadFile(name)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
+	if len(data) == 0 {
 		s.stats.QuarantinedFiles++ // empty file: no header to trust
 		return nil
 	}
+	line, rest := nextLine(data)
 	var h header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Format != FormatName || h.Version != Version {
+	if err := json.Unmarshal(line, &h); err != nil || h.Format != FormatName || h.Version != Version {
 		s.stats.QuarantinedFiles++
 		return nil
 	}
 	s.stats.Segments++
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
+	lines := bytes.Count(rest, []byte{'\n'}) + 1
+	if len(s.index) == 0 {
+		s.index = make(map[string]scenario.Metrics, lines)
+	}
+	s.order = slices.Grow(s.order, lines)
+	var d lineDecoder
+	for len(rest) > 0 {
+		if line, rest = nextLine(rest); blank(line) {
 			continue
 		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil || !r.valid() {
+		key, m, ok := d.decode(line)
+		if !ok {
 			// First damaged record: everything after it is suspect
 			// (truncation, partial append, bit rot) — drop the tail,
 			// counting every record it takes with it.
-			dropped := 1
-			for sc.Scan() {
-				if len(bytes.TrimSpace(sc.Bytes())) > 0 {
-					dropped++
+			s.stats.CorruptRecords++
+			for len(rest) > 0 {
+				if line, rest = nextLine(rest); !blank(line) {
+					s.stats.CorruptRecords++
 				}
 			}
-			s.stats.CorruptRecords += dropped
 			return nil
 		}
-		if _, dup := s.index[r.Key]; !dup {
-			s.index[r.Key] = r.Metrics
-			s.order = append(s.order, r.Key)
+		if _, dup := s.index[string(key)]; !dup {
+			k := string(key)
+			s.index[k] = m
+			s.order = append(s.order, k)
 			s.stats.Loaded++
 		}
-	}
-	if err := sc.Err(); err != nil {
-		// An unscannable tail (e.g. an over-long line) is content
-		// damage, not an I/O failure worth aborting the open for.
-		s.stats.CorruptRecords++
 	}
 	return nil
 }
 
-// valid recomputes the record's address and checksum.
-func (r *record) valid() bool {
-	return r.Addr == Addr(r.Key) && r.Sum == checksum(r)
+// nextLine splits the first line off data as bufio.ScanLines does: at
+// the first newline or the end, a carriage return before the newline
+// dropped.
+func nextLine(data []byte) (line, rest []byte) {
+	line, rest, _ = bytes.Cut(data, []byte{'\n'})
+	return bytes.TrimSuffix(line, []byte{'\r'}), rest
 }
+
+// blank reports whether a line holds only white space; such lines
+// carry no record and are skipped.
+func blank(line []byte) bool { return len(bytes.TrimSpace(line)) == 0 }
 
 // Addr returns the content address of a memo key: the 16-hex-digit
 // FNV-1a digest — for the engine's namespaced keys, the namespace ⊕
 // Config.Hash identity the index is organized around.
 func Addr(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// checksum covers the address, the key and the canonical JSON of the
-// metrics vector.
-func checksum(r *record) string {
-	mx, _ := json.Marshal(r.Metrics)
-	c := crc32.NewIEEE()
-	c.Write([]byte(r.Addr))
-	c.Write([]byte{0})
-	c.Write([]byte(r.Key))
-	c.Write([]byte{0})
-	c.Write(mx)
-	return fmt.Sprintf("%08x", c.Sum32())
+	return string(appendHex(make([]byte, 0, 16), fnv64a(key), 16))
 }
 
 // Load returns the stored vector for a memo key. It implements
@@ -332,14 +319,11 @@ func (s *Store) append(key string, m scenario.Metrics) {
 			return
 		}
 	}
-	r := record{Addr: Addr(key), Key: key, Metrics: m}
-	r.Sum = checksum(&r)
-	line, err := json.Marshal(r)
+	line, err := appendRecord(s.w.AvailableBuffer(), key, &m)
 	if err != nil {
-		s.err = fmt.Errorf("store: %w", err)
+		s.err = err
 		return
 	}
-	line = append(line, '\n')
 	if _, err := s.w.Write(line); err != nil {
 		s.err = fmt.Errorf("store: %w", err)
 		return
