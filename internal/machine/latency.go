@@ -1,6 +1,6 @@
 package machine
 
-import "sort"
+import "slices"
 
 // LatencySampler collects per-operation latencies read off the virtual
 // cycle clock and reduces them to the percentile statistics the
@@ -14,6 +14,10 @@ type LatencySampler struct {
 	samples []uint64
 	sorted  bool
 }
+
+// Grow reserves room for n more samples, so a caller that knows how
+// many it will record grows the sample buffer once.
+func (s *LatencySampler) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
 // Record adds one latency sample in cycles.
 func (s *LatencySampler) Record(cycles uint64) {
@@ -37,7 +41,7 @@ func (s *LatencySampler) Count() int { return len(s.samples) }
 
 func (s *LatencySampler) sort() {
 	if !s.sorted {
-		sort.Slice(s.samples, func(i, j int) bool { return s.samples[i] < s.samples[j] })
+		slices.Sort(s.samples)
 		s.sorted = true
 	}
 }

@@ -193,6 +193,16 @@ func (st *State) lookup(id int) (*socket, error) {
 	return s, nil
 }
 
+// ReserveRx makes room in socket sock's receive queue for n more
+// packets. It is a host-side hint for a driver that enqueues a whole
+// request stream before running: the queue grows once instead of by
+// doubling, and no simulated cycle is charged.
+func (st *State) ReserveRx(sock, n int) {
+	if s, ok := st.sockets[sock]; ok {
+		s.rxQueue = slices.Grow(s.rxQueue, n)
+	}
+}
+
 // TxBytes returns the total bytes transmitted (bench hook).
 func (st *State) TxBytes() uint64 { return st.txTotal }
 

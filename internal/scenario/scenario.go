@@ -19,6 +19,7 @@ import (
 
 	"flexos/internal/core"
 	"flexos/internal/machine"
+	"flexos/internal/netstack"
 )
 
 // Workload is anything that can run on a built image configuration and
@@ -164,8 +165,12 @@ func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 	if d.request != nil {
 		// Inject the whole request stream first (the NIC side), in the
 		// order the loop will consume it. The stack copies each
-		// request, so one buffer serves them all.
+		// request, so one buffer serves them all, and its queue is
+		// reserved for the stream on the host side.
 		enq := core.Words(sv.W)
+		if st, ok := img.State(netstack.Name).(*netstack.State); ok {
+			st.ReserveRx(int(enq.W[0]), ops)
+		}
 		for i := 0; i < ops; i++ {
 			enq.B = d.request(enq.B[:0], i)
 			if _, err := ctx.Call(symRxEnqueue, enq); err != nil {
@@ -175,6 +180,7 @@ func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 	}
 
 	var lat machine.LatencySampler
+	lat.Grow((ops + d.per - 1) / d.per)
 	startCycles := img.Mach.Clock.Cycles()
 	startCross := img.Crossings()
 	for i := 0; i < ops; i += d.per {
