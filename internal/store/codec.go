@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -413,8 +414,26 @@ func parseFloat(p []byte, name string) (float64, []byte, bool) {
 		return 0, p, false
 	}
 	tok := p[:n]
-	if f, ok := shortFixed(tok); ok {
-		return f, p[n:], true
+	if mant, exp, neg, fixed := fixedPoint(tok); fixed {
+		// The nearest float64 to the digits, scaled by an exact power
+		// of ten: exact when mant < 2^53 (Clinger's fast path), else
+		// within an ulp.
+		f := float64(mant)
+		if exp >= 0 {
+			f *= pow10[exp]
+		} else {
+			f /= pow10[-exp]
+		}
+		// A decimal of at most 15 significant digits survives a round
+		// trip through float64, so no shorter spelling reaches the same
+		// value and this one is canonical; a longer one must be shown
+		// the shortest, which also shows f is its nearest float64.
+		if (f == 0 || f >= 1e-6 && f < 1e21) && (mant < 1e15 || shortest(f, mant, exp)) {
+			if neg {
+				f = -f
+			}
+			return f, p[n:], true
+		}
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
@@ -424,34 +443,30 @@ func parseFloat(p []byte, name string) (float64, []byte, bool) {
 	return f, p[n:], string(appendFloat(buf[:0], f)) == string(tok)
 }
 
-// shortFixed parses tok when it is a fixed-point spelling with at most
-// 15 significant digits, no leading zeros and no trailing fraction
-// zeros, of a value in appendFloat's fixed-point range. Such a
-// spelling is the canonical one: a decimal of at most 15 significant
-// digits survives a round trip through float64, so no shorter spelling
-// reaches the same value. Its value is exact too, since the digits fit
-// in 53 bits and the power of ten is at most 1e22 (Clinger's fast
-// path). Any other token reports false and takes the general path.
-func shortFixed(tok []byte) (float64, bool) {
-	neg := len(tok) > 0 && tok[0] == '-'
+// fixedPoint reads tok as a fixed-point spelling without leading zeros
+// or trailing fraction zeros, returning its value as mant·10^exp with
+// mant free of trailing zeros and exp in [-22, 22]. It reports false
+// for any other spelling, and for more significant digits than a
+// uint64 holds.
+func fixedPoint(tok []byte) (mant uint64, exp int, neg, ok bool) {
+	neg = len(tok) > 0 && tok[0] == '-'
 	if neg {
 		tok = tok[1:]
 	}
 	intLen := digits(tok)
 	whole, frac := tok[:intLen], tok[intLen:]
 	if intLen == 0 || intLen > 1 && whole[0] == '0' {
-		return 0, false
+		return 0, 0, false, false
 	}
 	if len(frac) > 0 {
 		frac = frac[1:]
 		if tok[intLen] != '.' || len(frac) == 0 || digits(frac) != len(frac) || frac[len(frac)-1] == '0' {
-			return 0, false
+			return 0, 0, false, false
 		}
 	}
-	// The value is mant·10^exp, mant the significant digits: an
-	// integer's trailing zeros move to the exponent, a fraction's
+	// An integer's trailing zeros move to the exponent, a fraction's
 	// leading zeros drop out.
-	exp := -len(frac)
+	exp = -len(frac)
 	if len(frac) == 0 {
 		n := len(whole)
 		for n > 1 && whole[n-1] == '0' {
@@ -465,27 +480,108 @@ func shortFixed(tok []byte) (float64, bool) {
 			frac = frac[1:]
 		}
 	}
-	if len(whole)+len(frac) > 15 || exp < -22 || exp > 22 {
-		return 0, false
+	if len(whole)+len(frac) > 19 || exp < -22 || exp > 22 {
+		return 0, 0, false, false
 	}
-	var mant uint64
 	for _, c := range whole {
 		mant = mant*10 + uint64(c-'0')
 	}
 	for _, c := range frac {
 		mant = mant*10 + uint64(c-'0')
 	}
-	f := float64(mant)
-	if exp >= 0 {
-		f *= pow10[exp]
-	} else {
-		f /= pow10[-exp]
+	return mant, exp, neg, true
+}
+
+// shortest reports whether f > 0 is the float64 nearest to
+// mant·10^exp (mant without trailing zeros) and mant's digits are the
+// shortest spelling of f, the one appendFloat writes. That holds when
+// the decimal lies strictly inside f's rounding interval, every decimal
+// one digit shorter strictly outside, and the decimal is either the
+// only one of its length inside or strictly the nearest to f. It
+// compares exactly in 128-bit integers and reports false when it
+// cannot decide.
+func shortest(f float64, mant uint64, exp int) bool {
+	// f = m·2^e2 with a 53-bit m; its rounding interval runs from
+	// (4m-2)·2^(e2-2) (4m-1 just above a power of two) to (4m+2)·2^(e2-2).
+	b := math.Float64bits(f)
+	m, e2 := b&(1<<52-1)|1<<52, int(b>>52)-1075
+	lo := 4*m - 2
+	if m == 1<<52 {
+		lo++
 	}
-	if f != 0 && (f < 1e-6 || f >= 1e21) {
-		return 0, false
+	hi, s := 4*m+2, 2-e2
+	// Order c·10^exp against B·2^(e2-2) as integers: c·2^s against
+	// B·10^-exp for a fraction, c·10^exp against B·2^-s for an integer.
+	var dec, bin func(uint64) u128
+	var half u128 // half a unit of mant's last digit
+	switch {
+	case exp <= 0 && s >= 1 && -exp < len(pow10u):
+		p := pow10u[-exp]
+		dec = func(c uint64) u128 { return shl(c, s) }
+		bin = func(b uint64) u128 { return mul(b, p) }
+		half = shl(1, s-1)
+	case exp > 0 && s < 0 && exp < len(pow10u):
+		p := pow10u[exp]
+		dec = func(c uint64) u128 { return mul(c, p) }
+		bin = func(b uint64) u128 { return shl(b, -s) }
+		half = mul(1, p/2)
+	default:
+		return false
 	}
-	if neg {
-		f = -f
+	l, u, v := bin(lo), bin(hi), dec(mant)
+	if !less(l, v) || !less(v, u) {
+		return false
 	}
-	return f, true
+	if less(dec(mant-1), l) && less(u, dec(mant+1)) {
+		return true // the only decimal of its length inside; shorter ones lie beyond
+	}
+	shorter := mant - mant%10
+	if !less(dec(shorter), l) || !less(u, dec(shorter+10)) {
+		return false
+	}
+	return less(diff(v, bin(4*m)), half)
+}
+
+// pow10u holds the powers of ten a uint64 holds.
+var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// u128 is an unsigned 128-bit integer; ok is false once a result
+// overflowed.
+type u128 struct {
+	hi, lo uint64
+	ok     bool
+}
+
+func mul(a, b uint64) u128 {
+	hi, lo := bits.Mul64(a, b)
+	return u128{hi, lo, true}
+}
+
+// shl returns a·2^s.
+func shl(a uint64, s int) u128 {
+	switch {
+	case bits.Len64(a)+s > 128:
+		return u128{}
+	case s >= 64:
+		return u128{a << (s - 64), 0, true}
+	case s > 0:
+		return u128{a >> (64 - s), a << s, true}
+	}
+	return u128{0, a, true}
+}
+
+// diff returns |a-b|.
+func diff(a, b u128) u128 {
+	if less(a, b) {
+		a, b = b, a
+	}
+	lo, borrow := bits.Sub64(a.lo, b.lo, 0)
+	hi, _ := bits.Sub64(a.hi, b.hi, borrow)
+	return u128{hi, lo, a.ok && b.ok}
+}
+
+// less reports a < b, false when either overflowed.
+func less(a, b u128) bool {
+	return a.ok && b.ok && (a.hi < b.hi || a.hi == b.hi && a.lo < b.lo)
 }

@@ -158,3 +158,56 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		}
 	}
 }
+
+// TestParseFloatRandomSpellings checks parseFloat's verdict and value
+// against the definition on the spellings of random values shaped like
+// measurements (rates and latencies divided out of cycle counts, and
+// random magnitudes across the fixed-point range), and on the
+// one-digit edits of each spelling.
+func TestParseFloatRandomSpellings(t *testing.T) {
+	rng := uint64(1)
+	next := func() uint64 { // splitmix64
+		rng += 0x9e3779b97f4a7c15
+		z := rng
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
+	}
+	check := func(tok string) {
+		f, _, ok := parseFloat([]byte(`"x":`+tok+`}`), `"x":`)
+		want, err := strconv.ParseFloat(tok, 64)
+		canonical := err == nil && !math.IsInf(want, 0) && string(appendFloat(nil, want)) == tok
+		if ok != canonical || ok && math.Float64bits(f) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v, %v; canonical %v, value %v", tok, f, ok, canonical, want)
+		}
+	}
+	for i := 0; i < 50_000; i++ {
+		var f float64
+		switch r := next(); r % 5 {
+		case 0:
+			f = float64(40+r>>40%200) * 2.2e9 / float64(1_000_000+r>>8%50_000_000)
+		case 1:
+			f = float64(r>>20) / 2200
+		case 2:
+			f = math.Float64frombits(r&(1<<52-1) | (1003+r>>52%90)<<52) // about 1e-6 to 1e21
+		case 3: // just above an integer
+			f = math.Nextafter(math.Round(math.Float64frombits(r&(1<<52-1)|(1003+r>>52%90)<<52)), math.Inf(1))
+		default:
+			f = float64(r>>11) / float64(pow10u[r>>4%20])
+		}
+		if next()%2 == 0 {
+			f = -f
+		}
+		tok := string(appendFloat(nil, f))
+		check(tok)
+		last := tok[len(tok)-1]
+		check(tok[:len(tok)-1])
+		check(tok + "1")
+		check(tok + "5")
+		check(tok + "9")
+		if '1' <= last && last <= '8' {
+			check(tok[:len(tok)-1] + string(last-1))
+			check(tok[:len(tok)-1] + string(last+1))
+		}
+	}
+}
