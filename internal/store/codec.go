@@ -88,13 +88,6 @@ func checksum(prefix, metrics []byte) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(prefix), crc32.IEEETable, metrics)
 }
 
-// appendPrefix appends a record's checksummed prefix: its address, a
-// NUL, its key and a NUL.
-func appendPrefix[T string | []byte](b, addr []byte, key T) []byte {
-	b = append(append(b, addr...), 0)
-	return append(append(b, key...), 0)
-}
-
 // appendRecord appends the segment line of one measurement, newline
 // included. It fails only on a NaN or infinite metric, which JSON
 // cannot carry.
@@ -122,9 +115,11 @@ func appendRecord(b []byte, key string, m *scenario.Metrics) ([]byte, error) {
 	b = strconv.AppendUint(append(b, metricNames[8]...), m.Crossings, 10)
 	b = appendFloat(append(b, metricNames[9]...), m.Survival)
 	b = append(b, '}')
-	// The checksum covers the raw key: stage its prefix past the end.
+	// The checksum covers the raw key: stage the address, the key and
+	// their NULs past the line's end.
 	end := len(b)
-	b = appendPrefix(b, b[addr:addr+16], key)
+	b = append(append(b, b[addr:addr+16]...), 0)
+	b = append(append(b, key...), 0)
 	sum := checksum(b[end:], b[metrics:end])
 	b = append(b[:end], litSum...)
 	b = appendHex(b, uint64(sum), 8)
