@@ -132,12 +132,24 @@ func FuzzSegmentLine(f *testing.F) {
 	})
 }
 
-// TestParseFloatMatchesStrconv runs float spellings near every branch
-// of parseFloat through it and checks the verdict and value against
-// the definition: accepted exactly when appendFloat spells the parsed
-// value that way.
+// checkParseFloat checks parseFloat's verdict and value on one
+// spelling against the definition: accepted exactly when appendFloat
+// spells the parsed value that way, and then with that value's bits.
+func checkParseFloat(t *testing.T, tok string) {
+	t.Helper()
+	f, rest, ok := parseFloat([]byte(`"x":`+tok+`,`), `"x":`)
+	want, err := strconv.ParseFloat(tok, 64)
+	finite := !math.IsNaN(want) && !math.IsInf(want, 0)
+	canonical := err == nil && finite && string(appendFloat(nil, want)) == tok
+	if ok != canonical || ok && (math.Float64bits(f) != math.Float64bits(want) || string(rest) != ",") {
+		t.Fatalf("parseFloat(%q) = %v, %v, rest %q; canonical %v, value %v", tok, f, ok, rest, canonical, want)
+	}
+}
+
+// TestParseFloatMatchesStrconv runs spellings near every branch of
+// parseFloat through checkParseFloat.
 func TestParseFloatMatchesStrconv(t *testing.T) {
-	toks := []string{
+	for _, tok := range []string{
 		"0", "-0", "00", "0.0", "-0.0", "1", "10", "100000000000000000000", "1000000000000000000000",
 		"1e+21", "1e21", "1e+021", "0.000001", "0.0000001", "1e-7", "1e-07", "9.999999999999999e-7",
 		"0.1", "0.10", ".1", "1.", "-1.5", "+1", "1_0", "0x10", "Inf", "NaN", "1e+400", "1e-400", "+Inf", "-Inf", "inf",
@@ -147,23 +159,15 @@ func TestParseFloatMatchesStrconv(t *testing.T) {
 		"999999999999999900000", "999999999999999999999", "123456789012345670000", "9007199254740993",
 		"1086716.6702094278", "0.9018181818181819", "1.0931818181818183", "0.000001234567890123", "-",
 		"", "1e", "1e+", "-01", "01.5", "1.5e-10", "1.5E-10", "17.5", "17.50", "0.5", "0.05000",
-	}
-	for _, tok := range toks {
-		f, rest, ok := parseFloat([]byte(`"x":`+tok+`,`), `"x":`)
-		want, err := strconv.ParseFloat(tok, 64)
-		finite := !math.IsNaN(want) && !math.IsInf(want, 0)
-		canonical := err == nil && finite && string(appendFloat(nil, want)) == tok
-		if ok != canonical || ok && (math.Float64bits(f) != math.Float64bits(want) || string(rest) != ",") {
-			t.Errorf("parseFloat(%q) = %v, %v, rest %q; canonical %v, value %v", tok, f, ok, rest, canonical, want)
-		}
+	} {
+		checkParseFloat(t, tok)
 	}
 }
 
-// TestParseFloatRandomSpellings checks parseFloat's verdict and value
-// against the definition on the spellings of random values shaped like
-// measurements (rates and latencies divided out of cycle counts, and
-// random magnitudes across the fixed-point range), and on the
-// one-digit edits of each spelling.
+// TestParseFloatRandomSpellings runs checkParseFloat on the spellings
+// of random values shaped like measurements (rates and latencies
+// divided out of cycle counts, and random magnitudes across the
+// fixed-point range), and on the one-digit edits of each spelling.
 func TestParseFloatRandomSpellings(t *testing.T) {
 	rng := uint64(1)
 	next := func() uint64 { // splitmix64
@@ -172,14 +176,6 @@ func TestParseFloatRandomSpellings(t *testing.T) {
 		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 		z = (z ^ z>>27) * 0x94d049bb133111eb
 		return z ^ z>>31
-	}
-	check := func(tok string) {
-		f, _, ok := parseFloat([]byte(`"x":`+tok+`}`), `"x":`)
-		want, err := strconv.ParseFloat(tok, 64)
-		canonical := err == nil && !math.IsInf(want, 0) && string(appendFloat(nil, want)) == tok
-		if ok != canonical || ok && math.Float64bits(f) != math.Float64bits(want) {
-			t.Fatalf("parseFloat(%q) = %v, %v; canonical %v, value %v", tok, f, ok, canonical, want)
-		}
 	}
 	for i := 0; i < 50_000; i++ {
 		var f float64
@@ -199,15 +195,13 @@ func TestParseFloatRandomSpellings(t *testing.T) {
 			f = -f
 		}
 		tok := string(appendFloat(nil, f))
-		check(tok)
 		last := tok[len(tok)-1]
-		check(tok[:len(tok)-1])
-		check(tok + "1")
-		check(tok + "5")
-		check(tok + "9")
+		for _, edit := range []string{tok, tok[:len(tok)-1], tok + "1", tok + "5", tok + "9"} {
+			checkParseFloat(t, edit)
+		}
 		if '1' <= last && last <= '8' {
-			check(tok[:len(tok)-1] + string(last-1))
-			check(tok[:len(tok)-1] + string(last+1))
+			checkParseFloat(t, tok[:len(tok)-1]+string(last-1))
+			checkParseFloat(t, tok[:len(tok)-1]+string(last+1))
 		}
 	}
 }
