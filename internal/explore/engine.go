@@ -130,7 +130,8 @@ type Request struct {
 // Backing is a Memo's record tier, the store of every finished
 // measurement. Load returns the stored vector for a memo key; Store
 // records one, which later Loads must return. Both must be safe for
-// concurrent use — they are called from the worker pool. The package
+// concurrent use — they are called from the worker pool, and Load from
+// the coordinating goroutines of concurrent runs as well. The package
 // does not flush or close a backing; its owner does (flush-on-close),
 // which is how a Query with a cache directory scopes the store to a
 // run. Results are byte-identical whether a run is cold, warm, or
@@ -288,6 +289,12 @@ type runState struct {
 	errs     []failedMeasure
 
 	slots []outcome // the pool's outcome slots, reused across passes
+
+	// misses and keys are runList's lookup results, reused across
+	// passes: the listed configurations with no stored record, and
+	// their memo keys, which the pool hands to Memo.do.
+	misses []int32
+	keys   []string
 }
 
 type failedMeasure struct {
@@ -339,19 +346,21 @@ func (st *runState) memoKey(i int) string {
 	return memoKey(st.req.Workload, st.space.keys[i])
 }
 
-// measureOne resolves one canonical configuration: canceled-while-
-// queued check, then memo (join/backing/fresh) or a direct measure
-// call. Safe for concurrent use; the result lands in a caller-owned
-// slot, never on the heap.
-func (st *runState) measureOne(ctx context.Context, i int32, slot *outcome) {
+// measureOne resolves the k-th configuration of the pool's list:
+// canceled-while-queued check, then memo (join/backing/fresh) under the
+// key loadStored composed, or a direct measure call. Safe for
+// concurrent use; the result lands in a caller-owned slot, never on the
+// heap.
+func (st *runState) measureOne(ctx context.Context, list []int32, k int, slot *outcome) {
 	if err := ctx.Err(); err != nil {
 		// Canceled while queued: report without measuring (and without
 		// planting a memo entry).
 		slot.err = err
 		return
 	}
+	i := list[k]
 	if st.req.Memo != nil {
-		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.memoKey(int(i)), func() (Metrics, error) {
+		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.keys[k], func() (Metrics, error) {
 			return st.req.Measure(st.cfgs[i])
 		})
 		return
@@ -378,6 +387,9 @@ func (st *runState) measureOne(ctx context.Context, i int32, slot *outcome) {
 // ready-frontier walk (see walk) decides configurations pass by pass
 // in safety order — a configuration is decided only after all its
 // poset predecessors — and measures each pass's batch on the pool.
+// Given a Memo, a batch's stored records are filled on the calling
+// goroutine first, so only the misses reach the pool and a fully
+// stored pass starts no goroutine.
 // When Prune is set and a monotone constraint can prune, the walk
 // follows the Hasse edges, with MeasureBudget (or no cap) bounding the
 // fresh measurements; otherwise it has no edges, so the whole space is
@@ -626,14 +638,16 @@ func (st *runState) prunedBy(preds []int32) bool {
 	return false
 }
 
-// runList is the engine's one worker pool. It measures a list of
-// canonical configurations: workers claim chunks of the list off a
-// shared atomic cursor (idle workers steal the next chunk as soon as
-// they finish one — chunk size adapts from maxBatch down to 1 as the
-// list drains, so the tail stays balanced), write outcomes into
-// preallocated slots, and report whole spans to the coordinator. The
-// hot loop performs no channel operation and no allocation per
-// configuration.
+// runList measures a list of canonical configurations. Given a Memo,
+// the coordinating goroutine first fills every configuration the
+// backing already holds (see loadStored), so a warm pass starts no
+// goroutine; the rest go to the engine's one worker pool: workers
+// claim chunks of the list off a shared atomic cursor (idle workers
+// steal the next chunk as soon as they finish one — chunk size adapts
+// from maxBatch down to 1 as the list drains, so the tail stays
+// balanced), write outcomes into preallocated slots, and report whole
+// spans to the coordinator. The hot loop performs no channel operation
+// and no allocation per configuration.
 //
 // On the coordinating goroutine each successful outcome fills its
 // configuration and the configuration's twins, and settled (when
@@ -641,6 +655,9 @@ func (st *runState) prunedBy(preds []int32) bool {
 // cancellation winds the pool down: spans already claimed still
 // report, failures are recorded, and nothing more is filled.
 func (st *runState) runList(ctx context.Context, workers int, list []int32, settled func(i int32)) {
+	if st.req.Memo != nil {
+		list = st.loadStored(ctx, list, settled)
+	}
 	if len(list) == 0 {
 		return
 	}
@@ -676,7 +693,7 @@ func (st *runState) runList(ctx context.Context, workers int, list []int32, sett
 				}
 				hi = min(hi, total)
 				for k := lo; k < hi; k++ {
-					st.measureOne(ctx, list[k], &slots[k])
+					st.measureOne(ctx, list, int(k), &slots[k])
 					if slots[k].err != nil {
 						stop.Store(true)
 					}
@@ -711,17 +728,50 @@ func (st *runState) runList(ctx context.Context, workers int, list []int32, sett
 				if st.failed {
 					continue
 				}
-				st.fill(int(i), o.metrics, o.hit)
-				if settled != nil {
-					settled(i)
-				}
-				for _, t := range st.twins[i] {
-					st.fill(int(t), o.metrics, true)
-					if settled != nil {
-						settled(t)
-					}
-				}
+				st.settle(i, o.metrics, o.hit, settled)
 			}
+		}
+	}
+}
+
+// loadStored fills, on the coordinating goroutine, every listed
+// configuration whose record the memo's backing holds, as a pool hit
+// would be filled, and returns the rest with their memo keys in
+// st.keys. A miss thus costs one backing lookup more than the pool's
+// own. A context that falls before or during the lookups cancels the
+// run and leaves nothing for the pool.
+func (st *runState) loadStored(ctx context.Context, list []int32, settled func(i int32)) []int32 {
+	st.misses, st.keys = st.misses[:0], st.keys[:0]
+	done := ctx.Done()
+	for _, i := range list {
+		select {
+		case <-done:
+			st.canceled = true
+			return nil
+		default:
+		}
+		key := st.memoKey(int(i))
+		if mx, ok := st.req.Memo.backing.Load(key); ok {
+			st.settle(i, mx, true, settled)
+			continue
+		}
+		st.misses = append(st.misses, i)
+		st.keys = append(st.keys, key)
+	}
+	return st.misses
+}
+
+// settle fills canonical configuration i and its twins from one
+// outcome, calling settled (when non-nil) for every index filled.
+func (st *runState) settle(i int32, mx Metrics, hit bool, settled func(i int32)) {
+	st.fill(int(i), mx, hit)
+	if settled != nil {
+		settled(i)
+	}
+	for _, t := range st.twins[i] {
+		st.fill(int(t), mx, true)
+		if settled != nil {
+			settled(t)
 		}
 	}
 }
