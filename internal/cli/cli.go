@@ -258,29 +258,27 @@ func ConstraintList(cs []flexos.ExploreConstraint) string {
 // so a cold run, a warm rerun and a sharded-then-merged run all print
 // byte-identical reports.
 func PrintReport(w io.Writer, title string, res *flexos.ExploreResult, constraints []flexos.ExploreConstraint, scenarioMode, pareto, noFeasible bool) {
+	var b []byte
 	if pareto {
 		front := res.ParetoFront()
-		fmt.Fprintf(w, "Pareto frontier (safety x throughput x memory): %d configurations\n", len(front))
+		b = fmt.Appendf(b, "Pareto frontier (safety x throughput x memory): %d configurations\n", len(front))
 		for _, i := range front {
-			m := res.Measurements[i]
-			fmt.Fprintf(w, "  - %-55s %s\n", m.Config.Label(), m.Metrics)
+			m := &res.Measurements[i]
+			b = append(appendRow(b, "  - ", m.Config, m.Metrics, true, 0), '\n')
 		}
 	}
-	fmt.Fprintf(w, "%s: explored %d configurations under %d constraint(s)%s\n",
+	b = fmt.Appendf(b, "%s: explored %d configurations under %d constraint(s)%s\n",
 		title, res.Total, len(constraints), ConstraintList(constraints))
 	if noFeasible {
-		fmt.Fprintln(w, "no configuration satisfies every constraint")
-		return
-	}
-	fmt.Fprintf(w, "safest configurations satisfying every constraint: %d\n", len(res.Safest))
-	for _, i := range res.Safest {
-		m := res.Measurements[i]
-		if scenarioMode {
-			fmt.Fprintf(w, "  * %-55s %s\n", m.Config.Label(), m.Metrics)
-		} else {
-			fmt.Fprintf(w, "  * %-55s %9.1fk req/s\n", m.Config.Label(), m.Perf/1000)
+		b = append(b, "no configuration satisfies every constraint\n"...)
+	} else {
+		b = fmt.Appendf(b, "safest configurations satisfying every constraint: %d\n", len(res.Safest))
+		for _, i := range res.Safest {
+			m := &res.Measurements[i]
+			b = append(appendRow(b, "  * ", m.Config, m.Metrics, scenarioMode, m.Perf), '\n')
 		}
 	}
+	w.Write(b)
 }
 
 // StreamLine renders one streamed measurement exactly as
@@ -290,19 +288,23 @@ func PrintReport(w io.Writer, title string, res *flexos.ExploreResult, constrain
 // bytes, which is what makes a remote -stream run byte-identical to a
 // local one.
 func StreamLine(scenarioMode bool, cfg *flexos.ExploreConfig, m flexos.Metrics) string {
-	b := make([]byte, 0, 160)
-	b = append(b, "measured "...)
+	return string(appendRow(make([]byte, 0, 160), "measured ", cfg, m, scenarioMode, m.Throughput))
+}
+
+// appendRow appends one configuration row of a report or a stream:
+// the prefix, the label column, then the full metric vector when
+// vector is set, else value in a k req/s column.
+func appendRow(b []byte, prefix string, cfg *flexos.ExploreConfig, m flexos.Metrics, vector bool, value float64) []byte {
+	b = append(b, prefix...)
 	b = appendLeft(b, cfg.Label(), labelWidth)
 	b = append(b, ' ')
-	if scenarioMode {
-		b = m.Append(b)
-	} else {
-		start := len(b)
-		b = strconv.AppendFloat(b, m.Throughput/1000, 'f', 1, 64)
-		b = alignRight(b, start, 9)
-		b = append(b, "k req/s"...)
+	if vector {
+		return m.Append(b)
 	}
-	return string(b)
+	start := len(b)
+	b = strconv.AppendFloat(b, value/1000, 'f', 1, 64)
+	b = alignRight(b, start, 9)
+	return append(b, "k req/s"...)
 }
 
 // labelWidth is the label column of stream lines, as wide as the

@@ -685,6 +685,11 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 	// Always run streaming: the decided measurements are shared state
 	// every streaming subscriber replays and then follows, whatever
 	// moment it attached, so all of them see the same byte sequence.
+	// The pass publishes at most one per explored configuration, so
+	// the list is reserved once.
+	f.mu.Lock()
+	f.decided = make([]flexos.ExploreMeasurement, 0, explored(q, &f.creq))
+	f.mu.Unlock()
 	seq, final := q.Stream(f.ctx)
 	for cfg, m := range seq {
 		f.publish(cfg, m)
@@ -699,6 +704,16 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 		s.mu.Unlock()
 	}
 	finish(res, err)
+}
+
+// explored returns the number of configurations the request's pass
+// decides: its shard of the query's space, or the whole space.
+func explored(q *flexos.Query, req *cli.Request) int {
+	n := q.SpaceSize()
+	if sh, err := flexos.ParseShard(req.Shard); err == nil {
+		n = sh.Size(n)
+	}
+	return n
 }
 
 // render builds the subscriber's view of a finished flight. The
