@@ -66,6 +66,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"flexos/internal/scenario"
 )
@@ -291,7 +292,9 @@ func (s *Store) Store(key string, m scenario.Metrics) { s.Insert(key, m) }
 // (indexed, appended to the arrival order and, on a writable handle,
 // to the segment), conflict when the key was already indexed under a
 // different vector. The first value always wins — it is the one this
-// store's readers have already been served.
+// store's readers have already been served. A key that is not valid
+// UTF-8 has no segment spelling that reads back as itself, so it is
+// indexed in memory only, as on a handle that cannot append.
 func (s *Store) Insert(key string, m scenario.Metrics) (added, conflict bool) {
 	s.mu.Lock()
 	if cur, dup := s.index[key]; dup {
@@ -306,8 +309,13 @@ func (s *Store) Insert(key string, m scenario.Metrics) (added, conflict bool) {
 }
 
 // append writes one record to the handle's segment, opening it on
-// first use; on a handle that cannot append it does nothing.
+// first use; on a handle that cannot append, or for a key that is not
+// valid UTF-8 (the codec would write it as another key), it does
+// nothing.
 func (s *Store) append(key string, m scenario.Metrics) {
+	if !utf8.ValidString(key) {
+		return
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.closed || s.err != nil {

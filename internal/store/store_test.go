@@ -378,6 +378,43 @@ func TestInsertReportsAddedAndConflict(t *testing.T) {
 	}
 }
 
+// TestInvalidUTF8KeyStaysInMemory: the codec spells an invalid UTF-8
+// key byte as U+FFFD, which would reload under another key, fail its
+// address check and take the rest of the segment with it. Such a key is
+// indexed but never appended, so a valid key after it reloads intact.
+func TestInvalidUTF8KeyStaysInMemory(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added, _ := s.Insert("\xff", vec(1)); !added {
+		t.Fatal("invalid UTF-8 key not indexed")
+	}
+	if m, ok := s.Load("\xff"); !ok || m != vec(1) {
+		t.Fatalf("invalid UTF-8 key loads %v %v, want its vector", m, ok)
+	}
+	s.Store(key(1), vec(2))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Written != 1 {
+		t.Fatalf("written=%d, want only the valid key appended", st.Written)
+	}
+
+	r, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if m, ok := r.Load(key(1)); !ok || m != vec(2) {
+		t.Fatalf("valid key after an invalid one reloads %v %v", m, ok)
+	}
+	if st := r.Stats(); st.CorruptRecords != 0 || st.Loaded != 1 {
+		t.Fatalf("reopen stats %+v, want 1 loaded and 0 corrupt", st)
+	}
+}
+
 // page drains a store's arrival order from cursor since, limit at a
 // time, returning the keys and the final cursor.
 func page(t *testing.T, s *store.Store, since, limit int) ([]string, int) {
