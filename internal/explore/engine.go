@@ -93,15 +93,19 @@ type Request struct {
 	Seed int64
 
 	// DeltaOnly, when set, re-explores only the configurations whose
-	// canonical identity is absent from the Memo (including its
-	// backing store): present keys are skipped without loading, and
-	// counted in Result.Skipped. This is delta re-exploration — after
-	// editing a space, re-measure exactly the changed points and merge
-	// the store for a full warm report. Requires a Memo; incompatible
-	// with MeasureBudget. Pruning is ignored (the skipped keys already
-	// carry values, so there is nothing for a prune to save), and a
-	// delta run never returns ErrNoFeasible — its report only covers
-	// the re-measured slice of the space.
+	// canonical identity has no record in the Memo's backing store. The
+	// run's one lookup of a key decides it: a stored key is skipped
+	// together with its identical twins (canonical first, then the
+	// twins, which is the order Observe sees them in) and counted in
+	// Result.Skipped; an absent one is measured — or, when another run
+	// is measuring it, joined and reported Cached. This is delta
+	// re-exploration — after editing a space, re-measure exactly the
+	// changed points and merge the store for a full warm report.
+	// Requires a Memo; incompatible with MeasureBudget. Pruning is
+	// ignored (the skipped keys already carry values, so there is
+	// nothing for a prune to save), and a delta run never returns
+	// ErrNoFeasible — its report only covers the re-measured slice of
+	// the space.
 	DeltaOnly bool
 
 	// Shard, when non-zero, restricts the run to one deterministic
@@ -191,24 +195,23 @@ func (m *Memo) Len() int {
 	return len(m.inflight)
 }
 
-// do returns the stored vector for key or computes it with f, joining
-// an in-flight computation if one exists; hit reports whether the value
-// predates this call. The backing is read outside the mutex, since it
-// may do I/O. A fresh value is stored before its entry leaves the
-// table, so the Load after inserting an entry sees every measurement
-// that finished since the first: a key is measured at most once.
+// do resolves key by joining its in-flight computation or claiming it;
+// hit reports whether the value predates this call. The claimant loads
+// the backing once, outside the mutex since it may do I/O, and only on
+// a miss computes the value with f. A fresh value is stored before its
+// entry leaves the table, so a caller that finds no entry finds the
+// value on its Load: a key is measured at most once.
 func (m *Memo) do(key string, f func() (Metrics, error)) (mx Metrics, hit bool, err error) {
-	e, mine := m.entry(key, false)
-	if e == nil {
-		if mx, ok := m.backing.Load(key); ok {
-			return mx, true, nil
-		}
-		e, mine = m.entry(key, true)
-	}
-	if !mine {
+	m.mu.Lock()
+	e := m.inflight[key]
+	if e != nil {
+		m.mu.Unlock()
 		<-e.done
 		return e.metrics, true, e.err
 	}
+	e = &memoEntry{done: make(chan struct{})}
+	m.inflight[key] = e
+	m.mu.Unlock()
 	if e.metrics, hit = m.backing.Load(key); !hit {
 		if e.metrics, e.err = f(); e.err == nil {
 			m.backing.Store(key, e.metrics)
@@ -219,29 +222,6 @@ func (m *Memo) do(key string, f func() (Metrics, error)) (mx Metrics, hit bool, 
 	m.mu.Unlock()
 	close(e.done)
 	return e.metrics, hit, e.err
-}
-
-// entry returns key's in-flight entry, or nil. With insert it inserts
-// a missing one, and mine reports that the caller must resolve it.
-func (m *Memo) entry(key string, insert bool) (e *memoEntry, mine bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e = m.inflight[key]; e == nil && insert {
-		e, mine = &memoEntry{done: make(chan struct{})}, true
-		m.inflight[key] = e
-	}
-	return e, mine
-}
-
-// peek reports whether key is already resolvable without measuring: a
-// measurement in flight or a stored record. Delta re-exploration uses
-// it to decide what to skip.
-func (m *Memo) peek(key string) bool {
-	if e, _ := m.entry(key, false); e != nil {
-		return true
-	}
-	_, ok := m.backing.Load(key)
-	return ok
 }
 
 // Engine is the one exploration engine. It is stateless — the zero
@@ -290,11 +270,9 @@ type runState struct {
 
 	slots []outcome // the pool's outcome slots, reused across passes
 
-	// misses and keys are runList's lookup results, reused across
-	// passes: the listed configurations with no stored record, and
-	// their memo keys, which the pool hands to Memo.do.
+	// misses is runList's lookup result, reused across passes: the
+	// listed configurations with no stored record, which go to the pool.
 	misses []int32
-	keys   []string
 }
 
 type failedMeasure struct {
@@ -347,10 +325,9 @@ func (st *runState) memoKey(i int) string {
 }
 
 // measureOne resolves the k-th configuration of the pool's list:
-// canceled-while-queued check, then memo (join/backing/fresh) under the
-// key loadStored composed, or a direct measure call. Safe for
-// concurrent use; the result lands in a caller-owned slot, never on the
-// heap.
+// canceled-while-queued check, then memo (join, or claim, load and
+// measure), or a direct measure call. Safe for concurrent use; the
+// result lands in a caller-owned slot, never on the heap.
 func (st *runState) measureOne(ctx context.Context, list []int32, k int, slot *outcome) {
 	if err := ctx.Err(); err != nil {
 		// Canceled while queued: report without measuring (and without
@@ -360,7 +337,7 @@ func (st *runState) measureOne(ctx context.Context, list []int32, k int, slot *o
 	}
 	i := list[k]
 	if st.req.Memo != nil {
-		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.keys[k], func() (Metrics, error) {
+		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.memoKey(int(i)), func() (Metrics, error) {
 			return st.req.Measure(st.cfgs[i])
 		})
 		return
@@ -388,16 +365,16 @@ func (st *runState) measureOne(ctx context.Context, list []int32, k int, slot *o
 // in safety order — a configuration is decided only after all its
 // poset predecessors — and measures each pass's batch on the pool.
 // Given a Memo, a batch's stored records are filled on the calling
-// goroutine first, so only the misses reach the pool and a fully
-// stored pass starts no goroutine.
+// goroutine first (a delta run skips them instead), so only the misses
+// reach the pool and a fully stored pass starts no goroutine.
 // When Prune is set and a monotone constraint can prune, the walk
 // follows the Hasse edges, with MeasureBudget (or no cap) bounding the
-// fresh measurements; otherwise it has no edges, so the whole space is
-// one pass. A delta run skips the stored keys first and walks the rest
-// without edges. A budget without a prunable constraint runs seeded
-// successive halving instead (see budgetHalving). Whatever a completed
-// run leaves undecided — configurations the budget never reached — is
-// decided as skipped, in input order.
+// fresh measurements; otherwise, and in a delta run, it has no edges,
+// so the whole space is one pass. A budget without a prunable
+// constraint runs seeded successive halving instead (see
+// budgetHalving). Whatever a completed run leaves undecided —
+// configurations the budget never reached — is decided as skipped, in
+// input order.
 //
 // Cancellation: when ctx is canceled or its deadline expires, Run stops
 // submitting measurements, waits for in-flight ones to return (measure
@@ -479,10 +456,7 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 	// without one the walk needs no Hasse edges and order.edges() is
 	// never built.
 	switch {
-	case req.DeltaOnly:
-		st.skipStored()
-		st.walk(ctx, workers, nil, nil, math.MaxInt)
-	case req.Prune && anyMonotone(req.Constraints):
+	case req.Prune && !req.DeltaOnly && anyMonotone(req.Constraints):
 		budget := math.MaxInt
 		if req.MeasureBudget > 0 {
 			budget = req.MeasureBudget
@@ -734,14 +708,15 @@ func (st *runState) runList(ctx context.Context, workers int, list []int32, sett
 	}
 }
 
-// loadStored fills, on the coordinating goroutine, every listed
-// configuration whose record the memo's backing holds, as a pool hit
-// would be filled, and returns the rest with their memo keys in
-// st.keys. A miss thus costs one backing lookup more than the pool's
-// own. A context that falls before or during the lookups cancels the
-// run and leaves nothing for the pool.
+// loadStored is the engine's one lookup of whether a record is stored.
+// On the coordinating goroutine it fills every listed configuration
+// whose record the memo's backing holds, as a pool hit would be filled
+// — or, in a delta run, skips it and its twins — and returns the rest,
+// which the pool resolves through Memo.do. A context that falls before
+// or during the lookups cancels the run and leaves nothing for the
+// pool.
 func (st *runState) loadStored(ctx context.Context, list []int32, settled func(i int32)) []int32 {
-	st.misses, st.keys = st.misses[:0], st.keys[:0]
+	st.misses = st.misses[:0]
 	done := ctx.Done()
 	for _, i := range list {
 		select {
@@ -750,13 +725,19 @@ func (st *runState) loadStored(ctx context.Context, list []int32, settled func(i
 			return nil
 		default:
 		}
-		key := st.memoKey(int(i))
-		if mx, ok := st.req.Memo.backing.Load(key); ok {
+		mx, ok := st.req.Memo.backing.Load(st.memoKey(int(i)))
+		switch {
+		case !ok:
+			st.misses = append(st.misses, i)
+		case st.req.DeltaOnly:
+			// A delta walk has no edges, so nothing waits on settled.
+			st.skip(int(i))
+			for _, t := range st.twins[i] {
+				st.skip(int(t))
+			}
+		default:
 			st.settle(i, mx, true, settled)
-			continue
 		}
-		st.misses = append(st.misses, i)
-		st.keys = append(st.keys, key)
 	}
 	return st.misses
 }

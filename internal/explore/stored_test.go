@@ -205,11 +205,11 @@ func TestStoredHitsMatchThePoolPath(t *testing.T) {
 			}{{"full", full}, {"half", half}} {
 				for _, workers := range []int{1, 8} {
 					what := fmt.Sprintf("%s/%s/%s/workers=%d", name, sh.name, pre.name, workers)
-					// A delta run peeks every stored key before the walk
-					// and skips the present ones, so no stored record
-					// reaches runList there; the pooled backing is warmed
-					// past its first Load so its peeks answer as they do
-					// on a plain backing.
+					// A delta run skips a key its coordinator lookup
+					// finds stored, but fills one the pool finds stored
+					// after a first-Load miss; the pooled backing is
+					// warmed past its first Load there so that stored
+					// keys are skipped as on a plain backing.
 					pooled := func() explore.Backing {
 						b := &pooledBacking{MapBacking: seeded(pre.records), seen: map[string]bool{}}
 						if sh.delta {
@@ -241,23 +241,42 @@ func TestStoredHitsMatchThePoolPath(t *testing.T) {
 	}
 }
 
-// TestStoredLookupCostsAMissOneLoad pins the backing traffic: a stored
-// hit costs one Load, as it did in the pool, and a miss at most one
-// Load more than the pool's two (Memo.do's lookup before and after it
-// claims the key).
-func TestStoredLookupCostsAMissOneLoad(t *testing.T) {
+// keyLoads is a MapBacking that also counts the Loads of each key.
+type keyLoads struct {
+	*exploretest.MapBacking
+	mu    sync.Mutex
+	loads map[string]int
+}
+
+func (b *keyLoads) Load(key string) (explore.Metrics, bool) {
+	b.mu.Lock()
+	b.loads[key]++
+	b.mu.Unlock()
+	return b.MapBacking.Load(key)
+}
+
+// TestStoredLookupCostsAMissTwoLoads pins the backing traffic: a stored
+// hit costs one Load, the coordinator's, and a miss two, the
+// coordinator's and the one Memo.do makes after claiming the key. A
+// delta run over the same records pays the same: each stored key one
+// Load, ending Skipped, and each absent key two.
+func TestStoredLookupCostsAMissTwoLoads(t *testing.T) {
 	cfgs := explore.CrossAppSpace(nil,
 		[4]string{"libredis", "newlib", "uksched", "lwip"}, [4]string{"libnginx", "newlib", "uksched", "lwip"})
 	measure := exploretest.VectorMeasure(rand.New(rand.NewSource(1)))
 	sp := explore.NewSpace(cfgs)
-	for _, workers := range []int{1, 8} {
-		b := exploretest.NewMapBacking()
+	halfStored := func() *keyLoads {
+		b := &keyLoads{MapBacking: exploretest.NewMapBacking(), loads: map[string]int{}}
 		for i, c := range cfgs {
 			if i%2 == 0 {
 				mx, _ := measure(c)
 				b.Put(explore.MemoKey("w", c), mx)
 			}
 		}
+		return b
+	}
+	for _, workers := range []int{1, 8} {
+		b := halfStored()
 		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
 			Space: sp, Measure: measure, Workers: workers, Memo: explore.NewBackedMemo(b), Workload: "w"})
 		if err != nil {
@@ -268,10 +287,129 @@ func TestStoredLookupCostsAMissOneLoad(t *testing.T) {
 		}
 		// Every Load either hits a stored record (once per record) or
 		// belongs to a miss.
-		if max := b.Hits() + 3*res.Measured; b.Loads() > max {
+		if max := b.Hits() + 2*res.Measured; b.Loads() > max {
 			t.Fatalf("workers=%d: %d loads for %d stored hits and %d misses, want at most %d",
 				workers, b.Loads(), b.Hits(), res.Measured, max)
 		}
+
+		b = halfStored()
+		stored := b.Snapshot()
+		res, err = explore.Engine{}.Run(context.Background(), explore.Request{
+			Space: sp, Measure: measure, Workers: workers, DeltaOnly: true,
+			Memo: explore.NewBackedMemo(b), Workload: "w"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cfgs {
+			key := explore.MemoKey("w", c)
+			m := res.Measurements[i]
+			_, ok := stored[key]
+			switch {
+			case ok && (m.Evaluated || m.Pruned):
+				t.Fatalf("delta workers=%d: stored %s decided %+v, want skipped", workers, c.Key(), m)
+			case ok && b.loads[key] != 1:
+				t.Fatalf("delta workers=%d: stored %s loaded %d times, want once", workers, c.Key(), b.loads[key])
+			case !ok && b.loads[key] != 2:
+				t.Fatalf("delta workers=%d: absent %s loaded %d times, want twice", workers, c.Key(), b.loads[key])
+			}
+		}
+		if res.Measured == 0 || res.Skipped == 0 {
+			t.Fatalf("delta workers=%d: measured %d, skipped %d: want both", workers, res.Measured, res.Skipped)
+		}
+	}
+}
+
+// loadSignal is a MapBacking that closes reached at the nth Load of
+// key, so a test can tell a run's lookup of that key has happened.
+type loadSignal struct {
+	*exploretest.MapBacking
+	key     string
+	nth     int
+	mu      sync.Mutex
+	seen    int
+	reached chan struct{}
+}
+
+func (b *loadSignal) Load(key string) (explore.Metrics, bool) {
+	mx, ok := b.MapBacking.Load(key)
+	if key == b.key {
+		b.mu.Lock()
+		if b.seen++; b.seen == b.nth {
+			close(b.reached)
+		}
+		b.mu.Unlock()
+	}
+	return mx, ok
+}
+
+// TestDeltaJoinsAKeyInFlight starts a delta run while another run on
+// the same memo is measuring key K. The delta run's lookup finds K
+// absent, so it must neither skip K nor measure it again: it joins the
+// measurement in flight and reports K evaluated and Cached.
+func TestDeltaJoinsAKeyInFlight(t *testing.T) {
+	cfgs := explore.CrossAppSpace(nil,
+		[4]string{"libredis", "newlib", "uksched", "lwip"}, [4]string{"libnginx", "newlib", "uksched", "lwip"})
+	measure := exploretest.VectorMeasure(rand.New(rand.NewSource(4)))
+	sp := explore.NewSpace(cfgs)
+	k := cfgs[0].Key() // index 0 is canonical and first in every list
+	// K's Loads: run A's lookup, A's claim, then run B's lookup.
+	b := &loadSignal{MapBacking: exploretest.NewMapBacking(), key: explore.MemoKey("w", cfgs[0]), nth: 3,
+		reached: make(chan struct{})}
+	memo := explore.NewBackedMemo(b)
+
+	holding, release := make(chan struct{}), make(chan struct{})
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := explore.Engine{}.Run(context.Background(), explore.Request{
+			Space: sp, Workers: 1, Memo: memo, Workload: "w",
+			Measure: func(c *explore.Config) (explore.Metrics, error) {
+				if c.Key() == k {
+					close(holding)
+					<-release
+				}
+				return measure(c)
+			}})
+		aDone <- err
+	}()
+	<-holding
+
+	var measuredK atomic.Bool
+	type run struct {
+		res *explore.Result
+		err error
+	}
+	bDone := make(chan run, 1)
+	go func() {
+		res, err := explore.Engine{}.Run(context.Background(), explore.Request{
+			Space: sp, Workers: 2, DeltaOnly: true, Memo: memo, Workload: "w",
+			Measure: func(c *explore.Config) (explore.Metrics, error) {
+				if c.Key() == k {
+					measuredK.Store(true)
+				}
+				return measure(c)
+			}})
+		bDone <- run{res, err}
+	}()
+	var rb run
+	select {
+	case <-b.reached:
+		close(release)
+		rb = <-bDone
+	case rb = <-bDone:
+		close(release)
+		t.Errorf("delta run finished without looking K up while it was in flight")
+	}
+	if err := <-aDone; err != nil {
+		t.Fatalf("run A: %v", err)
+	}
+	if rb.err != nil {
+		t.Fatalf("delta run: %v", rb.err)
+	}
+	if measuredK.Load() {
+		t.Fatal("delta run measured K, which another run was measuring")
+	}
+	if m := rb.res.Measurements[0]; !m.Evaluated || !m.Cached {
+		t.Fatalf("delta run decided K as %+v, want evaluated and cached", m)
 	}
 }
 

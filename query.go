@@ -176,12 +176,16 @@ func (q *Query) Seed(s int64) *Query {
 
 // DeltaOnly switches the run to delta re-exploration: only the
 // configurations whose canonical identity is absent from the attached
-// Cache (or backed Memo) are measured — present keys are skipped
-// without loading (Result.Skipped). Fresh measurements write through
-// to the store as usual, so after a delta run a plain warm run of the
-// edited space yields the full merged report, byte-identical to a
-// cold exhaustive run. Requires Cache or a Memo; incompatible with
-// MeasureBudget; pruning is ignored.
+// Cache (or backed Memo) are measured. The run's lookup of each key
+// decides it: a stored key is skipped with its identical twins
+// (Result.Skipped), and a key another run is measuring is joined and
+// reported Cached. Stream yields in index order and Progress counts
+// decisions, so neither depends on the order the skips are decided in.
+// Fresh measurements write through to the store as usual, so after a
+// delta run a plain warm run of the edited space yields the full
+// merged report, byte-identical to a cold exhaustive run. Requires
+// Cache or a Memo; incompatible with MeasureBudget; pruning is
+// ignored.
 func (q *Query) DeltaOnly() *Query {
 	q.deltaOnly = true
 	return q
