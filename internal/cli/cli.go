@@ -23,6 +23,7 @@ import (
 	"unicode/utf8"
 
 	"flexos"
+	"flexos/internal/scenario"
 )
 
 // memoKeyer lets Build read a workload's memo namespace (Scenario and
@@ -263,8 +264,7 @@ func PrintReport(w io.Writer, title string, res *flexos.ExploreResult, constrain
 		front := res.ParetoFront()
 		b = fmt.Appendf(b, "Pareto frontier (safety x throughput x memory): %d configurations\n", len(front))
 		for _, i := range front {
-			m := &res.Measurements[i]
-			b = append(appendRow(b, "  - ", m.Config, m.Metrics, true, 0), '\n')
+			b = append(appendRow(b, "  - ", res.Label(i), &res.Measurements[i].Metrics, true, 0), '\n')
 		}
 	}
 	b = fmt.Appendf(b, "%s: explored %d configurations under %d constraint(s)%s\n",
@@ -275,7 +275,7 @@ func PrintReport(w io.Writer, title string, res *flexos.ExploreResult, constrain
 		b = fmt.Appendf(b, "safest configurations satisfying every constraint: %d\n", len(res.Safest))
 		for _, i := range res.Safest {
 			m := &res.Measurements[i]
-			b = append(appendRow(b, "  * ", m.Config, m.Metrics, scenarioMode, m.Perf), '\n')
+			b = append(appendRow(b, "  * ", res.Label(i), &m.Metrics, scenarioMode, m.Perf), '\n')
 		}
 	}
 	w.Write(b)
@@ -288,21 +288,21 @@ func PrintReport(w io.Writer, title string, res *flexos.ExploreResult, constrain
 // bytes, which is what makes a remote -stream run byte-identical to a
 // local one.
 func StreamLine(scenarioMode bool, cfg *flexos.ExploreConfig, m flexos.Metrics) string {
-	return string(appendRow(make([]byte, 0, 160), "measured ", cfg, m, scenarioMode, m.Throughput))
+	return string(appendRow(make([]byte, 0, 160), "measured ", cfg.Label(), &m, scenarioMode, m.Throughput))
 }
 
 // appendRow appends one configuration row of a report or a stream:
 // the prefix, the label column, then the full metric vector when
 // vector is set, else value in a k req/s column.
-func appendRow(b []byte, prefix string, cfg *flexos.ExploreConfig, m flexos.Metrics, vector bool, value float64) []byte {
+func appendRow(b []byte, prefix, label string, m *flexos.Metrics, vector bool, value float64) []byte {
 	b = append(b, prefix...)
-	b = appendLeft(b, cfg.Label(), labelWidth)
+	b = appendLeft(b, label, labelWidth)
 	b = append(b, ' ')
 	if vector {
 		return m.Append(b)
 	}
 	start := len(b)
-	b = strconv.AppendFloat(b, value/1000, 'f', 1, 64)
+	b = scenario.AppendFixed(b, value/1000, 1)
 	b = alignRight(b, start, 9)
 	return append(b, "k req/s"...)
 }
@@ -420,12 +420,12 @@ func PrintAll(w io.Writer, res *flexos.ExploreResult) {
 		return sorted[a] < sorted[b]
 	})
 	for _, i := range sorted {
-		m := res.Measurements[i]
+		m := &res.Measurements[i]
 		state := "measured"
 		if m.Pruned {
 			state = "pruned"
 		}
-		fmt.Fprintf(w, "%-9s %12.1f  %s\n", state, m.Perf, m.Config.Label())
+		fmt.Fprintf(w, "%-9s %12.1f  %s\n", state, m.Perf, res.Label(i))
 	}
 	fmt.Fprintln(w, "---")
 }

@@ -78,7 +78,7 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 	seed := uint64(st.req.Seed)
 	// Ties order by canonical key: the memo keys share the namespace
 	// prefix, so they order alike.
-	keys := st.space.keys
+	keys, memoKeys := st.space.keys, st.space.memoKeysOf(st.req.Workload)
 	type cand struct {
 		i    int32
 		prio uint64
@@ -88,7 +88,7 @@ func (st *runState) budgetHalving(ctx context.Context, order *spaceOrder, worker
 		if int(st.canon[i]) != i || st.decided.Test(i) {
 			continue
 		}
-		elig = append(elig, cand{int32(i), splitmix64(seed ^ fnv64a(st.memoKey(i)))})
+		elig = append(elig, cand{int32(i), splitmix64(seed ^ fnv64a(memoKeys[i]))})
 	}
 	sort.Slice(elig, func(a, b int) bool {
 		if elig[a].prio != elig[b].prio {

@@ -273,6 +273,10 @@ type runState struct {
 	// misses is runList's lookup result, reused across passes: the
 	// listed configurations with no stored record, which go to the pool.
 	misses []int32
+
+	// memoKeys holds every configuration's memo key when the run has a
+	// Memo: the Space renders them once per workload (memoKeysOf).
+	memoKeys []string
 }
 
 type failedMeasure struct {
@@ -318,12 +322,6 @@ func (st *runState) markDecided(i int) {
 	}
 }
 
-// memoKey composes configuration i's memo key from its cached
-// canonical key. Only configurations the run looks up pay for it.
-func (st *runState) memoKey(i int) string {
-	return memoKey(st.req.Workload, st.space.keys[i])
-}
-
 // measureOne resolves the k-th configuration of the pool's list:
 // canceled-while-queued check, then memo (join, or claim, load and
 // measure), or a direct measure call. Safe for concurrent use; the
@@ -337,7 +335,7 @@ func (st *runState) measureOne(ctx context.Context, list []int32, k int, slot *o
 	}
 	i := list[k]
 	if st.req.Memo != nil {
-		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.memoKey(int(i)), func() (Metrics, error) {
+		slot.metrics, slot.hit, slot.err = st.req.Memo.do(st.memoKeys[i], func() (Metrics, error) {
 			return st.req.Measure(st.cfgs[i])
 		})
 		return
@@ -450,6 +448,9 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		decided:     poset.NewBitset(n),
 		valued:      poset.NewBitset(n),
 		failsBudget: poset.NewBitset(n),
+	}
+	if req.Memo != nil {
+		st.memoKeys = sp.memoKeysOf(req.Workload)
 	}
 
 	// Pruning can only ever fire when a monotone constraint exists;
@@ -615,27 +616,35 @@ func (st *runState) prunedBy(preds []int32) bool {
 // runList measures a list of canonical configurations. Given a Memo,
 // the coordinating goroutine first fills every configuration the
 // backing already holds (see loadStored), so a warm pass starts no
-// goroutine; the rest go to the engine's one worker pool: workers
-// claim chunks of the list off a shared atomic cursor (idle workers
-// steal the next chunk as soon as they finish one — chunk size adapts
-// from maxBatch down to 1 as the list drains, so the tail stays
-// balanced), write outcomes into preallocated slots, and report whole
-// spans to the coordinator. The hot loop performs no channel operation
-// and no allocation per configuration.
+// goroutine and allocates nothing; the rest go to the engine's one
+// worker pool (see runPool).
 //
 // On the coordinating goroutine each successful outcome fills its
 // configuration and the configuration's twins, and settled (when
-// non-nil) is called for every index filled. The first failure or a
-// cancellation winds the pool down: spans already claimed still
-// report, failures are recorded, and nothing more is filled.
+// non-nil) is called for every index filled.
 func (st *runState) runList(ctx context.Context, workers int, list []int32, settled func(i int32)) {
 	if st.req.Memo != nil {
 		list = st.loadStored(ctx, list, settled)
 	}
-	if len(list) == 0 {
-		return
+	if len(list) > 0 {
+		st.runPool(ctx, min(workers, len(list)), list, settled)
 	}
-	workers = min(workers, len(list))
+}
+
+// runPool measures a non-empty list on the worker pool: workers claim
+// chunks of the list off a shared atomic cursor (idle workers steal
+// the next chunk as soon as they finish one — chunk size adapts from
+// maxBatch down to 1 as the list drains, so the tail stays balanced),
+// write outcomes into preallocated slots, and report whole spans to
+// the coordinator. The hot loop performs no channel operation and no
+// allocation per configuration. The first failure or a cancellation
+// winds the pool down: spans already claimed still report, failures
+// are recorded, and nothing more is filled.
+//
+// It is runList's only goroutine-starting half: the workers capture
+// its parameters, which therefore live on the heap, so a pass that
+// never reaches it allocates nothing for them.
+func (st *runState) runPool(ctx context.Context, workers int, list []int32, settled func(i int32)) {
 	if cap(st.slots) < len(list) {
 		st.slots = make([]outcome, len(list))
 	}
@@ -725,7 +734,7 @@ func (st *runState) loadStored(ctx context.Context, list []int32, settled func(i
 			return nil
 		default:
 		}
-		mx, ok := st.req.Memo.backing.Load(st.memoKey(int(i)))
+		mx, ok := st.req.Memo.backing.Load(st.memoKeys[i])
 		switch {
 		case !ok:
 			st.misses = append(st.misses, i)

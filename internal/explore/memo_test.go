@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,4 +193,50 @@ func TestMemoSingleFlightAcrossCompletion(t *testing.T) {
 		<-done
 		r.check(t, out)
 	})
+}
+
+// TestMemoKeyCacheStaysAtCap asks one space for the memo keys of more
+// workloads than it keeps, twice over, through full and sharded runs
+// and Result.MemoKey: the cache never holds more than maxMemoKeySets
+// sets, and every key it hands out, cached or fresh, equals MemoKey.
+func TestMemoKeyCacheStaysAtCap(t *testing.T) {
+	cfgs := Fig5Space([]string{"app", "libc"}, []string{"lwip"})
+	sp := NewSpace(cfgs)
+	measure := func(c *Config) (Metrics, error) { return Metrics{Throughput: float64(c.ID)}, nil }
+	check := func(ns string, keys []string, lo int) {
+		t.Helper()
+		for i, k := range keys {
+			if want := MemoKey(ns, cfgs[lo+i]); k != want {
+				t.Fatalf("workload %q config %d: cached key %q, want %q", ns, lo+i, k, want)
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for w := 0; w < 3*maxMemoKeySets; w++ {
+			ns := fmt.Sprintf("workload-%d/%d", w, round)
+			sh := Shard{Index: w % 3, Count: 3}
+			res, err := Engine{}.Run(context.Background(), Request{
+				Space: sp, Measure: measure, Memo: NewMemo(), Workload: ns, Shard: sh, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, _ := sh.bounds(len(cfgs))
+			for i := range res.Measurements {
+				if got, want := res.MemoKey(ns, i), MemoKey(ns, cfgs[lo+i]); got != want {
+					t.Fatalf("workload %q: Result.MemoKey(%d) = %q, want %q", ns, i, got, want)
+				}
+			}
+			check(ns, sp.memoKeysOf(ns), 0)
+			sp.memoMu.Lock()
+			held := len(sp.memoKeys)
+			for cached, keys := range sp.memoKeys {
+				check(cached, keys, 0)
+			}
+			sp.memoMu.Unlock()
+			if held > maxMemoKeySets {
+				t.Fatalf("after workload %q the space holds %d memo-key sets, cap %d", ns, held, maxMemoKeySets)
+			}
+		}
+	}
 }

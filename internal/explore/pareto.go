@@ -38,7 +38,7 @@ func (r *Result) ParetoFront() []int {
 		}
 	}
 	dominates := func(i, j int) bool {
-		mi, mj := r.Measurements[i].Metrics, r.Measurements[j].Metrics
+		mi, mj := &r.Measurements[i].Metrics, &r.Measurements[j].Metrics
 		if level[i] < level[j] || mi.Throughput < mj.Throughput || mi.PeakMemBytes > mj.PeakMemBytes {
 			return false
 		}

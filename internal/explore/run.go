@@ -91,11 +91,15 @@ type Result struct {
 // safetyOrder returns the safety order of the result's configurations.
 func (r *Result) safetyOrder() *spaceOrder { return r.space.safetyOrder() }
 
-// MemoKey returns MemoKey(workload, r.Measurements[i].Config), composed
-// from the key the explored Space rendered once.
+// MemoKey returns MemoKey(workload, r.Measurements[i].Config), as the
+// explored Space rendered it once for the workload.
 func (r *Result) MemoKey(workload string, i int) string {
-	return memoKey(workload, r.space.keys[i])
+	return r.space.memoKeysOf(workload)[i]
 }
+
+// Label returns r.Measurements[i].Config.Label(), as the explored Space
+// rendered it once.
+func (r *Result) Label(i int) string { return r.space.label(i) }
 
 // Above returns the indices of the configurations strictly safer than
 // configuration i (see Leq), ascending.

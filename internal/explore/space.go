@@ -24,17 +24,35 @@ type Space struct {
 	canon []int32           // each configuration's lowest-index identical twin
 	twins map[int32][]int32 // canonical index -> its later identical twins
 
+	// base and lo place a shard's slice in the Space it was cut from,
+	// whose memo-key and label caches the shard reads.
+	base *Space
+	lo   int
+
 	orderOnce sync.Once
 	order     *spaceOrder
 
 	hashMu sync.Mutex
 	hashes map[string]string // Hash by workload, at most maxHashes
+
+	memoMu   sync.Mutex
+	memoKeys map[string][]string // memo keys by workload, at most maxMemoKeySets
+
+	labelsOnce sync.Once
+	labels     []string
 }
 
 // maxHashes bounds the hashes a Space remembers. A serving mix names a
 // few workloads per space (one per op count); past the bound the
 // remembered hashes are dropped and recomputed on demand.
 const maxHashes = 64
+
+// maxMemoKeySets bounds the workloads whose memo keys a Space keeps
+// rendered. One set holds a key per configuration — about as many bytes
+// as the Space's own keys, 280 KB for the 960-point attack space — so
+// the bound is far lower than maxHashes; past it the sets are dropped
+// and rendered again on demand.
+const maxMemoKeySets = 4
 
 // emptySpace is the Space of a request that names none.
 var emptySpace = NewSpace(nil)
@@ -81,6 +99,46 @@ func (s *Space) Configs() []*Config { return s.cfgs }
 // Key returns configuration i's canonical key.
 func (s *Space) Key(i int) string { return s.keys[i] }
 
+// memoKeysOf returns every configuration's memo key under workload
+// (MemoKey, in enumeration order), rendering them on the first request
+// for that workload. A shard reads the slice of the Space it was cut
+// from, so its keys outlive the run. The slice is shared: read it,
+// never modify it.
+func (s *Space) memoKeysOf(workload string) []string {
+	if s.base != nil {
+		return s.base.memoKeysOf(workload)[s.lo : s.lo+len(s.cfgs)]
+	}
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if mk, ok := s.memoKeys[workload]; ok {
+		return mk
+	}
+	mk := make([]string, len(s.keys))
+	for i, k := range s.keys {
+		mk[i] = memoKey(workload, k)
+	}
+	if len(s.memoKeys) >= maxMemoKeySets || s.memoKeys == nil {
+		s.memoKeys = make(map[string][]string)
+	}
+	s.memoKeys[workload] = mk
+	return mk
+}
+
+// label returns configuration i's Config.Label, rendered once for the
+// whole space on first use.
+func (s *Space) label(i int) string {
+	if s.base != nil {
+		return s.base.label(s.lo + i)
+	}
+	s.labelsOnce.Do(func() {
+		s.labels = make([]string, len(s.cfgs))
+		for i, c := range s.cfgs {
+			s.labels[i] = c.Label()
+		}
+	})
+	return s.labels[i]
+}
+
 // Hash digests the canonical identity of an exploration of the space —
 // the memo namespace plus every configuration key, in enumeration
 // order — into a 16-hex-digit FNV-1a handle. Two explorations share a
@@ -117,9 +175,9 @@ func (s *Space) safetyOrder() *spaceOrder {
 
 // shard returns the slice of the space a shard explores: the space
 // itself for the whole space, otherwise a new Space over the slice,
-// which reuses the rendered keys but groups and orders its own
-// members — a shard's Hasse diagram is not a restriction of the full
-// one.
+// which reuses the rendered keys, memo keys and labels but groups and
+// orders its own members — a shard's Hasse diagram is not a
+// restriction of the full one.
 func (s *Space) shard(sh Shard) (*Space, error) {
 	if err := sh.validate(); err != nil {
 		return nil, err
@@ -128,7 +186,9 @@ func (s *Space) shard(sh Shard) (*Space, error) {
 		return s, nil
 	}
 	lo, hi := sh.bounds(len(s.cfgs))
-	return newSpace(s.cfgs[lo:hi], s.keys[lo:hi]), nil
+	sp := newSpace(s.cfgs[lo:hi], s.keys[lo:hi])
+	sp.base, sp.lo = s, lo
+	return sp, nil
 }
 
 // Fig6Space generates the paper's 80-configuration space for a

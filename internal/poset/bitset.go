@@ -1,5 +1,7 @@
 package poset
 
+import "math/bits"
+
 // Bitset is a fixed-size set of small integers backed by a []uint64,
 // the package's currency for order rows and for the exploration
 // engine's decided/feasible frontiers. The zero value is an empty set
@@ -33,6 +35,15 @@ func bitsetOver(words []uint64, n int) Bitset { return Bitset{words: words, n: n
 
 // Len returns the size of the universe [0, n).
 func (b Bitset) Len() int { return b.n }
+
+// Count returns the number of elements in the set.
+func (b Bitset) Count() int {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Set adds i to the set.
 func (b Bitset) Set(i int) { b.words[i>>6] |= 1 << uint(i&63) }

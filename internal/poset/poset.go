@@ -117,7 +117,12 @@ func (p *Poset[T]) Maximal(keep Bitset) []int {
 	if keep.Len() != len(p.items) {
 		panic(fmt.Sprintf("poset: Maximal filter over %d items, poset has %d", keep.Len(), len(p.items)))
 	}
+	// The maximal elements are at most the kept ones, so out is
+	// allocated once (nil when nothing is kept).
 	var out []int
+	if c := keep.Count(); c > 0 {
+		out = make([]int, 0, c)
+	}
 	for i := range p.items {
 		if keep.Test(i) && !p.dominated(i, keep.words) {
 			out = append(out, i)

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -49,13 +51,13 @@ func (m Metrics) String() string { return string(m.Append(nil)) }
 // p50=1.23µs p99=4.56µs max=7.89µs mem=1024B boot=5678cy", then
 // " surv=0.123456" when Survival is set.
 func (m Metrics) Append(b []byte) []byte {
-	b = strconv.AppendFloat(b, m.Throughput/1000, 'f', 1, 64)
+	b = AppendFixed(b, m.Throughput/1000, 1)
 	b = append(b, "k op/s p50="...)
-	b = strconv.AppendFloat(b, m.P50us, 'f', 2, 64)
+	b = AppendFixed(b, m.P50us, 2)
 	b = append(b, "µs p99="...)
-	b = strconv.AppendFloat(b, m.P99us, 'f', 2, 64)
+	b = AppendFixed(b, m.P99us, 2)
 	b = append(b, "µs max="...)
-	b = strconv.AppendFloat(b, m.MaxUs, 'f', 2, 64)
+	b = AppendFixed(b, m.MaxUs, 2)
 	b = append(b, "µs mem="...)
 	b = strconv.AppendUint(b, m.PeakMemBytes, 10)
 	b = append(b, "B boot="...)
@@ -63,9 +65,103 @@ func (m Metrics) Append(b []byte) []byte {
 	b = append(b, "cy"...)
 	if m.Survival > 0 {
 		b = append(b, " surv="...)
-		b = strconv.AppendFloat(b, m.Survival, 'f', 6, 64)
+		b = AppendFixed(b, m.Survival, 6)
 	}
 	return b
+}
+
+// pow10 holds 10^p for every precision AppendFixed decides itself.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// AppendFixed appends v with prec digits after the decimal point,
+// byte for byte as strconv.AppendFloat(b, v, 'f', prec, 64) does.
+// strconv decides an explicit 'f' precision in multiprecision
+// arithmetic; AppendFixed decides it exactly in 128-bit integers
+// instead. With v = mant·2^e, the digits are mant·10^prec shifted
+// right by -e bits, rounded half to even on the exact remainder —
+// which is strconv's rounding of the exact binary value. Negative
+// values, −0, NaN, ±Inf, precisions above 19 and values whose
+// digits do not fit 64 bits take strconv itself.
+func AppendFixed(b []byte, v float64, prec int) []byte {
+	u := math.Float64bits(v)
+	biased := int(u>>52) & 0x7ff
+	mant := u & (1<<52 - 1)
+	if u>>63 != 0 || biased == 0x7ff || prec < 0 || prec >= len(pow10) {
+		return strconv.AppendFloat(b, v, 'f', prec, 64)
+	}
+	if biased == 0 {
+		biased = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	e := biased - 1075 // v = mant·2^e
+	var q uint64       // v·10^prec, rounded to an integer
+	switch s := -e; {
+	case e >= 0:
+		// An integer: its digits, then prec zeros.
+		if e > 11 {
+			return strconv.AppendFloat(b, v, 'f', prec, 64)
+		}
+		b = strconv.AppendUint(b, mant<<e, 10)
+		if prec > 0 {
+			b = append(b, '.')
+			for range prec {
+				b = append(b, '0')
+			}
+		}
+		return b
+	case s >= 128:
+		// mant·10^prec < 2^117, below half of 2^s: rounds to 0.
+	default:
+		hi, lo := bits.Mul64(mant, pow10[prec])
+		var rhi, rlo, hhi, hlo uint64 // remainder and half of 2^s
+		if s >= 64 {
+			q = hi >> (s - 64)
+			rhi, rlo = hi&(1<<(s-64)-1), lo
+			if s == 64 {
+				hlo = 1 << 63
+			} else {
+				hhi = 1 << (s - 65)
+			}
+		} else {
+			if hi>>s != 0 {
+				return strconv.AppendFloat(b, v, 'f', prec, 64)
+			}
+			q = hi<<(64-s) | lo>>s
+			rlo, hlo = lo&(1<<s-1), 1<<(s-1)
+		}
+		if rhi > hhi || rhi == hhi && (rlo > hlo || rlo == hlo && q&1 == 1) {
+			if q == math.MaxUint64 {
+				return strconv.AppendFloat(b, v, 'f', prec, 64)
+			}
+			q++
+		}
+	}
+	// q's digits with a point prec places from the right, and at
+	// least one digit before it.
+	var buf [48]byte
+	i := len(buf)
+	for range prec {
+		i--
+		buf[i] = byte('0' + q%10)
+		q /= 10
+	}
+	if prec > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = byte('0' + q%10)
+		q /= 10
+		if q == 0 {
+			break
+		}
+	}
+	return append(b, buf[i:]...)
 }
 
 // Metric selects one dimension of a Metrics vector — the axis a

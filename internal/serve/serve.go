@@ -257,8 +257,9 @@ type flight struct {
 	cancel       context.CancelFunc
 
 	mu      sync.Mutex
-	decided []flexos.ExploreMeasurement // streamed, in Query.Stream order
-	notify  chan struct{}               // made by a waiting snapshot, closed and cleared by the next append
+	decided []*flexos.ExploreMeasurement // the pass's Query.Follow array, final below next
+	next    int
+	notify  chan struct{} // made by a waiting snapshot, closed and cleared by the next publish
 	subs    int
 	records []cli.Record // partial-result codec, rendered on demand
 
@@ -267,11 +268,12 @@ type flight struct {
 	err  error
 }
 
-// publish hands one streamed measurement to the subscribers. Only
-// streaming subscribers render it into a stream line.
-func (f *flight) publish(cfg *flexos.ExploreConfig, m flexos.Metrics) {
+// publish hands the pass's decided prefix, decided[:next], to the
+// subscribers. The slots point into the run's Result and never change
+// once decided, so nothing is copied.
+func (f *flight) publish(decided []*flexos.ExploreMeasurement, next int) {
 	f.mu.Lock()
-	f.decided = append(f.decided, flexos.ExploreMeasurement{Config: cfg, Metrics: m})
+	f.decided, f.next = decided, next
 	if f.notify != nil {
 		close(f.notify)
 		f.notify = nil
@@ -279,16 +281,17 @@ func (f *flight) publish(cfg *flexos.ExploreConfig, m flexos.Metrics) {
 	f.mu.Unlock()
 }
 
-// snapshot returns the measurements decided since from, and the
-// channel that signals the next one. The channel is made on demand, so
-// a flight no streaming subscriber waits on makes none.
-func (f *flight) snapshot(from int) ([]flexos.ExploreMeasurement, chan struct{}) {
+// snapshot returns the configurations decided since from, in input
+// order (pruned ones included: only evaluated ones are streamed), and
+// the channel that signals the next publish. The channel is made on
+// demand, so a flight no streaming subscriber waits on makes none.
+func (f *flight) snapshot(from int) ([]*flexos.ExploreMeasurement, chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.notify == nil {
 		f.notify = make(chan struct{})
 	}
-	return f.decided[from:], f.notify
+	return f.decided[from:f.next], f.notify
 }
 
 // recordsOnce renders the flight's partial-result codec on first
@@ -682,38 +685,28 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 		}
 	}
 
-	// Always run streaming: the decided measurements are shared state
-	// every streaming subscriber replays and then follows, whatever
-	// moment it attached, so all of them see the same byte sequence.
-	// The pass publishes at most one per explored configuration, so
-	// the list is reserved once.
-	f.mu.Lock()
-	f.decided = make([]flexos.ExploreMeasurement, 0, explored(q, &f.creq))
-	f.mu.Unlock()
-	seq, final := q.Stream(f.ctx)
-	for cfg, m := range seq {
-		f.publish(cfg, m)
+	// Always follow the pass: its decided prefix is shared state every
+	// streaming subscriber replays and then follows, whatever moment
+	// it attached, so all of them see the same byte sequence.
+	from := 0
+	res, err := q.Follow(f.ctx, func(decided []*flexos.ExploreMeasurement, next int) bool {
+		f.publish(decided, next)
 		if s.onDecided != nil {
-			s.onDecided(f.key)
+			for _, m := range decided[from:next] {
+				if m.Evaluated {
+					s.onDecided(f.key)
+				}
+			}
 		}
-	}
-	res, err := final()
+		from = next
+		return true
+	})
 	if ferr := s.st.Flush(); ferr != nil {
 		s.mu.Lock()
 		s.stats.StoreFlushErrors++
 		s.mu.Unlock()
 	}
 	finish(res, err)
-}
-
-// explored returns the number of configurations the request's pass
-// decides: its shard of the query's space, or the whole space.
-func explored(q *flexos.Query, req *cli.Request) int {
-	n := q.SpaceSize()
-	if sh, err := flexos.ParseShard(req.Shard); err == nil {
-		n = sh.Size(n)
-	}
-	return n
 }
 
 // render builds the subscriber's view of a finished flight. The
@@ -770,9 +763,9 @@ func (s *Server) respondStream(w http.ResponseWriter, ctx context.Context, f *fl
 	next := 0
 	for finished := false; ; {
 		decided, notify := f.snapshot(next)
-		for _, d := range decided {
-			next++
-			if !emit(cli.Response{Line: cli.StreamLine(f.scenarioMode, d.Config, d.Metrics)}) {
+		next += len(decided)
+		for _, m := range decided {
+			if m.Evaluated && !emit(cli.Response{Line: cli.StreamLine(f.scenarioMode, m.Config, m.Metrics)}) {
 				return
 			}
 		}

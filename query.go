@@ -423,9 +423,10 @@ func (q *Query) Run(ctx context.Context) (*ExploreResult, error) {
 //
 // Pairs are yielded in input order regardless of worker count — the
 // stream holds back out-of-order completions until every earlier
-// configuration is decided — so streamed output is byte-identical for
-// any Workers value, at the cost of bounded buffering. Pruned
-// configurations carry no vector and are not yielded.
+// configuration is decided (see Follow) — so streamed output is
+// byte-identical for any Workers value, at the cost of bounded
+// buffering. Pruned configurations carry no vector and are not
+// yielded.
 //
 // The iterator is single-use. Breaking out of the loop cancels the
 // remaining exploration; final then reports ErrCanceled. Calling final
@@ -440,46 +441,15 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 	)
 	run := func(yield func(*ExploreConfig, Metrics) bool) {
 		ran = true
-		req, rerr := q.request()
-		if rerr != nil {
-			err = rerr
-			return
-		}
-		sctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		// Observe indices are relative to the explored slice (the
-		// shard when one is set), so the reorder state need only cover
-		// that slice: a pointer to each decided slot, nil until then.
-		n := req.Shard.Size(req.Space.Len())
-		var (
-			decided = make([]*ExploreMeasurement, n)
-			next    int
-			stopped bool
-		)
-		progress := req.Observe
-		req.Observe = func(idx int, m *ExploreMeasurement) {
-			if progress != nil {
-				progress(idx, m)
-			}
-			decided[idx] = m
-			// Release the longest decided prefix, in input order.
-			for next < n && decided[next] != nil {
-				m := decided[next]
-				next++
-				if m.Evaluated && !stopped && !yield(m.Config, m.Metrics) {
-					stopped = true
-					cancel() // consumer broke out: wind the engine down
+		from := 0
+		res, err = q.Follow(ctx, func(decided []*ExploreMeasurement, next int) bool {
+			for ; from < next; from++ {
+				if m := decided[from]; m.Evaluated && !yield(m.Config, m.Metrics) {
+					return false
 				}
 			}
-		}
-		res, err = q.engineRun(sctx, req)
-		// The engine may decide the last configuration before the
-		// consumer's break cancels it, and then returns a completed
-		// run. A broken stream still reports ErrCanceled, wrapped with
-		// the cause as on the canceled path.
-		if stopped && !errors.Is(err, ErrCanceled) {
-			res, err = nil, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(sctx))
-		}
+			return true
+		})
 	}
 	seq := iter.Seq2[*ExploreConfig, Metrics](run)
 	final := func() (*ExploreResult, error) {
@@ -489,4 +459,58 @@ func (q *Query) Stream(ctx context.Context) (iter.Seq2[*ExploreConfig, Metrics],
 		return res, err
 	}
 	return seq, final
+}
+
+// Follow executes the query like Run and reports its decisions in
+// input order as they become final. decided is the run's one
+// per-configuration array over the explored slice (the shard, when one
+// is set): decided[i] points at configuration i's Measurement in the
+// Result being built, nil until the configuration is decided. Each
+// time the decided prefix grows, fn is called on the coordinating
+// goroutine with the array and the prefix's new length next. The
+// engine never rewrites a decided slot, so decided[:next] may be handed
+// to other goroutines; it must not be modified. fn returning false
+// cancels the rest of the run — fn is not called again — and Follow
+// then reports ErrCanceled.
+func (q *Query) Follow(ctx context.Context, fn func(decided []*ExploreMeasurement, next int) bool) (*ExploreResult, error) {
+	req, err := q.request()
+	if err != nil {
+		return nil, err
+	}
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// Observe indices are relative to the explored slice, so the array
+	// covers only that slice.
+	n := req.Shard.Size(req.Space.Len())
+	var (
+		decided = make([]*ExploreMeasurement, n)
+		next    int
+		stopped bool
+	)
+	progress := req.Observe
+	req.Observe = func(idx int, m *ExploreMeasurement) {
+		if progress != nil {
+			progress(idx, m)
+		}
+		decided[idx] = m
+		if stopped || idx != next {
+			return // the prefix grows only when its first gap fills
+		}
+		for next < n && decided[next] != nil {
+			next++
+		}
+		if !fn(decided, next) {
+			stopped = true
+			cancel() // the consumer is done: wind the engine down
+		}
+	}
+	res, err := q.engineRun(sctx, req)
+	// The engine may decide the last configuration before the
+	// consumer's stop cancels it, and then returns a completed run. A
+	// stopped run still reports ErrCanceled, wrapped with the cause as
+	// on the canceled path.
+	if stopped && !errors.Is(err, ErrCanceled) {
+		return nil, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(sctx))
+	}
+	return res, err
 }
