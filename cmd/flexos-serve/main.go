@@ -25,11 +25,12 @@
 //
 // Cluster mode turns N daemons into one logical engine. One daemon
 // coordinates (-coordinator): it splits each request into disjoint
-// shard sub-requests, routes them over a consistent-hash ring of
-// workers, merges the returned records into its memo, and re-ranks
-// locally — answering bytes identical to a single-node run at any
-// worker count, including when a worker dies mid-request (its shard
-// re-dispatches, bounded, then falls back inline). The others join it
+// shard sub-requests, places each on its own live worker (shard i on
+// worker (r+i) mod n, r a hash of the request), merges the returned
+// records into its memo, and re-ranks locally — answering bytes
+// identical to a single-node run at any worker count, including when
+// a worker dies mid-request (its shard re-dispatches to the next live
+// worker, bounded, then falls back inline). The others join it
 // as workers (-join, with the URL they advertise back via
 // -advertise); -pull keeps any daemon's store warm from a peer's:
 //

@@ -61,9 +61,9 @@ func main() {
 		defer workers[i].Close()
 	}
 
-	// The coordinator: splits requests into shard sub-requests, routes
-	// them over the consistent-hash ring of joined workers, merges the
-	// returned records into its memo, and re-ranks locally.
+	// The coordinator: splits requests into shard sub-requests, places
+	// shard i on live worker (r+i) mod n (r a hash of the request),
+	// merges the returned records into its memo, and re-ranks locally.
 	co := cluster.New(cluster.Config{
 		Fanout:         3,
 		Retry:          &cli.RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
@@ -97,8 +97,9 @@ func main() {
 	fmt.Println()
 
 	// 2. Kill one worker and ask again (a fresh slice of the space so
-	// the cluster actually has to measure). Its shards strike out, walk
-	// the ring to a survivor, and the answer does not change by a byte.
+	// the cluster actually has to measure). Its shard strikes out, moves
+	// on to the next live worker, and the answer does not change by a
+	// byte.
 	req2 := cli.Request{Scenario: "redis-get50"}
 	q2, info2, err := req2.Build()
 	if err != nil {

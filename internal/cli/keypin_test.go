@@ -8,9 +8,9 @@ import (
 
 // TestCanonicalKeyBytesPinned pins the exact canonical key strings of a
 // spread of requests. Serve coalescing compares these strings and
-// cluster routing hashes them onto the shard ring, so a changed byte
-// would silently move every key's owner in a running fleet: a change
-// here is a wire-format change, never a refactor.
+// every response carries one as its key, so a changed byte would
+// silently change which requests share a flight: a change here is a
+// wire-format change, never a refactor.
 func TestCanonicalKeyBytesPinned(t *testing.T) {
 	const (
 		redis = "space=d5f22da022af58f1;metric=throughput;"

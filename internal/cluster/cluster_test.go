@@ -208,9 +208,9 @@ func TestClusterPrunedAndParetoRequests(t *testing.T) {
 // TestClusterWorkerDiesOnDispatch pins the mid-request death
 // deterministically: the victim is killed by its own first shard
 // arriving. Every worker takes a turn as victim; each request must
-// still answer oracle bytes, and across the sweep at least one shard
-// must have been re-dispatched or run inline (the shard the victim
-// owned — whoever it was — lost its home).
+// still answer oracle bytes. At fan-out 3 over three workers every
+// worker owns one shard, so each victim's shard loses its home and is
+// re-dispatched or run inline.
 func TestClusterWorkerDiesOnDispatch(t *testing.T) {
 	tc := newCluster(t, 3, 3)
 	creq := cli.Request{Scenario: "redis-get90"}
@@ -225,11 +225,10 @@ func TestClusterWorkerDiesOnDispatch(t *testing.T) {
 			t.Fatalf("report differs with worker %d dying mid-request\n--- cluster ---\n%s--- oracle ---\n%s", i, resp.Report, want)
 		}
 		tc.revive(victim)
-		victim.dieOnExplore.Store(false) // victim may not have owned a shard
 	}
 	st := tc.co.Stats()
-	if st.Redispatches+st.InlineRuns == 0 {
-		t.Fatalf("three victims and no shard ever re-dispatched or ran inline: %+v", st)
+	if st.Redispatches+st.InlineRuns < 3 {
+		t.Fatalf("three victims but only %d shards re-dispatched or ran inline: %+v", st.Redispatches+st.InlineRuns, st)
 	}
 	if st.ShardsLost != 0 {
 		t.Fatalf("shards lost entirely: %+v", st)
@@ -277,10 +276,10 @@ func TestClusterSameWorkerKilledTwice(t *testing.T) {
 	creq := cli.Request{Scenario: "redis-get90"}
 	want, _ := oracle(t, creq)
 
-	// A clean probe run first: shard ownership depends on the ring
-	// (worker URLs carry random ports), so discover a worker that
-	// actually owns shards of this request — killing a worker no shard
-	// routes to would assert nothing.
+	// A clean probe run first, to find a worker that owns a shard of
+	// this request. At fan-out 3 over three workers each owns one; the
+	// probe keeps the test honest should that placement ever change,
+	// since killing a worker no shard routes to would assert nothing.
 	if resp, err := tc.client.Explore(context.Background(), creq); err != nil || resp.Report != want {
 		t.Fatalf("probe run: err=%v, identical=%v", err, err == nil && resp.Report == want)
 	}

@@ -1,9 +1,21 @@
+// Package cluster turns N flexos-serve daemons into one logical
+// exploration engine: a coordinator splits each request into disjoint
+// shard sub-requests, places shard i on the live worker at index
+// (r+i) mod n of the sorted fleet (r a hash of the request, so a
+// repeated request lands on the same workers), collects the workers'
+// partial-result records, and replays them into its own memo before
+// re-ranking locally — so the answer is byte-identical to a
+// single-node run at any worker count, any fan-out, and under any
+// worker failure (a lost shard degrades to re-dispatch or local
+// measurement, which by determinism produces the same bytes).
 package cluster
 
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -127,13 +139,14 @@ func (c *Coordinator) retry() *cli.RetryPolicy {
 
 // split partitions the request into disjoint shard sub-requests
 // covering the whole space — the same contiguous order-preserving
-// slices `flexos-explore -shard i/n` explores. Sub-requests drop the
-// presentation concerns (stream, verbose, pareto) and ask for the
-// partial-result codec instead; a pareto request fans out as
-// exhaustive shards because its re-rank measures the full space.
-// A request that already names a shard is routed whole — shard
-// slices do not nest.
-func (c *Coordinator) split(req cli.Request) []cli.Request {
+// slices `flexos-explore -shard i/n` explores — and returns the
+// request's placement offset r: shard i goes to live worker (r+i) mod
+// n. Sub-requests drop the presentation concerns (stream, verbose,
+// pareto) and ask for the partial-result codec instead; a pareto
+// request fans out as exhaustive shards because its re-rank measures
+// the full space. A request that already names a shard is routed
+// whole — shard slices do not nest.
+func (c *Coordinator) split(req cli.Request) (subs []cli.Request, r int) {
 	req.Normalize()
 	sub := req
 	sub.Stream = false
@@ -145,37 +158,55 @@ func (c *Coordinator) split(req cli.Request) []cli.Request {
 		sub.Pareto = false
 		sub.Exhaustive = true
 	}
+	r = placement(sub)
 	if req.Shard != "" {
-		return []cli.Request{sub}
+		return []cli.Request{sub}, r
 	}
 	fanout := c.cfg.Fanout
 	if fanout <= 0 {
-		fanout = c.members.liveRing().Len()
+		fanout = len(c.members.live())
 	}
 	if fanout <= 1 {
-		return []cli.Request{sub}
+		return []cli.Request{sub}, r
 	}
-	subs := make([]cli.Request, fanout)
+	subs = make([]cli.Request, fanout)
 	for i := range subs {
 		subs[i] = sub
 		subs[i].Shard = fmt.Sprintf("%d/%d", i, fanout)
 	}
-	return subs
+	return subs, r
+}
+
+// placement hashes the sub-request template's canonical encoding
+// (FNV-1a, then splitmix64's finalizer so nearby encodings scatter)
+// into a non-negative offset. It builds no query: routing needs only
+// a stable number per request, not the request's canonical key. A
+// request that already names a shard hashes with it, so the slices of
+// a split made by the client still scatter over the fleet.
+func placement(tmpl cli.Request) int {
+	h := fnv.New64a()
+	h.Write(tmpl.Encode())
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x >> 33) // 31 bits: r+i cannot overflow
 }
 
 // Gather answers one request with the union of its shards' partial
-// results: split, route each shard to the worker owning its canonical
-// key on the hash ring, re-dispatch on failure (bounded), fall back
-// inline when no worker can answer, and merge with conflict
-// detection. The returned records may under-cover the space (a lost
-// shard, a conflict) — never mis-cover it: a conflicting key is
-// dropped so the local re-rank re-measures it.
+// results: split, place shard i on live worker (r+i) mod n, re-dispatch
+// on failure (bounded), fall back inline when no worker can answer,
+// and merge with conflict detection. The returned records may
+// under-cover the space (a lost shard, a conflict) — never mis-cover
+// it: a conflicting key is dropped so the local re-rank re-measures it.
 //
 // The only error Gather returns is the context's: every other
 // failure degrades to fewer records, because the caller's local
 // re-rank can always measure what is missing.
 func (c *Coordinator) Gather(ctx context.Context, req cli.Request) ([]cli.Record, error) {
-	subs := c.split(req)
+	subs, r := c.split(req)
 	c.count(func(s *Stats) { s.Gathers++; s.Shards += int64(len(subs)) })
 
 	results := make([][]cli.Record, len(subs))
@@ -184,7 +215,7 @@ func (c *Coordinator) Gather(ctx context.Context, req cli.Request) ([]cli.Record
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.dispatch(ctx, subs[i])
+			results[i] = c.dispatch(ctx, subs[i], r+i)
 		}(i)
 	}
 	wg.Wait()
@@ -197,9 +228,13 @@ func (c *Coordinator) Gather(ctx context.Context, req cli.Request) ([]cli.Record
 	// shard answered twice) must carry identical metrics; a
 	// disagreement drops the key entirely — the disagreeing nodes
 	// cannot both be trusted, and the local re-rank re-measures it.
-	merged := make(map[string]flexos.Metrics)
+	total := 0
+	for _, recs := range results {
+		total += len(recs)
+	}
+	merged := make(map[string]flexos.Metrics, total)
 	dropped := make(map[string]struct{})
-	order := make([]string, 0, len(merged))
+	order := make([]string, 0, total)
 	for _, recs := range results {
 		for _, rec := range recs {
 			if _, bad := dropped[rec.Key]; bad {
@@ -228,25 +263,17 @@ func (c *Coordinator) Gather(ctx context.Context, req cli.Request) ([]cli.Record
 	return out, nil
 }
 
-// dispatch routes one shard sub-request: to the ring owner of its
-// canonical key first, then — on failure — along the ring to
-// surviving successors (bounded by maxRedispatch), and finally
-// inline. A worker that fails a call is struck immediately, so the
-// rest of the gather routes around it without waiting for the health
-// loop. Returns nil when every route failed; the caller's re-rank
-// absorbs the loss.
-func (c *Coordinator) dispatch(ctx context.Context, sub cli.Request) []cli.Record {
-	key, err := sub.CanonicalKey()
-	if err != nil {
-		// An unroutable sub-request of a request that built upstream
-		// cannot happen; treat it as a lost shard rather than panic.
-		c.count(func(s *Stats) { s.ShardsLost++ })
-		return nil
-	}
+// dispatch runs one shard sub-request: on the live worker at its slot
+// first, then — on failure — on the live workers after the one that
+// failed (bounded by maxRedispatch), and finally inline. A worker that
+// fails a call is struck immediately, so the rest of the gather routes
+// around it without waiting for the health loop. Returns nil when
+// every route failed; the caller's re-rank absorbs the loss.
+func (c *Coordinator) dispatch(ctx context.Context, sub cli.Request, slot int) []cli.Record {
 	tried := make(map[string]struct{})
+	url := ""
 	for hop := 0; hop <= maxRedispatch; hop++ {
-		url := c.routeAround(key, tried)
-		if url == "" {
+		if url = c.route(slot, url, tried); url == "" {
 			break
 		}
 		tried[url] = struct{}{}
@@ -267,22 +294,31 @@ func (c *Coordinator) dispatch(ctx context.Context, sub cli.Request) []cli.Recor
 	// engine. Fresh measurements land in the serving memo either way,
 	// so even this path feeds the fleet's store sync.
 	c.count(func(s *Stats) { s.InlineRuns++ })
-	if c.local == nil {
-		c.count(func(s *Stats) { s.ShardsLost++ })
-		return nil
+	if c.local != nil {
+		if recs, err := c.local(ctx, sub); err == nil {
+			return recs
+		}
 	}
-	recs, err := c.local(ctx, sub)
-	if err != nil {
-		c.count(func(s *Stats) { s.ShardsLost++ })
-		return nil
-	}
-	return recs
+	c.count(func(s *Stats) { s.ShardsLost++ })
+	return nil
 }
 
-// routeAround returns the first live worker on the key's ring walk
-// that has not been tried yet, or "".
-func (c *Coordinator) routeAround(key string, tried map[string]struct{}) string {
-	for _, url := range c.members.liveRing().Sequence(key) {
+// route picks a shard's next worker from the live list, re-read on
+// every hop so a worker struck mid-gather drops out at once: the worker
+// at index slot mod n on the first hop, and after a failure the first
+// live worker sorted after the one that failed (wrapping), skipping
+// every worker already tried. Returns "" when none is left.
+func (c *Coordinator) route(slot int, failed string, tried map[string]struct{}) string {
+	live := c.members.live()
+	if len(live) == 0 {
+		return ""
+	}
+	start := slot % len(live)
+	if failed != "" {
+		start = sort.SearchStrings(live, failed)
+	}
+	for j := range live {
+		url := live[(start+j)%len(live)]
 		if _, done := tried[url]; !done {
 			return url
 		}

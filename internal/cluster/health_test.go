@@ -45,8 +45,8 @@ func TestProbeStrikesDeadAndResurrects(t *testing.T) {
 	if st := c.Stats(); st.Alive != 1 {
 		t.Fatalf("two strikes did not kill: %+v", st.Workers)
 	}
-	if ring := c.members.liveRing(); ring.Len() != 1 || ring.Owner("k") != a.URL {
-		t.Fatalf("dead member still routable: %v", ring.Sequence("k"))
+	if live := c.members.live(); len(live) != 1 || live[0] != a.URL {
+		t.Fatalf("dead member still routable: %v", live)
 	}
 
 	// Recovery resurrects without a re-join.

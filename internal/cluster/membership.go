@@ -28,8 +28,7 @@ type member struct {
 type membership struct {
 	mu      sync.Mutex
 	members map[string]*member
-	ring    *Ring // over live members; nil until rebuilt
-	strikes int   // consecutive failures before a member is dead
+	strikes int // consecutive failures before a member is dead
 }
 
 func newMembership(strikes int) *membership {
@@ -52,26 +51,23 @@ func (ms *membership) join(url string) bool {
 	if !m.alive {
 		m.alive = true
 		m.strikes = 0
-		ms.ring = nil
 	}
 	return !ok
 }
 
-// liveRing returns the ring over the currently-live members,
-// rebuilding it only when the live set changed.
-func (ms *membership) liveRing() *Ring {
+// live returns the URLs of the live workers, sorted: the list shards
+// are placed on by index.
+func (ms *membership) live() []string {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if ms.ring == nil {
-		live := make([]string, 0, len(ms.members))
-		for url, m := range ms.members {
-			if m.alive {
-				live = append(live, url)
-			}
+	out := make([]string, 0, len(ms.members))
+	for url, m := range ms.members {
+		if m.alive {
+			out = append(out, url)
 		}
-		ms.ring = NewRing(live)
 	}
-	return ms.ring
+	sort.Strings(out)
+	return out
 }
 
 // strike records a failed probe or dispatch against the worker; after
@@ -85,9 +81,8 @@ func (ms *membership) strike(url string) {
 	}
 	m.failures++
 	m.strikes++
-	if m.alive && m.strikes >= ms.strikes {
+	if m.strikes >= ms.strikes {
 		m.alive = false
-		ms.ring = nil
 	}
 }
 
@@ -100,10 +95,7 @@ func (ms *membership) clear(url string) {
 		return
 	}
 	m.strikes = 0
-	if !m.alive {
-		m.alive = true
-		ms.ring = nil
-	}
+	m.alive = true
 }
 
 // noteDispatch counts a shard routed to the worker; redispatched marks
@@ -118,18 +110,6 @@ func (ms *membership) noteDispatch(url string, redispatched bool) {
 			m.dispatched++
 		}
 	}
-}
-
-// urls returns every registered worker URL, sorted.
-func (ms *membership) urls() []string {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	out := make([]string, 0, len(ms.members))
-	for url := range ms.members {
-		out = append(out, url)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // snapshot renders the per-worker stats, sorted by URL.
@@ -157,19 +137,20 @@ func (ms *membership) snapshot() (workers []WorkerStats, alive int) {
 // is the debouncer, not hidden retries.
 func (c *Coordinator) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, url := range c.members.urls() {
+	workers, _ := c.members.snapshot()
+	for _, w := range workers {
 		wg.Add(1)
-		go func(url string) {
+		go func() {
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			defer cancel()
-			client := cli.Client{BaseURL: url, HTTPClient: c.cfg.HTTPClient}
+			client := cli.Client{BaseURL: w.URL, HTTPClient: c.cfg.HTTPClient}
 			if err := client.Healthz(pctx); err != nil {
-				c.members.strike(url)
+				c.members.strike(w.URL)
 			} else {
-				c.members.clear(url)
+				c.members.clear(w.URL)
 			}
-		}(url)
+		}()
 	}
 	wg.Wait()
 }
