@@ -27,10 +27,12 @@
 // coordinates (-coordinator): it splits each request into disjoint
 // shard sub-requests, places each on its own live worker (shard i on
 // worker (r+i) mod n, r a hash of the request), merges the returned
-// records into its memo, and re-ranks locally — answering bytes
+// records into its store, and re-ranks locally — answering bytes
 // identical to a single-node run at any worker count, including when
 // a worker dies mid-request (its shard re-dispatches to the next live
-// worker, bounded, then falls back inline). The others join it
+// worker, bounded, and what no worker answers its own pass measures).
+// Its pass asks the fleet on the first record its store lacks, so a
+// request the store already covers reaches no worker. The others join it
 // as workers (-join, with the URL they advertise back via
 // -advertise); -pull keeps any daemon's store warm from a peer's:
 //

@@ -118,8 +118,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st = co.Stats()
-	fmt.Printf("worker 1 killed mid-fleet: report still byte-identical: %v (%d re-dispatches, %d inline runs, %d shards lost)\n",
-		resp2.Report == oracle2, st.Redispatches, st.InlineRuns, st.ShardsLost)
+	fmt.Printf("worker 1 killed mid-fleet: report still byte-identical: %v (%d re-dispatches, %d shards left to the coordinator's own pass)\n",
+		resp2.Report == oracle2, st.Redispatches, st.InlineRuns)
 
 	// 3. Store sync: an empty daemon pulls the coordinator's sync log
 	// and then answers the first request without measuring anything.

@@ -263,19 +263,6 @@ func (r *Request) Build() (*flexos.Query, *BuildInfo, error) {
 	}, nil
 }
 
-// CanonicalKey is the request's coalescing identity: the canonical
-// key of the query it builds (space hash ⊕ namespace ⊕ constraints ⊕
-// prune ⊕ shard — see Query.CanonicalKey). Requests differing only in
-// Workers, Verbose, Stream or TimeoutMs share a key, because none of
-// those can change result bytes.
-func (r Request) CanonicalKey() (string, error) {
-	q, _, err := r.Build()
-	if err != nil {
-		return "", err
-	}
-	return q.CanonicalKey(), nil
-}
-
 // Encode renders the canonical JSON of the normalized request.
 func (r Request) Encode() []byte {
 	r.Normalize()

@@ -11,6 +11,16 @@ import (
 	"flexos"
 )
 
+// keyOf is a request's coalescing identity, as a daemon computes it:
+// the canonical key of the query the request builds.
+func keyOf(r Request) (string, error) {
+	q, _, err := r.Build()
+	if err != nil {
+		return "", err
+	}
+	return q.CanonicalKey(), nil
+}
+
 func TestRequestEncodeDecodeRoundTrip(t *testing.T) {
 	reqs := []Request{
 		{},
@@ -78,7 +88,7 @@ func TestDecodeRequestRejects(t *testing.T) {
 func TestCanonicalKeyInvariants(t *testing.T) {
 	key := func(r Request) string {
 		t.Helper()
-		k, err := r.CanonicalKey()
+		k, err := keyOf(r)
 		if err != nil {
 			t.Fatalf("key(%+v): %v", r, err)
 		}
@@ -154,7 +164,7 @@ func TestCanonicalKeyInvariants(t *testing.T) {
 func TestAttackAxisKeyInvariants(t *testing.T) {
 	key := func(r Request) string {
 		t.Helper()
-		k, err := r.CanonicalKey()
+		k, err := keyOf(r)
 		if err != nil {
 			t.Fatalf("key(%+v): %v", r, err)
 		}
@@ -210,12 +220,12 @@ func TestAttackAxisKeyInvariants(t *testing.T) {
 		{Scenario: "redis-get90", Metric: "survival"},
 		{Scenario: "redis-get90", Budgets: []string{"survival>=0.5"}},
 	} {
-		if _, err := r.CanonicalKey(); err == nil {
+		if _, err := keyOf(r); err == nil {
 			t.Errorf("%+v: survival without -attack must be rejected", r)
 		}
 	}
-	if _, err := (Request{Scenario: "redis-get90", Attack: "combined",
-		Metric: "survival", Budgets: []string{"survival>=0.5"}}).CanonicalKey(); err != nil {
+	if _, err := keyOf(Request{Scenario: "redis-get90", Attack: "combined",
+		Metric: "survival", Budgets: []string{"survival>=0.5"}}); err != nil {
 		t.Errorf("survival metric under an attack scenario must build: %v", err)
 	}
 }
@@ -321,8 +331,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		// The coalescing key must be computable for anything that
 		// decodes, and stable across the round trip.
-		k1, err1 := r.CanonicalKey()
-		k2, err2 := r2.CanonicalKey()
+		k1, err1 := keyOf(r)
+		k2, err2 := keyOf(r2)
 		if err1 != nil || err2 != nil || k1 != k2 {
 			t.Fatalf("canonical key unstable: %q (%v) vs %q (%v)", k1, err1, k2, err2)
 		}

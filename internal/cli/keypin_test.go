@@ -49,13 +49,14 @@ func TestCanonicalKeyBytesPinned(t *testing.T) {
 			q:    fig6().Namespace("ns").MeasureBudget(-5).Seed(3),
 			want: "space=fd9a074c872a6d32;metric=throughput;constraints=;prune=false;shard=;budget=0;seed=0;delta=false"},
 	} {
-		got, err := tc.req.CanonicalKey()
-		if tc.q != nil {
-			got, err = tc.q.CanonicalKey(), nil
+		q := tc.q
+		if q == nil {
+			var err error
+			if q, _, err = tc.req.Build(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		got := q.CanonicalKey()
 		if got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
 		}

@@ -208,14 +208,16 @@ func TestClusterPrunedAndParetoRequests(t *testing.T) {
 // TestClusterWorkerDiesOnDispatch pins the mid-request death
 // deterministically: the victim is killed by its own first shard
 // arriving. Every worker takes a turn as victim; each request must
-// still answer oracle bytes. At fan-out 3 over three workers every
-// worker owns one shard, so each victim's shard loses its home and is
-// re-dispatched or run inline.
+// still answer oracle bytes. Each round asks a cold request (its own
+// Ops), since a request the coordinator's store covers dispatches
+// nothing. At fan-out 3 over three workers every worker owns one
+// shard, so each victim's shard loses its home and is re-dispatched or
+// left to the coordinator's own pass.
 func TestClusterWorkerDiesOnDispatch(t *testing.T) {
 	tc := newCluster(t, 3, 3)
-	creq := cli.Request{Scenario: "redis-get90"}
-	want, _ := oracle(t, creq)
 	for i, victim := range tc.workers {
+		creq := cli.Request{Scenario: "redis-get90", Ops: 30 + i}
+		want, _ := oracle(t, creq)
 		victim.dieOnExplore.Store(true)
 		resp, err := tc.client.Explore(context.Background(), creq)
 		if err != nil {
@@ -229,9 +231,6 @@ func TestClusterWorkerDiesOnDispatch(t *testing.T) {
 	st := tc.co.Stats()
 	if st.Redispatches+st.InlineRuns < 3 {
 		t.Fatalf("three victims but only %d shards re-dispatched or ran inline: %+v", st.Redispatches+st.InlineRuns, st)
-	}
-	if st.ShardsLost != 0 {
-		t.Fatalf("shards lost entirely: %+v", st)
 	}
 }
 
@@ -295,11 +294,15 @@ func TestClusterSameWorkerKilledTwice(t *testing.T) {
 		t.Fatal("no worker was dispatched to on the probe run")
 	}
 
-	// Kill the shard owner; the same (still-warm, but the coordinator
-	// gathers every flight) request re-dispatches its shards and must
-	// not change a byte. Then revive, kill again, repeat.
+	// Kill the shard owner; a cold request (its own Ops: a request the
+	// coordinator's store covers dispatches nothing) re-dispatches its
+	// shards and must not change a byte. Then revive, kill again,
+	// repeat. At fan-out 3 over three workers the victim owns a shard
+	// of every request.
 	failuresBefore := workerFailures(tc, victim)
 	for round := 1; round <= 2; round++ {
+		creq := cli.Request{Scenario: "redis-get90", Ops: 30 + round}
+		want, _ := oracle(t, creq)
 		victim.kill()
 		resp, err := tc.client.Explore(context.Background(), creq)
 		if err != nil {

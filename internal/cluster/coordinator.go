@@ -1,13 +1,15 @@
 // Package cluster turns N flexos-serve daemons into one logical
-// exploration engine: a coordinator splits each request into disjoint
-// shard sub-requests, places shard i on the live worker at index
-// (r+i) mod n of the sorted fleet (r a hash of the request, so a
-// repeated request lands on the same workers), collects the workers'
-// partial-result records, and replays them into its own memo before
-// re-ranking locally — so the answer is byte-identical to a
-// single-node run at any worker count, any fan-out, and under any
-// worker failure (a lost shard degrades to re-dispatch or local
-// measurement, which by determinism produces the same bytes).
+// exploration engine: when a coordinator's own pass first misses its
+// store, the coordinator splits the request into disjoint shard
+// sub-requests, places shard i on the live worker at index (r+i) mod n
+// of the sorted fleet (r a hash of the request, so a repeated request
+// lands on the same workers), and collects the workers' partial-result
+// records into its store, from which the pass re-ranks locally — so a
+// request the store already covers reaches no worker, and the answer
+// is byte-identical to a single-node run at any worker count, any
+// fan-out, and under any worker failure (a lost shard degrades to
+// re-dispatch, and what no worker answers is left to the pass, which
+// by determinism measures the same bytes).
 package cluster
 
 import (
@@ -24,8 +26,8 @@ import (
 )
 
 // maxRedispatch bounds how many surviving workers a shard is re-routed
-// to after its owner fails, before falling back to an inline run on
-// the coordinator; healthTimeout bounds one failure-detector probe.
+// to after its owner fails, before it is left to the coordinator's own
+// pass; healthTimeout bounds one failure-detector probe.
 const (
 	maxRedispatch = 2
 	healthTimeout = time.Second
@@ -66,8 +68,9 @@ type WorkerStats struct {
 }
 
 // Stats is the coordinator's observable state: fleet membership and
-// the dispatch/re-dispatch/fallback counters that make failure
-// handling visible.
+// the dispatch/re-dispatch counters that make failure handling
+// visible. InlineRuns counts shards no worker answered, left to the
+// coordinator's own pass.
 type Stats struct {
 	Workers      []WorkerStats `json:"workers"`
 	Alive        int           `json:"alive"`
@@ -75,25 +78,20 @@ type Stats struct {
 	Shards       int64         `json:"shards_dispatched"`
 	Redispatches int64         `json:"redispatches"`
 	InlineRuns   int64         `json:"inline_runs"`
-	ShardsLost   int64         `json:"shards_lost"`
 	Conflicts    int64         `json:"record_conflicts"`
 	Records      int64         `json:"records_gathered"`
 }
 
 // Coordinator fans exploration requests out over a fleet of worker
 // daemons and merges their partial results. It guarantees nothing by
-// itself about output bytes — it only returns records; the serving
-// layer replays them into its memo and re-ranks locally, which is
-// where byte-identity comes from (a record the cluster failed to
-// produce is simply measured locally, deterministically).
+// itself about output bytes — it only returns records. The serving
+// layer gathers when a coordinator pass first misses its store,
+// ingests the records there, and lets that pass re-rank locally,
+// which is where byte-identity comes from (a record the cluster
+// failed to produce is simply measured by the pass, deterministically).
 type Coordinator struct {
 	cfg     Config
 	members *membership
-
-	// local runs a sub-request on the coordinator's own engine — the
-	// last-resort fallback when every route for a shard failed. The
-	// serving layer installs it (SetLocal).
-	local func(ctx context.Context, req cli.Request) ([]cli.Record, error)
 
 	mu sync.Mutex
 	st Stats // counters only; Workers/Alive filled on snapshot
@@ -103,11 +101,6 @@ type Coordinator struct {
 // seeded programmatically.
 func New(cfg Config) *Coordinator {
 	return &Coordinator{cfg: cfg, members: newMembership(cfg.HealthStrikes)}
-}
-
-// SetLocal installs the inline fallback the serving layer provides.
-func (c *Coordinator) SetLocal(fn func(ctx context.Context, req cli.Request) ([]cli.Record, error)) {
-	c.local = fn
 }
 
 // Join registers (or resurrects) a worker by base URL; idempotent.
@@ -197,10 +190,11 @@ func placement(tmpl cli.Request) int {
 
 // Gather answers one request with the union of its shards' partial
 // results: split, place shard i on live worker (r+i) mod n, re-dispatch
-// on failure (bounded), fall back inline when no worker can answer,
-// and merge with conflict detection. The returned records may
-// under-cover the space (a lost shard, a conflict) — never mis-cover
-// it: a conflicting key is dropped so the local re-rank re-measures it.
+// on failure (bounded), leave a shard no worker can answer to the
+// caller's own pass, and merge with conflict detection. The returned
+// records may under-cover the space (a lost shard, a conflict) — never
+// mis-cover it: a conflicting key is dropped so the local re-rank
+// re-measures it.
 //
 // The only error Gather returns is the context's: every other
 // failure degrades to fewer records, because the caller's local
@@ -265,10 +259,11 @@ func (c *Coordinator) Gather(ctx context.Context, req cli.Request) ([]cli.Record
 
 // dispatch runs one shard sub-request: on the live worker at its slot
 // first, then — on failure — on the live workers after the one that
-// failed (bounded by maxRedispatch), and finally inline. A worker that
-// fails a call is struck immediately, so the rest of the gather routes
-// around it without waiting for the health loop. Returns nil when
-// every route failed; the caller's re-rank absorbs the loss.
+// failed (bounded by maxRedispatch). A worker that fails a call is
+// struck immediately, so the rest of the gather routes around it
+// without waiting for the health loop. A shard no worker answers
+// returns nil and counts as an inline run: it is left to the
+// coordinator's own pass, which measures whatever is missing.
 func (c *Coordinator) dispatch(ctx context.Context, sub cli.Request, slot int) []cli.Record {
 	tried := make(map[string]struct{})
 	url := ""
@@ -290,16 +285,7 @@ func (c *Coordinator) dispatch(ctx context.Context, sub cli.Request, slot int) [
 		}
 		c.members.strike(url)
 	}
-	// No worker could answer: run the shard on the coordinator's own
-	// engine. Fresh measurements land in the serving memo either way,
-	// so even this path feeds the fleet's store sync.
 	c.count(func(s *Stats) { s.InlineRuns++ })
-	if c.local != nil {
-		if recs, err := c.local(ctx, sub); err == nil {
-			return recs
-		}
-	}
-	c.count(func(s *Stats) { s.ShardsLost++ })
 	return nil
 }
 

@@ -45,7 +45,8 @@
 // disconnects, and removed from the table the moment it finishes, so
 // the table only ever holds work that can still be joined — repeats
 // of a finished request re-run the engine against the warm memo
-// instead, which re-measures nothing.
+// instead, which re-measures nothing (and, on a coordinator, asks the
+// fleet for nothing).
 package serve
 
 import (
@@ -86,10 +87,11 @@ type Config struct {
 	CacheDir      string
 	CacheReadOnly bool
 	// Cluster, when non-nil, makes this daemon a cluster coordinator:
-	// workers register on /v1/cluster/join, and eligible exploration
-	// requests gather shard records from the fleet before the local
-	// re-rank (see runFlight). The server installs the coordinator's
-	// inline fallback and starts its failure detector.
+	// workers register on /v1/cluster/join, and the pass of an eligible
+	// exploration request gathers shard records from the fleet on its
+	// first store miss, once (see fleetBacking) — a request the store
+	// already covers sends no worker anything. The server starts the
+	// coordinator's failure detector.
 	//
 	// Budgeted (measure_budget > 0) and delta-only requests never fan
 	// out: a budgeted run decides strictly more on a warm memo than a
@@ -129,8 +131,10 @@ type Stats struct {
 	Evaluated  int64   `json:"evaluated"`
 	MemoHits   int64   `json:"memo_hits"`
 	HitRatePct float64 `json:"hit_rate_pct"`
-	// MemoEntries counts measurements in flight (0 when idle: records
-	// live in the store); Store the persistent store's statistics.
+	// MemoEntries counts measurements in flight on the shared memo (0
+	// when idle: records live in the store; a coordinator flight that
+	// may fan out measures through a memo of its own, not counted
+	// here); Store the persistent store's statistics.
 	MemoEntries int          `json:"memo_entries"`
 	Store       *store.Stats `json:"store,omitempty"`
 	// SpaceCache describes the process-wide cache of enumerated spaces
@@ -151,9 +155,6 @@ type Stats struct {
 	IngestConflicts int64 `json:"ingest_conflicts,omitempty"`
 	PullPages       int64 `json:"pull_pages,omitempty"`
 	PullErrors      int64 `json:"pull_errors,omitempty"`
-	// ClusterDegraded counts coordinator flights that fell back to a
-	// plain local run because the gather itself failed.
-	ClusterDegraded int64 `json:"cluster_degraded,omitempty"`
 	// Cluster is the coordinator's fleet view — membership and the
 	// per-worker dispatch/re-dispatch/failure counters — when this
 	// daemon coordinates one.
@@ -340,27 +341,9 @@ func New(cfg Config) (*Server, error) {
 	s.memo = explore.NewBackedMemo(s.st)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.Cluster != nil {
-		cfg.Cluster.SetLocal(s.localRecords)
 		cfg.Cluster.StartHealth(s.baseCtx)
 	}
 	return s, nil
-}
-
-// localRecords is the coordinator's inline fallback: run the shard
-// sub-request on this node's own engine (through the shared memo, so
-// fresh measurements enter the store) and answer the partial-result
-// codec. ErrNoFeasible is a complete answer, not a failure.
-func (s *Server) localRecords(ctx context.Context, sub cli.Request) ([]cli.Record, error) {
-	q, info, err := sub.Build()
-	if err != nil {
-		return nil, err
-	}
-	q.Workers(s.cfg.Workers).Memo(s.memo)
-	res, err := q.Run(ctx)
-	if err != nil && !errors.Is(err, flexos.ErrNoFeasible) {
-		return nil, err
-	}
-	return cli.RecordsOf(info.Namespace, res), nil
 }
 
 // Abort stops accepting new requests and cancels every in-flight
@@ -593,7 +576,11 @@ func (s *Server) attach(key string, q *flexos.Query, info *cli.BuildInfo, req *c
 	if req.Workers <= 0 {
 		q.Workers(s.cfg.Workers)
 	}
-	q.Memo(s.memo)
+	if s.cfg.Cluster != nil && req.MeasureBudget == 0 && !req.DeltaOnly {
+		q.Memo(explore.NewBackedMemo(&fleetBacking{s: s, f: f}))
+	} else {
+		q.Memo(s.memo)
+	}
 	s.wg.Add(1)
 	go s.runFlight(f, q)
 	return f, false, nil
@@ -662,27 +649,6 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 	s.mu.Unlock()
 	if s.onFlightStart != nil {
 		s.onFlightStart(f.key)
-	}
-
-	// Coordinator path: gather the shards' partial results from the
-	// fleet and replay them into the store (the memo's backing)
-	// BEFORE the local pass. The pass below then runs
-	// fully warm — every configuration the workers measured is a
-	// backing hit, indistinguishable from a fresh measurement — so the
-	// streamed lines and report are byte-identical to a single-node
-	// run, and anything the cluster failed to deliver (a dead worker,
-	// a dropped conflict) is simply measured here, same bytes either
-	// way. Budgeted and delta-only requests skip the fan-out: their
-	// semantics are node-local (see Config.Cluster).
-	if c := s.cfg.Cluster; c != nil && f.creq.MeasureBudget == 0 && !f.creq.DeltaOnly {
-		recs, gerr := c.Gather(f.ctx, f.creq)
-		if gerr == nil {
-			s.ingest(recs)
-		} else if f.ctx.Err() == nil {
-			s.mu.Lock()
-			s.stats.ClusterDegraded++
-			s.mu.Unlock()
-		}
 	}
 
 	// Always follow the pass: its decided prefix is shared state every

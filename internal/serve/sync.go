@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"sync"
 	"time"
 
+	"flexos"
 	"flexos/internal/cli"
 )
 
@@ -32,6 +34,40 @@ func (s *Server) ingest(recs []cli.Record) {
 	s.stats.IngestConflicts += conflicts
 	s.mu.Unlock()
 }
+
+// fleetBacking is the memo backing of a coordinator flight that may
+// fan out: the server's store, which on the flight's first miss
+// gathers the request's records from the fleet, once, and ingests
+// them before answering. The engine looks a record up only when its
+// pass needs it, so a request the store already covers sends no worker
+// anything, and keys pruning never reaches trigger nothing. A record
+// the fleet failed to deliver stays a miss, which the pass measures
+// itself — the same bytes, by determinism. Gathered records are
+// backing hits, so a run's statistics read as if they were stored.
+//
+// The memo over it is the flight's own, so concurrent coordinator
+// flights do not join each other's in-flight measurements: a key the
+// fleet failed to deliver to both may be measured twice, and the
+// store keeps one copy.
+type fleetBacking struct {
+	s    *Server
+	f    *flight
+	once sync.Once
+}
+
+func (b *fleetBacking) Load(key string) (flexos.Metrics, bool) {
+	if mx, ok := b.s.st.Load(key); ok {
+		return mx, true
+	}
+	b.once.Do(func() {
+		if recs, err := b.s.cfg.Cluster.Gather(b.f.ctx, b.f.creq); err == nil {
+			b.s.ingest(recs)
+		}
+	})
+	return b.s.st.Load(key)
+}
+
+func (b *fleetBacking) Store(key string, mx flexos.Metrics) { b.s.st.Store(key, mx) }
 
 // page renders one pull page: the store's records after cursor since
 // under generation gen. A stale or empty generation (a restarted
