@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"flexos/internal/core"
 	"flexos/internal/libc"
@@ -70,9 +71,28 @@ var sharedVars = func() []core.SharedVar {
 	return vs
 }()
 
+// keyNames holds the names setup preloads, "key0" onwards, built once
+// per process: the shipped scenarios preload 64 keys.
+var keyNames = func() []string {
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = "key" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// keyName returns the name of preloaded key i.
+func keyName(i int) string {
+	if i < len(keyNames) {
+		return keyNames[i]
+	}
+	return "key" + strconv.Itoa(i)
+}
+
 // State is the per-image Redis state: the keyspace dictionary, which
 // setup makes, sized for the keys it preloads. Values live in the
-// compartment's private simulated heap.
+// compartment's private simulated heap. Released states are recycled:
+// a later image's setup empties the dictionary and reuses it.
 type State struct {
 	values map[string]uintptr
 	sock   int
@@ -87,6 +107,17 @@ type State struct {
 	reply []byte
 }
 
+// states holds released States for the next image.
+var states = sync.Pool{New: func() any { return new(State) }}
+
+// free resets st, keeping its dictionary and scratch, and hands it to
+// the next image.
+func (st *State) free() {
+	clear(st.values)
+	*st = State{values: st.values, req: st.req[:0], reply: st.reply[:0]}
+	states.Put(st)
+}
+
 // Register adds libredis to a catalog (Table 1: +279/-90, 16 shared
 // variables).
 func Register(cat *core.Catalog) { cat.MustRegister(component) }
@@ -94,7 +125,8 @@ func Register(cat *core.Catalog) { cat.MustRegister(component) }
 // component is libredis, built once per process.
 var component = func() *core.Component {
 	c := core.NewComponent(Name)
-	c.NewState = func() any { return &State{} }
+	c.NewState = func() any { return states.Get() }
+	c.FreeState = func(st any) { st.(*State).free() }
 	c.PatchAdd, c.PatchDel = 279, 90
 	c.Imports = []string{libc.Name, oslib.SchedName, netstack.Name}
 	c.Shared = append(c.Shared, sharedVars...)
@@ -110,7 +142,11 @@ var component = func() *core.Component {
 				return core.Ret{}, err
 			}
 			st.sock = v.Int()
-			st.values = make(map[string]uintptr, keys)
+			if st.values == nil {
+				st.values = make(map[string]uintptr, keys)
+			} else {
+				clear(st.values)
+			}
 			for i := 0; i < keys; i++ {
 				addr, err := ctx.AllocPrivate(valueSize)
 				if err != nil {
@@ -120,7 +156,7 @@ var component = func() *core.Component {
 				if err := ctx.Write(addr, val); err != nil {
 					return core.Ret{}, err
 				}
-				st.values["key"+strconv.Itoa(i)] = addr
+				st.values[keyName(i)] = addr
 			}
 			return core.Ret{W: uint64(st.sock)}, nil
 		},

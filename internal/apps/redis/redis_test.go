@@ -178,3 +178,42 @@ func TestStateCounters(t *testing.T) {
 		t.Fatal("empty queue should miss")
 	}
 }
+
+// TestReleasedStateStartsEmpty: an image released after preloading
+// many keys hands its state back for reuse, and the next image's setup
+// must see none of those keys and none of its counts.
+func TestReleasedStateStartsEmpty(t *testing.T) {
+	call := func(ctx *core.Ctx, lib, fn string, a core.Args) core.Ret {
+		t.Helper()
+		r, err := ctx.Call(core.Symbol(lib, fn), a)
+		if err != nil {
+			t.Fatalf("%s.%s: %v", lib, fn, err)
+		}
+		return r
+	}
+	get := func(ctx *core.Ctx, key string) bool {
+		enq := core.Words(1)
+		enq.B = []byte("GET " + key + "\r\n")
+		call(ctx, netstack.Name, "rx_enqueue", enq)
+		return call(ctx, redis.Name, "serve_get", core.Args{}).Bool()
+	}
+	for round, keys := range []uint64{70, 4} {
+		img, err := core.Build(scenario.FullCatalog(), oneComp())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := img.State(redis.Name).(*redis.State)
+		ctx, _ := img.NewContext("t", redis.Name)
+		call(ctx, redis.Name, "setup", core.Words(keys))
+		if st.Hits() != 0 || st.Misses() != 0 || st.Sets() != 0 {
+			t.Fatalf("round %d: fresh state counts hits=%d misses=%d sets=%d", round, st.Hits(), st.Misses(), st.Sets())
+		}
+		if !get(ctx, "key3") {
+			t.Fatalf("round %d: preloaded key3 missed", round)
+		}
+		if hit := get(ctx, "key50"); hit != (keys > 50) {
+			t.Fatalf("round %d: key50 hit=%v after preloading %d keys", round, hit, keys)
+		}
+		img.Release()
+	}
+}

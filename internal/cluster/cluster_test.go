@@ -236,14 +236,18 @@ func TestClusterWorkerDiesOnDispatch(t *testing.T) {
 
 // TestClusterRandomWorkerKilledMidRun is the property test: a random
 // worker dies at a random moment of each coordinated run, and the
-// answer must stay byte-identical to the oracle. Seeded — failures
-// reproduce.
+// answer must stay byte-identical to the oracle. Each round asks with
+// its own Ops, so no round is answered from the coordinator's store:
+// every one gathers from the fleet exactly once, which its kill can
+// reach. Seeded — failures reproduce.
 func TestClusterRandomWorkerKilledMidRun(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xf1e105, 2022))
 	tc := newCluster(t, 3, 3)
 	for round := 0; round < 6; round++ {
 		creq := testRequests[rng.IntN(3)]
+		creq.Ops = 200 + round
 		want, _ := oracle(t, creq)
+		gathers := tc.co.Stats().Gathers
 
 		victim := tc.workers[rng.IntN(len(tc.workers))]
 		delay := time.Duration(rng.IntN(30)) * time.Millisecond
@@ -261,6 +265,9 @@ func TestClusterRandomWorkerKilledMidRun(t *testing.T) {
 		if resp.Report != want {
 			t.Fatalf("round %d: report differs from oracle after killing a worker %v into the run\n--- cluster ---\n%s--- oracle ---\n%s",
 				round, delay, resp.Report, want)
+		}
+		if got := tc.co.Stats().Gathers; got != gathers+1 {
+			t.Fatalf("round %d: coordinator gathers %d -> %d, want one gather per cold round", round, gathers, got)
 		}
 		tc.revive(victim)
 	}

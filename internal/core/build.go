@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"flexos/internal/harden"
@@ -56,6 +57,10 @@ type Image struct {
 	AS      *mem.AddrSpace
 	Backend isolation.Backend
 
+	// host is the pooled memory behind AS, the heaps and the site, gate
+	// and shared-variable tables; nil once the image is released.
+	host *hostMem
+
 	comps []*CompRT
 	byLib map[string]*CompRT
 	// sites resolves every (library, function) pair of the image,
@@ -81,6 +86,10 @@ type Image struct {
 // initialization, section/heap/stack layout ("linker script generation"),
 // gate binding ("source transformations"), hardening instrumentation, and
 // shared-variable placement.
+//
+// The image's address space, heaps and tables come from a process-wide
+// pool of host memory; Release returns them for the next Build to
+// reuse.
 func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	spec = spec.normalized()
 	if err := spec.Validate(cat); err != nil {
@@ -91,15 +100,27 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	}
 
 	mach := machine.New(spec.Costs)
+	host := hostPool.Get().(*hostMem)
 	img := &Image{
 		Spec:       spec,
 		Catalog:    cat,
 		Mach:       mach,
 		Sched:      sched.New(mach),
-		AS:         mem.NewAddrSpace("flexos", spec.MemBytes, mach),
+		AS:         host.addrSpace(spec.MemBytes, mach),
+		host:       host,
 		byLib:      make(map[string]*CompRT),
 		restricted: make(map[mem.Key]*mem.Bump),
 	}
+	if err := img.build(); err != nil {
+		img.Release()
+		return nil, err
+	}
+	return img, nil
+}
+
+// build lays out and links the image Build drew.
+func (img *Image) build() error {
+	spec, cat, mach := img.Spec, img.Catalog, img.Mach
 
 	// 1. Create compartments, give each linked component fresh state
 	// and resolve every call site: its target compartment, its function
@@ -114,7 +135,8 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 			nshared += len(comp.Shared)
 		}
 	}
-	sites := make([]callSite, 0, nsites)
+	h := img.host
+	sites := slices.Grow(h.sites[:0], nsites)
 	var maxSym Sym
 	for i, cs := range spec.Comps {
 		iso := &isolation.Compartment{ID: sched.CompID(i), Name: cs.Name}
@@ -140,7 +162,10 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		}
 		img.comps = append(img.comps, rt)
 	}
-	img.sites = make([]*callSite, maxSym+1)
+	h.sites = sites
+	img.sites = slices.Grow(h.sitePtrs[:0], int(maxSym)+1)[:maxSym+1]
+	clear(img.sites)
+	h.sitePtrs = img.sites
 	for i := range sites {
 		img.sites[sites[i].sym] = &sites[i]
 	}
@@ -148,14 +173,14 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	// 2. Initialize the isolation backend (key / VM assignment, hooks).
 	backend, err := isolation.ForName(spec.Mechanism)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sys := &isolation.System{Mach: mach, Sched: img.Sched, AS: img.AS}
 	for _, c := range img.comps {
 		sys.Comps = append(sys.Comps, c.Compartment)
 	}
 	if err := backend.Init(sys); err != nil {
-		return nil, err
+		return err
 	}
 	img.Backend = backend
 
@@ -166,19 +191,19 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	for _, c := range img.comps {
 		c.StaticBase, c.StaticSize = cursor, staticPagesPerComp*mem.PageSize
 		if err := img.AS.SetKeyRange(c.StaticBase, c.StaticSize, c.Key); err != nil {
-			return nil, err
+			return err
 		}
 		cursor += c.StaticSize
 
 		c.HeapBase = cursor
 		arena, err := mem.NewArena(img.AS, cursor, heapBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := arena.SetKey(c.Key); err != nil {
-			return nil, err
+			return err
 		}
-		tlsf := mem.NewTLSF(arena, mach)
+		tlsf := h.tlsf(arena, mach)
 		var heap mem.Allocator = tlsf
 		kasan := c.Hardening.Has(harden.KASan)
 		for _, hs := range spec.Comps[c.ID].LibHardening {
@@ -195,12 +220,12 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 	// shared heap is not a fundamental restriction).
 	sharedArena, err := mem.NewArena(img.AS, cursor, heapBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := sharedArena.SetKey(mem.KeyShared); err != nil {
-		return nil, err
+		return err
 	}
-	img.sharedHeap = mem.NewTLSF(sharedArena, mach)
+	img.sharedHeap = h.tlsf(sharedArena, mach)
 	cursor += heapBytes
 
 	// 5. Stack region: the rest of memory.
@@ -208,12 +233,12 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 
 	// 6. Bind gates for every compartment pair — the build-time
 	// replacement of abstract gates (Fig. 3 step 3/3').
-	img.gates = make([]boundGate, 0, len(img.comps)*len(img.comps))
+	img.gates = slices.Grow(h.gates[:0], len(img.comps)*len(img.comps))
 	for _, from := range img.comps {
 		for _, to := range img.comps {
 			g, err := backend.Gate(from.ID, to.ID, spec.GateMode)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			img.gates = append(img.gates, boundGate{
 				Gate: g, img: img,
@@ -222,25 +247,27 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 			})
 		}
 	}
+	h.gates = img.gates
 
 	// 7. Place __shared annotations. Whitelisted variables ("shared with
 	// these libraries", §3.1) go to a restricted domain when the backend
 	// offers one; variables whose whole whitelist lives in the owner's
 	// compartment stay private; everything else lands in the global
 	// shared domain.
-	img.sharedVars = make([]placedVar, 0, nshared)
+	img.sharedVars = slices.Grow(h.shared[:0], nshared)
 	for _, c := range img.comps {
 		for _, comp := range c.Libs {
 			for _, sv := range comp.Shared {
 				v, err := img.placeSharedVar(c, comp.Name, sv)
 				if err != nil {
-					return nil, fmt.Errorf("core: placing shared var %s.%s: %w", comp.Name, sv.Name, err)
+					return fmt.Errorf("core: placing shared var %s.%s: %w", comp.Name, sv.Name, err)
 				}
 				img.sharedVars = append(img.sharedVars, v)
 			}
 		}
 	}
-	return img, nil
+	h.shared = img.sharedVars
+	return nil
 }
 
 // restrictedArenaPages sizes each restricted shared domain's arena.

@@ -202,6 +202,11 @@ type Component struct {
 	// function bodies reach the value through Ctx.State. Nil means the
 	// component is stateless.
 	NewState func() any
+	// FreeState, when set, takes back a state NewState returned once
+	// the image holding it is released (Image.Release). That image
+	// never touches the state again, so NewState may hand it, reset, to
+	// a later image. Nil leaves released state to the collector.
+	FreeState func(state any)
 
 	// funcs is the component's interface, sorted by name.
 	funcs []linkedFunc

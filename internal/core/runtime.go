@@ -43,6 +43,9 @@ type frame struct {
 // owning startLib, allocates its per-compartment stacks (the stack
 // registry), and returns the context.
 func (img *Image) NewContext(name, startLib string) (*Ctx, error) {
+	if img.host == nil {
+		panic("core: context on a released image")
+	}
 	comp, ok := img.byLib[startLib]
 	if !ok {
 		return nil, fmt.Errorf("core: no library %q in image", startLib)
@@ -108,6 +111,9 @@ func (c *Ctx) Hardening() harden.Set { return c.site().hard }
 // The argument frame and the return value travel by value, so a call
 // costs no host allocation beyond what the callee itself allocates.
 func (c *Ctx) Call(sym Sym, a Args) (Ret, error) {
+	if c.img.host == nil {
+		panic("core: call on a released image")
+	}
 	var site *callSite
 	if uint(sym) < uint(len(c.img.sites)) {
 		site = c.img.sites[sym]

@@ -150,30 +150,29 @@ func (s Set) WorkMultiplier() float64 {
 }
 
 // String renders the set in configuration syntax, deterministically
-// ordered.
-func (s Set) String() string {
-	if s.Empty() {
-		return "[]"
+// ordered. Techniques outside the five known ones are not rendered.
+func (s Set) String() string { return setNames[s.mask&(1<<len(allTechs)-1)] }
+
+// setNames holds String's result for each of the 32 masks of the known
+// techniques, rendered once: the exploration engine keys every
+// configuration of every space by it.
+var setNames = func() (t [1 << len(allTechs)]string) {
+	techNames := map[Tech]string{
+		CFI: "cfi", KASan: "kasan", UBSan: "ubsan",
+		StackProtector: "stackprotector", ShadowStack: "shadowstack",
 	}
-	var out []string
-	if s.Has(CFI) {
-		out = append(out, "cfi")
+	for mask := range t {
+		var out []string
+		for _, tech := range allTechs {
+			if Tech(mask)&tech != 0 {
+				out = append(out, techNames[tech])
+			}
+		}
+		sort.Strings(out)
+		t[mask] = "[" + strings.Join(out, ",") + "]"
 	}
-	if s.Has(KASan) {
-		out = append(out, "kasan")
-	}
-	if s.Has(UBSan) {
-		out = append(out, "ubsan")
-	}
-	if s.Has(StackProtector) {
-		out = append(out, "stackprotector")
-	}
-	if s.Has(ShadowStack) {
-		out = append(out, "shadowstack")
-	}
-	sort.Strings(out)
-	return "[" + strings.Join(out, ",") + "]"
-}
+	return t
+}()
 
 // CheckedAdd performs an int64 addition with UBSan-style overflow
 // detection: when the set enables UBSan, overflow returns an error instead

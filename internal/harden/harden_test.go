@@ -2,6 +2,8 @@ package harden
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -150,5 +152,47 @@ func TestStringDeterministic(t *testing.T) {
 	}
 	if got := NewSet(CFI).String(); got != "[cfi]" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// composeString is String as it was composed per call before the
+// table: the enabled techniques' names, sorted, in brackets.
+func composeString(s Set) string {
+	if s.Empty() {
+		return "[]"
+	}
+	var out []string
+	if s.Has(CFI) {
+		out = append(out, "cfi")
+	}
+	if s.Has(KASan) {
+		out = append(out, "kasan")
+	}
+	if s.Has(UBSan) {
+		out = append(out, "ubsan")
+	}
+	if s.Has(StackProtector) {
+		out = append(out, "stackprotector")
+	}
+	if s.Has(ShadowStack) {
+		out = append(out, "shadowstack")
+	}
+	sort.Strings(out)
+	return "[" + strings.Join(out, ",") + "]"
+}
+
+// TestStringTableMatchesComposition holds String's table to the
+// per-call composition for every mask a Set can hold, unknown bits
+// included, and checks that String allocates nothing.
+func TestStringTableMatchesComposition(t *testing.T) {
+	for mask := range 256 {
+		s := Set{mask: Tech(mask)}
+		if got, want := s.String(), composeString(s); got != want {
+			t.Errorf("mask %#x: String %q, composed %q", mask, got, want)
+		}
+	}
+	s := NewSet(KASan, UBSan, StackProtector)
+	if n := testing.AllocsPerRun(100, func() { _ = s.String() }); n != 0 {
+		t.Errorf("String allocates %v times", n)
 	}
 }

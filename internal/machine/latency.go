@@ -19,6 +19,10 @@ type LatencySampler struct {
 // many it will record grows the sample buffer once.
 func (s *LatencySampler) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
+// Reset empties the sampler and keeps its buffer, so a sampler reused
+// for the next run grows only past the largest earlier one.
+func (s *LatencySampler) Reset() { s.samples, s.sorted = s.samples[:0], false }
+
 // Record adds one latency sample in cycles.
 func (s *LatencySampler) Record(cycles uint64) {
 	s.samples = append(s.samples, cycles)

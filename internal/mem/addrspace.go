@@ -29,11 +29,22 @@ const PageSize = 4096
 // keeps host memory proportional to what it uses. Backing is invisible
 // to the simulation: every check, fault and cycle charge is the same
 // whether a chunk or frame exists or not.
+//
+// Reset returns a space to its just-constructed state for the next
+// image, keeping its chunks, frames and shadows attached but zeroed. A
+// zeroed frame reads and moves like a missing one and a zeroed shadow
+// is unpoisoned, so a reset space is indistinguishable from a new one
+// while it allocates nothing for the pages it already backs.
 type AddrSpace struct {
-	name   string
-	keys   []Key
-	dir    []*chunk // chunk c holds pages [c*chunkPages, (c+1)*chunkPages); nil until touched
-	shadow bool     // KASan shadow enabled (each page holds its own part)
+	name string
+	keys []Key
+	dir  []*chunk // chunk c holds pages [c*chunkPages, (c+1)*chunkPages); nil until touched
+	// dirty[c] records that chunk c was written or poisoned since
+	// construction or the last Reset. A clean chunk holds only zero
+	// bytes: the stores that bypass touch (movePiece clearing a frame,
+	// unpoisoning) store zeros.
+	dirty  []bool
+	shadow bool // KASan shadow enabled (each page holds its own part)
 	mach   *machine.Machine
 
 	// stats
@@ -66,12 +77,39 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 		panic("mem: address space size must be positive")
 	}
 	pages := (size + PageSize - 1) / PageSize
+	chunks := (pages + chunkPages - 1) / chunkPages
 	return &AddrSpace{
-		name: name,
-		keys: make([]Key, pages),
-		dir:  make([]*chunk, (pages+chunkPages-1)/chunkPages),
-		mach: m,
+		name:  name,
+		keys:  make([]Key, pages),
+		dir:   make([]*chunk, chunks),
+		dirty: make([]bool, chunks),
+		mach:  m,
 	}
+}
+
+// Reset puts the space back in the state NewAddrSpace(as.Name(),
+// as.Size(), m) returns: every page keyed KeyTCB and reading as zero,
+// the shadow off and unpoisoned, the counters zeroed, charging m. It
+// zeroes only the chunks touched since the last reset and keeps their
+// frames and shadows attached for the next run to write into.
+func (as *AddrSpace) Reset(m *machine.Machine) {
+	for i, dirty := range as.dirty {
+		if !dirty {
+			continue
+		}
+		for j := range as.dir[i] {
+			pg := &as.dir[i][j]
+			if pg.data != nil {
+				clear(pg.data[:])
+			}
+			if pg.shadow != nil {
+				clear(pg.shadow[:])
+			}
+		}
+	}
+	clear(as.keys)
+	clear(as.dirty)
+	*as = AddrSpace{name: as.name, keys: as.keys, dir: as.dir, dirty: as.dirty, mach: m}
 }
 
 // Name returns the space's name (VM identifier under EPT).
@@ -275,13 +313,16 @@ func (as *AddrSpace) data(p uintptr) *[PageSize]byte {
 	return nil
 }
 
-// touch returns page p's record, allocating its chunk on first use.
+// touch returns page p's record for a write or a poison, allocating its
+// chunk on first use and marking the chunk dirty for Reset.
 func (as *AddrSpace) touch(p uintptr) *page {
-	c := as.dir[p/chunkPages]
+	i := int(p / chunkPages)
+	c := as.dir[i]
 	if c == nil {
 		c = new(chunk)
-		as.dir[p/chunkPages] = c
+		as.dir[i] = c
 	}
+	as.dirty[i] = true
 	return &c[p%chunkPages]
 }
 

@@ -227,6 +227,58 @@ func newAllocSide(t *testing.T, kasan, oracle bool) allocSide {
 	return allocSide{al: al, mach: m, as: as}
 }
 
+// recycledAllocSide returns a TLSF (KASan-wrapped when kasan is set)
+// over the differential test's arena that, with its space, first
+// served a prior run: a KASan heap over a larger arena at another
+// base, whose allocations, frees, poison and written bytes leave the
+// slot table grown past the test arena and the free lists and shadow
+// full. Both are then reset to charge a new machine.
+func recycledAllocSide(t *testing.T, kasan bool, seed uint64) allocSide {
+	t.Helper()
+	m := machine.New(machine.DefaultCosts())
+	as := NewAddrSpace("heap", diffSpacePages*PageSize, m)
+	prior, err := NewArena(as, 0, (diffArenaPages+6)*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := NewTLSF(prior, m)
+	k := NewKASanAllocator(tl, as, m)
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	var live []uintptr
+	for range 600 {
+		if len(live) > 0 && rng.IntN(3) == 0 {
+			i := rng.IntN(len(live))
+			if err := k.Free(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
+			continue
+		}
+		n := 1 + rng.IntN(700)
+		addr, err := k.Alloc(n)
+		if err != nil {
+			continue
+		}
+		live = append(live, addr)
+		if err := as.Write(PKRUAllowAll, addr, bytes.Repeat([]byte{0xa5}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m = machine.New(machine.DefaultCosts())
+	as.Reset(m)
+	arena, err := NewArena(as, diffArenaBase, diffArenaPages*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl.Reset(arena, m)
+	var al Allocator = tl
+	if kasan {
+		al = NewKASanAllocator(tl, as, m)
+	}
+	return allocSide{al: al, mach: m, as: as}
+}
+
 // shadowOf flattens a space's KASan shadow, one byte per granule.
 func shadowOf(as *AddrSpace) []byte {
 	out := make([]byte, as.Pages()*granulesPerPage)
@@ -279,7 +331,7 @@ func TestAllocatorsMatchMapOracle(t *testing.T) {
 				name = fmt.Sprintf("kasan/seed%d", seed)
 			}
 			t.Run(name, func(t *testing.T) {
-				paths := runAllocDiff(t, seed, steps, kasan)
+				paths := runAllocDiff(t, seed, steps, newAllocSide(t, kasan, false), kasan)
 				for path, n := range paths {
 					if n == 0 {
 						t.Errorf("allocation path %d never taken (fast, split, carve, exhausted: %v)", path, paths)
@@ -290,8 +342,26 @@ func TestAllocatorsMatchMapOracle(t *testing.T) {
 	}
 }
 
-func runAllocDiff(t *testing.T, seed uint64, steps int, kasan bool) (paths [numPaths]int) {
-	got, want := newAllocSide(t, kasan, false), newAllocSide(t, kasan, true)
+// TestResetAllocatorsMatchMapOracle runs the same sequences against
+// reset allocators: each must match the oracle, as a new one does.
+func TestResetAllocatorsMatchMapOracle(t *testing.T) {
+	const (
+		seeds = 12
+		steps = 2500
+	)
+	for _, kasan := range []bool{false, true} {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("kasan=%v/seed%d", kasan, seed), func(t *testing.T) {
+				runAllocDiff(t, seed, steps, recycledAllocSide(t, kasan, seed), kasan)
+			})
+		}
+	}
+}
+
+// runAllocDiff drives got and a new oracle of the same flavour with the
+// seeded sequence and compares every result, charge and shadow byte.
+func runAllocDiff(t *testing.T, seed uint64, steps int, got allocSide, kasan bool) (paths [numPaths]int) {
+	want := newAllocSide(t, kasan, true)
 	rng := rand.New(rand.NewPCG(seed, seed*0x9e3779b97f4a7c15))
 	var live, freed []uintptr
 	// pick draws an address to free or size: live and freed blocks and

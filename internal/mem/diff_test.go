@@ -239,12 +239,46 @@ func TestAddrSpaceMatchesFlatReference(t *testing.T) {
 	}
 }
 
+// TestResetAddrSpaceMatchesFlatReference is the differential test
+// across resets: a space that ran a prior random sequence (keys set,
+// frames written, shadow enabled and poisoned) is reset and must then
+// match the flat reference, which a new space matches too, on every
+// result, fault and cycle charge. Spaces of up to three chunks check
+// that Reset clears every chunk a run touched.
+func TestResetAddrSpaceMatchesFlatReference(t *testing.T) {
+	const (
+		seeds = 30
+		steps = 1500
+	)
+	for seed := uint64(1); seed <= seeds; seed++ {
+		pages := []int{1, 3, 6, chunkPages, chunkPages + 1, 2*chunkPages + 2}[seed%6]
+		t.Run(fmt.Sprintf("seed%d-pages%d", seed, pages), func(t *testing.T) {
+			mach := machine.New(machine.CostModel{})
+			as := NewAddrSpace("diff", pages*PageSize, mach)
+			prior := newRefSpace("diff", pages, mach.Costs)
+			as.EnableShadow()
+			prior.enableShadow()
+			diffSteps(t, as, mach, prior, seed+1000, steps)
+
+			mach = machine.New(machine.CostModel{})
+			as.Reset(mach)
+			runDiffOn(t, as, mach, seed, pages, steps)
+		})
+	}
+}
+
 func runDiff(t *testing.T, seed uint64, pages, steps int) {
 	t.Helper()
 	mach := machine.New(machine.CostModel{})
-	as := NewAddrSpace("diff", pages*PageSize, mach)
+	runDiffOn(t, NewAddrSpace("diff", pages*PageSize, mach), mach, seed, pages, steps)
+}
+
+// runDiffOn drives as, which charges mach and must be in its
+// just-constructed state, and a new reference with the seeded
+// sequence, then compares every key, granule and byte.
+func runDiffOn(t *testing.T, as *AddrSpace, mach *machine.Machine, seed uint64, pages, steps int) {
+	t.Helper()
 	ref := newRefSpace("diff", pages, mach.Costs)
-	g := diffGen{rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), size: pages * PageSize}
 	if as.Size() != len(ref.data) || as.Pages() != pages {
 		t.Fatalf("size %d / %d pages, want %d / %d", as.Size(), as.Pages(), len(ref.data), pages)
 	}
@@ -254,7 +288,40 @@ func runDiff(t *testing.T, seed uint64, pages, steps int) {
 		as.EnableShadow()
 		ref.enableShadow()
 	}
+	diffSteps(t, as, mach, ref, seed, steps)
 
+	// Final sweep: every key and shadow granule, then every byte.
+	for p := 0; p < pages; p++ {
+		if k := as.KeyAt(uintptr(p * PageSize)); k != ref.keys[p] {
+			t.Fatalf("page %d key %d, reference %d", p, k, ref.keys[p])
+		}
+	}
+	for gr := range ref.shadow {
+		var b [1]byte
+		err := as.Read(PKRUAllowAll, uintptr(gr*shadowScale), b[:])
+		if poisoned := ref.shadow[gr] != poisonNone; poisoned != (err != nil && err.(*Fault).Kind == FaultKASanRedzone) {
+			t.Fatalf("granule %d: poisoned %v in reference, read error %v", gr, poisoned, err)
+		}
+	}
+	as.Unpoison(0, len(ref.data))
+	buf := make([]byte, len(ref.data))
+	if err := as.Read(PKRUAllowAll, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, ref.data) {
+		for i := range buf {
+			if buf[i] != ref.data[i] {
+				t.Fatalf("byte %#x is %#x, reference %#x", i, buf[i], ref.data[i])
+			}
+		}
+	}
+}
+
+// diffSteps drives as and ref with the seeded operation sequence and
+// compares every observable after every step.
+func diffSteps(t *testing.T, as *AddrSpace, mach *machine.Machine, ref *refSpace, seed uint64, steps int) {
+	t.Helper()
+	g := diffGen{rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), size: len(ref.data)}
 	for step := 0; step < steps; step++ {
 		var (
 			op             string
@@ -350,32 +417,6 @@ func runDiff(t *testing.T, seed uint64, pages, steps int) {
 		}
 		if as.ShadowEnabled() != (ref.shadow != nil) {
 			t.Fatalf("step %d %s: ShadowEnabled %v, reference %v", step, op, as.ShadowEnabled(), ref.shadow != nil)
-		}
-	}
-
-	// Final sweep: every key and shadow granule, then every byte.
-	for p := 0; p < pages; p++ {
-		if k := as.KeyAt(uintptr(p * PageSize)); k != ref.keys[p] {
-			t.Fatalf("page %d key %d, reference %d", p, k, ref.keys[p])
-		}
-	}
-	for gr := range ref.shadow {
-		var b [1]byte
-		err := as.Read(PKRUAllowAll, uintptr(gr*shadowScale), b[:])
-		if poisoned := ref.shadow[gr] != poisonNone; poisoned != (err != nil && err.(*Fault).Kind == FaultKASanRedzone) {
-			t.Fatalf("granule %d: poisoned %v in reference, read error %v", gr, poisoned, err)
-		}
-	}
-	as.Unpoison(0, len(ref.data))
-	buf := make([]byte, len(ref.data))
-	if err := as.Read(PKRUAllowAll, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, ref.data) {
-		for i := range buf {
-			if buf[i] != ref.data[i] {
-				t.Fatalf("byte %#x is %#x, reference %#x", i, buf[i], ref.data[i])
-			}
 		}
 	}
 }

@@ -42,6 +42,22 @@ func NewTLSF(arena Arena, m *machine.Machine) *TLSF {
 	return &TLSF{arena: arena, mach: m, brk: arena.Base}
 }
 
+// Reset puts the allocator back in the state NewTLSF(arena, m) returns:
+// no block allocated or free, brk at the arena's base, counters zeroed.
+// It keeps the free lists' and the slot table's host capacity, clearing
+// the slot table to its full capacity so a later carve, which only
+// reslices while the capacity lasts, never sees a stale slot.
+func (t *TLSF) Reset(arena Arena, m *machine.Machine) {
+	if arena.Size > math.MaxInt32 {
+		panic("mem: TLSF arena of 2 GiB or more")
+	}
+	for i := range t.classes {
+		t.classes[i] = t.classes[i][:0]
+	}
+	clear(t.slots[:cap(t.slots)])
+	*t = TLSF{arena: arena, mach: m, classes: t.classes, slots: t.slots[:0], brk: arena.Base}
+}
+
 // carve advances brk by n bytes and extends the slot table to cover
 // them, growing its capacity geometrically up to the whole arena.
 func (t *TLSF) carve(n uintptr) {

@@ -15,6 +15,7 @@ package netstack
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"flexos/internal/core"
 )
@@ -45,21 +46,39 @@ type packet struct {
 
 // socket is one simulated connection endpoint.
 type socket struct {
-	id      int
+	// rxQueue[rxHead:] holds the queued packets; the queue rewinds to
+	// the start of its buffer whenever it drains.
 	rxQueue []packet
+	rxHead  int
 	txBytes uint64
 	rxDrops uint64
 }
 
 // State is the per-image network stack state ("kernel" metadata lives at
 // the Go level, payloads live in simulated memory — see DESIGN.md).
+// Released states are recycled: a later image's State reuses their
+// sockets' queue buffers.
 type State struct {
-	sockets map[int]*socket
-	nextID  int
+	// sockets holds descriptor i+1 at index i. Past its length it keeps
+	// the sockets of the image this State last served, for reuse.
+	sockets []*socket
 	rxTotal uint64
 	txTotal uint64
 	// scratch receives the bytes send reads from the caller's buffer.
 	scratch []byte
+}
+
+// states holds released States for the next image.
+var states = sync.Pool{New: func() any { return new(State) }}
+
+// free resets st and its sockets to an empty stack, keeping their
+// buffers, and hands st to the next image.
+func (st *State) free() {
+	for _, s := range st.sockets {
+		*s = socket{rxQueue: s.rxQueue[:0]}
+	}
+	*st = State{sockets: st.sockets[:0], scratch: st.scratch[:0]}
+	states.Put(st)
 }
 
 // Register adds the lwip component to the catalog.
@@ -71,17 +90,21 @@ var component = func() *core.Component {
 	c.PatchAdd, c.PatchDel = 542, 275 // Table 1
 	c.Imports = []string{"uksched"}
 	c.Shared = append(c.Shared, sharedVars...)
-	c.NewState = func() any { return &State{sockets: make(map[int]*socket)} }
+	c.NewState = func() any { return states.Get() }
+	c.FreeState = func(st any) { st.(*State).free() }
 
 	// socket() creates an endpoint and returns its descriptor.
 	c.AddFunc(&core.Func{
 		Name: "socket", Work: socketWork, EntryPoint: true,
 		Impl: func(ctx *core.Ctx, _ *core.Args) (core.Ret, error) {
 			st := ctx.State().(*State)
-			st.nextID++
-			s := &socket{id: st.nextID}
-			st.sockets[s.id] = s
-			return core.Ret{W: uint64(s.id)}, nil
+			n := len(st.sockets)
+			if n < cap(st.sockets) && st.sockets[:n+1][n] != nil {
+				st.sockets = st.sockets[:n+1] // an earlier image's socket, reset by free
+			} else {
+				st.sockets = append(st.sockets, new(socket))
+			}
+			return core.Ret{W: uint64(n + 1)}, nil
 		},
 	})
 
@@ -126,10 +149,10 @@ var component = func() *core.Component {
 				return core.Ret{}, err
 			}
 			bufAddr, bufLen := uintptr(a.W[1]), int(a.W[2])
-			if len(s.rxQueue) == 0 {
+			if s.rxHead == len(s.rxQueue) {
 				return core.Ret{}, nil
 			}
-			pkt := s.rxQueue[0]
+			pkt := s.rxQueue[s.rxHead]
 			n := min(pkt.n, bufLen)
 			// Protocol processing + copy into the caller's buffer.
 			ctx.Charge(uint64(n) * ProcessPerByte)
@@ -137,12 +160,14 @@ var component = func() *core.Component {
 				return core.Ret{}, err
 			}
 			if n == pkt.n {
-				s.rxQueue = s.rxQueue[1:]
+				if s.rxHead++; s.rxHead == len(s.rxQueue) {
+					s.rxQueue, s.rxHead = s.rxQueue[:0], 0
+				}
 				if err := ctx.FreePrivate(pkt.orig); err != nil {
 					return core.Ret{}, err
 				}
 			} else {
-				s.rxQueue[0] = packet{addr: pkt.addr + uintptr(n), n: pkt.n - n, orig: pkt.orig}
+				s.rxQueue[s.rxHead] = packet{addr: pkt.addr + uintptr(n), n: pkt.n - n, orig: pkt.orig}
 			}
 			return core.Ret{W: uint64(n)}, nil
 		},
@@ -179,18 +204,17 @@ var component = func() *core.Component {
 			if err != nil {
 				return core.Ret{}, err
 			}
-			return core.Ret{W: uint64(len(s.rxQueue))}, nil
+			return core.Ret{W: uint64(len(s.rxQueue) - s.rxHead)}, nil
 		},
 	})
 	return c
 }()
 
 func (st *State) lookup(id int) (*socket, error) {
-	s, ok := st.sockets[id]
-	if !ok {
+	if id < 1 || id > len(st.sockets) {
 		return nil, fmt.Errorf("netstack: bad socket %d", id)
 	}
-	return s, nil
+	return st.sockets[id-1], nil
 }
 
 // ReserveRx makes room in socket sock's receive queue for n more
@@ -198,7 +222,7 @@ func (st *State) lookup(id int) (*socket, error) {
 // request stream before running: the queue grows once instead of by
 // doubling, and no simulated cycle is charged.
 func (st *State) ReserveRx(sock, n int) {
-	if s, ok := st.sockets[sock]; ok {
+	if s, err := st.lookup(sock); err == nil {
 		s.rxQueue = slices.Grow(s.rxQueue, n)
 	}
 }

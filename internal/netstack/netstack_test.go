@@ -225,3 +225,47 @@ func TestTable1SharedVars(t *testing.T) {
 		t.Fatalf("lwip patch = +%d/-%d", c.PatchAdd, c.PatchDel)
 	}
 }
+
+// TestQueueRewindsAndReleasedStateStartsEmpty: a queue that drains
+// rewinds to the start of its buffer and keeps serving in order, and a
+// state released with sockets and queued packets comes back, to the
+// next image, with neither.
+func TestQueueRewindsAndReleasedStateStartsEmpty(t *testing.T) {
+	img, st := oneCompImage(t)
+	ctx, _ := img.NewContext("t", Name)
+	a, b := newSocket(t, ctx), newSocket(t, ctx)
+	buf, _ := ctx.AllocPrivate(16)
+	for _, payload := range []string{"one", "two", "three"} {
+		if err := enqueue(ctx, a, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]byte, len(payload))
+		if n, err := recv(ctx, a, buf, 16); err != nil || n != len(payload) {
+			t.Fatalf("recv %q = %d, %v", payload, n, err)
+		}
+		ctx.Read(buf, out)
+		if string(out) != payload {
+			t.Fatalf("recv %q read %q", payload, out)
+		}
+	}
+	if s := st.sockets[a-1]; s.rxHead != 0 || len(s.rxQueue) != 0 {
+		t.Fatalf("drained queue at head %d, length %d", s.rxHead, len(s.rxQueue))
+	}
+	enqueue(ctx, b, []byte("left behind"))
+	img.Release()
+
+	img, st = oneCompImage(t)
+	ctx, _ = img.NewContext("t", Name)
+	if st.RxBytes() != 0 || len(st.sockets) != 0 {
+		t.Fatalf("fresh state: %d rx bytes, %d sockets", st.RxBytes(), len(st.sockets))
+	}
+	for want := uint64(1); want <= 2; want++ {
+		sock := newSocket(t, ctx)
+		if sock != want {
+			t.Fatalf("socket %d, want %d", sock, want)
+		}
+		if p, _ := ctx.Call(symPending, core.Words(sock)); p.Int() != 0 {
+			t.Fatalf("socket %d holds %d packets of a released image", sock, p.Int())
+		}
+	}
+}

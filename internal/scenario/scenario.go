@@ -16,6 +16,7 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"flexos/internal/core"
 	"flexos/internal/machine"
@@ -96,7 +97,8 @@ func (s *Scenario) WithOps(n int) *Scenario {
 // fn once the run's metrics are collected, so a caller can inspect
 // state the metric vector does not carry, such as per-gate call counts
 // (Image.Report). fn must not drive the image further; the metrics are
-// already taken.
+// already taken. The image is valid only during the callback: the run
+// releases it when fn returns, so fn must copy out what it keeps.
 func (s *Scenario) Observe(fn func(*core.Image)) *Scenario {
 	c := *s
 	c.observe = fn
@@ -144,13 +146,16 @@ type driver struct {
 
 // drive runs one measurement of the scenario on a fresh image for spec:
 // build, set up, enqueue every request, time the operations span by
-// span, check that each completed, and collect the metric vector.
+// span, check that each completed, and collect the metric vector. The
+// image is released once the vector is collected, or on error, so the
+// next measurement builds on its host memory.
 func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 	d := &s.drv
 	img, err := core.Build(d.catalog, spec)
 	if err != nil {
 		return Metrics{}, err
 	}
+	defer img.Release()
 	ctx, err := img.NewContext(s.name, s.comps[0])
 	if err != nil {
 		return Metrics{}, err
@@ -179,7 +184,9 @@ func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 		}
 	}
 
-	var lat machine.LatencySampler
+	lat := samplers.Get().(*machine.LatencySampler)
+	defer samplers.Put(lat)
+	lat.Reset()
 	lat.Grow((ops + d.per - 1) / d.per)
 	startCycles := img.Mach.Clock.Cycles()
 	startCross := img.Crossings()
@@ -192,8 +199,11 @@ func (s *Scenario) drive(spec core.ImageSpec) (Metrics, error) {
 	if got, want := d.completed(img), uint64(ops)*d.unit; got != want {
 		return Metrics{}, fmt.Errorf("%s: completed %d, want %d", s.app, got, want)
 	}
-	return s.collect(img, &lat, boot, startCycles, startCross), nil
+	return s.collect(img, lat, boot, startCycles, startCross), nil
 }
+
+// samplers recycles the latency samplers of finished measurements.
+var samplers = sync.Pool{New: func() any { return new(machine.LatencySampler) }}
 
 // registry holds the shipped library, populated in runners.go.
 var registry = map[string]*Scenario{}
