@@ -106,7 +106,7 @@ func Build(cat *Catalog, spec ImageSpec) (*Image, error) {
 		Catalog:    cat,
 		Mach:       mach,
 		Sched:      sched.New(mach),
-		AS:         host.addrSpace(spec.MemBytes, mach),
+		AS:         host.reset(spec, mach),
 		host:       host,
 		byLib:      make(map[string]*CompRT),
 		restricted: make(map[mem.Key]*mem.Bump),

@@ -18,7 +18,7 @@ import (
 // same whatever ran on its memory before.
 type hostMem struct {
 	as    *mem.AddrSpace
-	heaps []*mem.TLSF
+	heaps []mem.TLSF
 	n     int // heaps handed to the current image
 
 	sites    []callSite
@@ -29,27 +29,29 @@ type hostMem struct {
 
 var hostPool = sync.Pool{New: func() any { return new(hostMem) }}
 
-// addrSpace returns the image's address space of size bytes, reset to
-// charge m. A recycled space of another size is dropped.
-func (h *hostMem) addrSpace(size int, m *machine.Machine) *mem.AddrSpace {
+// reset readies h for an image of spec that charges m: it returns the
+// image's address space, and makes room for its heaps (one per
+// compartment and the shared heap) before Build takes a pointer to
+// any. A recycled space of another size is dropped.
+func (h *hostMem) reset(spec ImageSpec, m *machine.Machine) *mem.AddrSpace {
+	if n := len(spec.Comps) + 1; n > len(h.heaps) {
+		h.heaps = append(h.heaps, make([]mem.TLSF, n-len(h.heaps))...)
+	}
 	h.n = 0
-	if h.as == nil || h.as.Pages() != (size+mem.PageSize-1)/mem.PageSize {
-		h.as = mem.NewAddrSpace("flexos", size, m)
+	if h.as == nil || h.as.Pages() != (spec.MemBytes+mem.PageSize-1)/mem.PageSize {
+		h.as = mem.NewAddrSpace("flexos", spec.MemBytes, m)
 	} else {
 		h.as.Reset(m)
 	}
 	return h.as
 }
 
-// tlsf returns the image's next heap allocator, over arena.
+// tlsf returns the image's next heap allocator, reset to serve arena.
 func (h *hostMem) tlsf(arena mem.Arena, m *machine.Machine) *mem.TLSF {
-	if h.n == len(h.heaps) {
-		h.heaps = append(h.heaps, mem.NewTLSF(arena, m))
-	} else {
-		h.heaps[h.n].Reset(arena, m)
-	}
+	t := &h.heaps[h.n]
 	h.n++
-	return h.heaps[h.n-1]
+	t.Reset(arena, m)
+	return t
 }
 
 // Release returns the image's address space, heaps and tables to the

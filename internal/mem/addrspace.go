@@ -24,7 +24,7 @@ const PageSize = 4096
 // page never written reads as zero. Pages are grouped in chunks of
 // chunkPages, and a chunk's page records are allocated only when one of
 // its pages first gets a frame or a poison shadow, so an untouched
-// space costs its key table and a directory of chunk pointers. A
+// space costs its key table and a directory of chunk entries. A
 // simulated OS touches a few dozen KiB of its address space, so this
 // keeps host memory proportional to what it uses. Backing is invisible
 // to the simulation: every check, fault and cycle charge is the same
@@ -36,15 +36,10 @@ const PageSize = 4096
 // is unpoisoned, so a reset space is indistinguishable from a new one
 // while it allocates nothing for the pages it already backs.
 type AddrSpace struct {
-	name string
-	keys []Key
-	dir  []*chunk // chunk c holds pages [c*chunkPages, (c+1)*chunkPages); nil until touched
-	// dirty[c] records that chunk c was written or poisoned since
-	// construction or the last Reset. A clean chunk holds only zero
-	// bytes: the stores that bypass touch (movePiece clearing a frame,
-	// unpoisoning) store zeros.
-	dirty  []bool
-	shadow bool // KASan shadow enabled (each page holds its own part)
+	name   string
+	keys   []Key
+	dir    []dirEntry // entry c covers pages [c*chunkPages, (c+1)*chunkPages)
+	shadow bool       // KASan shadow enabled (each page holds its own part)
 	mach   *machine.Machine
 
 	// stats
@@ -63,12 +58,21 @@ type page struct {
 }
 
 // chunkPages is the number of pages one directory entry covers: a
-// 32 MiB space has a directory of 128 pointers, and a chunk's page
+// 32 MiB space has a directory of 128 entries, and a chunk's page
 // records take 1 KiB.
 const chunkPages = 64
 
 // chunk holds the page records of chunkPages consecutive pages.
 type chunk [chunkPages]page
+
+// dirEntry is one directory entry: its chunk, nil until touched, and
+// whether the chunk was written or poisoned since construction or the
+// last Reset. A clean chunk holds only zero bytes: the stores that
+// bypass touch (movePiece clearing a frame, unpoisoning) store zeros.
+type dirEntry struct {
+	c     *chunk
+	dirty bool
+}
 
 // NewAddrSpace creates an address space of the given size (rounded up to a
 // whole number of pages), with all pages holding KeyTCB.
@@ -77,13 +81,11 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 		panic("mem: address space size must be positive")
 	}
 	pages := (size + PageSize - 1) / PageSize
-	chunks := (pages + chunkPages - 1) / chunkPages
 	return &AddrSpace{
-		name:  name,
-		keys:  make([]Key, pages),
-		dir:   make([]*chunk, chunks),
-		dirty: make([]bool, chunks),
-		mach:  m,
+		name: name,
+		keys: make([]Key, pages),
+		dir:  make([]dirEntry, (pages+chunkPages-1)/chunkPages),
+		mach: m,
 	}
 }
 
@@ -93,12 +95,13 @@ func NewAddrSpace(name string, size int, m *machine.Machine) *AddrSpace {
 // zeroes only the chunks touched since the last reset and keeps their
 // frames and shadows attached for the next run to write into.
 func (as *AddrSpace) Reset(m *machine.Machine) {
-	for i, dirty := range as.dirty {
-		if !dirty {
+	for i := range as.dir {
+		e := &as.dir[i]
+		if !e.dirty {
 			continue
 		}
-		for j := range as.dir[i] {
-			pg := &as.dir[i][j]
+		for j := range e.c {
+			pg := &e.c[j]
 			if pg.data != nil {
 				clear(pg.data[:])
 			}
@@ -106,10 +109,10 @@ func (as *AddrSpace) Reset(m *machine.Machine) {
 				clear(pg.shadow[:])
 			}
 		}
+		e.dirty = false
 	}
 	clear(as.keys)
-	clear(as.dirty)
-	*as = AddrSpace{name: as.name, keys: as.keys, dir: as.dir, dirty: as.dirty, mach: m}
+	*as = AddrSpace{name: as.name, keys: as.keys, dir: as.dir, mach: m}
 }
 
 // Name returns the space's name (VM identifier under EPT).
@@ -298,7 +301,7 @@ func (as *AddrSpace) movePiece(dst, src uintptr, n int) {
 
 // page returns page p's record, or nil when its chunk was never touched.
 func (as *AddrSpace) page(p uintptr) *page {
-	if c := as.dir[p/chunkPages]; c != nil {
+	if c := as.dir[p/chunkPages].c; c != nil {
 		return &c[p%chunkPages]
 	}
 	return nil
@@ -316,14 +319,12 @@ func (as *AddrSpace) data(p uintptr) *[PageSize]byte {
 // touch returns page p's record for a write or a poison, allocating its
 // chunk on first use and marking the chunk dirty for Reset.
 func (as *AddrSpace) touch(p uintptr) *page {
-	i := int(p / chunkPages)
-	c := as.dir[i]
-	if c == nil {
-		c = new(chunk)
-		as.dir[i] = c
+	e := &as.dir[p/chunkPages]
+	if e.c == nil {
+		e.c = new(chunk)
 	}
-	as.dirty[i] = true
-	return &c[p%chunkPages]
+	e.dirty = true
+	return &e.c[p%chunkPages]
 }
 
 // frame returns page p's data frame, allocating it on first use.

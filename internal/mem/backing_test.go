@@ -9,7 +9,7 @@ import (
 
 // TestAddrSpaceBackingIsLazy pins the host cost of an untouched address
 // space: a 32 MiB space with the KASan shadow enabled allocates its key
-// table (8 KiB) and a directory of 128 chunk pointers, not its pages or
+// table (8 KiB) and a directory of 128 chunk entries, not its pages or
 // their records. Eager backing would allocate 36 MiB here, and an eager
 // record per page 128 KiB.
 func TestAddrSpaceBackingIsLazy(t *testing.T) {
