@@ -36,17 +36,17 @@ type TLSF struct {
 // NewTLSF returns a TLSF allocator over the arena. Block sizes are kept
 // as int32, so the arena must be smaller than 2 GiB.
 func NewTLSF(arena Arena, m *machine.Machine) *TLSF {
-	if arena.Size > math.MaxInt32 {
-		panic("mem: TLSF arena of 2 GiB or more")
-	}
-	return &TLSF{arena: arena, mach: m, brk: arena.Base}
+	t := new(TLSF)
+	t.Reset(arena, m)
+	return t
 }
 
-// Reset puts the allocator back in the state NewTLSF(arena, m) returns:
-// no block allocated or free, brk at the arena's base, counters zeroed.
-// It keeps the free lists' and the slot table's host capacity, clearing
-// the slot table to its full capacity so a later carve, which only
-// reslices while the capacity lasts, never sees a stale slot.
+// Reset makes t an empty allocator over arena that charges m: no block
+// allocated or free, brk at the arena's base, counters zeroed. A zero
+// TLSF may be reset. Reset keeps the host capacity of the free lists
+// and the slot table, clearing the slot table to its full capacity so
+// a later carve, which only reslices while the capacity lasts, never
+// sees a stale slot.
 func (t *TLSF) Reset(arena Arena, m *machine.Machine) {
 	if arena.Size > math.MaxInt32 {
 		panic("mem: TLSF arena of 2 GiB or more")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -27,10 +28,12 @@ type recycleJob struct {
 
 // recycleJobs lists every configuration of every shipped space,
 // measured by the first library scenario of its application, with two
-// kinds of failing measurement interleaved: every seventh configuration
-// is also measured under an attack on the network stack's heap (which
-// faults, or corrupts the run where no boundary stops it), and every
-// eleventh on heaps of one page, which runs out of memory mid-setup.
+// kinds of measurement interleaved that leave an image behind
+// mid-run: every seventh configuration is also measured under an
+// attack on the network stack's heap (a fault where a boundary stops
+// it, bytes a later attack would read where none does), and some
+// configurations also run on heaps of one page, which mostly runs out
+// of memory mid-setup.
 func recycleJobs(t *testing.T) []recycleJob {
 	t.Helper()
 	byApp := map[string]*scenario.Scenario{}
@@ -118,22 +121,22 @@ func compareRecycled(t *testing.T, how string, jobs []recycleJob, got, want []re
 // the interleaving really hands dirty and half-built images back.
 func checkFailures(t *testing.T, jobs []recycleJob, want []recycleResult) {
 	t.Helper()
-	faults, starved := 0, 0
+	attacked, starved := 0, 0
 	for i, j := range jobs {
 		switch {
 		case want[i].err == "":
-		case len(j.name) > 8 && j.name[len(j.name)-8:] == "attacked":
-			faults++
-		case len(j.name) > 7 && j.name[len(j.name)-7:] == "starved":
+		case strings.HasSuffix(j.name, " attacked"):
+			attacked++
+		case strings.HasSuffix(j.name, " starved"):
 			starved++
 		default:
 			t.Fatalf("%s: %s", j.name, want[i].err)
 		}
 	}
-	if faults == 0 || starved == 0 {
-		t.Fatalf("%d attacked and %d starved measurements failed; want some of each", faults, starved)
+	if attacked == 0 || starved == 0 {
+		t.Fatalf("%d attacked and %d starved measurements failed; want some of each", attacked, starved)
 	}
-	t.Logf("%d measurements, %d attacks faulted, %d starved runs failed", len(jobs), faults, starved)
+	t.Logf("%d measurements, %d attacked and %d starved runs failed", len(jobs), attacked, starved)
 }
 
 // TestRecycledMeasurementsIgnoreOrder measures every configuration of
