@@ -75,12 +75,16 @@ func TestLeqMatchesReferenceLeq(t *testing.T) {
 // TestOrderMatchesFlatReferencePoset compares the engine's grouped
 // order with the flat ReferenceLeq poset through every public view of
 // it, on every shipped space of at most 320 points and on the swept
-// attack space of each machine profile (every attack scenario sweeps
-// the same 960 points, so one distinct space remains per profile).
+// attack space of each machine profile, "attack@" and "attack@riscv"
+// (every attack scenario sweeps the same 960 points, so one distinct
+// space remains per profile).
 func TestOrderMatchesFlatReferencePoset(t *testing.T) {
 	names, spaces := distinctShippedSpaces()
+	swept := 0
 	for k, cfgs := range spaces {
-		if len(cfgs) > 320 && !strings.HasPrefix(names[k], "attack/") {
+		if strings.HasPrefix(names[k], "attack@") {
+			swept++
+		} else if len(cfgs) > 320 {
 			continue
 		}
 		measure := exploretest.VectorMeasure(rand.New(rand.NewSource(int64(k))))
@@ -125,6 +129,9 @@ func TestOrderMatchesFlatReferencePoset(t *testing.T) {
 				t.Fatalf("%s: Above(%d) = %v, flat reference %v", names[k], i, got, want)
 			}
 		}
+	}
+	if swept != 2 {
+		t.Fatalf("compared %d swept attack spaces, want attack@ and attack@riscv", swept)
 	}
 }
 
