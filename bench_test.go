@@ -509,6 +509,50 @@ func BenchmarkQueryAttackSurvival(b *testing.B) {
 	b.ReportMetric(float64(len(space))*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
 }
 
+// BenchmarkSpaceOrder times the engine's order layer: one pruned
+// query with a constant measure over a fresh Space, so the safety
+// order, its Hasse edges and the walk are built cold each iteration
+// while the measure costs nothing. The Space (its keys) is made outside
+// the timer. attack@riscv is the 960-point swept attack space and
+// cross4@riscv the four-mechanism Redis cross space swept the same way
+// (3,840 points), both one group that is a full product of images and
+// ASLR rungs; cross is the 320-point two-application space, whose
+// groups have a single ASLR value and are ordered pairwise.
+func BenchmarkSpaceOrder(b *testing.B) {
+	redis := flexos.RedisComponents()
+	riscv := flexos.AttackSpec{Scenario: "combined", Profile: "riscv"}
+	spaces := []struct {
+		name string
+		cfgs []*flexos.ExploreConfig
+	}{
+		{"attack@riscv", flexos.AttackSpace(flexos.Fig6Space(redis), riscv)},
+		{"cross4@riscv", flexos.AttackSpace(
+			flexos.CrossAppSpace([]string{"intel-mpk", "vm-ept", "cheri", "intel-sgx"}, redis), riscv)},
+		{"cross", flexos.CrossAppSpace(nil, redis, flexos.NginxComponents())},
+	}
+	constant := func(*flexos.ExploreConfig) (float64, error) { return 1, nil }
+	for _, sp := range spaces {
+		b.Run(sp.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				space := flexos.NewSpace(sp.cfgs)
+				b.StartTimer()
+				res, err := flexos.NewSpaceQuery(space).MeasureScalar(constant).
+					Floor(flexos.MetricThroughput, 1).Prune(true).Workers(1).
+					Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Evaluated != len(sp.cfgs) {
+					b.Fatalf("evaluated %d/%d", res.Evaluated, len(sp.cfgs))
+				}
+			}
+			b.ReportMetric(float64(len(sp.cfgs)), "configs")
+		})
+	}
+}
+
 // BenchmarkAblationMonotonicPruning quantifies design decision 4: how
 // many of the 80 measurements the explorer's monotonic pruning saves.
 func BenchmarkAblationMonotonicPruning(b *testing.B) {

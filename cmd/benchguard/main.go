@@ -1,12 +1,14 @@
 // Command benchguard is the benchmark-regression gate for the
 // exploration engine, the serving path and the simulated call path.
 // It runs the BenchmarkQuery*, BenchmarkServeTrace*, BenchmarkServeWarm,
-// BenchmarkCtxCall, BenchmarkBuild and BenchmarkStoreOpen benchmarks of
-// the working tree (HEAD) and of the merge base of HEAD and -base side
-// by side on one host. BenchmarkBuild is the simulator layer's own row:
-// one core.Build of a two-compartment MPK image, catalog included;
-// BenchmarkStoreOpen is the store's: one reopen of a 1,500-record
-// segment. The base is
+// BenchmarkCtxCall, BenchmarkBuild, BenchmarkStoreOpen and
+// BenchmarkSpaceOrder benchmarks of the working tree (HEAD) and of the
+// merge base of HEAD and -base side by side on one host. BenchmarkBuild
+// is the simulator layer's own row: one core.Build of a two-compartment
+// MPK image, catalog included; BenchmarkStoreOpen is the store's: one
+// reopen of a 1,500-record segment; BenchmarkSpaceOrder is the engine's
+// order layer: a cold safety order, its Hasse edges and a walk with a
+// constant measure. The base is
 // exported with `git archive` into a temporary directory, so nothing
 // is written under .git or into the working tree.
 //
@@ -57,7 +59,7 @@ func main() {
 	// back to back, so its ns/op spans two runs and carries twice the
 	// scheduling variance while adding no coverage beyond the
 	// Fig6Sequential / Fig6Parallel pair.
-	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServe(Trace|Warm)|^BenchmarkCtxCall$|^BenchmarkBuild$|^BenchmarkStoreOpen$", "benchmark pattern to guard")
+	pattern := flag.String("bench", "^BenchmarkQuery(Fig6|CrossAppSpace|MemoizedSweep|Synthetic|Attack)|^BenchmarkServe(Trace|Warm)|^BenchmarkCtxCall$|^BenchmarkBuild$|^BenchmarkStoreOpen$|^BenchmarkSpaceOrder$", "benchmark pattern to guard")
 	jsonOut := flag.String("json", "", "write the paired record to this JSON file")
 	flag.Parse()
 
