@@ -496,7 +496,7 @@ func (Engine) Run(ctx context.Context, req Request) (*Result, error) {
 		return nil, &MeasureError{ID: c.ID, Key: sp.keys[o.idx], Label: c.Label(), Err: o.err}
 	}
 
-	res.Safest = order.safest(res)
+	res.Safest = order.safest(res.Feasible)
 	// A delta run's report deliberately covers only the re-measured
 	// slice of the space; an empty Safest there means "nothing new was
 	// both measured and feasible", not infeasibility.

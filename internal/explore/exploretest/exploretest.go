@@ -679,6 +679,94 @@ func RandomAttackSpace(rng *rand.Rand, n int) []*explore.Config {
 	return cfgs
 }
 
+// RandomProductSpace crosses random images with a random sub-ladder of
+// at least two rungs drawn from ladder, in attack.Space's order: per
+// base, every rung, then the base's hardening variants (as is, and
+// with ShadowStack on every component). It returns images distinct
+// images, the last base contributing one variant when images is odd,
+// all on one random machine profile, so the space is one order group
+// that is a full product of its images and the sub-ladder. The
+// mechanisms include cheri and intel-sgx, which tie with intel-mpk and
+// vm-ept in strength, and a third of the bases copy an earlier base
+// with its mechanism swapped for its tie, so distinct images order both
+// ways.
+func RandomProductSpace(rng *rand.Rand, images int, ladder []isolation.ASLR) []*explore.Config {
+	mechs := []string{"none", "intel-mpk", "vm-ept", "cheri", "intel-sgx"}
+	tie := map[string]string{"intel-mpk": "cheri", "cheri": "intel-mpk", "vm-ept": "intel-sgx", "intel-sgx": "vm-ept"}
+	gates := []isolation.GateMode{isolation.GateLight, isolation.GateFull}
+	sharings := []isolation.Sharing{isolation.ShareStack, isolation.ShareDSS, isolation.ShareHeap}
+	var rungs []isolation.ASLR
+	for len(rungs) < 2 {
+		rungs = rungs[:0]
+		for _, a := range ladder {
+			if rng.Intn(2) == 0 {
+				rungs = append(rungs, a)
+			}
+		}
+	}
+	profile := AttackProfiles[rng.Intn(len(AttackProfiles))]
+	shadow := harden.NewSet(harden.ShadowStack)
+	seen := map[string]bool{}
+	var bases [][]*explore.Config // each base's variants
+	for made := 0; made < images; {
+		h := make(map[string]harden.Set)
+		for _, comp := range components {
+			var ts []harden.Tech
+			for _, tech := range techs {
+				if rng.Intn(3) == 0 {
+					ts = append(ts, tech)
+				}
+			}
+			if len(ts) > 0 {
+				h[comp] = harden.NewSet(ts...)
+			}
+		}
+		base := &explore.Config{
+			Blocks:    randomPartition(rng),
+			Hardening: h,
+			Mechanism: mechs[rng.Intn(len(mechs))],
+			GateMode:  gates[rng.Intn(len(gates))],
+			Sharing:   sharings[rng.Intn(len(sharings))],
+			Profile:   profile,
+		}
+		if len(bases) > 0 && rng.Intn(3) == 0 {
+			twin := *bases[rng.Intn(len(bases))][0]
+			twin.Mechanism = tie[twin.Mechanism]
+			base, h = &twin, twin.Hardening
+		}
+		shadowed := *base
+		shadowed.Hardening = make(map[string]harden.Set, len(components))
+		for _, comp := range components {
+			shadowed.Hardening[comp] = h[comp].Union(shadow)
+		}
+		variants := []*explore.Config{base, &shadowed}[:min(2, images-made)]
+		fresh := true
+		for _, v := range variants {
+			fresh = fresh && !seen[v.ImageKey()]
+		}
+		if !fresh {
+			continue
+		}
+		for _, v := range variants {
+			seen[v.ImageKey()] = true
+		}
+		bases = append(bases, variants)
+		made += len(variants)
+	}
+	out := make([]*explore.Config, 0, images*len(rungs))
+	for _, variants := range bases {
+		for _, a := range rungs {
+			for _, v := range variants {
+				n := *v
+				n.ID = len(out)
+				n.ASLR = a
+				out = append(out, &n)
+			}
+		}
+	}
+	return out
+}
+
 // SurvivalMeasure extends VectorMeasure with a brute-force survival
 // scorer: survival is an independent additive rank over exactly the
 // dimensions explore.Leq compares — compartment count, mechanism

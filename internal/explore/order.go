@@ -68,20 +68,30 @@ func sigOf(c *Config, blockArena *[]int16, hsArena *[]harden.Set) sig {
 }
 
 // leqSig is the safety order on two configurations with identical
-// sorted component sets on one profile: (4) mechanism strength, ASLR as
-// a product dimension (b must dominate on both entropy and leak
-// resistance), (1) partition refinement — components together in b are
-// together in a —, (3) per-component hardening that never shrinks, and
-// (2) the data-isolation ranks. It allocates nothing, which is what
-// makes building 10k–1M-point safety orders practical.
+// sorted component sets on one profile: ASLR as a product dimension (b
+// must dominate on both entropy and leak resistance) and the order of
+// their images, leqImage. It allocates nothing, which is what makes
+// building 10k–1M-point safety orders practical.
 func leqSig(a, b *sig) bool {
-	if a.strength > b.strength {
-		return false
-	}
-	if !a.aslr.Leq(b.aslr) {
+	return a.aslr.Leq(b.aslr) && leqImage(a, b)
+}
+
+// leqImage is the safety order on everything of a signature but its
+// ASLR level — the image Config.ImageKey names: (4) mechanism strength,
+// (1) partition refinement — components together in b are together in
+// a —, (3) per-component hardening that never shrinks, and (2) the
+// data-isolation ranks. A group that is a full product of images and
+// ASLR values orders its images with this alone (factorGroup).
+func leqImage(a, b *sig) bool {
+	if a.strength > b.strength || a.share > b.share || a.gate > b.gate {
 		return false
 	}
 	nc := len(a.comps)
+	for k := 0; k < nc; k++ {
+		if !a.hs[k].Subset(b.hs[k]) {
+			return false
+		}
+	}
 	for i := 0; i < nc; i++ {
 		for j := i + 1; j < nc; j++ {
 			if b.block[i] == b.block[j] && a.block[i] != a.block[j] {
@@ -89,12 +99,14 @@ func leqSig(a, b *sig) bool {
 			}
 		}
 	}
-	for k := 0; k < nc; k++ {
-		if !a.hs[k].Subset(b.hs[k]) {
-			return false
-		}
-	}
-	return !(a.share > b.share || a.gate > b.gate)
+	return true
+}
+
+// sameImage reports whether two signatures of one group agree on every
+// field leqImage reads, so that either can stand for the other's image.
+func sameImage(a, b *sig) bool {
+	return a.strength == b.strength && a.share == b.share && a.gate == b.gate &&
+		slices.Equal(a.block, b.block) && slices.Equal(a.hs, b.hs)
 }
 
 // spaceOrder is the engine's view of a configuration space's safety
@@ -105,19 +117,31 @@ func leqSig(a, b *sig) bool {
 // safety order of an n-point space costs Σ group² signature
 // comparisons instead of the n² allocating Leq evaluations a global
 // poset would — the difference between 30s and 30ms of setup on a
-// 10k-point space.
+// 10k-point space. A group that crosses every one of its images with
+// the same ASLR values (an attack space swept along its ladder) costs
+// less again: its poset is the product of an image poset and a ladder
+// poset (factorGroup), so only images are compared pairwise.
 type spaceOrder struct {
-	n      int
-	sigs   []sig
-	groups [][]int32             // member indices per group, ascending
-	posets []*poset.Poset[int32] // one per group, over global indices
+	n        int
+	sigs     []sig
+	groups   [][]int32             // member indices per group, ascending
+	posets   []*poset.Poset[int32] // one per group, over global indices
+	factored int                   // groups whose poset is a factor product
 
 	edgesOnce    sync.Once
 	preds, succs [][]int32 // Hasse edges of the whole space, global indices
 }
 
-// newSpaceOrder builds signatures, groups and per-group posets.
-func newSpaceOrder(cfgs []*Config) *spaceOrder {
+// newSpaceOrder builds signatures, groups and per-group posets,
+// factoring every group that is a full product of images and ASLR
+// values. keys are the configurations' rendered Keys.
+func newSpaceOrder(cfgs []*Config, keys []string) *spaceOrder {
+	return buildSpaceOrder(cfgs, keys, true)
+}
+
+// buildSpaceOrder is newSpaceOrder with the factoring optional; the
+// pairwise build (factor false) is the factored one's test oracle.
+func buildSpaceOrder(cfgs []*Config, keys []string, factor bool) *spaceOrder {
 	n := len(cfgs)
 	o := &spaceOrder{n: n, sigs: make([]sig, n)}
 	// Arena-allocate the positional columns: two allocations for the
@@ -143,11 +167,70 @@ func newSpaceOrder(cfgs []*Config) *spaceOrder {
 	}
 	o.posets = make([]*poset.Poset[int32], len(o.groups))
 	for g, members := range o.groups {
+		if factor {
+			if p := o.factorGroup(keys, members); p != nil {
+				o.posets[g] = p
+				o.factored++
+				continue
+			}
+		}
 		o.posets[g] = poset.New(members, func(a, b int32) bool {
 			return leqSig(&o.sigs[a], &o.sigs[b])
 		})
 	}
 	return o
+}
+
+// factorGroup builds a group's poset as the product of its image order
+// and its ASLR ladder, or returns nil when the group is not a full
+// product: a single ASLR value, some image (Config.ImageKey, read off
+// the Key) missing or repeated at some ASLR value of the group, or
+// members of one image disagreeing on a field leqImage reads. leqSig
+// is the conjunction of the ladder's order and leqImage, so on a full
+// product the two factors give the pairwise build's relation bit for
+// bit, and poset.Product its Hasse edges in the same order.
+func (o *spaceOrder) factorGroup(keys []string, members []int32) *poset.Poset[int32] {
+	var ladder []isolation.ASLR
+	ladOf := make([]int32, len(members))
+	for li, i := range members {
+		k := slices.Index(ladder, o.sigs[i].aslr)
+		if k < 0 {
+			k = len(ladder)
+			ladder = append(ladder, o.sigs[i].aslr)
+		}
+		ladOf[li] = int32(k)
+	}
+	if len(ladder) < 2 || len(members)%len(ladder) != 0 {
+		return nil
+	}
+	nimg := len(members) / len(ladder)
+	imgOf := make([]int32, len(members))
+	reps := make([]int32, 0, nimg) // each image's first member
+	byKey := make(map[string]int32, nimg)
+	var buf []byte
+	filled := poset.NewBitset(len(members))
+	for li, i := range members {
+		buf = appendImageKey(buf[:0], keys[i])
+		x, ok := byKey[string(buf)]
+		if !ok {
+			if len(reps) == nimg {
+				return nil
+			}
+			x = int32(len(reps))
+			byKey[string(buf)] = x
+			reps = append(reps, i)
+		} else if !sameImage(&o.sigs[reps[x]], &o.sigs[i]) {
+			return nil
+		}
+		c := int(x)*len(ladder) + int(ladOf[li])
+		if filled.Test(c) {
+			return nil
+		}
+		filled.Set(c)
+		imgOf[li] = x
+	}
+	images := poset.New(reps, func(a, b int32) bool { return leqImage(&o.sigs[a], &o.sigs[b]) })
+	return poset.Product(members, images, imgOf, poset.New(ladder, isolation.ASLR.Leq), ladOf)
 }
 
 // edges returns the Hasse diagram of the whole space as predecessor and
@@ -170,17 +253,17 @@ func (o *spaceOrder) edges() (preds, succs [][]int32) {
 	return o.preds, o.succs
 }
 
-// safest computes the constraint-filtered maximal elements of the
-// space — group by group, since maximality never crosses incomparable
-// groups — and returns them ascending, exactly as the global
-// poset.Maximal computation would. Feasibility is evaluated once per
-// configuration, into a bitset over the group.
-func (o *spaceOrder) safest(res *Result) []int {
+// safest computes the maximal elements among the feasible
+// configurations of the space — group by group, since maximality never
+// crosses incomparable groups — and returns them ascending, exactly as
+// the global poset.Maximal computation would. Feasibility is evaluated
+// once per configuration, into a bitset over the group.
+func (o *spaceOrder) safest(feasible func(i int) bool) []int {
 	var out []int
 	for g, members := range o.groups {
 		keep := poset.NewBitset(len(members))
 		for li, i := range members {
-			if res.Feasible(int(i)) {
+			if feasible(int(i)) {
 				keep.Set(li)
 			}
 		}
