@@ -21,7 +21,3 @@ func FactoredGroups(s *Space) int { return s.safetyOrder().factored }
 // SafestOf returns the maximal configurations of the space among those
 // feasible admits, ascending.
 func SafestOf(s *Space, feasible func(i int) bool) []int { return s.safetyOrder().safest(feasible) }
-
-// ShardBounds returns the half-open slice of an n-point space a shard
-// explores.
-func ShardBounds(sh Shard, n int) (lo, hi int) { return sh.bounds(n) }

@@ -109,13 +109,12 @@ func TestFactoredOrderMatchesPairwise(t *testing.T) {
 	product := exploretest.RandomProductSpace(rng, 40, exploretest.AttackLadder)
 	riscv := attack.Space(explore.Fig6Space([4]string{"libredis", "newlib", "uksched", "lwip"}),
 		attack.Spec{Scenario: "combined", Profile: "riscv"})
-	lo, hi := explore.ShardBounds(explore.Shard{Index: 1, Count: 3}, len(riscv))
 	dup := exploretest.CopySpace(product)
 	dup[len(dup)-1] = dup[0]
 	fallbacks := map[string][]*explore.Config{
 		"dropped":         slices.Delete(exploretest.CopySpace(product), 17, 18),
 		"duplicate":       dup,
-		"shard 1/3@riscv": riscv[lo:hi],
+		"shard 1/3@riscv": riscv[len(riscv)/3 : 2*len(riscv)/3], // Shard{1, 3}'s slice
 	}
 	for name, cfgs := range fallbacks {
 		if n := compareBuilds(t, name, cfgs, measure); n != 0 {

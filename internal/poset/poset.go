@@ -73,11 +73,6 @@ func (p *Poset[T]) Leq(i, j int) bool {
 	return p.row(i).Test(j)
 }
 
-// less is strict order: leq and not geq.
-func (p *Poset[T]) less(i, j int) bool {
-	return p.Leq(i, j) && !p.Leq(j, i)
-}
-
 // Edges returns the covering relation — the transitive reduction of the
 // order, i.e. the edges one would draw in the Hasse diagram / DAG of
 // Figure 5. An edge (i, j) means i < j with nothing in between. Edges
