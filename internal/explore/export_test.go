@@ -10,7 +10,7 @@ var AppendImageKey = appendImageKey
 // the factored build's oracle.
 func NewPairwiseSpace(cfgs []*Config) *Space {
 	s := NewSpace(cfgs)
-	s.orderOnce.Do(func() { s.order = buildSpaceOrder(cfgs, s.keys, false) })
+	s.orderOnce.Do(func() { s.order = newSpaceOrder(cfgs, s.keys, false) })
 	return s
 }
 

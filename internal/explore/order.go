@@ -132,16 +132,12 @@ type spaceOrder struct {
 	preds, succs [][]int32 // Hasse edges of the whole space, global indices
 }
 
-// newSpaceOrder builds signatures, groups and per-group posets,
-// factoring every group that is a full product of images and ASLR
-// values. keys are the configurations' rendered Keys.
-func newSpaceOrder(cfgs []*Config, keys []string) *spaceOrder {
-	return buildSpaceOrder(cfgs, keys, true)
-}
-
-// buildSpaceOrder is newSpaceOrder with the factoring optional; the
-// pairwise build (factor false) is the factored one's test oracle.
-func buildSpaceOrder(cfgs []*Config, keys []string, factor bool) *spaceOrder {
+// newSpaceOrder builds signatures, groups and per-group posets. keys
+// are the configurations' rendered Keys. With factor set, every group
+// that is a full product of images and ASLR values is built from its
+// factors; the pairwise build (factor false) is that build's test
+// oracle.
+func newSpaceOrder(cfgs []*Config, keys []string, factor bool) *spaceOrder {
 	n := len(cfgs)
 	o := &spaceOrder{n: n, sigs: make([]sig, n)}
 	// Arena-allocate the positional columns: two allocations for the
