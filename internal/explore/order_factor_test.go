@@ -89,12 +89,11 @@ func compareBuilds(t *testing.T, name string, cfgs []*explore.Config, measure ex
 // that are not full products must fall back to the pairwise build.
 func TestFactoredOrderMatchesPairwise(t *testing.T) {
 	measure := exploretest.VectorMeasure(rand.New(rand.NewSource(7)))
-	names, spaces := distinctShippedSpaces()
-	for k, cfgs := range spaces {
-		factored := compareBuilds(t, names[k], cfgs, measure)
-		swept := names[k] == "attack@" || names[k] == "attack@riscv"
+	for name, cfgs := range exploretest.ShippedSpaces() {
+		factored := compareBuilds(t, name, cfgs, measure)
+		swept := name == "attack@" || name == "attack@riscv"
 		if swept != (factored > 0) {
-			t.Errorf("%s: %d groups factored", names[k], factored)
+			t.Errorf("%s: %d groups factored", name, factored)
 		}
 	}
 	for seed := int64(0); seed < 8; seed++ {
