@@ -515,9 +515,9 @@ func BenchmarkQueryAttackSurvival(b *testing.B) {
 // while the measure costs nothing. The Space (its keys) is made outside
 // the timer. attack@riscv is the 960-point swept attack space and
 // cross4@riscv the four-mechanism Redis cross space swept the same way
-// (3,840 points), both one group that is a full product of images and
-// ASLR rungs; cross is the 320-point two-application space, whose
-// groups have a single ASLR value and are ordered pairwise.
+// (3,840 points), both one group that crosses its images with ASLR
+// rungs; cross is the 320-point two-application space, whose groups
+// have a single ASLR value.
 func BenchmarkSpaceOrder(b *testing.B) {
 	redis := flexos.RedisComponents()
 	riscv := flexos.AttackSpec{Scenario: "combined", Profile: "riscv"}

@@ -189,22 +189,6 @@ func (c *Config) Key() string { return c.key(true) }
 // simulate identically.
 func (c *Config) ImageKey() string { return c.key(false) }
 
-// appendImageKey appends the ImageKey of the configuration whose Key is
-// key to dst: the key without its ASLR segment, which key writes after
-// every other field but the profile. Reading it off a key the Space
-// already holds costs no rendering.
-func appendImageKey(dst []byte, key string) []byte {
-	i := strings.LastIndex(key, ";aslr=")
-	if i < 0 {
-		return append(dst, key...)
-	}
-	dst = append(dst, key[:i]...)
-	if j := strings.Index(key[i+1:], ";"); j >= 0 {
-		dst = append(dst, key[i+1+j:]...)
-	}
-	return dst
-}
-
 // key renders the canonical key, with the ASLR segment when withASLR
 // is set. Key and ImageKey share it so the two cannot drift.
 func (c *Config) key(withASLR bool) string {

@@ -2,7 +2,6 @@ package explore_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -65,24 +64,5 @@ func TestAttackSpaceImageCount(t *testing.T) {
 	if len(cfgs) != 960 || len(keys) != 960 || len(images) != 320 {
 		t.Fatalf("attack space: %d configs, %d keys, %d images; want 960, 960, 320",
 			len(cfgs), len(keys), len(images))
-	}
-}
-
-// TestImageKeyReadOffKey checks that the image key the factored safety
-// order reads off each rendered Key is Config.ImageKey, on every
-// shipped space and on random full products over the whole ASLR
-// alphabet and both machine profiles.
-func TestImageKeyReadOffKey(t *testing.T) {
-	spaces := exploretest.ShippedSpaces()
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		spaces[fmt.Sprintf("product/%d", seed)] = exploretest.RandomProductSpace(rng, 30, exploretest.AttackLadder)
-	}
-	for name, cfgs := range spaces {
-		for _, c := range cfgs {
-			if got, want := string(explore.AppendImageKey(nil, c.Key())), c.ImageKey(); got != want {
-				t.Fatalf("%s: image key of %q read as %q, want %q", name, c.Key(), got, want)
-			}
-		}
 	}
 }

@@ -3,7 +3,6 @@ package explore
 import (
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"flexos/internal/harden"
@@ -12,14 +11,14 @@ import (
 )
 
 // Leq reports whether a is probabilistically at most as safe as b — the
-// partial order of §5, built from the paper's four monotonicity
+// safety order of §5, built from the paper's four monotonicity
 // assumptions: safety increases with (1) the number of compartments
 // (partition refinement), (2) data isolation, (3) stackable software
 // hardening, and (4) the strength of the isolation mechanism. Different
 // machines are different safety universes: configurations on distinct
 // profiles never compare, and neither do configurations over different
-// component sets. Everything else is leqSig, the one comparison the
-// engine, the reports and this function share.
+// component sets. Everything else is leqSig, which reads the table the
+// engine and the reports build their order from.
 func Leq(a, b *Config) bool {
 	if a.Profile != b.Profile {
 		return false
@@ -67,179 +66,222 @@ func sigOf(c *Config, blockArena *[]int16, hsArena *[]harden.Set) sig {
 	return s
 }
 
-// leqSig is the safety order on two configurations with identical
-// sorted component sets on one profile: ASLR as a product dimension (b
-// must dominate on both entropy and leak resistance) and the order of
-// their images, leqImage. It allocates nothing, which is what makes
-// building 10k–1M-point safety orders practical.
-func leqSig(a, b *sig) bool {
-	return a.aslr.Leq(b.aslr) && leqImage(a, b)
+// The safety order is a conjunction of independent clauses, each read
+// from a signature as one or more columns: a ≤ b exactly when every
+// column of a is at most b's under its clause's order. clauses is the
+// order's only definition. leqSig compares two signatures column by
+// column, and newSpaceOrder builds each group's relation from the
+// per-column up-sets (poset.Meet), so a clause added here reaches every
+// view of the order at once.
+var clauses = []clause{
+	// ASLR as a product dimension: b must dominate on both entropy and
+	// leak resistance.
+	newClause(scalar, func(s *sig, _, _ int) isolation.ASLR { return s.aslr }, isolation.ASLR.Leq),
+	// (4) mechanism strength.
+	newClause(scalar, func(s *sig, _, _ int) isolation.Strength { return s.strength }, atMost[isolation.Strength]),
+	// (2) data isolation: the sharing and gate ranks.
+	newClause(scalar, func(s *sig, _, _ int) int8 { return s.share }, atMost[int8]),
+	newClause(scalar, func(s *sig, _, _ int) int8 { return s.gate }, atMost[int8]),
+	// (3) per-component hardening that never shrinks.
+	newClause(perComp, func(s *sig, i, _ int) harden.Set { return s.hs[i] }, harden.Set.Subset),
+	// (1) partition refinement: components separated in a are
+	// separated in b — together ≤ separated.
+	newClause(perPair, func(s *sig, i, j int) bool { return s.block[i] != s.block[j] }, implies),
 }
 
-// leqImage is the safety order on everything of a signature but its
-// ASLR level — the image Config.ImageKey names: (4) mechanism strength,
-// (1) partition refinement — components together in b are together in
-// a —, (3) per-component hardening that never shrinks, and (2) the
-// data-isolation ranks. A group that is a full product of images and
-// ASLR values orders its images with this alone (factorGroup).
-func leqImage(a, b *sig) bool {
-	if a.strength > b.strength || a.share > b.share || a.gate > b.gate {
-		return false
+func atMost[V ~int | ~int8](x, y V) bool { return x <= y }
+
+func implies(x, y bool) bool { return !x || y }
+
+// arity is how many columns a clause spreads over.
+type arity uint8
+
+const (
+	scalar  arity = iota // one column
+	perComp              // one column per component
+	perPair              // one column per pair of components
+)
+
+// clause is one clause of the safety order. holds compares two
+// signatures in column (i, j) — i and j are component positions, unused
+// by a scalar clause and j unused per component. field interns the
+// column's values over a group's members into a poset.Field, writing
+// each member's value index into of.
+type clause struct {
+	arity arity
+	holds func(a, b *sig, i, j int) bool
+	field func(sigs []sig, members []int32, i, j int, of []int32) poset.Field
+}
+
+// newClause makes the clause whose column (i, j) holds the value
+// value(s, i, j), ordered by leq.
+func newClause[V comparable](ar arity, value func(s *sig, i, j int) V, leq func(x, y V) bool) clause {
+	return clause{
+		arity: ar,
+		holds: func(a, b *sig, i, j int) bool { return leq(value(a, i, j), value(b, i, j)) },
+		field: func(sigs []sig, members []int32, i, j int, of []int32) poset.Field {
+			// A column holds a handful of distinct values, so a linear
+			// scan interns them faster than a map.
+			var vals []V
+			for li, m := range members {
+				v := value(&sigs[m], i, j)
+				x := slices.Index(vals, v)
+				if x < 0 {
+					x = len(vals)
+					vals = append(vals, v)
+				}
+				of[li] = int32(x)
+			}
+			return poset.Field{Of: of, Values: len(vals), Leq: func(x, y int) bool { return leq(vals[x], vals[y]) }}
+		},
 	}
-	nc := len(a.comps)
-	for k := 0; k < nc; k++ {
-		if !a.hs[k].Subset(b.hs[k]) {
-			return false
-		}
-	}
-	for i := 0; i < nc; i++ {
-		for j := i + 1; j < nc; j++ {
-			if b.block[i] == b.block[j] && a.block[i] != a.block[j] {
+}
+
+// columns calls f with the (i, j) of each of the clause's columns over
+// nc components, in order, until f returns false; it reports whether f
+// never did.
+func (c *clause) columns(nc int, f func(i, j int) bool) bool {
+	switch c.arity {
+	case perComp:
+		for i := 0; i < nc; i++ {
+			if !f(i, 0) {
 				return false
 			}
+		}
+		return true
+	case perPair:
+		for i := 0; i < nc; i++ {
+			for j := i + 1; j < nc; j++ {
+				if !f(i, j) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return f(0, 0)
+}
+
+// leqSig is the safety order on two configurations with identical
+// sorted component sets on one profile: every column of clauses holds.
+// It allocates nothing.
+func leqSig(a, b *sig) bool {
+	nc := len(a.comps)
+	for k := range clauses {
+		c := &clauses[k]
+		if !c.columns(nc, func(i, j int) bool { return c.holds(a, b, i, j) }) {
+			return false
 		}
 	}
 	return true
 }
 
-// sameImage reports whether two signatures of one group agree on every
-// field leqImage reads, so that either can stand for the other's image.
-func sameImage(a, b *sig) bool {
-	return a.strength == b.strength && a.share == b.share && a.gate == b.gate &&
-		slices.Equal(a.block, b.block) && slices.Equal(a.hs, b.hs)
-}
-
 // spaceOrder is the engine's view of a configuration space's safety
-// structure: per-configuration comparison signatures, the partition of
-// the space into mutually incomparable component groups, and one small
-// poset per group. Real cross-application spaces decompose into many
-// groups of bounded size (one per application × component set), so the
-// safety order of an n-point space costs Σ group² signature
-// comparisons instead of the n² allocating Leq evaluations a global
-// poset would — the difference between 30s and 30ms of setup on a
-// 10k-point space. A group that crosses every one of its images with
-// the same ASLR values (an attack space swept along its ladder) costs
-// less again: its poset is the product of an image poset and a ladder
-// poset (factorGroup), so only images are compared pairwise.
+// structure: the partition of the space into mutually incomparable
+// component groups, and one small poset per group. Real cross-application spaces decompose into many
+// groups of bounded size (one per application × component set), and
+// each group's relation is the meet of its clauses' columns: every
+// column holds a handful of distinct values, so a group of n members
+// costs O(n · columns · n/64) word operations instead of n² signature
+// comparisons — the difference between 30s and milliseconds of setup
+// on a 10k-point space.
 type spaceOrder struct {
-	n        int
-	sigs     []sig
-	groups   [][]int32             // member indices per group, ascending
-	posets   []*poset.Poset[int32] // one per group, over global indices
-	factored int                   // groups whose poset is a factor product
+	n      int
+	groups [][]int32             // member indices per group, ascending
+	posets []*poset.Poset[int32] // one per group, over global indices
 
 	edgesOnce    sync.Once
 	preds, succs [][]int32 // Hasse edges of the whole space, global indices
 }
 
-// newSpaceOrder builds signatures, groups and per-group posets. keys
-// are the configurations' rendered Keys. With factor set, every group
-// that is a full product of images and ASLR values is built from its
-// factors; the pairwise build (factor false) is that build's test
-// oracle.
-func newSpaceOrder(cfgs []*Config, keys []string, factor bool) *spaceOrder {
-	n := len(cfgs)
-	o := &spaceOrder{n: n, sigs: make([]sig, n)}
-	// Arena-allocate the positional columns: two allocations for the
-	// whole space instead of two per configuration.
-	blockArena := make([]int16, 0, 4*n)
-	hsArena := make([]harden.Set, 0, 4*n)
-	byComps := make(map[string]int32, n/16+1)
+// sigsOf extracts every configuration's signature. The positional
+// columns are arena-allocated: two allocations for the whole space
+// instead of two per configuration.
+func sigsOf(cfgs []*Config) []sig {
+	sigs := make([]sig, len(cfgs))
+	blockArena := make([]int16, 0, 4*len(cfgs))
+	hsArena := make([]harden.Set, 0, 4*len(cfgs))
 	for i, c := range cfgs {
-		o.sigs[i] = sigOf(c, &blockArena, &hsArena)
+		sigs[i] = sigOf(c, &blockArena, &hsArena)
+	}
+	return sigs
+}
 
+// newSpaceOrder groups the configurations and builds each group's
+// poset from the columns of clauses.
+func newSpaceOrder(cfgs []*Config) *spaceOrder {
+	o := &spaceOrder{n: len(cfgs)}
+	sigs := sigsOf(cfgs)
+	byComps := make(map[string]int32, len(cfgs)/16+1)
+	var key []byte
+	for i, c := range cfgs {
 		// Distinct machine profiles are incomparable universes (Leq
 		// returns false across them), so they partition into separate
 		// groups; "\x01" cannot appear in a component name or profile,
-		// keeping the key unambiguous.
-		key := strings.Join(o.sigs[i].comps, "\x00") + "\x01" + c.Profile
-		g, ok := byComps[key]
+		// keeping the key unambiguous. The lookup converts the key
+		// without copying it; only a new group's key is kept.
+		key = key[:0]
+		for _, comp := range sigs[i].comps {
+			key = append(append(key, comp...), 0)
+		}
+		key = append(append(key, 1), c.Profile...)
+		g, ok := byComps[string(key)]
 		if !ok {
 			g = int32(len(o.groups))
-			byComps[key] = g
+			byComps[string(key)] = g
 			o.groups = append(o.groups, nil)
 		}
 		o.groups[g] = append(o.groups[g], int32(i))
 	}
 	o.posets = make([]*poset.Poset[int32], len(o.groups))
+	// Meet reads the fields and keeps none of them, so every group's
+	// value indices are cut from one buffer. A column cut before the
+	// buffer grows keeps the old array, which nothing writes again.
+	var fields []poset.Field
+	var ofs []int32
 	for g, members := range o.groups {
-		if factor {
-			if p := o.factorGroup(keys, members); p != nil {
-				o.posets[g] = p
-				o.factored++
-				continue
-			}
+		nc := len(sigs[members[0]].comps)
+		fields, ofs = fields[:0], ofs[:0]
+		for k := range clauses {
+			c := &clauses[k]
+			c.columns(nc, func(i, j int) bool {
+				ofs = slices.Grow(ofs, len(members))
+				of := ofs[len(ofs) : len(ofs)+len(members)]
+				ofs = ofs[:len(ofs)+len(members)]
+				fields = append(fields, c.field(sigs, members, i, j, of))
+				return true
+			})
 		}
-		o.posets[g] = poset.New(members, func(a, b int32) bool {
-			return leqSig(&o.sigs[a], &o.sigs[b])
-		})
+		o.posets[g] = poset.Meet(members, fields)
 	}
 	return o
-}
-
-// factorGroup builds a group's poset as the product of its image order
-// and its ASLR ladder, or returns nil when the group is not a full
-// product: a single ASLR value, some image (Config.ImageKey, read off
-// the Key) missing or repeated at some ASLR value of the group, or
-// members of one image disagreeing on a field leqImage reads. leqSig
-// is the conjunction of the ladder's order and leqImage, so on a full
-// product the two factors give the pairwise build's relation bit for
-// bit, and poset.Product its Hasse edges in the same order.
-func (o *spaceOrder) factorGroup(keys []string, members []int32) *poset.Poset[int32] {
-	var ladder []isolation.ASLR
-	ladOf := make([]int32, len(members))
-	for li, i := range members {
-		k := slices.Index(ladder, o.sigs[i].aslr)
-		if k < 0 {
-			k = len(ladder)
-			ladder = append(ladder, o.sigs[i].aslr)
-		}
-		ladOf[li] = int32(k)
-	}
-	if len(ladder) < 2 || len(members)%len(ladder) != 0 {
-		return nil
-	}
-	nimg := len(members) / len(ladder)
-	imgOf := make([]int32, len(members))
-	reps := make([]int32, 0, nimg) // each image's first member
-	byKey := make(map[string]int32, nimg)
-	var buf []byte
-	filled := poset.NewBitset(len(members))
-	for li, i := range members {
-		buf = appendImageKey(buf[:0], keys[i])
-		x, ok := byKey[string(buf)]
-		if !ok {
-			if len(reps) == nimg {
-				return nil
-			}
-			x = int32(len(reps))
-			byKey[string(buf)] = x
-			reps = append(reps, i)
-		} else if !sameImage(&o.sigs[reps[x]], &o.sigs[i]) {
-			return nil
-		}
-		c := int(x)*len(ladder) + int(ladOf[li])
-		if filled.Test(c) {
-			return nil
-		}
-		filled.Set(c)
-		imgOf[li] = x
-	}
-	images := poset.New(reps, func(a, b int32) bool { return leqImage(&o.sigs[a], &o.sigs[b]) })
-	return poset.Product(members, images, imgOf, poset.New(ladder, isolation.ASLR.Leq), ladOf)
 }
 
 // edges returns the Hasse diagram of the whole space as predecessor and
 // successor adjacency lists over global indices. Configurations of
 // different groups are incomparable, so the transitive reduction of the
-// space is exactly the union of the per-group reductions. Built once,
-// on first use (a walk that cannot prune never needs it).
+// space is exactly the union of the per-group reductions. The degrees
+// are counted first, so every list is a slice of one of two backing
+// arrays. Built once, on first use (a walk that cannot prune never
+// needs it).
 func (o *spaceOrder) edges() (preds, succs [][]int32) {
 	o.edgesOnce.Do(func() {
-		o.preds = make([][]int32, o.n)
-		o.succs = make([][]int32, o.n)
+		groupEdges := make([][][2]int, len(o.groups))
+		npred := make([]int32, o.n)
+		nsucc := make([]int32, o.n)
+		total := 0
 		for g, members := range o.groups {
-			for _, e := range o.posets[g].Edges() {
+			groupEdges[g] = o.posets[g].Edges()
+			for _, e := range groupEdges[g] {
+				nsucc[members[e[0]]]++
+				npred[members[e[1]]]++
+			}
+			total += len(groupEdges[g])
+		}
+		o.preds = adjacency(npred, make([]int32, total))
+		o.succs = adjacency(nsucc, make([]int32, total))
+		for g, members := range o.groups {
+			for _, e := range groupEdges[g] {
 				a, b := members[e[0]], members[e[1]]
 				o.preds[b] = append(o.preds[b], a)
 				o.succs[a] = append(o.succs[a], b)
@@ -247,6 +289,19 @@ func (o *spaceOrder) edges() (preds, succs [][]int32) {
 		}
 	})
 	return o.preds, o.succs
+}
+
+// adjacency cuts backing into one empty list per node, list i with room
+// for exactly degree[i] entries, so appending them never reallocates.
+func adjacency(degree []int32, backing []int32) [][]int32 {
+	lists := make([][]int32, len(degree))
+	off := 0
+	for i, d := range degree {
+		end := off + int(d)
+		lists[i] = backing[off:off:end]
+		off = end
+	}
+	return lists
 }
 
 // safest computes the maximal elements among the feasible

@@ -169,7 +169,7 @@ func (s *Space) Hash(workload string) string {
 // safetyOrder returns the grouped safety order, building it on first
 // use.
 func (s *Space) safetyOrder() *spaceOrder {
-	s.orderOnce.Do(func() { s.order = newSpaceOrder(s.cfgs, s.keys, true) })
+	s.orderOnce.Do(func() { s.order = newSpaceOrder(s.cfgs) })
 	return s.order
 }
 

@@ -1,6 +1,7 @@
 package poset
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -86,51 +87,73 @@ func TestEdgesMatchReferenceEdges(t *testing.T) {
 	}
 }
 
-// TestProductMatchesPairwise builds random full products of two
-// preorders, with the items in a random order, and checks that Product
-// agrees with New over the product relation on every relation bit and
-// on the Hasse edges, byte for byte including their order.
-func TestProductMatchesPairwise(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		na, nb := rng.Intn(40)+1, rng.Intn(6)+1
-		a := New(randomMasks(rng, na, 4+rng.Intn(4)), subsetLeq)
-		b := New(randomMasks(rng, nb, 3), subsetLeq)
-		perm := rng.Perm(na * nb)
-		aOf := make([]int32, na*nb)
-		bOf := make([]int32, na*nb)
-		items := make([]int, na*nb)
-		for c, i := range perm {
-			aOf[i], bOf[i], items[i] = int32(c/nb), int32(c%nb), i
-		}
-		leq := func(i, j int) bool { return a.Leq(int(aOf[i]), int(aOf[j])) && b.Leq(int(bOf[i]), int(bOf[j])) }
-		want := New(items, leq)
-		got := Product(items, a, aOf, b, bOf)
-		if !slices.Equal(got.rows, want.rows) {
-			t.Fatalf("seed %d (%d×%d): Product rows differ from the pairwise build", seed, na, nb)
-		}
-		if g, w := got.Edges(), want.Edges(); !slices.Equal(g, w) {
-			t.Fatalf("seed %d (%d×%d): Product edges %v, pairwise %v", seed, na, nb, g, w)
-		}
+// randomField draws a field over n items of one of four shapes: a
+// chain, an antichain, a preorder whose values tie in pairs (subset
+// order over masks from a narrow universe, so distinct values can
+// carry equal masks) and a single value.
+func randomField(rng *rand.Rand, n int) (string, Field) {
+	shapes := []string{"chain", "antichain", "preorder", "single"}
+	shape := shapes[rng.Intn(len(shapes))]
+	values := 1 + rng.Intn(8)
+	var leq func(x, y int) bool
+	switch shape {
+	case "chain":
+		leq = func(x, y int) bool { return x <= y }
+	case "antichain":
+		leq = func(x, y int) bool { return x == y }
+	case "preorder":
+		masks := randomMasks(rng, values, 2)
+		leq = func(x, y int) bool { return subsetLeq(masks[x], masks[y]) }
+	case "single":
+		values = 1
+		leq = func(x, y int) bool { return true }
 	}
+	of := make([]int32, n)
+	for i := range of {
+		of[i] = int32(rng.Intn(values))
+	}
+	return shape, Field{Of: of, Values: values, Leq: leq}
 }
 
-// TestProductRejectsPartialProducts checks that Product refuses items
-// that do not fill the product exactly once.
-func TestProductRejectsPartialProducts(t *testing.T) {
-	a := New([]int{1, 2}, divides)
-	b := New([]int{1, 3}, divides)
-	for name, coords := range map[string][2][]int32{
-		"missing":   {{0, 0, 1}, {0, 1, 0}},
-		"duplicate": {{0, 0, 1, 1}, {0, 0, 0, 1}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Product accepted coordinates %v", name, coords)
+// TestMeetMatchesPairwise checks Meet against New over the conjunction
+// of the same random fields: the relation rows bit for bit, and the
+// Hasse edges of the Meet poset against the pairwise reference
+// reduction. Item counts straddle word boundaries; zero fields make
+// every item equivalent.
+func TestMeetMatchesPairwise(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
+			fields := make([]Field, rng.Intn(6))
+			var shapes []string
+			for f := range fields {
+				var shape string
+				shape, fields[f] = randomField(rng, n)
+				shapes = append(shapes, shape)
+			}
+			items := make([]int, n)
+			for i := range items {
+				items[i] = i
+			}
+			want := New(items, func(i, j int) bool {
+				for _, f := range fields {
+					if !f.Leq(int(f.Of[i]), int(f.Of[j])) {
+						return false
+					}
 				}
-			}()
-			Product(make([]int, len(coords[0])), a, coords[0], b, coords[1])
-		}()
+				return true
+			})
+			got := Meet(items, fields)
+			name := fmt.Sprintf("n=%d seed=%d fields=%v", n, seed, shapes)
+			if err := got.CheckOrder(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !slices.Equal(got.rows, want.rows) {
+				t.Fatalf("%s: Meet rows differ from the pairwise build", name)
+			}
+			if g, w := got.Edges(), referenceEdges(want); !slices.Equal(g, w) {
+				t.Fatalf("%s: Meet edges %v, reference %v", name, g, w)
+			}
+		}
 	}
 }

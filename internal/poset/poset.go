@@ -1,4 +1,4 @@
-// Package poset implements the partially ordered sets behind FlexOS'
+// Package poset implements the preordered sets behind FlexOS'
 // design-space exploration (§5, "partial safety ordering"): nodes are
 // safety configurations, a directed edge means one configuration is
 // probabilistically at least as safe as another, and — given a
@@ -10,36 +10,34 @@
 // configuration indices, one poset per group of mutually comparable
 // configurations, and tests instantiate it with integers.
 //
-// New evaluates the order relation once per ordered pair and stores the
-// result in a bitset matrix; every query afterwards — Leq, Edges,
-// Maximal, Above — runs on bit operations instead of re-invoking
-// the (potentially allocating) relation. Edges reduces the matrix a
-// word at a time: an item's covers are the items strictly above it
-// minus everything strictly above those, so building the Hasse diagram
-// of an n-point space costs O(n·|above|·n/64) word operations after the
-// O(n²) relation evaluations. Product builds the poset of a product of
-// two orders from the factors' matrices, with no relation evaluated per
-// pair of items, and reads its covers off the factors' covers.
+// A poset stores its relation as a bitset matrix, built once; every
+// query afterwards — Leq, Edges, Maximal, Above — runs on bit
+// operations instead of re-invoking the relation. New evaluates a
+// relation once per ordered pair. Meet builds the conjunction of
+// per-field orders with no relation evaluated per pair of items: row i
+// is the word-wise AND of the up-sets of i's value in each field.
+// Edges reduces the matrix a word at a time: an item's covers are the
+// items strictly above it minus everything strictly above those, and
+// only an item still in the cover set when reached is subtracted, so a
+// mostly chained order costs few of the n² row subtractions.
 package poset
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
-// Poset is a finite partially ordered set over items of type T with
-// order relation leq ("less or equally safe"). leq must be reflexive,
-// antisymmetric (up to item identity) and transitive; CheckOrder can
-// verify a candidate relation on the given items.
+// Poset is a finite preordered set over items of type T with order
+// relation leq ("less or equally safe"). leq must be reflexive and
+// transitive, which CheckOrder verifies on the given items. It need not
+// be antisymmetric: distinct items may order each other both ways (the
+// engine's identical twins, or mechanisms of equal strength), and every
+// query treats such items as equivalent, neither strictly above the
+// other.
 type Poset[T any] struct {
 	items []T
 	words int      // bitset words per row
 	rows  []uint64 // n rows × words bits: bit j of row i == leq(i, j)
-
-	// covers computes the transitive reduction from the factors of a
-	// Product poset; nil for a poset built by New.
-	covers func() [][2]int
 }
 
 // New builds a poset over items with the given order relation,
@@ -53,6 +51,71 @@ func New[T any](items []T, leq func(a, b T) bool) *Poset[T] {
 		for j := 0; j < n; j++ {
 			if leq(items[i], items[j]) {
 				row[j>>6] |= 1 << uint(j&63)
+			}
+		}
+	}
+	return p
+}
+
+// Field is one factor of a Meet order: item i takes the value Of[i] in
+// [0, Values), and Leq, a preorder on those values, orders them.
+type Field struct {
+	Of     []int32
+	Values int
+	Leq    func(x, y int) bool
+}
+
+// Meet builds a poset over items ordered by the conjunction of the
+// fields: i ≤ j exactly when every field orders Of[i] at most Of[j].
+// It evaluates each field's Leq once per pair of values, never per pair
+// of items: the up-set of a value — the items whose value is at or
+// above it — is a word-wise OR of the items holding each such value,
+// and row i is the word-wise AND of its values' up-sets. A field with a
+// single value holds for every pair and is skipped. With no field left,
+// every item is equivalent to every other.
+func Meet[T any](items []T, fields []Field) *Poset[T] {
+	n := len(items)
+	w := (n + 63) / 64
+	p := &Poset[T]{items: items, words: w, rows: make([]uint64, n*w)}
+	for k := range p.rows {
+		p.rows[k] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		for i := 0; i < n; i++ {
+			p.rows[(i+1)*w-1] = 1<<uint(r) - 1
+		}
+	}
+	values := 0
+	for _, f := range fields {
+		values = max(values, f.Values)
+	}
+	// holding[x] is the set of items whose value is x; up[x] the set of
+	// items whose value is at or above x.
+	holdingBuf, upBuf := make([]uint64, values*w), make([]uint64, values*w)
+	for _, f := range fields {
+		if f.Values < 2 {
+			continue
+		}
+		holding, up := holdingBuf[:f.Values*w], upBuf[:f.Values*w]
+		clear(holding)
+		clear(up)
+		for i, x := range f.Of {
+			holding[int(x)*w+i>>6] |= 1 << uint(i&63)
+		}
+		for x := 0; x < f.Values; x++ {
+			ux := up[x*w : (x+1)*w]
+			for y := 0; y < f.Values; y++ {
+				if f.Leq(x, y) {
+					for k, word := range holding[y*w : (y+1)*w] {
+						ux[k] |= word
+					}
+				}
+			}
+		}
+		for i, x := range f.Of {
+			row, ux := p.rows[i*w:(i+1)*w], up[int(x)*w:(int(x)+1)*w]
+			for k := range row {
+				row[k] &= ux[k]
 			}
 		}
 	}
@@ -78,23 +141,24 @@ func (p *Poset[T]) Leq(i, j int) bool {
 // Figure 5. An edge (i, j) means i < j with nothing in between. Edges
 // are ordered by i, then by j.
 func (p *Poset[T]) Edges() [][2]int {
-	if p.covers != nil {
-		return p.covers()
-	}
 	n, w := len(p.items), p.words
 	strict := p.strictAbove()
 	cover := make([]uint64, w)
 	var edges [][2]int
 	for i := 0; i < n; i++ {
-		// covers(i) = strict(i) minus strict(k) for every k in strict(i).
-		si := strict[i*w : (i+1)*w]
-		copy(cover, si)
-		for k, word := range si {
-			for ; word != 0; word &= word - 1 {
-				m := k<<6 + bits.TrailingZeros64(word)
-				for x, y := range strict[m*w : (m+1)*w] {
-					cover[x] &^= y
+		// covers(i) = strict(i) minus strict(k) for every k in
+		// strict(i). Only a k still in the cover set is visited: one
+		// already removed lies strictly above a visited k', so
+		// strict(k) ⊆ strict(k') is gone already.
+		copy(cover, strict[i*w:(i+1)*w])
+		for x := 0; x < w; x++ {
+			for word := cover[x]; word != 0; {
+				b := bits.TrailingZeros64(word)
+				m := x<<6 + b
+				for y, above := range strict[m*w : (m+1)*w] {
+					cover[y] &^= above
 				}
+				word = cover[x] &^ (1<<uint(b+1) - 1)
 			}
 		}
 		for k, word := range cover {
@@ -128,133 +192,6 @@ func (p *Poset[T]) strictAbove() []uint64 {
 		row[i>>6] &^= 1 << uint(i&63)
 	}
 	return strict
-}
-
-// Product builds the poset of items ordered as the product of two
-// factor orders: item i ≤ item j exactly when a.Leq(aOf[i], aOf[j])
-// and b.Leq(bOf[i], bOf[j]). The items must be a full product, every
-// pair of factor indices the coordinates of exactly one item; Product
-// panics otherwise. The factors may be preorders (distinct equivalent
-// factor items). Rows are filled a word at a time from the factors'
-// rows, and Edges takes the covers from the factors: (i, j) is a cover
-// exactly when one coordinate of j covers i's and the other is
-// equivalent to i's, since every other strict pair has an item
-// between it.
-func Product[T, A, B any](items []T, a *Poset[A], aOf []int32, b *Poset[B], bOf []int32) *Poset[T] {
-	n, na, nb := len(items), a.Len(), b.Len()
-	if n != na*nb || len(aOf) != n || len(bOf) != n {
-		panic(fmt.Sprintf("poset: Product of %d items over %d × %d factors", n, na, nb))
-	}
-	// cell[x*nb+y] is the item at coordinates (x, y).
-	cell := make([]int32, n)
-	for x := range cell {
-		cell[x] = -1
-	}
-	for i := range items {
-		c := &cell[int(aOf[i])*nb+int(bOf[i])]
-		if *c >= 0 {
-			panic(fmt.Sprintf("poset: Product items %d and %d share coordinates (%d, %d)", *c, i, aOf[i], bOf[i]))
-		}
-		*c = int32(i)
-	}
-	w := (n + 63) / 64
-	p := &Poset[T]{items: items, words: w, rows: make([]uint64, n*w)}
-	set := func(row []uint64, i int32) { row[i>>6] |= 1 << uint(i&63) }
-	// bUp[y] holds the items whose b coordinate is at or above y.
-	bUp := make([]uint64, nb*w)
-	for y := 0; y < nb; y++ {
-		for y2 := 0; y2 < nb; y2++ {
-			if b.Leq(y, y2) {
-				for x := 0; x < na; x++ {
-					set(bUp[y*w:(y+1)*w], cell[x*nb+y2])
-				}
-			}
-		}
-	}
-	// aUp holds the items whose a coordinate is at or above x, for one
-	// x at a time; row (x, y) is aUp ∩ bUp[y].
-	aUp := make([]uint64, w)
-	for x := 0; x < na; x++ {
-		clear(aUp)
-		for k, word := range a.rows[x*a.words : (x+1)*a.words] {
-			for ; word != 0; word &= word - 1 {
-				x2 := k<<6 + bits.TrailingZeros64(word)
-				for _, i := range cell[x2*nb : (x2+1)*nb] {
-					set(aUp, i)
-				}
-			}
-		}
-		for y := 0; y < nb; y++ {
-			i := int(cell[x*nb+y])
-			row, up := p.rows[i*w:(i+1)*w], bUp[y*w:(y+1)*w]
-			for k := range row {
-				row[k] = aUp[k] & up[k]
-			}
-		}
-	}
-	p.covers = func() [][2]int {
-		aCov, aEq := a.coversAndClasses()
-		bCov, bEq := b.coversAndClasses()
-		var edges [][2]int
-		var js []int
-		for i := 0; i < n; i++ {
-			x, y := aOf[i], bOf[i]
-			js = js[:0]
-			for _, x2 := range aCov[x] {
-				for _, y2 := range bEq[y] {
-					js = append(js, int(cell[int(x2)*nb+int(y2)]))
-				}
-			}
-			for _, x2 := range aEq[x] {
-				for _, y2 := range bCov[y] {
-					js = append(js, int(cell[int(x2)*nb+int(y2)]))
-				}
-			}
-			slices.Sort(js)
-			for _, j := range js {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-		return edges
-	}
-	return p
-}
-
-// coversAndClasses returns, per item, the items covering it and the
-// items equivalent to it (itself included), each ascending. The lists
-// share two backing arrays.
-func (p *Poset[T]) coversAndClasses() (covers, classes [][]int32) {
-	n := len(p.items)
-	edges := p.Edges()
-	covers = make([][]int32, n)
-	up := make([]int32, len(edges))
-	for k, e := range edges {
-		up[k] = int32(e[1])
-	}
-	for k := 0; k < len(edges); {
-		i, start := edges[k][0], k
-		for k < len(edges) && edges[k][0] == i {
-			k++
-		}
-		covers[i] = up[start:k:k]
-	}
-	classes = make([][]int32, n)
-	ends := make([]int, n)
-	var eq []int32
-	for i := 0; i < n; i++ {
-		for k, word := range p.rows[i*p.words : (i+1)*p.words] {
-			for ; word != 0; word &= word - 1 {
-				if j := k<<6 + bits.TrailingZeros64(word); p.Leq(j, i) {
-					eq = append(eq, int32(j))
-				}
-			}
-		}
-		ends[i] = len(eq)
-	}
-	for i, start := 0, 0; i < n; start, i = ends[i], i+1 {
-		classes[i] = eq[start:ends[i]:ends[i]]
-	}
-	return covers, classes
 }
 
 // Maximal returns the indices of the maximal elements among the items
@@ -310,9 +247,10 @@ func (p *Poset[T]) dominated(i int, mask []uint64) bool {
 	return false
 }
 
-// CheckOrder verifies that leq is a partial order on the items:
-// reflexive, antisymmetric (by index), transitive. Intended for tests
-// and for validating custom safety relations.
+// CheckOrder verifies that leq is a preorder on the items: reflexive
+// and transitive. It does not check antisymmetry; a Poset allows
+// equivalent items. Intended for tests and for validating custom
+// safety relations.
 func (p *Poset[T]) CheckOrder() error {
 	n := len(p.items)
 	for i := 0; i < n; i++ {
