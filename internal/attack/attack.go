@@ -193,10 +193,6 @@ func (s *Scenario) Survival(c *explore.Config) float64 {
 // survivalRaw is Survival before quantization, so composite scenarios
 // multiply unrounded parts.
 func (s *Scenario) survivalRaw(c *explore.Config) float64 {
-	comps := c.Components()
-	if len(comps) == 0 {
-		return 1
-	}
 	density := 1.0
 	if s.gadgets && c.Profile != "" {
 		if p, err := machine.ParseProfile(c.Profile); err == nil {
@@ -219,45 +215,39 @@ func (s *Scenario) survivalRaw(c *explore.Config) float64 {
 	}
 	img *= aslr
 
-	total := float64(len(comps))
+	// The weakest link is a maximum, so components are visited in block
+	// order; a configuration without components survives (worst is 0).
+	n := 0
+	for _, blk := range c.Blocks {
+		n += len(blk)
+	}
+	total := float64(n)
 	worst := 0.0
-	for _, comp := range comps {
-		// Surface: the fraction of the image reachable inside the
-		// component's compartment — partition refinement shrinks it —
-		// scaled by the profile's gadget supply for ROP attackers.
-		surface := float64(blockSize(c, comp)) / total * density
-		if surface > 1 {
-			surface = 1
-		}
-		succ := s.base * surface * img
-		hs := c.Hardening[comp]
-		for i, t := range allTechs {
-			if hs.Has(t) {
-				succ *= s.mitigation[i]
+	for _, blk := range c.Blocks {
+		for _, comp := range blk {
+			// Surface: the fraction of the image reachable inside its
+			// compartment — partition refinement shrinks it — scaled
+			// by the profile's gadget supply for ROP attackers.
+			surface := float64(len(blk)) / total * density
+			if surface > 1 {
+				surface = 1
 			}
-		}
-		if succ > worst {
-			worst = succ
+			succ := s.base * surface * img
+			hs := c.Hardening[comp]
+			for i, t := range allTechs {
+				if hs.Has(t) {
+					succ *= s.mitigation[i]
+				}
+			}
+			if succ > worst {
+				worst = succ
+			}
 		}
 	}
 	if worst > 1 {
 		worst = 1
 	}
 	return 1 - worst
-}
-
-// blockSize returns the number of components sharing comp's block (1
-// when the component is unknown, which cannot happen for generated
-// spaces).
-func blockSize(c *explore.Config, comp string) int {
-	for _, blk := range c.Blocks {
-		for _, x := range blk {
-			if x == comp {
-				return len(blk)
-			}
-		}
-	}
-	return 1
 }
 
 // Measure wraps a base measure function so every vector carries the

@@ -152,8 +152,10 @@ func Space(base []*explore.Config, spec Spec) []*explore.Config {
 					for k, v := range c.Hardening {
 						hs[k] = v
 					}
-					for _, comp := range c.Components() {
-						hs[comp] = hs[comp].Union(extra)
+					for _, blk := range c.Blocks {
+						for _, comp := range blk {
+							hs[comp] = hs[comp].Union(extra)
+						}
 					}
 					n.Hardening = hs
 				}

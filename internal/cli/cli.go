@@ -143,12 +143,14 @@ func (r *Request) query() (q *flexos.Query, title string, scenarioMode bool, err
 		// Dispatch on the application the configuration contains; the
 		// two sub-spaces are incomparable and explore independently.
 		measure := func(c *flexos.ExploreConfig) (float64, error) {
-			for _, comp := range c.Components() {
-				switch comp {
-				case flexos.LibRedis:
-					return measureRedis(c)
-				case flexos.LibNginx:
-					return measureNginx(c)
+			for _, blk := range c.Blocks {
+				for _, comp := range blk {
+					switch comp {
+					case flexos.LibRedis:
+						return measureRedis(c)
+					case flexos.LibNginx:
+						return measureNginx(c)
+					}
 				}
 			}
 			return 0, fmt.Errorf("config %d contains no known application", c.ID)

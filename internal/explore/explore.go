@@ -20,10 +20,9 @@
 package explore
 
 import (
+	"bytes"
 	"fmt"
-	"hash/fnv"
 	"slices"
-	"sort"
 	"strings"
 
 	"flexos/internal/core"
@@ -61,33 +60,47 @@ type Config struct {
 // NumCompartments returns the number of compartments.
 func (c *Config) NumCompartments() int { return len(c.Blocks) }
 
-// blockOf returns the block index of a component, or -1.
-func (c *Config) blockOf(comp string) int {
-	for i, blk := range c.Blocks {
-		for _, x := range blk {
-			if x == comp {
-				return i
-			}
+// placed is one component of a configuration's canonical layout: its
+// name, the index of the block that holds it, and its hardening.
+type placed struct {
+	name  string
+	block int
+	hs    harden.Set
+}
+
+// layout returns the configuration's canonical form: every component,
+// sorted by name, with its block and hardening. It is the one place
+// that orders a configuration's components; the key, the safety
+// order's signature and Components all read it.
+func (c *Config) layout() []placed {
+	n := 0
+	for _, blk := range c.Blocks {
+		n += len(blk)
+	}
+	l := make([]placed, 0, n)
+	for b, blk := range c.Blocks {
+		for _, comp := range blk {
+			l = append(l, placed{comp, b, c.Hardening[comp]})
 		}
 	}
-	return -1
+	slices.SortFunc(l, func(x, y placed) int { return strings.Compare(x.name, y.name) })
+	return l
 }
 
 // Components returns all components of the config, sorted.
 func (c *Config) Components() []string {
 	var out []string
-	for _, blk := range c.Blocks {
-		out = append(out, blk...)
+	for _, p := range c.layout() {
+		out = append(out, p.name)
 	}
-	sort.Strings(out)
 	return out
 }
 
 // HardenedCount returns how many components have non-empty hardening.
 func (c *Config) HardenedCount() int {
 	n := 0
-	for _, comp := range c.Components() {
-		if !c.Hardening[comp].Empty() {
+	for _, p := range c.layout() {
+		if !p.hs.Empty() {
 			n++
 		}
 	}
@@ -99,8 +112,6 @@ func (c *Config) HardenedCount() int {
 func (c *Config) Label() string {
 	var b strings.Builder
 	b.Grow(64)
-	var scratch [8]string
-	hardened := scratch[:0]
 	for i, blk := range c.Blocks {
 		if i > 0 {
 			b.WriteString(" / ")
@@ -110,20 +121,17 @@ func (c *Config) Label() string {
 				b.WriteByte('+')
 			}
 			b.WriteString(comp)
-			if !c.Hardening[comp].Empty() {
-				hardened = append(hardened, comp)
-			}
 		}
 	}
-	if len(hardened) > 0 {
-		slices.Sort(hardened)
-		b.WriteString(" h={")
-		for i, comp := range hardened {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(comp)
+	sep := " h={"
+	for _, p := range c.layout() {
+		if !p.hs.Empty() {
+			b.WriteString(sep)
+			b.WriteString(p.name)
+			sep = ","
 		}
+	}
+	if sep == "," {
 		b.WriteByte('}')
 	}
 	if c.ASLR.Enabled() {
@@ -192,54 +200,59 @@ func (c *Config) ImageKey() string { return c.key(false) }
 // key renders the canonical key, with the ASLR segment when withASLR
 // is set. Key and ImageKey share it so the two cannot drift.
 func (c *Config) key(withASLR bool) string {
-	var b strings.Builder
-	b.WriteString("mech=")
-	b.WriteString(isolation.Canonical(c.Mechanism))
+	l := c.layout()
+	var buf [256]byte
+	b := append(buf[:0], "mech="...)
+	b = append(b, isolation.Canonical(c.Mechanism)...)
 	if c.NumCompartments() > 1 {
-		fmt.Fprintf(&b, ";gate=%s;share=%s", c.GateMode, c.Sharing)
+		b = append(append(b, ";gate="...), c.GateMode.String()...)
+		b = append(append(b, ";share="...), c.Sharing.String()...)
 	}
-	// Block 0 is positionally significant (it is the default compartment
-	// and hosts the TCB); the remaining blocks are an unordered set.
-	blocks := make([]string, 0, len(c.Blocks))
-	for _, blk := range c.Blocks {
-		s := append([]string(nil), blk...)
-		sort.Strings(s)
-		blocks = append(blocks, strings.Join(s, ","))
+	// Each block lists its members in layout order. Block 0 is
+	// positionally significant (it is the default compartment and hosts
+	// the TCB); the remaining blocks are an unordered set, sorted by
+	// their rendering, so each renders into text first: every member
+	// after a comma, the block's span starting past the first one.
+	var textBuf [128]byte
+	var spanBuf [8][2]int
+	text, spans := textBuf[:0], spanBuf[:0]
+	for blk := range c.Blocks {
+		start := len(text)
+		for _, p := range l {
+			if p.block == blk {
+				text = append(append(text, ','), p.name...)
+			}
+		}
+		spans = append(spans, [2]int{min(start+1, len(text)), len(text)})
 	}
-	if len(blocks) > 1 {
-		sort.Strings(blocks[1:])
+	if len(spans) > 1 {
+		slices.SortFunc(spans[1:], func(x, y [2]int) int {
+			return bytes.Compare(text[x[0]:x[1]], text[y[0]:y[1]])
+		})
 	}
-	b.WriteString(";blocks=")
-	b.WriteString(strings.Join(blocks, "|"))
-	b.WriteString(";harden=")
-	for _, comp := range c.Components() {
-		if hs := c.Hardening[comp]; !hs.Empty() {
-			b.WriteString(comp)
-			b.WriteString(":")
-			b.WriteString(hs.String())
-			b.WriteString(";")
+	b = append(b, ";blocks="...)
+	for i, sp := range spans {
+		if i > 0 {
+			b = append(b, '|')
+		}
+		b = append(b, text[sp[0]:sp[1]]...)
+	}
+	b = append(b, ";harden="...)
+	for _, p := range l {
+		if !p.hs.Empty() {
+			b = append(append(append(append(b, p.name...), ':'), p.hs.String()...), ';')
 		}
 	}
 	// The attack axes render only when set, so every pre-attack key —
 	// and with it every persisted store record and canonical request
 	// key — is byte-stable.
 	if withASLR && c.ASLR.Enabled() {
-		b.WriteString(";aslr=")
-		b.WriteString(c.ASLR.String())
+		b = append(append(b, ";aslr="...), c.ASLR.String()...)
 	}
 	if c.Profile != "" {
-		b.WriteString(";profile=")
-		b.WriteString(c.Profile)
+		b = append(append(b, ";profile="...), c.Profile...)
 	}
-	return b.String()
-}
-
-// Hash returns a 64-bit FNV-1a digest of Key, for callers that want a
-// fixed-width handle on a configuration's identity.
-func (c *Config) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.Key()))
-	return h.Sum64()
+	return string(b)
 }
 
 // Strength ranks the isolation mechanism.

@@ -23,47 +23,36 @@ func Leq(a, b *Config) bool {
 	if a.Profile != b.Profile {
 		return false
 	}
-	var blocks []int16
-	var hs []harden.Set
-	sa, sb := sigOf(a, &blocks, &hs), sigOf(b, &blocks, &hs)
-	return slices.Equal(sa.comps, sb.comps) && leqSig(&sa, &sb)
+	sa, sb := sigOf(a), sigOf(b)
+	return slices.EqualFunc(sa.comps, sb.comps, func(x, y placed) bool { return x.name == y.name }) &&
+		leqSig(&sa, &sb)
 }
 
 // sig is a precomputed comparison signature for one configuration: the
 // inputs the safety order reads, extracted once so it can be evaluated
-// allocation-free. Component names are sorted; block and hs align with
-// comps positionally. Signatures of configurations with different
-// component sets are never compared (such configurations are
-// incomparable), and neither are signatures of configurations on
-// different machine profiles (the group key separates them).
+// allocation-free. comps is the configuration's layout, so a column i
+// means the same component in every signature of one group.
+// Signatures of configurations with different component sets are never
+// compared (such configurations are incomparable), and neither are
+// signatures of configurations on different machine profiles (the
+// group key separates them).
 type sig struct {
-	comps    []string
-	block    []int16
-	hs       []harden.Set
+	comps    []placed
 	strength isolation.Strength
 	share    int8
 	gate     int8
 	aslr     isolation.ASLR
 }
 
-// sigOf extracts c's signature, appending its positional columns to the
-// caller's arenas so a whole space shares two backing arrays.
-func sigOf(c *Config, blockArena *[]int16, hsArena *[]harden.Set) sig {
-	s := sig{
-		comps:    c.Components(),
+// sigOf extracts c's signature.
+func sigOf(c *Config) sig {
+	return sig{
+		comps:    c.layout(),
 		strength: c.Strength(),
 		share:    int8(c.SharingRank()),
 		gate:     int8(c.GateRank()),
 		aslr:     c.ASLR,
 	}
-	b0, h0 := len(*blockArena), len(*hsArena)
-	for _, comp := range s.comps {
-		*blockArena = append(*blockArena, int16(c.blockOf(comp)))
-		*hsArena = append(*hsArena, c.Hardening[comp])
-	}
-	s.block = (*blockArena)[b0:len(*blockArena):len(*blockArena)]
-	s.hs = (*hsArena)[h0:len(*hsArena):len(*hsArena)]
-	return s
 }
 
 // The safety order is a conjunction of independent clauses, each read
@@ -83,10 +72,10 @@ var clauses = []clause{
 	newClause(scalar, func(s *sig, _, _ int) int8 { return s.share }, atMost[int8]),
 	newClause(scalar, func(s *sig, _, _ int) int8 { return s.gate }, atMost[int8]),
 	// (3) per-component hardening that never shrinks.
-	newClause(perComp, func(s *sig, i, _ int) harden.Set { return s.hs[i] }, harden.Set.Subset),
+	newClause(perComp, func(s *sig, i, _ int) harden.Set { return s.comps[i].hs }, harden.Set.Subset),
 	// (1) partition refinement: components separated in a are
 	// separated in b — together ≤ separated.
-	newClause(perPair, func(s *sig, i, j int) bool { return s.block[i] != s.block[j] }, implies),
+	newClause(perPair, func(s *sig, i, j int) bool { return s.comps[i].block != s.comps[j].block }, implies),
 }
 
 func atMost[V ~int | ~int8](x, y V) bool { return x <= y }
@@ -194,15 +183,11 @@ type spaceOrder struct {
 	preds, succs [][]int32 // Hasse edges of the whole space, global indices
 }
 
-// sigsOf extracts every configuration's signature. The positional
-// columns are arena-allocated: two allocations for the whole space
-// instead of two per configuration.
+// sigsOf extracts every configuration's signature.
 func sigsOf(cfgs []*Config) []sig {
 	sigs := make([]sig, len(cfgs))
-	blockArena := make([]int16, 0, 4*len(cfgs))
-	hsArena := make([]harden.Set, 0, 4*len(cfgs))
 	for i, c := range cfgs {
-		sigs[i] = sigOf(c, &blockArena, &hsArena)
+		sigs[i] = sigOf(c)
 	}
 	return sigs
 }
@@ -221,8 +206,8 @@ func newSpaceOrder(cfgs []*Config) *spaceOrder {
 		// keeping the key unambiguous. The lookup converts the key
 		// without copying it; only a new group's key is kept.
 		key = key[:0]
-		for _, comp := range sigs[i].comps {
-			key = append(append(key, comp...), 0)
+		for _, p := range sigs[i].comps {
+			key = append(append(key, p.name...), 0)
 		}
 		key = append(append(key, 1), c.Profile...)
 		g, ok := byComps[string(key)]

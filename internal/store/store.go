@@ -2,8 +2,8 @@
 // store behind warm-start exploration: a directory of versioned,
 // append-only JSONL segments holding measured metric vectors keyed by
 // canonical configuration identity (the engine's memo key — the memo
-// namespace joined with Config.Key, addressed by a 64-bit FNV-1a
-// digest, the namespaced analogue of Config.Hash).
+// namespace joined with Config.Key, addressed by the 64-bit FNV-1a
+// digest of that memo key).
 //
 // The store is the exploration memo's record tier (see
 // explore.Backing): the Memo holds only measurements in flight, reads
@@ -265,9 +265,8 @@ func nextLine(data []byte) (line, rest []byte) {
 // carry no record and are skipped.
 func blank(line []byte) bool { return len(bytes.TrimSpace(line)) == 0 }
 
-// Addr returns the content address of a memo key: the 16-hex-digit
-// FNV-1a digest — for the engine's namespaced keys, the namespace ⊕
-// Config.Hash identity the index is organized around.
+// Addr returns the content address of a memo key: its 16-hex-digit
+// FNV-1a digest, the identity the index is organized around.
 func Addr(key string) string {
 	return string(appendHex(make([]byte, 0, 16), fnv64a(key), 16))
 }

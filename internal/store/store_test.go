@@ -3,6 +3,7 @@ package store_test
 import (
 	"context"
 	"encoding/json"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -75,7 +76,9 @@ func TestWriteThroughThenColdReloadEqualsInMemoryMemo(t *testing.T) {
 	dir := t.TempDir()
 	space := func() []*explore.Config { return explore.Fig6Space([4]string{"app", "libc", "sched", "net"}) }
 	measure := func(c *explore.Config) (scenario.Metrics, error) {
-		return vec(float64(c.Hash()%100_000) + 1), nil
+		h := fnv.New64a()
+		h.Write([]byte(c.Key()))
+		return vec(float64(h.Sum64()%100_000) + 1), nil
 	}
 	req := func(memo *explore.Memo) explore.Request {
 		return explore.Request{Space: explore.NewSpace(space()), Measure: measure, Workers: 4, Memo: memo, Workload: "rt"}
