@@ -18,10 +18,12 @@ const benchWarmOps = 40
 // BenchmarkServeWarm sends warm requests through serve.Server.ServeHTTP
 // in process, with no sockets: the 80-point redis-get90 space, the
 // 320-point cross-application space, and the 960-point combined@riscv
-// attack space. Every configuration is a memo hit, so one iteration is
-// the serving stack over three spaces: decode, space lookup, canonical
-// key, the engine's walk over the safety order, stream lines, report
-// and encode.
+// attack space. The first warm answer of each request measures nothing,
+// so the daemon retains its flight and every timed request is answered
+// from it: one iteration is the serving stack over three spaces —
+// decode, space lookup, canonical key, report and encode — and runs no
+// engine pass. The engine's walk over stored records is guarded by
+// BenchmarkQueryMemoizedSweep and BenchmarkSpaceOrder instead.
 func BenchmarkServeWarm(b *testing.B) {
 	srv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {
@@ -46,8 +48,8 @@ func BenchmarkServeWarm(b *testing.B) {
 		return rec.Body.String()
 	}
 	// The first pass measures; the second is the first warm answer,
-	// whose bytes (report and memo-hit statistics) every later one
-	// repeats.
+	// whose flight the daemon retains and whose bytes (report and
+	// memo-hit statistics) every later one repeats.
 	want := make([]string, len(bodies))
 	for pass := 0; pass < 2; pass++ {
 		for i, body := range bodies {

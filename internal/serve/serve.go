@@ -42,11 +42,21 @@
 // changes result bytes. Disjoint requests run concurrently under a
 // bounded flight budget. A flight is canceled (its context threads
 // into the engine's worker pool) only when its last subscriber
-// disconnects, and removed from the table the moment it finishes, so
-// the table only ever holds work that can still be joined — repeats
-// of a finished request re-run the engine against the warm memo
-// instead, which re-measures nothing (and, on a coordinator, asks the
-// fleet for nothing).
+// disconnects.
+//
+// # Retained flights
+//
+// Results are cached at the response layer, in the flight table
+// itself: a finished flight whose pass measured nothing stays in the
+// table, and a repeat of its key attaches to it like a coalesced
+// subscriber of a finished run — it renders from the flight's Result
+// (or replays its decided list, for a stream) and runs no engine pass.
+// Such a pass read only records that were already stored, and a stored
+// record never changes, so re-running it would return the same Result
+// and statistics byte for byte (see retainable). Every other flight —
+// canceled, failed, or one that measured — leaves the table the moment
+// it finishes. Retention is bounded by maxRetainedFlights and
+// maxRetainedConfigs, least recently used first out.
 package serve
 
 import (
@@ -58,6 +68,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,14 +122,23 @@ type Stats struct {
 	UptimeMs int64 `json:"uptime_ms"`
 	// Requests counts exploration requests accepted; Coalesced those
 	// that attached to an already-in-flight run instead of starting
-	// their own; FlightsStarted the engine passes actually begun.
+	// their own; RetainedHits those answered by a retained flight, which
+	// runs no engine pass; FlightsStarted the engine passes actually
+	// begun.
 	Requests       int64 `json:"requests"`
 	Coalesced      int64 `json:"coalesced"`
+	RetainedHits   int64 `json:"retained_hits"`
 	FlightsStarted int64 `json:"flights_started"`
 	// InFlight and Subscribers are gauges: engine runs currently
-	// executing (or queued) and callers currently attached to them.
+	// executing (or queued) and callers currently attached to a flight,
+	// running or retained.
 	InFlight    int `json:"in_flight"`
 	Subscribers int `json:"subscribers"`
+	// RetainedFlights and RetainedConfigs are gauges: the finished
+	// flights held for repeats and the configurations their Results
+	// hold, at most maxRetainedFlights and maxRetainedConfigs.
+	RetainedFlights int `json:"retained_flights"`
+	RetainedConfigs int `json:"retained_configs"`
 	// Completed / Failed / Canceled count finished flights by outcome
 	// (a run that completed but satisfied no constraint counts as
 	// completed: it produced a full report).
@@ -127,7 +147,9 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 	// Evaluated and MemoHits accumulate the per-run statistics across
 	// completed flights; HitRatePct is their ratio — how much of the
-	// served work the memo absorbed.
+	// engine's work the memo absorbed. Like FlightsStarted and the
+	// outcome counters they count engine passes only: a request served
+	// by a retained flight adds to none of them.
 	Evaluated  int64   `json:"evaluated"`
 	MemoHits   int64   `json:"memo_hits"`
 	HitRatePct float64 `json:"hit_rate_pct"`
@@ -240,6 +262,12 @@ type Server struct {
 	stats   Stats
 	lat     latencyWindow
 
+	// retained lists the retained flights (all of them also in
+	// flights), least recently used first; retainedConfigs sums their
+	// Results' configurations.
+	retained        []*flight
+	retainedConfigs int
+
 	// Test seams (package-internal): onFlightStart runs on the flight
 	// goroutine after the flight is admitted, before the engine pass;
 	// onDecided runs once per streamed measurement of every pass.
@@ -247,8 +275,18 @@ type Server struct {
 	onDecided     func(key string)
 }
 
-// flight is one in-flight (or just-finished) engine pass, shared by
-// every subscriber whose request coalesced onto it.
+// Retention bounds: at most maxRetainedFlights retained flights,
+// whose Results hold at most maxRetainedConfigs configurations in all.
+// The second bound is what caps memory, because each Result pins its
+// explored Space; a flight larger than it alone is never retained.
+const (
+	maxRetainedFlights = 64
+	maxRetainedConfigs = 1 << 14
+)
+
+// flight is one in-flight (or finished) engine pass, shared by every
+// subscriber whose request coalesced onto it, and, once retained, by
+// every later request for its key.
 type flight struct {
 	key          string
 	scenarioMode bool
@@ -267,6 +305,11 @@ type flight struct {
 	done chan struct{} // closed after res/err are set
 	res  *flexos.ExploreResult
 	err  error
+
+	// retained is set (under Server.mu) when the finished flight stays
+	// in the table for repeats; configs is its Result's size.
+	retained bool
+	configs  int
 }
 
 // publish hands the pass's decided prefix, decided[:next], to the
@@ -377,6 +420,7 @@ func (s *Server) Stats() Stats {
 		subs += f.subs
 		f.mu.Unlock()
 	}
+	st.RetainedFlights, st.RetainedConfigs = len(s.retained), s.retainedConfigs
 	s.mu.Unlock()
 	st.Subscribers = subs
 	st.UptimeMs = time.Since(s.start).Milliseconds()
@@ -544,8 +588,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// attach joins the request to the in-flight run for key, starting one
-// when none exists.
+// attach joins the request to the flight for key — a running one,
+// which it reports as coalesced, or a retained one — starting one when
+// none exists.
 func (s *Server) attach(key string, q *flexos.Query, info *cli.BuildInfo, req *cli.Request) (*flight, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -557,6 +602,12 @@ func (s *Server) attach(key string, q *flexos.Query, info *cli.BuildInfo, req *c
 		f.mu.Lock()
 		f.subs++
 		f.mu.Unlock()
+		if f.retained {
+			s.stats.RetainedHits++
+			i := slices.Index(s.retained, f)
+			s.retained = append(slices.Delete(s.retained, i, i+1), f)
+			return f, false, nil
+		}
 		s.stats.Coalesced++
 		return f, true, nil
 	}
@@ -587,12 +638,13 @@ func (s *Server) attach(key string, q *flexos.Query, info *cli.BuildInfo, req *c
 }
 
 // detach drops one subscriber; the last one out cancels a run nobody
-// is waiting for (the engine winds its worker pool down promptly).
+// is waiting for (the engine winds its worker pool down promptly). A
+// retained flight stays: it has finished, and only eviction removes it.
 func (s *Server) detach(f *flight) {
 	s.mu.Lock()
 	f.mu.Lock()
 	f.subs--
-	orphaned := f.subs == 0
+	orphaned := f.subs == 0 && !f.retained
 	f.mu.Unlock()
 	if orphaned {
 		if cur, ok := s.flights[f.key]; ok && cur == f {
@@ -614,7 +666,11 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 	finish := func(res *flexos.ExploreResult, err error) {
 		s.mu.Lock()
 		if cur, ok := s.flights[f.key]; ok && cur == f {
-			delete(s.flights, f.key)
+			if retainable(res, err, f.creq.DeltaOnly) {
+				s.retain(f, res.Total)
+			} else {
+				delete(s.flights, f.key)
+			}
 		}
 		s.stats.InFlight--
 		switch {
@@ -673,6 +729,47 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 		s.mu.Unlock()
 	}
 	finish(res, err)
+}
+
+// retainable reports whether a finished pass read only records that
+// were already stored, which makes it a pure function of the store: a
+// repeat would read the same records, because the store keeps the
+// first value for a key and deletes none, and so return the same
+// Result and statistics byte for byte. Every engine mode measures a
+// configuration whose record was missing, so such a pass evaluated
+// nothing — except that a pass may join another flight's measurement
+// in progress on the shared memo, a memo hit whose record was not yet
+// stored. Outside a delta run that hit fills the configuration exactly
+// as its stored record would; a delta run skips stored records
+// instead, so one retained there must have no hit at all. (On a
+// coordinator, fleetBacking stores gathered records before reading
+// them.) A canceled or failed pass is never retained.
+func retainable(res *flexos.ExploreResult, err error, delta bool) bool {
+	if res == nil || err != nil && !errors.Is(err, flexos.ErrNoFeasible) {
+		return false
+	}
+	return res.Evaluated == 0 && (!delta || res.MemoHits == 0)
+}
+
+// retain keeps the finished flight f, of n configurations, in the
+// table for repeats, evicting the least recently used retained flights
+// beyond the bounds. Called with s.mu held.
+func (s *Server) retain(f *flight, n int) {
+	if n > maxRetainedConfigs {
+		delete(s.flights, f.key)
+		return
+	}
+	f.retained, f.configs = true, n
+	s.retained = append(s.retained, f)
+	s.retainedConfigs += n
+	for len(s.retained) > maxRetainedFlights || s.retainedConfigs > maxRetainedConfigs {
+		old := s.retained[0]
+		s.retained = slices.Delete(s.retained, 0, 1)
+		s.retainedConfigs -= old.configs
+		if cur, ok := s.flights[old.key]; ok && cur == old {
+			delete(s.flights, old.key)
+		}
+	}
 }
 
 // render builds the subscriber's view of a finished flight. The
