@@ -325,13 +325,23 @@ func TestRetentionStaysWithinBounds(t *testing.T) {
 		srv.mu.Lock()
 		oldest, next := srv.retained[0].creq, srv.retained[1].creq
 		srv.mu.Unlock()
-		sendUntilRetained(t, srv, oldest)
-		send(t, srv, budgetVariants(base, maxRetainedFlights+9)[maxRetainedFlights+8])
-		sendUntilRetained(t, srv, oldest)
-		flights := srv.Stats().FlightsStarted
-		send(t, srv, next)
-		if got := srv.Stats().FlightsStarted; got != flights+1 {
-			t.Fatalf("a repeat of the evicted key started %d engine passes, want 1", got-flights)
+		for i, tc := range []struct {
+			req      cli.Request
+			retained bool
+		}{
+			{oldest, true}, // the touch
+			{budgetVariants(base, maxRetainedFlights+9)[maxRetainedFlights+8], false},
+			{oldest, true},
+			{next, false},
+		} {
+			before := srv.Stats()
+			send(t, srv, tc.req)
+			after := srv.Stats()
+			hits, passes := after.RetainedHits-before.RetainedHits, after.FlightsStarted-before.FlightsStarted
+			if want := tc.retained; (hits == 1) != want || (passes == 0) != want {
+				t.Fatalf("step %d: %d retained answers and %d engine passes, want a retained answer: %v",
+					i, hits, passes, want)
+			}
 		}
 		checkBounds(t, srv.Stats())
 	})
