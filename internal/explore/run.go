@@ -101,6 +101,16 @@ func (r *Result) MemoKey(workload string, i int) string {
 // rendered it once.
 func (r *Result) Label(i int) string { return r.space.label(i) }
 
+// SpaceSize returns the number of configurations in the Space the
+// result holds on to: the whole space a shard was cut from, else
+// Total.
+func (r *Result) SpaceSize() int {
+	if r.space.base != nil {
+		return len(r.space.base.cfgs)
+	}
+	return len(r.space.cfgs)
+}
+
 // Above returns the indices of the configurations strictly safer than
 // configuration i (see Leq), ascending.
 func (r *Result) Above(i int) []int { return r.safetyOrder().above(i) }

@@ -362,12 +362,30 @@ func TestRetentionStaysWithinBounds(t *testing.T) {
 				st.RetainedFlights, st.RetainedConfigs, want, want*320)
 		}
 	})
+	t.Run("shard", func(t *testing.T) {
+		// A shard's Result pins the whole Space it was cut from, so a
+		// retained shard counts that Space, not its slice.
+		srv, err := New(Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		req := cli.Request{Scenario: "redis-get90", Ops: 40, Shard: "1/3"}
+		send(t, srv, req)
+		sendUntilRetained(t, srv, req)
+		if st := srv.Stats(); st.RetainedFlights != 1 || st.RetainedConfigs != 80 {
+			t.Fatalf("a retained third of an 80-point space: %d flights of %d configurations, want 1 of 80",
+				st.RetainedFlights, st.RetainedConfigs)
+		}
+	})
 }
 
 // TestRetainedRepeatThroughCoordinatorDispatchesNothing: through a
-// two-worker coordinator, a repeat answered by a retained flight
-// starts no pass and reaches no worker — no gather, no shard — and
-// repeats the bytes of the pass it retains, complete and streamed.
+// two-worker coordinator, the first pass of a key the fleet measures
+// is itself retained — gathered records are backing hits, so it
+// evaluated nothing — and a repeat answered by it starts no pass,
+// reaches no worker (no gather, no shard) and repeats its bytes,
+// complete and streamed.
 func TestRetainedRepeatThroughCoordinatorDispatchesNothing(t *testing.T) {
 	co := cluster.New(cluster.Config{HealthInterval: time.Hour})
 	var workers []*Server
@@ -382,29 +400,37 @@ func TestRetainedRepeatThroughCoordinatorDispatchesNothing(t *testing.T) {
 	}
 	defer coord.Close()
 
-	for _, stream := range []bool{false, true} {
-		req := cli.Request{Scenario: "redis-get90", Ops: 40, Stream: stream}
-		var warm served
-		for try := 0; warm.body == ""; try++ {
-			if try == 10 {
-				t.Fatalf("%+v: ten passes through the coordinator all measured", req)
-			}
-			if got := send(t, coord, req); got.stats.Evaluated == 0 {
-				warm = got
-			}
+	for i, stream := range []bool{false, true} {
+		req := cli.Request{Scenario: "redis-get90", Ops: 40 + i, Stream: stream}
+		before, gathers := coord.Stats(), co.Stats().Gathers
+		first := send(t, coord, req)
+		after := coord.Stats()
+		if first.stats.Evaluated != 0 || co.Stats().Gathers != gathers+1 {
+			t.Fatalf("%+v: the first pass evaluated %d and gathered %d times, want 0 and once",
+				req, first.stats.Evaluated, co.Stats().Gathers-gathers)
 		}
-		before, workerReqs := co.Stats(), make([]int64, len(workers))
+		if after.FlightsStarted != before.FlightsStarted+1 || after.RetainedFlights != before.RetainedFlights+1 {
+			t.Fatalf("%+v: the first pass started %d engine passes and retained %d flights, want 1 and 1",
+				req, after.FlightsStarted-before.FlightsStarted, after.RetainedFlights-before.RetainedFlights)
+		}
+
+		fleet, workerReqs := co.Stats(), make([]int64, len(workers))
 		for i, w := range workers {
 			workerReqs[i] = w.Stats().Requests
 		}
-		got := sendUntilRetained(t, coord, req)
-		if got.body != warm.body {
-			t.Errorf("%+v: retained answer differs from the pass it retains:\n--- retained\n%s--- pass\n%s", req, got.body, warm.body)
+		before = coord.Stats()
+		got := send(t, coord, req)
+		after = coord.Stats()
+		if after.RetainedHits != before.RetainedHits+1 || after.FlightsStarted != before.FlightsStarted {
+			t.Fatalf("%+v: the repeat made %d retained answers and started %d engine passes, want 1 and 0",
+				req, after.RetainedHits-before.RetainedHits, after.FlightsStarted-before.FlightsStarted)
 		}
-		after := co.Stats()
-		if after.Gathers != before.Gathers || after.Shards != before.Shards {
+		if got.body != first.body {
+			t.Errorf("%+v: retained answer differs from the pass it retains:\n--- retained\n%s--- pass\n%s", req, got.body, first.body)
+		}
+		if now := co.Stats(); now.Gathers != fleet.Gathers || now.Shards != fleet.Shards {
 			t.Errorf("%+v: the retained repeat fanned out: gathers %d -> %d, shards %d -> %d",
-				req, before.Gathers, after.Gathers, before.Shards, after.Shards)
+				req, fleet.Gathers, now.Gathers, fleet.Shards, now.Shards)
 		}
 		for i, w := range workers {
 			if n := w.Stats().Requests; n != workerReqs[i] {

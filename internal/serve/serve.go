@@ -135,8 +135,9 @@ type Stats struct {
 	InFlight    int `json:"in_flight"`
 	Subscribers int `json:"subscribers"`
 	// RetainedFlights and RetainedConfigs are gauges: the finished
-	// flights held for repeats and the configurations their Results
-	// hold, at most maxRetainedFlights and maxRetainedConfigs.
+	// flights held for repeats and the configurations of the Spaces
+	// their Results pin (a shard's counts the whole Space it was cut
+	// from), at most maxRetainedFlights and maxRetainedConfigs.
 	RetainedFlights int `json:"retained_flights"`
 	RetainedConfigs int `json:"retained_configs"`
 	// Completed / Failed / Canceled count finished flights by outcome
@@ -276,9 +277,15 @@ type Server struct {
 }
 
 // Retention bounds: at most maxRetainedFlights retained flights,
-// whose Results hold at most maxRetainedConfigs configurations in all.
-// The second bound is what caps memory, because each Result pins its
-// explored Space; a flight larger than it alone is never retained.
+// whose Results pin Spaces of at most maxRetainedConfigs
+// configurations in all. The second bound is what caps memory: a
+// retained flight holds its Result's rows (and as many records, once
+// a coordinator asked include_records), and its Result pins the Space
+// it explored — for a shard, the whole Space the shard was cut from.
+// Each flight counts that Space's size (Result.SpaceSize), which is
+// at least its rows; flights over one cached Space each count it, so
+// the bound over-counts shared Spaces rather than under-counting. A
+// flight larger than the bound alone is never retained.
 const (
 	maxRetainedFlights = 64
 	maxRetainedConfigs = 1 << 14
@@ -307,7 +314,8 @@ type flight struct {
 	err  error
 
 	// retained is set (under Server.mu) when the finished flight stays
-	// in the table for repeats; configs is its Result's size.
+	// in the table for repeats; configs is the size of the Space its
+	// Result pins.
 	retained bool
 	configs  int
 }
@@ -667,7 +675,7 @@ func (s *Server) runFlight(f *flight, q *flexos.Query) {
 		s.mu.Lock()
 		if cur, ok := s.flights[f.key]; ok && cur == f {
 			if retainable(res, err, f.creq.DeltaOnly) {
-				s.retain(f, res.Total)
+				s.retain(f, res.SpaceSize())
 			} else {
 				delete(s.flights, f.key)
 			}
@@ -751,7 +759,7 @@ func retainable(res *flexos.ExploreResult, err error, delta bool) bool {
 	return res.Evaluated == 0 && (!delta || res.MemoHits == 0)
 }
 
-// retain keeps the finished flight f, of n configurations, in the
+// retain keeps the finished flight f, pinning n configurations, in the
 // table for repeats, evicting the least recently used retained flights
 // beyond the bounds. Called with s.mu held.
 func (s *Server) retain(f *flight, n int) {
