@@ -22,8 +22,11 @@ const benchWarmOps = 40
 // so the daemon retains its flight and every timed request is answered
 // from it: one iteration is the serving stack over three spaces —
 // decode, space lookup, canonical key, report and encode — and runs no
-// engine pass. The engine's walk over stored records is guarded by
-// BenchmarkQueryMemoizedSweep and BenchmarkSpaceOrder instead.
+// engine pass. BenchmarkQueryMemoizedSweep and BenchmarkSpaceOrder
+// still time the engine's walk over stored records, but no benchmark
+// times the serve warm engine pass as a whole (runFlight, the walk,
+// StatsOf and the report over an engine Result); in process only
+// TestWarmRequestAllocationBudget's allocation count guards it.
 func BenchmarkServeWarm(b *testing.B) {
 	srv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {
